@@ -46,7 +46,11 @@ fn bench_decompress(c: &mut Criterion) {
     let szx = szx_core::compress(&data, &cfg).unwrap();
     let mut out = vec![0f32; data.len()];
     g.bench_function(BenchmarkId::new("szx", "miranda-pressure"), |b| {
-        b.iter(|| szx_core::decompress_into(&szx, &mut out).unwrap());
+        b.iter(|| {
+            szx_core::Decoder::default()
+                .decode_into(&szx, &mut out)
+                .unwrap()
+        });
     });
     let sz = szx_baselines::szlike::compress(&data, dims, eb).unwrap();
     g.bench_function(BenchmarkId::new("szlike", "miranda-pressure"), |b| {

@@ -41,7 +41,11 @@ fn bench_strategies(c: &mut Criterion) {
         let stream = szx_core::compress(&f.data, &cfg).unwrap();
         let mut out = vec![0f32; f.data.len()];
         g.bench_function(BenchmarkId::new(name, "miranda-vx"), |b| {
-            b.iter(|| szx_core::decompress_into(&stream, &mut out).unwrap());
+            b.iter(|| {
+                szx_core::Decoder::default()
+                    .decode_into(&stream, &mut out)
+                    .unwrap()
+            });
         });
     }
     g.finish();

@@ -4,12 +4,13 @@
 //! decoder (`KernelSelect::Simd`) — on 64 MB f32 streams from the CESM-ATM
 //! and Nyx generators. All paths reconstruct bit-identical outputs (asserted at
 //! setup), so any delta is pure decode-loop throughput. Timed calls reuse a
-//! preallocated output buffer and a persistent `DecodeScratch`, so no
-//! allocation is inside the measured region.
+//! preallocated output buffer and a persistent `Decoder` (whose kernel
+//! arenas survive across calls), so no allocation is inside the measured
+//! region.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use szx_core::config::KernelSelect;
-use szx_core::{DecodeScratch, SzxConfig};
+use szx_core::{Decoder, SzxConfig};
 use szx_data::{Application, Scale};
 
 /// 64 MB of f32 (16 Mi elements), stitched from the application's fields.
@@ -38,8 +39,12 @@ fn bench_decode(c: &mut Criterion) {
 
         // The acceptance criterion only counts if both decoders agree on
         // every bit of the reconstruction.
-        let scalar: Vec<f32> = szx_core::decompress_with(&stream, KernelSelect::Scalar).unwrap();
-        let kernel: Vec<f32> = szx_core::decompress_with(&stream, KernelSelect::Kernel).unwrap();
+        let scalar: Vec<f32> = Decoder::new(KernelSelect::Scalar, false)
+            .decode(&stream)
+            .unwrap();
+        let kernel: Vec<f32> = Decoder::new(KernelSelect::Kernel, false)
+            .decode(&stream)
+            .unwrap();
         for (i, (a, b)) in scalar.iter().zip(&kernel).enumerate() {
             assert_eq!(
                 a.to_bits(),
@@ -52,7 +57,9 @@ fn bench_decode(c: &mut Criterion) {
             ("kernel", KernelSelect::Kernel),
         ];
         if szx_core::simd::available() {
-            let simd: Vec<f32> = szx_core::decompress_with(&stream, KernelSelect::Simd).unwrap();
+            let simd: Vec<f32> = Decoder::new(KernelSelect::Simd, false)
+                .decode(&stream)
+                .unwrap();
             for (i, (a, b)) in scalar.iter().zip(&simd).enumerate() {
                 assert_eq!(
                     a.to_bits(),
@@ -69,17 +76,15 @@ fn bench_decode(c: &mut Criterion) {
         g.throughput(Throughput::Bytes(bytes));
         g.sample_size(10);
         for &(kname, sel) in &arms {
-            let mut scratch = DecodeScratch::default();
-            g.bench_function(BenchmarkId::new(kname, name), |b| {
-                b.iter(|| {
-                    szx_core::decompress_into_scratch(&stream, &mut out, sel, &mut scratch).unwrap()
+            for (id, parallel) in [
+                (kname.to_string(), false),
+                (format!("{kname}-parallel"), true),
+            ] {
+                let mut decoder = Decoder::new(sel, parallel);
+                g.bench_function(BenchmarkId::new(id, name), |b| {
+                    b.iter(|| decoder.decode_into(&stream, &mut out).unwrap());
                 });
-            });
-            g.bench_function(BenchmarkId::new(format!("{kname}-parallel"), name), |b| {
-                b.iter(|| {
-                    szx_core::parallel::decompress_into_with(&stream, &mut out, sel).unwrap()
-                });
-            });
+            }
         }
         g.finish();
     }

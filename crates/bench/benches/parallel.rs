@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use szx_baselines::chunked::{self, Codec};
-use szx_core::SzxConfig;
+use szx_core::{Decoder, KernelSelect, SzxConfig};
 use szx_data::{Application, Scale};
 
 fn field() -> (Vec<f32>, [usize; 3], f64) {
@@ -21,14 +21,15 @@ fn bench_parallel(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(bytes as u64));
     g.sample_size(15);
 
-    let cfg = SzxConfig::absolute(eb);
+    let cfg = SzxConfig::absolute(eb).with_parallel(true);
     g.bench_function(BenchmarkId::new("szx-compress", "nyx-vx"), |b| {
-        b.iter(|| szx_core::parallel::compress(&data, &cfg).unwrap());
+        b.iter(|| szx_core::compress(&data, &cfg).unwrap());
     });
-    let stream = szx_core::parallel::compress(&data, &cfg).unwrap();
+    let stream = szx_core::compress(&data, &cfg).unwrap();
     let mut out = vec![0f32; data.len()];
+    let mut decoder = Decoder::new(KernelSelect::Auto, true);
     g.bench_function(BenchmarkId::new("szx-decompress", "nyx-vx"), |b| {
-        b.iter(|| szx_core::parallel::decompress_into(&stream, &mut out).unwrap());
+        b.iter(|| decoder.decode_into(&stream, &mut out).unwrap());
     });
     g.bench_function(BenchmarkId::new("szlike-compress", "nyx-vx"), |b| {
         b.iter(|| chunked::compress_par(&data, dims, eb, Codec::SzLike, threads).unwrap());

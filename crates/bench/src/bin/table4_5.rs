@@ -42,7 +42,9 @@ fn main() {
                                 let bytes = szx_core::compress(&f.data, &cfg).expect("szx");
                                 let mut out = vec![0f32; f.data.len()];
                                 median_time(3, || {
-                                    szx_core::decompress_into(&bytes, &mut out).expect("szx d")
+                                    szx_core::Decoder::default()
+                                        .decode_into(&bytes, &mut out)
+                                        .expect("szx d")
                                 })
                             }
                             ("ZFP", false) => median_time(3, || {

@@ -5,7 +5,7 @@
 
 use bench::{gbs, median_time, scale_from_env, seed_for, REL_BOUNDS};
 use szx_baselines::chunked::{self, Codec};
-use szx_core::SzxConfig;
+use szx_core::{Decoder, KernelSelect, SzxConfig};
 use szx_data::Application;
 
 fn main() {
@@ -44,19 +44,16 @@ fn main() {
                         total_bytes += f.raw_bytes();
                         let t = match (codec, decomp) {
                             ("SZx", false) => {
-                                let cfg = SzxConfig::absolute(eb);
-                                median_time(3, || {
-                                    szx_core::parallel::compress(&f.data, &cfg).expect("szx")
-                                })
+                                let cfg = SzxConfig::absolute(eb).with_parallel(true);
+                                median_time(3, || szx_core::compress(&f.data, &cfg).expect("szx"))
                             }
                             ("SZx", true) => {
-                                let cfg = SzxConfig::absolute(eb);
-                                let bytes =
-                                    szx_core::parallel::compress(&f.data, &cfg).expect("szx");
+                                let cfg = SzxConfig::absolute(eb).with_parallel(true);
+                                let bytes = szx_core::compress(&f.data, &cfg).expect("szx");
                                 let mut out = vec![0f32; f.data.len()];
+                                let mut decoder = Decoder::new(KernelSelect::Auto, true);
                                 median_time(3, || {
-                                    szx_core::parallel::decompress_into(&bytes, &mut out)
-                                        .expect("szx d")
+                                    decoder.decode_into(&bytes, &mut out).expect("szx d")
                                 })
                             }
                             ("ZFP", false) => median_time(3, || {

@@ -40,7 +40,11 @@ fn main() {
             let bytes = szx_core::compress(&f.data, &cfg).unwrap();
             let tc = median_time(3, || szx_core::compress(&f.data, &cfg).unwrap());
             let mut out = vec![0f32; f.data.len()];
-            let td = median_time(3, || szx_core::decompress_into(&bytes, &mut out).unwrap());
+            let td = median_time(3, || {
+                szx_core::Decoder::default()
+                    .decode_into(&bytes, &mut out)
+                    .unwrap()
+            });
             let q = distortion(&f.data, &out);
             println!(
                 "{:<6} {:>7.0e} | {:>8.2} {:>9.1} {:>11.0} {:>11.0}",

@@ -21,7 +21,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use szx_core::{KernelSelect, SzxConfig};
+use szx_core::{Decoder, KernelSelect, SzxConfig};
 use szx_data::{Application, Scale};
 use szx_telemetry::json::Json;
 
@@ -554,23 +554,16 @@ fn collect_hotspots(
 ) -> Vec<szx_profile::Hotspot> {
     let profiler = szx_profile::Profiler::start(HOTSPOT_HZ);
     let start = Instant::now();
-    let mut scratch = szx_core::DecodeScratch::default();
+    let cfg = cfg.with_parallel(mode == "parallel");
+    let mut decoder = Decoder::new(kernel, cfg.parallel);
     loop {
         for field in &dataset.fields {
             let data = &field.data;
-            let stream = if mode == "parallel" {
-                szx_core::parallel::compress(data, cfg)
-            } else {
-                szx_core::compress(data, cfg)
-            }
-            .expect("hotspot-pass compression failed");
+            let stream = szx_core::compress(data, &cfg).expect("hotspot-pass compression failed");
             let mut recon = vec![0f32; data.len()];
-            if mode == "parallel" {
-                szx_core::parallel::decompress_into_with(&stream, &mut recon, kernel)
-            } else {
-                szx_core::decompress_into_scratch(&stream, &mut recon, kernel, &mut scratch)
-            }
-            .expect("hotspot-pass decompression failed");
+            decoder
+                .decode_into(&stream, &mut recon)
+                .expect("hotspot-pass decompression failed");
         }
         if start.elapsed().as_secs_f64() >= HOTSPOT_MIN_SECS {
             break;
@@ -613,7 +606,9 @@ pub fn run(opts: &RunOptions) -> BenchReport {
         for &rel in &opts.bounds {
             for &(kernel_name, kernel) in &kernels {
                 for mode in ["serial", "parallel"] {
-                    let cfg = SzxConfig::relative(rel).with_kernel(kernel);
+                    let cfg = SzxConfig::relative(rel)
+                        .with_kernel(kernel)
+                        .with_parallel(mode == "parallel");
                     let mut raw_bytes = 0u64;
                     let mut comp_bytes = 0u64;
                     let mut compress_secs = 0.0;
@@ -623,31 +618,16 @@ pub fn run(opts: &RunOptions) -> BenchReport {
                     for field in &dataset.fields {
                         let data = &field.data;
                         let (ct, stream) = best_time(opts.samples, || {
-                            if mode == "parallel" {
-                                szx_core::parallel::compress(data, &cfg)
-                            } else {
-                                szx_core::compress(data, &cfg)
-                            }
-                            .expect("observatory compression failed")
+                            szx_core::compress(data, &cfg).expect("observatory compression failed")
                         });
                         // Preallocated output + reusable kernel arenas:
                         // the timed region is pure decode, not allocation.
                         let mut recon = vec![0f32; data.len()];
-                        let mut scratch = szx_core::DecodeScratch::default();
+                        let mut decoder = Decoder::new(kernel, cfg.parallel);
                         let (dt, ()) = best_time(opts.samples, || {
-                            if mode == "parallel" {
-                                szx_core::parallel::decompress_into_with(
-                                    &stream, &mut recon, kernel,
-                                )
-                            } else {
-                                szx_core::decompress_into_scratch(
-                                    &stream,
-                                    &mut recon,
-                                    kernel,
-                                    &mut scratch,
-                                )
-                            }
-                            .expect("observatory decompression failed")
+                            decoder
+                                .decode_into(&stream, &mut recon)
+                                .expect("observatory decompression failed")
                         });
                         let header = szx_core::inspect(&stream).expect("own stream inspects");
                         let d = szx_metrics::distortion(data, &recon);

@@ -3,11 +3,11 @@
 //!
 //! This replaces PR-5's `panic-path` file allowlist. Instead of trusting a
 //! hand-maintained list of decode-side *files*, the rule starts from the
-//! decode entry points — `decompress*`, the `FrameReader`/`RandomAccess`/
-//! `ArchiveReader` surfaces, and the header/TOC/stream-index parsers —
-//! walks the workspace call graph, and scans every reachable function body
-//! (in any file) for `unwrap`/`expect`/panicking macros/unchecked
-//! indexing. Each finding reports the full call chain from the entry point
+//! decode entry points — `decompress*`, the `Decoder`/`FrameReader`/
+//! `RandomAccess`/`ArchiveReader` surfaces, and the header/TOC/stream-index
+//! parsers — walks the workspace call graph, and scans every reachable
+//! function body (in any file) for `unwrap`/`expect`/panicking
+//! macros/unchecked indexing. Each finding reports the full call chain from the entry point
 //! so the justification (or fix) can be written where the invariant is
 //! actually established.
 
@@ -30,7 +30,7 @@ const MACROS: &[&str] = &[
 ];
 
 /// Impl types whose methods parse attacker-controllable bytes.
-const ENTRY_TYPES: &[&str] = &["FrameReader", "RandomAccess", "ArchiveReader"];
+const ENTRY_TYPES: &[&str] = &["Decoder", "FrameReader", "RandomAccess", "ArchiveReader"];
 
 /// Parser types where only the named constructors are entries (other
 /// methods are accessors over already-validated state, and are still
@@ -224,6 +224,17 @@ mod tests {
         let (f, c) = run_graph(&[("crates/szx-core/src/streaming.rs", src)]);
         assert_eq!(f.len(), 2, "{f:?}");
         assert_eq!(c.decode_entries, 2);
+    }
+
+    #[test]
+    fn decoder_methods_are_entries() {
+        let src = "impl Decoder {\n\
+                   pub fn decode(&mut self, b: &[u8]) -> u8 { b[0] }\n\
+                   }\n";
+        let (f, c) = run_graph(&[("crates/szx-core/src/decode.rs", src)]);
+        assert_eq!(c.decode_entries, 1);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].symbol, "szx_core::decode::Decoder::decode");
     }
 
     #[test]

@@ -442,18 +442,18 @@ fn parse_config(args: &[String]) -> Result<SzxConfig, String> {
         error_bound: bound,
         strategy,
         kernel: parse_kernel(args)?,
+        parallel: false,
     })
 }
 
 fn cmd_compress(args: &[String]) -> Result<(), String> {
     let (input, output) = io_pair(args)?;
-    let cfg = parse_config(args)?;
+    let cfg = parse_config(args)?.with_parallel(has_flag(args, "--parallel"));
     let stats = stats_requested(args);
     let trace = trace_requested(args);
     let obs = obs_begin(args)?;
     let prof = profile_begin(args)?;
     let json = has_flag(args, "--json");
-    let parallel = has_flag(args, "--parallel");
     let want_quality = obs.manifest.is_some();
 
     let bytes = std::fs::read(&input).map_err(|e| format!("{}: {e}", input.display()))?;
@@ -466,7 +466,7 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        let c = run_compress(&data, &cfg, parallel)?;
+        let c = szx_core::compress(&data, &cfg).map_err(|e| e.to_string())?;
         let elapsed = start.elapsed();
         let q = if want_quality {
             Some(szx_metrics::distortion_f64(
@@ -485,7 +485,7 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        let c = run_compress(&data, &cfg, parallel)?;
+        let c = szx_core::compress(&data, &cfg).map_err(|e| e.to_string())?;
         let elapsed = start.elapsed();
         let q = if want_quality {
             Some(szx_metrics::distortion(
@@ -513,14 +513,14 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
     } else {
         println!("{summary}");
     }
-    let mode = if parallel { "parallel" } else { "serial" };
+    let mode = mode_name(cfg.parallel);
     let manifest = obs.manifest.is_some().then(|| {
         let dtype = if has_flag(args, "--f64") {
             "f64"
         } else {
             "f32"
         };
-        let mut m = run_manifest("compress", &cfg, mode, dtype, &input, &bytes);
+        let mut m = run_manifest("compress", &cfg, dtype, &input, &bytes);
         let mut q = quality_entries(
             quality.as_ref().expect("quality measured when --manifest"),
             bytes.len(),
@@ -557,12 +557,20 @@ fn decompress_quiet<F: szx_core::SzxFloat>(stream: &[u8]) -> Result<Vec<F>, Stri
     r
 }
 
+/// `mode` label of a run in manifests and `--stats` reports.
+fn mode_name(parallel: bool) -> &'static str {
+    if parallel {
+        "parallel"
+    } else {
+        "serial"
+    }
+}
+
 /// Shared manifest skeleton: command, full config, parallelism, dataset
 /// identity (path, bytes, FNV-1a digest of the raw input file).
 fn run_manifest(
     command: &str,
     cfg: &SzxConfig,
-    mode: &str,
     dtype: &str,
     input: &Path,
     input_bytes: &[u8],
@@ -572,10 +580,10 @@ fn run_manifest(
         ErrorBound::Absolute(e) => ("abs", e),
         ErrorBound::Relative(r) => ("rel", r),
     };
-    let threads = if mode == "parallel" {
-        std::thread::available_parallelism()
-            .map(|n| n.get() as u64)
-            .unwrap_or(1)
+    // The worker count the codec actually splits over (RAYON_NUM_THREADS
+    // wins over the core count).
+    let threads = if cfg.parallel {
+        szx_core::current_num_threads() as u64
     } else {
         1
     };
@@ -586,7 +594,7 @@ fn run_manifest(
         ("block_size", Value::U64(cfg.block_size as u64)),
         ("strategy", Value::Str(format!("{:?}", cfg.strategy))),
         ("kernel", Value::Str(format!("{:?}", cfg.kernel))),
-        ("mode", Value::Str(mode.into())),
+        ("mode", Value::Str(mode_name(cfg.parallel).into())),
         ("threads", Value::U64(threads)),
         ("dtype", Value::Str(dtype.into())),
     ]);
@@ -596,19 +604,6 @@ fn run_manifest(
         szx_telemetry::fnv1a64(input_bytes),
     );
     m
-}
-
-fn run_compress<F: szx_core::SzxFloat>(
-    data: &[F],
-    cfg: &SzxConfig,
-    parallel: bool,
-) -> Result<Vec<u8>, String> {
-    let r = if parallel {
-        szx_core::parallel::compress(data, cfg)
-    } else {
-        szx_core::compress(data, cfg)
-    };
-    r.map_err(|e| e.to_string())
 }
 
 fn cmd_decompress(args: &[String]) -> Result<(), String> {
@@ -623,21 +618,12 @@ fn cmd_decompress(args: &[String]) -> Result<(), String> {
     let prof = profile_begin(args)?;
     let json = has_flag(args, "--json");
     let start = std::time::Instant::now();
+    let mut decoder = szx_core::Decoder::new(kernel, parallel);
     let out: Vec<u8> = if header.dtype == 0 {
-        let data: Vec<f32> = if parallel {
-            szx_core::parallel::decompress_with(&bytes, kernel)
-        } else {
-            szx_core::decompress_with(&bytes, kernel)
-        }
-        .map_err(|e| e.to_string())?;
+        let data: Vec<f32> = decoder.decode(&bytes).map_err(|e| e.to_string())?;
         data.iter().flat_map(|v| v.to_le_bytes()).collect()
     } else {
-        let data: Vec<f64> = if parallel {
-            szx_core::parallel::decompress_with(&bytes, kernel)
-        } else {
-            szx_core::decompress_with(&bytes, kernel)
-        }
-        .map_err(|e| e.to_string())?;
+        let data: Vec<f64> = decoder.decode(&bytes).map_err(|e| e.to_string())?;
         data.iter().flat_map(|v| v.to_le_bytes()).collect()
     };
     let elapsed = start.elapsed();
@@ -653,7 +639,7 @@ fn cmd_decompress(args: &[String]) -> Result<(), String> {
     } else {
         println!("{summary}");
     }
-    let mode = if parallel { "parallel" } else { "serial" };
+    let mode = mode_name(parallel);
     // The kernel and simd decoders cover only the ByteAligned strategy;
     // report the path the blocks actually took (resolve() folds in runtime
     // ISA detection and the SZX_DISABLE_SIMD override).
@@ -669,9 +655,10 @@ fn cmd_decompress(args: &[String]) -> Result<(), String> {
             error_bound: ErrorBound::Absolute(header.eb),
             strategy: header.strategy,
             kernel,
+            parallel,
         };
         let dtype = if header.dtype == 0 { "f32" } else { "f64" };
-        let mut m = run_manifest("decompress", &cfg, mode, dtype, &input, &bytes);
+        let mut m = run_manifest("decompress", &cfg, dtype, &input, &bytes);
         m.set_quality(&[
             (
                 "ratio",
@@ -841,7 +828,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         } else {
             "f32"
         };
-        let mut m = run_manifest("stream", &cfg, "serial", dtype, &input, &bytes);
+        let mut m = run_manifest("stream", &cfg, dtype, &input, &bytes);
         let mut q = quality_entries(
             quality.as_ref().expect("quality measured when --manifest"),
             bytes.len(),

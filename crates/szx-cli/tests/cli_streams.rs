@@ -144,3 +144,47 @@ fn profile_svg_without_profile_is_an_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--profile-svg requires"), "{stderr:?}");
 }
+
+#[test]
+fn manifest_threads_follow_rayon_num_threads() {
+    let dir = std::env::temp_dir().join(format!("szx-cli-threads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("in.f32");
+    let output = dir.join("out.szx");
+    let manifest = dir.join("run.json");
+    write_field(&input, 64 * 1024);
+
+    // 3 differs from the core count of most hosts that run this, so a
+    // count taken from the cores instead of the worker pool shows up.
+    for workers in ["1", "3"] {
+        let out = szx()
+            .env("RAYON_NUM_THREADS", workers)
+            .args([
+                "compress",
+                input.to_str().unwrap(),
+                output.to_str().unwrap(),
+                "--abs",
+                "1e-3",
+                "--parallel",
+                "--manifest",
+                manifest.to_str().unwrap(),
+            ])
+            .output()
+            .expect("run szx compress");
+        assert!(out.status.success(), "stderr: {:?}", out.stderr);
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let doc = szx_telemetry::json::Json::parse(&text).expect("manifest is JSON");
+        let config = doc.get("config").expect("manifest config");
+        assert_eq!(
+            config.get("mode").and_then(|m| m.as_str()),
+            Some("parallel")
+        );
+        assert_eq!(
+            config.get("threads").and_then(|t| t.as_f64()),
+            Some(workers.parse::<f64>().unwrap()),
+            "RAYON_NUM_THREADS={workers}: {text}"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

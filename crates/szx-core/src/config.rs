@@ -26,15 +26,6 @@ pub enum ErrorBound {
 }
 
 impl ErrorBound {
-    /// Resolve to an absolute bound for the given dataset. Returns the
-    /// absolute value unchanged for [`ErrorBound::Absolute`].
-    pub fn resolve<F: SzxFloat>(&self, data: &[F]) -> f64 {
-        match *self {
-            ErrorBound::Absolute(e) => e,
-            ErrorBound::Relative(rel) => rel * value_range(data),
-        }
-    }
-
     fn raw(&self) -> f64 {
         match *self {
             ErrorBound::Absolute(e) | ErrorBound::Relative(e) => e,
@@ -187,6 +178,10 @@ pub struct SzxConfig {
     /// Hot-loop implementation; keep the default unless benchmarking the
     /// scalar oracle against the branch-free kernels.
     pub kernel: KernelSelect,
+    /// Split the range scan and the block encode across the rayon workers
+    /// (§6.1). Only the chunking changes: the stream is byte-identical to
+    /// the serial one.
+    pub parallel: bool,
 }
 
 impl SzxConfig {
@@ -197,6 +192,7 @@ impl SzxConfig {
             error_bound: ErrorBound::Absolute(eb),
             strategy: CommitStrategy::default(),
             kernel: KernelSelect::default(),
+            parallel: false,
         }
     }
 
@@ -208,6 +204,7 @@ impl SzxConfig {
             error_bound: ErrorBound::Relative(rel),
             strategy: CommitStrategy::default(),
             kernel: KernelSelect::default(),
+            parallel: false,
         }
     }
 
@@ -226,6 +223,12 @@ impl SzxConfig {
     /// Builder-style hot-loop selection override.
     pub fn with_kernel(mut self, kernel: KernelSelect) -> Self {
         self.kernel = kernel;
+        self
+    }
+
+    /// Builder-style multicore switch (see [`SzxConfig::parallel`]).
+    pub fn with_parallel(mut self, parallel: bool) -> Self {
+        self.parallel = parallel;
         self
     }
 
@@ -297,8 +300,22 @@ mod tests {
     #[test]
     fn relative_bound_resolves_against_range() {
         let data = [1.0f32, 3.0, 2.0, -1.0];
-        assert_eq!(ErrorBound::Relative(0.5).resolve(&data), 2.0);
-        assert_eq!(ErrorBound::Absolute(0.125).resolve(&data), 0.125);
+        for (cfg, eb) in [
+            (SzxConfig::relative(0.5), 2.0),
+            (SzxConfig::absolute(0.125), 0.125),
+        ] {
+            for kernel in [
+                KernelSelect::Scalar,
+                KernelSelect::Kernel,
+                KernelSelect::Simd,
+            ] {
+                for parallel in [false, true] {
+                    let cfg = cfg.with_kernel(kernel).with_parallel(parallel);
+                    let bytes = crate::compress(&data, &cfg).unwrap();
+                    assert_eq!(crate::inspect(&bytes).unwrap().eb, eb, "{cfg:?}");
+                }
+            }
+        }
     }
 
     #[test]

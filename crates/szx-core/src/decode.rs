@@ -1,5 +1,7 @@
-//! The SZx decompressor (serial path; the parallel path reuses the
-//! per-block routine through `pub(crate)` visibility).
+//! The SZx decompressor: stream indexing, the [`Decoder`] (serial or
+//! parallel over one block-run loop), and the per-block routines.
+
+use rayon::prelude::*;
 
 use crate::bitio::{BitReader, StateBits};
 use crate::block::{bytes_for, shift_for};
@@ -97,6 +99,12 @@ impl<'a> StreamIndex<'a> {
         })
     }
 
+    /// [`Self::build`] inside the `decompress.index` span.
+    fn build_traced<F: SzxFloat>(bytes: &'a [u8]) -> Result<Self> {
+        let _s = szx_telemetry::span("decompress.index");
+        Self::build::<F>(bytes)
+    }
+
     #[inline]
     pub(crate) fn mu<F: SzxFloat>(&self, block: usize) -> F {
         // PANIC-OK: build() sliced mu_bytes to exactly nblocks * F::BYTES,
@@ -178,65 +186,146 @@ impl<'a> ParsedStream<'a> {
     }
 }
 
-/// Decompress a stream produced by [`crate::compress`]. The element type
-/// must match the stream's; use [`crate::stream::inspect`] to discover it.
+/// Decompress a stream produced by [`crate::compress`] with the default
+/// [`Decoder`] (fastest kernel, serial). The element type must match the
+/// stream's; use [`crate::stream::inspect`] to discover it.
 pub fn decompress<F: SzxFloat>(bytes: &[u8]) -> Result<Vec<F>> {
-    decompress_with(bytes, KernelSelect::Auto)
+    Decoder::default().decode(bytes)
 }
 
-/// [`decompress`] with an explicit decode-path selection. The kernel and
-/// scalar decoders are byte-identical on every valid stream; `kernel` only
-/// chooses *how* blocks are reconstructed, never *what* they decode to.
-pub fn decompress_with<F: SzxFloat>(bytes: &[u8], kernel: KernelSelect) -> Result<Vec<F>> {
-    let _total = szx_telemetry::span("decompress.total");
-    // Build (and thereby validate) the index *before* allocating the output:
-    // a forged header could otherwise demand an absurd allocation.
-    let index = {
-        let _s = szx_telemetry::span("decompress.index");
-        StreamIndex::build::<F>(bytes)?
-    };
-    let mut out = vec![F::ZERO; index.header.n];
-    let mut scratch = DecodeScratch::default();
-    decompress_with_index(&index, &mut out, kernel.resolve(), &mut scratch)?;
-    Ok(out)
+/// Blocks handled per parallel decode task. Coarse enough to amortize
+/// scheduling, fine enough to balance skewed payloads.
+const DECODE_GROUP: usize = 32;
+
+/// The SZx decompressor: a decode path, a serial/parallel switch, and the
+/// kernel arenas it reuses across calls.
+///
+/// Every path and both modes reconstruct bit-identical values and fail
+/// with identical errors; the settings only choose *how* blocks are
+/// decoded, never *what* they decode to. The parallel mode is the paper's
+/// multicore design (§6.1): the stream index prefix-sums the
+/// `zsize_array`, so each rayon worker starts its group of blocks at a
+/// known payload offset.
+#[derive(Debug)]
+pub struct Decoder {
+    kernel: KernelPath,
+    parallel: bool,
+    /// Arenas for the serial mode, reused across calls: once grown to the
+    /// largest block they never grow again. Parallel groups each use their
+    /// own.
+    scratch: DecodeScratch,
 }
 
-/// Decompress into a caller-provided buffer of exactly `header.n` elements
-/// (allocation-free reuse across repeated decompressions).
-pub fn decompress_into<F: SzxFloat>(bytes: &[u8], out: &mut [F]) -> Result<()> {
-    decompress_into_with(bytes, out, KernelSelect::Auto)
+impl Default for Decoder {
+    fn default() -> Self {
+        Decoder::new(KernelSelect::Auto, false)
+    }
 }
 
-/// [`decompress_into`] with an explicit decode-path selection.
-pub fn decompress_into_with<F: SzxFloat>(
-    bytes: &[u8],
-    out: &mut [F],
-    kernel: KernelSelect,
-) -> Result<()> {
-    let mut scratch = DecodeScratch::default();
-    decompress_into_scratch(bytes, out, kernel, &mut scratch)
-}
+impl Decoder {
+    /// A decoder running `kernel` (resolved against the CPU now), serially
+    /// or on the rayon workers.
+    pub fn new(kernel: KernelSelect, parallel: bool) -> Self {
+        Decoder {
+            kernel: kernel.resolve(),
+            parallel,
+            scratch: DecodeScratch::default(),
+        }
+    }
 
-/// [`decompress_into_with`] reusing a caller-held [`DecodeScratch`] — the
-/// fully allocation-free path for repeated decompressions (output buffer
-/// *and* kernel arenas amortized).
-pub fn decompress_into_scratch<F: SzxFloat>(
-    bytes: &[u8],
-    out: &mut [F],
-    kernel: KernelSelect,
-    scratch: &mut DecodeScratch,
-) -> Result<()> {
-    let _total = szx_telemetry::span("decompress.total");
-    let index = {
-        let _s = szx_telemetry::span("decompress.index");
-        StreamIndex::build::<F>(bytes)?
-    };
-    decompress_with_index(&index, out, kernel.resolve(), scratch)
+    /// Decompress `bytes` into a new vector.
+    pub fn decode<F: SzxFloat>(&mut self, bytes: &[u8]) -> Result<Vec<F>> {
+        let _total = szx_telemetry::span("decompress.total");
+        // Build (and thereby validate) the index *before* allocating the
+        // output: a forged header could otherwise demand an absurd
+        // allocation.
+        let index = StreamIndex::build_traced::<F>(bytes)?;
+        let mut out = vec![F::ZERO; index.header.n];
+        self.decode_index(&index, &mut out)?;
+        Ok(out)
+    }
+
+    /// Decompress `bytes` into `out`, which must hold exactly the stream's
+    /// element count, so repeated decodes reuse one output buffer.
+    pub fn decode_into<F: SzxFloat>(&mut self, bytes: &[u8], out: &mut [F]) -> Result<()> {
+        let _total = szx_telemetry::span("decompress.total");
+        let index = StreamIndex::build_traced::<F>(bytes)?;
+        self.decode_index(&index, out)
+    }
+
+    /// Decode one non-constant block payload (random access).
+    pub(crate) fn decode_block<F: SzxFloat>(
+        &mut self,
+        payload: &[u8],
+        out: &mut [F],
+        mu: F,
+        strategy: CommitStrategy,
+    ) -> Result<()> {
+        decode_block_dispatch(payload, out, mu, strategy, self.kernel, &mut self.scratch)
+    }
+
+    fn decode_index<F: SzxFloat>(&mut self, index: &StreamIndex<'_>, out: &mut [F]) -> Result<()> {
+        if out.len() != index.header.n {
+            return Err(SzxError::InvalidConfig(format!(
+                "output buffer holds {} elements, stream has {}",
+                out.len(),
+                index.header.n
+            )));
+        }
+        if szx_telemetry::enabled() {
+            flush_decode_telemetry::<F>(index);
+        }
+        let _s = szx_telemetry::span("decompress.blocks");
+        // Zone-only path attribution for the profiler (the per-block
+        // dispatch also depends on the stream's strategy; this names the
+        // path that was *requested* for the sweep).
+        let _z = szx_telemetry::trace_zone(
+            match self.kernel {
+                KernelPath::Simd => "decompress.simd.decode",
+                KernelPath::Kernel => "decompress.path.kernel",
+                KernelPath::Scalar => "decompress.path.scalar",
+            },
+            0,
+        );
+        let path = self.kernel;
+        if !self.parallel {
+            let result = decode_run(index, 0, 0, out, path, &mut self.scratch);
+            let grows = self.scratch.take_grows();
+            if grows > 0 && szx_telemetry::enabled() {
+                let tel = szx_telemetry::global();
+                tel.counter("decompress.scratch.grows").add(grows);
+                tel.gauge("decompress.scratch.arena_bytes")
+                    .set_max(self.scratch.arena_bytes() as f64);
+            }
+            return result;
+        }
+        // Non-constant blocks before each group: where its first payload
+        // sits in the zsize prefix sum.
+        let mut group_nc = Vec::with_capacity(index.states.len().div_ceil(DECODE_GROUP));
+        let mut nc = 0usize;
+        for (b, s) in index.states.iter().enumerate() {
+            if b % DECODE_GROUP == 0 {
+                group_nc.push(nc);
+            }
+            nc += s as usize;
+        }
+        out.par_chunks_mut(index.header.block_size * DECODE_GROUP)
+            .enumerate()
+            .try_for_each(|(g, group)| {
+                let _z = szx_telemetry::trace_zone("decompress.group", g as u64);
+                // One arena per group, not one per block.
+                let mut scratch = DecodeScratch::default();
+                // PANIC-OK: `out` holds num_blocks blocks, so the split yields
+                // num_blocks.div_ceil(DECODE_GROUP) groups, one entry each.
+                let nc = group_nc[g];
+                decode_run(index, g * DECODE_GROUP, nc, group, path, &mut scratch)
+            })
+    }
 }
 
 /// Publish what a decompression saw — block classes come for free from the
 /// already-built index, so decode telemetry costs nothing per block.
-pub(crate) fn flush_decode_telemetry<F: SzxFloat>(index: &StreamIndex<'_>) {
+fn flush_decode_telemetry<F: SzxFloat>(index: &StreamIndex<'_>) {
     let tel = szx_telemetry::global();
     let nblocks = index.states.len() as u64;
     let nc = index.header.n_nonconstant as u64;
@@ -252,7 +341,7 @@ pub(crate) fn flush_decode_telemetry<F: SzxFloat>(index: &StreamIndex<'_>) {
 /// and the paper's Solution C); other strategies always take the scalar
 /// loop.
 #[inline]
-pub(crate) fn decode_block_dispatch<F: SzxFloat>(
+fn decode_block_dispatch<F: SzxFloat>(
     payload: &[u8],
     out: &mut [F],
     mu: F,
@@ -271,67 +360,37 @@ pub(crate) fn decode_block_dispatch<F: SzxFloat>(
     }
 }
 
-pub(crate) fn decompress_with_index<F: SzxFloat>(
+/// Decode the consecutive blocks starting at `first_block` into `out` (a
+/// whole number of blocks, except possibly the stream's last), stopping at
+/// the first corrupt one. `nc` counts the non-constant blocks before
+/// `first_block`, whose payloads precede this run's.
+fn decode_run<F: SzxFloat>(
     index: &StreamIndex<'_>,
+    first_block: usize,
+    mut nc: usize,
     out: &mut [F],
     path: KernelPath,
     scratch: &mut DecodeScratch,
 ) -> Result<()> {
-    if out.len() != index.header.n {
-        return Err(SzxError::InvalidConfig(format!(
-            "output buffer holds {} elements, stream has {}",
-            out.len(),
-            index.header.n
-        )));
-    }
-    if szx_telemetry::enabled() {
-        flush_decode_telemetry::<F>(index);
-    }
-    let result = {
-        let _s = szx_telemetry::span("decompress.blocks");
-        // Zone-only path attribution for the profiler (the per-block
-        // dispatch below also depends on the stream's strategy; this names
-        // the path that was *requested* for the sweep).
-        let _z = szx_telemetry::trace_zone(
-            match path {
-                KernelPath::Simd => "decompress.simd.decode",
-                KernelPath::Kernel => "decompress.path.kernel",
-                KernelPath::Scalar => "decompress.path.scalar",
-            },
-            0,
-        );
-        let bs = index.header.block_size;
-        let strategy = index.header.strategy;
-        let mut nc = 0usize;
-        let mut result = Ok(());
-        for (b, chunk) in out.chunks_mut(bs).enumerate() {
-            let mu = index.mu::<F>(b);
-            if index.states.get(b) {
-                // PANIC-OK: build() verified count_ones == n_nonconstant
-                // (bounding nc) and that the payload section holds the full
-                // zsize prefix sum, so off + len <= payloads.len().
-                let off = index.payload_offsets[nc];
-                let len = index.zsizes[nc] as usize; // PANIC-OK: as above
-                let payload = &index.payloads[off..off + len]; // PANIC-OK: as above
-                if let Err(e) = decode_block_dispatch(payload, chunk, mu, strategy, path, scratch) {
-                    result = Err(e);
-                    break;
-                }
-                nc += 1;
-            } else {
-                chunk.fill(mu);
-            }
+    let bs = index.header.block_size;
+    let strategy = index.header.strategy;
+    for (j, block_out) in out.chunks_mut(bs).enumerate() {
+        let b = first_block + j;
+        let mu = index.mu::<F>(b);
+        if index.states.get(b) {
+            // PANIC-OK: build() verified count_ones == n_nonconstant
+            // (bounding nc) and that the payload section holds the full
+            // zsize prefix sum, so off + len <= payloads.len().
+            let off = index.payload_offsets[nc];
+            let len = index.zsizes[nc] as usize; // PANIC-OK: as above
+            let payload = &index.payloads[off..off + len]; // PANIC-OK: as above
+            decode_block_dispatch(payload, block_out, mu, strategy, path, scratch)?;
+            nc += 1;
+        } else {
+            block_out.fill(mu);
         }
-        result
-    };
-    let grows = scratch.take_grows();
-    if grows > 0 && szx_telemetry::enabled() {
-        let tel = szx_telemetry::global();
-        tel.counter("decompress.scratch.grows").add(grows);
-        tel.gauge("decompress.scratch.arena_bytes")
-            .set_max(scratch.arena_bytes() as f64);
     }
-    result
+    Ok(())
 }
 
 /// Decode one non-constant block payload into `out` (of the block's length).
@@ -558,11 +617,71 @@ mod tests {
     }
 
     #[test]
-    fn decompress_into_wrong_size() {
+    fn decode_into_wrong_size() {
         let data = wave(100);
         let bytes = compress(&data, &SzxConfig::absolute(1e-3)).unwrap();
-        let mut buf = vec![0f32; 99];
-        assert!(decompress_into(&bytes, &mut buf).is_err());
+        for parallel in [false, true] {
+            let mut decoder = Decoder::new(KernelSelect::Auto, parallel);
+            let mut buf = vec![0f32; 99];
+            assert!(decoder.decode_into(&bytes, &mut buf).is_err());
+            let mut buf = vec![0f32; 100];
+            decoder.decode_into(&bytes, &mut buf).unwrap();
+        }
+    }
+
+    #[test]
+    fn parallel_roundtrip_cross_decoders() {
+        let data: Vec<f32> = (0..123_457) // ragged tail
+            .map(|i| {
+                let x = i as f32 * 0.003;
+                x.sin() * 5.0 + (x * 37.1).sin() * 0.02
+            })
+            .collect();
+        for strategy in [
+            CommitStrategy::ByteAligned,
+            CommitStrategy::BitPack,
+            CommitStrategy::BytePlusResidual,
+        ] {
+            let cfg = SzxConfig::absolute(1e-4).with_strategy(strategy);
+            let bytes = compress(&data, &cfg).unwrap();
+            let reference: Vec<f32> = Decoder::new(KernelSelect::Scalar, false)
+                .decode(&bytes)
+                .unwrap();
+            for (&x, &y) in data.iter().zip(&reference) {
+                assert!((x - y).abs() <= 1e-4);
+            }
+            for kernel in [
+                KernelSelect::Scalar,
+                KernelSelect::Kernel,
+                KernelSelect::Simd,
+            ] {
+                for parallel in [false, true] {
+                    let mut decoder = Decoder::new(kernel, parallel);
+                    let back: Vec<f32> = decoder.decode(&bytes).unwrap();
+                    assert!(
+                        back.iter()
+                            .zip(&reference)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{strategy:?} {kernel:?} parallel={parallel}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_f64_roundtrip() {
+        let data: Vec<f64> = (0..40_000)
+            .map(|i| (i as f64 * 0.001).sinh().sin())
+            .collect();
+        let cfg = SzxConfig::absolute(1e-7).with_parallel(true);
+        let bytes = compress(&data, &cfg).unwrap();
+        let back: Vec<f64> = Decoder::new(KernelSelect::Auto, true)
+            .decode(&bytes)
+            .unwrap();
+        for (&x, &y) in data.iter().zip(&back) {
+            assert!((x - y).abs() <= 1e-7);
+        }
     }
 
     #[test]

@@ -48,11 +48,11 @@ use crate::contracts::contract;
 use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
 
-/// Reusable per-call/per-chunk scratch for the decode kernel. Threaded
-/// through `decompress_with_index` (serial: one per call; parallel: one per
-/// rayon group, mirroring [`crate::kernels::EncodeScratch`]) so the block
-/// loop performs **zero** allocations once the arenas have grown to the
-/// largest block.
+/// Reusable scratch for the decode kernel. A [`crate::Decoder`] owns one
+/// for its serial runs and keeps it across calls; a parallel decode gives
+/// each rayon group its own, mirroring [`crate::kernels::EncodeScratch`].
+/// Either way the block loop performs **zero** allocations once the arenas
+/// have grown to the largest block.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     /// Clamped lead code per element (unpacked, one byte each).

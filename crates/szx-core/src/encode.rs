@@ -1,5 +1,7 @@
 //! The SZx compressor (Algorithm 1 + the §5.1 commit strategies).
 
+use rayon::prelude::*;
+
 use crate::bitio::BitWriter;
 use crate::block::{bytes_for, required_length, shift_for, BlockStats};
 use crate::config::{CommitStrategy, ErrorBound, KernelPath, SzxConfig};
@@ -143,38 +145,75 @@ impl<F: SzxFloat> ChunkOutput<F> {
     }
 }
 
-/// Resolve the configured error bound against the data, using the selected
-/// range-scan implementation (all paths produce identical values; see
-/// [`kernels::value_range`] and [`crate::simd::value_range`]).
-pub(crate) fn resolve_bound<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> f64 {
+/// Elements per range-scan chunk on the parallel path.
+const RANGE_CHUNK: usize = 64 * 1024;
+
+/// Resolve the configured error bound against the data. A relative bound
+/// needs the global value range (max − min, NaN-ignoring): the serial path
+/// scans the whole slice in one go, the parallel path scans
+/// [`RANGE_CHUNK`]-element chunks on the rayon workers. `path` selects the
+/// per-chunk min/max; every path selects the same extrema (they are picked,
+/// never computed), so the resolved bound — and therefore the stream — is
+/// identical for every path and either split.
+pub(crate) fn resolve_bound<F: SzxFloat>(data: &[F], cfg: &SzxConfig, path: KernelPath) -> f64 {
     match cfg.error_bound {
         ErrorBound::Absolute(e) => e,
-        ErrorBound::Relative(rel) => {
-            let range = match cfg.kernel.resolve() {
-                KernelPath::Simd => crate::simd::value_range(data),
-                KernelPath::Kernel => kernels::value_range(data),
-                KernelPath::Scalar => crate::config::value_range(data),
+        ErrorBound::Relative(rel) => rel * value_range_on(data, path, cfg.parallel),
+    }
+}
+
+/// Global value range through the `path` min/max kernels, split as
+/// described on [`resolve_bound`]. Equal to the scalar oracle
+/// [`crate::config::value_range`] for every `path` and split.
+pub(crate) fn value_range_on<F: SzxFloat>(data: &[F], path: KernelPath, parallel: bool) -> f64 {
+    let chunk = if parallel { RANGE_CHUNK } else { data.len() };
+    let (min, max) = data
+        .par_chunks(chunk.max(1))
+        .enumerate()
+        .map(|(ci, chunk)| {
+            let _z = szx_telemetry::trace_zone("compress.range_chunk", ci as u64);
+            let (lo, hi) = match path {
+                KernelPath::Simd => crate::simd::minmax(chunk),
+                KernelPath::Kernel => kernels::minmax(chunk),
+                KernelPath::Scalar => chunk.iter().fold(
+                    (F::from_f64(f64::INFINITY), F::from_f64(f64::NEG_INFINITY)),
+                    |(lo, hi), &d| (if d < lo { d } else { lo }, if d > hi { d } else { hi }),
+                ),
             };
-            rel * range
-        }
+            (lo.to_f64(), hi.to_f64())
+        })
+        .reduce(
+            || (f64::INFINITY, f64::NEG_INFINITY),
+            |a, b| (a.0.min(b.0), a.1.max(b.1)),
+        );
+    if max >= min {
+        max - min
+    } else {
+        0.0
     }
 }
 
 /// Compress `data` into a self-describing SZx stream.
 ///
-/// This is the serial reference path; see [`crate::parallel`] for the
-/// multicore version. The relative error bound, if configured, is resolved
-/// against the global value range here and the stream records the resulting
-/// absolute bound.
+/// The relative error bound, if configured, is resolved against the global
+/// value range here and the stream records the resulting absolute bound.
+///
+/// With [`SzxConfig::parallel`] the work is split the way the paper's
+/// OpenMP design does it (§6.1): contiguous chunks of blocks, a few per
+/// rayon worker, each encoded into its own buffers and stitched together by
+/// [`assemble`]. Chunks are multiples of 8 blocks, so the per-chunk state
+/// bits concatenate on byte boundaries and the stream is byte-identical to
+/// the serial one, which is the same loop over a single chunk.
 pub fn compress<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<Vec<u8>> {
     let _total = szx_telemetry::span("compress.total");
     cfg.validate()?;
     if data.is_empty() {
         return Err(SzxError::EmptyInput);
     }
+    let path = cfg.kernel.resolve();
     let eb = {
         let _s = szx_telemetry::span("compress.range_scan");
-        resolve_bound(data, cfg)
+        resolve_bound(data, cfg, path)
     };
     if !eb.is_finite() || eb < 0.0 {
         return Err(SzxError::InvalidConfig(format!(
@@ -182,27 +221,49 @@ pub fn compress<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<Vec<u8>> {
         )));
     }
 
-    let nblocks = data.len().div_ceil(cfg.block_size);
-    let mut chunk = ChunkOutput::with_capacity(nblocks, data.len() * F::BYTES);
-    let mut scratch = EncodeScratch::default();
-    {
-        let _s = szx_telemetry::span("compress.encode_blocks");
-        encode_blocks(
-            data,
-            cfg.block_size,
-            eb,
-            cfg.strategy,
-            cfg.kernel.resolve(),
-            &mut chunk,
-            &mut scratch,
-        );
-    }
+    let bs = cfg.block_size;
+    let nblocks = data.len().div_ceil(bs);
+    let target_chunks = if cfg.parallel {
+        rayon::current_num_threads() * 4
+    } else {
+        1
+    };
+    let blocks_per_chunk = (nblocks.div_ceil(target_chunks).div_ceil(8) * 8).max(8);
 
-    Ok(assemble(&[chunk], data.len(), eb, cfg))
+    // Each chunk accumulates telemetry into its own ChunkOutput.stats; the
+    // single flush happens inside assemble() at the join point, so rayon
+    // workers never contend on shared counters.
+    let chunks: Vec<ChunkOutput<F>> = {
+        let _s = szx_telemetry::span("compress.encode_blocks");
+        data.par_chunks(blocks_per_chunk * bs)
+            .enumerate()
+            .map(|(ci, chunk_data)| {
+                // One timeline lane entry per chunk: the flight recorder's
+                // view of skew across rayon workers.
+                let _z = szx_telemetry::trace_zone("compress.chunk", ci as u64);
+                let chunk_blocks = chunk_data.len().div_ceil(bs);
+                let mut out = ChunkOutput::with_capacity(chunk_blocks, chunk_data.len() * F::BYTES);
+                // One scratch arena per chunk, not one per block.
+                let mut scratch = EncodeScratch::default();
+                encode_blocks(
+                    chunk_data,
+                    bs,
+                    eb,
+                    cfg.strategy,
+                    path,
+                    &mut out,
+                    &mut scratch,
+                );
+                out
+            })
+            .collect()
+    };
+
+    Ok(assemble(&chunks, data.len(), eb, cfg))
 }
 
 /// Encode every block of `data` (a whole number of blocks except possibly
-/// the last) into `out`. Shared by the serial and parallel paths; `path`
+/// the last) into `out`. Runs once per chunk of [`compress`]; `path`
 /// selects among the explicit SIMD kernels, the branch-free portable
 /// kernels, and the scalar oracle (byte-identical outputs, see
 /// [`crate::kernels`] and [`crate::simd`]).
@@ -351,8 +412,8 @@ pub(crate) fn assemble<F: SzxFloat>(
     header.write(&mut bytes);
 
     // State bits. Chunk boundaries are multiples of 8 blocks (enforced by
-    // the parallel splitter), so per-chunk bit packing concatenates cleanly;
-    // the serial path has a single chunk and needs no such care.
+    // the splitter in `compress`), so per-chunk bit packing concatenates
+    // cleanly.
     let mut bitw = BitWriter::with_capacity(nblocks.div_ceil(8));
     for c in chunks {
         for &s in &c.states {
@@ -382,9 +443,9 @@ pub(crate) fn assemble<F: SzxFloat>(
 }
 
 /// Merge every chunk's local stats and publish them to the global registry —
-/// the single join point shared by the serial and parallel compressors, so
-/// the registry sees exactly one flush per top-level call regardless of how
-/// many rayon workers produced the chunks.
+/// the single join point of [`compress`], so the registry sees exactly one
+/// flush per top-level call regardless of how many rayon workers produced
+/// the chunks.
 fn flush_encode_telemetry<F: SzxFloat>(
     chunks: &[ChunkOutput<F>],
     raw_bytes: usize,
@@ -532,7 +593,7 @@ fn encode_nonconstant<F: SzxFloat>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ErrorBound;
+    use crate::config::{ErrorBound, KernelSelect};
 
     #[test]
     fn compress_rejects_empty() {
@@ -564,10 +625,69 @@ mod tests {
             error_bound: ErrorBound::Relative(1e-3),
             strategy: CommitStrategy::ByteAligned,
             kernel: crate::config::KernelSelect::Auto,
+            parallel: false,
         };
         // Range overflows f64? No — f32::MAX fits in f64, so this resolves
         // fine and must compress.
         assert!(compress(&data, &cfg).is_ok());
+    }
+
+    fn noisy_wave(n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|i| {
+                let x = i as f32 * 0.003;
+                x.sin() * 5.0 + (x * 37.1).sin() * 0.02
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parallel_stream_equals_serial_stream() {
+        let data = noisy_wave(300_000);
+        for strategy in [
+            CommitStrategy::ByteAligned,
+            CommitStrategy::BitPack,
+            CommitStrategy::BytePlusResidual,
+        ] {
+            let cfg = SzxConfig::relative(1e-3).with_strategy(strategy);
+            let reference = compress(&data, &cfg.with_kernel(KernelSelect::Scalar)).unwrap();
+            for kernel in [
+                KernelSelect::Scalar,
+                KernelSelect::Kernel,
+                KernelSelect::Simd,
+            ] {
+                for parallel in [false, true] {
+                    let cfg = cfg.with_kernel(kernel).with_parallel(parallel);
+                    let bytes = compress(&data, &cfg).unwrap();
+                    assert_eq!(reference, bytes, "streams must be byte-identical ({cfg:?})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_handles_tiny_inputs() {
+        let data = vec![1.0f32, 2.0, 3.0];
+        let cfg = SzxConfig::absolute(1e-3).with_parallel(true);
+        let bytes = compress(&data, &cfg).unwrap();
+        assert_eq!(bytes, compress(&data, &cfg.with_parallel(false)).unwrap());
+        let back: Vec<f32> = crate::decompress(&bytes).unwrap();
+        for (&x, &y) in data.iter().zip(&back) {
+            assert!((x - y).abs() <= 1e-3);
+        }
+    }
+
+    #[test]
+    fn parallel_relative_bound_matches_serial_resolution() {
+        // Spans several range-scan chunks, so the parallel reduction runs.
+        let data = noisy_wave(300_000);
+        let cfg = SzxConfig::relative(1e-2);
+        let serial = compress(&data, &cfg).unwrap();
+        let par = compress(&data, &cfg.with_parallel(true)).unwrap();
+        let hs = crate::inspect(&serial).unwrap();
+        let hp = crate::inspect(&par).unwrap();
+        assert_eq!(hs.eb.to_bits(), hp.eb.to_bits());
+        assert_eq!(hs.eb, 1e-2 * crate::config::value_range(&data));
     }
 
     #[test]

@@ -186,20 +186,6 @@ pub fn minmax<F: SzxFloat>(data: &[F]) -> (F, F) {
     (min, max)
 }
 
-/// Global value range `max - min` via [`minmax`]; identical result to
-/// [`crate::config::value_range`] (unique extrema have unique bit patterns,
-/// and an all-zero dataset reduces to `x - x = +0.0` either way).
-#[inline]
-pub fn value_range<F: SzxFloat>(data: &[F]) -> f64 {
-    let (min, max) = minmax(data);
-    let (min, max) = (min.to_f64(), max.to_f64());
-    if max >= min {
-        max - min
-    } else {
-        0.0
-    }
-}
-
 /// Kernel encode of one non-constant block: same payload layout and bytes as
 /// the scalar [`crate::encode`] path, produced by four flat passes over the
 /// scratch arenas instead of one branchy per-value loop.
@@ -362,6 +348,8 @@ pub(crate) fn commit_byte_aligned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::KernelPath;
+    use crate::encode::value_range_on;
 
     #[test]
     fn block_stats_matches_scalar_on_plain_data() {
@@ -405,14 +393,21 @@ mod tests {
         let data: Vec<f64> = (0..1003)
             .map(|i| ((i * 31 % 211) as f64) * 0.37 - 40.0)
             .collect();
-        assert_eq!(value_range(&data), crate::config::value_range(&data));
         let with_nan: Vec<f32> = vec![f32::NAN, 3.0, -1.0, f32::NAN, 7.5];
-        assert_eq!(
-            value_range(&with_nan),
-            crate::config::value_range(&with_nan)
-        );
-        assert_eq!(value_range::<f32>(&[f32::NAN; 20]), 0.0);
-        assert_eq!(value_range::<f32>(&[]), 0.0);
+        for path in [KernelPath::Kernel, KernelPath::Scalar] {
+            for parallel in [false, true] {
+                assert_eq!(
+                    value_range_on(&data, path, parallel),
+                    crate::config::value_range(&data)
+                );
+                assert_eq!(
+                    value_range_on(&with_nan, path, parallel),
+                    crate::config::value_range(&with_nan)
+                );
+                assert_eq!(value_range_on::<f32>(&[f32::NAN; 20], path, parallel), 0.0);
+                assert_eq!(value_range_on::<f32>(&[], path, parallel), 0.0);
+            }
+        }
     }
 
     #[test]

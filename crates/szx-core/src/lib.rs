@@ -36,11 +36,27 @@
 //!
 //! ## Multicore
 //!
-//! [`parallel::compress`] / [`parallel::decompress`] parallelize over blocks
-//! with rayon, mirroring the paper's OpenMP design (§6.1): compression
-//! chunks blocks across threads, decompression prefix-sums the per-block
+//! Serial and multicore runs are the same codec with one switch:
+//! [`SzxConfig::parallel`] on compression and the `parallel` argument of
+//! [`Decoder::new`] on decompression. Work is spread over rayon workers
+//! the way the paper's OpenMP design does it (§6.1): compression chunks
+//! blocks across threads, decompression prefix-sums the per-block
 //! compressed sizes (`zsize_array`) to hand each thread an independent
-//! starting offset.
+//! starting offset. Streams and decodes are byte-identical either way.
+//!
+//! ```
+//! use szx_core::{compress, Decoder, KernelSelect, SzxConfig};
+//!
+//! let data: Vec<f32> = (0..100_000).map(|i| (i as f32 * 1e-3).cos()).collect();
+//! let cfg = SzxConfig::relative(1e-3);
+//! let bytes = compress(&data, &cfg.with_parallel(true)).unwrap();
+//! assert_eq!(bytes, compress(&data, &cfg).unwrap());
+//!
+//! // Parallel decode into a caller-held buffer.
+//! let mut decoder = Decoder::new(KernelSelect::Auto, true);
+//! let mut out = vec![0f32; data.len()];
+//! decoder.decode_into(&bytes, &mut out).unwrap();
+//! ```
 //!
 //! ## Guarantees
 //!
@@ -72,7 +88,6 @@ pub mod encode;
 pub mod error;
 pub mod float;
 pub mod kernels;
-pub mod parallel;
 pub mod random_access;
 pub mod simd;
 pub mod stream;
@@ -83,14 +98,14 @@ pub use config::{
     CommitStrategy, ErrorBound, KernelPath, KernelSelect, SzxConfig, DEFAULT_BLOCK_SIZE,
     MAX_BLOCK_SIZE,
 };
-pub use decode::{
-    decompress, decompress_into, decompress_into_scratch, decompress_into_with, decompress_with,
-};
-pub use dekernels::DecodeScratch;
+pub use decode::{decompress, Decoder};
 pub use encode::compress;
 pub use error::{Result, SzxError};
 pub use float::SzxFloat;
 pub use random_access::RandomAccess;
+/// Worker threads a parallel compress or decode uses at most
+/// (`RAYON_NUM_THREADS`, else the available cores).
+pub use rayon::current_num_threads;
 pub use stream::{inspect, Header};
 pub use streaming::{FrameReader, FrameStats, FrameWriter};
 

@@ -10,9 +10,8 @@
 
 use core::cell::RefCell;
 
-use crate::config::{CommitStrategy, KernelPath, KernelSelect};
-use crate::decode::{decode_block_dispatch, ParsedStream};
-use crate::dekernels::DecodeScratch;
+use crate::config::CommitStrategy;
+use crate::decode::{Decoder, ParsedStream};
 use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
 
@@ -22,11 +21,10 @@ pub struct RandomAccess<'a, F: SzxFloat> {
     strategy: CommitStrategy,
     block_size: usize,
     n: usize,
-    path: KernelPath,
-    /// Kernel arenas reused across `decode_block` calls. A `RefCell` keeps
-    /// the decode methods `&self` (the reader is a view, not a mutator);
-    /// the borrow never escapes a single block decode.
-    scratch: RefCell<DecodeScratch>,
+    /// Decode path and kernel arenas, reused across `decode_block` calls. A
+    /// `RefCell` keeps the decode methods `&self` (the reader is a view,
+    /// not a mutator); the borrow never escapes a single block decode.
+    decoder: RefCell<Decoder>,
     _marker: core::marker::PhantomData<F>,
 }
 
@@ -41,15 +39,16 @@ impl<'a, F: SzxFloat> RandomAccess<'a, F> {
             strategy: header.strategy,
             block_size: header.block_size,
             n: header.n,
-            path: KernelSelect::Auto.resolve(),
-            scratch: RefCell::new(DecodeScratch::default()),
+            decoder: RefCell::default(),
             _marker: core::marker::PhantomData,
         })
     }
 
-    /// Select the decode path (simd vs kernel vs scalar — identical outputs).
-    pub fn with_kernel(mut self, kernel: KernelSelect) -> Self {
-        self.path = kernel.resolve();
+    /// Decode with `decoder`'s path (simd vs kernel vs scalar — identical
+    /// outputs). Blocks are decoded one at a time, so its parallel switch
+    /// has no effect here.
+    pub fn with_decoder(mut self, decoder: Decoder) -> Self {
+        self.decoder = RefCell::new(decoder);
         self
     }
 
@@ -86,15 +85,13 @@ impl<'a, F: SzxFloat> RandomAccess<'a, F> {
         let mu = self.parsed.mu::<F>(b);
         if self.parsed.state(b) {
             let (off, len) = self.parsed.payload_span(b);
-            decode_block_dispatch(
+            self.decoder.borrow_mut().decode_block(
                 // PANIC-OK: parse() validated every payload span against
                 // `payloads.len()` when the stream was indexed.
                 &self.parsed.payloads[off..off + len],
                 out,
                 mu,
                 self.strategy,
-                self.path,
-                &mut self.scratch.borrow_mut(),
             )
         } else {
             out.fill(mu);
@@ -243,10 +240,10 @@ mod tests {
         let bytes = crate::compress(&data, &SzxConfig::absolute(1e-4)).unwrap();
         let scalar = RandomAccess::<f32>::new(&bytes)
             .unwrap()
-            .with_kernel(crate::KernelSelect::Scalar);
+            .with_decoder(Decoder::new(crate::KernelSelect::Scalar, false));
         let kernel = RandomAccess::<f32>::new(&bytes)
             .unwrap()
-            .with_kernel(crate::KernelSelect::Kernel);
+            .with_decoder(Decoder::new(crate::KernelSelect::Kernel, false));
         for (start, end) in [(0, 5000), (100, 400), (699, 702), (4990, 5000)] {
             let a = scalar.decode_range(start, end).unwrap();
             let b = kernel.decode_range(start, end).unwrap();

@@ -168,19 +168,6 @@ pub fn minmax<F: SzxFloat>(data: &[F]) -> (F, F) {
     kernels::minmax(data)
 }
 
-/// Global value range via [`minmax`]; identical result to
-/// [`crate::kernels::value_range`] and the scalar scan.
-#[inline]
-pub fn value_range<F: SzxFloat>(data: &[F]) -> f64 {
-    let (min, max) = minmax(data);
-    let (min, max) = (min.to_f64(), max.to_f64());
-    if max >= min {
-        max - min
-    } else {
-        0.0
-    }
-}
-
 /// SIMD encode of one non-constant block: intrinsic passes 1–3 (normalize/
 /// shift, lead-code derivation, 2-bit packing) feeding the shared
 /// overlapping-store committer. Byte-identical payload to
@@ -340,7 +327,8 @@ pub(crate) fn decode_nonconstant_block<F: SzxFloat>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SzxConfig;
+    use crate::config::{KernelPath, SzxConfig};
+    use crate::encode::value_range_on;
 
     fn cases_f32() -> Vec<Vec<f32>> {
         let mut cases = vec![
@@ -385,10 +373,18 @@ mod tests {
             let (b0, b1) = minmax(&data);
             assert_eq!(a0.to_bits(), b0.to_bits());
             assert_eq!(a1.to_bits(), b1.to_bits());
-            assert_eq!(value_range(&data), kernels::value_range(&data));
+            for parallel in [false, true] {
+                assert_eq!(
+                    value_range_on(&data, KernelPath::Simd, parallel),
+                    crate::config::value_range(&data)
+                );
+            }
         }
-        assert_eq!(value_range::<f32>(&[f32::NAN; 20]), 0.0);
-        assert_eq!(value_range::<f32>(&[]), 0.0);
+        assert_eq!(
+            value_range_on::<f32>(&[f32::NAN; 20], KernelPath::Simd, false),
+            0.0
+        );
+        assert_eq!(value_range_on::<f32>(&[], KernelPath::Simd, false), 0.0);
         let d64: Vec<f64> = (0..321).map(|i| ((i * 31 % 211) as f64) * 0.37).collect();
         let (a0, a1) = kernels::minmax(&d64);
         let (b0, b1) = minmax(&d64);
@@ -405,8 +401,12 @@ mod tests {
                 let k = crate::compress(&data, &base.with_kernel(KernelSelect::Kernel)).unwrap();
                 let v = crate::compress(&data, &base.with_kernel(KernelSelect::Simd)).unwrap();
                 assert_eq!(k, v, "eb={eb}");
-                let dk: Vec<f32> = crate::decompress_with(&k, KernelSelect::Kernel).unwrap();
-                let dv: Vec<f32> = crate::decompress_with(&k, KernelSelect::Simd).unwrap();
+                let dk: Vec<f32> = crate::Decoder::new(KernelSelect::Kernel, false)
+                    .decode(&k)
+                    .unwrap();
+                let dv: Vec<f32> = crate::Decoder::new(KernelSelect::Simd, false)
+                    .decode(&k)
+                    .unwrap();
                 assert_eq!(dk.len(), dv.len());
                 for (a, b) in dk.iter().zip(&dv) {
                     assert_eq!(a.to_bits(), b.to_bits(), "eb={eb}");
@@ -424,7 +424,9 @@ mod tests {
             let k = crate::compress(&data, &base.with_kernel(KernelSelect::Kernel)).unwrap();
             let v = crate::compress(&data, &base.with_kernel(KernelSelect::Simd)).unwrap();
             assert_eq!(k, v, "eb={eb}");
-            let dv: Vec<f64> = crate::decompress_with(&v, KernelSelect::Simd).unwrap();
+            let dv: Vec<f64> = crate::Decoder::new(KernelSelect::Simd, false)
+                .decode(&v)
+                .unwrap();
             for (a, b) in data.iter().zip(&dv) {
                 assert!((a - b).abs() <= eb, "eb={eb}");
             }
@@ -437,8 +439,8 @@ mod tests {
         let data: Vec<f32> = (0..256).map(|i| (i as f32 * 0.3).sin() * 9.0).collect();
         let bytes = crate::compress(&data, &SzxConfig::absolute(1e-4)).unwrap();
         for cut in 0..bytes.len() {
-            let k = crate::decompress_with::<f32>(&bytes[..cut], KernelSelect::Kernel);
-            let v = crate::decompress_with::<f32>(&bytes[..cut], KernelSelect::Simd);
+            let k = crate::Decoder::new(KernelSelect::Kernel, false).decode::<f32>(&bytes[..cut]);
+            let v = crate::Decoder::new(KernelSelect::Simd, false).decode::<f32>(&bytes[..cut]);
             assert_eq!(k.is_err(), v.is_err(), "cut at {cut}");
             if let (Ok(k), Ok(v)) = (k, v) {
                 assert_eq!(k.len(), v.len());

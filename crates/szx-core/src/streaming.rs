@@ -16,8 +16,8 @@
 
 use core::cell::RefCell;
 
-use crate::config::{KernelSelect, SzxConfig};
-use crate::dekernels::DecodeScratch;
+use crate::config::SzxConfig;
+use crate::decode::Decoder;
 use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
 
@@ -167,11 +167,10 @@ pub struct FrameReader<'a> {
     /// against the container length when the index was built.
     index: Vec<(usize, usize)>,
     bytes: &'a [u8],
-    kernel: KernelSelect,
-    /// Decode-kernel arenas reused across frames (grown once to the
-    /// largest block, then allocation-free). `RefCell` keeps `frame` a
-    /// `&self` method; the borrow is scoped to one frame decode.
-    scratch: RefCell<DecodeScratch>,
+    /// Decoder reused across frames (serially, its kernel arenas grow once
+    /// to the largest block, then stay allocation-free). `RefCell` keeps
+    /// `frame` a `&self` method; the borrow is scoped to one frame decode.
+    decoder: RefCell<Decoder>,
 }
 
 impl<'a> FrameReader<'a> {
@@ -211,14 +210,14 @@ impl<'a> FrameReader<'a> {
         Ok(FrameReader {
             index,
             bytes,
-            kernel: KernelSelect::Auto,
-            scratch: RefCell::new(DecodeScratch::default()),
+            decoder: RefCell::default(),
         })
     }
 
-    /// Select the decode path (kernel vs scalar — identical outputs).
-    pub fn with_kernel(mut self, kernel: KernelSelect) -> Self {
-        self.kernel = kernel;
+    /// Decode frames with `decoder` (its path and serial/parallel mode —
+    /// identical outputs either way).
+    pub fn with_decoder(mut self, decoder: Decoder) -> Self {
+        self.decoder = RefCell::new(decoder);
         self
     }
 
@@ -238,18 +237,7 @@ impl<'a> FrameReader<'a> {
         let len = end - off;
         // Clock read only when somebody is listening on the event sink.
         let started = szx_telemetry::event_sink_installed().then(std::time::Instant::now);
-        let _total = szx_telemetry::span("decompress.total");
-        let index = {
-            let _s = szx_telemetry::span("decompress.index");
-            crate::decode::StreamIndex::build::<F>(stream)?
-        };
-        let mut out = vec![F::ZERO; index.header.n];
-        crate::decode::decompress_with_index(
-            &index,
-            &mut out,
-            self.kernel.resolve(),
-            &mut self.scratch.borrow_mut(),
-        )?;
+        let out = self.decoder.borrow_mut().decode::<F>(stream)?;
         if let Some(start) = started {
             use szx_telemetry::Value;
             szx_telemetry::emit_event(
@@ -395,10 +383,10 @@ mod tests {
         let bytes = w.into_bytes();
         let scalar = FrameReader::new(&bytes)
             .unwrap()
-            .with_kernel(crate::KernelSelect::Scalar);
+            .with_decoder(Decoder::new(crate::KernelSelect::Scalar, false));
         let kernel = FrameReader::new(&bytes)
             .unwrap()
-            .with_kernel(crate::KernelSelect::Kernel);
+            .with_decoder(Decoder::new(crate::KernelSelect::Kernel, true));
         for k in 0..4 {
             let a: Vec<f32> = scalar.frame(k).unwrap();
             let b: Vec<f32> = kernel.frame(k).unwrap();

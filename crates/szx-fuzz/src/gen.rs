@@ -131,6 +131,7 @@ impl Spec {
             error_bound: self.bound,
             strategy: self.strategy,
             kernel: szx_core::KernelSelect::Scalar,
+            parallel: false,
         }
     }
 

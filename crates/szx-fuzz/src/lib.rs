@@ -6,8 +6,8 @@
 //!
 //! * **decode** ([`targets::FuzzTarget::DecodeArbitrary`]): arbitrary
 //!   bytes through every decode entry point, asserting error-not-panic and
-//!   six-path differential agreement (serial scalar, serial kernel,
-//!   serial simd, parallel, random access, streaming);
+//!   differential agreement (the `Decoder` kernel × serial/parallel
+//!   matrix, random access, streaming);
 //! * **round** ([`targets::FuzzTarget::RoundtripConfig`]): bytes decoded
 //!   into a (config, synthetic field) pair, asserting bitwise encode-path
 //!   stream identity, the header error bound, and decode agreement;

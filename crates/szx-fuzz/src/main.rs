@@ -304,6 +304,7 @@ fn cmd_seed(args: &[String]) -> Result<bool, String> {
             error_bound: bound,
             strategy: strategies[k % strategies.len()],
             kernel: KernelSelect::Auto,
+            parallel: false,
         };
         let archive = szx_core::compress(&values, &cfg).map_err(|e| e.to_string())?;
         write(&format!("decode_{short}.szx"), &archive)?;
@@ -313,6 +314,7 @@ fn cmd_seed(args: &[String]) -> Result<bool, String> {
             error_bound: ErrorBound::Absolute(1e-3),
             strategy: CommitStrategy::ByteAligned,
             kernel: KernelSelect::Auto,
+            parallel: false,
         })
         .map_err(|e| e.to_string())?;
         for chunk in values.chunks(300) {

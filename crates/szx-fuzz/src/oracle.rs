@@ -1,18 +1,16 @@
 //! The differential decode oracle.
 //!
 //! Every fuzz input that looks like (or mutated away from) a compressed
-//! stream is pushed through **all six decode paths** the workspace ships:
+//! stream is pushed through **every decode path** the workspace ships:
 //!
-//! 1. serial scalar (`decompress_with(…, Scalar)`) — the reference,
-//! 2. serial branch-free kernel (`decompress_with(…, Kernel)`),
-//! 3. serial explicit SIMD (`decompress_with(…, Simd)` — resolves to the
-//!    portable kernel when the CPU lacks the ISA, so the path is always
-//!    exercised and always held to the contract),
-//! 4. parallel (`parallel::decompress_with`, scalar and kernel),
-//! 5. random access (`RandomAccess::decode_range` over the whole stream,
-//!    scalar and kernel),
-//! 6. streaming (`FrameReader::frame` on the input wrapped as a
-//!    single-frame container, scalar and kernel).
+//! * the [`Decoder`] matrix, `{Scalar, Kernel, Simd} × {serial, parallel}`.
+//!   Serial scalar is the reference. `Simd` resolves to the portable kernel
+//!   when the CPU lacks the ISA, so the cell is always exercised and always
+//!   held to the contract;
+//! * random access (`RandomAccess::decode_range` over the whole stream,
+//!   scalar and kernel);
+//! * streaming (`FrameReader::frame` on the input wrapped as a
+//!   single-frame container, scalar and kernel).
 //!
 //! The contract checked on *every* input, hostile or well-formed:
 //!
@@ -20,14 +18,17 @@
 //!   a [`Failure`] naming the path);
 //! * all paths agree on decodability;
 //! * paths that decode must reconstruct **bit-identical** outputs;
-//! * the scalar and kernel serial decoders, and the streaming reader
-//!   against its serial twin, must return **identical error strings**
-//!   (they share one code path by design — a drifting message means the
-//!   paths stopped sharing validation logic).
+//! * every `Decoder` cell, and the streaming reader, must return the
+//!   reference's **error string verbatim**. They share one index and
+//!   validation layer, and the parallel split reports the first corrupt
+//!   block in block order, exactly as the serial loop does; a drifting
+//!   message means the paths stopped sharing validation logic. Random
+//!   access validates per block, so only its decodability and bits are
+//!   compared.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use szx_core::{KernelSelect, RandomAccess, SzxFloat};
+use szx_core::{Decoder, KernelSelect, RandomAccess, SzxFloat};
 
 use crate::corpus::fnv1a64;
 
@@ -131,12 +132,21 @@ pub struct DecodeReport {
     pub reference: Outcome,
 }
 
-/// Run all six decode paths for element type `F` and check the
-/// differential contract. `Err` means a *harness finding* (panic or
-/// divergence) — an input that merely fails to decode everywhere is `Ok`.
+/// The [`Decoder`] cells besides the serial-scalar reference.
+const DECODER_CELLS: [(&str, KernelSelect, bool); 5] = [
+    ("serial-kernel", KernelSelect::Kernel, false),
+    ("serial-simd", KernelSelect::Simd, false),
+    ("parallel-scalar", KernelSelect::Scalar, true),
+    ("parallel-kernel", KernelSelect::Kernel, true),
+    ("parallel-simd", KernelSelect::Simd, true),
+];
+
+/// Run every decode path for element type `F` and check the differential
+/// contract. `Err` means a *harness finding* (panic or divergence) — an
+/// input that merely fails to decode everywhere is `Ok`.
 pub fn differential_decode_typed<F: SzxFloat>(bytes: &[u8]) -> Result<DecodeReport, Failure> {
     let reference = run_path("serial-scalar", || {
-        szx_core::decompress_with::<F>(bytes, KernelSelect::Scalar)
+        Decoder::new(KernelSelect::Scalar, false).decode::<F>(bytes)
     })?;
 
     let mut features = reference.feature();
@@ -181,28 +191,9 @@ pub fn differential_decode_typed<F: SzxFloat>(bytes: &[u8]) -> Result<DecodeRepo
             Ok(())
         };
 
-    let kernel = run_path("serial-kernel", || {
-        szx_core::decompress_with::<F>(bytes, KernelSelect::Kernel)
-    })?;
-    check("serial-kernel", kernel, true)?;
-
-    // The SIMD decoder shares the serial index + validation layer, so its
-    // errors must match the reference verbatim, like the kernel's.
-    let simd = run_path("serial-simd", || {
-        szx_core::decompress_with::<F>(bytes, KernelSelect::Simd)
-    })?;
-    check("serial-simd", simd, true)?;
-
-    for (path, sel) in [
-        ("parallel-scalar", KernelSelect::Scalar),
-        ("parallel-kernel", KernelSelect::Kernel),
-    ] {
-        // Parallel decode may surface the error of whichever chunk failed,
-        // so only decodability and bits are compared, not messages.
-        let out = run_path(path, || {
-            szx_core::parallel::decompress_with::<F>(bytes, sel)
-        })?;
-        check(path, out, false)?;
+    for (path, kernel, parallel) in DECODER_CELLS {
+        let out = run_path(path, || Decoder::new(kernel, parallel).decode::<F>(bytes))?;
+        check(path, out, true)?;
     }
 
     for (path, sel) in [
@@ -210,7 +201,7 @@ pub fn differential_decode_typed<F: SzxFloat>(bytes: &[u8]) -> Result<DecodeRepo
         ("random-access-kernel", KernelSelect::Kernel),
     ] {
         let out = run_path(path, || {
-            let ra = RandomAccess::<F>::new(bytes)?.with_kernel(sel);
+            let ra = RandomAccess::<F>::new(bytes)?.with_decoder(Decoder::new(sel, false));
             ra.decode_range(0, ra.len())
         })?;
         check(path, out, false)?;
@@ -222,11 +213,10 @@ pub fn differential_decode_typed<F: SzxFloat>(bytes: &[u8]) -> Result<DecodeRepo
         ("streaming-kernel", KernelSelect::Kernel),
     ] {
         let out = run_path(path, || {
-            let reader = szx_core::FrameReader::new(&container)?.with_kernel(sel);
+            let reader =
+                szx_core::FrameReader::new(&container)?.with_decoder(Decoder::new(sel, false));
             reader.frame::<F>(0)
         })?;
-        // The streaming reader routes through the same index + block
-        // dispatch as the serial decoder; its errors must match verbatim.
         check(path, out, true)?;
     }
 

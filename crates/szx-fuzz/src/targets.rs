@@ -5,7 +5,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use szx_core::{KernelSelect, SzxFloat};
+use szx_core::{Decoder, KernelSelect, SzxFloat};
 
 use crate::corpus::fnv1a64;
 use crate::gen::{Spec, SpecType};
@@ -15,7 +15,7 @@ use crate::oracle::{differential_decode, differential_decode_typed, Failure, Out
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FuzzTarget {
     /// Mutated/truncated/bit-flipped archive bytes → every decode entry
-    /// point; error-not-panic + six-path differential agreement.
+    /// point; error-not-panic + differential agreement of every path.
     DecodeArbitrary,
     /// Bytes decoded as a [`Spec`] (config + synthetic field) → compress on
     /// every encode path, assert bitwise stream identity, the header error
@@ -114,7 +114,10 @@ fn roundtrip_typed<F: SzxFloat>(spec: &Spec) -> Result<u64, Failure> {
     let scalar = szx_core::compress(&data, &cfg);
     let kernel = szx_core::compress(&data, &cfg.with_kernel(KernelSelect::Kernel));
     let simd = szx_core::compress(&data, &cfg.with_kernel(KernelSelect::Simd));
-    let par = szx_core::parallel::compress(&data, &cfg.with_kernel(KernelSelect::Kernel));
+    let par = szx_core::compress(
+        &data,
+        &cfg.with_kernel(KernelSelect::Kernel).with_parallel(true),
+    );
     let archive = match scalar {
         Err(e) => {
             let expected = e.to_string();
@@ -199,7 +202,7 @@ fn roundtrip_typed<F: SzxFloat>(spec: &Spec) -> Result<u64, Failure> {
         ));
     }
 
-    // Full six-path differential decode on the fresh archive; it must
+    // Full differential decode on the fresh archive; it must
     // decode everywhere.
     let report = differential_decode_typed::<F>(&archive)?;
     let words = match report.reference {
@@ -256,7 +259,9 @@ fn roundtrip_typed<F: SzxFloat>(spec: &Spec) -> Result<u64, Failure> {
         KernelSelect::Simd,
     ] {
         let mut out = vec![F::ZERO; data.len()];
-        szx_core::decompress_into_with(&archive, &mut out, sel)
+        let mut decoder = Decoder::new(sel, false);
+        decoder
+            .decode_into(&archive, &mut out)
             .map_err(|e| Failure::new("roundtrip:decode-error", format!("into: {e}")))?;
         if out.iter().zip(&words).any(|(v, w)| v.to_word() != *w) {
             return Err(Failure::new(
@@ -265,7 +270,7 @@ fn roundtrip_typed<F: SzxFloat>(spec: &Spec) -> Result<u64, Failure> {
             ));
         }
         let mut short = vec![F::ZERO; data.len().saturating_sub(1)];
-        if szx_core::decompress_into_with(&archive, &mut short, sel).is_ok() {
+        if decoder.decode_into(&archive, &mut short).is_ok() {
             return Err(Failure::new(
                 "roundtrip:short-buffer-accepted",
                 format!("{spec:?}"),
@@ -281,7 +286,7 @@ fn roundtrip_typed<F: SzxFloat>(spec: &Spec) -> Result<u64, Failure> {
 /// Cap on frames examined per container input (mutations can forge huge
 /// frame counts out of tiny containers).
 const MAX_FRAMES: usize = 64;
-/// Cap on frames pushed through the full six-path oracle.
+/// Cap on frames pushed through the full differential oracle.
 const MAX_DEEP_FRAMES: usize = 8;
 
 /// Target 3: header/TOC/frame-index torture for the streaming reader.
@@ -305,10 +310,10 @@ fn stream_torture(input: &[u8]) -> Result<u64, Failure> {
     };
 
     let scalar = match catch_unwind(AssertUnwindSafe(|| szx_core::FrameReader::new(input))) {
-        Ok(Ok(r)) => r.with_kernel(KernelSelect::Scalar),
+        Ok(Ok(r)) => r.with_decoder(Decoder::new(KernelSelect::Scalar, false)),
         _ => return Err(Failure::new("panic:frame-index", "FrameReader::new (2nd)")),
     };
-    let kernel = reader.with_kernel(KernelSelect::Kernel);
+    let kernel = reader.with_decoder(Decoder::new(KernelSelect::Kernel, false));
 
     let n = scalar.num_frames().min(MAX_FRAMES);
     features = features.rotate_left(3).wrapping_add(n as u64);
@@ -316,7 +321,7 @@ fn stream_torture(input: &[u8]) -> Result<u64, Failure> {
         // Scalar/kernel frame decode parity, both element types.
         features ^= frame_parity::<f32>(&scalar, &kernel, i)?;
         features ^= frame_parity::<f64>(&scalar, &kernel, i)?;
-        // The first few frames additionally run the complete six-path
+        // The first few frames additionally run the complete
         // differential oracle over their raw stream bytes.
         if i < MAX_DEEP_FRAMES {
             if let Some(frame) = scalar.frame_bytes(i) {

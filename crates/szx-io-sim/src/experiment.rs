@@ -56,7 +56,7 @@ pub fn dump(
     pfs: &PfsConfig,
 ) -> Breakdown {
     let start = Instant::now();
-    let compressed = compress_with(data, dims, eb, codec);
+    let compressed = encode_with(data, dims, eb, codec);
     let codec_time = start.elapsed().as_secs_f64();
     let io_time = pfs.transfer_time(n_ranks, compressed.len());
     Breakdown {
@@ -75,10 +75,10 @@ pub fn load(
     n_ranks: usize,
     pfs: &PfsConfig,
 ) -> Breakdown {
-    let compressed = compress_with(data, dims, eb, codec);
+    let compressed = encode_with(data, dims, eb, codec);
     let io_time = pfs.transfer_time(n_ranks, compressed.len());
     let start = Instant::now();
-    decompress_with(&compressed, codec);
+    decode_with(&compressed, codec);
     let codec_time = start.elapsed().as_secs_f64();
     Breakdown {
         codec_time,
@@ -87,7 +87,7 @@ pub fn load(
     }
 }
 
-fn compress_with(data: &[f32], dims: [usize; 3], eb: f64, codec: IoCodec) -> Vec<u8> {
+fn encode_with(data: &[f32], dims: [usize; 3], eb: f64, codec: IoCodec) -> Vec<u8> {
     match codec {
         IoCodec::Szx => {
             szx_core::compress(data, &szx_core::SzxConfig::absolute(eb)).expect("szx compress")
@@ -101,7 +101,7 @@ fn compress_with(data: &[f32], dims: [usize; 3], eb: f64, codec: IoCodec) -> Vec
     }
 }
 
-fn decompress_with(bytes: &[u8], codec: IoCodec) {
+fn decode_with(bytes: &[u8], codec: IoCodec) {
     match codec {
         IoCodec::Szx => {
             let _: Vec<f32> = szx_core::decompress(bytes).expect("szx decompress");

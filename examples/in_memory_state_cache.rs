@@ -14,11 +14,13 @@
 
 use std::time::Instant;
 
-use szx_core::{compress, decompress_into, SzxConfig};
+use szx_core::{compress, Decoder, SzxConfig};
 
 /// A minimal compressed-snapshot store.
 struct StateCache {
     cfg: SzxConfig,
+    /// Reused across restores: its kernel arenas survive between calls.
+    decoder: Decoder,
     slots: Vec<Vec<u8>>,
     raw_bytes_per_state: usize,
 }
@@ -27,6 +29,7 @@ impl StateCache {
     fn new(cfg: SzxConfig, state_len: usize) -> Self {
         StateCache {
             cfg,
+            decoder: Decoder::default(),
             slots: Vec::new(),
             raw_bytes_per_state: state_len * 4,
         }
@@ -38,8 +41,10 @@ impl StateCache {
         self.slots.len() - 1
     }
 
-    fn restore(&self, slot: usize, out: &mut [f32]) {
-        decompress_into(&self.slots[slot], out).expect("decompress state");
+    fn restore(&mut self, slot: usize, out: &mut [f32]) {
+        self.decoder
+            .decode_into(&self.slots[slot], out)
+            .expect("decompress state");
     }
 
     fn compressed_bytes(&self) -> usize {

@@ -144,9 +144,10 @@ run_profile_smoke() {
 # same decode bits, same error messages. Release mode only: the intrinsic
 # kernels and the autovectorized portable kernels both need optimizations
 # to exercise their real codegen. Also proves the CLI-level plumbing end to
-# end with a stream `cmp` across --kernel selections.
+# end with a stream `cmp` across --kernel selections, each serial and
+# --parallel.
 run_simd_equivalence() {
-    echo "==> SIMD equivalence (scalar vs kernel vs simd, release)"
+    echo "==> SIMD equivalence (scalar vs kernel vs simd, serial vs parallel, release)"
     cargo test -q --release -p szx-core simd \
         || { echo "==> FAIL szx-core simd equivalence tests" >&2; exit 1; }
     cargo test -q --release -p szx-integration-tests --test simd_dispatch \
@@ -173,6 +174,18 @@ run_simd_equivalence() {
         cargo run -q --release -p szx-cli -- decompress "$dir/$sel.szx" \
             "$dir/$sel.f32" --kernel "$sel" >/dev/null \
             || simd_fail "decompress --kernel $sel"
+        # Serial and --parallel are one codec with a different split: the
+        # parallel stream and decode must equal the serial files bytewise.
+        cargo run -q --release -p szx-cli -- compress "$field" \
+            "$dir/$sel-par.szx" --abs 1e-3 --kernel "$sel" --parallel >/dev/null \
+            || simd_fail "compress --kernel $sel --parallel"
+        cargo run -q --release -p szx-cli -- decompress "$dir/$sel-par.szx" \
+            "$dir/$sel-par.f32" --kernel "$sel" --parallel >/dev/null \
+            || simd_fail "decompress --kernel $sel --parallel"
+        cmp -s "$dir/$sel.szx" "$dir/$sel-par.szx" \
+            || simd_fail "$sel serial and parallel streams differ"
+        cmp -s "$dir/$sel.f32" "$dir/$sel-par.f32" \
+            || simd_fail "$sel serial and parallel decodes differ bitwise"
     done
     cmp -s "$dir/scalar.szx" "$dir/kernel.szx" \
         || simd_fail "scalar and kernel streams differ"
@@ -185,7 +198,7 @@ run_simd_equivalence() {
 
 # Bounded differential fuzz smoke (fixed seed, deterministic): replay the
 # committed corpus, then a short mutation campaign per target. Any finding
-# — panic, six-path divergence, or bound violation — exits nonzero.
+# — panic, decode-path divergence, or bound violation — exits nonzero.
 run_fuzz_smoke() {
     echo "==> szx-fuzz differential smoke (fixed seed, bounded)"
     cargo run -q --release -p szx-fuzz -- smoke --corpus tests/corpus \

@@ -35,8 +35,13 @@ pub fn current_num_threads() -> usize {
 /// item order in the result.
 fn par_apply<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
     let n = items.len();
-    let workers = current_num_threads().min(n).max(1);
-    if workers <= 1 || n <= 1 {
+    // A single item (a serial codec call) runs inline without looking up
+    // the worker count.
+    if n <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let workers = current_num_threads().min(n);
+    if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
     // Contiguous runs, one per worker; the first `rem` runs get one extra.

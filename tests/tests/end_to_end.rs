@@ -83,10 +83,12 @@ fn parallel_paths_agree_with_serial_on_real_data() {
     for f in ds.fields.iter().take(4) {
         let cfg = SzxConfig::relative(1e-3);
         let serial = szx_core::compress(&f.data, &cfg).unwrap();
-        let par = szx_core::parallel::compress(&f.data, &cfg).unwrap();
+        let par = szx_core::compress(&f.data, &cfg.with_parallel(true)).unwrap();
         assert_eq!(serial, par, "{}", f.name);
         let a: Vec<f32> = szx_core::decompress(&serial).unwrap();
-        let b: Vec<f32> = szx_core::parallel::decompress(&serial).unwrap();
+        let b: Vec<f32> = szx_core::Decoder::new(szx_core::KernelSelect::Auto, true)
+            .decode(&serial)
+            .unwrap();
         assert_eq!(a, b, "{}", f.name);
     }
 }

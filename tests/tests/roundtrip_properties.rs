@@ -15,7 +15,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use szx_core::config::KernelSelect;
-use szx_core::{CommitStrategy, ErrorBound, SzxConfig, SzxFloat};
+use szx_core::{CommitStrategy, Decoder, ErrorBound, SzxConfig, SzxFloat};
 
 // Under Miri the same properties run over a reduced sweep: a handful of
 // seeds and small inputs keep the interpreted run tractable while still
@@ -88,6 +88,7 @@ fn check_case<F: SzxFloat>(seed: u64) {
         block_size: bs,
         strategy,
         kernel: KernelSelect::Scalar,
+        parallel: false,
     };
     let ctx = format!(
         "seed={seed} ty={} n={n} bs={bs} strategy={strategy:?} bound={error_bound:?}",
@@ -99,14 +100,20 @@ fn check_case<F: SzxFloat>(seed: u64) {
     assert_eq!(scalar, kernel, "{ctx}: scalar vs kernel archives differ");
     let simd = szx_core::compress(&data, &cfg.with_kernel(KernelSelect::Simd)).unwrap();
     assert_eq!(scalar, simd, "{ctx}: scalar vs simd archives differ");
-    let par = szx_core::parallel::compress(&data, &cfg.with_kernel(KernelSelect::Kernel)).unwrap();
+    let par = szx_core::compress(
+        &data,
+        &cfg.with_kernel(KernelSelect::Kernel).with_parallel(true),
+    )
+    .unwrap();
     assert_eq!(scalar, par, "{ctx}: serial vs parallel archives differ");
 
     // The bound the decoder must honour is the absolute one recorded in the
     // stream header (relative bounds are resolved against the value range
     // at compress time).
     let eb = szx_core::inspect(&scalar).unwrap().eb;
-    let back: Vec<F> = szx_core::decompress_with(&scalar, KernelSelect::Scalar).unwrap();
+    let back: Vec<F> = Decoder::new(KernelSelect::Scalar, false)
+        .decode(&scalar)
+        .unwrap();
     assert_eq!(back.len(), data.len(), "{ctx}: length mismatch");
     for (i, (x, y)) in data.iter().zip(&back).enumerate() {
         let (x, y) = (x.to_f64(), y.to_f64());
@@ -119,11 +126,18 @@ fn check_case<F: SzxFloat>(seed: u64) {
     // Decode-path equivalence: the kernel and simd decoders (and both
     // parallel decode paths) must reconstruct *bit-identical* outputs to
     // the scalar oracle — same NaN payloads included.
-    let kback: Vec<F> = szx_core::decompress_with(&scalar, KernelSelect::Kernel).unwrap();
-    let vback: Vec<F> = szx_core::decompress_with(&scalar, KernelSelect::Simd).unwrap();
-    let pback: Vec<F> = szx_core::parallel::decompress_with(&scalar, KernelSelect::Kernel).unwrap();
-    let psback: Vec<F> =
-        szx_core::parallel::decompress_with(&scalar, KernelSelect::Scalar).unwrap();
+    let kback: Vec<F> = Decoder::new(KernelSelect::Kernel, false)
+        .decode(&scalar)
+        .unwrap();
+    let vback: Vec<F> = Decoder::new(KernelSelect::Simd, false)
+        .decode(&scalar)
+        .unwrap();
+    let pback: Vec<F> = Decoder::new(KernelSelect::Kernel, true)
+        .decode(&scalar)
+        .unwrap();
+    let psback: Vec<F> = Decoder::new(KernelSelect::Scalar, true)
+        .decode(&scalar)
+        .unwrap();
     for (i, x) in back.iter().enumerate() {
         let b = x.to_word();
         assert_eq!(b, kback[i].to_word(), "{ctx}: kernel decode differs at {i}");

@@ -1,13 +1,14 @@
 //! Regression test for the per-block allocation churn the `EncodeScratch`
-//! arena removed: the encoder publishes how many times the arena had to
-//! grow (`compress.scratch.grows`), and that number must stay O(1) per
-//! encode call / per parallel chunk — not O(blocks).
+//! and `DecodeScratch` arenas removed: the codec publishes how many times an
+//! arena had to grow (`compress.scratch.grows`, `decompress.scratch.grows`),
+//! and that number must stay O(1) per encode call / per parallel chunk — not
+//! O(blocks) — and drop to zero when a `Decoder` is reused.
 //!
 //! Single test function: the telemetry registry is process-global and this
 //! file is its own test binary (see telemetry_counters.rs).
 
 use szx_core::config::KernelSelect;
-use szx_core::SzxConfig;
+use szx_core::{Decoder, SzxConfig};
 
 #[test]
 fn scratch_arena_growth_is_bounded() {
@@ -41,7 +42,7 @@ fn scratch_arena_growth_is_bounded() {
 
         // Parallel: one arena per rayon chunk, never one per block.
         tel.reset();
-        let bytes = szx_core::parallel::compress(&data, &cfg).unwrap();
+        let bytes = szx_core::compress(&data, &cfg.with_parallel(true)).unwrap();
         assert!(!bytes.is_empty());
         let grows = tel
             .snapshot()
@@ -54,6 +55,22 @@ fn scratch_arena_growth_is_bounded() {
         );
         if sel == KernelSelect::Kernel {
             assert!(grows >= 1, "parallel kernel path must use the arena");
+        }
+
+        // Decode: a reused Decoder grows its arenas on the first call only
+        // (the scalar loop needs none), so decoding the same stream again
+        // grows nothing.
+        let mut decoder = Decoder::new(sel, false);
+        for call in 0..2 {
+            tel.reset();
+            let back: Vec<f32> = decoder.decode(&bytes).unwrap();
+            assert_eq!(back.len(), data.len());
+            let grows = tel
+                .snapshot()
+                .counter("decompress.scratch.grows")
+                .unwrap_or(0);
+            let expect = u64::from(call == 0 && sel == KernelSelect::Kernel);
+            assert_eq!(grows, expect, "decode call {call} ({sel:?}): arena growths");
         }
     }
 }

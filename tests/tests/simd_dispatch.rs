@@ -10,7 +10,7 @@
 //! assertion lives in ONE test function (this file is its own test binary;
 //! other binaries never see the variable).
 
-use szx_core::{KernelPath, KernelSelect, SzxConfig};
+use szx_core::{Decoder, KernelPath, KernelSelect, SzxConfig};
 
 fn field() -> Vec<f32> {
     (0..20_000)
@@ -26,7 +26,9 @@ fn szx_disable_simd_forces_portable_fallback_with_identical_output() {
     let data = field();
     let cfg = SzxConfig::absolute(1e-4).with_kernel(KernelSelect::Simd);
     let baseline = szx_core::compress(&data, &cfg).unwrap();
-    let baseline_back: Vec<f32> = szx_core::decompress_with(&baseline, KernelSelect::Simd).unwrap();
+    let baseline_back: Vec<f32> = Decoder::new(KernelSelect::Simd, false)
+        .decode(&baseline)
+        .unwrap();
 
     std::env::set_var("SZX_DISABLE_SIMD", "1");
     assert!(
@@ -44,8 +46,10 @@ fn szx_disable_simd_forces_portable_fallback_with_identical_output() {
     assert_eq!(KernelSelect::Kernel.resolve(), KernelPath::Kernel);
 
     let disabled = szx_core::compress(&data, &cfg).unwrap();
-    let disabled_back: Vec<f32> = szx_core::decompress_with(&disabled, KernelSelect::Simd).unwrap();
-    let disabled_par = szx_core::parallel::compress(&data, &cfg).unwrap();
+    let disabled_back: Vec<f32> = Decoder::new(KernelSelect::Simd, false)
+        .decode(&disabled)
+        .unwrap();
+    let disabled_par = szx_core::compress(&data, &cfg.with_parallel(true)).unwrap();
 
     // The empty string means "unset": resolution returns to hardware
     // detection.
@@ -93,7 +97,7 @@ fn all_selections_roundtrip_within_bound() {
     ] {
         let cfg = SzxConfig::absolute(1e-3).with_kernel(sel);
         let bytes = szx_core::compress(&data, &cfg).unwrap();
-        let back: Vec<f32> = szx_core::decompress_with(&bytes, sel).unwrap();
+        let back: Vec<f32> = Decoder::new(sel, false).decode(&bytes).unwrap();
         for (x, y) in data.iter().zip(&back) {
             assert!((x - y).abs() <= 1e-3, "{sel:?}");
         }

@@ -118,7 +118,7 @@ fn telemetry_counters_match_classify_serial_and_parallel() {
             szx_core::compress(d, c).unwrap()
         });
         check_counters("parallel", &data, &cfg, &expect, |d, c| {
-            szx_core::parallel::compress(d, c).unwrap()
+            szx_core::compress(d, &c.with_parallel(true)).unwrap()
         });
     }
 
@@ -148,7 +148,9 @@ fn telemetry_counters_match_classify_serial_and_parallel() {
 
     // And the parallel decoder publishes the same totals.
     tel.reset();
-    let back2: Vec<f32> = szx_core::parallel::decompress(&bytes).unwrap();
+    let back2: Vec<f32> = szx_core::Decoder::new(szx_core::KernelSelect::Auto, true)
+        .decode(&bytes)
+        .unwrap();
     assert_eq!(back2, back);
     let report = tel.snapshot();
     assert_eq!(

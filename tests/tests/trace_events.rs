@@ -145,8 +145,10 @@ fn chrome_trace_roundtrip_lanes_and_determinism() {
     assert_eq!(dropped, Some(0.0));
 
     // --- Parallel pipeline: chunk workers occupy distinct lanes. ---
-    let pbytes = szx_core::parallel::compress(&data, &cfg).unwrap();
-    let pback: Vec<f32> = szx_core::parallel::decompress(&pbytes).unwrap();
+    let pbytes = szx_core::compress(&data, &cfg.with_parallel(true)).unwrap();
+    let pback: Vec<f32> = szx_core::Decoder::new(szx_core::KernelSelect::Auto, true)
+        .decode(&pbytes)
+        .unwrap();
     assert_eq!(pback.len(), data.len());
     let parallel = take_trace();
     check_pairing(&parallel);
@@ -174,8 +176,10 @@ fn chrome_trace_roundtrip_lanes_and_determinism() {
 
     // --- Determinism: identical runs emit the identical event set. ---
     let run = || {
-        let b = szx_core::parallel::compress(&data, &cfg).unwrap();
-        let _: Vec<f32> = szx_core::parallel::decompress(&b).unwrap();
+        let b = szx_core::compress(&data, &cfg.with_parallel(true)).unwrap();
+        let _: Vec<f32> = szx_core::Decoder::new(szx_core::KernelSelect::Auto, true)
+            .decode(&b)
+            .unwrap();
         take_trace()
     };
     let (a, b) = (run(), run());
