@@ -1,7 +1,7 @@
 //! Cost of the observability layer: compression throughput with telemetry
 //! disabled (the default — every instrument site is behind one relaxed
-//! atomic load) versus enabled (chunk-local accumulation, flushed once per
-//! pass at the assemble join point), with the flight recorder on top
+//! atomic load) versus enabled (counters derived from the assembled chunks
+//! once per pass at the assemble join point), with the flight recorder on top
 //! (per-thread lock-free event buffers), and with the zone-stack sampling
 //! profiler running at its default ~997 Hz. The acceptance bar is <2%
 //! overhead for every enabled arm on a ≥64 MB field; with everything

@@ -1,8 +1,16 @@
-//! Interleaved A/B/C check of telemetry overhead on a 64 MB field,
-//! reported as min-of-N (robust to background load): the acceptance bar
-//! is <2% for telemetry enabled and for the zone-stack sampler running at
-//! its default rate. Interleaving the arms within each round cancels the
-//! container-load drift that makes sequential benches lie.
+//! Interleaved A/B/C check of telemetry overhead on a 64 MB field: the
+//! acceptance bar is <2% for telemetry enabled and for the zone-stack
+//! sampler running at its default rate. Interleaving the arms within each
+//! round cancels the host-load drift that makes sequential benches lie.
+//!
+//! Two readings per arm: min-of-N (each arm's fastest round against the
+//! disabled arm's fastest), and the paired per-round overhead (each round's
+//! arm against the disabled run of the same round) as median and
+//! quartiles. The paired figure is the one to quote: min-of-N compares
+//! runs from different moments, so on a noisy host it swings by tens of
+//! percent for an unchanged tree.
+//!
+//! Usage: `telemetry_ab [ROUNDS]` (default 8).
 use szx_core::SzxConfig;
 
 fn field() -> Vec<f32> {
@@ -22,7 +30,8 @@ fn main() {
     let rounds: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
-        .unwrap_or(8);
+        .unwrap_or(8)
+        .max(1);
     let data = field();
     let cfg = SzxConfig::relative(1e-3);
     for _ in 0..2 {
@@ -30,7 +39,11 @@ fn main() {
     }
     const ARMS: [&str; 3] = ["disabled", "enabled", "enabled+sampler"];
     let mut best = [f64::INFINITY; 3];
+    // Per-round overhead (%) of each enabled arm against that round's
+    // disabled run.
+    let mut paired: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
     for round in 0..rounds {
+        let mut round_ms = [0.0; 3];
         for (k, arm) in ARMS.into_iter().enumerate() {
             szx_telemetry::set_enabled(k >= 1);
             // The profiler start/stop (thread spawn/join) sits outside the
@@ -44,7 +57,11 @@ fn main() {
                 p.stop();
             }
             best[k] = best[k].min(ms);
+            round_ms[k] = ms;
             println!("round {round} {arm:<15} {ms:8.2} ms  ({} bytes)", b.len());
+        }
+        for k in 1..3 {
+            paired[k - 1].push((round_ms[k] - round_ms[0]) / round_ms[0] * 100.0);
         }
     }
     szx_telemetry::set_enabled(false);
@@ -54,5 +71,21 @@ fn main() {
             "min {}: {:.2} ms vs disabled {:.2} ms, overhead {overhead:+.2}%",
             ARMS[k], best[k], best[0]
         );
+        let p = &mut paired[k - 1];
+        p.sort_by(f64::total_cmp);
+        println!(
+            "paired {}: median {:+.2}%, quartiles {:+.2}% .. {:+.2}% over {rounds} rounds",
+            ARMS[k],
+            quantile(p, 0.5),
+            quantile(p, 0.25),
+            quantile(p, 0.75)
+        );
     }
+}
+
+/// Linearly interpolated `q`-quantile of a non-empty ascending slice.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }

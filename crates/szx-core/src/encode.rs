@@ -10,111 +10,6 @@ use crate::float::SzxFloat;
 use crate::kernels::{self, EncodeScratch};
 use crate::stream::Header;
 
-/// Per-chunk telemetry accumulated with plain (non-atomic) arithmetic while
-/// blocks are encoded, then merged and flushed to the global registry once
-/// per top-level call in [`assemble`]. Rayon workers each own one of these
-/// inside their `ChunkOutput`, so enabling telemetry adds no shared-memory
-/// traffic to the block loop.
-#[derive(Debug)]
-pub(crate) struct BlockEncodeStats {
-    /// Blocks representable by `μ` alone.
-    pub constant: u64,
-    /// Blocks with a truncated-significand payload.
-    pub nonconstant: u64,
-    /// Non-constant blocks stored bit-exactly (`R_k == FULL_BITS`: NaN/∞
-    /// carriers or radii that defeat normalization).
-    pub fallback: u64,
-    /// Mid-bytes (payload body after the `R_k` byte and the leading-code
-    /// section) actually written.
-    pub mid_bytes: u64,
-    /// Bytes the XOR leading-byte codes avoided writing, relative to a
-    /// codec that stores every value at full required width.
-    pub lead_saved_bytes: u64,
-    /// Histogram of `R_k` over non-constant blocks (index = required
-    /// length, 0..=64) — same shape as
-    /// [`crate::analysis::BlockReport::req_len_histogram`].
-    pub req_len_hist: [u64; 65],
-    /// Wall time spent in the per-block range-scan kernel (only measured
-    /// while telemetry is enabled; flushed as the
-    /// `compress.kernel.range_scan` span).
-    pub ns_range_scan: u64,
-    /// Wall time spent encoding non-constant payloads (the
-    /// `compress.kernel.encode` span).
-    pub ns_encode: u64,
-    /// Scratch-arena growth events — nonzero only while the per-chunk
-    /// [`EncodeScratch`] warms up to the largest block.
-    pub scratch_grows: u64,
-    /// Final arena footprint of the chunk's [`EncodeScratch`] in bytes;
-    /// merged as a max (chunks size independently), published as the
-    /// `compress.scratch.arena_bytes` gauge.
-    pub scratch_arena_bytes: u64,
-}
-
-impl Default for BlockEncodeStats {
-    fn default() -> Self {
-        BlockEncodeStats {
-            constant: 0,
-            nonconstant: 0,
-            fallback: 0,
-            mid_bytes: 0,
-            lead_saved_bytes: 0,
-            req_len_hist: [0; 65],
-            ns_range_scan: 0,
-            ns_encode: 0,
-            scratch_grows: 0,
-            scratch_arena_bytes: 0,
-        }
-    }
-}
-
-impl BlockEncodeStats {
-    fn merge(&mut self, other: &BlockEncodeStats) {
-        self.constant += other.constant;
-        self.nonconstant += other.nonconstant;
-        self.fallback += other.fallback;
-        self.mid_bytes += other.mid_bytes;
-        self.lead_saved_bytes += other.lead_saved_bytes;
-        for (a, b) in self.req_len_hist.iter_mut().zip(&other.req_len_hist) {
-            *a += b;
-        }
-        self.ns_range_scan += other.ns_range_scan;
-        self.ns_encode += other.ns_encode;
-        self.scratch_grows += other.scratch_grows;
-        self.scratch_arena_bytes = self.scratch_arena_bytes.max(other.scratch_arena_bytes);
-    }
-
-    /// Record one non-constant block. The space accounting is derived from
-    /// the payload size so the hot strategy loops stay untouched: `zsize`
-    /// minus the `R_k` byte and the leading-code section is the body
-    /// actually written, and the no-deduplication body size follows from
-    /// `R_k` and the strategy.
-    fn record_nonconstant(
-        &mut self,
-        req_len: u32,
-        zsize: usize,
-        blen: usize,
-        full_bits: u32,
-        strategy: CommitStrategy,
-    ) {
-        self.nonconstant += 1;
-        self.req_len_hist[req_len as usize] += 1;
-        if req_len == full_bits {
-            self.fallback += 1;
-        }
-        let lead_section = (2 * blen).div_ceil(8);
-        let body = zsize.saturating_sub(1 + lead_section) as u64;
-        self.mid_bytes += body;
-        let no_dedup = match strategy {
-            CommitStrategy::ByteAligned => bytes_for(req_len) * blen,
-            CommitStrategy::BitPack => (req_len as usize * blen).div_ceil(8),
-            CommitStrategy::BytePlusResidual => {
-                (req_len as usize / 8) * blen + ((req_len as usize % 8) * blen).div_ceil(8)
-            }
-        } as u64;
-        self.lead_saved_bytes += no_dedup.saturating_sub(body);
-    }
-}
-
 /// Per-chunk compression output; chunks are later stitched into one stream.
 /// The serial compressor uses a single chunk covering every block.
 #[derive(Debug, Default)]
@@ -127,8 +22,13 @@ pub(crate) struct ChunkOutput<F: SzxFloat> {
     pub zsizes: Vec<u16>,
     /// Concatenated non-constant payloads.
     pub payload: Vec<u8>,
-    /// Telemetry local to this chunk (untouched when telemetry is off).
-    pub stats: BlockEncodeStats,
+    /// Scratch-arena growth events — nonzero only while the chunk's
+    /// [`EncodeScratch`] warms up to the largest block.
+    pub scratch_grows: u64,
+    /// Final arena footprint of the chunk's [`EncodeScratch`] in bytes,
+    /// published (max over chunks) as the `compress.scratch.arena_bytes`
+    /// gauge.
+    pub scratch_arena_bytes: u64,
 }
 
 impl<F: SzxFloat> ChunkOutput<F> {
@@ -140,7 +40,8 @@ impl<F: SzxFloat> ChunkOutput<F> {
             // Non-constant payloads rarely exceed half the raw size on
             // compressible data; growing is cheap if they do.
             payload: Vec::with_capacity(data_bytes / 2 + 64),
-            stats: BlockEncodeStats::default(),
+            scratch_grows: 0,
+            scratch_arena_bytes: 0,
         }
     }
 }
@@ -230,9 +131,8 @@ pub fn compress<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<Vec<u8>> {
     };
     let blocks_per_chunk = (nblocks.div_ceil(target_chunks).div_ceil(8) * 8).max(8);
 
-    // Each chunk accumulates telemetry into its own ChunkOutput.stats; the
-    // single flush happens inside assemble() at the join point, so rayon
-    // workers never contend on shared counters.
+    // The block loop keeps no telemetry: assemble() derives every counter
+    // from the chunk outputs at the join point, once per call.
     let chunks: Vec<ChunkOutput<F>> = {
         let _s = szx_telemetry::span("compress.encode_blocks");
         data.par_chunks(blocks_per_chunk * bs)
@@ -297,11 +197,11 @@ pub(crate) fn encode_blocks<F: SzxFloat>(
             );
         }
     }
-    // Surface the scratch arena's growth events through the chunk stats so
+    // Surface the scratch arena's growth events through the chunk output so
     // the allocation-regression test can observe them; the counter is reset
     // so a reused scratch is not double-counted.
-    out.stats.scratch_grows += scratch.take_grows();
-    out.stats.scratch_arena_bytes = out.stats.scratch_arena_bytes.max(scratch.arena_bytes());
+    out.scratch_grows += scratch.take_grows();
+    out.scratch_arena_bytes = out.scratch_arena_bytes.max(scratch.arena_bytes());
 }
 
 /// Path discriminants for the monomorphized block loop (a const-generic
@@ -320,31 +220,19 @@ fn encode_blocks_impl<F: SzxFloat, const PATH: u8>(
     out: &mut ChunkOutput<F>,
     scratch: &mut EncodeScratch,
 ) {
-    // Hoisted once per chunk: with telemetry off the block loop carries no
-    // accounting (and no clock reads) at all; with it on the accounting is
-    // chunk-local.
-    let record = szx_telemetry::enabled();
     for block in data.chunks(block_size) {
-        let t0 = record.then(std::time::Instant::now);
         let stats = match PATH {
             KERNEL_SIMD => crate::simd::block_stats(block),
             KERNEL_PORTABLE => kernels::block_stats(block),
             _ => BlockStats::compute(block),
         };
-        let t1 = record.then(std::time::Instant::now);
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            out.stats.ns_range_scan += t1.duration_since(t0).as_nanos() as u64;
-        }
         if stats.is_constant_for(eb, block) {
             out.states.push(false);
             out.mus.push(stats.mu);
-            if record {
-                out.stats.constant += 1;
-            }
         } else {
             out.states.push(true);
             let start = out.payload.len();
-            let (mu, req_len) = match PATH {
+            let mu = match PATH {
                 KERNEL_SIMD => crate::simd::encode_nonconstant(
                     block,
                     &stats,
@@ -370,13 +258,6 @@ fn encode_blocks_impl<F: SzxFloat, const PATH: u8>(
                 "payload {zsize} exceeds zsize range"
             );
             out.zsizes.push(zsize as u16);
-            if record {
-                out.stats
-                    .record_nonconstant(req_len, zsize, block.len(), F::FULL_BITS, strategy);
-                if let Some(t1) = t1 {
-                    out.stats.ns_encode += t1.elapsed().as_nanos() as u64;
-                }
-            }
         }
     }
 }
@@ -437,66 +318,104 @@ pub(crate) fn assemble<F: SzxFloat>(
     }
 
     if szx_telemetry::enabled() {
-        flush_encode_telemetry(chunks, n * F::BYTES, bytes.len());
+        flush_encode_telemetry(chunks, n, cfg, bytes.len());
     }
     bytes
 }
 
-/// Merge every chunk's local stats and publish them to the global registry —
-/// the single join point of [`compress`], so the registry sees exactly one
-/// flush per top-level call regardless of how many rayon workers produced
-/// the chunks.
+/// Derive the §5.3 impact factors from the chunk outputs and publish them
+/// to the global registry — the single join point of [`compress`], so the
+/// registry sees exactly one flush per top-level call however many rayon
+/// workers produced the chunks. Everything is read back from what the
+/// stream records (state bits, zsizes, each payload's leading `R_k` byte);
+/// the block loop itself keeps no accounting.
 fn flush_encode_telemetry<F: SzxFloat>(
     chunks: &[ChunkOutput<F>],
-    raw_bytes: usize,
+    n: usize,
+    cfg: &SzxConfig,
     stream_bytes: usize,
 ) {
-    let mut merged = BlockEncodeStats::default();
+    // One pass over the payloads: the R_k and zsize histograms. The zsize
+    // one is indexed by value and flushed with one record_n per value.
+    let mut req_len_hist = [0u64; 65];
+    let mut zsize_hist: Vec<u64> = Vec::new();
+    let (mut nblocks, mut nonconstant, mut payload_len) = (0usize, 0usize, 0usize);
+    let (mut scratch_grows, mut scratch_arena_bytes) = (0u64, 0u64);
     for c in chunks {
-        merged.merge(&c.stats);
+        let mut offset = 0;
+        for &z in &c.zsizes {
+            req_len_hist[usize::from(c.payload[offset])] += 1;
+            let z = usize::from(z);
+            if z >= zsize_hist.len() {
+                zsize_hist.resize(z + 1, 0);
+            }
+            zsize_hist[z] += 1;
+            offset += z;
+        }
+        nblocks += c.states.len();
+        nonconstant += c.zsizes.len();
+        payload_len += c.payload.len();
+        scratch_grows += c.scratch_grows;
+        scratch_arena_bytes = scratch_arena_bytes.max(c.scratch_arena_bytes);
+    }
+
+    // Every payload is `[R_k][⌈2·blen/8⌉ leading codes][body]`; the bodies
+    // are the mid-bytes written. Lead-byte savings are what a codec without
+    // XOR deduplication would write as body at the same R_k, minus that.
+    let bs = cfg.block_size;
+    let prefix = |blen: usize| 1 + (2 * blen).div_ceil(8);
+    let no_dedup = |r: usize, blen: usize| match cfg.strategy {
+        CommitStrategy::ByteAligned => bytes_for(r as u32) * blen,
+        CommitStrategy::BitPack => (r * blen).div_ceil(8),
+        CommitStrategy::BytePlusResidual => (r / 8) * blen + ((r % 8) * blen).div_ceil(8),
+    };
+    let mut mid_bytes = payload_len - nonconstant * prefix(bs);
+    let mut no_dedup_bytes: usize = req_len_hist
+        .iter()
+        .enumerate()
+        .map(|(r, &count)| count as usize * no_dedup(r, bs))
+        .sum();
+    // Every block has `bs` elements except a short last one; if that one is
+    // non-constant, swap its real length in.
+    let tail = n - (nblocks - 1) * bs;
+    if let Some(c) = chunks.last().filter(|_| tail < bs) {
+        if let (Some(true), Some(&z)) = (c.states.last(), c.zsizes.last()) {
+            let r = usize::from(c.payload[c.payload.len() - usize::from(z)]);
+            mid_bytes += prefix(bs) - prefix(tail);
+            no_dedup_bytes -= no_dedup(r, bs) - no_dedup(r, tail);
+        }
     }
 
     let tel = szx_telemetry::global();
     tel.counter("compress.calls").incr();
-    tel.counter("compress.blocks.constant").add(merged.constant);
+    tel.counter("compress.blocks.constant")
+        .add((nblocks - nonconstant) as u64);
     tel.counter("compress.blocks.nonconstant")
-        .add(merged.nonconstant);
-    tel.counter("compress.blocks.fallback").add(merged.fallback);
-    tel.counter("compress.bytes.mid").add(merged.mid_bytes);
+        .add(nonconstant as u64);
+    tel.counter("compress.blocks.fallback")
+        .add(req_len_hist[F::FULL_BITS as usize]);
+    tel.counter("compress.bytes.mid").add(mid_bytes as u64);
     tel.counter("compress.bytes.lead_saved")
-        .add(merged.lead_saved_bytes);
-    tel.counter("compress.bytes.raw").add(raw_bytes as u64);
+        .add((no_dedup_bytes - mid_bytes) as u64);
+    tel.counter("compress.bytes.raw").add((n * F::BYTES) as u64);
     tel.counter("compress.bytes.stream")
         .add(stream_bytes as u64);
-    tel.counter("compress.scratch.grows")
-        .add(merged.scratch_grows);
+    tel.counter("compress.scratch.grows").add(scratch_grows);
     tel.gauge("compress.scratch.arena_bytes")
-        .set_max(merged.scratch_arena_bytes as f64);
-    // Per-kernel time attribution: one aggregate record per top-level call
-    // (per-block clock reads happen only while telemetry is on).
-    if merged.ns_range_scan > 0 {
-        tel.span_stats("compress.kernel.range_scan")
-            .record(merged.ns_range_scan);
-    }
-    if merged.ns_encode > 0 {
-        tel.span_stats("compress.kernel.encode")
-            .record(merged.ns_encode);
-    }
+        .set_max(scratch_arena_bytes as f64);
 
     let req_hist = tel.hist_linear("compress.req_len", 64);
-    for (r, &count) in merged.req_len_hist.iter().enumerate() {
+    for (r, &count) in req_len_hist.iter().enumerate() {
         req_hist.record_n(r as u64, count);
     }
-    let zsize_hist = tel.hist_log2("compress.block_zsize");
-    for c in chunks {
-        for &z in &c.zsizes {
-            zsize_hist.record(z as u64);
-        }
+    let block_zsize = tel.hist_log2("compress.block_zsize");
+    for (z, &count) in zsize_hist.iter().enumerate() {
+        block_zsize.record_n(z as u64, count);
     }
 }
 
 /// Encode one non-constant block. Returns the μ actually used (0.0 when the
-/// block is stored bit-exactly) and the block's required length `R_k`.
+/// block is stored bit-exactly).
 ///
 /// Payload layout (all strategies): `[R_k: u8][2-bit leading codes][data...]`
 /// where `data` depends on the strategy:
@@ -511,7 +430,7 @@ fn encode_nonconstant<F: SzxFloat>(
     strategy: CommitStrategy,
     payload: &mut Vec<u8>,
     scratch: &mut EncodeScratch,
-) -> (F, u32) {
+) -> F {
     let req_len = required_length::<F>(stats.radius, eb);
     let raw = req_len == F::FULL_BITS;
     let mu = if raw { F::ZERO } else { stats.mu };
@@ -587,7 +506,7 @@ fn encode_nonconstant<F: SzxFloat>(
             payload.extend_from_slice(scratch.bits.as_bytes());
         }
     }
-    (mu, req_len)
+    mu
 }
 
 #[cfg(test)]

@@ -196,7 +196,7 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
     strategy: CommitStrategy,
     payload: &mut Vec<u8>,
     scratch: &mut EncodeScratch,
-) -> (F, u32) {
+) -> F {
     let req_len = required_length::<F>(stats.radius, eb);
     let raw = req_len == F::FULL_BITS;
     let mu = if raw { F::ZERO } else { stats.mu };
@@ -293,7 +293,7 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
             payload.extend_from_slice(scratch.bits.as_bytes());
         }
     }
-    (mu, req_len)
+    mu
 }
 
 /// Pack four 2-bit lead codes per byte, MSB-first, plus a remainder byte —

@@ -180,7 +180,7 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
     strategy: CommitStrategy,
     payload: &mut Vec<u8>,
     scratch: &mut EncodeScratch,
-) -> (F, u32) {
+) -> F {
     if strategy != CommitStrategy::ByteAligned || !coder_ready() {
         return kernels::encode_nonconstant(block, stats, eb, strategy, payload, scratch);
     }
@@ -238,7 +238,7 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
             &mut scratch.mid,
             payload,
         );
-        (mu, req_len)
+        mu
     }
     #[cfg(not(target_arch = "x86_64"))]
     {

@@ -9,10 +9,12 @@
 //! ## Design rules
 //!
 //! * **Off by default, near-free when off.** Every entry point checks one
-//!   relaxed atomic ([`enabled`]); the hot per-block/per-element paths in
-//!   `szx-core` accumulate into *local* plain structs and flush to the
-//!   global registry once per API call, so disabling telemetry removes all
-//!   shared-memory traffic and enabling it adds no per-element atomics.
+//!   relaxed atomic ([`enabled`]); the per-block/per-element loops in
+//!   `szx-core` keep no accounting at all. Counters are derived once per
+//!   API call from what the call produced (the compressor reads its §5.3
+//!   counters back from the assembled state bits, zsizes and each
+//!   payload's `R_k` byte), so disabling telemetry removes all shared-memory traffic
+//!   and enabling it adds nothing to the hot loops.
 //! * **No contention across workers.** Parallel code keeps one local
 //!   collector per chunk/thread and merges at the join point — the global
 //!   registry only sees one flush per top-level call.

@@ -22,7 +22,14 @@ fn scratch_arena_growth_is_bounded() {
     let nblocks = data.len().div_ceil(128);
     assert!(nblocks >= 4000);
 
-    for sel in [KernelSelect::Scalar, KernelSelect::Kernel] {
+    for sel in [
+        KernelSelect::Scalar,
+        KernelSelect::Kernel,
+        KernelSelect::Simd,
+    ] {
+        // SIMD degrades to the kernel path where it is unavailable; either
+        // way it sizes the same arenas with `ensure()`.
+        let uses_arena = sel != KernelSelect::Scalar;
         let cfg = SzxConfig::absolute(1e-4).with_kernel(sel);
 
         // Serial: one scratch arena for the whole call. Uniform block
@@ -34,10 +41,10 @@ fn scratch_arena_growth_is_bounded() {
             .snapshot()
             .counter("compress.scratch.grows")
             .unwrap_or(0);
-        // The kernel path grows its word arena exactly once (first block);
-        // the scalar path reuses the pre-existing bit/byte pools and never
-        // grows it. Either way: O(1), not O(blocks).
-        let expect = u64::from(sel == KernelSelect::Kernel);
+        // The kernel and SIMD paths grow their word arena exactly once
+        // (first block); the scalar path reuses the pre-existing bit/byte
+        // pools and never grows it. Either way: O(1), not O(blocks).
+        let expect = u64::from(uses_arena);
         assert_eq!(grows, expect, "serial ({sel:?}): arena growths");
 
         // Parallel: one arena per rayon chunk, never one per block.
@@ -53,8 +60,8 @@ fn scratch_arena_growth_is_bounded() {
             grows <= max_chunks,
             "parallel ({sel:?}): {grows} grows for {nblocks} blocks (expected <= {max_chunks})"
         );
-        if sel == KernelSelect::Kernel {
-            assert!(grows >= 1, "parallel kernel path must use the arena");
+        if uses_arena {
+            assert!(grows >= 1, "parallel {sel:?} path must use the arena");
         }
 
         // Decode: a reused Decoder grows its arenas on the first call only
@@ -69,7 +76,7 @@ fn scratch_arena_growth_is_bounded() {
                 .snapshot()
                 .counter("decompress.scratch.grows")
                 .unwrap_or(0);
-            let expect = u64::from(call == 0 && sel == KernelSelect::Kernel);
+            let expect = u64::from(call == 0 && uses_arena);
             assert_eq!(grows, expect, "decode call {call} ({sel:?}): arena growths");
         }
     }
