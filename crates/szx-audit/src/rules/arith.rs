@@ -19,13 +19,17 @@ use crate::source::SourceFile;
 pub const PARSE_PATH_FILES: &[&str] = &[
     "crates/szx-core/src/cursor.rs",
     "crates/szx-core/src/stream.rs",
-    "crates/szx-core/src/archive.rs",
+    "crates/szx-core/src/container.rs",
 ];
 
 /// Parse-path types: methods of these are in scope wherever they live
-/// (FrameReader's TOC math sits in streaming.rs, StreamIndex's in
-/// decode.rs).
-const PARSE_PATH_TYPES: &[&str] = &["FrameReader", "StreamIndex", "ParsedStream", "ArchiveToc"];
+/// (StreamIndex's offset math sits in decode.rs).
+const PARSE_PATH_TYPES: &[&str] = &[
+    "ContainerReader",
+    "ContainerIndex",
+    "StreamIndex",
+    "ParsedStream",
+];
 
 /// Identifier name segments that mark a local as length/offset-typed.
 const LENGTH_SEGMENTS: &[&str] = &[
@@ -149,12 +153,12 @@ mod tests {
 
     #[test]
     fn parse_path_types_are_in_scope_outside_the_file_list() {
-        let src = "impl FrameReader {\n\
+        let src = "impl StreamIndex {\n\
                    fn toc_at(&self, idx: usize) -> usize {\n\
                    idx * 8\n\
                    }\n\
                    }\n";
-        let (f, _) = run_graph(&[("crates/szx-core/src/streaming.rs", src)]);
+        let (f, _) = run_graph(&[("crates/szx-core/src/decode.rs", src)]);
         assert!(
             f.iter().any(|x| x.rule == "checked-arith" && x.line == 3),
             "{f:?}"

@@ -3,8 +3,8 @@
 //!
 //! This replaces PR-5's `panic-path` file allowlist. Instead of trusting a
 //! hand-maintained list of decode-side *files*, the rule starts from the
-//! decode entry points — `decompress*`, the `Decoder`/`FrameReader`/
-//! `RandomAccess`/`ArchiveReader` surfaces, and the header/TOC/stream-index
+//! decode entry points — `decompress*`, the `Decoder`/`ContainerReader`/
+//! `RandomAccess` surfaces, and the header/container-index/stream-index
 //! parsers — walks the workspace call graph, and scans every reachable
 //! function body (in any file) for `unwrap`/`expect`/panicking
 //! macros/unchecked indexing. Each finding reports the full call chain from the entry point
@@ -30,12 +30,12 @@ const MACROS: &[&str] = &[
 ];
 
 /// Impl types whose methods parse attacker-controllable bytes.
-const ENTRY_TYPES: &[&str] = &["Decoder", "FrameReader", "RandomAccess", "ArchiveReader"];
+const ENTRY_TYPES: &[&str] = &["Decoder", "ContainerReader", "RandomAccess"];
 
 /// Parser types where only the named constructors are entries (other
 /// methods are accessors over already-validated state, and are still
 /// checked transitively when an entry reaches them).
-const PARSER_TYPES: &[&str] = &["Header", "ParsedStream", "StreamIndex", "ArchiveToc"];
+const PARSER_TYPES: &[&str] = &["Header", "ParsedStream", "StreamIndex", "ContainerIndex"];
 
 /// Is this function a decode entry point — a place where untrusted bytes
 /// first enter the library? Scoped to the szx-core crate: the baseline
@@ -215,13 +215,13 @@ mod tests {
 
     #[test]
     fn reader_methods_and_parsers_are_entries() {
-        let src = "impl FrameReader {\n\
+        let src = "impl ContainerReader {\n\
                    pub fn frame(&self, i: usize) -> u8 { self.toc[i] }\n\
                    }\n\
                    impl Header {\n\
                    pub fn parse(b: &[u8]) -> u8 { b[0] }\n\
                    }\n";
-        let (f, c) = run_graph(&[("crates/szx-core/src/streaming.rs", src)]);
+        let (f, c) = run_graph(&[("crates/szx-core/src/container.rs", src)]);
         assert_eq!(f.len(), 2, "{f:?}");
         assert_eq!(c.decode_entries, 2);
     }
@@ -235,6 +235,30 @@ mod tests {
         assert_eq!(c.decode_entries, 1);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].symbol, "szx_core::decode::Decoder::decode");
+    }
+
+    #[test]
+    fn container_reader_methods_are_entries() {
+        let src = "impl ContainerReader {\n\
+                   pub fn frame_bytes(&self, i: usize) -> u8 { self.b[i] }\n\
+                   pub fn len(&self) -> usize { self.n }\n\
+                   }\n\
+                   impl ContainerIndex {\n\
+                   pub(crate) fn parse(b: &[u8]) -> u8 { b[0] }\n\
+                   fn entry(&self, i: usize) -> u8 { self.e[i] }\n\
+                   }\n";
+        let (f, c) = run_graph(&[("crates/szx-core/src/container.rs", src)]);
+        // Every reader method is an entry; of the index only `parse` is.
+        assert_eq!(c.decode_entries, 3);
+        let symbols: Vec<&str> = f.iter().map(|x| x.symbol.as_str()).collect();
+        assert_eq!(
+            symbols,
+            [
+                "szx_core::container::ContainerReader::frame_bytes",
+                "szx_core::container::ContainerIndex::parse",
+            ],
+            "{f:?}"
+        );
     }
 
     #[test]

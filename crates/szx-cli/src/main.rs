@@ -49,7 +49,7 @@ USAGE:
                  [--trace <out.trace.json>] [--metrics <out.prom>]
                  [--events <out.jsonl>] [--manifest <run.json>]
                  [--profile <out.folded> [--profile-svg <out.svg>]]
-  szx stream     <in.f32> <out.szxs> --abs <e> | --rel <r>
+  szx stream     <in.f32> <out.szxc> --abs <e> | --rel <r>
                  [--f64] [--frame <elems>] [--progress] [--stats [--json]]
                  [--metrics <out.prom>] [--events <out.jsonl>]
                  [--manifest <run.json>]
@@ -59,9 +59,9 @@ USAGE:
   szx info       <in.szx> [--stats]
   szx gen        <cesm|hurricane|miranda|nyx|qmcpack|scale> <out-dir>
                  [--scale tiny|small|medium|large|full]
-  szx archive    <out.szxa> <field1.f32> [field2.f32 ...] --abs <e> | --rel <r>
-  szx list       <in.szxa>
-  szx extract    <in.szxa> <field-name> <out.f32>
+  szx archive    <out.szxc> <field1.f32> [field2.f32 ...] --abs <e> | --rel <r>
+  szx list       <in.szxc>
+  szx extract    <in.szxc> <field-name> <out.f32|out.f64>
 
   --stats collects per-stage wall times, block classification counters, and
   the required-length histogram (szx-telemetry); the report goes to stderr
@@ -83,9 +83,13 @@ USAGE:
   implies telemetry collection and starts the resource accountant (peak
   RSS, CPU time, per-phase attribution via /proc/self).
 
-  stream compresses the input one frame at a time through the streaming
-  container (SZXS); --progress renders a live line with EWMA GB/s, the
-  running ratio, and an ETA (on stderr, so piped stdout stays clean).
+  stream, archive, list and extract share one container (SZXC): named
+  SZx streams written to the file as each completes, each with a CRC32C,
+  and a trailing index. stream names its frames 0, 1, 2, ...; archive
+  names each field after its file stem; extract writes f32 or f64 as the
+  frame's header records. stream compresses the input one frame at a
+  time; --progress renders a live line with EWMA GB/s, the running ratio,
+  and an ETA (on stderr, so piped stdout stays clean).
 
   --profile runs the zone-stack sampling profiler (~997 Hz; SZX_PROFILE_HZ
   overrides) across the command and writes collapsed stacks
@@ -367,6 +371,14 @@ fn write_trace(path: &Path) -> Result<(), String> {
 
 /// First two non-flag tokens, skipping the values of value-taking flags.
 fn io_pair(args: &[String]) -> Result<(PathBuf, PathBuf), String> {
+    match positional(args)[..] {
+        [ref input, ref output, ..] => Ok((input.clone(), output.clone())),
+        _ => Err("need input and output paths".into()),
+    }
+}
+
+/// The arguments that are neither flags nor flag values.
+fn positional(args: &[String]) -> Vec<PathBuf> {
     let mut cleaned = Vec::new();
     let mut skip = false;
     for a in args {
@@ -395,12 +407,9 @@ fn io_pair(args: &[String]) -> Result<(PathBuf, PathBuf), String> {
             }
             continue;
         }
-        cleaned.push(a.clone());
+        cleaned.push(PathBuf::from(a));
     }
-    if cleaned.len() < 2 {
-        return Err("need input and output paths".into());
-    }
-    Ok((PathBuf::from(&cleaned[0]), PathBuf::from(&cleaned[1])))
+    cleaned
 }
 
 /// Hot-loop selection shared by compress and decompress: `scalar` is the
@@ -417,16 +426,22 @@ fn parse_kernel(args: &[String]) -> Result<szx_core::KernelSelect, String> {
     }
 }
 
+/// `--abs <e>` or `--rel <r>`.
+fn parse_bound(args: &[String]) -> Result<ErrorBound, String> {
+    let value = |flag: &str| {
+        flag_value(args, flag).map(|v| v.parse::<f64>().map_err(|_| format!("bad {flag} value")))
+    };
+    match (value("--abs"), value("--rel")) {
+        (Some(e), _) => Ok(ErrorBound::Absolute(e?)),
+        (None, Some(r)) => Ok(ErrorBound::Relative(r?)),
+        (None, None) => Err("need --abs <e> or --rel <r>".into()),
+    }
+}
+
 /// Full `SzxConfig` from the compression flags shared by `compress` and
 /// `stream` (`--abs`/`--rel`, `--block`, `--strategy`, `--kernel`).
 fn parse_config(args: &[String]) -> Result<SzxConfig, String> {
-    let bound = if let Some(e) = flag_value(args, "--abs") {
-        ErrorBound::Absolute(e.parse().map_err(|_| "bad --abs value".to_string())?)
-    } else if let Some(r) = flag_value(args, "--rel") {
-        ErrorBound::Relative(r.parse().map_err(|_| "bad --rel value".to_string())?)
-    } else {
-        return Err("need --abs <e> or --rel <r>".into());
-    };
+    let bound = parse_bound(args)?;
     let block: usize = flag_value(args, "--block")
         .map(|b| b.parse().map_err(|_| "bad --block value".to_string()))
         .transpose()?
@@ -688,39 +703,48 @@ fn cmd_decompress(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Decode every frame of a streaming container without touching the live
-/// registry or the event sink — the quality measurement a `--manifest`
-/// stream run performs on its own output.
-fn decode_frames_quiet<F: szx_core::SzxFloat>(container: &[u8]) -> Result<Vec<F>, String> {
-    let was = szx_telemetry::enabled();
-    szx_telemetry::set_enabled(false);
-    let r = (|| {
-        let reader = szx_core::streaming::FrameReader::new(container).map_err(|e| e.to_string())?;
-        let mut all = Vec::with_capacity(reader.num_frames());
-        for f in reader.iter::<F>() {
-            all.extend(f.map_err(|e| e.to_string())?);
-        }
-        Ok(all)
-    })();
-    szx_telemetry::set_enabled(was);
-    r
+/// A container written through a buffered file as frames complete.
+type FileContainer = szx_core::ContainerWriter<std::io::BufWriter<std::fs::File>>;
+
+fn create_container(path: &Path, cfg: &SzxConfig) -> Result<FileContainer, String> {
+    let file = std::fs::File::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    szx_core::ContainerWriter::new(std::io::BufWriter::new(file), *cfg).map_err(|e| e.to_string())
 }
 
-/// Chunk `data` into frames and push each through a [`FrameWriter`],
-/// narrating a `\r`-refreshed progress line when asked. Returns the
-/// finished container plus the writer's cumulative stats.
+/// Finish a file container and return its size in bytes.
+fn finish_container(w: FileContainer, path: &Path) -> Result<u64, String> {
+    w.finish().map_err(|e| e.to_string())?;
+    let meta = std::fs::metadata(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(meta.len())
+}
+
+/// How a `--manifest` run scores a reconstruction against its original.
+type Distortion<F> = fn(&[F], &[F]) -> szx_metrics::DistortionStats;
+/// Writer stats, container bytes, and the distortion when measured.
+type Streamed = (
+    szx_core::FrameStats,
+    u64,
+    Option<szx_metrics::DistortionStats>,
+);
+
+/// Chunk `data` into frames named "0", "1", … and write each to a container
+/// at `output` as it completes, narrating a `\r`-refreshed progress line
+/// when asked. Returns the writer's stats, the file size and, with
+/// `quality`, the distortion of the finished file re-read and decoded
+/// without touching the live registry or the event sink.
 fn stream_compress<F: szx_core::SzxFloat>(
     data: &[F],
+    output: &Path,
     cfg: &SzxConfig,
     frame_elems: usize,
     progress: bool,
-    total_raw_bytes: u64,
-) -> Result<(Vec<u8>, szx_core::streaming::FrameStats), String> {
-    let mut w = szx_core::streaming::FrameWriter::new(*cfg).map_err(|e| e.to_string())?;
-    let mut meter = szx_telemetry::ProgressMeter::new(Some(total_raw_bytes));
+    quality: Option<Distortion<F>>,
+) -> Result<Streamed, String> {
+    let mut w = create_container(output, cfg)?;
+    let mut meter = szx_telemetry::ProgressMeter::new(Some((data.len() * F::BYTES) as u64));
     let mut prev_compressed = 0u64;
-    for chunk in data.chunks(frame_elems) {
-        w.push(chunk).map_err(|e| e.to_string())?;
+    for (k, chunk) in data.chunks(frame_elems).enumerate() {
+        w.push(&k.to_string(), chunk).map_err(|e| e.to_string())?;
         let s = *w.stats();
         let snap = meter.on_frame(
             (chunk.len() * F::BYTES) as u64,
@@ -735,11 +759,28 @@ fn stream_compress<F: szx_core::SzxFloat>(
         eprintln!();
     }
     let stats = *w.stats();
-    Ok((w.into_bytes(), stats))
+    let len = finish_container(w, output)?;
+    let Some(measure) = quality else {
+        return Ok((stats, len, None));
+    };
+    // Frame events are all written; close the sink so the quality decode
+    // doesn't append frame.decoded noise.
+    drop(szx_telemetry::take_event_sink());
+    let bytes = std::fs::read(output).map_err(|e| format!("{}: {e}", output.display()))?;
+    let was = szx_telemetry::enabled();
+    szx_telemetry::set_enabled(false);
+    let frames = szx_core::ContainerReader::new(&bytes).and_then(|r| {
+        (0..r.len())
+            .map(|i| r.frame::<F>(i))
+            .collect::<szx_core::Result<Vec<_>>>()
+    });
+    szx_telemetry::set_enabled(was);
+    let decoded = frames.map_err(|e| e.to_string())?.concat();
+    Ok((stats, len, Some(measure(data, &decoded))))
 }
 
 /// `szx stream <in> <out>` — compress a raw float file frame by frame into
-/// the self-describing streaming container, the path an instrument
+/// a container written as each frame completes, the path an instrument
 /// pipeline (LCLS-II in the paper's §1) would take. Each frame is an
 /// independent SZx stream; `--progress` narrates EWMA throughput, running
 /// ratio, and ETA as frames land.
@@ -763,7 +804,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
 
     let bytes = std::fs::read(&input).map_err(|e| format!("{}: {e}", input.display()))?;
     let start = std::time::Instant::now();
-    let (container, fstats, quality) = if has_flag(args, "--f64") {
+    let (fstats, container_len, quality) = if has_flag(args, "--f64") {
         if bytes.len() % 8 != 0 {
             return Err("input length is not a multiple of 8".into());
         }
@@ -771,19 +812,8 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        let (c, s) = stream_compress(&data, &cfg, frame_elems, progress, bytes.len() as u64)?;
-        let q = if want_quality {
-            // Frame events are all written; close the sink so the quality
-            // decode below doesn't append frame.decoded noise.
-            drop(szx_telemetry::take_event_sink());
-            Some(szx_metrics::distortion_f64(
-                &data,
-                &decode_frames_quiet::<f64>(&c)?,
-            ))
-        } else {
-            None
-        };
-        (c, s, q)
+        let quality = want_quality.then_some(szx_metrics::distortion_f64 as _);
+        stream_compress(&data, &output, &cfg, frame_elems, progress, quality)?
     } else {
         if bytes.len() % 4 != 0 {
             return Err("input length is not a multiple of 4 (use --f64 for doubles?)".into());
@@ -792,27 +822,17 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        let (c, s) = stream_compress(&data, &cfg, frame_elems, progress, bytes.len() as u64)?;
-        let q = if want_quality {
-            drop(szx_telemetry::take_event_sink());
-            Some(szx_metrics::distortion(
-                &data,
-                &decode_frames_quiet::<f32>(&c)?,
-            ))
-        } else {
-            None
-        };
-        (c, s, q)
+        let quality = want_quality.then_some(szx_metrics::distortion as _);
+        stream_compress(&data, &output, &cfg, frame_elems, progress, quality)?
     };
     let elapsed = start.elapsed();
-    std::fs::write(&output, &container).map_err(|e| format!("{}: {e}", output.display()))?;
     let summary = format!(
         "{} -> {} ({} frames, {} -> {} bytes, CR {:.2})",
         input.display(),
         output.display(),
         fstats.frames,
         bytes.len(),
-        container.len(),
+        container_len,
         fstats.ratio()
     );
     if stats_on && json {
@@ -856,7 +876,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     obs.finish(manifest)?;
     if stats_on {
         use szx_telemetry::Value;
-        let mut extras = pass_extras("stream", bytes.len(), container.len(), elapsed);
+        let mut extras = pass_extras("stream", bytes.len(), container_len as usize, elapsed);
         extras.push(("frames", Value::U64(fstats.frames)));
         extras.push(("frame_elems", Value::U64(frame_elems as u64)));
         extras.push(("min_frame_ns", Value::U64(fstats.min_frame_ns)));
@@ -981,88 +1001,96 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_archive(args: &[String]) -> Result<(), String> {
-    let bound = if let Some(e) = flag_value(args, "--abs") {
-        ErrorBound::Absolute(e.parse().map_err(|_| "bad --abs value".to_string())?)
-    } else if let Some(r) = flag_value(args, "--rel") {
-        ErrorBound::Relative(r.parse().map_err(|_| "bad --rel value".to_string())?)
-    } else {
-        return Err("need --abs <e> or --rel <r>".into());
-    };
     let cfg = SzxConfig {
-        error_bound: bound,
+        error_bound: parse_bound(args)?,
         ..SzxConfig::relative(1e-3)
     };
-    let mut positional = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = matches!(a.as_str(), "--abs" | "--rel");
-            continue;
-        }
-        positional.push(PathBuf::from(a));
-    }
+    let mut positional = positional(args);
     if positional.len() < 2 {
         return Err("need an output archive and at least one field file".into());
     }
     let out_path = positional.remove(0);
-    let mut w = szx_core::ArchiveWriter::new();
-    for path in &positional {
+    // Build beside the output and rename on success, so a failed run
+    // leaves no half-written file and keeps any earlier archive intact.
+    let mut partial = out_path.clone().into_os_string();
+    partial.push(".partial");
+    let partial = PathBuf::from(partial);
+    let len = match write_archive(&partial, &cfg, &positional) {
+        Ok(len) => len,
+        Err(e) => {
+            std::fs::remove_file(&partial).ok();
+            return Err(e);
+        }
+    };
+    std::fs::rename(&partial, &out_path).map_err(|e| format!("{}: {e}", out_path.display()))?;
+    println!(
+        "{} ({} fields, {len} bytes)",
+        out_path.display(),
+        positional.len()
+    );
+    Ok(())
+}
+
+/// Write each field file to a container at `path` under its file stem.
+fn write_archive(path: &Path, cfg: &SzxConfig, fields: &[PathBuf]) -> Result<u64, String> {
+    let mut w = create_container(path, cfg)?;
+    for path in fields {
         let data = read_f32s(path)?;
         let name = path
             .file_stem()
             .and_then(|s| s.to_str())
             .ok_or_else(|| format!("bad field file name {}", path.display()))?;
-        w.add(name, &data, &cfg).map_err(|e| e.to_string())?;
+        w.push(name, &data).map_err(|e| e.to_string())?;
         println!("added {name} ({} values)", data.len());
     }
-    let bytes = w.finish();
-    std::fs::write(&out_path, &bytes).map_err(|e| format!("{}: {e}", out_path.display()))?;
-    println!(
-        "{} ({} fields, {} bytes)",
-        out_path.display(),
-        positional.len(),
-        bytes.len()
-    );
-    Ok(())
+    finish_container(w, path)
 }
 
 fn cmd_list(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("need an archive file")?;
+    let path = args.first().ok_or("need a container file")?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let r = szx_core::ArchiveReader::new(&bytes).map_err(|e| e.to_string())?;
+    let r = szx_core::ContainerReader::new(&bytes).map_err(|e| e.to_string())?;
     println!(
         "{:<20} {:>10} {:>12} {:>12} {:>8}",
         "field", "elements", "compressed", "eb", "CR"
     );
-    for name in r.names() {
-        let h = r.header(name).map_err(|e| e.to_string())?;
-        let clen = r.stream(name).unwrap().len();
+    for (i, name) in r.names().enumerate() {
+        let stream = r.frame_bytes(i).map_err(|e| e.to_string())?;
+        let h = szx_core::inspect(stream).map_err(|e| e.to_string())?;
         let elem_bytes = if h.dtype == 0 { 4 } else { 8 };
         println!(
             "{:<20} {:>10} {:>12} {:>12.3e} {:>8.2}",
             name,
             h.n,
-            clen,
+            stream.len(),
             h.eb,
-            (h.n * elem_bytes) as f64 / clen as f64
+            (h.n * elem_bytes) as f64 / stream.len() as f64
         );
     }
     Ok(())
 }
 
+/// `szx extract <container> <name> <out>` — decode one frame to a raw file
+/// of the element type its stream header records.
 fn cmd_extract(args: &[String]) -> Result<(), String> {
-    if args.len() < 3 {
-        return Err("need <archive> <field-name> <out.f32>".into());
+    let [file, name, out, ..] = args else {
+        return Err("need <container> <field-name> <out.f32>".into());
+    };
+    let bytes = std::fs::read(file).map_err(|e| format!("{file}: {e}"))?;
+    let r = szx_core::ContainerReader::new(&bytes).map_err(|e| e.to_string())?;
+    let i = r.position(name).map_err(|e| e.to_string())?;
+    // Check the frame's CRC once, then decode those bytes as the element
+    // type their header records.
+    let stream = r.frame_bytes(i).map_err(|e| e.to_string())?;
+    let n = if szx_core::inspect(stream).map_err(|e| e.to_string())?.dtype == 1 {
+        let data: Vec<f64> = szx_core::decompress(stream).map_err(|e| e.to_string())?;
+        szx_data::io::write_f64_raw(Path::new(out), &data).map(|()| data.len())
+    } else {
+        let data: Vec<f32> = szx_core::decompress(stream).map_err(|e| e.to_string())?;
+        szx_data::io::write_f32_raw(Path::new(out), &data).map(|()| data.len())
     }
-    let bytes = std::fs::read(&args[0]).map_err(|e| format!("{}: {e}", args[0]))?;
-    let r = szx_core::ArchiveReader::new(&bytes).map_err(|e| e.to_string())?;
-    let data: Vec<f32> = r.field(&args[1]).map_err(|e| e.to_string())?;
-    szx_data::io::write_f32_raw(Path::new(&args[2]), &data).map_err(|e| e.to_string())?;
-    println!("{} -> {} ({} values)", args[1], args[2], data.len());
+    .map_err(|e| format!("{out}: {e}"))?;
+    println!("{name} -> {out} ({n} values)");
     Ok(())
 }
 

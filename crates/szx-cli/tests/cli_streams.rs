@@ -25,7 +25,7 @@ fn stream_progress_keeps_stdout_byte_clean() {
     let dir = std::env::temp_dir().join(format!("szx-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let input = dir.join("in.f32");
-    let output = dir.join("out.szxs");
+    let output = dir.join("out.szxc");
     write_field(&input, 64 * 1024);
 
     let out = szx()
@@ -185,6 +185,102 @@ fn manifest_threads_follow_rayon_num_threads() {
             "RAYON_NUM_THREADS={workers}: {text}"
         );
     }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run `szx args`, assert success, and return stdout.
+fn run_ok(args: &[&str]) -> String {
+    let out = szx().args(args).output().expect("run szx");
+    assert!(
+        out.status.success(),
+        "szx {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
+
+#[test]
+fn stream_output_lists_and_extracts_like_an_archive() {
+    let dir = std::env::temp_dir().join(format!("szx-cli-container-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    // 10,000 values in 4096-value frames: two full frames and a partial one.
+    let n = 10_000;
+    write_field(&dir.join("in.f32"), n);
+
+    let input = p("in.f32");
+    let stream = |out: &str| {
+        let args = ["--abs", "1e-3", "--frame", "4096", "--stats", "--json"];
+        run_ok(&[&["stream", input.as_str(), out][..], &args].concat())
+    };
+    let stats = stream(&p("a.szxc"));
+    let doc = szx_telemetry::json::Json::parse(stats.lines().last().unwrap()).expect("JSON line");
+    let derived = doc.get("derived").expect("derived section");
+    assert_eq!(derived.get("frames").and_then(|v| v.as_f64()), Some(3.0));
+    assert_eq!(
+        derived.get("raw_bytes").and_then(|v| v.as_f64()),
+        Some((n * 4) as f64)
+    );
+    stream(&p("b.szxc"));
+    assert_eq!(
+        std::fs::read(p("a.szxc")).unwrap(),
+        std::fs::read(p("b.szxc")).unwrap(),
+        "two stream runs write byte-identical containers"
+    );
+
+    // `list` prints a header and one row per frame, named 0, 1, 2.
+    let listing = run_ok(&["list", &p("a.szxc")]);
+    let rows: Vec<&str> = listing.lines().skip(1).collect();
+    assert_eq!(rows.len(), 3, "{listing}");
+    for (k, row) in rows.iter().enumerate() {
+        assert_eq!(row.split_whitespace().next(), Some(k.to_string().as_str()));
+    }
+
+    // `extract <file> 0` reproduces frame 0 within the bound.
+    run_ok(&["extract", &p("a.szxc"), "0", &p("frame0.f32")]);
+    let original = std::fs::read(p("in.f32")).unwrap();
+    let frame0 = std::fs::read(p("frame0.f32")).unwrap();
+    assert_eq!(frame0.len(), 4096 * 4);
+    for (a, b) in original.chunks_exact(4).zip(frame0.chunks_exact(4)) {
+        let a = f32::from_le_bytes(a.try_into().unwrap());
+        let b = f32::from_le_bytes(b.try_into().unwrap());
+        assert!((a - b).abs() <= 1e-3, "{a} vs {b}");
+    }
+
+    // `archive` writes the same format, one frame per field file.
+    std::fs::copy(p("in.f32"), p("wave.f32")).unwrap();
+    run_ok(&[
+        "archive",
+        &p("fields.szxc"),
+        &p("in.f32"),
+        &p("wave.f32"),
+        "--abs",
+        "1e-3",
+    ]);
+    let listing = run_ok(&["list", &p("fields.szxc")]);
+    let names: Vec<&str> = listing
+        .lines()
+        .skip(1)
+        .filter_map(|row| row.split_whitespace().next())
+        .collect();
+    assert_eq!(names, ["in", "wave"], "{listing}");
+
+    // A missing field file fails the run and leaves the earlier archive
+    // at that path untouched, with no partial file beside it.
+    let before = std::fs::read(p("fields.szxc")).unwrap();
+    let out = szx()
+        .args([
+            "archive",
+            &p("fields.szxc"),
+            &p("in.f32"),
+            &p("missing.f32"),
+        ])
+        .output()
+        .expect("run szx archive");
+    assert!(!out.status.success(), "missing input must fail");
+    assert_eq!(std::fs::read(p("fields.szxc")).unwrap(), before);
+    assert!(!dir.join("fields.szxc.partial").exists());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,0 +1,770 @@
+//! One container for named, independently compressed SZx streams: the
+//! fields of a snapshot (Table 2: CESM-ATM has 77) or the endless frames of
+//! an instrument (LCLS-II, §1). [`ContainerWriter`] writes each frame's
+//! stream to any [`Write`] sink at once and keeps only its index entry;
+//! [`ContainerReader`] lists, random-accesses and decodes frames in place.
+//!
+//! ```text
+//! magic b"SZXC" | version u8 = 1
+//! frame streams, back to back
+//! index:  u32 count, per frame [u16 name_len][name utf-8][u64 len][u32 crc32c(stream)]
+//! footer: [u32 crc32c(index)][u64 index_len][b"SZXC"]
+//! ```
+//!
+//! Every byte is covered by a check: magics and version by value, the index
+//! by the footer CRC, each frame by its index CRC. Frame offsets are the
+//! prefix sum of the lengths (the paper's zsize idea, §6.1) and the frames
+//! must tile the data region exactly, so no offset field can be forged.
+
+use core::cell::RefCell;
+use std::collections::HashSet;
+use std::io::Write;
+
+use crate::config::SzxConfig;
+use crate::cursor::Cursor;
+use crate::decode::Decoder;
+use crate::error::{Result, SzxError};
+use crate::float::SzxFloat;
+
+pub const MAGIC: [u8; 4] = *b"SZXC";
+pub const VERSION: u8 = 1;
+/// Magic plus version byte.
+const HEAD_LEN: usize = 5;
+/// Index CRC, index length, magic.
+const FOOTER_LEN: usize = 16;
+/// Smallest index entry: empty name, length, CRC.
+const MIN_ENTRY_LEN: usize = 2 + 8 + 4;
+
+/// CRC32C (Castagnoli, reflected polynomial `0x82F63B78`), slicing-by-8
+/// over tables built at compile time.
+pub fn crc32c(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let w = u64::from_le_bytes(w.try_into().unwrap_or_default()) ^ u64::from(crc);
+        // Table 7 folds in the first byte, table 0 the last.
+        crc = (CRC_TABLES.iter().rev().zip((0..64).step_by(8)))
+            .fold(0, |acc, (t, shift)| acc ^ lut(t, w >> shift));
+    }
+    let [t0, ..] = &CRC_TABLES;
+    for &b in words.remainder() {
+        crc = lut(t0, u64::from(crc ^ u32::from(b))) ^ (crc >> 8);
+    }
+    !crc
+}
+
+/// `table[x & 0xff]`.
+fn lut(table: &[u32; 256], x: u64) -> u32 {
+    // PANIC-OK: the index is masked to 0..=255.
+    table[(x & 0xff) as usize]
+}
+
+/// Table `s` maps a byte to the CRC register after that byte and `s`
+/// zero bytes, which is what slicing-by-8 folds in per input lane.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 64 {
+            c = (c >> 1) ^ (0x82F6_3B78 & (c & 1).wrapping_neg());
+            bit += 1;
+            if bit % 8 == 0 {
+                t[bit / 8 - 1][i] = c;
+            }
+        }
+        i += 1;
+    }
+    t
+};
+
+/// Per-frame accounting a [`ContainerWriter`] keeps as it goes — the numbers
+/// an instrument pipeline watches live (frame latency, sustained ratio).
+/// Always maintained: one clock read per frame is noise next to compressing
+/// the frame, and it spares callers ad-hoc `Instant` bookkeeping.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FrameStats {
+    /// Frames compressed so far.
+    pub frames: u64,
+    /// Uncompressed input bytes so far.
+    pub raw_bytes: u64,
+    /// Compressed stream bytes so far (excluding container framing).
+    pub compressed_bytes: u64,
+    /// Total wall time spent compressing, in nanoseconds.
+    pub compress_ns: u64,
+    /// Fastest single frame, in nanoseconds (0 before the first frame).
+    pub min_frame_ns: u64,
+    /// Slowest single frame, in nanoseconds.
+    pub max_frame_ns: u64,
+}
+
+impl FrameStats {
+    /// Cumulative compression ratio (raw / compressed).
+    pub fn ratio(&self) -> f64 {
+        if self.compressed_bytes == 0 {
+            0.0
+        } else {
+            self.raw_bytes as f64 / self.compressed_bytes as f64
+        }
+    }
+
+    /// Mean per-frame compression wall time in nanoseconds.
+    pub fn mean_frame_ns(&self) -> f64 {
+        if self.frames == 0 {
+            0.0
+        } else {
+            self.compress_ns as f64 / self.frames as f64
+        }
+    }
+
+    /// Sustained compression throughput in GB/s (raw bytes over wall time).
+    pub fn throughput_gbps(&self) -> f64 {
+        if self.compress_ns == 0 {
+            0.0
+        } else {
+            self.raw_bytes as f64 / self.compress_ns as f64
+        }
+    }
+
+    fn record(&mut self, raw: usize, compressed: usize, ns: u64) {
+        self.frames = self.frames.saturating_add(1);
+        self.raw_bytes = self.raw_bytes.saturating_add(raw as u64);
+        self.compressed_bytes = self.compressed_bytes.saturating_add(compressed as u64);
+        self.compress_ns = self.compress_ns.saturating_add(ns);
+        self.min_frame_ns = if self.frames == 1 {
+            ns
+        } else {
+            self.min_frame_ns.min(ns)
+        };
+        self.max_frame_ns = self.max_frame_ns.max(ns);
+    }
+}
+
+/// Compresses frames into a container written through to `W`.
+pub struct ContainerWriter<W: Write> {
+    sink: W,
+    cfg: SzxConfig,
+    /// The serialized index so far, behind a 4-byte count patched by
+    /// [`ContainerWriter::finish`].
+    index: Vec<u8>,
+    names: HashSet<String>,
+    stats: FrameStats,
+    /// Set while a sink write is in flight and left set if it fails.
+    failed: bool,
+}
+
+impl<W: Write> ContainerWriter<W> {
+    /// Validate `cfg` and write the container header to `sink`.
+    pub fn new(mut sink: W, cfg: SzxConfig) -> Result<Self> {
+        cfg.validate()?;
+        sink.write_all(&[MAGIC.as_slice(), &[VERSION]].concat())?;
+        Ok(ContainerWriter {
+            sink,
+            cfg,
+            index: vec![0; 4],
+            names: HashSet::new(),
+            stats: FrameStats::default(),
+            failed: false,
+        })
+    }
+
+    /// Compress `frame` and write its stream under `name`, which must be
+    /// unique and at most 65535 bytes of UTF-8. Frames may differ in length
+    /// and element type.
+    pub fn push<F: SzxFloat>(&mut self, name: &str, frame: &[F]) -> Result<()> {
+        let invalid = |m: String| Err(SzxError::InvalidConfig(m));
+        let Ok(name_len) = u16::try_from(name.len()) else {
+            return invalid(format!("frame name too long ({} bytes)", name.len()));
+        };
+        if self.names.contains(name) {
+            return invalid(format!("duplicate frame name {name:?}"));
+        }
+        if self.stats.frames == u64::from(u32::MAX) {
+            return invalid("too many frames".into());
+        }
+        let _z = szx_telemetry::trace_zone("stream.frame", self.stats.frames);
+        let start = std::time::Instant::now();
+        let bytes = crate::compress(frame, &self.cfg)?;
+        let ns = start.elapsed().as_nanos() as u64;
+        self.write(&bytes)?;
+        self.names.insert(name.to_string());
+        self.index.extend_from_slice(&name_len.to_le_bytes());
+        self.index.extend_from_slice(name.as_bytes());
+        self.index
+            .extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        self.index.extend_from_slice(&crc32c(&bytes).to_le_bytes());
+
+        let raw = frame.len() * F::BYTES;
+        self.stats.record(raw, bytes.len(), ns);
+        let zsize = bytes.len() as u64;
+        if szx_telemetry::enabled() {
+            let tel = szx_telemetry::global();
+            tel.span_stats("stream.frame").record(ns);
+            tel.hist_log2("stream.frame_bytes").record(zsize);
+            tel.counter("stream.bytes.raw").add(raw as u64);
+            tel.counter("stream.bytes.compressed").add(zsize);
+        }
+        if szx_telemetry::event_sink_installed() {
+            use szx_telemetry::Value;
+            szx_telemetry::emit_event(
+                "frame.compressed",
+                &[
+                    ("frame", Value::U64(self.stats.frames - 1)),
+                    ("raw_bytes", Value::U64(raw as u64)),
+                    ("compressed_bytes", Value::U64(zsize)),
+                    ("ns", Value::U64(ns)),
+                    ("ratio", Value::F64(raw as f64 / bytes.len().max(1) as f64)),
+                ],
+            );
+        }
+        Ok(())
+    }
+
+    /// Cumulative per-frame statistics (latency, sizes, ratio).
+    pub fn stats(&self) -> &FrameStats {
+        &self.stats
+    }
+
+    /// Write `bytes` to the sink. A failed write may leave part of them
+    /// there, which no index entry describes, so it poisons the writer:
+    /// every later `push` and `finish` errors.
+    fn write(&mut self, bytes: &[u8]) -> Result<()> {
+        if self.failed {
+            return Err(SzxError::Io("container sink failed earlier".into()));
+        }
+        self.failed = true;
+        self.sink.write_all(bytes)?;
+        self.failed = false;
+        Ok(())
+    }
+
+    /// Write the index and footer, flush, and hand back the sink.
+    pub fn finish(mut self) -> Result<W> {
+        let mut tail = std::mem::take(&mut self.index);
+        let count = self.stats.frames as u32;
+        tail[..4].copy_from_slice(&count.to_le_bytes());
+        let index_len = tail.len() as u64;
+        tail.extend_from_slice(&crc32c(&tail).to_le_bytes());
+        tail.extend_from_slice(&index_len.to_le_bytes());
+        tail.extend_from_slice(&MAGIC);
+        self.write(&tail)?;
+        self.sink.flush()?;
+        Ok(self.sink)
+    }
+}
+
+/// One frame's index entry: its name, the byte range of its stream in the
+/// container, and the stream's CRC32C.
+#[derive(Debug)]
+struct Entry {
+    name: String,
+    start: usize,
+    end: usize,
+    crc: u32,
+}
+
+/// The parsed and validated frame index of a container.
+#[derive(Debug)]
+pub(crate) struct ContainerIndex {
+    entries: Vec<Entry>,
+}
+
+impl ContainerIndex {
+    /// Check the header, footer and index CRC, then parse the entries and
+    /// require the frames to tile the data region exactly.
+    pub(crate) fn parse(bytes: &[u8]) -> Result<Self> {
+        let corrupt = |m: &str| SzxError::CorruptStream(format!("container: {m}"));
+        let mut head = Cursor::new(bytes);
+        if head.take(4) != Some(MAGIC.as_slice()) {
+            return Err(corrupt("bad magic"));
+        }
+        match head.u8() {
+            Some(VERSION) => {}
+            Some(v) => return Err(corrupt(&format!("unsupported version {v}"))),
+            None => return Err(corrupt("truncated header")),
+        }
+        let footer_start = bytes
+            .len()
+            .checked_sub(FOOTER_LEN)
+            .filter(|&s| s >= HEAD_LEN)
+            .ok_or_else(|| corrupt("truncated footer"))?;
+        let mut foot = Cursor::new(bytes.get(footer_start..).unwrap_or_default());
+        let index_crc = foot.u32_le().ok_or_else(|| corrupt("truncated footer"))?;
+        let index_len = foot.u64_le().ok_or_else(|| corrupt("truncated footer"))?;
+        if foot.take(4) != Some(MAGIC.as_slice()) {
+            return Err(corrupt("bad footer magic"));
+        }
+        let index_start = usize::try_from(index_len)
+            .ok()
+            .and_then(|len| footer_start.checked_sub(len))
+            .filter(|&s| s >= HEAD_LEN)
+            .ok_or_else(|| corrupt("index length points past the start"))?;
+        let index = bytes
+            .get(index_start..footer_start)
+            .ok_or_else(|| corrupt("index length points past the start"))?;
+        if crc32c(index) != index_crc {
+            return Err(corrupt("index checksum mismatch"));
+        }
+
+        let mut c = Cursor::new(index);
+        let count = c.u32_le().ok_or_else(|| corrupt("truncated index"))? as usize;
+        // Bound the claimed count by the bytes present before allocating.
+        if count > c.remaining() / MIN_ENTRY_LEN {
+            return Err(corrupt("implausible frame count"));
+        }
+        let mut entries = Vec::with_capacity(count);
+        let mut pos = HEAD_LEN;
+        for _ in 0..count {
+            let name_len = c.u16_le().ok_or_else(|| corrupt("truncated index"))?;
+            let name = c
+                .take(usize::from(name_len))
+                .ok_or_else(|| corrupt("frame name runs past the index"))?;
+            let name = std::str::from_utf8(name).map_err(|_| corrupt("frame name is not UTF-8"))?;
+            let len = c.u64_le().ok_or_else(|| corrupt("truncated index"))?;
+            let crc = c.u32_le().ok_or_else(|| corrupt("truncated index"))?;
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| pos.checked_add(len))
+                .filter(|&end| end <= index_start)
+                .ok_or_else(|| corrupt(&format!("frame {:?} runs past the data region", name)))?;
+            entries.push(Entry {
+                name: name.to_string(),
+                start: pos,
+                end,
+                crc,
+            });
+            pos = end;
+        }
+        if !c.rest().is_empty() || pos != index_start {
+            return Err(corrupt("frames do not tile the data region"));
+        }
+        Ok(ContainerIndex { entries })
+    }
+}
+
+/// Reads frames back out of a container held in memory.
+pub struct ContainerReader<'a> {
+    bytes: &'a [u8],
+    index: ContainerIndex,
+    /// Decoder reused across frames (serially, its kernel arenas grow once
+    /// to the largest block, then stay allocation-free). `RefCell` keeps
+    /// `frame` a `&self` method; the borrow is scoped to one frame decode.
+    decoder: RefCell<Decoder>,
+}
+
+impl<'a> ContainerReader<'a> {
+    /// Parse and validate the container's index (frame CRCs are checked
+    /// when each frame is accessed).
+    pub fn new(bytes: &'a [u8]) -> Result<Self> {
+        Ok(ContainerReader {
+            bytes,
+            index: ContainerIndex::parse(bytes)?,
+            decoder: RefCell::default(),
+        })
+    }
+
+    pub fn len(&self) -> usize {
+        self.index.entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.index.entries.is_empty()
+    }
+
+    /// Frame names in container order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.index.entries.iter().map(|e| e.name.as_str())
+    }
+
+    /// Raw compressed stream of frame `i` (e.g. to forward downstream),
+    /// after checking its CRC32C.
+    pub fn frame_bytes(&self, i: usize) -> Result<&'a [u8]> {
+        let e = self
+            .index
+            .entries
+            .get(i)
+            .ok_or_else(|| SzxError::InvalidConfig(format!("frame {i} out of range")))?;
+        let stream = self
+            .bytes
+            .get(e.start..e.end)
+            .ok_or_else(|| SzxError::CorruptStream("container: frame out of bounds".into()))?;
+        if crc32c(stream) != e.crc {
+            return Err(SzxError::CorruptStream(format!(
+                "container: frame {:?} checksum mismatch",
+                e.name
+            )));
+        }
+        Ok(stream)
+    }
+
+    /// Decompress frame `i`.
+    pub fn frame<F: SzxFloat>(&self, i: usize) -> Result<Vec<F>> {
+        let stream = self.frame_bytes(i)?;
+        // Clock read only when somebody is listening on the event sink.
+        let started = szx_telemetry::event_sink_installed().then(std::time::Instant::now);
+        let out = self.decoder.borrow_mut().decode::<F>(stream)?;
+        if let Some(start) = started {
+            use szx_telemetry::Value;
+            szx_telemetry::emit_event(
+                "frame.decoded",
+                &[
+                    ("frame", Value::U64(i as u64)),
+                    ("compressed_bytes", Value::U64(stream.len() as u64)),
+                    ("raw_bytes", Value::U64((out.len() * F::BYTES) as u64)),
+                    ("ns", Value::U64(start.elapsed().as_nanos() as u64)),
+                ],
+            );
+        }
+        Ok(out)
+    }
+
+    /// Position of the frame called `name`.
+    pub fn position(&self, name: &str) -> Result<usize> {
+        self.names()
+            .position(|n| n == name)
+            .ok_or_else(|| SzxError::InvalidConfig(format!("no frame named {name:?}")))
+    }
+
+    /// Decompress the frame called `name`.
+    pub fn field<F: SzxFloat>(&self, name: &str) -> Result<Vec<F>> {
+        self.frame(self.position(name)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn frame(k: usize, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|i| ((i + 37 * k) as f32 * 0.01).sin() * (k + 1) as f32)
+            .collect()
+    }
+
+    /// A container of `frames` named "0", "1", ….
+    fn container(cfg: SzxConfig, frames: &[Vec<f32>]) -> Vec<u8> {
+        let mut w = ContainerWriter::new(Vec::new(), cfg).unwrap();
+        for (k, f) in frames.iter().enumerate() {
+            w.push(&k.to_string(), f).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    #[test]
+    fn crc32c_matches_reference_vectors() {
+        assert_eq!(crc32c(b""), 0);
+        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
+        // Slicing-by-8 agrees with the bytewise tail at every length.
+        let bytes: Vec<u8> = (0..64u8).map(|b| b.wrapping_mul(31)).collect();
+        for n in 0..bytes.len() {
+            let mut crc = !0u32;
+            for &b in &bytes[..n] {
+                crc = lut(&CRC_TABLES[0], u64::from(crc ^ u32::from(b))) ^ (crc >> 8);
+            }
+            assert_eq!(crc32c(&bytes[..n]), !crc, "length {n}");
+        }
+    }
+
+    #[test]
+    fn frames_roundtrip_in_order() {
+        let originals: Vec<Vec<f32>> = (0..5).map(|k| frame(k, 1000 + 17 * k)).collect();
+        let bytes = container(SzxConfig::absolute(1e-4), &originals);
+        let r = ContainerReader::new(&bytes).unwrap();
+        assert_eq!(r.len(), 5);
+        assert_eq!(r.names().collect::<Vec<_>>(), ["0", "1", "2", "3", "4"]);
+        for (k, orig) in originals.iter().enumerate() {
+            let back: Vec<f32> = r.frame(k).unwrap();
+            assert_eq!(back.len(), orig.len());
+            for (&a, &b) in orig.iter().zip(&back) {
+                assert!((a - b).abs() <= 1e-4);
+            }
+        }
+    }
+
+    #[test]
+    fn every_frame_reachable_by_index_and_name() {
+        let bytes = container(
+            SzxConfig::absolute(1e-3),
+            &(0..4).map(|k| frame(k, 256)).collect::<Vec<_>>(),
+        );
+        let r = ContainerReader::new(&bytes).unwrap();
+        let by_index: Vec<Vec<f32>> = (0..r.len())
+            .map(|k| r.frame(k))
+            .collect::<Result<_>>()
+            .unwrap();
+        let by_name: Vec<Vec<f32>> = r
+            .names()
+            .map(|n| r.field(n))
+            .collect::<Result<_>>()
+            .unwrap();
+        assert_eq!(by_index.len(), 4);
+        assert_eq!(by_index, by_name);
+    }
+
+    #[test]
+    fn named_fields_roundtrip() {
+        let names = ["pressure", "density", "velocity-x"];
+        let mut w = ContainerWriter::new(Vec::new(), SzxConfig::absolute(1e-4)).unwrap();
+        for (k, name) in names.iter().enumerate() {
+            w.push(name, &frame(k, 2000)).unwrap();
+        }
+        assert_eq!(w.stats().frames, 3);
+        let bytes = w.finish().unwrap();
+        let r = ContainerReader::new(&bytes).unwrap();
+        assert_eq!(r.names().collect::<Vec<_>>(), names);
+        for (k, name) in names.iter().enumerate() {
+            let back: Vec<f32> = r.field(name).unwrap();
+            assert!(frame(k, 2000)
+                .iter()
+                .zip(&back)
+                .all(|(a, b)| (a - b).abs() <= 1e-4));
+        }
+        assert!(r.field::<f32>("missing").is_err());
+    }
+
+    #[test]
+    fn random_access_to_any_frame() {
+        let frames: Vec<Vec<f32>> = (0..10).map(|k| frame(k, 500)).collect();
+        let bytes = container(SzxConfig::absolute(1e-3), &frames);
+        let r = ContainerReader::new(&bytes).unwrap();
+        let f7: Vec<f32> = r.frame(7).unwrap();
+        assert_eq!(f7.len(), 500);
+        assert!(r.frame_bytes(7).unwrap().len() < 500 * 4);
+        assert!(r.frame::<f32>(10).is_err());
+        assert!(r.frame_bytes(10).is_err());
+    }
+
+    #[test]
+    fn selective_extraction_reads_one_stream() {
+        let bytes = container(SzxConfig::absolute(1e-3), &[frame(0, 2000), frame(1, 2000)]);
+        let r = ContainerReader::new(&bytes).unwrap();
+        let b = r.frame_bytes(r.position("1").unwrap()).unwrap();
+        assert_eq!(crate::inspect(b).unwrap().n, 2000);
+        // Streams plus header, index and footer fill the container exactly.
+        let a = r.frame_bytes(0).unwrap();
+        let index_len = 4 + 2 * (2 + 1 + 8 + 4);
+        assert_eq!(
+            a.len() + b.len() + HEAD_LEN + index_len + FOOTER_LEN,
+            bytes.len()
+        );
+    }
+
+    #[test]
+    fn duplicate_and_invalid_names_rejected() {
+        let mut w = ContainerWriter::new(Vec::new(), SzxConfig::absolute(1e-3)).unwrap();
+        w.push("x", &frame(0, 100)).unwrap();
+        assert!(w.push("x", &frame(1, 100)).is_err(), "duplicate");
+        assert!(
+            w.push(&"n".repeat(70_000), &frame(1, 100)).is_err(),
+            "name too long"
+        );
+        assert!(w.push::<f32>("empty", &[]).is_err(), "nothing to compress");
+        assert_eq!(w.stats().frames, 1, "rejected frames leave no trace");
+        let bytes = w.finish().unwrap();
+        assert_eq!(ContainerReader::new(&bytes).unwrap().len(), 1);
+        assert!(ContainerWriter::new(Vec::new(), SzxConfig::absolute(-1.0)).is_err());
+    }
+
+    #[test]
+    fn mixed_element_types() {
+        // Each frame is a self-describing SZx stream; the container does
+        // not force one element type.
+        let mut w = ContainerWriter::new(Vec::new(), SzxConfig::absolute(1e-6)).unwrap();
+        w.push("singles", &frame(0, 300)).unwrap();
+        let doubles: Vec<f64> = (0..200).map(|i| (i as f64 * 0.02).cos()).collect();
+        w.push("doubles", &doubles).unwrap();
+        let bytes = w.finish().unwrap();
+        let r = ContainerReader::new(&bytes).unwrap();
+        assert_eq!(crate::inspect(r.frame_bytes(0).unwrap()).unwrap().dtype, 0);
+        assert_eq!(crate::inspect(r.frame_bytes(1).unwrap()).unwrap().dtype, 1);
+        assert!(r.field::<f32>("singles").is_ok());
+        assert!(r.field::<f64>("doubles").is_ok());
+        assert!(r.field::<f32>("doubles").is_err(), "type mismatch surfaces");
+    }
+
+    #[test]
+    fn mixed_precision_frames() {
+        // Frames of either precision sit side by side and decode by index.
+        let doubles: Vec<f64> = (0..200).map(|i| (i as f64 * 0.02).cos()).collect();
+        let mut w = ContainerWriter::new(Vec::new(), SzxConfig::absolute(1e-6)).unwrap();
+        w.push("0", &doubles).unwrap();
+        w.push("1", &frame(1, 300)).unwrap();
+        w.push("2", &doubles).unwrap();
+        let bytes = w.finish().unwrap();
+        let r = ContainerReader::new(&bytes).unwrap();
+        for k in [0, 2] {
+            let back: Vec<f64> = r.frame(k).unwrap();
+            assert!(doubles
+                .iter()
+                .zip(&back)
+                .all(|(a, b)| (a - b).abs() <= 1e-6));
+            assert!(r.frame::<f32>(k).is_err(), "type mismatch surfaces");
+        }
+        assert_eq!(r.frame::<f32>(1).unwrap().len(), 300);
+        assert!(r.frame::<f64>(1).is_err(), "type mismatch surfaces");
+    }
+
+    #[test]
+    fn corrupt_containers_error_not_panic() {
+        assert!(ContainerReader::new(b"nope").is_err());
+        let bytes = container(SzxConfig::absolute(1e-3), &[frame(0, 100)]);
+        for cut in [0, 3, 5, 20, bytes.len() - 17, bytes.len() - 3] {
+            assert!(ContainerReader::new(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        for at in [0, bytes.len() - 1] {
+            let mut bad = bytes.clone();
+            bad[at] = b'!';
+            assert!(ContainerReader::new(&bad).is_err(), "bad magic at {at}");
+        }
+        let mut bad = bytes.clone();
+        bad[4] = VERSION + 1;
+        let err = ContainerReader::new(&bad).err().unwrap();
+        assert!(err.to_string().contains("version"), "{err}");
+        // A forged frame count behind a valid index CRC.
+        assert!(ContainerReader::new(&forge(&[], &u32::MAX.to_le_bytes())).is_err());
+        // The empty container is valid.
+        let empty = container(SzxConfig::absolute(1e-3), &[]);
+        assert_eq!(empty.len(), HEAD_LEN + 4 + FOOTER_LEN);
+        assert!(ContainerReader::new(&empty).unwrap().is_empty());
+    }
+
+    #[test]
+    fn damaged_frames_error() {
+        let bytes = container(SzxConfig::absolute(1e-3), &[frame(0, 100), frame(1, 100)]);
+        let mut bad = bytes.clone();
+        bad.insert(5, 0);
+        assert!(
+            ContainerReader::new(&bad).is_err(),
+            "frames must tile the data"
+        );
+        // A flipped payload byte passes the index but fails the frame CRC,
+        // and only for the frame it lands in.
+        let mut bad = bytes.clone();
+        bad[HEAD_LEN + 10] ^= 0x40;
+        let r = ContainerReader::new(&bad).unwrap();
+        let err = r.frame::<f32>(0).err().unwrap();
+        assert!(err.to_string().contains("checksum"), "{err}");
+        assert_eq!(r.frame::<f32>(1).unwrap().len(), 100);
+    }
+
+    /// Wrap `index` (count included) in a header, `data` and a footer with
+    /// a valid index CRC, so only the index contents are hostile.
+    fn forge(data: &[u8], index: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.push(VERSION);
+        out.extend_from_slice(data);
+        out.extend_from_slice(index);
+        out.extend_from_slice(&crc32c(index).to_le_bytes());
+        out.extend_from_slice(&(index.len() as u64).to_le_bytes());
+        out.extend_from_slice(&MAGIC);
+        out
+    }
+
+    #[test]
+    fn hostile_frame_length_is_rejected_not_overflowed() {
+        // A frame length near u64::MAX must not wrap the prefix sum.
+        let mut index = 1u32.to_le_bytes().to_vec();
+        index.extend_from_slice(&0u16.to_le_bytes());
+        index.extend_from_slice(&u64::MAX.to_le_bytes());
+        index.extend_from_slice(&0u32.to_le_bytes());
+        let err = ContainerReader::new(&forge(&[0; 16], &index))
+            .err()
+            .unwrap();
+        assert!(
+            err.to_string().contains("runs past the data region"),
+            "{err}"
+        );
+        // An index length reaching back past the header.
+        let mut bad = forge(&[], &0u32.to_le_bytes());
+        let at = bad.len() - 12;
+        bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = ContainerReader::new(&bad).err().unwrap();
+        assert!(err.to_string().contains("past the start"), "{err}");
+    }
+
+    #[test]
+    fn frame_stats_track_sizes_and_latency() {
+        let mut w = ContainerWriter::new(Vec::new(), SzxConfig::absolute(1e-3)).unwrap();
+        assert_eq!(w.stats().frames, 0);
+        assert_eq!(w.stats().ratio(), 0.0);
+        for k in 0..3 {
+            w.push(&k.to_string(), &frame(k, 1000)).unwrap();
+        }
+        let s = *w.stats();
+        let bytes = w.finish().unwrap();
+        assert_eq!(s.frames, 3);
+        assert_eq!(s.raw_bytes, 3 * 1000 * 4);
+        // Container = header + streams + index (3 one-byte names) + footer.
+        let framing = HEAD_LEN + 4 + 3 * (2 + 1 + 8 + 4) + FOOTER_LEN;
+        assert_eq!(s.compressed_bytes as usize, bytes.len() - framing);
+        assert!(s.ratio() > 1.0, "sine frames compress: {}", s.ratio());
+        assert!(s.compress_ns > 0);
+        assert!(s.min_frame_ns <= s.max_frame_ns);
+        assert!(s.mean_frame_ns() * 3.0 <= s.compress_ns as f64 + 1.0);
+    }
+
+    #[test]
+    fn kernel_and_scalar_frames_agree_bitwise() {
+        // The reader's decode of each frame matches the scalar reference
+        // and the parallel kernel path on the same checked bytes.
+        let frames: Vec<Vec<f32>> = (0..4).map(|k| frame(k, 700 + 31 * k)).collect();
+        let bytes = container(SzxConfig::absolute(1e-4), &frames);
+        let r = ContainerReader::new(&bytes).unwrap();
+        for k in 0..4 {
+            let ours: Vec<f32> = r.frame(k).unwrap();
+            for (sel, parallel) in [
+                (crate::KernelSelect::Scalar, false),
+                (crate::KernelSelect::Kernel, true),
+            ] {
+                let theirs: Vec<f32> = Decoder::new(sel, parallel)
+                    .decode(r.frame_bytes(k).unwrap())
+                    .unwrap();
+                assert_eq!(ours.len(), theirs.len());
+                for (i, (x, y)) in ours.iter().zip(&theirs).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "frame {k} elem {i} {sel:?}");
+                }
+            }
+        }
+    }
+
+    /// A sink that accepts `budget` bytes, then fails one write.
+    struct FlakySink {
+        data: Vec<u8>,
+        budget: usize,
+    }
+
+    impl Write for FlakySink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                self.budget = usize::MAX;
+                return Err(std::io::Error::other("transient"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            self.data.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn sink_error_mid_frame_poisons_the_writer() {
+        let sink = FlakySink {
+            data: Vec::new(),
+            budget: HEAD_LEN + 40,
+        };
+        let mut w = ContainerWriter::new(sink, SzxConfig::absolute(1e-3)).unwrap();
+        let err = w.push("0", &frame(0, 2000)).err().unwrap();
+        assert!(matches!(err, SzxError::Io(_)), "{err}");
+        // The sink now holds a partial frame: later pushes and the finish
+        // must fail rather than produce a container no reader accepts.
+        let err = w.push("1", &frame(1, 2000)).err().unwrap();
+        assert!(matches!(err, SzxError::Io(_)), "{err}");
+        assert!(w.finish().is_err());
+    }
+}

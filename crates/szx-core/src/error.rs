@@ -19,6 +19,8 @@ pub enum SzxError {
     },
     /// The input is empty. SZx streams always carry at least one block.
     EmptyInput,
+    /// Writing a container to its sink failed.
+    Io(String),
 }
 
 impl fmt::Display for SzxError {
@@ -33,11 +35,18 @@ impl fmt::Display for SzxError {
                 )
             }
             SzxError::EmptyInput => write!(f, "input dataset is empty"),
+            SzxError::Io(msg) => write!(f, "I/O error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for SzxError {}
+
+impl From<std::io::Error> for SzxError {
+    fn from(e: std::io::Error) -> Self {
+        SzxError::Io(e.to_string())
+    }
+}
 
 /// Convenience alias used across the crate.
 pub type Result<T> = core::result::Result<T, SzxError>;

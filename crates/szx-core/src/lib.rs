@@ -76,10 +76,10 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod analysis;
-pub mod archive;
 pub mod bitio;
 pub mod block;
 pub mod config;
+pub mod container;
 pub(crate) mod contracts;
 pub(crate) mod cursor;
 pub mod decode;
@@ -91,13 +91,12 @@ pub mod kernels;
 pub mod random_access;
 pub mod simd;
 pub mod stream;
-pub mod streaming;
 
-pub use archive::{ArchiveReader, ArchiveWriter};
 pub use config::{
     CommitStrategy, ErrorBound, KernelPath, KernelSelect, SzxConfig, DEFAULT_BLOCK_SIZE,
     MAX_BLOCK_SIZE,
 };
+pub use container::{ContainerReader, ContainerWriter, FrameStats};
 pub use decode::{decompress, Decoder};
 pub use encode::compress;
 pub use error::{Result, SzxError};
@@ -107,7 +106,6 @@ pub use random_access::RandomAccess;
 /// (`RAYON_NUM_THREADS`, else the available cores).
 pub use rayon::current_num_threads;
 pub use stream::{inspect, Header};
-pub use streaming::{FrameReader, FrameStats, FrameWriter};
 
 /// Compression ratio helper: original bytes / compressed bytes.
 pub fn compression_ratio<F: SzxFloat>(n_elements: usize, compressed_len: usize) -> f64 {

@@ -7,12 +7,13 @@
 //! * **decode** ([`targets::FuzzTarget::DecodeArbitrary`]): arbitrary
 //!   bytes through every decode entry point, asserting error-not-panic and
 //!   differential agreement (the `Decoder` kernel × serial/parallel
-//!   matrix, random access, streaming);
+//!   matrix, random access);
 //! * **round** ([`targets::FuzzTarget::RoundtripConfig`]): bytes decoded
 //!   into a (config, synthetic field) pair, asserting bitwise encode-path
 //!   stream identity, the header error bound, and decode agreement;
-//! * **stream** ([`targets::FuzzTarget::StreamTorture`]): bytes treated as
-//!   a framed container, torturing the frame index / header / TOC parsers.
+//! * **container** ([`targets::FuzzTarget::Container`]): bytes treated as
+//!   a container, torturing the header / footer / index parser and
+//!   differentially decoding every frame that passes its CRC.
 //!
 //! The same target functions back three harnesses: the in-tree engine
 //! (`cargo run -p szx-fuzz -- …`, fully offline and reproducible from one

@@ -19,8 +19,8 @@ szx-fuzz — deterministic fuzzing + differential torture harness for szx-rs
 USAGE:
   szx-fuzz seed     <corpus-dir>
       Regenerate the seed corpus (six dataset generators x configs,
-      framed streams, roundtrip specs, hostile headers) + MANIFEST.txt.
-  szx-fuzz run      <decode|round|stream|all> [--corpus <dir>] [--seed <n>]
+      containers, roundtrip specs, hostile headers) + MANIFEST.txt.
+  szx-fuzz run      <decode|round|container|all> [--corpus <dir>] [--seed <n>]
                     [--iters <n>] [--time-secs <s>] [--max-findings <k>]
                     [--save-dir <dir>]
       Fuzz one target (or all three). Findings are minimized; with
@@ -169,7 +169,7 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
         FuzzTarget::ALL.to_vec()
     } else {
         vec![FuzzTarget::from_name(which)
-            .ok_or_else(|| format!("unknown target {which:?} (decode|round|stream|all)"))?]
+            .ok_or_else(|| format!("unknown target {which:?} (decode|round|container|all)"))?]
     };
     let dir = corpus_dir(args);
     let save_dir = flag_value(args, "--save-dir").map(PathBuf::from);
@@ -288,7 +288,7 @@ fn cmd_seed(args: &[String]) -> Result<bool, String> {
     ];
     let block_sizes = [64usize, 17, 128, 1, 4096, 200];
 
-    // One archive + one framed stream per Table-2 application, rotating
+    // One archive + one container per Table-2 application, rotating
     // block sizes, strategies, and bound modes so the seed corpus starts
     // on every major format path.
     for (k, app) in szx_data::Application::ALL.iter().enumerate() {
@@ -309,18 +309,15 @@ fn cmd_seed(args: &[String]) -> Result<bool, String> {
         let archive = szx_core::compress(&values, &cfg).map_err(|e| e.to_string())?;
         write(&format!("decode_{short}.szx"), &archive)?;
 
-        let mut w = szx_core::FrameWriter::new(SzxConfig {
-            block_size: 128,
-            error_bound: ErrorBound::Absolute(1e-3),
-            strategy: CommitStrategy::ByteAligned,
-            kernel: KernelSelect::Auto,
-            parallel: false,
-        })
+        let container = (|| {
+            let mut w = szx_core::ContainerWriter::new(Vec::new(), SzxConfig::absolute(1e-3))?;
+            for (i, chunk) in values.chunks(300).enumerate() {
+                w.push(&i.to_string(), chunk)?;
+            }
+            w.finish()
+        })()
         .map_err(|e| e.to_string())?;
-        for chunk in values.chunks(300) {
-            w.push(chunk).map_err(|e| e.to_string())?;
-        }
-        write(&format!("stream_{short}.szxs"), &w.into_bytes())?;
+        write(&format!("container_{short}.szxc"), &container)?;
     }
 
     // f64 archives for two applications (the dtype byte must start on both
@@ -440,11 +437,16 @@ fn cmd_seed(args: &[String]) -> Result<bool, String> {
         write("decode_zz_trunc.bin", &archive[..20.min(archive.len())])?;
     }
     {
-        // Container whose single frame claims more bytes than exist.
-        let mut bad = b"SZXS".to_vec();
-        bad.extend_from_slice(&u64::MAX.to_le_bytes());
-        bad.extend_from_slice(&[0x11; 16]);
-        write("stream_zz_badlen.bin", &bad)?;
+        // 32-byte containers with a valid index CRC: a count claiming
+        // u32::MAX entries, and an index_len reaching back past the header.
+        use szx_core::container::{crc32c, MAGIC, VERSION};
+        let index = [&u32::MAX.to_le_bytes()[..], &[0x11; 7]].concat();
+        let crc = crc32c(&index).to_le_bytes();
+        for (name, index_len) in [("hugecount", 11u64), ("badindexlen", 1000)] {
+            let len = index_len.to_le_bytes();
+            let bytes = [&MAGIC[..], &[VERSION], &index, &crc, &len, &MAGIC].concat();
+            write(&format!("container_zz_{name}.bin"), &bytes)?;
+        }
     }
 
     let listed = corpus::write_manifest(&dir).map_err(|e| e.to_string())?;

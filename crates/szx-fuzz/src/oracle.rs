@@ -8,9 +8,11 @@
 //!   when the CPU lacks the ISA, so the cell is always exercised and always
 //!   held to the contract;
 //! * random access (`RandomAccess::decode_range` over the whole stream,
-//!   scalar and kernel);
-//! * streaming (`FrameReader::frame` on the input wrapped as a
-//!   single-frame container, scalar and kernel).
+//!   scalar and kernel).
+//!
+//! The container reader decodes a frame that passes its CRC with the same
+//! [`Decoder`], so it is held to this oracle frame by frame by the
+//! `container` target rather than by re-wrapping every input here.
 //!
 //! The contract checked on *every* input, hostile or well-formed:
 //!
@@ -18,8 +20,8 @@
 //!   a [`Failure`] naming the path);
 //! * all paths agree on decodability;
 //! * paths that decode must reconstruct **bit-identical** outputs;
-//! * every `Decoder` cell, and the streaming reader, must return the
-//!   reference's **error string verbatim**. They share one index and
+//! * every `Decoder` cell must return the reference's **error string
+//!   verbatim**. They share one index and
 //!   validation layer, and the parallel split reports the first corrupt
 //!   block in block order, exactly as the serial loop does; a drifting
 //!   message means the paths stopped sharing validation logic. Random
@@ -110,17 +112,6 @@ fn run_path<F: SzxFloat>(
     }
 }
 
-/// Wrap raw stream bytes as a single-frame streaming container, so the
-/// `FrameReader` path can be held to the same oracle as the in-memory
-/// decoders on arbitrary archive bytes.
-pub fn wrap_as_frame(bytes: &[u8]) -> Vec<u8> {
-    let mut container = Vec::with_capacity(bytes.len() + 12);
-    container.extend_from_slice(b"SZXS");
-    container.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-    container.extend_from_slice(bytes);
-    container
-}
-
 /// Report of a full differential run for one element type.
 #[derive(Debug)]
 pub struct DecodeReport {
@@ -205,19 +196,6 @@ pub fn differential_decode_typed<F: SzxFloat>(bytes: &[u8]) -> Result<DecodeRepo
             ra.decode_range(0, ra.len())
         })?;
         check(path, out, false)?;
-    }
-
-    let container = wrap_as_frame(bytes);
-    for (path, sel) in [
-        ("streaming-scalar", KernelSelect::Scalar),
-        ("streaming-kernel", KernelSelect::Kernel),
-    ] {
-        let out = run_path(path, || {
-            let reader =
-                szx_core::FrameReader::new(&container)?.with_decoder(Decoder::new(sel, false));
-            reader.frame::<F>(0)
-        })?;
-        check(path, out, true)?;
     }
 
     Ok(DecodeReport {

@@ -5,7 +5,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use szx_core::{Decoder, KernelSelect, SzxFloat};
+use szx_core::{ContainerReader, ContainerWriter, Decoder, KernelSelect, SzxFloat};
 
 use crate::corpus::fnv1a64;
 use crate::gen::{Spec, SpecType};
@@ -21,23 +21,24 @@ pub enum FuzzTarget {
     /// every encode path, assert bitwise stream identity, the header error
     /// bound, and full decode-path agreement.
     RoundtripConfig,
-    /// Bytes treated as a framed streaming container: header/TOC/frame
-    /// index torture for `FrameReader`, plus per-frame differential decode.
-    StreamTorture,
+    /// Bytes treated as a container: header/footer/index torture for
+    /// `ContainerReader`, plus per-frame differential decode of every frame
+    /// that passes its CRC.
+    Container,
 }
 
 impl FuzzTarget {
     pub const ALL: [FuzzTarget; 3] = [
         FuzzTarget::DecodeArbitrary,
         FuzzTarget::RoundtripConfig,
-        FuzzTarget::StreamTorture,
+        FuzzTarget::Container,
     ];
 
     pub fn name(self) -> &'static str {
         match self {
             FuzzTarget::DecodeArbitrary => "decode",
             FuzzTarget::RoundtripConfig => "round",
-            FuzzTarget::StreamTorture => "stream",
+            FuzzTarget::Container => "container",
         }
     }
 
@@ -45,7 +46,7 @@ impl FuzzTarget {
         match name {
             "decode" => Some(FuzzTarget::DecodeArbitrary),
             "round" | "roundtrip" => Some(FuzzTarget::RoundtripConfig),
-            "stream" => Some(FuzzTarget::StreamTorture),
+            "container" => Some(FuzzTarget::Container),
             _ => None,
         }
     }
@@ -56,8 +57,8 @@ impl FuzzTarget {
             Some(FuzzTarget::DecodeArbitrary)
         } else if file_name.starts_with("round_") {
             Some(FuzzTarget::RoundtripConfig)
-        } else if file_name.starts_with("stream_") {
-            Some(FuzzTarget::StreamTorture)
+        } else if file_name.starts_with("container_") {
+            Some(FuzzTarget::Container)
         } else {
             None
         }
@@ -70,7 +71,7 @@ pub fn run_target(target: FuzzTarget, input: &[u8]) -> Result<u64, Failure> {
     match target {
         FuzzTarget::DecodeArbitrary => differential_decode(input),
         FuzzTarget::RoundtripConfig => roundtrip_config(input),
-        FuzzTarget::StreamTorture => stream_torture(input),
+        FuzzTarget::Container => container_torture(input),
     }
 }
 
@@ -174,17 +175,17 @@ fn roundtrip_typed<F: SzxFloat>(spec: &Spec) -> Result<u64, Failure> {
         }
     }
 
-    // A single-frame streaming writer must embed exactly the serial
-    // archive (frames are independent SZx streams by contract).
-    let mut writer = szx_core::FrameWriter::new(cfg)
-        .map_err(|e| Failure::new("roundtrip:compress-error", format!("writer: {e}")))?;
-    writer
-        .push(&data)
-        .map_err(|e| Failure::new("roundtrip:compress-error", format!("push: {e}")))?;
-    let container = writer.into_bytes();
-    let reader = szx_core::FrameReader::new(&container)
+    // A single-frame container must embed exactly the serial archive
+    // (frames are independent SZx streams by contract).
+    let container = (|| {
+        let mut writer = ContainerWriter::new(Vec::new(), cfg)?;
+        writer.push("0", &data)?;
+        writer.finish()
+    })()
+    .map_err(|e| Failure::new("roundtrip:compress-error", format!("container: {e}")))?;
+    let reader = ContainerReader::new(&container)
         .map_err(|e| Failure::new("roundtrip:stream-identity:frame", e.to_string()))?;
-    if reader.frame_bytes(0) != Some(archive.as_slice()) {
+    if reader.frame_bytes(0).ok() != Some(archive.as_slice()) {
         return Err(Failure::new(
             "roundtrip:stream-identity:frame",
             format!("{spec:?}"),
@@ -283,14 +284,12 @@ fn roundtrip_typed<F: SzxFloat>(spec: &Spec) -> Result<u64, Failure> {
     Ok(h)
 }
 
-/// Cap on frames examined per container input (mutations can forge huge
-/// frame counts out of tiny containers).
+/// Cap on frames examined per container input.
 const MAX_FRAMES: usize = 64;
-/// Cap on frames pushed through the full differential oracle.
-const MAX_DEEP_FRAMES: usize = 8;
 
-/// Target 3: header/TOC/frame-index torture for the streaming reader.
-fn stream_torture(input: &[u8]) -> Result<u64, Failure> {
+/// Target 3: header/footer/index torture for the container reader, then
+/// the full differential oracle on every frame that passes its CRC.
+fn container_torture(input: &[u8]) -> Result<u64, Failure> {
     // The raw stream header parser must never panic on these bytes either.
     let mut features = match catch_unwind(AssertUnwindSafe(|| szx_core::inspect(input))) {
         Ok(Ok(h)) => fnv1a64(format!("{h:?}").as_bytes()),
@@ -298,7 +297,7 @@ fn stream_torture(input: &[u8]) -> Result<u64, Failure> {
         Err(_) => return Err(Failure::new("panic:inspect", "inspect(container bytes)")),
     };
 
-    let parse = catch_unwind(AssertUnwindSafe(|| szx_core::FrameReader::new(input)));
+    let parse = catch_unwind(AssertUnwindSafe(|| ContainerReader::new(input)));
     let reader = match parse {
         Ok(Ok(reader)) => reader,
         Ok(Err(e)) => {
@@ -306,63 +305,25 @@ fn stream_torture(input: &[u8]) -> Result<u64, Failure> {
                 .rotate_left(9)
                 .wrapping_add(fnv1a64(e.to_string().as_bytes())));
         }
-        Err(_) => return Err(Failure::new("panic:frame-index", "FrameReader::new")),
+        Err(_) => return Err(Failure::new("panic:frame-index", "ContainerReader::new")),
     };
 
-    let scalar = match catch_unwind(AssertUnwindSafe(|| szx_core::FrameReader::new(input))) {
-        Ok(Ok(r)) => r.with_decoder(Decoder::new(KernelSelect::Scalar, false)),
-        _ => return Err(Failure::new("panic:frame-index", "FrameReader::new (2nd)")),
-    };
-    let kernel = reader.with_decoder(Decoder::new(KernelSelect::Kernel, false));
-
-    let n = scalar.num_frames().min(MAX_FRAMES);
+    let n = reader.len().min(MAX_FRAMES);
     features = features.rotate_left(3).wrapping_add(n as u64);
     for i in 0..n {
-        // Scalar/kernel frame decode parity, both element types.
-        features ^= frame_parity::<f32>(&scalar, &kernel, i)?;
-        features ^= frame_parity::<f64>(&scalar, &kernel, i)?;
-        // The first few frames additionally run the complete
-        // differential oracle over their raw stream bytes.
-        if i < MAX_DEEP_FRAMES {
-            if let Some(frame) = scalar.frame_bytes(i) {
-                features = features
-                    .rotate_left(5)
-                    .wrapping_add(differential_decode(frame)?);
-            }
-        }
+        // The reader's own CRC check and decode must error, never panic;
+        // the frame bytes it hands out then face every decode path.
+        let frame = catch_unwind(AssertUnwindSafe(|| {
+            let _ = reader.frame::<f32>(i);
+            reader.frame_bytes(i)
+        }))
+        .map_err(|_| Failure::new("panic:frame", format!("frame {i}")))?;
+        features = features.rotate_left(5).wrapping_add(match frame {
+            Ok(bytes) => differential_decode(bytes)?,
+            Err(e) => fnv1a64(e.to_string().as_bytes()),
+        });
     }
     Ok(features)
-}
-
-/// Decode frame `i` with the scalar and kernel readers; enforce identical
-/// decodability, bits, and error messages (shared code path by design).
-fn frame_parity<F: SzxFloat>(
-    scalar: &szx_core::FrameReader<'_>,
-    kernel: &szx_core::FrameReader<'_>,
-    i: usize,
-) -> Result<u64, Failure> {
-    let run = |reader: &szx_core::FrameReader<'_>, path: &'static str| match catch_unwind(
-        AssertUnwindSafe(|| reader.frame::<F>(i)),
-    ) {
-        Ok(Ok(v)) => Ok(Outcome::Bits(v.iter().map(|x| x.to_word()).collect())),
-        Ok(Err(e)) => Ok(Outcome::Error(e.to_string())),
-        Err(_) => Err(Failure::new(
-            format!("panic:frame-{path}"),
-            format!("frame {i}"),
-        )),
-    };
-    let s = run(scalar, "scalar")?;
-    let k = run(kernel, "kernel")?;
-    if s != k {
-        return Err(Failure::new(
-            "divergence:frame:kernel",
-            format!("frame {i} ({})", std::any::type_name::<F>()),
-        ));
-    }
-    Ok(match s {
-        Outcome::Bits(w) => fnv1a64(&(w.len() as u64).to_le_bytes()),
-        Outcome::Error(e) => fnv1a64(e.as_bytes()),
-    })
 }
 
 #[cfg(test)]
@@ -389,16 +350,19 @@ mod tests {
     }
 
     #[test]
-    fn stream_target_handles_containers_and_noise() {
-        let mut w = szx_core::FrameWriter::new(SzxConfig::absolute(1e-3)).unwrap();
-        w.push(&(0..300).map(|i| i as f32).collect::<Vec<_>>())
+    fn container_target_handles_containers_and_noise() {
+        let mut w = ContainerWriter::new(Vec::new(), SzxConfig::absolute(1e-3)).unwrap();
+        w.push("ramp", &(0..300).map(|i| i as f32).collect::<Vec<_>>())
             .unwrap();
-        w.push(&(0..130).map(|i| (i as f32).sqrt()).collect::<Vec<_>>())
-            .unwrap();
-        let container = w.into_bytes();
-        run_target_guarded(FuzzTarget::StreamTorture, &container).unwrap();
-        run_target_guarded(FuzzTarget::StreamTorture, b"SZXS\x01\x02").unwrap();
-        run_target_guarded(FuzzTarget::StreamTorture, &[]).unwrap();
+        w.push(
+            "sqrt",
+            &(0..130).map(|i| (i as f32).sqrt()).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let container = w.finish().unwrap();
+        run_target_guarded(FuzzTarget::Container, &container).unwrap();
+        run_target_guarded(FuzzTarget::Container, b"SZXC\x01\x02").unwrap();
+        run_target_guarded(FuzzTarget::Container, &[]).unwrap();
     }
 
     #[test]
@@ -408,8 +372,8 @@ mod tests {
             Some(FuzzTarget::DecodeArbitrary)
         );
         assert_eq!(
-            FuzzTarget::for_corpus_file("stream_nyx.szxs"),
-            Some(FuzzTarget::StreamTorture)
+            FuzzTarget::for_corpus_file("container_nyx.szxc"),
+            Some(FuzzTarget::Container)
         );
         assert_eq!(
             FuzzTarget::for_corpus_file("round_3.spec"),

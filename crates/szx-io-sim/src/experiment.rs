@@ -148,21 +148,29 @@ mod tests {
     #[test]
     fn szx_dump_total_wins_despite_larger_files() {
         // The Figure-16 claim. Compression time dominates at ThetaGPU-like
-        // bandwidth, so SZx's speed advantage carries the total.
+        // bandwidth, so SZx's speed advantage carries the total. The two
+        // totals differ by only ~10% in a debug build, so each codec's
+        // total is the median of an odd number of alternating dumps: one
+        // descheduled run cannot decide the comparison.
+        const REPEATS: usize = 5;
         let (data, dims) = payload();
         let pfs = PfsConfig::theta_like();
-        let szx = dump(&data, dims, 1e-3, IoCodec::Szx, 512, &pfs);
-        let sz = dump(&data, dims, 1e-3, IoCodec::SzLike, 512, &pfs);
+        let (mut szx, mut sz) = (Vec::new(), Vec::new());
+        for _ in 0..REPEATS {
+            szx.push(dump(&data, dims, 1e-3, IoCodec::Szx, 512, &pfs));
+            sz.push(dump(&data, dims, 1e-3, IoCodec::SzLike, 512, &pfs));
+        }
+        let median_total = |runs: &[Breakdown]| {
+            let mut t: Vec<f64> = runs.iter().map(Breakdown::total).collect();
+            t.sort_by(f64::total_cmp);
+            t[REPEATS / 2]
+        };
         assert!(
-            szx.bytes_per_rank >= sz.bytes_per_rank,
+            szx[0].bytes_per_rank >= sz[0].bytes_per_rank,
             "SZ compresses smaller"
         );
-        assert!(
-            szx.total() < sz.total(),
-            "szx {} vs sz {}",
-            szx.total(),
-            sz.total()
-        );
+        let (szx, sz) = (median_total(&szx), median_total(&sz));
+        assert!(szx < sz, "median szx {szx} vs sz {sz}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Compressed-archive query: bundle a simulation snapshot's fields into one
-//! SZx archive, then answer point/region queries straight from the
+//! SZx container, then answer point/region queries straight from the
 //! compressed bytes using random-access decompression — only the blocks a
 //! query touches are ever decoded. This is the post-hoc analysis workflow
 //! the paper's instrument/PFS use cases feed into.
@@ -8,18 +8,17 @@
 //! cargo run --release -p szx-examples --bin compressed_archive_query
 //! ```
 
-use szx_core::{ArchiveReader, ArchiveWriter, RandomAccess, SzxConfig};
+use szx_core::{ContainerReader, ContainerWriter, RandomAccess, SzxConfig};
 use szx_data::{Application, Scale};
 
 fn main() {
-    // Build the archive: all Miranda fields at REL 1e-4.
+    // Build the container: all Miranda fields at REL 1e-4.
     let ds = Application::Miranda.generate(Scale::Small, 7);
-    let cfg = SzxConfig::relative(1e-4);
-    let mut writer = ArchiveWriter::new();
+    let mut writer = ContainerWriter::new(Vec::new(), SzxConfig::relative(1e-4)).expect("config");
     for f in &ds.fields {
-        writer.add(&f.name, &f.data, &cfg).expect("add field");
+        writer.push(&f.name, &f.data).expect("add field");
     }
-    let archive = writer.finish();
+    let archive = writer.finish().expect("finish container");
     let raw: usize = ds.fields.iter().map(|f| f.raw_bytes()).sum();
     println!(
         "archived {} fields: {:.2} MB -> {:.2} MB (CR {:.2})",
@@ -31,9 +30,9 @@ fn main() {
 
     // Query 1: a single probe value from `pressure` without decompressing
     // the field.
-    let reader = ArchiveReader::new(&archive).expect("parse archive");
-    let stream = reader.stream("pressure").expect("pressure present");
-    let ra = RandomAccess::<f32>::new(stream).expect("index stream");
+    let reader = ContainerReader::new(&archive).expect("parse container");
+    let stream = |name| reader.frame_bytes(reader.position(name)?);
+    let ra = RandomAccess::<f32>::new(stream("pressure").expect("pressure")).expect("index");
     let probe_idx = ra.len() / 3;
     let probe = ra.decode_at(probe_idx).expect("probe");
     let truth = ds.field("pressure").unwrap().data[probe_idx];
@@ -43,7 +42,7 @@ fn main() {
     let vx = ds.field("velocity-x").unwrap();
     let nx = vx.dims[0];
     let line_start = 17 * nx; // y=17, z=0
-    let ra = RandomAccess::<f32>::new(reader.stream("velocity-x").unwrap()).unwrap();
+    let ra = RandomAccess::<f32>::new(stream("velocity-x").unwrap()).unwrap();
     let line = ra.decode_range(line_start, line_start + nx).expect("line");
     let blocks_touched = nx.div_ceil(128) + 1;
     println!(
@@ -61,8 +60,8 @@ fn main() {
     // Query 3: headers only — which field compressed best?
     let mut best = (String::new(), 0.0f64);
     for name in reader.names() {
-        let h = reader.header(name).unwrap();
-        let cr = (h.n * 4) as f64 / reader.stream(name).unwrap().len() as f64;
+        let bytes = stream(name).unwrap();
+        let cr = (szx_core::inspect(bytes).unwrap().n * 4) as f64 / bytes.len() as f64;
         if cr > best.1 {
             best = (name.to_string(), cr);
         }

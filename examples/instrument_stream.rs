@@ -1,15 +1,17 @@
 //! Online instrument-data compression: the LCLS-II use case from the
 //! paper's introduction — a detector produces frames at a fixed rate and
 //! each frame must be compressed before the next one arrives, or data is
-//! dropped. The example streams frames through [`szx_core::FrameWriter`]
-//! and reads the sustained throughput and per-frame latency straight off
-//! its built-in [`szx_core::FrameStats`] — no ad-hoc stopwatch code.
+//! dropped. The example streams frames through a
+//! [`szx_core::ContainerWriter`] — each frame's stream goes to the sink as
+//! soon as it is compressed — and reads the sustained throughput and
+//! per-frame latency straight off its built-in [`szx_core::FrameStats`] —
+//! no ad-hoc stopwatch code.
 //!
 //! ```sh
 //! cargo run --release -p szx-examples --bin instrument_stream
 //! ```
 
-use szx_core::{FrameReader, FrameWriter, SzxConfig};
+use szx_core::{ContainerReader, ContainerWriter, SzxConfig};
 use szx_data::grf;
 
 /// Synthesize a detector frame: a diffraction-like pattern (smooth rings +
@@ -45,9 +47,10 @@ fn main() {
     // Synthesize up front so the stats measure compression, not generation.
     let frames: Vec<Vec<f32>> = (0..FRAMES).map(|i| make_frame(W, H, i)).collect();
 
-    let mut writer = FrameWriter::new(SzxConfig::relative(1e-3)).expect("config");
-    for frame in &frames {
-        writer.push(frame).expect("compress frame");
+    // A detector pipeline would hand in a file or socket, not a Vec.
+    let mut writer = ContainerWriter::new(Vec::new(), SzxConfig::relative(1e-3)).expect("config");
+    for (k, frame) in frames.iter().enumerate() {
+        writer.push(&k.to_string(), frame).expect("compress frame");
     }
 
     // Everything below comes from the writer's own per-frame accounting.
@@ -77,14 +80,14 @@ fn main() {
         println!("=> needs {:.1} more nodes at this rate", TARGET_GBPS / gbps);
     }
 
-    // The container is a valid SZXS stream: prove any frame reads back.
-    let bytes = writer.into_bytes();
-    let reader = FrameReader::new(&bytes).expect("parse container");
+    // The container is self-describing: prove any frame reads back.
+    let bytes = writer.finish().expect("finish container");
+    let reader = ContainerReader::new(&bytes).expect("parse container");
     let mid: Vec<f32> = reader.frame(FRAMES as usize / 2).expect("decode frame");
     assert_eq!(mid.len(), W * H);
     println!(
         "container:         {} frames, {:.1} MB total",
-        reader.num_frames(),
+        reader.len(),
         bytes.len() as f64 / 1e6
     );
 }

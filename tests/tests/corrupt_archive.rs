@@ -4,7 +4,7 @@
 //! serial and the parallel decompressor are held to the same contract.
 
 use szx_core::stream::HEADER_LEN;
-use szx_core::{Decoder, KernelSelect, SzxConfig};
+use szx_core::{ContainerReader, ContainerWriter, Decoder, KernelSelect, SzxConfig};
 
 /// Decode `bytes` with the scalar oracle, the branch-free kernel, and the
 /// explicit SIMD path; assert they agree on whether the stream is
@@ -225,15 +225,14 @@ fn multi_byte_corruption_windows_keep_path_parity() {
 
 #[test]
 fn corruption_windows_across_frame_boundaries() {
-    // Same idea against the streaming container: windows that straddle a
-    // frame-length word and the next frame's header are only reachable
-    // through the framed parser.
-    let mut w = szx_core::FrameWriter::new(SzxConfig::absolute(1e-3)).unwrap();
+    // Same idea against the container: windows that straddle two frames,
+    // or a frame and the index, are only reachable through its parser.
+    let mut w = ContainerWriter::new(Vec::new(), SzxConfig::absolute(1e-3)).unwrap();
     let data: Vec<f32> = (0..900).map(|i| (i as f32 * 0.05).cos() * 2.0).collect();
-    for chunk in data.chunks(300) {
-        w.push(chunk).unwrap();
+    for (k, chunk) in data.chunks(300).enumerate() {
+        w.push(&k.to_string(), chunk).unwrap();
     }
-    let container = w.into_bytes();
+    let container = w.finish().unwrap();
     for width in [2usize, 4] {
         for start in (0..container.len().saturating_sub(width)).step_by(7) {
             let mut bad = container.clone();
@@ -241,7 +240,7 @@ fn corruption_windows_across_frame_boundaries() {
                 *b ^= 0xff;
             }
             if let Err(failure) =
-                szx_fuzz::run_target_guarded(szx_fuzz::FuzzTarget::StreamTorture, &bad)
+                szx_fuzz::run_target_guarded(szx_fuzz::FuzzTarget::Container, &bad)
             {
                 panic!("frame window [{start}..{}]: {failure}", start + width);
             }
@@ -262,4 +261,102 @@ fn random_access_and_inspect_survive_corruption() {
     // Out-of-range block requests must be errors, not panics.
     let mut buf = vec![0f32; 128];
     assert!(ra.decode_block(ra.num_blocks(), &mut buf).is_err());
+}
+
+#[test]
+fn every_single_byte_flip_in_a_container_is_detected() {
+    // A flipped byte anywhere in a container — header, frame payload,
+    // index or footer — must surface as an error when the container is
+    // opened or when one of its frames is read. A frame that does decode
+    // must reproduce the clean decode bit for bit: no plausible-looking
+    // wrong floats.
+    let wave = |n: usize, f: f32| -> Vec<f32> {
+        (0..n)
+            .map(|i| (i as f32 * f).sin() * 10.0 + (i as f32 * 0.37).cos())
+            .collect()
+    };
+    let frames = [
+        ("pressure", wave(600, 0.01)),
+        ("T", wave(130, 0.3)),
+        ("velocity-x", wave(900, 0.07)),
+    ];
+    let mut w = ContainerWriter::new(Vec::new(), SzxConfig::absolute(1e-4)).unwrap();
+    for (name, data) in &frames {
+        w.push(name, data).unwrap();
+    }
+    let container = w.finish().unwrap();
+    let clean = ContainerReader::new(&container).unwrap();
+    let reference: Vec<Vec<u32>> = (0..frames.len())
+        .map(|i| {
+            let v: Vec<f32> = clean.frame(i).unwrap();
+            v.iter().map(|x| x.to_bits()).collect()
+        })
+        .collect();
+
+    let mut flips = 0usize;
+    for at in 0..container.len() {
+        for mask in [0x01u8, 0x80, 0xff] {
+            flips += 1;
+            let mut bad = container.clone();
+            bad[at] ^= mask;
+            let Ok(r) = ContainerReader::new(&bad) else {
+                continue;
+            };
+            let mut detected = false;
+            for (i, want) in reference.iter().enumerate() {
+                match r.frame::<f32>(i) {
+                    Err(_) => detected = true,
+                    Ok(v) => assert!(
+                        v.iter().map(|x| x.to_bits()).eq(want.iter().copied()),
+                        "flip {mask:#04x} at byte {at}: frame {i} decoded to wrong floats"
+                    ),
+                }
+            }
+            assert!(detected, "flip {mask:#04x} at byte {at} went undetected");
+        }
+    }
+    assert_eq!(flips, 3 * container.len());
+}
+
+/// A container around `index` (count included) whose footer carries a
+/// valid index CRC, so only the index contents are hostile.
+fn forge_container(index: &[u8]) -> Vec<u8> {
+    use szx_core::container::{crc32c, MAGIC, VERSION};
+    let mut out = MAGIC.to_vec();
+    out.push(VERSION);
+    out.extend_from_slice(index);
+    out.extend_from_slice(&crc32c(index).to_le_bytes());
+    out.extend_from_slice(&(index.len() as u64).to_le_bytes());
+    out.extend_from_slice(&MAGIC);
+    out
+}
+
+#[test]
+fn hostile_index_counts_error_before_allocating() {
+    // Had the parser reserved entries from the count field, u32::MAX
+    // entries would request hundreds of GB and abort the test process; the
+    // count is bounded by the index bytes present instead.
+    let mut index = u32::MAX.to_le_bytes().to_vec();
+    index.extend_from_slice(&[0x11; 7]);
+    let huge = forge_container(&index);
+    assert_eq!(huge.len(), 32);
+    let err = ContainerReader::new(&huge)
+        .err()
+        .expect("huge count rejected");
+    assert!(err.to_string().contains("implausible frame count"), "{err}");
+
+    // One entry whose name length runs past the end of the index. (In 32
+    // bytes any nonzero count is already implausible, so this index holds
+    // one minimal entry's worth of bytes.)
+    let mut index = 1u32.to_le_bytes().to_vec();
+    index.extend_from_slice(&1000u16.to_le_bytes());
+    index.extend_from_slice(b"twelve bytes");
+    let long_name = forge_container(&index);
+    let err = ContainerReader::new(&long_name)
+        .err()
+        .expect("overlong name rejected");
+    assert!(
+        err.to_string().contains("name runs past the index"),
+        "{err}"
+    );
 }

@@ -6,7 +6,7 @@
 //! re-tripping it fails this suite, not a nightly fuzz run.
 //!
 //! The corpus directory is routed by file-name prefix (`decode_*` /
-//! `round_*` / `stream_*`, see [`szx_fuzz::FuzzTarget::for_corpus_file`])
+//! `round_*` / `container_*`, see [`szx_fuzz::FuzzTarget::for_corpus_file`])
 //! and pinned by `MANIFEST.txt`; the manifest-freshness test fails when an
 //! entry is added, removed, or edited without regenerating the manifest
 //! (`cargo run -p szx-fuzz -- manifest tests/corpus`).
@@ -36,7 +36,7 @@ fn every_corpus_entry_routes_to_a_target() {
     for (name, _) in &entries {
         assert!(
             FuzzTarget::for_corpus_file(name).is_some(),
-            "{name}: unknown corpus prefix (want decode_*/round_*/stream_*)"
+            "{name}: unknown corpus prefix (want decode_*/round_*/container_*)"
         );
     }
 }
@@ -86,4 +86,16 @@ fn hostile_seeds_error_without_finding() {
         .expect("truncated hostile seed present");
     assert!(szx_core::decompress::<f32>(&trunc.1).is_err());
     assert!(szx_core::decompress::<f64>(&trunc.1).is_err());
+    let hostile_containers: Vec<_> = entries
+        .iter()
+        .filter(|(name, _)| name.starts_with("container_zz_"))
+        .collect();
+    assert_eq!(
+        hostile_containers.len(),
+        2,
+        "hostile container seeds present"
+    );
+    for (name, bytes) in hostile_containers {
+        assert!(szx_core::ContainerReader::new(bytes).is_err(), "{name}");
+    }
 }

@@ -1,5 +1,5 @@
-//! End-to-end observability: stream frames through `FrameWriter` /
-//! `FrameReader` with a JSON-lines event sink installed and the resource
+//! End-to-end observability: stream frames through `ContainerWriter` /
+//! `ContainerReader` with a JSON-lines event sink installed and the resource
 //! accountant sampling, then check the registry snapshot renders to
 //! Prometheus text and embeds in a schema-valid run manifest.
 //!
@@ -38,12 +38,12 @@ fn streaming_run_exports_events_metrics_and_manifest() {
     // 40k f32 in 8192-element frames: 4 full frames + 1 partial.
     let data: Vec<f32> = (0..40_000).map(|i| (i as f32 * 0.01).sin()).collect();
     let total_raw = (data.len() * 4) as u64;
-    let mut w = szx_core::streaming::FrameWriter::new(szx_core::SzxConfig::absolute(1e-3))
+    let mut w = szx_core::ContainerWriter::new(Vec::new(), szx_core::SzxConfig::absolute(1e-3))
         .expect("valid config");
     let mut meter = szx_telemetry::ProgressMeter::new(Some(total_raw));
     let mut prev = 0u64;
-    for chunk in data.chunks(8192) {
-        w.push(chunk).expect("frame compresses");
+    for (k, chunk) in data.chunks(8192).enumerate() {
+        w.push(&k.to_string(), chunk).expect("frame compresses");
         let s = *w.stats();
         meter.on_frame((chunk.len() * 4) as u64, s.compressed_bytes - prev);
         prev = s.compressed_bytes;
@@ -54,8 +54,8 @@ fn streaming_run_exports_events_metrics_and_manifest() {
     assert_eq!(progress.fraction, Some(1.0), "all input accounted for");
     assert!(progress.gbps > 0.0);
 
-    let container = w.into_bytes();
-    let reader = szx_core::streaming::FrameReader::new(&container).expect("container parses");
+    let container = w.finish().expect("container finishes");
+    let reader = szx_core::ContainerReader::new(&container).expect("container parses");
     let back: Vec<f32> = reader.frame(2).expect("random access decodes");
     assert_eq!(back.len(), 8192);
 

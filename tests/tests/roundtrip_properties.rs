@@ -255,11 +255,12 @@ fn streaming_frames_match_serial_per_frame() {
         KernelSelect::Simd,
     ] {
         let cfg = SzxConfig::absolute(1e-4).with_kernel(sel);
-        let mut w = szx_core::FrameWriter::new(cfg).unwrap();
-        for chunk in data.chunks(if cfg!(miri) { 300 } else { 3_000 }) {
-            w.push(chunk).unwrap();
+        let mut w = szx_core::ContainerWriter::new(Vec::new(), cfg).unwrap();
+        let frame_len = if cfg!(miri) { 300 } else { 3_000 };
+        for (k, chunk) in data.chunks(frame_len).enumerate() {
+            w.push(&k.to_string(), chunk).unwrap();
         }
-        streams.push(w.into_bytes());
+        streams.push(w.finish().unwrap());
     }
     assert_eq!(streams[0], streams[1], "streaming bytes differ by kernel");
 }
