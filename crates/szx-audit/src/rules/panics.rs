@@ -3,8 +3,8 @@
 //!
 //! This replaces PR-5's `panic-path` file allowlist. Instead of trusting a
 //! hand-maintained list of decode-side *files*, the rule starts from the
-//! decode entry points — `decompress*`, the `Decoder`/`ContainerReader`/
-//! `RandomAccess` surfaces, and the header/container-index/stream-index
+//! decode entry points — `decompress*`, the `Decoder`/`Encoder`/
+//! `ContainerReader`/`RandomAccess` surfaces, and the header/container-index/stream-index
 //! parsers — walks the workspace call graph, and scans every reachable
 //! function body (in any file) for `unwrap`/`expect`/panicking
 //! macros/unchecked indexing. Each finding reports the full call chain from the entry point
@@ -30,7 +30,7 @@ const MACROS: &[&str] = &[
 ];
 
 /// Impl types whose methods parse attacker-controllable bytes.
-const ENTRY_TYPES: &[&str] = &["Decoder", "ContainerReader", "RandomAccess"];
+const ENTRY_TYPES: &[&str] = &["Decoder", "Encoder", "ContainerReader", "RandomAccess"];
 
 /// Parser types where only the named constructors are entries (other
 /// methods are accessors over already-validated state, and are still
@@ -235,6 +235,17 @@ mod tests {
         assert_eq!(c.decode_entries, 1);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].symbol, "szx_core::decode::Decoder::decode");
+    }
+
+    #[test]
+    fn encoder_methods_are_entries() {
+        let src = "impl<F> Encoder<F> {\n\
+                   pub fn push(&mut self, w: &[F]) -> F { w[0] }\n\
+                   }\n";
+        let (f, c) = run_graph(&[("crates/szx-core/src/encode.rs", src)]);
+        assert_eq!(c.decode_entries, 1);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].symbol, "szx_core::encode::Encoder::push");
     }
 
     #[test]

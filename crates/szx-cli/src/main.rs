@@ -3,17 +3,18 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use szx_core::{CommitStrategy, ErrorBound, SzxConfig};
+use szx_core::{CommitStrategy, ErrorBound, SzxConfig, SzxFloat};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("compress") => cmd_compress(&args[1..]),
+        Some("compress") => by_dtype(&args[1..], compress_file::<f32>, compress_file::<f64>),
         Some("decompress") => cmd_decompress(&args[1..]),
-        Some("stream") => cmd_stream(&args[1..]),
+        Some("stream") => by_dtype(&args[1..], stream_file::<f32>, stream_file::<f64>),
         Some("assess") => cmd_assess(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("gen") => cmd_gen(&args[1..]),
@@ -83,6 +84,11 @@ USAGE:
   implies telemetry collection and starts the resource accountant (peak
   RSS, CPU time, per-phase attribution via /proc/self).
 
+  compress, decompress, stream and assess read and write one 4 MiB window
+  at a time, not the whole file (a relative bound reads the input twice:
+  a range pass, then the encode pass). Outputs are written to
+  <out>.partial and renamed over <out> only on success.
+
   stream, archive, list and extract share one container (SZXC): named
   SZx streams written to the file as each completes, each with a CRC32C,
   and a trailing index. stream names its frames 0, 1, 2, ...; archive
@@ -108,8 +114,26 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn read_f32s(path: &Path) -> Result<Vec<f32>, String> {
-    szx_data::io::read_f32_raw(path).map_err(|e| format!("{}: {e}", path.display()))
+/// Run the `f32` command, or the `f64` one under `--f64`.
+fn by_dtype(
+    args: &[String],
+    f32: fn(&[String]) -> Result<(), String>,
+    f64: fn(&[String]) -> Result<(), String>,
+) -> Result<(), String> {
+    if has_flag(args, "--f64") {
+        f64(args)
+    } else {
+        f32(args)
+    }
+}
+
+/// Prefix an I/O error with the path it happened on.
+fn at(path: &Path) -> impl Fn(std::io::Error) -> String + '_ {
+    move |e| format!("{}: {e}", path.display())
+}
+
+fn read_file(path: &Path) -> Result<Vec<u8>, String> {
+    std::fs::read(path).map_err(at(path))
 }
 
 /// Honor `--stats` (and the `SZX_TELEMETRY` env var, which
@@ -189,16 +213,15 @@ fn profile_begin(args: &[String]) -> Result<Option<ProfileRun>, String> {
 }
 
 /// Stop the sampler, write the folded stacks (and the SVG flamegraph when
-/// asked), and publish `profile.*` registry entries. Must run before
-/// [`Obs::finish`] / [`emit_stats`] so the metrics snapshot those take
-/// includes the profile.
+/// asked), and publish `profile.*` registry entries. Must run before the
+/// exports and [`emit_stats`] so the metrics snapshot those take includes
+/// the profile.
 fn profile_finish(run: Option<ProfileRun>) -> Result<(), String> {
     let Some(run) = run else { return Ok(()) };
     let hz = run.profiler.hz();
     let profile = run.profiler.stop();
     profile.publish();
-    std::fs::write(&run.folded, profile.folded())
-        .map_err(|e| format!("{}: {e}", run.folded.display()))?;
+    std::fs::write(&run.folded, profile.folded()).map_err(at(&run.folded))?;
     eprintln!(
         "profile: {} samples over {} stacks at {} Hz -> {}",
         profile.samples,
@@ -207,97 +230,21 @@ fn profile_finish(run: Option<ProfileRun>) -> Result<(), String> {
         run.folded.display()
     );
     if let Some(svg) = &run.svg {
-        std::fs::write(svg, szx_profile::render_flamegraph_svg(&profile))
-            .map_err(|e| format!("{}: {e}", svg.display()))?;
+        std::fs::write(svg, szx_profile::render_flamegraph_svg(&profile)).map_err(at(svg))?;
         eprintln!("flamegraph: {}", svg.display());
     }
     Ok(())
 }
 
-/// Observability outputs requested on the command line (tentpole flags).
-/// `begin` turns collection on and starts the resource accountant when any
-/// export is requested; `finish` stops the accountant, writes the
-/// Prometheus exposition and the manifest, and closes the event sink.
-struct Obs {
-    metrics: Option<PathBuf>,
-    events: Option<PathBuf>,
-    manifest: Option<PathBuf>,
-    accountant: Option<szx_telemetry::ResourceAccountant>,
-}
-
-fn obs_begin(args: &[String]) -> Result<Obs, String> {
-    let metrics = flag_value(args, "--metrics").map(PathBuf::from);
-    let events = flag_value(args, "--events").map(PathBuf::from);
-    let manifest = flag_value(args, "--manifest").map(PathBuf::from);
-    let any = metrics.is_some() || events.is_some() || manifest.is_some();
-    if any {
-        szx_telemetry::set_enabled(true);
-    }
-    if let Some(path) = &events {
-        let f = std::fs::File::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        szx_telemetry::install_event_sink(Box::new(std::io::BufWriter::new(f)));
-        szx_telemetry::emit_event(
-            "run.start",
-            &[("argv", szx_telemetry::Value::Str(args.join(" ")))],
-        );
-    }
-    let accountant =
-        any.then(|| szx_telemetry::ResourceAccountant::start(std::time::Duration::from_millis(50)));
-    Ok(Obs {
-        metrics,
-        events,
-        manifest,
-        accountant,
-    })
-}
-
-impl Obs {
-    fn any(&self) -> bool {
-        self.metrics.is_some() || self.events.is_some() || self.manifest.is_some()
-    }
-
-    /// Stop sampling, flush every requested artifact. `manifest` carries the
-    /// command-specific sections (config, dataset, quality); the final
-    /// metrics snapshot is attached here so it includes the accountant's
-    /// last (exact-peak) sample.
-    fn finish(mut self, manifest: Option<szx_telemetry::Manifest>) -> Result<(), String> {
-        if let Some(acc) = self.accountant.take() {
-            acc.stop();
-        }
-        if self.events.is_some() {
-            if szx_telemetry::event_sink_installed() {
-                szx_telemetry::emit_event("run.complete", &[]);
-            }
-            drop(szx_telemetry::take_event_sink()); // flush + close
-        }
-        if !self.any() {
-            return Ok(());
-        }
-        let snapshot = szx_telemetry::global().snapshot();
-        if let Some(path) = &self.metrics {
-            std::fs::write(path, szx_telemetry::render_prometheus(&snapshot))
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            eprintln!("metrics: {}", path.display());
-        }
-        if let Some(path) = &self.manifest {
-            let mut m = manifest.ok_or("internal: manifest requested but not built")?;
-            m.set_metrics(&snapshot);
-            let mut text = m.render();
-            text.push('\n');
-            std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
-            eprintln!("manifest: {}", path.display());
-        }
-        Ok(())
-    }
-}
-
-/// Quality section of a compress-style manifest, from measured distortion.
-/// Measuring it costs one extra decompression — documented behavior of
-/// `--manifest` on the compress/stream paths.
+/// Quality section of a compress-style manifest, from measured distortion
+/// and the timed pass. Measuring it costs one extra decompression and
+/// read of the input — documented behavior of `--manifest` on the
+/// compress/stream paths.
 fn quality_entries(
     d: &szx_metrics::DistortionStats,
     raw_bytes: usize,
     stream_bytes: usize,
+    elapsed: std::time::Duration,
 ) -> Vec<(&'static str, szx_telemetry::Value)> {
     use szx_telemetry::Value;
     vec![
@@ -308,6 +255,10 @@ fn quality_entries(
         ("psnr_db", Value::F64(d.psnr)),
         ("max_abs_err", Value::F64(d.max_abs_error)),
         ("nrmse", Value::F64(d.nrmse)),
+        (
+            "compress_gbps",
+            Value::F64(raw_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-12)),
+        ),
     ]
 }
 
@@ -352,7 +303,7 @@ fn write_trace(path: &Path) -> Result<(), String> {
     let capture = szx_telemetry::take_trace();
     let events = capture.events.len();
     let json = szx_telemetry::render_chrome_trace(&capture);
-    std::fs::write(path, json).map_err(|e| format!("{}: {e}", path.display()))?;
+    std::fs::write(path, json).map_err(at(path))?;
     eprintln!(
         "trace: {} events -> {} (open in about:tracing or ui.perfetto.dev){}",
         events,
@@ -461,115 +412,383 @@ fn parse_config(args: &[String]) -> Result<SzxConfig, String> {
     })
 }
 
-fn cmd_compress(args: &[String]) -> Result<(), String> {
-    let (input, output) = io_pair(args)?;
-    let cfg = parse_config(args)?.with_parallel(has_flag(args, "--parallel"));
-    let stats = stats_requested(args);
-    let trace = trace_requested(args);
-    let obs = obs_begin(args)?;
-    let prof = profile_begin(args)?;
-    let json = has_flag(args, "--json");
-    let want_quality = obs.manifest.is_some();
+/// Raw bytes a `compress`, `decompress` or `stream` pass holds at a time.
+const WINDOW_BYTES: usize = 4 << 20;
+/// Raw bytes a window passes through at once, on its way between the file
+/// and its values.
+const STAGING_BYTES: usize = 1 << 20;
+/// Raw bytes per window of the `--manifest` measurement pass, which holds
+/// a decoded window beside each original one.
+const MEASURE_BYTES: usize = 256 << 10;
 
-    let bytes = std::fs::read(&input).map_err(|e| format!("{}: {e}", input.display()))?;
-    let start = std::time::Instant::now();
-    let (compressed, elapsed, quality) = if has_flag(args, "--f64") {
-        if bytes.len() % 8 != 0 {
-            return Err("input length is not a multiple of 8".into());
-        }
-        let data: Vec<f64> = bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let c = szx_core::compress(&data, &cfg).map_err(|e| e.to_string())?;
-        let elapsed = start.elapsed();
-        let q = if want_quality {
-            Some(szx_metrics::distortion_f64(
-                &data,
-                &decompress_quiet::<f64>(&c)?,
-            ))
-        } else {
-            None
-        };
-        (c, elapsed, q)
-    } else {
-        if bytes.len() % 4 != 0 {
-            return Err("input length is not a multiple of 4 (use --f64 for doubles?)".into());
-        }
-        let data: Vec<f32> = bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let c = szx_core::compress(&data, &cfg).map_err(|e| e.to_string())?;
-        let elapsed = start.elapsed();
-        let q = if want_quality {
-            Some(szx_metrics::distortion(
-                &data,
-                &decompress_quiet::<f32>(&c)?,
-            ))
-        } else {
-            None
-        };
-        (c, elapsed, q)
-    };
-    let cr = bytes.len() as f64 / compressed.len() as f64;
-    std::fs::write(&output, &compressed).map_err(|e| format!("{}: {e}", output.display()))?;
-    let summary = format!(
-        "{} -> {} ({} -> {} bytes, CR {:.2})",
-        input.display(),
-        output.display(),
-        bytes.len(),
-        compressed.len(),
-        cr
-    );
-    // With --json, stdout carries exactly the JSON report line.
-    if stats && json {
-        eprintln!("{summary}");
-    } else {
-        println!("{summary}");
-    }
-    let mode = mode_name(cfg.parallel);
-    let manifest = obs.manifest.is_some().then(|| {
-        let dtype = if has_flag(args, "--f64") {
-            "f64"
-        } else {
-            "f32"
-        };
-        let mut m = run_manifest("compress", &cfg, dtype, &input, &bytes);
-        let mut q = quality_entries(
-            quality.as_ref().expect("quality measured when --manifest"),
-            bytes.len(),
-            compressed.len(),
-        );
-        q.push((
-            "compress_gbps",
-            szx_telemetry::Value::F64(bytes.len() as f64 / 1e9 / elapsed.as_secs_f64().max(1e-12)),
-        ));
-        m.set_quality(&q);
-        m
-    });
-    profile_finish(prof)?;
-    obs.finish(manifest)?;
-    if stats {
-        emit_stats(
-            json,
-            pass_extras(mode, bytes.len(), compressed.len(), elapsed),
-        );
-    }
-    if let Some(path) = trace {
-        write_trace(&path)?;
-    }
-    Ok(())
+/// Elements per window of `F` at `block_size`: `bytes` rounded down to
+/// whole groups of `DECODE_GROUP` blocks, at least one group. A group is a
+/// multiple of the 8 blocks an `Encoder` window needs, so compress and
+/// decompress share one window.
+fn window_elems<F: SzxFloat>(bytes: usize, block_size: usize) -> usize {
+    let group = block_size * szx_core::decode::DECODE_GROUP;
+    (bytes / F::BYTES / group).max(1) * group
 }
 
-/// Decompress without polluting the live registry — used for the quality
-/// measurement a `--manifest` compress run performs on its own output.
-fn decompress_quiet<F: szx_core::SzxFloat>(stream: &[u8]) -> Result<Vec<F>, String> {
+/// Reads a raw little-endian float file window by window into one reused
+/// value buffer, through one reused staging buffer. Each pass reads
+/// exactly the length the file had when it was opened.
+struct WindowReader<F> {
+    path: PathBuf,
+    file: std::fs::File,
+    len: u64,
+    /// Bytes read in this pass.
+    pos: u64,
+    window: usize,
+    staging: Vec<u8>,
+    values: Vec<F>,
+    /// FNV-1a of the bytes read, when asked for.
+    digest: Option<szx_telemetry::Fnv1a64>,
+}
+
+impl<F: SzxFloat> WindowReader<F> {
+    fn open(path: &Path, window: usize) -> Result<Self, String> {
+        let file = std::fs::File::open(path).map_err(at(path))?;
+        let len = file.metadata().map_err(at(path))?.len();
+        if len % F::BYTES as u64 != 0 {
+            let hint = if F::BYTES == 4 {
+                " (use --f64 for doubles?)"
+            } else {
+                ""
+            };
+            return Err(format!(
+                "input length is not a multiple of {}{hint}",
+                F::BYTES
+            ));
+        }
+        let window = (len / F::BYTES as u64).min(window as u64) as usize;
+        Ok(WindowReader {
+            path: path.to_path_buf(),
+            file,
+            len,
+            pos: 0,
+            window,
+            staging: vec![0; (window * F::BYTES).min(STAGING_BYTES)],
+            values: Vec::with_capacity(window),
+            digest: None,
+        })
+    }
+
+    /// The next window, or `None` at the end of the pass. A file that
+    /// shrank under the reader is an error.
+    fn next(&mut self) -> Result<Option<&[F]>, String> {
+        let mut left =
+            ((self.len - self.pos) / F::BYTES as u64).min(self.window as u64) as usize * F::BYTES;
+        if left == 0 {
+            return Ok(None);
+        }
+        self.values.clear();
+        while left > 0 {
+            let piece = &mut self.staging[..left.min(STAGING_BYTES)];
+            {
+                let _s = szx_telemetry::span("io.read");
+                self.file.read_exact(piece).map_err(|e| {
+                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                        format!("{}: input shrank while being read", self.path.display())
+                    } else {
+                        at(&self.path)(e)
+                    }
+                })?;
+            }
+            if let Some(digest) = &mut self.digest {
+                digest.update(piece);
+            }
+            self.values
+                .extend(piece.chunks_exact(F::BYTES).map(F::read_le));
+            self.pos += piece.len() as u64;
+            left -= piece.len();
+        }
+        Ok(Some(&self.values))
+    }
+
+    /// Start another pass from the top. The file must still have the
+    /// length it was opened with.
+    fn rewind(&mut self) -> Result<(), String> {
+        let len = self.file.metadata().map_err(at(&self.path))?.len();
+        if len != self.len {
+            return Err(format!(
+                "{}: input changed from {} to {len} bytes between passes",
+                self.path.display(),
+                self.len
+            ));
+        }
+        self.file
+            .seek(std::io::SeekFrom::Start(0))
+            .map_err(at(&self.path))?;
+        self.pos = 0;
+        Ok(())
+    }
+}
+
+/// A writer that books the time of every write under the `io.write` span.
+struct IoSpan<W>(W);
+
+impl<W: Write> Write for IoSpan<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let _s = szx_telemetry::span("io.write");
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let _s = szx_telemetry::span("io.write");
+        self.0.flush()
+    }
+}
+
+/// The output file as the commands write it.
+type OutFile = std::io::BufWriter<IoSpan<std::fs::File>>;
+
+/// Write `out` through `<out>.partial`, renamed over `out` once `write`
+/// and the final flush succeed and removed otherwise: a failed run leaves
+/// no plausible output behind and keeps any earlier file at `out`.
+fn write_through<T>(
+    out: &Path,
+    write: impl FnOnce(&mut OutFile) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut partial = out.as_os_str().to_owned();
+    partial.push(".partial");
+    let partial = PathBuf::from(partial);
+    let result = std::fs::File::create(&partial)
+        .map_err(at(&partial))
+        .and_then(|file| {
+            let mut sink = std::io::BufWriter::new(IoSpan(file));
+            let value = write(&mut sink)?;
+            sink.flush().map_err(at(&partial))?;
+            Ok(value)
+        })
+        .and_then(|value| {
+            std::fs::rename(&partial, out)
+                .map(|()| value)
+                .map_err(at(out))
+        });
+    if result.is_err() {
+        std::fs::remove_file(&partial).ok();
+    }
+    result
+}
+
+/// `values` as raw little-endian bytes in `out`, which is reused.
+fn to_le<F: SzxFloat>(values: &[F], out: &mut Vec<u8>) {
+    out.resize(values.len() * F::BYTES, 0);
+    for (dst, &v) in out.chunks_exact_mut(F::BYTES).zip(values) {
+        // A word holds the value's bits high-aligned.
+        dst.copy_from_slice(&(v.to_word() >> (64 - 8 * F::BYTES)).to_le_bytes()[..F::BYTES]);
+    }
+}
+
+/// Run `f` with telemetry collection off, so the live registry holds only
+/// the timed work — used for the measurement pass of `--manifest`.
+fn quietly<T>(f: impl FnOnce() -> T) -> T {
     let was = szx_telemetry::enabled();
     szx_telemetry::set_enabled(false);
-    let r = szx_core::decompress(stream).map_err(|e| e.to_string());
+    let value = f();
     szx_telemetry::set_enabled(was);
-    r
+    value
+}
+
+/// The `--manifest` measurement of a compress-style run: the input read
+/// once more, window by window, hashed for the dataset digest and scored
+/// against the reconstruction windows pushed alongside it.
+struct Measure<F> {
+    input: WindowReader<F>,
+    distortion: szx_metrics::Distortion,
+}
+
+impl<F: SzxFloat + Into<f64>> Measure<F> {
+    /// Measure the raw file at `input` against a reconstruction of `n`
+    /// values pushed in windows of `window` values (the last may be short).
+    fn start(input: &Path, n: usize, window: usize) -> Result<Self, String> {
+        let mut input = WindowReader::open(input, window)?;
+        let len = input.len / F::BYTES as u64;
+        if len != n as u64 {
+            return Err(format!("length mismatch: {len} vs {n}"));
+        }
+        input.digest = Some(szx_telemetry::Fnv1a64::new());
+        Ok(Measure {
+            input,
+            distortion: szx_metrics::Distortion::default(),
+        })
+    }
+
+    /// Score the reconstruction of the input's next window.
+    fn push(&mut self, decoded: &[F]) -> Result<(), String> {
+        let original = self
+            .input
+            .next()?
+            .ok_or("reconstruction is longer than the input")?;
+        if original.len() != decoded.len() {
+            return Err("reconstruction windows do not match the input's".into());
+        }
+        self.distortion.push(original, decoded);
+        Ok(())
+    }
+
+    /// Distortion and dataset digest, once the whole input is scored.
+    fn finish(mut self) -> Result<(szx_metrics::DistortionStats, u64), String> {
+        if self.input.next()?.is_some() {
+            return Err("reconstruction is shorter than the input".into());
+        }
+        let digest = self.input.digest.map_or(0, |d| d.finish());
+        Ok((self.distortion.finish(), digest))
+    }
+}
+
+/// The observability a command was asked for, started before its timed
+/// work: `--stats [--json]`, `--trace`, `--profile`, and the
+/// `--metrics`/`--events`/`--manifest` exports. Any export turns collection
+/// on and starts the resource accountant (peak RSS, CPU time, per-phase
+/// attribution).
+struct Run {
+    stats: bool,
+    json: bool,
+    trace: Option<PathBuf>,
+    prof: Option<ProfileRun>,
+    metrics: Option<PathBuf>,
+    events: Option<PathBuf>,
+    manifest: Option<PathBuf>,
+    accountant: Option<szx_telemetry::ResourceAccountant>,
+}
+
+fn run_begin(args: &[String]) -> Result<Run, String> {
+    let stats = stats_requested(args);
+    let trace = trace_requested(args);
+    let [metrics, events, manifest] =
+        ["--metrics", "--events", "--manifest"].map(|f| flag_value(args, f).map(PathBuf::from));
+    let exports = metrics.is_some() || events.is_some() || manifest.is_some();
+    if exports {
+        szx_telemetry::set_enabled(true);
+    }
+    if let Some(path) = &events {
+        let f = std::fs::File::create(path).map_err(at(path))?;
+        szx_telemetry::install_event_sink(Box::new(std::io::BufWriter::new(f)));
+        szx_telemetry::emit_event(
+            "run.start",
+            &[("argv", szx_telemetry::Value::Str(args.join(" ")))],
+        );
+    }
+    Ok(Run {
+        stats,
+        json: has_flag(args, "--json"),
+        trace,
+        prof: profile_begin(args)?,
+        metrics,
+        events,
+        manifest,
+        accountant: exports.then(|| {
+            szx_telemetry::ResourceAccountant::start(std::time::Duration::from_millis(50))
+        }),
+    })
+}
+
+impl Run {
+    /// Print the command's summary line: on stdout, unless stdout carries
+    /// exactly the `--stats --json` line.
+    fn summary(&self, line: String) {
+        if self.stats && self.json {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
+        }
+    }
+
+    /// Stop the profiler and the accountant, close the event sink, write
+    /// the Prometheus exposition and `manifest` (the command's sections;
+    /// the final metrics snapshot, with the accountant's exact peak, is
+    /// attached here), then the `--stats` report with `extras` and the
+    /// trace.
+    fn finish(
+        self,
+        manifest: Option<szx_telemetry::Manifest>,
+        extras: Vec<(&str, szx_telemetry::Value)>,
+    ) -> Result<(), String> {
+        profile_finish(self.prof)?;
+        if let Some(acc) = self.accountant {
+            acc.stop();
+        }
+        if self.events.is_some() {
+            if szx_telemetry::event_sink_installed() {
+                szx_telemetry::emit_event("run.complete", &[]);
+            }
+            drop(szx_telemetry::take_event_sink()); // flush + close
+        }
+        let snapshot = szx_telemetry::global().snapshot();
+        if let Some(path) = &self.metrics {
+            std::fs::write(path, szx_telemetry::render_prometheus(&snapshot)).map_err(at(path))?;
+            eprintln!("metrics: {}", path.display());
+        }
+        if let (Some(path), Some(mut m)) = (&self.manifest, manifest) {
+            m.set_metrics(&snapshot);
+            std::fs::write(path, m.render() + "\n").map_err(at(path))?;
+            eprintln!("manifest: {}", path.display());
+        }
+        if self.stats {
+            emit_stats(self.json, extras);
+        }
+        match self.trace {
+            Some(path) => write_trace(&path),
+            None => Ok(()),
+        }
+    }
+}
+
+/// `szx compress` for element type `F`: a relative bound's range pass,
+/// then the encode pass, each reading the input one window at a time; the
+/// stream is written once all windows are encoded.
+fn compress_file<F: SzxFloat + Into<f64>>(args: &[String]) -> Result<(), String> {
+    let (input, output) = io_pair(args)?;
+    let cfg = parse_config(args)?.with_parallel(has_flag(args, "--parallel"));
+    cfg.validate().map_err(|e| e.to_string())?;
+    let run = run_begin(args)?;
+    let mut reader =
+        WindowReader::<F>::open(&input, window_elems::<F>(WINDOW_BYTES, cfg.block_size))?;
+    let raw_bytes = reader.len as usize;
+    let start = std::time::Instant::now();
+    let stream_bytes = {
+        let _total = szx_telemetry::span("compress.total");
+        let mut scan = szx_core::RangeScan::new(&cfg);
+        if let ErrorBound::Relative(_) = cfg.error_bound {
+            while let Some(window) = reader.next()? {
+                let _s = szx_telemetry::span("compress.range_scan");
+                scan.push(window);
+            }
+            reader.rewind()?;
+        }
+        let mut encoder =
+            szx_core::Encoder::<F>::new(&cfg, scan.bound()).map_err(|e| e.to_string())?;
+        while let Some(window) = reader.next()? {
+            encoder.push(window).map_err(|e| e.to_string())?;
+        }
+        drop(reader);
+        let len = encoder.stream_len();
+        write_through(&output, |out| {
+            encoder.finish(out).map(drop).map_err(|e| e.to_string())
+        })?;
+        len
+    };
+    let elapsed = start.elapsed();
+    run.summary(format!(
+        "{} -> {} ({raw_bytes} -> {stream_bytes} bytes, CR {:.2})",
+        input.display(),
+        output.display(),
+        raw_bytes as f64 / stream_bytes as f64
+    ));
+    let manifest = match run.manifest {
+        None => None,
+        Some(_) => {
+            let stream = read_file(&output)?;
+            let (quality, digest) = quietly(|| measure_stream::<F>(&input, &stream))?;
+            let mut m = run_manifest("compress", &cfg, F::NAME, &input, raw_bytes, digest);
+            m.set_quality(&quality_entries(&quality, raw_bytes, stream_bytes, elapsed));
+            Some(m)
+        }
+    };
+    let extras = pass_extras(mode_name(cfg.parallel), raw_bytes, stream_bytes, elapsed);
+    run.finish(manifest, extras)
 }
 
 /// `mode` label of a run in manifests and `--stats` reports.
@@ -588,7 +807,8 @@ fn run_manifest(
     cfg: &SzxConfig,
     dtype: &str,
     input: &Path,
-    input_bytes: &[u8],
+    input_bytes: usize,
+    digest: u64,
 ) -> szx_telemetry::Manifest {
     use szx_telemetry::Value;
     let (bound_mode, bound) = match cfg.error_bound {
@@ -613,48 +833,35 @@ fn run_manifest(
         ("threads", Value::U64(threads)),
         ("dtype", Value::Str(dtype.into())),
     ]);
-    m.set_dataset(
-        &input.to_string_lossy(),
-        input_bytes.len() as u64,
-        szx_telemetry::fnv1a64(input_bytes),
-    );
+    m.set_dataset(&input.to_string_lossy(), input_bytes as u64, digest);
     m
 }
 
 fn cmd_decompress(args: &[String]) -> Result<(), String> {
+    use szx_telemetry::Value;
     let (input, output) = io_pair(args)?;
-    let bytes = std::fs::read(&input).map_err(|e| format!("{}: {e}", input.display()))?;
-    let header = szx_core::inspect(&bytes).map_err(|e| e.to_string())?;
     let parallel = has_flag(args, "--parallel");
     let kernel = parse_kernel(args)?;
-    let stats = stats_requested(args);
-    let trace = trace_requested(args);
-    let obs = obs_begin(args)?;
-    let prof = profile_begin(args)?;
-    let json = has_flag(args, "--json");
+    let run = run_begin(args)?;
     let start = std::time::Instant::now();
+    let bytes = {
+        let _s = szx_telemetry::span("io.read");
+        read_file(&input)?
+    };
+    let header = szx_core::inspect(&bytes).map_err(|e| e.to_string())?;
     let mut decoder = szx_core::Decoder::new(kernel, parallel);
-    let out: Vec<u8> = if header.dtype == 0 {
-        let data: Vec<f32> = decoder.decode(&bytes).map_err(|e| e.to_string())?;
-        data.iter().flat_map(|v| v.to_le_bytes()).collect()
+    let raw_bytes = if header.dtype == 0 {
+        decode_file::<f32>(&mut decoder, &bytes, &header, &output)?
     } else {
-        let data: Vec<f64> = decoder.decode(&bytes).map_err(|e| e.to_string())?;
-        data.iter().flat_map(|v| v.to_le_bytes()).collect()
+        decode_file::<f64>(&mut decoder, &bytes, &header, &output)?
     };
     let elapsed = start.elapsed();
-    std::fs::write(&output, &out).map_err(|e| format!("{}: {e}", output.display()))?;
-    let summary = format!(
+    run.summary(format!(
         "{} -> {} ({} values)",
         input.display(),
         output.display(),
         header.n
-    );
-    if stats && json {
-        eprintln!("{summary}");
-    } else {
-        println!("{summary}");
-    }
-    let mode = mode_name(parallel);
+    ));
     // The kernel and simd decoders cover only the ByteAligned strategy;
     // report the path the blocks actually took (resolve() folds in runtime
     // ISA detection and the SZX_DISABLE_SIMD override).
@@ -663,8 +870,7 @@ fn cmd_decompress(args: &[String]) -> Result<(), String> {
     } else {
         "scalar"
     };
-    let manifest = obs.manifest.is_some().then(|| {
-        use szx_telemetry::Value;
+    let manifest = run.manifest.is_some().then(|| {
         let cfg = SzxConfig {
             block_size: header.block_size,
             error_bound: ErrorBound::Absolute(header.eb),
@@ -673,118 +879,60 @@ fn cmd_decompress(args: &[String]) -> Result<(), String> {
             parallel,
         };
         let dtype = if header.dtype == 0 { "f32" } else { "f64" };
-        let mut m = run_manifest("decompress", &cfg, dtype, &input, &bytes);
+        let digest = szx_telemetry::fnv1a64(&bytes);
+        let mut m = run_manifest("decompress", &cfg, dtype, &input, bytes.len(), digest);
         m.set_quality(&[
             (
                 "ratio",
-                Value::F64(out.len() as f64 / bytes.len().max(1) as f64),
+                Value::F64(raw_bytes as f64 / bytes.len().max(1) as f64),
             ),
             (
                 "decompress_gbps",
-                Value::F64(out.len() as f64 / 1e9 / elapsed.as_secs_f64().max(1e-12)),
+                Value::F64(raw_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-12)),
             ),
             ("decode_path", Value::Str(decode_path.into())),
         ]);
         m
     });
-    profile_finish(prof)?;
-    obs.finish(manifest)?;
-    if stats {
-        let mut extras = pass_extras(mode, out.len(), bytes.len(), elapsed);
-        extras.push((
-            "decode_path",
-            szx_telemetry::Value::Str(decode_path.to_string()),
-        ));
-        emit_stats(json, extras);
-    }
-    if let Some(path) = trace {
-        write_trace(&path)?;
-    }
-    Ok(())
+    let mut extras = pass_extras(mode_name(parallel), raw_bytes, bytes.len(), elapsed);
+    extras.push(("decode_path", Value::Str(decode_path.to_string())));
+    run.finish(manifest, extras)
 }
 
-/// A container written through a buffered file as frames complete.
-type FileContainer = szx_core::ContainerWriter<std::io::BufWriter<std::fs::File>>;
-
-fn create_container(path: &Path, cfg: &SzxConfig) -> Result<FileContainer, String> {
-    let file = std::fs::File::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    szx_core::ContainerWriter::new(std::io::BufWriter::new(file), *cfg).map_err(|e| e.to_string())
-}
-
-/// Finish a file container and return its size in bytes.
-fn finish_container(w: FileContainer, path: &Path) -> Result<u64, String> {
-    w.finish().map_err(|e| e.to_string())?;
-    let meta = std::fs::metadata(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(meta.len())
-}
-
-/// How a `--manifest` run scores a reconstruction against its original.
-type Distortion<F> = fn(&[F], &[F]) -> szx_metrics::DistortionStats;
-/// Writer stats, container bytes, and the distortion when measured.
-type Streamed = (
-    szx_core::FrameStats,
-    u64,
-    Option<szx_metrics::DistortionStats>,
-);
-
-/// Chunk `data` into frames named "0", "1", … and write each to a container
-/// at `output` as it completes, narrating a `\r`-refreshed progress line
-/// when asked. Returns the writer's stats, the file size and, with
-/// `quality`, the distortion of the finished file re-read and decoded
-/// without touching the live registry or the event sink.
-fn stream_compress<F: szx_core::SzxFloat>(
-    data: &[F],
+/// Decode `stream` to a raw little-endian file at `output` one window at a
+/// time, each written through one reused staging buffer. Returns the bytes
+/// written.
+fn decode_file<F: SzxFloat>(
+    decoder: &mut szx_core::Decoder,
+    stream: &[u8],
+    header: &szx_core::Header,
     output: &Path,
-    cfg: &SzxConfig,
-    frame_elems: usize,
-    progress: bool,
-    quality: Option<Distortion<F>>,
-) -> Result<Streamed, String> {
-    let mut w = create_container(output, cfg)?;
-    let mut meter = szx_telemetry::ProgressMeter::new(Some((data.len() * F::BYTES) as u64));
-    let mut prev_compressed = 0u64;
-    for (k, chunk) in data.chunks(frame_elems).enumerate() {
-        w.push(&k.to_string(), chunk).map_err(|e| e.to_string())?;
-        let s = *w.stats();
-        let snap = meter.on_frame(
-            (chunk.len() * F::BYTES) as u64,
-            s.compressed_bytes - prev_compressed,
-        );
-        prev_compressed = s.compressed_bytes;
-        if progress {
-            eprint!("\r{}", snap.render_line());
-        }
-    }
-    if progress {
-        eprintln!();
-    }
-    let stats = *w.stats();
-    let len = finish_container(w, output)?;
-    let Some(measure) = quality else {
-        return Ok((stats, len, None));
-    };
-    // Frame events are all written; close the sink so the quality decode
-    // doesn't append frame.decoded noise.
-    drop(szx_telemetry::take_event_sink());
-    let bytes = std::fs::read(output).map_err(|e| format!("{}: {e}", output.display()))?;
-    let was = szx_telemetry::enabled();
-    szx_telemetry::set_enabled(false);
-    let frames = szx_core::ContainerReader::new(&bytes).and_then(|r| {
-        (0..r.len())
-            .map(|i| r.frame::<F>(i))
-            .collect::<szx_core::Result<Vec<_>>>()
-    });
-    szx_telemetry::set_enabled(was);
-    let decoded = frames.map_err(|e| e.to_string())?.concat();
-    Ok((stats, len, Some(measure(data, &decoded))))
+) -> Result<usize, String> {
+    let window = window_elems::<F>(WINDOW_BYTES, header.block_size).min(header.n);
+    let mut window = vec![F::ZERO; window];
+    let mut le = Vec::new();
+    write_through(output, |out| {
+        decoder
+            .decode_windows(stream, &mut window, |w| {
+                for piece in w.chunks(STAGING_BYTES / F::BYTES) {
+                    to_le(piece, &mut le);
+                    out.write_all(&le)?;
+                }
+                Ok(())
+            })
+            .map_err(|e| e.to_string())
+    })?;
+    Ok(header.n * F::BYTES)
 }
 
-/// `szx stream <in> <out>` — compress a raw float file frame by frame into
-/// a container written as each frame completes, the path an instrument
-/// pipeline (LCLS-II in the paper's §1) would take. Each frame is an
-/// independent SZx stream; `--progress` narrates EWMA throughput, running
-/// ratio, and ETA as frames land.
-fn cmd_stream(args: &[String]) -> Result<(), String> {
+/// `szx stream <in> <out>` for element type `F` — compress a raw float
+/// file into a container one frame at a time, each frame read and its
+/// stream written as it completes: the path an instrument pipeline
+/// (LCLS-II in the paper's §1) would take. Each frame is an independent SZx
+/// stream; `--progress` narrates EWMA throughput, running ratio, and ETA
+/// as frames land.
+fn stream_file<F: SzxFloat + Into<f64>>(args: &[String]) -> Result<(), String> {
+    use szx_telemetry::Value;
     let (input, output) = io_pair(args)?;
     let cfg = parse_config(args)?;
     let frame_elems: usize = flag_value(args, "--frame")
@@ -795,137 +943,98 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         return Err("--frame must be positive".into());
     }
     let progress = has_flag(args, "--progress");
-    let stats_on = stats_requested(args);
-    let trace = trace_requested(args);
-    let obs = obs_begin(args)?;
-    let prof = profile_begin(args)?;
-    let json = has_flag(args, "--json");
-    let want_quality = obs.manifest.is_some();
-
-    let bytes = std::fs::read(&input).map_err(|e| format!("{}: {e}", input.display()))?;
+    let run = run_begin(args)?;
+    let mut reader = WindowReader::<F>::open(&input, frame_elems)?;
+    let raw_bytes = reader.len as usize;
     let start = std::time::Instant::now();
-    let (fstats, container_len, quality) = if has_flag(args, "--f64") {
-        if bytes.len() % 8 != 0 {
-            return Err("input length is not a multiple of 8".into());
+    let fstats = write_through(&output, move |out| {
+        let mut w = szx_core::ContainerWriter::new(out, cfg).map_err(|e| e.to_string())?;
+        let mut meter = szx_telemetry::ProgressMeter::new(Some(raw_bytes as u64));
+        let mut prev_compressed = 0u64;
+        while let Some(frame) = reader.next()? {
+            w.push(&w.stats().frames.to_string(), frame)
+                .map_err(|e| e.to_string())?;
+            let s = *w.stats();
+            let snap = meter.on_frame(
+                (frame.len() * F::BYTES) as u64,
+                s.compressed_bytes - prev_compressed,
+            );
+            prev_compressed = s.compressed_bytes;
+            if progress {
+                eprint!("\r{}", snap.render_line());
+            }
         }
-        let data: Vec<f64> = bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let quality = want_quality.then_some(szx_metrics::distortion_f64 as _);
-        stream_compress(&data, &output, &cfg, frame_elems, progress, quality)?
-    } else {
-        if bytes.len() % 4 != 0 {
-            return Err("input length is not a multiple of 4 (use --f64 for doubles?)".into());
+        if progress {
+            eprintln!();
         }
-        let data: Vec<f32> = bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let quality = want_quality.then_some(szx_metrics::distortion as _);
-        stream_compress(&data, &output, &cfg, frame_elems, progress, quality)?
-    };
+        let stats = *w.stats();
+        w.finish().map_err(|e| e.to_string())?;
+        Ok(stats)
+    })?;
     let elapsed = start.elapsed();
-    let summary = format!(
-        "{} -> {} ({} frames, {} -> {} bytes, CR {:.2})",
+    let container_len = std::fs::metadata(&output).map_err(at(&output))?.len() as usize;
+    run.summary(format!(
+        "{} -> {} ({} frames, {raw_bytes} -> {container_len} bytes, CR {:.2})",
         input.display(),
         output.display(),
         fstats.frames,
-        bytes.len(),
-        container_len,
         fstats.ratio()
-    );
-    if stats_on && json {
-        eprintln!("{summary}");
-    } else {
-        println!("{summary}");
-    }
-    let manifest = obs.manifest.is_some().then(|| {
-        use szx_telemetry::json::Json;
-        use szx_telemetry::Value;
-        let dtype = if has_flag(args, "--f64") {
-            "f64"
-        } else {
-            "f32"
-        };
-        let mut m = run_manifest("stream", &cfg, dtype, &input, &bytes);
-        let mut q = quality_entries(
-            quality.as_ref().expect("quality measured when --manifest"),
-            bytes.len(),
-            fstats.compressed_bytes as usize,
-        );
-        q.push((
-            "compress_gbps",
-            Value::F64(bytes.len() as f64 / 1e9 / elapsed.as_secs_f64().max(1e-12)),
-        ));
-        m.set_quality(&q);
-        m.set(
-            "stream",
-            Json::Obj(vec![
-                ("frames".to_string(), Json::Num(fstats.frames as f64)),
-                ("frame_elems".to_string(), Json::Num(frame_elems as f64)),
-                (
-                    "mean_frame_ns".to_string(),
-                    Json::Num(fstats.mean_frame_ns()),
-                ),
-            ]),
-        );
-        m
-    });
-    profile_finish(prof)?;
-    obs.finish(manifest)?;
-    if stats_on {
-        use szx_telemetry::Value;
-        let mut extras = pass_extras("stream", bytes.len(), container_len as usize, elapsed);
-        extras.push(("frames", Value::U64(fstats.frames)));
-        extras.push(("frame_elems", Value::U64(frame_elems as u64)));
-        extras.push(("min_frame_ns", Value::U64(fstats.min_frame_ns)));
-        extras.push(("max_frame_ns", Value::U64(fstats.max_frame_ns)));
-        emit_stats(json, extras);
-    }
-    if let Some(path) = trace {
-        write_trace(&path)?;
-    }
-    Ok(())
+    ));
+    let manifest = match run.manifest {
+        None => None,
+        Some(_) => {
+            use szx_telemetry::json::Json;
+            // Frame events are all written; close the sink so the quality
+            // decode doesn't append frame.decoded noise.
+            drop(szx_telemetry::take_event_sink());
+            let bytes = read_file(&output)?;
+            let (quality, digest) = quietly(|| {
+                let r = szx_core::ContainerReader::new(&bytes).map_err(|e| e.to_string())?;
+                let mut m = Measure::start(&input, raw_bytes / F::BYTES, frame_elems)?;
+                for i in 0..r.len() {
+                    m.push(&r.frame::<F>(i).map_err(|e| e.to_string())?)?;
+                }
+                m.finish()
+            })?;
+            let mut m = run_manifest("stream", &cfg, F::NAME, &input, raw_bytes, digest);
+            let compressed = fstats.compressed_bytes as usize;
+            m.set_quality(&quality_entries(&quality, raw_bytes, compressed, elapsed));
+            m.set(
+                "stream",
+                Json::Obj(vec![
+                    ("frames".to_string(), Json::Num(fstats.frames as f64)),
+                    ("frame_elems".to_string(), Json::Num(frame_elems as f64)),
+                    (
+                        "mean_frame_ns".to_string(),
+                        Json::Num(fstats.mean_frame_ns()),
+                    ),
+                ]),
+            );
+            Some(m)
+        }
+    };
+    let mut extras = pass_extras("stream", raw_bytes, container_len, elapsed);
+    extras.push(("frames", Value::U64(fstats.frames)));
+    extras.push(("frame_elems", Value::U64(frame_elems as u64)));
+    extras.push(("min_frame_ns", Value::U64(fstats.min_frame_ns)));
+    extras.push(("max_frame_ns", Value::U64(fstats.max_frame_ns)));
+    run.finish(manifest, extras)
 }
 
 fn cmd_assess(args: &[String]) -> Result<(), String> {
     let (orig_path, comp_path) = io_pair(args)?;
-    let bytes = std::fs::read(&comp_path).map_err(|e| format!("{}: {e}", comp_path.display()))?;
+    let bytes = read_file(&comp_path)?;
     let header = szx_core::inspect(&bytes).map_err(|e| e.to_string())?;
-    let stats_on = stats_requested(args);
-    let prof = profile_begin(args)?;
+    let run = run_begin(args)?;
     // The stream header knows its element type; read the original in the
     // matching raw layout and share one metric path for both widths.
     let start = std::time::Instant::now();
     let (stats, raw_bytes) = if header.dtype == 0 {
-        let orig = read_f32s(&orig_path)?;
-        let recon: Vec<f32> = szx_core::decompress(&bytes).map_err(|e| e.to_string())?;
-        if recon.len() != orig.len() {
-            return Err(format!(
-                "length mismatch: {} vs {}",
-                orig.len(),
-                recon.len()
-            ));
-        }
-        let _z = szx_telemetry::span("assess.distortion");
-        (szx_metrics::distortion(&orig, &recon), orig.len() * 4)
+        (measure_stream::<f32>(&orig_path, &bytes)?.0, header.n * 4)
     } else {
-        let orig = szx_data::io::read_f64_raw(&orig_path)
-            .map_err(|e| format!("{}: {e}", orig_path.display()))?;
-        let recon: Vec<f64> = szx_core::decompress(&bytes).map_err(|e| e.to_string())?;
-        if recon.len() != orig.len() {
-            return Err(format!(
-                "length mismatch: {} vs {}",
-                orig.len(),
-                recon.len()
-            ));
-        }
-        let _z = szx_telemetry::span("assess.distortion");
-        (szx_metrics::distortion_f64(&orig, &recon), orig.len() * 8)
+        (measure_stream::<f64>(&orig_path, &bytes)?.0, header.n * 8)
     };
     let elapsed = start.elapsed();
-    profile_finish(prof)?;
     println!(
         "element type: {}",
         if header.dtype == 0 { "f32" } else { "f64" }
@@ -944,13 +1053,25 @@ fn cmd_assess(args: &[String]) -> Result<(), String> {
             "NO — BUG"
         }
     );
-    if stats_on {
-        emit_stats(
-            has_flag(args, "--json"),
-            pass_extras("serial", raw_bytes, bytes.len(), elapsed),
-        );
-    }
-    Ok(())
+    run.finish(None, pass_extras("serial", raw_bytes, bytes.len(), elapsed))
+}
+
+/// [`Measure`] the raw file at `orig` against `stream`, decoded window by
+/// window: the distortion and the file's digest.
+fn measure_stream<F: SzxFloat + Into<f64>>(
+    orig: &Path,
+    stream: &[u8],
+) -> Result<(szx_metrics::DistortionStats, u64), String> {
+    let header = szx_core::inspect(stream).map_err(|e| e.to_string())?;
+    let window = window_elems::<F>(MEASURE_BYTES, header.block_size).min(header.n);
+    let mut m = Measure::start(orig, header.n, window)?;
+    szx_core::Decoder::default()
+        .decode_windows(stream, &mut vec![F::ZERO; window], |w| {
+            let _z = szx_telemetry::span("assess.distortion");
+            m.push(w).map_err(szx_core::SzxError::Io)
+        })
+        .map_err(|e| e.to_string())?;
+    m.finish()
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
@@ -958,7 +1079,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         .iter()
         .find(|a| !a.starts_with("--"))
         .ok_or("need a file")?;
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let bytes = read_file(Path::new(path))?;
     let h = szx_core::inspect(&bytes).map_err(|e| e.to_string())?;
     println!(
         "element type:     {}",
@@ -1010,19 +1131,21 @@ fn cmd_archive(args: &[String]) -> Result<(), String> {
         return Err("need an output archive and at least one field file".into());
     }
     let out_path = positional.remove(0);
-    // Build beside the output and rename on success, so a failed run
-    // leaves no half-written file and keeps any earlier archive intact.
-    let mut partial = out_path.clone().into_os_string();
-    partial.push(".partial");
-    let partial = PathBuf::from(partial);
-    let len = match write_archive(&partial, &cfg, &positional) {
-        Ok(len) => len,
-        Err(e) => {
-            std::fs::remove_file(&partial).ok();
-            return Err(e);
+    // Each field file goes to the container under its file stem.
+    write_through(&out_path, |out| {
+        let mut w = szx_core::ContainerWriter::new(out, cfg).map_err(|e| e.to_string())?;
+        for path in &positional {
+            let data = szx_data::io::read_f32_raw(path).map_err(at(path))?;
+            let name = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .ok_or_else(|| format!("bad field file name {}", path.display()))?;
+            w.push(name, &data).map_err(|e| e.to_string())?;
+            println!("added {name} ({} values)", data.len());
         }
-    };
-    std::fs::rename(&partial, &out_path).map_err(|e| format!("{}: {e}", out_path.display()))?;
+        w.finish().map(drop).map_err(|e| e.to_string())
+    })?;
+    let len = std::fs::metadata(&out_path).map_err(at(&out_path))?.len();
     println!(
         "{} ({} fields, {len} bytes)",
         out_path.display(),
@@ -1031,24 +1154,9 @@ fn cmd_archive(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Write each field file to a container at `path` under its file stem.
-fn write_archive(path: &Path, cfg: &SzxConfig, fields: &[PathBuf]) -> Result<u64, String> {
-    let mut w = create_container(path, cfg)?;
-    for path in fields {
-        let data = read_f32s(path)?;
-        let name = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .ok_or_else(|| format!("bad field file name {}", path.display()))?;
-        w.push(name, &data).map_err(|e| e.to_string())?;
-        println!("added {name} ({} values)", data.len());
-    }
-    finish_container(w, path)
-}
-
 fn cmd_list(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("need a container file")?;
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let bytes = read_file(Path::new(path))?;
     let r = szx_core::ContainerReader::new(&bytes).map_err(|e| e.to_string())?;
     println!(
         "{:<20} {:>10} {:>12} {:>12} {:>8}",
@@ -1076,21 +1184,20 @@ fn cmd_extract(args: &[String]) -> Result<(), String> {
     let [file, name, out, ..] = args else {
         return Err("need <container> <field-name> <out.f32>".into());
     };
-    let bytes = std::fs::read(file).map_err(|e| format!("{file}: {e}"))?;
+    let bytes = read_file(Path::new(file))?;
     let r = szx_core::ContainerReader::new(&bytes).map_err(|e| e.to_string())?;
     let i = r.position(name).map_err(|e| e.to_string())?;
     // Check the frame's CRC once, then decode those bytes as the element
     // type their header records.
     let stream = r.frame_bytes(i).map_err(|e| e.to_string())?;
-    let n = if szx_core::inspect(stream).map_err(|e| e.to_string())?.dtype == 1 {
-        let data: Vec<f64> = szx_core::decompress(stream).map_err(|e| e.to_string())?;
-        szx_data::io::write_f64_raw(Path::new(out), &data).map(|()| data.len())
+    let header = szx_core::inspect(stream).map_err(|e| e.to_string())?;
+    let mut decoder = szx_core::Decoder::default();
+    if header.dtype == 1 {
+        decode_file::<f64>(&mut decoder, stream, &header, Path::new(out))?;
     } else {
-        let data: Vec<f32> = szx_core::decompress(stream).map_err(|e| e.to_string())?;
-        szx_data::io::write_f32_raw(Path::new(out), &data).map(|()| data.len())
+        decode_file::<f32>(&mut decoder, stream, &header, Path::new(out))?;
     }
-    .map_err(|e| format!("{out}: {e}"))?;
-    println!("{name} -> {out} ({n} values)");
+    println!("{name} -> {out} ({} values)", header.n);
     Ok(())
 }
 
@@ -1106,7 +1213,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown application {other:?}")),
     };
     let dir = PathBuf::from(args.get(1).ok_or("need an output directory")?);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    std::fs::create_dir_all(&dir).map_err(at(&dir))?;
     let scale = match flag_value(args, "--scale").as_deref() {
         Some("tiny") => Scale::Tiny,
         Some("medium") => Scale::Medium,
@@ -1127,4 +1234,105 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("szx-cli-unit-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// 3.5 windows of 1024 values.
+    fn write_input(path: &Path) -> Vec<f32> {
+        let data: Vec<f32> = (0..3584).map(|i| (i as f32 * 0.01).sin()).collect();
+        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
+        std::fs::write(path, bytes).unwrap();
+        data
+    }
+
+    #[test]
+    fn reader_passes_read_the_whole_file_in_windows() {
+        let dir = scratch("passes");
+        let path = dir.join("in.f32");
+        let data = write_input(&path);
+        let mut r = WindowReader::<f32>::open(&path, 1024).unwrap();
+        for _ in 0..2 {
+            let mut got = Vec::new();
+            while let Some(w) = r.next().unwrap() {
+                assert!(w.len() == 1024 || got.len() == 3072);
+                got.extend_from_slice(w);
+            }
+            assert_eq!(got, data);
+            r.rewind().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn input_truncated_between_passes_is_an_error() {
+        let dir = scratch("between");
+        let path = dir.join("in.f32");
+        write_input(&path);
+        let mut r = WindowReader::<f32>::open(&path, 1024).unwrap();
+        while r.next().unwrap().is_some() {}
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(2048 * 4).unwrap();
+        let err = r.rewind().unwrap_err();
+        assert!(err.contains("changed from 14336 to 8192 bytes"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn input_truncated_during_a_pass_is_an_error() {
+        let dir = scratch("during");
+        let path = dir.join("in.f32");
+        write_input(&path);
+        let mut r = WindowReader::<f32>::open(&path, 1024).unwrap();
+        r.next().unwrap();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(1500 * 4).unwrap();
+        let err = r.next().unwrap_err();
+        assert!(err.contains("input shrank"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_write_leaves_the_earlier_output_and_no_partial() {
+        let dir = scratch("partial");
+        let out = dir.join("out.f32");
+        std::fs::write(&out, b"earlier").unwrap();
+        let r: Result<(), String> = write_through(&out, |w| {
+            w.write_all(b"half a file").map_err(|e| e.to_string())?;
+            Err("corrupt window".into())
+        });
+        assert_eq!(r.unwrap_err(), "corrupt window");
+        assert_eq!(std::fs::read(&out).unwrap(), b"earlier");
+        assert!(!dir.join("out.f32.partial").exists());
+        write_through(&out, |w| w.write_all(b"new").map_err(|e| e.to_string())).unwrap();
+        assert_eq!(std::fs::read(&out).unwrap(), b"new");
+        assert!(!dir.join("out.f32.partial").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn little_endian_staging_matches_to_le_bytes() {
+        let v32 = [1.5f32, -0.0, f32::NAN, f32::MIN_POSITIVE];
+        let v64 = [1.5f64, -0.0, f64::INFINITY, 1e-300];
+        let mut out = Vec::new();
+        to_le(&v32, &mut out);
+        assert_eq!(
+            out,
+            v32.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<_>>()
+        );
+        to_le(&v64, &mut out);
+        assert_eq!(
+            out,
+            v64.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<_>>()
+        );
+    }
 }

@@ -1,0 +1,250 @@
+//! The windowed `compress`/`decompress` path end to end: multi-window
+//! inputs give the library's stream and decode, `--manifest` quality and
+//! digest do not depend on the windowing, memory stays bounded by the
+//! window rather than the file, and a failure leaves no output behind.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+use szx_core::decode::ParsedStream;
+use szx_core::{Decoder, KernelSelect, SzxConfig};
+use szx_telemetry::json::Json;
+
+fn szx() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_szx"))
+}
+
+/// A fresh scratch directory for one test.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("szx-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// `n` values of a wave with plateaus (constant blocks) and fine ripple
+/// (non-constant ones).
+fn wave(n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|i| {
+            if (i / 20_000) % 4 == 0 {
+                ((i / 20_000) % 9) as f32
+            } else {
+                let x = i as f32 * 1e-3;
+                x.sin() * 100.0 + (x * 37.0).cos() * 0.5
+            }
+        })
+        .collect()
+}
+
+/// `n` values that are mostly plateaus, like many fields of a snapshot:
+/// the compressed stream a compress run holds stays small beside the
+/// raw file.
+fn mostly_flat(n: usize) -> Vec<f32> {
+    wave(n)
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| {
+            if (i / 20_000) % 4 == 1 {
+                v
+            } else {
+                ((i / 20_000) % 9) as f32
+            }
+        })
+        .collect()
+}
+
+fn write_f32(path: &Path, data: &[f32]) {
+    let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
+    std::fs::write(path, bytes).unwrap();
+}
+
+fn run_ok(args: &[&str]) {
+    let out = szx().args(args).output().expect("run szx");
+    assert!(
+        out.status.success(),
+        "szx {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+fn manifest(path: &Path) -> Json {
+    Json::parse(&std::fs::read_to_string(path).unwrap()).expect("manifest is JSON")
+}
+
+fn number(doc: &Json, section: &str, key: &str) -> f64 {
+    doc.get(section)
+        .and_then(|s| s.get(key))
+        .and_then(|v| v.as_f64())
+        .unwrap_or_else(|| panic!("manifest {section}.{key}"))
+}
+
+fn peak_rss(doc: &Json) -> f64 {
+    number(
+        doc.get("metrics").expect("metrics section"),
+        "gauges",
+        "process.peak_rss_bytes",
+    )
+}
+
+#[test]
+fn multi_window_runs_match_the_library_in_bounded_memory() {
+    let dir = scratch("windows");
+    let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    // 32 MB: seven full 4 MiB windows and a ragged eighth.
+    let data = mostly_flat(8_000_000);
+    let raw = (data.len() * 4) as f64;
+    write_f32(&dir.join("in.f32"), &data);
+
+    run_ok(&[
+        "compress",
+        &p("in.f32"),
+        &p("out.szx"),
+        "--rel",
+        "1e-3",
+        "--parallel",
+        "--manifest",
+        &p("c.json"),
+    ]);
+    let cfg = SzxConfig::relative(1e-3);
+    let expected = szx_core::compress(&data, &cfg).unwrap();
+    let stream = std::fs::read(p("out.szx")).unwrap();
+    assert!(stream == expected, "windowed stream differs from compress");
+
+    // Quality and digest are those of the whole file in one piece.
+    let c = manifest(&dir.join("c.json"));
+    let decoded: Vec<f32> = Decoder::new(KernelSelect::Scalar, false)
+        .decode(&expected)
+        .unwrap();
+    let q = szx_metrics::distortion(&data, &decoded);
+    assert_eq!(number(&c, "quality", "psnr_db").to_bits(), q.psnr.to_bits());
+    assert_eq!(
+        number(&c, "quality", "max_abs_err").to_bits(),
+        q.max_abs_error.to_bits()
+    );
+    assert_eq!(number(&c, "quality", "nrmse").to_bits(), q.nrmse.to_bits());
+    let digest = format!(
+        "{:016x}",
+        szx_telemetry::fnv1a64(&std::fs::read(p("in.f32")).unwrap())
+    );
+    assert_eq!(
+        c.get("dataset")
+            .and_then(|d| d.get("digest_fnv1a64"))
+            .and_then(|v| v.as_str()),
+        Some(digest.as_str())
+    );
+    // A window and the compressed stream, not the raw file (twice).
+    assert!(
+        peak_rss(&c) < raw / 2.0,
+        "compress peak RSS {}",
+        peak_rss(&c)
+    );
+
+    run_ok(&[
+        "decompress",
+        &p("out.szx"),
+        &p("out.f32"),
+        "--parallel",
+        "--manifest",
+        &p("d.json"),
+    ]);
+    let expected: Vec<u8> = decoded.iter().flat_map(|v| v.to_le_bytes()).collect();
+    assert!(std::fs::read(p("out.f32")).unwrap() == expected);
+    let d = manifest(&dir.join("d.json"));
+    assert!(
+        peak_rss(&d) < raw / 2.0,
+        "decompress peak RSS {}",
+        peak_rss(&d)
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn manifest_quality_and_digest_keep_their_values() {
+    let dir = scratch("quality");
+    let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    // Three windows, the last ragged.
+    write_f32(&dir.join("in.f32"), &wave(2_500_000));
+    run_ok(&[
+        "compress",
+        &p("in.f32"),
+        &p("out.szx"),
+        "--abs",
+        "1e-2",
+        "--manifest",
+        &p("c.json"),
+    ]);
+    // The figures the single-buffer compress this path replaced reported
+    // for this input.
+    let c = manifest(&dir.join("c.json"));
+    for (key, value) in [
+        ("ratio", RATIO),
+        ("psnr_db", PSNR_DB),
+        ("max_abs_err", MAX_ABS_ERR),
+        ("nrmse", NRMSE),
+    ] {
+        assert_eq!(number(&c, "quality", key), value, "quality.{key}");
+    }
+    assert_eq!(
+        c.get("dataset")
+            .and_then(|d| d.get("digest_fnv1a64"))
+            .and_then(|v| v.as_str()),
+        Some(DIGEST)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+const RATIO: f64 = 3.432474642593578;
+const PSNR_DB: f64 = 103.95755693574743;
+const MAX_ABS_ERR: f64 = 0.00390625;
+const NRMSE: f64 = 6.340480237040182e-6;
+const DIGEST: &str = "d398b0c409601ee0";
+
+#[test]
+fn corrupt_last_window_leaves_no_output() {
+    let dir = scratch("corrupt");
+    let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    // Two windows.
+    let data = wave(1_500_000);
+    write_f32(&dir.join("in.f32"), &data);
+    run_ok(&["compress", &p("in.f32"), &p("x.szx"), "--abs", "1e-3"]);
+
+    // Forge an impossible required length into the last non-constant
+    // block's payload, which the second window decodes.
+    let mut stream = std::fs::read(p("x.szx")).unwrap();
+    let at = {
+        let parsed = ParsedStream::parse::<f32>(&stream).unwrap();
+        let last = (0..parsed.num_blocks())
+            .rev()
+            .find(|&b| parsed.state(b))
+            .unwrap();
+        assert!(
+            last * 128 >= 1 << 20,
+            "corrupt block sits in the last window"
+        );
+        bytes_before_payloads(&stream, &parsed) + parsed.payload_span(last).0
+    };
+    stream[at] = 0xff;
+    std::fs::write(p("x.szx"), &stream).unwrap();
+
+    // An earlier output at the path survives, and nothing sits beside it.
+    std::fs::write(p("x.f32"), b"earlier").unwrap();
+    for parallel in [false, true] {
+        let mut args = vec!["decompress".to_string(), p("x.szx"), p("x.f32")];
+        if parallel {
+            args.push("--parallel".into());
+        }
+        let out = szx().args(&args).output().expect("run szx decompress");
+        assert!(!out.status.success(), "corrupt stream must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("required length 255"), "{stderr}");
+        assert_eq!(std::fs::read(p("x.f32")).unwrap(), b"earlier");
+        assert!(!dir.join("x.f32.partial").exists());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn bytes_before_payloads(stream: &[u8], parsed: &ParsedStream<'_>) -> usize {
+    stream.len() - parsed.payloads.len()
+}

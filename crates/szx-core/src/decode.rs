@@ -194,8 +194,9 @@ pub fn decompress<F: SzxFloat>(bytes: &[u8]) -> Result<Vec<F>> {
 }
 
 /// Blocks handled per parallel decode task. Coarse enough to amortize
-/// scheduling, fine enough to balance skewed payloads.
-const DECODE_GROUP: usize = 32;
+/// scheduling, fine enough to balance skewed payloads. Decode windows
+/// hold whole groups.
+pub const DECODE_GROUP: usize = 32;
 
 /// The SZx decompressor: a decode path, a serial/parallel switch, and the
 /// kernel arenas it reuses across calls.
@@ -241,7 +242,7 @@ impl Decoder {
         // allocation.
         let index = StreamIndex::build_traced::<F>(bytes)?;
         let mut out = vec![F::ZERO; index.header.n];
-        self.decode_index(&index, &mut out)?;
+        self.decode_windows_index(&index, &mut out, |_| Ok(()))?;
         Ok(out)
     }
 
@@ -250,7 +251,32 @@ impl Decoder {
     pub fn decode_into<F: SzxFloat>(&mut self, bytes: &[u8], out: &mut [F]) -> Result<()> {
         let _total = szx_telemetry::span("decompress.total");
         let index = StreamIndex::build_traced::<F>(bytes)?;
-        self.decode_index(&index, out)
+        if out.len() != index.header.n {
+            return Err(SzxError::InvalidConfig(format!(
+                "output buffer holds {} elements, stream has {}",
+                out.len(),
+                index.header.n
+            )));
+        }
+        self.decode_windows_index(&index, out, |_| Ok(()))
+    }
+
+    /// Decompress `bytes` window by window through `window`, a buffer the
+    /// caller reuses, and hand each decoded window to `sink` in stream
+    /// order. A window is the whole stream when `window` holds it, else as
+    /// many whole groups of [`DECODE_GROUP`] blocks as fit (at least one
+    /// must). The values, and the error of a corrupt stream, are those of
+    /// [`Self::decode`]; windows before the corrupt block have already
+    /// reached `sink` by then.
+    pub fn decode_windows<F: SzxFloat>(
+        &mut self,
+        bytes: &[u8],
+        window: &mut [F],
+        sink: impl FnMut(&[F]) -> Result<()>,
+    ) -> Result<()> {
+        let _total = szx_telemetry::span("decompress.total");
+        let index = StreamIndex::build_traced::<F>(bytes)?;
+        self.decode_windows_index(&index, window, sink)
     }
 
     /// Decode one non-constant block payload (random access).
@@ -264,17 +290,75 @@ impl Decoder {
         decode_block_dispatch(payload, out, mu, strategy, self.kernel, &mut self.scratch)
     }
 
-    fn decode_index<F: SzxFloat>(&mut self, index: &StreamIndex<'_>, out: &mut [F]) -> Result<()> {
-        if out.len() != index.header.n {
+    /// The one decode loop: consecutive windows of whole block groups into
+    /// `window`, serially or group-parallel within each window.
+    fn decode_windows_index<F: SzxFloat>(
+        &mut self,
+        index: &StreamIndex<'_>,
+        window: &mut [F],
+        mut sink: impl FnMut(&[F]) -> Result<()>,
+    ) -> Result<()> {
+        let n = index.header.n;
+        let group = index.header.block_size * DECODE_GROUP;
+        let win = if window.len() >= n {
+            n
+        } else {
+            window.len() / group * group
+        };
+        if win == 0 {
             return Err(SzxError::InvalidConfig(format!(
-                "output buffer holds {} elements, stream has {}",
-                out.len(),
-                index.header.n
+                "decode window of {} elements holds no {group}-element group",
+                window.len()
             )));
         }
         if szx_telemetry::enabled() {
             flush_decode_telemetry::<F>(index);
         }
+        // Non-constant blocks before each group: where its first payload
+        // sits in the zsize prefix sum. Only the parallel split needs them;
+        // the serial loop carries the count from window to window.
+        let mut group_nc = Vec::new();
+        if self.parallel {
+            group_nc.reserve(index.states.len().div_ceil(DECODE_GROUP));
+            let mut nc = 0usize;
+            for (b, s) in index.states.iter().enumerate() {
+                if b % DECODE_GROUP == 0 {
+                    group_nc.push(nc);
+                }
+                nc += s as usize;
+            }
+        }
+        let mut nc = 0usize;
+        let result = (0..n).step_by(win).try_for_each(|start| {
+            // PANIC-OK: start < n and win <= window.len(), so the window
+            // range is in bounds.
+            let out = &mut window[..win.min(n - start)];
+            nc = self.decode_window(index, start / index.header.block_size, nc, &group_nc, out)?;
+            sink(out)
+        });
+        let grows = self.scratch.take_grows();
+        if grows > 0 && szx_telemetry::enabled() {
+            let tel = szx_telemetry::global();
+            tel.counter("decompress.scratch.grows").add(grows);
+            tel.gauge("decompress.scratch.arena_bytes")
+                .set_max(self.scratch.arena_bytes() as f64);
+        }
+        result
+    }
+
+    /// Decode the blocks from `first_block` on into `out` (whole groups,
+    /// except possibly the stream's tail). `nc` counts the non-constant
+    /// blocks before `first_block` for the serial loop; the parallel split
+    /// reads each group's count from `group_nc`. Returns the count after
+    /// the window.
+    fn decode_window<F: SzxFloat>(
+        &mut self,
+        index: &StreamIndex<'_>,
+        first_block: usize,
+        nc: usize,
+        group_nc: &[usize],
+        out: &mut [F],
+    ) -> Result<usize> {
         let _s = szx_telemetry::span("decompress.blocks");
         // Zone-only path attribution for the profiler (the per-block
         // dispatch also depends on the stream's strategy; this names the
@@ -289,37 +373,23 @@ impl Decoder {
         );
         let path = self.kernel;
         if !self.parallel {
-            let result = decode_run(index, 0, 0, out, path, &mut self.scratch);
-            let grows = self.scratch.take_grows();
-            if grows > 0 && szx_telemetry::enabled() {
-                let tel = szx_telemetry::global();
-                tel.counter("decompress.scratch.grows").add(grows);
-                tel.gauge("decompress.scratch.arena_bytes")
-                    .set_max(self.scratch.arena_bytes() as f64);
-            }
-            return result;
+            return decode_run(index, first_block, nc, out, path, &mut self.scratch);
         }
-        // Non-constant blocks before each group: where its first payload
-        // sits in the zsize prefix sum.
-        let mut group_nc = Vec::with_capacity(index.states.len().div_ceil(DECODE_GROUP));
-        let mut nc = 0usize;
-        for (b, s) in index.states.iter().enumerate() {
-            if b % DECODE_GROUP == 0 {
-                group_nc.push(nc);
-            }
-            nc += s as usize;
-        }
+        let first_group = first_block / DECODE_GROUP;
         out.par_chunks_mut(index.header.block_size * DECODE_GROUP)
             .enumerate()
             .try_for_each(|(g, group)| {
+                let g = first_group + g;
                 let _z = szx_telemetry::trace_zone("decompress.group", g as u64);
                 // One arena per group, not one per block.
                 let mut scratch = DecodeScratch::default();
-                // PANIC-OK: `out` holds num_blocks blocks, so the split yields
-                // num_blocks.div_ceil(DECODE_GROUP) groups, one entry each.
+                // PANIC-OK: windows start on group boundaries inside the
+                // stream's num_blocks blocks, and group_nc holds one entry
+                // per group of the stream.
                 let nc = group_nc[g];
-                decode_run(index, g * DECODE_GROUP, nc, group, path, &mut scratch)
-            })
+                decode_run(index, g * DECODE_GROUP, nc, group, path, &mut scratch).map(|_| ())
+            })?;
+        Ok(nc)
     }
 }
 
@@ -363,7 +433,8 @@ fn decode_block_dispatch<F: SzxFloat>(
 /// Decode the consecutive blocks starting at `first_block` into `out` (a
 /// whole number of blocks, except possibly the stream's last), stopping at
 /// the first corrupt one. `nc` counts the non-constant blocks before
-/// `first_block`, whose payloads precede this run's.
+/// `first_block`, whose payloads precede this run's; the count after the
+/// run is returned.
 fn decode_run<F: SzxFloat>(
     index: &StreamIndex<'_>,
     first_block: usize,
@@ -371,7 +442,7 @@ fn decode_run<F: SzxFloat>(
     out: &mut [F],
     path: KernelPath,
     scratch: &mut DecodeScratch,
-) -> Result<()> {
+) -> Result<usize> {
     let bs = index.header.block_size;
     let strategy = index.header.strategy;
     for (j, block_out) in out.chunks_mut(bs).enumerate() {
@@ -390,7 +461,7 @@ fn decode_run<F: SzxFloat>(
             block_out.fill(mu);
         }
     }
-    Ok(())
+    Ok(nc)
 }
 
 /// Decode one non-constant block payload into `out` (of the block's length).

@@ -1,8 +1,9 @@
 //! The SZx compressor (Algorithm 1 + the §5.1 commit strategies).
 
+use std::io::Write;
+
 use rayon::prelude::*;
 
-use crate::bitio::BitWriter;
 use crate::block::{bytes_for, required_length, shift_for, BlockStats};
 use crate::config::{CommitStrategy, ErrorBound, KernelPath, SzxConfig};
 use crate::error::{Result, SzxError};
@@ -10,8 +11,8 @@ use crate::float::SzxFloat;
 use crate::kernels::{self, EncodeScratch};
 use crate::stream::Header;
 
-/// Per-chunk compression output; chunks are later stitched into one stream.
-/// The serial compressor uses a single chunk covering every block.
+/// Per-chunk compression output; chunks are later written out as one
+/// stream. The serial compressor uses a single chunk per window.
 #[derive(Debug, Default)]
 pub(crate) struct ChunkOutput<F: SzxFloat> {
     /// One entry per block: `true` = non-constant.
@@ -49,121 +50,311 @@ impl<F: SzxFloat> ChunkOutput<F> {
 /// Elements per range-scan chunk on the parallel path.
 const RANGE_CHUNK: usize = 64 * 1024;
 
-/// Resolve the configured error bound against the data. A relative bound
-/// needs the global value range (max − min, NaN-ignoring): the serial path
-/// scans the whole slice in one go, the parallel path scans
-/// [`RANGE_CHUNK`]-element chunks on the rayon workers. `path` selects the
-/// per-chunk min/max; every path selects the same extrema (they are picked,
-/// never computed), so the resolved bound — and therefore the stream — is
-/// identical for every path and either split.
-pub(crate) fn resolve_bound<F: SzxFloat>(data: &[F], cfg: &SzxConfig, path: KernelPath) -> f64 {
-    match cfg.error_bound {
-        ErrorBound::Absolute(e) => e,
-        ErrorBound::Relative(rel) => rel * value_range_on(data, path, cfg.parallel),
+/// The running value range (max − min, NaN-ignoring) a relative bound is
+/// resolved against, fed the data window by window.
+///
+/// Each window is scanned in one go serially, or in [`RANGE_CHUNK`]-element
+/// chunks on the rayon workers in parallel. The configured kernel path
+/// selects the per-chunk min/max. Every path *picks* the same extrema
+/// (they are never computed), so the range — and therefore the resolved
+/// bound and the stream — is identical for every path, either split and
+/// any windowing of the data.
+#[derive(Debug, Clone, Copy)]
+pub struct RangeScan {
+    bound: ErrorBound,
+    path: KernelPath,
+    parallel: bool,
+    min: f64,
+    max: f64,
+}
+
+impl RangeScan {
+    /// An empty scan for `cfg`'s bound, kernel and split.
+    pub fn new(cfg: &SzxConfig) -> Self {
+        RangeScan {
+            bound: cfg.error_bound,
+            path: cfg.kernel.resolve(),
+            parallel: cfg.parallel,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Fold the extrema of the next window into the scan.
+    pub fn push<F: SzxFloat>(&mut self, data: &[F]) {
+        let chunk = if self.parallel {
+            RANGE_CHUNK
+        } else {
+            data.len()
+        };
+        let path = self.path;
+        let (min, max) = data
+            .par_chunks(chunk.max(1))
+            .enumerate()
+            .map(|(ci, chunk)| {
+                let _z = szx_telemetry::trace_zone("compress.range_chunk", ci as u64);
+                let (lo, hi) = match path {
+                    KernelPath::Simd => crate::simd::minmax(chunk),
+                    KernelPath::Kernel => kernels::minmax(chunk),
+                    KernelPath::Scalar => chunk.iter().fold(
+                        (F::from_f64(f64::INFINITY), F::from_f64(f64::NEG_INFINITY)),
+                        |(lo, hi), &d| (if d < lo { d } else { lo }, if d > hi { d } else { hi }),
+                    ),
+                };
+                (lo.to_f64(), hi.to_f64())
+            })
+            .reduce(|| (self.min, self.max), |a, b| (a.0.min(b.0), a.1.max(b.1)));
+        self.min = min;
+        self.max = max;
+    }
+
+    /// Value range of everything pushed so far. Equal to the scalar oracle
+    /// [`crate::config::value_range`] of the concatenated windows.
+    pub fn range(&self) -> f64 {
+        if self.max >= self.min {
+            self.max - self.min
+        } else {
+            0.0
+        }
+    }
+
+    /// The absolute bound the configured bound resolves to: an absolute
+    /// bound as is, a relative one times [`Self::range`].
+    pub fn bound(&self) -> f64 {
+        match self.bound {
+            ErrorBound::Absolute(e) => e,
+            ErrorBound::Relative(rel) => rel * self.range(),
+        }
     }
 }
 
-/// Global value range through the `path` min/max kernels, split as
-/// described on [`resolve_bound`]. Equal to the scalar oracle
-/// [`crate::config::value_range`] for every `path` and split.
+/// The value range of `data` on `path`, serially or split: what a
+/// [`RangeScan`] over one window finds.
+#[cfg(test)]
 pub(crate) fn value_range_on<F: SzxFloat>(data: &[F], path: KernelPath, parallel: bool) -> f64 {
-    let chunk = if parallel { RANGE_CHUNK } else { data.len() };
-    let (min, max) = data
-        .par_chunks(chunk.max(1))
-        .enumerate()
-        .map(|(ci, chunk)| {
-            let _z = szx_telemetry::trace_zone("compress.range_chunk", ci as u64);
-            let (lo, hi) = match path {
-                KernelPath::Simd => crate::simd::minmax(chunk),
-                KernelPath::Kernel => kernels::minmax(chunk),
-                KernelPath::Scalar => chunk.iter().fold(
-                    (F::from_f64(f64::INFINITY), F::from_f64(f64::NEG_INFINITY)),
-                    |(lo, hi), &d| (if d < lo { d } else { lo }, if d > hi { d } else { hi }),
-                ),
-            };
-            (lo.to_f64(), hi.to_f64())
-        })
-        .reduce(
-            || (f64::INFINITY, f64::NEG_INFINITY),
-            |a, b| (a.0.min(b.0), a.1.max(b.1)),
-        );
-    if max >= min {
-        max - min
-    } else {
-        0.0
+    let mut scan = RangeScan::new(&SzxConfig::default().with_parallel(parallel));
+    scan.path = path;
+    scan.push(data);
+    scan.range()
+}
+
+/// Resolve the configured error bound against `data`: a relative bound
+/// scans it (see [`RangeScan`]), an absolute one does not.
+pub(crate) fn resolve_bound<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> f64 {
+    let mut scan = RangeScan::new(cfg);
+    if let ErrorBound::Relative(_) = cfg.error_bound {
+        scan.push(data);
     }
+    scan.bound()
 }
 
 /// Compress `data` into a self-describing SZx stream.
 ///
 /// The relative error bound, if configured, is resolved against the global
 /// value range here and the stream records the resulting absolute bound.
+/// The data then goes through an [`Encoder`] as one window.
 ///
 /// With [`SzxConfig::parallel`] the work is split the way the paper's
 /// OpenMP design does it (§6.1): contiguous chunks of blocks, a few per
-/// rayon worker, each encoded into its own buffers and stitched together by
-/// [`assemble`]. Chunks are multiples of 8 blocks, so the per-chunk state
-/// bits concatenate on byte boundaries and the stream is byte-identical to
-/// the serial one, which is the same loop over a single chunk.
+/// rayon worker, each encoded into its own buffers. Chunks are multiples
+/// of 8 blocks, so the per-chunk state bits concatenate on byte boundaries
+/// and the stream is byte-identical to the serial one, which is the same
+/// loop over a single chunk.
 pub fn compress<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<Vec<u8>> {
     let _total = szx_telemetry::span("compress.total");
     cfg.validate()?;
     if data.is_empty() {
         return Err(SzxError::EmptyInput);
     }
-    let path = cfg.kernel.resolve();
     let eb = {
         let _s = szx_telemetry::span("compress.range_scan");
-        resolve_bound(data, cfg, path)
+        resolve_bound(data, cfg)
     };
-    if !eb.is_finite() || eb < 0.0 {
-        return Err(SzxError::InvalidConfig(format!(
-            "resolved error bound is not usable: {eb}"
-        )));
+    let mut encoder = Encoder::new(cfg, eb)?;
+    encoder.push(data)?;
+    let mut bytes = Vec::with_capacity(encoder.stream_len());
+    encoder.finish(&mut bytes)?;
+    Ok(bytes)
+}
+
+/// Compresses one stream from consecutive windows of its data and writes
+/// it to a sink in one pass.
+///
+/// Every window but the last must hold a whole multiple of 8 blocks, so
+/// each window's state bits start on a byte boundary and the stream equals
+/// [`compress`] of the concatenated windows byte for byte. The encoder
+/// holds only the compressed sections of the windows pushed so far; its
+/// scratch arenas (one per chunk of a window, one serially) are reused by
+/// every window.
+#[derive(Debug)]
+pub struct Encoder<F: SzxFloat> {
+    cfg: SzxConfig,
+    eb: f64,
+    path: KernelPath,
+    /// Elements pushed so far.
+    n: usize,
+    chunks: Vec<ChunkOutput<F>>,
+    scratch: Vec<EncodeScratch>,
+    /// Set by a window that is not a whole multiple of 8 blocks: it must
+    /// be the last.
+    ragged: bool,
+}
+
+impl<F: SzxFloat> Encoder<F> {
+    /// An encoder for `cfg` with the absolute bound `eb` (a relative bound
+    /// is resolved first, e.g. by a [`RangeScan`] pass over the data).
+    pub fn new(cfg: &SzxConfig, eb: f64) -> Result<Self> {
+        cfg.validate()?;
+        if !eb.is_finite() || eb < 0.0 {
+            return Err(SzxError::InvalidConfig(format!(
+                "resolved error bound is not usable: {eb}"
+            )));
+        }
+        Ok(Encoder {
+            cfg: *cfg,
+            eb,
+            path: cfg.kernel.resolve(),
+            n: 0,
+            chunks: Vec::new(),
+            scratch: Vec::new(),
+            ragged: false,
+        })
     }
 
-    let bs = cfg.block_size;
-    let nblocks = data.len().div_ceil(bs);
-    let target_chunks = if cfg.parallel {
-        rayon::current_num_threads() * 4
-    } else {
-        1
-    };
-    let blocks_per_chunk = (nblocks.div_ceil(target_chunks).div_ceil(8) * 8).max(8);
-
-    // The block loop keeps no telemetry: assemble() derives every counter
-    // from the chunk outputs at the join point, once per call.
-    let chunks: Vec<ChunkOutput<F>> = {
+    /// Encode the next window of the data.
+    pub fn push(&mut self, window: &[F]) -> Result<()> {
+        let bs = self.cfg.block_size;
+        if self.ragged {
+            return Err(SzxError::InvalidConfig(format!(
+                "only the last window may be other than a multiple of 8 blocks of {bs}"
+            )));
+        }
+        if window.is_empty() {
+            return Ok(());
+        }
         let _s = szx_telemetry::span("compress.encode_blocks");
-        data.par_chunks(blocks_per_chunk * bs)
-            .enumerate()
-            .map(|(ci, chunk_data)| {
+        self.ragged = !window.len().is_multiple_of(8 * bs);
+        let nblocks = window.len().div_ceil(bs);
+        let target_chunks = if self.cfg.parallel {
+            rayon::current_num_threads() * 4
+        } else {
+            1
+        };
+        let chunk_elems = (nblocks.div_ceil(target_chunks).div_ceil(8) * 8).max(8) * bs;
+        let nchunks = window.len().div_ceil(chunk_elems);
+        if self.scratch.len() < nchunks {
+            self.scratch.resize_with(nchunks, EncodeScratch::default);
+        }
+        let (eb, strategy, path) = (self.eb, self.cfg.strategy, self.path);
+        let first = self.chunks.len();
+        let mut jobs: Vec<_> = window
+            .chunks(chunk_elems)
+            .zip(self.scratch.iter_mut())
+            .map(|(data, scratch)| {
+                let out =
+                    ChunkOutput::with_capacity(data.len().div_ceil(bs), data.len() * F::BYTES);
+                (data, scratch, out)
+            })
+            .collect();
+        // The block loop keeps no telemetry: finish() derives every counter
+        // from the chunk outputs, once per stream.
+        jobs.par_chunks_mut(1).enumerate().for_each(|(ci, job)| {
+            for (data, scratch, out) in job.iter_mut() {
                 // One timeline lane entry per chunk: the flight recorder's
                 // view of skew across rayon workers.
-                let _z = szx_telemetry::trace_zone("compress.chunk", ci as u64);
-                let chunk_blocks = chunk_data.len().div_ceil(bs);
-                let mut out = ChunkOutput::with_capacity(chunk_blocks, chunk_data.len() * F::BYTES);
-                // One scratch arena per chunk, not one per block.
-                let mut scratch = EncodeScratch::default();
-                encode_blocks(
-                    chunk_data,
-                    bs,
-                    eb,
-                    cfg.strategy,
-                    path,
-                    &mut out,
-                    &mut scratch,
-                );
-                out
-            })
-            .collect()
-    };
+                let _z = szx_telemetry::trace_zone("compress.chunk", (first + ci) as u64);
+                encode_blocks(data, bs, eb, strategy, path, out, scratch);
+            }
+        });
+        self.chunks.extend(jobs.into_iter().map(|(_, _, out)| out));
+        self.n += window.len();
+        Ok(())
+    }
 
-    Ok(assemble(&chunks, data.len(), eb, cfg))
+    /// Byte length of the stream [`Self::finish`] writes for the windows
+    /// pushed so far.
+    pub fn stream_len(&self) -> usize {
+        let (mut nblocks, mut nonconstant, mut payload) = (0, 0, 0);
+        for c in &self.chunks {
+            nblocks += c.states.len();
+            nonconstant += c.zsizes.len();
+            payload += c.payload.len();
+        }
+        crate::stream::HEADER_LEN
+            + nblocks.div_ceil(8)
+            + nblocks * F::BYTES
+            + nonconstant * 2
+            + payload
+    }
+
+    /// Write the stream to `sink` and return the sink: the header, then the
+    /// state-bit, μ and zsize sections through one small staging buffer,
+    /// then each chunk's payloads as they are. Nothing the size of the
+    /// stream is assembled or copied.
+    pub fn finish<W: Write>(self, mut sink: W) -> Result<W> {
+        if self.n == 0 {
+            return Err(SzxError::EmptyInput);
+        }
+        let _s = szx_telemetry::span("compress.assemble");
+        let header = Header {
+            dtype: F::DTYPE_CODE,
+            strategy: self.cfg.strategy,
+            block_size: self.cfg.block_size,
+            n: self.n,
+            eb: self.eb,
+            n_nonconstant: self.chunks.iter().map(|c| c.zsizes.len()).sum(),
+        };
+        let mut staging = Vec::with_capacity(STAGING_BYTES);
+        header.write(&mut staging);
+        // State bits, MSB first. Every chunk but the last holds a multiple
+        // of 8 blocks, so each packs into whole bytes of its own.
+        for c in &self.chunks {
+            for bits in c.states.chunks(8) {
+                let byte = bits
+                    .iter()
+                    .enumerate()
+                    .fold(0u8, |byte, (i, &s)| byte | u8::from(s) << (7 - i));
+                staging.push(byte);
+            }
+            flush_full(&mut sink, &mut staging)?;
+        }
+        for c in &self.chunks {
+            for &mu in &c.mus {
+                mu.write_le(&mut staging);
+            }
+            flush_full(&mut sink, &mut staging)?;
+        }
+        for c in &self.chunks {
+            for &z in &c.zsizes {
+                staging.extend_from_slice(&z.to_le_bytes());
+            }
+            flush_full(&mut sink, &mut staging)?;
+        }
+        sink.write_all(&staging)?;
+        for c in &self.chunks {
+            sink.write_all(&c.payload)?;
+        }
+        if szx_telemetry::enabled() {
+            flush_encode_telemetry(&self.chunks, self.n, &self.cfg, self.stream_len());
+        }
+        Ok(sink)
+    }
+}
+
+/// Bytes [`Encoder::finish`] stages before writing them to its sink.
+const STAGING_BYTES: usize = 64 * 1024;
+
+/// Write `staging` to `sink` once it holds [`STAGING_BYTES`].
+fn flush_full<W: Write>(sink: &mut W, staging: &mut Vec<u8>) -> Result<()> {
+    if staging.len() >= STAGING_BYTES {
+        sink.write_all(staging)?;
+        staging.clear();
+    }
+    Ok(())
 }
 
 /// Encode every block of `data` (a whole number of blocks except possibly
-/// the last) into `out`. Runs once per chunk of [`compress`]; `path`
+/// the last) into `out`. Runs once per chunk of an [`Encoder`] window; `path`
 /// selects among the explicit SIMD kernels, the branch-free portable
 /// kernels, and the scalar oracle (byte-identical outputs, see
 /// [`crate::kernels`] and [`crate::simd`]).
@@ -262,71 +453,10 @@ fn encode_blocks_impl<F: SzxFloat, const PATH: u8>(
     }
 }
 
-/// Stitch chunk outputs into the final stream.
-pub(crate) fn assemble<F: SzxFloat>(
-    chunks: &[ChunkOutput<F>],
-    n: usize,
-    eb: f64,
-    cfg: &SzxConfig,
-) -> Vec<u8> {
-    let _s = szx_telemetry::span("compress.assemble");
-    let n_nonconstant: usize = chunks.iter().map(|c| c.zsizes.len()).sum();
-    let nblocks: usize = chunks.iter().map(|c| c.states.len()).sum();
-    let payload_len: usize = chunks.iter().map(|c| c.payload.len()).sum();
-
-    let header = Header {
-        dtype: F::DTYPE_CODE,
-        strategy: cfg.strategy,
-        block_size: cfg.block_size,
-        n,
-        eb,
-        n_nonconstant,
-    };
-
-    let mut bytes = Vec::with_capacity(
-        crate::stream::HEADER_LEN
-            + nblocks.div_ceil(8)
-            + nblocks * F::BYTES
-            + n_nonconstant * 2
-            + payload_len,
-    );
-    header.write(&mut bytes);
-
-    // State bits. Chunk boundaries are multiples of 8 blocks (enforced by
-    // the splitter in `compress`), so per-chunk bit packing concatenates
-    // cleanly.
-    let mut bitw = BitWriter::with_capacity(nblocks.div_ceil(8));
-    for c in chunks {
-        for &s in &c.states {
-            bitw.write_bit(s);
-        }
-    }
-    bytes.extend_from_slice(bitw.as_bytes());
-
-    for c in chunks {
-        for &mu in &c.mus {
-            mu.write_le(&mut bytes);
-        }
-    }
-    for c in chunks {
-        for &z in &c.zsizes {
-            bytes.extend_from_slice(&z.to_le_bytes());
-        }
-    }
-    for c in chunks {
-        bytes.extend_from_slice(&c.payload);
-    }
-
-    if szx_telemetry::enabled() {
-        flush_encode_telemetry(chunks, n, cfg, bytes.len());
-    }
-    bytes
-}
-
 /// Derive the §5.3 impact factors from the chunk outputs and publish them
-/// to the global registry — the single join point of [`compress`], so the
-/// registry sees exactly one flush per top-level call however many rayon
-/// workers produced the chunks. Everything is read back from what the
+/// to the global registry — the single join point of [`Encoder::finish`],
+/// so the registry sees exactly one flush per stream however many windows
+/// and rayon workers produced the chunks. Everything is read back from what the
 /// stream records (state bits, zsizes, each payload's leading `R_k` byte);
 /// the block loop itself keeps no accounting.
 fn flush_encode_telemetry<F: SzxFloat>(
@@ -344,12 +474,15 @@ fn flush_encode_telemetry<F: SzxFloat>(
     for c in chunks {
         let mut offset = 0;
         for &z in &c.zsizes {
+            // PANIC-OK: the encoder wrote these payloads back to back, each
+            // `z >= 1` bytes starting with its R_k <= 64, so `offset` stays
+            // inside `payload` and R_k inside the 65-entry histogram.
             req_len_hist[usize::from(c.payload[offset])] += 1;
             let z = usize::from(z);
             if z >= zsize_hist.len() {
                 zsize_hist.resize(z + 1, 0);
             }
-            zsize_hist[z] += 1;
+            zsize_hist[z] += 1; // PANIC-OK: resized to hold z just above.
             offset += z;
         }
         nblocks += c.states.len();
@@ -380,6 +513,7 @@ fn flush_encode_telemetry<F: SzxFloat>(
     let tail = n - (nblocks - 1) * bs;
     if let Some(c) = chunks.last().filter(|_| tail < bs) {
         if let (Some(true), Some(&z)) = (c.states.last(), c.zsizes.last()) {
+            // PANIC-OK: the last payload is the last `z` bytes of `payload`.
             let r = usize::from(c.payload[c.payload.len() - usize::from(z)]);
             mid_bytes += prefix(bs) - prefix(tail);
             no_dedup_bytes -= no_dedup(r, bs) - no_dedup(r, tail);
@@ -393,6 +527,7 @@ fn flush_encode_telemetry<F: SzxFloat>(
     tel.counter("compress.blocks.nonconstant")
         .add(nonconstant as u64);
     tel.counter("compress.blocks.fallback")
+        // PANIC-OK: FULL_BITS is 32 or 64, inside the 65-entry histogram.
         .add(req_len_hist[F::FULL_BITS as usize]);
     tel.counter("compress.bytes.mid").add(mid_bytes as u64);
     tel.counter("compress.bytes.lead_saved")

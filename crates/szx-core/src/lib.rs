@@ -58,6 +58,28 @@
 //! decoder.decode_into(&bytes, &mut out).unwrap();
 //! ```
 //!
+//! ## Windows
+//!
+//! An [`Encoder`] takes the data in consecutive windows (each a multiple
+//! of 8 blocks but the last) and writes the stream [`compress`] writes
+//! for the whole slice; a relative bound is resolved first by a
+//! [`RangeScan`] over the same windows. [`Decoder::decode_windows`]
+//! decodes into a reused window buffer and hands each window to a sink.
+//!
+//! ```
+//! use szx_core::{compress, Encoder, RangeScan, SzxConfig};
+//!
+//! let data: Vec<f32> = (0..10_000).map(|i| (i as f32 * 0.01).sin()).collect();
+//! let cfg = SzxConfig::relative(1e-3);
+//! let mut scan = RangeScan::new(&cfg);
+//! data.chunks(1024).for_each(|w| scan.push(w));
+//! let mut encoder = Encoder::new(&cfg, scan.bound()).unwrap();
+//! for window in data.chunks(1024) {
+//!     encoder.push(window).unwrap();
+//! }
+//! assert_eq!(encoder.finish(Vec::new()).unwrap(), compress(&data, &cfg).unwrap());
+//! ```
+//!
 //! ## Guarantees
 //!
 //! * `max |d_i − d'_i| ≤ e` for every finite input — enforced by
@@ -98,7 +120,7 @@ pub use config::{
 };
 pub use container::{ContainerReader, ContainerWriter, FrameStats};
 pub use decode::{decompress, Decoder};
-pub use encode::compress;
+pub use encode::{compress, Encoder, RangeScan};
 pub use error::{Result, SzxError};
 pub use float::SzxFloat;
 pub use random_access::RandomAccess;

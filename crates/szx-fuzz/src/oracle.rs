@@ -7,6 +7,8 @@
 //!   Serial scalar is the reference. `Simd` resolves to the portable kernel
 //!   when the CPU lacks the ISA, so the cell is always exercised and always
 //!   held to the contract;
+//! * the windowed decode (`Decoder::decode_windows`) through a window of
+//!   one block group, serial and parallel;
 //! * random access (`RandomAccess::decode_range` over the whole stream,
 //!   scalar and kernel).
 //!
@@ -30,6 +32,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use szx_core::decode::DECODE_GROUP;
 use szx_core::{Decoder, KernelSelect, RandomAccess, SzxFloat};
 
 use crate::corpus::fnv1a64;
@@ -132,6 +135,13 @@ const DECODER_CELLS: [(&str, KernelSelect, bool); 5] = [
     ("parallel-simd", KernelSelect::Simd, true),
 ];
 
+/// Windowed-decode cells ([`Decoder::decode_windows`], one block group
+/// per window).
+const WINDOWED_CELLS: [(&str, KernelSelect, bool); 2] = [
+    ("windowed-serial-kernel", KernelSelect::Kernel, false),
+    ("windowed-parallel-simd", KernelSelect::Simd, true),
+];
+
 /// Run every decode path for element type `F` and check the differential
 /// contract. `Err` means a *harness finding* (panic or divergence) — an
 /// input that merely fails to decode everywhere is `Ok`.
@@ -184,6 +194,23 @@ pub fn differential_decode_typed<F: SzxFloat>(bytes: &[u8]) -> Result<DecodeRepo
 
     for (path, kernel, parallel) in DECODER_CELLS {
         let out = run_path(path, || Decoder::new(kernel, parallel).decode::<F>(bytes))?;
+        check(path, out, true)?;
+    }
+
+    // The windowed decode with the smallest window a stream allows: one
+    // group of blocks (or the whole stream, if shorter). An input without
+    // a header fails in the index, before the window is looked at.
+    let window = szx_core::inspect(bytes).map_or(0, |h| h.n.min(DECODE_GROUP * h.block_size));
+    for (path, kernel, parallel) in WINDOWED_CELLS {
+        let out = run_path(path, || {
+            let mut buf = vec![F::ZERO; window];
+            let mut values = Vec::new();
+            Decoder::new(kernel, parallel).decode_windows::<F>(bytes, &mut buf, |w| {
+                values.extend_from_slice(w);
+                Ok(())
+            })?;
+            Ok(values)
+        })?;
         check(path, out, true)?;
     }
 

@@ -22,6 +22,6 @@ pub mod ssim;
 pub use cdf::{block_range_cdf, block_relative_ranges, empirical_cdf};
 pub use crstats::{aggregate, overall_from_sizes, CrStats};
 pub use pdf::{error_pdf, ErrorPdf};
-pub use psnr::{distortion, distortion_f64, DistortionStats};
+pub use psnr::{distortion, distortion_f64, Distortion, DistortionStats};
 pub use render::{to_pgm, to_ppm};
 pub use ssim::ssim_2d;

@@ -19,132 +19,120 @@ pub struct DistortionStats {
     pub n: usize,
 }
 
-/// Compare `original` against `reconstructed` (must be the same length).
+/// Running pointwise distortion of a reconstruction, fed window by window:
+/// [`push`](Self::push) each window of the original with its
+/// reconstruction, then [`finish`](Self::finish). Windows accumulate in
+/// order, so any windowing of the same data gives bit-identical stats.
 ///
 /// NaNs in either input are skipped pairwise (they carry no distortion
 /// information); if all pairs are NaN the result is all-zero with
 /// `psnr = inf`.
-pub fn distortion_f64(original: &[f64], reconstructed: &[f64]) -> DistortionStats {
-    assert_eq!(
-        original.len(),
-        reconstructed.len(),
-        "original and reconstruction must have equal length"
-    );
-    let mut max_err = 0.0f64;
-    let mut sq_sum = 0.0f64;
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut n = 0usize;
-    for (&a, &b) in original.iter().zip(reconstructed) {
-        if a.is_nan() || b.is_nan() {
-            continue;
-        }
-        let e = (a - b).abs();
-        if e > max_err {
-            max_err = e;
-        }
-        sq_sum += e * e;
-        if a < min {
-            min = a;
-        }
-        if a > max {
-            max = a;
-        }
-        n += 1;
-    }
-    if n == 0 {
-        return DistortionStats {
-            max_abs_error: 0.0,
-            mse: 0.0,
-            psnr: f64::INFINITY,
-            nrmse: 0.0,
-            value_range: 0.0,
+#[derive(Debug, Clone, Copy)]
+pub struct Distortion {
+    max_err: f64,
+    sq_sum: f64,
+    min: f64,
+    max: f64,
+    n: usize,
+}
+
+impl Default for Distortion {
+    fn default() -> Self {
+        Distortion {
+            max_err: 0.0,
+            sq_sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
             n: 0,
+        }
+    }
+}
+
+impl Distortion {
+    /// Add one window of `original` against `reconstructed` (equal length;
+    /// errors are accumulated in f64).
+    pub fn push<T: Copy + Into<f64>>(&mut self, original: &[T], reconstructed: &[T]) {
+        assert_eq!(
+            original.len(),
+            reconstructed.len(),
+            "original and reconstruction must have equal length"
+        );
+        for (&a, &b) in original.iter().zip(reconstructed) {
+            let (a, b): (f64, f64) = (a.into(), b.into());
+            if a.is_nan() || b.is_nan() {
+                continue;
+            }
+            let e = (a - b).abs();
+            if e > self.max_err {
+                self.max_err = e;
+            }
+            self.sq_sum += e * e;
+            if a < self.min {
+                self.min = a;
+            }
+            if a > self.max {
+                self.max = a;
+            }
+            self.n += 1;
+        }
+    }
+
+    /// The statistics of every window pushed so far.
+    pub fn finish(&self) -> DistortionStats {
+        let n = self.n;
+        if n == 0 {
+            return DistortionStats {
+                max_abs_error: 0.0,
+                mse: 0.0,
+                psnr: f64::INFINITY,
+                nrmse: 0.0,
+                value_range: 0.0,
+                n: 0,
+            };
+        }
+        let mse = self.sq_sum / n as f64;
+        let range = if self.max >= self.min {
+            self.max - self.min
+        } else {
+            0.0
         };
+        let psnr = if mse == 0.0 {
+            f64::INFINITY
+        } else if range == 0.0 {
+            // Degenerate constant data: report against the error itself.
+            -10.0 * mse.log10()
+        } else {
+            20.0 * (range / mse.sqrt()).log10()
+        };
+        let nrmse = if range == 0.0 {
+            0.0
+        } else {
+            mse.sqrt() / range
+        };
+        DistortionStats {
+            max_abs_error: self.max_err,
+            mse,
+            psnr,
+            nrmse,
+            value_range: range,
+            n,
+        }
     }
-    let mse = sq_sum / n as f64;
-    let range = if max >= min { max - min } else { 0.0 };
-    let psnr = if mse == 0.0 {
-        f64::INFINITY
-    } else if range == 0.0 {
-        // Degenerate constant data: report against the error itself.
-        -10.0 * mse.log10()
-    } else {
-        20.0 * (range / mse.sqrt()).log10()
-    };
-    let nrmse = if range == 0.0 {
-        0.0
-    } else {
-        mse.sqrt() / range
-    };
-    DistortionStats {
-        max_abs_error: max_err,
-        mse,
-        psnr,
-        nrmse,
-        value_range: range,
-        n,
-    }
+}
+
+/// Compare `original` against `reconstructed` (must be the same length):
+/// one [`Distortion`] window.
+pub fn distortion_f64(original: &[f64], reconstructed: &[f64]) -> DistortionStats {
+    let mut d = Distortion::default();
+    d.push(original, reconstructed);
+    d.finish()
 }
 
 /// `f32` convenience wrapper (errors are accumulated in f64).
 pub fn distortion(original: &[f32], reconstructed: &[f32]) -> DistortionStats {
-    assert_eq!(original.len(), reconstructed.len());
-    let mut max_err = 0.0f64;
-    let mut sq_sum = 0.0f64;
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut n = 0usize;
-    for (&a, &b) in original.iter().zip(reconstructed) {
-        if a.is_nan() || b.is_nan() {
-            continue;
-        }
-        let (a, b) = (a as f64, b as f64);
-        let e = (a - b).abs();
-        if e > max_err {
-            max_err = e;
-        }
-        sq_sum += e * e;
-        if a < min {
-            min = a;
-        }
-        if a > max {
-            max = a;
-        }
-        n += 1;
-    }
-    if n == 0 {
-        return DistortionStats {
-            max_abs_error: 0.0,
-            mse: 0.0,
-            psnr: f64::INFINITY,
-            nrmse: 0.0,
-            value_range: 0.0,
-            n: 0,
-        };
-    }
-    let mse = sq_sum / n as f64;
-    let range = if max >= min { max - min } else { 0.0 };
-    let psnr = if mse == 0.0 {
-        f64::INFINITY
-    } else if range == 0.0 {
-        -10.0 * mse.log10()
-    } else {
-        20.0 * (range / mse.sqrt()).log10()
-    };
-    let nrmse = if range == 0.0 {
-        0.0
-    } else {
-        mse.sqrt() / range
-    };
-    DistortionStats {
-        max_abs_error: max_err,
-        mse,
-        psnr,
-        nrmse,
-        value_range: range,
-        n,
-    }
+    let mut d = Distortion::default();
+    d.push(original, reconstructed);
+    d.finish()
 }
 
 #[cfg(test)]
@@ -198,6 +186,31 @@ mod tests {
         let s32 = distortion(&a, &b);
         let s64 = distortion_f64(&a64, &b64);
         assert!((s32.psnr - s64.psnr).abs() < 1e-6);
+    }
+
+    #[test]
+    fn windows_accumulate_bit_identically() {
+        let a: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.37).sin() * 9.0).collect();
+        let mut b: Vec<f32> = a.iter().map(|x| x + (x * 13.0).cos() * 1e-3).collect();
+        b[17] = f32::NAN;
+        let whole = distortion(&a, &b);
+        for window in [1usize, 7, 128, 999, 1000] {
+            let mut d = Distortion::default();
+            for (x, y) in a.chunks(window).zip(b.chunks(window)) {
+                d.push(x, y);
+            }
+            let s = d.finish();
+            assert_eq!(s.n, whole.n);
+            for (p, q) in [
+                (s.max_abs_error, whole.max_abs_error),
+                (s.mse, whole.mse),
+                (s.psnr, whole.psnr),
+                (s.nrmse, whole.nrmse),
+                (s.value_range, whole.value_range),
+            ] {
+                assert_eq!(p.to_bits(), q.to_bits(), "window {window}");
+            }
+        }
     }
 
     #[test]

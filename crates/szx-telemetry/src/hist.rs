@@ -105,6 +105,8 @@ impl Histogram {
         if n == 0 {
             return;
         }
+        // PANIC-OK: bucket_of maps every u64 below num_buckets(), the
+        // length `buckets` was built with.
         self.buckets[self.kind.bucket_of(v)].fetch_add(n, R);
         self.count.fetch_add(n, R);
         self.sum.fetch_add(v.saturating_mul(n), R);

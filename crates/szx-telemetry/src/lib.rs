@@ -71,7 +71,7 @@ pub use export::{
     sanitize_metric_name, take_event_sink,
 };
 pub use hist::{Histogram, HistogramKind, HistogramSnapshot};
-pub use manifest::{fnv1a64, Manifest, MANIFEST_KIND, MANIFEST_SCHEMA_VERSION};
+pub use manifest::{fnv1a64, Fnv1a64, Manifest, MANIFEST_KIND, MANIFEST_SCHEMA_VERSION};
 pub use progress::{ProgressMeter, ProgressSnapshot};
 pub use registry::{Counter, Registry, SpanStats};
 pub use report::{render_jsonl, render_table, Report, SpanSnapshot, Value};

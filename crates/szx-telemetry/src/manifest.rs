@@ -39,12 +39,37 @@ pub const MANIFEST_KIND: &str = "szx_run_manifest";
 /// 64-bit FNV-1a over `bytes` — the dataset digest. Not cryptographic;
 /// meant to catch "same path, different contents" across bench runs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a64::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Incremental [`fnv1a64`]: `update` with consecutive pieces of the data
+/// (any split gives the same digest), then `finish`.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    pub fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64::new()
+    }
 }
 
 fn value_to_json(v: &Value) -> Json {
@@ -209,6 +234,18 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn fnv1a64_any_split_gives_the_same_digest() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 37 % 251) as u8).collect();
+        for piece in [1usize, 3, 64, 999, 1000] {
+            let mut h = Fnv1a64::new();
+            for p in data.chunks(piece) {
+                h.update(p);
+            }
+            assert_eq!(h.finish(), fnv1a64(&data), "pieces of {piece}");
+        }
     }
 
     fn sample() -> Manifest {

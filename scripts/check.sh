@@ -166,33 +166,41 @@ run_simd_equivalence() {
     local field
     field="$(find "$dir/fields" -name '*.f32' | sort | head -1)"
     [[ -n "$field" ]] || simd_fail "no .f32 field generated"
-    local sel
-    for sel in scalar kernel simd; do
-        cargo run -q --release -p szx-cli -- compress "$field" \
-            "$dir/$sel.szx" --abs 1e-3 --kernel "$sel" >/dev/null \
-            || simd_fail "compress --kernel $sel"
-        cargo run -q --release -p szx-cli -- decompress "$dir/$sel.szx" \
-            "$dir/$sel.f32" --kernel "$sel" >/dev/null \
-            || simd_fail "decompress --kernel $sel"
-        # Serial and --parallel are one codec with a different split: the
-        # parallel stream and decode must equal the serial files bytewise.
-        cargo run -q --release -p szx-cli -- compress "$field" \
-            "$dir/$sel-par.szx" --abs 1e-3 --kernel "$sel" --parallel >/dev/null \
-            || simd_fail "compress --kernel $sel --parallel"
-        cargo run -q --release -p szx-cli -- decompress "$dir/$sel-par.szx" \
-            "$dir/$sel-par.f32" --kernel "$sel" --parallel >/dev/null \
-            || simd_fail "decompress --kernel $sel --parallel"
-        cmp -s "$dir/$sel.szx" "$dir/$sel-par.szx" \
-            || simd_fail "$sel serial and parallel streams differ"
-        cmp -s "$dir/$sel.f32" "$dir/$sel-par.f32" \
-            || simd_fail "$sel serial and parallel decodes differ bitwise"
+    # One field fits in one 4 MiB window; the concatenation of 30 spans
+    # three, so its cmp crosses window boundaries in both directions.
+    find "$dir/fields" -name '*.f32' | sort | head -30 | xargs cat >"$dir/multi.f32" \
+        || simd_fail "concatenating fields"
+    (($(stat -c %s "$dir/multi.f32") > 8 * 1024 * 1024)) \
+        || simd_fail "concatenated input is not larger than two windows"
+    local input sel
+    for input in "$field" "$dir/multi.f32"; do
+        for sel in scalar kernel simd; do
+            cargo run -q --release -p szx-cli -- compress "$input" \
+                "$dir/$sel.szx" --abs 1e-3 --kernel "$sel" >/dev/null \
+                || simd_fail "compress --kernel $sel"
+            cargo run -q --release -p szx-cli -- decompress "$dir/$sel.szx" \
+                "$dir/$sel.f32" --kernel "$sel" >/dev/null \
+                || simd_fail "decompress --kernel $sel"
+            # Serial and --parallel are one codec with a different split: the
+            # parallel stream and decode must equal the serial files bytewise.
+            cargo run -q --release -p szx-cli -- compress "$input" \
+                "$dir/$sel-par.szx" --abs 1e-3 --kernel "$sel" --parallel >/dev/null \
+                || simd_fail "compress --kernel $sel --parallel"
+            cargo run -q --release -p szx-cli -- decompress "$dir/$sel-par.szx" \
+                "$dir/$sel-par.f32" --kernel "$sel" --parallel >/dev/null \
+                || simd_fail "decompress --kernel $sel --parallel"
+            cmp -s "$dir/$sel.szx" "$dir/$sel-par.szx" \
+                || simd_fail "$sel serial and parallel streams differ ($input)"
+            cmp -s "$dir/$sel.f32" "$dir/$sel-par.f32" \
+                || simd_fail "$sel serial and parallel decodes differ bitwise ($input)"
+        done
+        cmp -s "$dir/scalar.szx" "$dir/kernel.szx" \
+            || simd_fail "scalar and kernel streams differ ($input)"
+        cmp -s "$dir/scalar.szx" "$dir/simd.szx" \
+            || simd_fail "scalar and simd streams differ ($input)"
+        cmp -s "$dir/scalar.f32" "$dir/simd.f32" \
+            || simd_fail "scalar and simd decodes differ bitwise ($input)"
     done
-    cmp -s "$dir/scalar.szx" "$dir/kernel.szx" \
-        || simd_fail "scalar and kernel streams differ"
-    cmp -s "$dir/scalar.szx" "$dir/simd.szx" \
-        || simd_fail "scalar and simd streams differ"
-    cmp -s "$dir/scalar.f32" "$dir/simd.f32" \
-        || simd_fail "scalar and simd decodes differ bitwise"
     rm -rf "$dir"
 }
 
