@@ -40,7 +40,8 @@ const EXPLAIN: &[RuleDoc] = &[
     (
         "unsafe-allowlist",
         "`unsafe` appears only in the allowlisted unsafe surfaces \
-         (szx-telemetry's trace/json modules and crates/szx-core/src/simd/).",
+         (szx-telemetry's trace/json modules, the rayon shim's pool, and \
+         crates/szx-core/src/simd/).",
         "None — move the code into an allowlisted file or make it safe. The \
          allowlist itself changes only by editing rules::UNSAFE_ALLOWLIST \
          alongside a review of the new surface.",

@@ -265,7 +265,8 @@ mod tests {
     /// Allowlist review for the observability layer: the resource-sampler
     /// thread, exporters, manifest, snapshot, and progress modules are pure
     /// safe code, so `szx-telemetry` keeps its `unsafe` confined to the two
-    /// long-audited files — nothing new earns an allowance.
+    /// long-audited files — nothing new earns an allowance. The only other
+    /// file entry is the rayon shim's pool (one lifetime erasure).
     #[test]
     fn observability_modules_need_no_unsafe_allowance() {
         assert_eq!(
@@ -273,6 +274,7 @@ mod tests {
             &[
                 "crates/szx-telemetry/src/trace.rs",
                 "crates/szx-telemetry/src/json.rs",
+                "shims/rayon/src/pool.rs",
             ]
         );
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -319,12 +321,13 @@ mod tests {
         );
         let mut findings = Vec::new();
         check_crate_attrs(&[present], &mut findings);
-        // szx-core passes both deny checks; every forbid root and the
-        // telemetry deny root are missing from the set.
+        // szx-core passes both deny checks; every forbid root, the
+        // telemetry deny root and the rayon shim's two deny roots are
+        // missing from the set.
         assert!(findings
             .iter()
             .all(|f| f.path != "crates/szx-core/src/lib.rs"));
-        assert_eq!(findings.len(), FORBID_UNSAFE_ROOTS.len() + 1);
+        assert_eq!(findings.len(), FORBID_UNSAFE_ROOTS.len() + 3);
     }
 
     #[test]

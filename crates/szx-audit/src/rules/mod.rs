@@ -45,9 +45,12 @@ use crate::report::{Counts, Finding};
 use crate::source::SourceFile;
 
 /// Files allowed to contain `unsafe` (each site still needs `// SAFETY:`).
+/// The rayon shim's pool erases one closure lifetime to run borrowed work
+/// on its persistent threads.
 pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/szx-telemetry/src/trace.rs",
     "crates/szx-telemetry/src/json.rs",
+    "shims/rayon/src/pool.rs",
 ];
 
 /// Directory prefixes allowed to contain `unsafe` (same `// SAFETY:`
@@ -80,12 +83,14 @@ pub const FORBID_UNSAFE_ROOTS: &[&str] = &[
 pub const DENY_UNSAFE_OP_ROOTS: &[&str] = &[
     "crates/szx-telemetry/src/lib.rs",
     "crates/szx-core/src/lib.rs",
+    "shims/rayon/src/lib.rs",
 ];
 
 /// Crate roots that must carry `#![deny(unsafe_code)]`: crates whose unsafe
 /// surface is confined to allowlisted files via per-file
 /// `#![allow(unsafe_code)]` opt-ins.
-pub const DENY_UNSAFE_CODE_ROOTS: &[&str] = &["crates/szx-core/src/lib.rs"];
+pub const DENY_UNSAFE_CODE_ROOTS: &[&str] =
+    &["crates/szx-core/src/lib.rs", "shims/rayon/src/lib.rs"];
 
 /// Kernel modules whose offset arithmetic must annotate narrowing casts.
 /// The SIMD dispatch layer and the x86 backend join the portable kernels:

@@ -1,6 +1,8 @@
 //! The SZx decompressor: stream indexing, the [`Decoder`] (serial or
 //! parallel over one block-run loop), and the per-block routines.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use rayon::prelude::*;
 
 use crate::bitio::{BitReader, StateBits};
@@ -212,9 +214,12 @@ pub struct Decoder {
     kernel: KernelPath,
     parallel: bool,
     /// Arenas for the serial mode, reused across calls: once grown to the
-    /// largest block they never grow again. Parallel groups each use their
-    /// own.
+    /// largest block they never grow again.
     scratch: DecodeScratch,
+    /// Arenas for the parallel mode, one per pool thread, reused the same
+    /// way: each thread taking part in a window borrows one for all the
+    /// groups it decodes.
+    shelf: Vec<DecodeScratch>,
 }
 
 impl Default for Decoder {
@@ -231,6 +236,7 @@ impl Decoder {
             kernel: kernel.resolve(),
             parallel,
             scratch: DecodeScratch::default(),
+            shelf: Vec::new(),
         }
     }
 
@@ -319,6 +325,16 @@ impl Decoder {
         // the serial loop carries the count from window to window.
         let mut group_nc = Vec::new();
         if self.parallel {
+            // One arena per thread that can take part, sized for a whole
+            // block up front where the path uses one, so growth depends on
+            // the stream and not on which threads join which window.
+            self.shelf
+                .resize_with(rayon::current_num_threads(), DecodeScratch::default);
+            if uses_arena(self.kernel, index.header.strategy) {
+                for s in &mut self.shelf {
+                    s.ensure(index.header.block_size);
+                }
+            }
             group_nc.reserve(index.states.len().div_ceil(DECODE_GROUP));
             let mut nc = 0usize;
             for (b, s) in index.states.iter().enumerate() {
@@ -336,12 +352,18 @@ impl Decoder {
             nc = self.decode_window(index, start / index.header.block_size, nc, &group_nc, out)?;
             sink(out)
         });
-        let grows = self.scratch.take_grows();
-        if grows > 0 && szx_telemetry::enabled() {
-            let tel = szx_telemetry::global();
-            tel.counter("decompress.scratch.grows").add(grows);
-            tel.gauge("decompress.scratch.arena_bytes")
-                .set_max(self.scratch.arena_bytes() as f64);
+        // Runs publish the growth of the arena they used; what is left was
+        // grown outside a run (the shelf's up-front sizing, random-access
+        // block decodes).
+        let mut bytes = 0;
+        for s in std::iter::once(&mut self.scratch).chain(&mut self.shelf) {
+            flush_grows(s);
+            bytes += s.arena_bytes();
+        }
+        if bytes > 0 && szx_telemetry::enabled() {
+            szx_telemetry::global()
+                .gauge("decompress.scratch.arena_bytes")
+                .set_max(bytes as f64);
         }
         result
     }
@@ -376,21 +398,57 @@ impl Decoder {
             return decode_run(index, first_block, nc, out, path, &mut self.scratch);
         }
         let first_group = first_block / DECODE_GROUP;
-        out.par_chunks_mut(index.header.block_size * DECODE_GROUP)
+        let shelf = Mutex::new(std::mem::take(&mut self.shelf));
+        let result = out
+            .par_chunks_mut(index.header.block_size * DECODE_GROUP)
             .enumerate()
-            .try_for_each(|(g, group)| {
-                let g = first_group + g;
-                let _z = szx_telemetry::trace_zone("decompress.group", g as u64);
-                // One arena per group, not one per block.
-                let mut scratch = DecodeScratch::default();
-                // PANIC-OK: windows start on group boundaries inside the
-                // stream's num_blocks blocks, and group_nc holds one entry
-                // per group of the stream.
-                let nc = group_nc[g];
-                decode_run(index, g * DECODE_GROUP, nc, group, path, &mut scratch).map(|_| ())
-            })?;
-        Ok(nc)
+            .try_for_each_init(
+                || Lease::take(&shelf),
+                |lease, (g, group)| {
+                    let g = first_group + g;
+                    let _z = szx_telemetry::trace_zone("decompress.group", g as u64);
+                    // PANIC-OK: windows start on group boundaries inside the
+                    // stream's num_blocks blocks, and group_nc holds one
+                    // entry per group of the stream.
+                    let nc = group_nc[g];
+                    decode_run(index, g * DECODE_GROUP, nc, group, path, &mut lease.scratch)
+                        .map(|_| ())
+                },
+            );
+        self.shelf = shelf.into_inner().unwrap_or_else(PoisonError::into_inner);
+        result.map(|()| nc)
     }
+}
+
+/// One thread's decode arena for a parallel window: taken from the
+/// decoder's shelf by the thread's first group, put back when the thread
+/// has no group left.
+struct Lease<'a> {
+    shelf: &'a Mutex<Vec<DecodeScratch>>,
+    scratch: DecodeScratch,
+}
+
+impl<'a> Lease<'a> {
+    fn take(shelf: &'a Mutex<Vec<DecodeScratch>>) -> Self {
+        let scratch = lock(shelf).pop().unwrap_or_default();
+        Lease { shelf, scratch }
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        lock(self.shelf).push(std::mem::take(&mut self.scratch));
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Whether [`decode_block_dispatch`] sends `path` and `strategy` to a
+/// decoder that works in a [`DecodeScratch`] (the scalar loop needs none).
+fn uses_arena(path: KernelPath, strategy: CommitStrategy) -> bool {
+    path != KernelPath::Scalar && strategy == CommitStrategy::ByteAligned
 }
 
 /// Publish what a decompression saw — block classes come for free from the
@@ -461,7 +519,18 @@ fn decode_run<F: SzxFloat>(
             block_out.fill(mu);
         }
     }
+    flush_grows(scratch);
     Ok(nc)
+}
+
+/// Publish the growth events `scratch` has seen since its last flush.
+fn flush_grows(scratch: &mut DecodeScratch) {
+    let grows = scratch.take_grows();
+    if grows > 0 && szx_telemetry::enabled() {
+        szx_telemetry::global()
+            .counter("decompress.scratch.grows")
+            .add(grows);
+    }
 }
 
 /// Decode one non-constant block payload into `out` (of the block's length).

@@ -145,7 +145,7 @@ run_profile_smoke() {
 # kernels and the autovectorized portable kernels both need optimizations
 # to exercise their real codegen. Also proves the CLI-level plumbing end to
 # end with a stream `cmp` across --kernel selections, each serial and
-# --parallel.
+# --parallel (on the default pool and on RAYON_NUM_THREADS=3).
 run_simd_equivalence() {
     echo "==> SIMD equivalence (scalar vs kernel vs simd, serial vs parallel, release)"
     cargo test -q --release -p szx-core simd \
@@ -193,6 +193,18 @@ run_simd_equivalence() {
                 || simd_fail "$sel serial and parallel streams differ ($input)"
             cmp -s "$dir/$sel.f32" "$dir/$sel-par.f32" \
                 || simd_fail "$sel serial and parallel decodes differ bitwise ($input)"
+            # Again on three threads, more than a 2-core runner has: the
+            # bytes must not depend on the pool size or the claim order.
+            RAYON_NUM_THREADS=3 cargo run -q --release -p szx-cli -- compress "$input" \
+                "$dir/$sel-par3.szx" --abs 1e-3 --kernel "$sel" --parallel >/dev/null \
+                || simd_fail "compress --kernel $sel --parallel (3 threads)"
+            RAYON_NUM_THREADS=3 cargo run -q --release -p szx-cli -- decompress \
+                "$dir/$sel-par3.szx" "$dir/$sel-par3.f32" --kernel "$sel" --parallel >/dev/null \
+                || simd_fail "decompress --kernel $sel --parallel (3 threads)"
+            cmp -s "$dir/$sel.szx" "$dir/$sel-par3.szx" \
+                || simd_fail "$sel serial and 3-thread parallel streams differ ($input)"
+            cmp -s "$dir/$sel.f32" "$dir/$sel-par3.f32" \
+                || simd_fail "$sel serial and 3-thread parallel decodes differ bitwise ($input)"
         done
         cmp -s "$dir/scalar.szx" "$dir/kernel.szx" \
             || simd_fail "scalar and kernel streams differ ($input)"

@@ -3,71 +3,90 @@
 //! The build environment has no access to crates.io, so the workspace ships
 //! this minimal drop-in that implements exactly the data-parallel subset the
 //! codebase uses — `par_chunks`, `par_chunks_mut`, `par_iter`, `map`,
-//! `enumerate`, `collect`, `reduce`, `for_each`, `try_for_each`, and
-//! `current_num_threads` — with real OS threads via [`std::thread::scope`].
+//! `enumerate`, `collect`, `reduce`, `for_each`, `try_for_each`,
+//! `try_for_each_init`, and `current_num_threads` — on a persistent pool
+//! of OS threads (the `pool` module).
 //!
 //! Semantics match rayon where it matters here:
-//! * closures run concurrently across up to [`current_num_threads`] workers;
+//! * closures run concurrently on up to [`current_num_threads`] threads:
+//!   the pool's workers plus the calling thread;
 //! * item order is preserved by all collecting adapters;
-//! * panics in worker closures propagate to the caller.
+//! * a panic in any closure is re-raised in the caller once every thread
+//!   of that operation has stopped;
+//! * an operation started inside a worker closure runs inline on that
+//!   worker, so nesting cannot deadlock.
 //!
-//! It is *not* a work-stealing scheduler: each terminal operation splits its
-//! items into contiguous runs, one per worker thread. For the block/chunk
-//! granularity this workspace uses, that is the same parallel shape the
-//! paper's OpenMP implementation has.
+//! It is *not* a work-stealing scheduler: each terminal operation collects
+//! its items, and every participating thread claims them one at a time
+//! from a shared counter until none are left. A slow item therefore holds
+//! up only the thread running it — the dynamic balance of the paper's
+//! OpenMP `parallel for` over block groups, at item granularity.
 
-use std::num::NonZeroUsize;
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
-/// Number of worker threads a parallel operation will use at most.
+mod pool;
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+use pool::lock;
+
+#[doc(hidden)]
+pub use pool::started_workers;
+
+/// Number of threads a parallel operation runs on at most: the pool's
+/// workers plus the caller. Read from `RAYON_NUM_THREADS` (else the
+/// available cores) once per process and fixed from then on.
 pub fn current_num_threads() -> usize {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+    pool::size()
 }
 
 /// Run `f` over `items` on up to [`current_num_threads`] threads, preserving
 /// item order in the result.
 fn par_apply<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    par_apply_init(items, || (), |_, item| f(item))
+}
+
+/// [`par_apply`] with per-thread state: each thread taking part calls
+/// `init` once, before its first item, and hands the state to `f` for
+/// every item it claims.
+fn par_apply_init<T: Send, R: Send, S>(
+    items: Vec<T>,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, T) -> R + Sync,
+) -> Vec<R> {
     let n = items.len();
-    // A single item (a serial codec call) runs inline without looking up
-    // the worker count.
-    if n <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let workers = current_num_threads().min(n);
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    // Contiguous runs, one per worker; the first `rem` runs get one extra.
-    let base = n / workers;
-    let rem = n % workers;
-    let mut groups: Vec<Vec<T>> = Vec::with_capacity(workers);
-    let mut items = items;
-    for w in (0..workers).rev() {
-        let size = base + usize::from(w < rem);
-        groups.push(items.split_off(items.len() - size));
-    }
-    groups.reverse();
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = groups
+    // A single item (a serial codec call) or a one-thread pool runs inline.
+    if n <= 1 || current_num_threads() <= 1 {
+        let mut state = None;
+        return items
             .into_iter()
-            .map(|g| s.spawn(move || g.into_iter().map(f).collect::<Vec<R>>()))
+            .map(|item| f(state.get_or_insert_with(&init), item))
             .collect();
-        let mut out = Vec::with_capacity(n);
-        for h in handles {
-            // PANIC-OK: join() only fails if the worker closure itself
-            // panicked — this re-raises, it cannot originate a panic.
-            out.extend(h.join().expect("rayon-shim worker panicked"));
+    }
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
+    let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
+    pool::run(current_num_threads().min(n) - 1, &|| {
+        let mut state = None;
+        let mut mine = Vec::new();
+        loop {
+            // ORDERING: the counter only hands out indices; items and
+            // results travel through their mutexes and the pool's join.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else { break };
+            // Each index is claimed once, so the slot still holds its item.
+            let item = lock(slot).take();
+            if let Some(item) = item {
+                mine.push((i, f(state.get_or_insert_with(&init), item)));
+            }
         }
-        out
-    })
+        lock(&done).append(&mut mine);
+    });
+    let mut done = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// The parallel-iterator trait: adapters build lazily, terminal operations
@@ -106,6 +125,20 @@ pub trait ParallelIterator: Sized + Send {
         E: Send,
     {
         par_apply(self.collect_items(), f).into_iter().collect()
+    }
+
+    /// [`Self::try_for_each`] with per-thread state: every thread taking
+    /// part calls `init` once and passes the state to `f` for each item
+    /// it claims (rayon calls `init` per split; here a split is a thread).
+    fn try_for_each_init<INIT, S, F, E>(self, init: INIT, f: F) -> Result<(), E>
+    where
+        INIT: Fn() -> S + Sync + Send,
+        F: Fn(&mut S, Self::Item) -> Result<(), E> + Sync + Send,
+        E: Send,
+    {
+        par_apply_init(self.collect_items(), init, f)
+            .into_iter()
+            .collect()
     }
 
     fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item

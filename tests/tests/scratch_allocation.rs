@@ -2,7 +2,8 @@
 //! and `DecodeScratch` arenas removed: the codec publishes how many times an
 //! arena had to grow (`compress.scratch.grows`, `decompress.scratch.grows`),
 //! and that number must stay O(1) per encode call / per parallel chunk — not
-//! O(blocks) — and drop to zero when a `Decoder` is reused.
+//! O(blocks) — and drop to zero when a `Decoder`, serial or parallel, is
+//! reused.
 //!
 //! Single test function: the telemetry registry is process-global and this
 //! file is its own test binary (see telemetry_counters.rs).
@@ -78,6 +79,37 @@ fn scratch_arena_growth_is_bounded() {
                 .unwrap_or(0);
             let expect = u64::from(call == 0 && uses_arena);
             assert_eq!(grows, expect, "decode call {call} ({sel:?}): arena growths");
+        }
+
+        // Parallel decode: one arena per pool thread, grown on the first
+        // call and reused by every group, window and later call — never
+        // one per group (this stream has ~125 groups).
+        let threads = rayon::current_num_threads() as u64;
+        let mut decoder = Decoder::new(sel, true);
+        for call in 0..2 {
+            tel.reset();
+            let back: Vec<f32> = decoder.decode(&bytes).unwrap();
+            assert_eq!(back.len(), data.len());
+            let snap = tel.snapshot();
+            let grows = snap.counter("decompress.scratch.grows").unwrap_or(0);
+            if call == 0 && uses_arena {
+                assert!(
+                    (1..=threads).contains(&grows),
+                    "parallel decode call 0 ({sel:?}): {grows} grows for {threads} threads"
+                );
+                // An arena for 128-element blocks reserves at least 33
+                // bytes per element (lead, offset, 3 providers, word, pool).
+                let bytes = snap.gauge("decompress.scratch.arena_bytes").unwrap_or(0.0);
+                assert!(
+                    bytes >= (grows * 128 * 33) as f64,
+                    "parallel ({sel:?}): arena_bytes {bytes} must cover all {grows} arenas"
+                );
+            } else {
+                assert_eq!(
+                    grows, 0,
+                    "parallel decode call {call} ({sel:?}): arena growths"
+                );
+            }
         }
     }
 }

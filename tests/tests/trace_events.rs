@@ -83,8 +83,9 @@ fn names(capture: &TraceCapture) -> Vec<&'static str> {
 
 #[test]
 fn chrome_trace_roundtrip_lanes_and_determinism() {
-    // The rayon shim sizes its pool from this env var per call; the CI box
-    // may expose a single core, so force real parallelism explicitly.
+    // The rayon shim fixes its pool size from this env var on first use,
+    // and this binary's only test sets it before any parallel call; the CI
+    // box may expose a single core, so force real parallelism explicitly.
     std::env::set_var("RAYON_NUM_THREADS", "4");
     szx_telemetry::set_trace_enabled(true);
     let _ = take_trace(); // drop anything a previous run left behind
