@@ -1,12 +1,17 @@
-//! Decode-side acceptance bench: the two-pass branch-free decode kernel
+//! Decode-side acceptance bench: the one-pass branch-free decode kernel
 //! (`KernelSelect::Kernel`) vs. the scalar reference decoder
-//! (`KernelSelect::Scalar`) — plus, on capable hosts, the fused SIMD
-//! decoder (`KernelSelect::Simd`) — on 64 MB f32 streams from the CESM-ATM
-//! and Nyx generators. All paths reconstruct bit-identical outputs (asserted at
-//! setup), so any delta is pure decode-loop throughput. Timed calls reuse a
-//! preallocated output buffer and a persistent `Decoder` (whose kernel
-//! arenas survive across calls), so no allocation is inside the measured
-//! region.
+//! (`KernelSelect::Scalar`) — plus, on capable hosts, the SIMD lane-scan
+//! decoder (`KernelSelect::Simd`) — on 64 MB f32 streams from the CESM-ATM,
+//! Nyx and SCALE-LetKF generators. Both kernels carry the lead-byte
+//! recurrence `w_i = a_i | (w_{i-1} & keep(l_i))` as a running word: the
+//! portable one four values per code byte, the SIMD one as a `(keep, word)`
+//! scan across four lanes plus one carried word (DESIGN.md §5.2). SCALE at
+//! REL 1e-3 is almost all `nb = 2` non-constant blocks, the lead-clamp path
+//! and the heaviest decode load. All paths reconstruct bit-identical outputs
+//! (asserted at setup), so any delta is pure decode-loop throughput. Timed
+//! calls reuse a preallocated output buffer and a persistent `Decoder`
+//! (whose pool arena survives across calls), so no allocation is inside the
+//! measured region.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use szx_core::config::KernelSelect;
@@ -32,7 +37,11 @@ fn dataset_64mb(app: Application) -> Vec<f32> {
 }
 
 fn bench_decode(c: &mut Criterion) {
-    for (name, app) in [("cesm", Application::CesmAtm), ("nyx", Application::Nyx)] {
+    for (name, app) in [
+        ("cesm", Application::CesmAtm),
+        ("nyx", Application::Nyx),
+        ("scale", Application::ScaleLetkf),
+    ] {
         let data = dataset_64mb(app);
         let bytes = (data.len() * 4) as u64;
         let stream = szx_core::compress(&data, &SzxConfig::relative(1e-3)).unwrap();

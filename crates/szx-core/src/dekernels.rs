@@ -1,100 +1,78 @@
-//! Branch-free, two-pass decode kernels — the decompression counterpart of
+//! One-pass, branch-free decode kernel — the decompression counterpart of
 //! [`crate::kernels`].
 //!
 //! The scalar decoder in [`crate::decode`] reconstructs a `ByteAligned`
 //! block with one branchy loop carrying *two* serial dependences: the
-//! mid-byte cursor (`pos += nb - lead`, so value *i*'s payload address is
-//! unknown until value *i−1* is parsed) and the `prev`-word recurrence (the
+//! mid-byte cursor (`pos += nb - lead`) and the `prev`-word recurrence (the
 //! leading bytes of value *i* are copied out of the previous reconstructed
-//! word). Both are exactly the serializations the paper's own parallel
-//! design attacks: §6.1 prefix-sums the `zsize_array` so every thread knows
-//! its block's start address, and cuSZx's device decompressor resolves the
-//! leading-byte dependency with an index-propagation (prefix-scan) pass.
-//! This module applies the same two devices *within* a block:
+//! word). On a GPU, cuSZx breaks the second with an index-propagation pass;
+//! on a CPU it need not be broken at all, only made cheap. Written as words,
+//! the recurrence is
 //!
-//! **Pass 1 — offsets and provenance (integer scans, no float work):**
-//! 1. Unpack all 2-bit lead codes in bulk (no per-value bit branch).
-//! 2. Prefix-sum `nb − lead` to get every value's exact byte offset into
-//!    the mid-byte pool — the §6.1 zsize prefix sum at value granularity.
-//!    One comparison of the total against the pool length replaces the
-//!    scalar loop's per-value bounds check.
-//! 3. Propagate, per byte position `p ∈ {0,1,2}` (a lead code never exceeds
-//!    3, so deeper bytes are always self-provided), the index of the last
-//!    value whose own payload covers byte `p` — cuSZx's index propagation.
-//!    A lead code of 0 restates the whole word and resets all three scans,
-//!    which is what breaks the `prev` recurrence: after this pass every
-//!    value knows *which* earlier value each inherited byte comes from, so
-//!    reconstruction needs no loop-carried word at all.
+//! ```text
+//! w_i = a_i | (w_{i-1} & keep(l_i))
+//! ```
 //!
-//! **Pass 2 — reconstruction (unconditional loads, vectorizable sweep):**
-//! 4. Copy the pool into a slack-padded arena once, then materialize each
-//!    value's *aligned word* with an unconditional overlapping 8-byte load
-//!    at its prefix-summed offset (the mirror image of the encoder's
-//!    overlapping-store committer — the garbage tail each load drags in is
-//!    masked off, never branched on).
-//! 5. Assemble `w_i` by masking bytes out of the provider words found in
-//!    step 3, then run one independent-per-element
-//!    `w << s` → [`SzxFloat::from_word`] → `+ μ` sweep.
+//! where `l_i` is the clamped lead code, `keep(l)` masks the top `l` bytes,
+//! and `a_i` is value *i*'s own mid-bytes placed at byte positions
+//! `l_i..nb`. That is two ALU operations carried per value, and the pairs
+//! `(keep, a)` compose associatively — `(k2, a2) ∘ (k1, a1) = (k1 & k2,
+//! a2 | (k2 & a1))`, identity `(!0, 0)` — so a SIMD backend can scan them
+//! across lanes and carry one word between groups (DESIGN.md §5.2).
+//!
+//! The kernel is one pass per block:
+//!
+//! 1. **Total first.** The mid-byte pool length the codes demand is
+//!    `blen·nb − Σ min(c_i, nb)`, and the sum is popcounts of the code bytes
+//!    (with the `nb = 2` clamp as a bit-plane correction). It is
+//!    checked against the pool before any value is written, which subsumes
+//!    the scalar loop's per-value bounds check: the per-value needs are
+//!    non-negative, so a prefix overruns the pool exactly when the total
+//!    does.
+//! 2. **Loads.** The pool is copied once into a slack-padded arena; each
+//!    value's `a_i` is an unconditional overlapping 8-byte big-endian load
+//!    at its offset `i·nb − Σ_{j<i} l_j`, shifted right by `8·l_i` (the
+//!    mirror image of the encoder's overlapping-store committer — the tail
+//!    the load drags in sits past `nb` and is masked, never branched on).
+//! 3. **Scan and output.** The carried word steps through the recurrence
+//!    above, and each value is `(w & top) << s` → [`SzxFloat::from_word`]
+//!    → `+ μ`.
 //!
 //! The kernel is **byte-for-byte equivalent** to the scalar decoder —
-//! identical outputs on every valid stream (bit patterns included) and an
-//! error on exactly the corrupt streams the scalar loop rejects — which the
-//! roundtrip property and corrupt-stream suites assert. The scalar decoder
-//! stays behind [`KernelSelect::Scalar`](crate::config::KernelSelect) as
-//! the oracle, exactly as the encode kernels did in `kernels.rs`.
+//! identical outputs on every valid stream (bit patterns included) and the
+//! same error on exactly the corrupt streams the scalar loop rejects — which
+//! the forged-payload tests below, the roundtrip property suite and the
+//! fuzz oracle assert. The scalar decoder stays behind
+//! [`KernelSelect::Scalar`](crate::config::KernelSelect) as the oracle.
 
 use crate::block::{bytes_for, shift_for};
 use crate::contracts::contract;
 use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
 
-/// Reusable scratch for the decode kernel. A [`crate::Decoder`] owns one
-/// for its serial runs and keeps it across calls; a parallel decode gives
-/// each rayon group its own, mirroring [`crate::kernels::EncodeScratch`].
-/// Either way the block loop performs **zero** allocations once the arenas
-/// have grown to the largest block.
+/// Reusable scratch for the decode kernel: the slack-padded mid-byte pool.
+/// A [`crate::Decoder`] owns one for its serial runs and keeps it across
+/// calls; a parallel decode gives each pool thread its own, mirroring
+/// [`crate::kernels::EncodeScratch`]. Either way the block loop performs
+/// **zero** allocations once the arena has grown to the largest block.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// Clamped lead code per element (unpacked, one byte each).
-    /// Fields are `pub(crate)` so the SIMD decoder can share pass 1 (the
-    /// integer scan below) and run its own gather-based pass 2.
-    pub(crate) leads: Vec<u8>,
-    /// Byte offset of each element's mid-bytes inside the pool (prefix sum).
-    pub(crate) offsets: Vec<u32>,
-    /// Provider index per byte position 0/1/2: `prov[p][i]` is the 1-based
-    /// index of the word supplying byte `p` of value `i` (0 = the implicit
-    /// all-zero word before the block).
-    pub(crate) prov0: Vec<u32>,
-    pub(crate) prov1: Vec<u32>,
-    pub(crate) prov2: Vec<u32>,
-    /// Aligned words, one slot of lead (index 0) for the implicit zero word.
-    pub(crate) words: Vec<u64>,
     /// Mid-byte pool copy with 8 bytes of slack so the unconditional
     /// overlapping 8-byte loads never read out of bounds.
-    pub(crate) pool: Vec<u8>,
+    pool: Vec<u8>,
     /// Arena (re)allocation events, for allocation-regression tests.
-    pub(crate) grows: u64,
+    grows: u64,
 }
 
 impl DecodeScratch {
-    /// Grow the arenas to hold a block of `blen` elements. Amortized free:
+    /// Grow the arena to hold a block of `blen` elements. Amortized free:
     /// after the first block of maximal size this never reallocates.
     #[inline]
     pub(crate) fn ensure(&mut self, blen: usize) {
-        if self.leads.len() < blen {
+        if self.pool.len() < blen * 8 + 8 {
             self.grows += 1;
-            self.leads.resize(blen, 0);
-            self.offsets.resize(blen, 0);
-            self.prov0.resize(blen, 0);
-            self.prov1.resize(blen, 0);
-            self.prov2.resize(blen, 0);
-            self.words.resize(blen + 1, 0);
             self.pool.resize(blen * 8 + 8, 0);
         }
-        contract!(
-            self.words.len() > blen && self.pool.len() >= blen * 8 + 8,
-            "decode arenas sized for {blen} elements"
-        );
     }
 
     /// Drain the growth-event count (for telemetry/regression flushes).
@@ -103,198 +81,205 @@ impl DecodeScratch {
         std::mem::take(&mut self.grows)
     }
 
-    /// Bytes currently reserved by the arenas — published as the
+    /// Bytes currently reserved by the arena — published as the
     /// `decompress.scratch.arena_bytes` gauge at the telemetry flush.
     pub(crate) fn arena_bytes(&self) -> u64 {
-        (self.leads.capacity()
-            + self.offsets.capacity() * 4
-            + self.prov0.capacity() * 4
-            + self.prov1.capacity() * 4
-            + self.prov2.capacity() * 4
-            + self.words.capacity() * 8
-            + self.pool.capacity()) as u64
+        self.pool.capacity() as u64
     }
 }
 
-/// Mask selecting big-endian byte `p` of a word, zero past the `nb`-byte
-/// significant prefix. Shared with the SIMD decoder's gather pass.
-#[inline]
-pub(crate) fn byte_mask(p: usize, nb: usize) -> u64 {
-    if p < nb {
-        0xffu64 << (56 - 8 * p)
-    } else {
-        0
-    }
-}
-
-/// Validated view of a non-constant `ByteAligned` block payload: the
-/// required length, the bit-exact flag, and the lead-code/body sections.
-/// Shared by the kernel and SIMD decoders so both reject exactly the
-/// corrupt payloads the scalar loop rejects.
-pub(crate) struct NonconstHeader<'a> {
-    pub(crate) req_len: u32,
-    pub(crate) raw: bool,
+/// A validated non-constant `ByteAligned` block, ready to decode: its lead
+/// codes, its mid-bytes copied into the slack-padded pool, and the
+/// per-block constants. Shared by the kernel and SIMD decoders so both
+/// reject exactly the corrupt payloads the scalar loop rejects, with the
+/// same messages.
+pub(crate) struct Block<'a> {
+    /// The 2-bit lead codes, four per byte, first value in the high bits.
     pub(crate) codes: &'a [u8],
-    pub(crate) body: &'a [u8],
+    /// The mid-bytes, at least `blen·nb + 8` bytes long: every value's
+    /// offset is at most `(blen − 1)·nb`, so each 8-byte load stays inside.
+    pub(crate) pool: &'a [u8],
+    /// Significant bytes per word.
+    pub(crate) nb: usize,
+    /// Left shift back to the high-aligned word.
+    pub(crate) s: u32,
+    /// Mask of the `nb` significant high bytes.
+    pub(crate) top: u64,
+    /// Bit-exact block: μ is not added back.
+    pub(crate) raw: bool,
 }
 
-/// Parse and validate the `[R_k: u8][2-bit lead codes]` prefix of a
-/// non-constant block payload. Same checks and error messages as the scalar
-/// [`crate::decode::decode_nonconstant_block`].
-pub(crate) fn parse_nonconstant_header<F: SzxFloat>(
-    payload: &[u8],
-    blen: usize,
-) -> Result<NonconstHeader<'_>> {
-    let lead_bytes = (2 * blen).div_ceil(8);
-    if payload.len() < 1 + lead_bytes {
-        return Err(SzxError::CorruptStream("block payload truncated".into()));
-    }
-    // PANIC-OK: the length check above guarantees 1 + lead_bytes bytes.
-    // CAST: widening u8 -> u32.
-    let req_len = payload[0] as u32;
-    if req_len < F::SIGN_EXP_BITS || req_len > F::FULL_BITS {
-        return Err(SzxError::CorruptStream(format!(
-            "required length {req_len} invalid for {}",
-            F::NAME
-        )));
-    }
-    Ok(NonconstHeader {
-        req_len,
-        raw: req_len == F::FULL_BITS,
+impl<'a> Block<'a> {
+    /// Parse and validate the `[R_k: u8][2-bit lead codes][mid-bytes]`
+    /// payload of a `blen`-element block, and copy the mid-bytes into
+    /// `scratch`. Same checks, in the same order and with the same error
+    /// messages, as the scalar [`crate::decode::decode_nonconstant_block`].
+    pub(crate) fn prepare<F: SzxFloat>(
+        payload: &'a [u8],
+        blen: usize,
+        scratch: &'a mut DecodeScratch,
+    ) -> Result<Self> {
+        let lead_bytes = (2 * blen).div_ceil(8);
+        if payload.len() < 1 + lead_bytes {
+            return Err(SzxError::CorruptStream("block payload truncated".into()));
+        }
+        // PANIC-OK: the length check above guarantees 1 + lead_bytes bytes.
+        // CAST: widening u8 -> u32.
+        let req_len = payload[0] as u32;
+        if req_len < F::SIGN_EXP_BITS || req_len > F::FULL_BITS {
+            return Err(SzxError::CorruptStream(format!(
+                "required length {req_len} invalid for {}",
+                F::NAME
+            )));
+        }
         // PANIC-OK: same length check; payload.len() >= 1 + lead_bytes.
-        codes: &payload[1..1 + lead_bytes],
-        body: &payload[1 + lead_bytes..], // PANIC-OK: as above
-    })
+        let codes = &payload[1..1 + lead_bytes];
+        let body = &payload[1 + lead_bytes..]; // PANIC-OK: as above
+        let nb = bytes_for(req_len);
+        let total = blen * nb - clamped_lead_sum(codes, blen, nb);
+        if total > body.len() {
+            return Err(SzxError::CorruptStream("mid-byte pool truncated".into()));
+        }
+        scratch.ensure(blen);
+        contract!(
+            scratch.pool.len() >= blen * nb + 8,
+            "pool arena sized for {blen} values of {nb} bytes"
+        );
+        // PANIC-OK: total <= body.len() was just checked, and ensure()
+        // sized the pool to blen * 8 + 8 >= total.
+        scratch.pool[..total].copy_from_slice(&body[..total]);
+        Ok(Block {
+            codes,
+            pool: &scratch.pool,
+            nb,
+            s: shift_for(req_len),
+            top: !0u64 << (64 - 8 * nb as u32), // CAST: nb <= 8
+            raw: req_len == F::FULL_BITS,
+        })
+    }
+
+    /// The decoded value of the carried word `w`.
+    #[inline(always)]
+    pub(crate) fn value<F: SzxFloat>(&self, w: u64, mu: F) -> F {
+        let v = F::from_word((w & self.top) << self.s);
+        if self.raw {
+            v
+        } else {
+            v + mu
+        }
+    }
 }
 
-/// Pass 1 — one fused integer scan over the lead codes, producing per
-/// value: the clamped lead, the prefix-summed pool offset (the §6.1
-/// zsize prefix sum at value granularity), and the provider index per
-/// inheritable byte position (cuSZx's index propagation: for each of
-/// the at-most-3 positions a lead code can cover, carry forward the
-/// 1-based index of the last value whose own payload supplies that
-/// byte; a lead of 0 — a fully restated word — resets all three scans,
-/// which is what breaks the scalar loop's `prev` recurrence). Selects,
-/// not branches; the clamp is the same `.min(nb)` the scalar loop does.
-/// Returns the total mid-byte pool length the codes demand. The caller
-/// must have run `scratch.ensure(blen)` and `codes` must hold at least
-/// `ceil(2 * blen / 8)` bytes. Shared with the SIMD decoder (the scan is
-/// inherently serial — three coupled prefix recurrences — so the SIMD
-/// path vectorizes pass 2 only).
-pub(crate) fn scan_lead_codes(
-    codes: &[u8],
-    nb8: u8,
-    blen: usize,
-    scratch: &mut DecodeScratch,
-) -> usize {
-    // PANIC-OK: ensure(blen) (caller contract) sized every arena to >= blen.
-    let leads = &mut scratch.leads[..blen];
-    let offsets = &mut scratch.offsets[..blen]; // PANIC-OK: as above
-    let prov0 = &mut scratch.prov0[..blen]; // PANIC-OK: as above
-    let prov1 = &mut scratch.prov1[..blen]; // PANIC-OK: as above
-    let prov2 = &mut scratch.prov2[..blen]; // PANIC-OK: as above
-    let mut acc = 0u32;
-    let (mut a0, mut a1, mut a2) = (0u32, 0u32, 0u32);
-    for i in 0..blen {
-        // PANIC-OK: i < blen bounds every arena slice taken above, and
-        // i >> 2 < ceil(2 * blen / 8) = codes.len().
-        let l = ((codes[i >> 2] >> (6 - 2 * (i & 3))) & 3).min(nb8);
-        leads[i] = l; // PANIC-OK: as above
-        offsets[i] = acc; // PANIC-OK: as above
-                          // CAST: widening u8 -> u32.
-        acc += (nb8 - l) as u32;
-        // CAST: i < blen <= MAX_BLOCK_SIZE, far below 2^32 - 1.
-        let idx = i as u32 + 1;
-        a0 = if l == 0 { idx } else { a0 };
-        a1 = if l <= 1 { idx } else { a1 };
-        a2 = if l <= 2 { idx } else { a2 };
-        prov0[i] = a0; // PANIC-OK: as above
-        prov1[i] = a1; // PANIC-OK: as above
-        prov2[i] = a2; // PANIC-OK: as above
+/// `Σ min(c_i, nb)` over a block's `blen` 2-bit lead codes, by popcounts
+/// eight code bytes at a time. With `h` and `l` the high and low bit planes
+/// of the codes (`c = 2h + l`), the sum is `2h + l`, less `h & l` (the
+/// codes of 3) when `nb = 2` clamps them to 2. No other `nb` clamps: a
+/// required length is at least 9 bits, so `nb ≥ 2`. The padding codes past
+/// `blen` in the last byte are subtracted back out: the scalar loop never
+/// reads them, so a forged stream may set them.
+fn clamped_lead_sum(codes: &[u8], blen: usize, nb: usize) -> usize {
+    const LO: u64 = 0x5555_5555_5555_5555;
+    contract!(nb >= 2, "required lengths of at least 9 bits give nb >= 2");
+    let sum = |x: u64| -> u32 {
+        let (h, l) = ((x >> 1) & LO, x & LO);
+        let clamped = if nb == 2 { h & l } else { 0 };
+        2 * u64::count_ones(h) + u64::count_ones(l) - u64::count_ones(clamped)
+    };
+    let mut total = 0u32;
+    for chunk in codes.chunks(8) {
+        let mut bytes = [0u8; 8];
+        // PANIC-OK: chunks(8) yields at most 8 bytes.
+        bytes[..chunk.len()].copy_from_slice(chunk);
+        total += sum(u64::from_le_bytes(bytes));
     }
-    acc as usize
+    if let Some(&last) = codes.last() {
+        let pad_bits = 2 * ((4 - blen % 4) % 4);
+        total -= sum(u64::from(last) & ((1u64 << pad_bits) - 1));
+    }
+    total as usize // CAST: widening u32 -> usize
+}
+
+/// The carried state of the one-pass scan — the pool offset and the word
+/// `w_{i-1}` — plus the block's per-code step tables: for raw lead code
+/// `c` with clamped `l = min(c, nb)`, the `keep(l)` mask of the inherited
+/// high bytes, the `8·l` alignment shift, and the `nb − l` pool advance.
+/// The SIMD decoder hands its lane-3 word and offset to one of these for a
+/// ragged tail.
+pub(crate) struct Scan {
+    keep: [u64; 4],
+    shr: [u32; 4],
+    adv: [usize; 4],
+    /// Pool offset of the next value's mid-bytes.
+    pub(crate) off: usize,
+    /// The last reconstructed word (0 before the block's first value).
+    pub(crate) w: u64,
+}
+
+impl Scan {
+    pub(crate) fn new(nb: usize) -> Self {
+        let (mut keep, mut shr, mut adv) = ([0; 4], [0; 4], [0; 4]);
+        for c in 0..4 {
+            let l = c.min(nb);
+            keep[c] = !(u64::MAX >> (8 * l)); // PANIC-OK: c < 4
+            shr[c] = 8 * l as u32; // PANIC-OK: as above; CAST: l <= 3
+            adv[c] = nb - l; // PANIC-OK: as above
+        }
+        Scan {
+            keep,
+            shr,
+            adv,
+            off: 0,
+            w: 0,
+        }
+    }
+
+    /// Decode the values of `out` (at most four) from `byte`'s 2-bit codes,
+    /// high bits first.
+    #[inline(always)]
+    pub(crate) fn decode_byte<F: SzxFloat>(
+        &mut self,
+        blk: &Block<'_>,
+        byte: u8,
+        out: &mut [F],
+        mu: F,
+    ) {
+        for (slot, sh) in out.iter_mut().zip([6u32, 4, 2, 0]) {
+            let c = usize::from((byte >> sh) & 3);
+            let off = self.off;
+            contract!(
+                off + 8 <= blk.pool.len(),
+                "overlapping load at {off} must stay inside the slack-padded pool"
+            );
+            // PANIC-OK: off <= (blen - 1) * nb and the pool holds
+            // blen * nb + 8 bytes (Block::prepare); the unwrap is on an
+            // infallible 8-byte slice -> [u8; 8] conversion; c <= 3 bounds
+            // the step tables.
+            let a = u64::from_be_bytes(blk.pool[off..off + 8].try_into().unwrap()) >> self.shr[c];
+            self.off = off + self.adv[c]; // PANIC-OK: as above
+            self.w = a | (self.w & self.keep[c]); // PANIC-OK: as above
+            *slot = blk.value(self.w, mu);
+        }
+    }
 }
 
 /// Kernel decode of one non-constant `ByteAligned` block payload into `out`
-/// (of the block's length). Same validation, same outputs, and same errors
-/// as the scalar [`crate::decode::decode_nonconstant_block`].
+/// (of the block's length), four values per code byte. Same validation,
+/// same outputs, and same errors as the scalar
+/// [`crate::decode::decode_nonconstant_block`].
 pub(crate) fn decode_nonconstant_block<F: SzxFloat>(
     payload: &[u8],
     out: &mut [F],
     mu: F,
     scratch: &mut DecodeScratch,
 ) -> Result<()> {
-    let blen = out.len();
-    let h = parse_nonconstant_header::<F>(payload, blen)?;
-    let (req_len, raw, codes, body) = (h.req_len, h.raw, h.codes, h.body);
-
-    let s = shift_for(req_len);
-    let nb = bytes_for(req_len);
-    scratch.ensure(blen);
-
-    let nb8 = nb as u8; // CAST: bytes_for() <= 8
-    let total = scan_lead_codes(codes, nb8, blen, scratch);
-    contract!(
-        scratch.offsets.iter().take(blen).is_sorted() && total <= blen * 8,
-        "mid-byte offsets must be a monotone prefix sum bounded by 8 per value"
-    );
-    // One total-length check subsumes the scalar loop's per-value
-    // `pos + k > body.len()` test: the per-value needs are non-negative,
-    // so any prefix overrun implies a total overrun and vice versa.
-    if total > body.len() {
-        return Err(SzxError::CorruptStream("mid-byte pool truncated".into()));
+    let blk = Block::prepare::<F>(payload, out.len(), scratch)?;
+    let mut scan = Scan::new(blk.nb);
+    let (quads, tail) = out.as_chunks_mut::<4>();
+    for (vals, &byte) in quads.iter_mut().zip(blk.codes) {
+        scan.decode_byte(&blk, byte, vals, mu);
     }
-
-    // Pass 2 — one memcpy of the pool into the slack-padded arena, then a
-    // single reconstruction sweep. Each value's *aligned word* is an
-    // unconditional overlapping 8-byte load at its prefix-summed offset
-    // (the mirror image of the encoder's overlapping-store committer): the
-    // value's `nb − lead` mid-bytes land at byte positions `lead..nb`, and
-    // whatever tail the load dragged in sits past `nb`, where the masks
-    // never look. Byte `p` of value `i` then comes from the aligned word
-    // of its provider (itself whenever `p ≥ lead_i`; the implicit zero
-    // word at index 0 when no value has supplied byte `p` yet); bytes 3
-    // and deeper are always self-provided because lead codes top out at 3.
-    // Providers are never *later* values, so materializing `words[i + 1]`
-    // and assembling `out[i]` fuse into one pass without ordering hazards.
-    // PANIC-OK: total <= body.len() was just checked, and ensure() sized
-    // the pool to blen * 8 + 8 >= total + 8.
-    scratch.pool[..total].copy_from_slice(&body[..total]);
-    let m0 = byte_mask(0, nb);
-    let m1 = byte_mask(1, nb);
-    let m2 = byte_mask(2, nb);
-    let top = (!0u64) << (64 - 8 * nb as u32); // CAST: nb <= 8
-    let m_rest = top & !(m0 | m1 | m2);
-    // PANIC-OK: ensure(blen) sized words to blen + 1 and the per-element
-    // arenas to blen; full-range [..] cannot fail.
-    let pool = &scratch.pool[..];
-    let words = &mut scratch.words[..blen + 1]; // PANIC-OK: as above
-    words[0] = 0; // the implicit zero word `prev` starts from -- PANIC-OK: as above
-    let leads = &scratch.leads[..blen]; // PANIC-OK: as above
-    let offsets = &scratch.offsets[..blen]; // PANIC-OK: as above
-    let prov0 = &scratch.prov0[..blen]; // PANIC-OK: as above
-    let prov1 = &scratch.prov1[..blen]; // PANIC-OK: as above
-    let prov2 = &scratch.prov2[..blen]; // PANIC-OK: as above
-    for (i, slot) in out.iter_mut().enumerate() {
-        // PANIC-OK: i < blen = out.len() bounds every arena slice; the
-        // provider indices are 0..=i + 1 <= blen < words.len().
-        let off = offsets[i] as usize;
-        contract!(
-            off + 8 <= pool.len(),
-            "overlapping load at {off} must stay inside the slack-padded pool"
-        );
-        // PANIC-OK: off + 8 <= total + 8 <= pool.len() (8-byte slack); the
-        // unwrap is on an infallible 8-byte slice -> [u8; 8] conversion.
-        let loaded = u64::from_be_bytes(pool[off..off + 8].try_into().unwrap());
-        // CAST: leads[i] <= nb <= 8. -- PANIC-OK: as above
-        let a = loaded >> (8 * leads[i] as u32);
-        words[i + 1] = a; // PANIC-OK: as above
-        let w = (words[prov0[i] as usize] & m0) // PANIC-OK: as above
-            | (words[prov1[i] as usize] & m1) // PANIC-OK: as above
-            | (words[prov2[i] as usize] & m2) // PANIC-OK: as above
-            | (a & m_rest);
-        let v = F::from_word(w << s);
-        *slot = if raw { v } else { v + mu };
+    if let Some(&byte) = blk.codes.get(quads.len()) {
+        scan.decode_byte(&blk, byte, tail, mu);
     }
     Ok(())
 }
@@ -371,7 +356,8 @@ mod tests {
     #[test]
     fn kernel_matches_scalar_on_high_dedup_blocks() {
         // Slowly varying data maximizes nonzero lead codes, exercising the
-        // provider scans; a few restarts punctuate the chains.
+        // carried word over long inheritance chains; a few restarts
+        // punctuate them.
         let mut data: Vec<f32> = (0..512).map(|i| 100.0 + i as f32 * 1e-4).collect();
         data[100] = -250.0;
         data[300] = 1e20;
@@ -407,6 +393,83 @@ mod tests {
         s.ensure(4096);
         assert_eq!(s.take_grows(), 2);
         assert!(s.pool.len() >= 4096 * 8 + 8);
-        assert_eq!(s.words.len(), 4096 + 1);
+        assert!(s.arena_bytes() >= 4096 * 8 + 8);
+    }
+
+    /// xorshift64* — a fixed, dependency-free byte source for forging.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+        fn bytes(&mut self, n: usize) -> Vec<u8> {
+            (0..n).map(|_| self.next() as u8).collect()
+        }
+    }
+
+    /// Decode `payload` as a `blen`-element block on all three paths and
+    /// assert they agree bit for bit — or fail with the same message.
+    fn assert_paths_agree<F: SzxFloat>(payload: &[u8], blen: usize, mu: F, what: &str) {
+        let mut scratch = DecodeScratch::default();
+        // A fresh output per path, so a path that skips values cannot pass
+        // on another path's leftovers.
+        let mut run = |path: usize| {
+            let mut out = vec![F::ZERO; blen];
+            let r = match path {
+                0 => scalar_decode(payload, &mut out, mu, CommitStrategy::ByteAligned),
+                1 => decode_nonconstant_block(payload, &mut out, mu, &mut scratch),
+                _ => crate::simd::decode_nonconstant_block(payload, &mut out, mu, &mut scratch),
+            };
+            r.map(|()| out.iter().map(|v| v.to_word()).collect::<Vec<_>>())
+                .map_err(|e| e.to_string())
+        };
+        let scalar = run(0);
+        assert_eq!(scalar, run(1), "kernel vs scalar: {what}");
+        assert_eq!(scalar, run(2), "simd vs scalar: {what}");
+    }
+
+    /// Forge `[R_k][codes][pool]` payloads straight from random bytes — lead
+    /// codes of 3 under `nb = 2` (the clamp), set padding bits, ragged
+    /// block lengths, raw blocks, every `req_len` — and check the three
+    /// decoders agree on every one, and on every truncation of its pool.
+    fn forged_payloads_agree<F: SzxFloat>(seed: u64, mu: F) {
+        let mut rng = Rng(seed);
+        for blen in [1usize, 2, 3, 4, 5, 6, 7, 8, 128, 129] {
+            for req_len in F::SIGN_EXP_BITS..=F::FULL_BITS {
+                let nb = bytes_for(req_len);
+                let mut payload = vec![req_len as u8];
+                payload.extend(rng.bytes((2 * blen).div_ceil(8)));
+                // Enough mid-bytes for any codes; the decoders read only
+                // what the codes demand.
+                payload.extend(rng.bytes(blen * nb));
+                let total = blen * nb
+                    - (0..blen)
+                        .map(|i| ((payload[1 + i / 4] >> (6 - 2 * (i % 4))) & 3).min(nb as u8))
+                        .map(usize::from)
+                        .sum::<usize>();
+                let header = 1 + (2 * blen).div_ceil(8);
+                for cut in 0..=header + total {
+                    let what = format!("{} blen={blen} req_len={req_len} cut={cut}", F::NAME);
+                    assert_paths_agree(&payload[..cut], blen, mu, &what);
+                }
+                assert_paths_agree(&payload, blen, mu, "untruncated");
+            }
+        }
+    }
+
+    #[test]
+    fn forged_payloads_decode_identically_on_every_path() {
+        forged_payloads_agree::<f32>(0x5eed_0001, 0.75);
+        forged_payloads_agree::<f64>(0x5eed_0002, -3.5);
+        // Invalid required lengths fail with one message on every path.
+        for req_len in [0u8, 8, 33, 255] {
+            assert_paths_agree::<f32>(&[req_len, 0, 0], 4, 0.0, "bad req_len f32");
+        }
+        for req_len in [0u8, 11, 65, 255] {
+            assert_paths_agree::<f64>(&[req_len, 0, 0], 4, 0.0, "bad req_len f64");
+        }
     }
 }

@@ -14,12 +14,12 @@
 //!    high-aligned word (Formulas 4–5), XOR-against-predecessor leading-byte
 //!    counting with branch-free nested byte-prefix compares, and a
 //!    `maddubs`/`madd` 2-bit code packer (32 codes per vector).
-//! 3. **Decode pass 2** ([`decode_nonconstant_block`]): the fused
-//!    reconstruction sweep — gather each value's overlapping big-endian
-//!    8-byte load from the mid-byte pool, byte-swap in-register, then gather
-//!    the cuSZx-style provider words and mask-merge (pass 1's coupled prefix
-//!    recurrences stay in the shared serial scan,
-//!    [`crate::dekernels::scan_lead_codes`]).
+//! 3. **Decode** ([`decode_nonconstant_block`]): the one-pass lane scan —
+//!    per code byte, a table lookup gives the four clamped leads and their
+//!    offsets, one gather fetches the four overlapping big-endian 8-byte
+//!    loads from the mid-byte pool, and two permute+blend Hillis–Steele
+//!    steps compose the `(keep, word)` pairs of
+//!    [`crate::dekernels`]' recurrence before the carried word is applied.
 //!
 //! **Dispatch.** Callers never invoke the backends directly: every entry
 //! point here re-checks [`ready`] (a cached `is_x86_feature_detected!`) and
@@ -91,7 +91,7 @@ pub fn available() -> bool {
     ready() && std::env::var_os("SZX_DISABLE_SIMD").is_none_or(|v| v.is_empty())
 }
 
-/// Do the coder backends (encode passes 1–3, decode pass 2) exist for this
+/// Do the coder backends (encode passes 1–3, the decode scan) exist for this
 /// target? The NEON backend currently covers only the range scan, so on
 /// aarch64 the coder paths delegate to the portable kernels while the scan
 /// runs vectorized.
@@ -249,8 +249,9 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
 }
 
 /// SIMD decode of one non-constant `ByteAligned` block payload: the shared
-/// serial pass-1 scan, then a gather-based intrinsic pass 2. Same
-/// validation, outputs, and errors as
+/// validation, then the one-pass lane scan over whole quads, with a ragged
+/// tail continuing the carried word in the portable
+/// [`dekernels::Scan`]. Same outputs and errors as
 /// [`crate::dekernels::decode_nonconstant_block`]; targets without a coder
 /// backend delegate to it outright.
 pub(crate) fn decode_nonconstant_block<F: SzxFloat>(
@@ -264,55 +265,21 @@ pub(crate) fn decode_nonconstant_block<F: SzxFloat>(
     }
     #[cfg(target_arch = "x86_64")]
     {
-        use crate::contracts::contract;
-        use crate::error::SzxError;
-
-        let blen = out.len();
-        let h = dekernels::parse_nonconstant_header::<F>(payload, blen)?;
-        let s = shift_for(h.req_len);
-        let nb = bytes_for(h.req_len);
-        scratch.ensure(blen);
-        let nb8 = nb as u8; // CAST: bytes_for() <= 8
-        let total = dekernels::scan_lead_codes(h.codes, nb8, blen, scratch);
-        contract!(
-            scratch.offsets.iter().take(blen).is_sorted() && total <= blen * 8,
-            "mid-byte offsets must be a monotone prefix sum bounded by 8 per value"
-        );
-        if total > h.body.len() {
-            return Err(SzxError::CorruptStream("mid-byte pool truncated".into()));
-        }
-        // PANIC-OK: total <= body.len() was just checked, and ensure()
-        // sized the pool to blen * 8 + 8 >= total + 8.
-        scratch.pool[..total].copy_from_slice(&h.body[..total]);
-
-        let raw = h.raw;
-        // PANIC-OK: ensure(blen) sized words to blen + 1 and the
-        // per-element arenas to blen (five slices below).
-        let words = &mut scratch.words[..blen + 1];
-        let pool = &scratch.pool[..]; // PANIC-OK: full-range slice
-        let leads = &scratch.leads[..blen]; // PANIC-OK: as above
-        let offsets = &scratch.offsets[..blen]; // PANIC-OK: as above
-        let prov0 = &scratch.prov0[..blen]; // PANIC-OK: as above
-        let prov1 = &scratch.prov1[..blen]; // PANIC-OK: as above
-        let prov2 = &scratch.prov2[..blen]; // PANIC-OK: as above
+        let blk = dekernels::Block::prepare::<F>(payload, out.len(), scratch)?;
+        let mut scan = dekernels::Scan::new(blk.nb);
         if let Some(o) = F::as_f32s_mut(out) {
             let mu32 = f32::from_word(mu.to_word());
             // SAFETY: `coder_ready()` above confirmed AVX2 via cached
-            // runtime feature detection; the slices were sized by ensure()
-            // and validated against the payload just above.
-            unsafe {
-                x86::decode_pass2_f32(
-                    pool, leads, offsets, prov0, prov1, prov2, words, o, nb, s, raw, mu32,
-                )
-            };
+            // runtime feature detection.
+            (scan.off, scan.w) = unsafe { x86::decode_quads_f32(&blk, mu32, o) };
         } else if let Some(o) = F::as_f64s_mut(out) {
             let mu64 = f64::from_word(mu.to_word());
             // SAFETY: as above — AVX2 confirmed by runtime detection.
-            unsafe {
-                x86::decode_pass2_f64(
-                    pool, leads, offsets, prov0, prov1, prov2, words, o, nb, s, raw, mu64,
-                )
-            };
+            (scan.off, scan.w) = unsafe { x86::decode_quads_f64(&blk, mu64, o) };
+        }
+        let whole = out.len() / 4;
+        if let (Some(&byte), Some(tail)) = (blk.codes.get(whole), out.get_mut(whole * 4..)) {
+            scan.decode_byte(&blk, byte, tail, mu);
         }
         Ok(())
     }

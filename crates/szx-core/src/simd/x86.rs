@@ -18,6 +18,7 @@
 use core::arch::x86_64::*;
 
 use crate::block::{radius_about, BlockStats};
+use crate::dekernels::Block;
 use crate::float::SzxFloat;
 use crate::kernels::LANES;
 
@@ -415,218 +416,164 @@ fn bswap64(v: __m256i) -> __m256i {
     _mm256_shuffle_epi8(v, idx)
 }
 
-/// Decode pass 2 for `f32` — the gather-based reconstruction sweep, four
-/// values per iteration:
-///
-/// 1. gather each value's overlapping 8-byte load from the pool at its
-///    prefix-summed offset and byte-swap it in-register (the scalar
-///    `u64::from_be_bytes`), then shift right by `8·lead` to align;
-/// 2. **store the aligned words before the provider gathers** — providers
-///    are indices `<= i + 4`, i.e. possibly values aligned in this very
-///    iteration, so the gather must observe them (the scalar loop has the
-///    same store-before-use ordering, one element at a time);
-/// 3. gather the three provider words, mask-merge per byte position, shift
-///    left by `s`, extract the high 32 bits, and add μ.
-///
-/// Caller contracts (all established by the validated header parse and
-/// `ensure(blen)`): `words.len() == out.len() + 1`; the per-element slices
-/// are `out.len()` long; every `offsets[i] + 8 <= pool.len()` (offsets are
-/// a prefix sum bounded by the checked `total`, and the pool carries 8
-/// bytes of slack); provider indices are `<= i + 1 < words.len()`.
-#[expect(clippy::too_many_arguments, reason = "flat hot-path ABI, no struct")]
-#[target_feature(enable = "avx2")]
-pub(super) fn decode_pass2_f32(
-    pool: &[u8],
-    leads: &[u8],
-    offsets: &[u32],
-    prov0: &[u32],
-    prov1: &[u32],
-    prov2: &[u32],
-    words: &mut [u64],
-    out: &mut [f32],
-    nb: usize,
-    s: u32,
-    raw: bool,
-    mu: f32,
-) {
-    let blen = out.len();
-    debug_assert_eq!(words.len(), blen + 1);
-    debug_assert!(leads.len() == blen && offsets.len() == blen);
-    debug_assert!(prov0.len() == blen && prov1.len() == blen && prov2.len() == blen);
-    // PANIC-OK: words.len() = blen + 1 >= 1 (dispatch sizes the arena).
-    words[0] = 0; // the implicit zero word `prev` starts from
-    let m0 = crate::dekernels::byte_mask(0, nb);
-    let m1 = crate::dekernels::byte_mask(1, nb);
-    let m2 = crate::dekernels::byte_mask(2, nb);
-    let top = (!0u64) << (64 - 8 * nb as u32); // CAST: nb <= 8
-    let m_rest = top & !(m0 | m1 | m2);
-    let m0v = _mm256_set1_epi64x(m0 as i64);
-    let m1v = _mm256_set1_epi64x(m1 as i64);
-    let m2v = _mm256_set1_epi64x(m2 as i64);
-    let mrv = _mm256_set1_epi64x(m_rest as i64);
-    let sh_s = _mm_cvtsi32_si128(s as i32); // CAST: s <= 7
-    let mu4 = _mm_set1_ps(mu);
-    let pool_ptr = pool.as_ptr();
-    let wptr = words.as_mut_ptr();
-    let mut i = 0usize;
-    while i + 4 <= blen {
-        // SAFETY: i + 4 <= blen = offsets.len() bounds the 4-lane index
-        // load; each offset satisfies offset + 8 <= pool.len() (caller
-        // contract: prefix sums bounded by the validated total, 8 bytes of
-        // slack), so every scale-1 gather lane reads 8 in-bounds bytes.
-        let loaded = unsafe {
-            let off4 = _mm_loadu_si128(offsets.as_ptr().add(i).cast::<__m128i>());
-            _mm256_i32gather_epi64::<1>(pool_ptr.cast::<i64>(), off4)
-        };
-        let be = bswap64(loaded);
-        // Widen the 4 lead bytes to per-lane shift counts of 8·lead bits.
-        // PANIC-OK: i + 4 <= blen = leads.len() on every loop iteration.
-        let l4 = u32::from_le_bytes([leads[i], leads[i + 1], leads[i + 2], leads[i + 3]]);
-        let lead4 = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(l4 as i32)); // CAST: widening
-        let a = _mm256_srlv_epi64(be, _mm256_slli_epi64::<3>(lead4));
-        // SAFETY: the 4-lane store at i + 1 ends at i + 5 <= blen + 1 =
-        // words.len(). It MUST precede the provider gathers below, which
-        // may index these very lanes.
-        unsafe { _mm256_storeu_si256(wptr.add(i + 1).cast::<__m256i>(), a) };
-        // SAFETY: i + 4 <= blen bounds the three 4-lane index loads;
-        // provider indices are <= i + 4 < words.len() (caller contract),
-        // so every scale-8 gather lane reads one in-bounds u64.
-        let (w0, w1, w2) = unsafe {
-            let base = wptr.cast::<i64>();
-            let p0 = _mm_loadu_si128(prov0.as_ptr().add(i).cast::<__m128i>());
-            let p1 = _mm_loadu_si128(prov1.as_ptr().add(i).cast::<__m128i>());
-            let p2 = _mm_loadu_si128(prov2.as_ptr().add(i).cast::<__m128i>());
-            (
-                _mm256_i32gather_epi64::<8>(base, p0),
-                _mm256_i32gather_epi64::<8>(base, p1),
-                _mm256_i32gather_epi64::<8>(base, p2),
-            )
-        };
-        let w = _mm256_or_si256(
-            _mm256_or_si256(_mm256_and_si256(w0, m0v), _mm256_and_si256(w1, m1v)),
-            _mm256_or_si256(_mm256_and_si256(w2, m2v), _mm256_and_si256(a, mrv)),
-        );
-        let w = _mm256_sll_epi64(w, sh_s);
-        // from_word for f32 takes bits 32..64 of each u64: shift down, then
-        // compact the four low dwords of the u64 lanes into one xmm.
-        let hi = _mm256_srli_epi64::<32>(w);
-        let packed = _mm256_permutevar8x32_epi32(hi, _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0));
-        let v = _mm_castsi128_ps(_mm256_castsi256_si128(packed));
-        let v = if raw { v } else { _mm_add_ps(v, mu4) };
-        // SAFETY: i + 4 <= blen = out.len(), matching the 4-lane store.
-        unsafe { _mm_storeu_ps(out.as_mut_ptr().add(i), v) };
-        i += 4;
+/// Per-code-byte lane tables of the decode, one per lead clamp (`nb = 2`,
+/// and `nb ≥ 3`, which clamps nothing; `nb ≥ 2` always): for the code byte
+/// `b`, byte `k < 4` of the entry is the clamped lead of `b`'s k-th code
+/// (high bits first) and byte `4 + k` the sum of the clamped leads before it.
+static QUAD_LEADS: [[u64; 256]; 2] = [quad_leads(2), quad_leads(3)];
+
+const fn quad_leads(cap: u64) -> [u64; 256] {
+    let mut t = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let (mut entry, mut before, mut k) = (0u64, 0u64, 0);
+        while k < 4 {
+            // CAST: a 2-bit code, widened.
+            let c = ((b >> (6 - 2 * k)) & 3) as u64;
+            let l = if c < cap { c } else { cap };
+            entry |= (l << (8 * k)) | (before << (32 + 8 * k));
+            before += l;
+            k += 1;
+        }
+        t[b] = entry; // PANIC-OK: b < 256
+        b += 1;
     }
-    // Scalar tail — identical to the portable kernel's reconstruction.
-    while i < blen {
-        let off = offsets[i] as usize; // PANIC-OK: i < blen = offsets.len()
-                                       // PANIC-OK: off + 8 <= pool.len() (caller contract, 8-byte slack);
-                                       // the unwrap is an infallible 8-byte slice -> array conversion.
-        let loaded = u64::from_be_bytes(pool[off..off + 8].try_into().unwrap());
-        // PANIC-OK: i < blen = leads.len().
-        let a = loaded >> (8 * leads[i] as u32); // CAST: leads[i] <= 8
-        words[i + 1] = a; // PANIC-OK: i + 1 <= blen < words.len()
-        let w = (words[prov0[i] as usize] & m0) // PANIC-OK: providers <= i + 1
-            | (words[prov1[i] as usize] & m1) // PANIC-OK: as above
-            | (words[prov2[i] as usize] & m2) // PANIC-OK: as above
-            | (a & m_rest);
-        let v = f32::from_word(w << s);
-        out[i] = if raw { v } else { v + mu }; // PANIC-OK: i < out.len()
-        i += 1;
+    t
+}
+
+/// The lane-parallel form of the decode recurrence `w_i = a_i | (w_{i-1} &
+/// keep(l_i))` ([`crate::dekernels`]), four values per code byte: the
+/// block's constants, the pool offset of the next quad, and the carried
+/// word broadcast to every lane.
+struct Quads<'a> {
+    pool: &'a [u8],
+    leads: &'static [u64; 256],
+    /// `(0, nb, 2·nb, 3·nb)`: lane k's offset before the lead correction.
+    lane_nb: __m128i,
+    nb4: usize,
+    top: __m256i,
+    shift: __m128i,
+    base: usize,
+    carry: __m256i,
+}
+
+impl<'a> Quads<'a> {
+    /// Scan state for `blen` values of `blk`. The pool must hold
+    /// `blen·nb + 8` bytes: every offset is at most `(blen − 1)·nb`, so each
+    /// lane's 8-byte gather stays inside it whatever the codes say.
+    #[target_feature(enable = "avx2")]
+    fn new(blk: &Block<'a>, blen: usize) -> Self {
+        let (pool, nb) = (blk.pool, blk.nb);
+        // PANIC-OK: Block::prepare sizes the pool to blen * 8 + 8; this is
+        // the soundness check the gathers below rest on.
+        assert!((2..=8).contains(&nb) && pool.len() >= blen * nb + 8);
+        // CAST: nb <= 8, so 3 * nb fits i32.
+        let nbi = nb as i32;
+        Quads {
+            pool,
+            leads: &QUAD_LEADS[nb.min(3) - 2], // PANIC-OK: nb >= 2 (asserted)
+            lane_nb: _mm_setr_epi32(0, nbi, 2 * nbi, 3 * nbi),
+            nb4: 4 * nb,
+            top: _mm256_set1_epi64x(blk.top as i64), // CAST: bit pattern
+            shift: _mm_cvtsi32_si128(blk.s as i32),  // CAST: s <= 7
+            base: 0,
+            carry: _mm256_setzero_si256(),
+        }
+    }
+
+    /// Decode the four values of code byte `byte` to their high-aligned
+    /// words `(w & top) << s`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn next(&mut self, byte: u8) -> __m256i {
+        let ones = _mm256_set1_epi64x(-1);
+        let zero = _mm256_setzero_si256();
+        let entry = self.leads[usize::from(byte)];
+        // CAST: bit pattern.
+        let ev = _mm_cvtsi64_si128(entry as i64);
+        // Offsets: base + k·nb − (leads before lane k).
+        // CAST: base <= blen * nb <= 8 * MAX_BLOCK_SIZE fits i32.
+        let base = _mm_set1_epi32(self.base as i32);
+        let off4 = _mm_sub_epi32(
+            _mm_add_epi32(base, self.lane_nb),
+            _mm_cvtepu8_epi32(_mm_srli_si128::<4>(ev)),
+        );
+        // SAFETY: base + k·nb − (leads before lane k) lies in 0 ..= (i + k)·nb
+        // for this quad's first value i, since every clamped lead is in
+        // 0 ..= nb; so each offset is at most (blen − 1)·nb and its 8 bytes
+        // end inside the pool, which new() checked holds blen·nb + 8.
+        let loaded = unsafe { _mm256_i32gather_epi64::<1>(self.pool.as_ptr().cast::<i64>(), off4) };
+        let shr = _mm256_slli_epi64::<3>(_mm256_cvtepu8_epi64(ev));
+        let a = _mm256_srlv_epi64(bswap64(loaded), shr);
+        let keep = _mm256_xor_si256(_mm256_srlv_epi64(ones, shr), ones);
+        // Two Hillis–Steele steps of (k2, a2) ∘ (k1, a1) = (k1 & k2,
+        // a2 | (k2 & a1)): combine each lane with the one 1, then 2 below;
+        // lanes with none below take the identity (!0, 0).
+        let (prev_a, prev_k) = (
+            _mm256_blend_epi32::<0b0000_0011>(_mm256_permute4x64_epi64::<0b10_01_00_00>(a), zero),
+            _mm256_blend_epi32::<0b0000_0011>(
+                _mm256_permute4x64_epi64::<0b10_01_00_00>(keep),
+                ones,
+            ),
+        );
+        let a = _mm256_or_si256(a, _mm256_and_si256(keep, prev_a));
+        let keep = _mm256_and_si256(keep, prev_k);
+        let (prev_a, prev_k) = (
+            _mm256_blend_epi32::<0b0000_1111>(_mm256_permute4x64_epi64::<0b01_00_00_00>(a), zero),
+            _mm256_blend_epi32::<0b0000_1111>(
+                _mm256_permute4x64_epi64::<0b01_00_00_00>(keep),
+                ones,
+            ),
+        );
+        let a = _mm256_or_si256(a, _mm256_and_si256(keep, prev_a));
+        let keep = _mm256_and_si256(keep, prev_k);
+        // Apply the carried word and broadcast lane 3 as the next carry.
+        let w = _mm256_or_si256(a, _mm256_and_si256(keep, self.carry));
+        self.carry = _mm256_permute4x64_epi64::<0b11_11_11_11>(w);
+        // The quad's lead sum: lane 3's lead plus the leads before it.
+        // CAST: at most 12, widened.
+        self.base += self.nb4 - (((entry >> 24) & 0xff) + (entry >> 56)) as usize;
+        _mm256_sll_epi64(_mm256_and_si256(w, self.top), self.shift)
+    }
+
+    /// The pool offset and word the scalar tail continues from.
+    #[target_feature(enable = "avx2")]
+    fn carried(&self) -> (usize, u64) {
+        // CAST: bit pattern
+        (self.base, _mm256_extract_epi64::<0>(self.carry) as u64)
     }
 }
 
-/// Decode pass 2 for `f64`; see [`decode_pass2_f32`] — the word *is* the
-/// value's bit pattern, so the epilogue is a cast and an `addpd`.
-#[expect(clippy::too_many_arguments, reason = "flat hot-path ABI, no struct")]
+/// One-pass decode of the whole quads of the `f32` block `blk` (`out.len()
+/// / 4` code bytes): the lane scan of [`Quads`], then the high 32 bits of
+/// each word compacted into one xmm and μ added. Returns the pool offset
+/// and word a ragged tail continues from.
 #[target_feature(enable = "avx2")]
-pub(super) fn decode_pass2_f64(
-    pool: &[u8],
-    leads: &[u8],
-    offsets: &[u32],
-    prov0: &[u32],
-    prov1: &[u32],
-    prov2: &[u32],
-    words: &mut [u64],
-    out: &mut [f64],
-    nb: usize,
-    s: u32,
-    raw: bool,
-    mu: f64,
-) {
-    let blen = out.len();
-    debug_assert_eq!(words.len(), blen + 1);
-    debug_assert!(leads.len() == blen && offsets.len() == blen);
-    debug_assert!(prov0.len() == blen && prov1.len() == blen && prov2.len() == blen);
-    // PANIC-OK: words.len() = blen + 1 >= 1 (dispatch sizes the arena).
-    words[0] = 0;
-    let m0 = crate::dekernels::byte_mask(0, nb);
-    let m1 = crate::dekernels::byte_mask(1, nb);
-    let m2 = crate::dekernels::byte_mask(2, nb);
-    let top = (!0u64) << (64 - 8 * nb as u32); // CAST: nb <= 8
-    let m_rest = top & !(m0 | m1 | m2);
-    let m0v = _mm256_set1_epi64x(m0 as i64);
-    let m1v = _mm256_set1_epi64x(m1 as i64);
-    let m2v = _mm256_set1_epi64x(m2 as i64);
-    let mrv = _mm256_set1_epi64x(m_rest as i64);
-    let sh_s = _mm_cvtsi32_si128(s as i32); // CAST: s <= 7
+pub(super) fn decode_quads_f32(blk: &Block<'_>, mu: f32, out: &mut [f32]) -> (usize, u64) {
+    let mut quads = Quads::new(blk, out.len());
+    let mu4 = _mm_set1_ps(mu);
+    let high = _mm256_setr_epi32(1, 3, 5, 7, 0, 0, 0, 0);
+    for (vals, &byte) in out.as_chunks_mut::<4>().0.iter_mut().zip(blk.codes) {
+        let w = quads.next(byte);
+        let v = _mm_castsi128_ps(_mm256_castsi256_si128(_mm256_permutevar8x32_epi32(w, high)));
+        let v = if blk.raw { v } else { _mm_add_ps(v, mu4) };
+        // SAFETY: vals is exactly 4 f32 = 16 bytes, matching the store.
+        unsafe { _mm_storeu_ps(vals.as_mut_ptr(), v) };
+    }
+    quads.carried()
+}
+
+/// One-pass decode of the whole quads of an `f64` block; see
+/// [`decode_quads_f32`] — the word *is* the value's bit pattern.
+#[target_feature(enable = "avx2")]
+pub(super) fn decode_quads_f64(blk: &Block<'_>, mu: f64, out: &mut [f64]) -> (usize, u64) {
+    let mut quads = Quads::new(blk, out.len());
     let mu4 = _mm256_set1_pd(mu);
-    let pool_ptr = pool.as_ptr();
-    let wptr = words.as_mut_ptr();
-    let mut i = 0usize;
-    while i + 4 <= blen {
-        // SAFETY: i + 4 <= blen = offsets.len() bounds the 4-lane index
-        // load; each offset satisfies offset + 8 <= pool.len() (caller
-        // contract), so every scale-1 gather lane reads 8 in-bounds bytes.
-        let loaded = unsafe {
-            let off4 = _mm_loadu_si128(offsets.as_ptr().add(i).cast::<__m128i>());
-            _mm256_i32gather_epi64::<1>(pool_ptr.cast::<i64>(), off4)
-        };
-        let be = bswap64(loaded);
-        // PANIC-OK: i + 4 <= blen = leads.len() on every loop iteration.
-        let l4 = u32::from_le_bytes([leads[i], leads[i + 1], leads[i + 2], leads[i + 3]]);
-        let lead4 = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(l4 as i32)); // CAST: widening
-        let a = _mm256_srlv_epi64(be, _mm256_slli_epi64::<3>(lead4));
-        // SAFETY: the 4-lane store at i + 1 ends at i + 5 <= words.len();
-        // it must precede the provider gathers below.
-        unsafe { _mm256_storeu_si256(wptr.add(i + 1).cast::<__m256i>(), a) };
-        // SAFETY: i + 4 <= blen bounds the index loads; provider indices
-        // are <= i + 4 < words.len() (caller contract).
-        let (w0, w1, w2) = unsafe {
-            let base = wptr.cast::<i64>();
-            let p0 = _mm_loadu_si128(prov0.as_ptr().add(i).cast::<__m128i>());
-            let p1 = _mm_loadu_si128(prov1.as_ptr().add(i).cast::<__m128i>());
-            let p2 = _mm_loadu_si128(prov2.as_ptr().add(i).cast::<__m128i>());
-            (
-                _mm256_i32gather_epi64::<8>(base, p0),
-                _mm256_i32gather_epi64::<8>(base, p1),
-                _mm256_i32gather_epi64::<8>(base, p2),
-            )
-        };
-        let w = _mm256_or_si256(
-            _mm256_or_si256(_mm256_and_si256(w0, m0v), _mm256_and_si256(w1, m1v)),
-            _mm256_or_si256(_mm256_and_si256(w2, m2v), _mm256_and_si256(a, mrv)),
-        );
-        let v = _mm256_castsi256_pd(_mm256_sll_epi64(w, sh_s));
-        let v = if raw { v } else { _mm256_add_pd(v, mu4) };
-        // SAFETY: i + 4 <= blen = out.len(), matching the 4-lane store.
-        unsafe { _mm256_storeu_pd(out.as_mut_ptr().add(i), v) };
-        i += 4;
+    for (vals, &byte) in out.as_chunks_mut::<4>().0.iter_mut().zip(blk.codes) {
+        let v = _mm256_castsi256_pd(quads.next(byte));
+        let v = if blk.raw { v } else { _mm256_add_pd(v, mu4) };
+        // SAFETY: vals is exactly 4 f64 = 32 bytes, matching the store.
+        unsafe { _mm256_storeu_pd(vals.as_mut_ptr(), v) };
     }
-    while i < blen {
-        let off = offsets[i] as usize; // PANIC-OK: i < blen = offsets.len()
-                                       // PANIC-OK: off + 8 <= pool.len() (caller contract, 8-byte slack);
-                                       // the unwrap is an infallible 8-byte slice -> array conversion.
-        let loaded = u64::from_be_bytes(pool[off..off + 8].try_into().unwrap());
-        // PANIC-OK: i < blen = leads.len().
-        let a = loaded >> (8 * leads[i] as u32); // CAST: leads[i] <= 8
-        words[i + 1] = a; // PANIC-OK: i + 1 <= blen < words.len()
-        let w = (words[prov0[i] as usize] & m0) // PANIC-OK: providers <= i + 1
-            | (words[prov1[i] as usize] & m1) // PANIC-OK: as above
-            | (words[prov2[i] as usize] & m2) // PANIC-OK: as above
-            | (a & m_rest);
-        let v = f64::from_word(w << s);
-        out[i] = if raw { v } else { v + mu }; // PANIC-OK: i < out.len()
-        i += 1;
-    }
+    quads.carried()
 }

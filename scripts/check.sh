@@ -172,11 +172,24 @@ run_simd_equivalence() {
         || simd_fail "concatenating fields"
     (($(stat -c %s "$dir/multi.f32") > 8 * 1024 * 1024)) \
         || simd_fail "concatenated input is not larger than two windows"
-    local input sel
-    for input in "$field" "$dir/multi.f32"; do
+    # SCALE-LetKF T at REL 1e-3 is almost all nb = 2 non-constant blocks,
+    # the lead-clamp path of the decode kernels.
+    cargo run -q --release -p szx-cli -- gen scale "$dir/scale" --scale small >/dev/null \
+        || simd_fail "generating small SCALE-LetKF fields"
+    [[ -f "$dir/scale/T.f32" ]] || simd_fail "no SCALE-LetKF T field generated"
+    # Its first 100003 values: not a multiple of 4, so the last block (35
+    # values) ends in a ragged quad.
+    head -c 400012 "$dir/scale/T.f32" >"$dir/scale/T-ragged.f32" \
+        || simd_fail "cutting the ragged input"
+    local input bound sel
+    for input in "$field" "$dir/multi.f32" "$dir/scale/T.f32" "$dir/scale/T-ragged.f32"; do
+        bound=(--abs 1e-3)
+        if [[ "$input" == "$dir/scale/"* ]]; then
+            bound=(--rel 1e-3)
+        fi
         for sel in scalar kernel simd; do
             cargo run -q --release -p szx-cli -- compress "$input" \
-                "$dir/$sel.szx" --abs 1e-3 --kernel "$sel" >/dev/null \
+                "$dir/$sel.szx" "${bound[@]}" --kernel "$sel" >/dev/null \
                 || simd_fail "compress --kernel $sel"
             cargo run -q --release -p szx-cli -- decompress "$dir/$sel.szx" \
                 "$dir/$sel.f32" --kernel "$sel" >/dev/null \
@@ -184,7 +197,7 @@ run_simd_equivalence() {
             # Serial and --parallel are one codec with a different split: the
             # parallel stream and decode must equal the serial files bytewise.
             cargo run -q --release -p szx-cli -- compress "$input" \
-                "$dir/$sel-par.szx" --abs 1e-3 --kernel "$sel" --parallel >/dev/null \
+                "$dir/$sel-par.szx" "${bound[@]}" --kernel "$sel" --parallel >/dev/null \
                 || simd_fail "compress --kernel $sel --parallel"
             cargo run -q --release -p szx-cli -- decompress "$dir/$sel-par.szx" \
                 "$dir/$sel-par.f32" --kernel "$sel" --parallel >/dev/null \
@@ -196,7 +209,7 @@ run_simd_equivalence() {
             # Again on three threads, more than a 2-core runner has: the
             # bytes must not depend on the pool size or the claim order.
             RAYON_NUM_THREADS=3 cargo run -q --release -p szx-cli -- compress "$input" \
-                "$dir/$sel-par3.szx" --abs 1e-3 --kernel "$sel" --parallel >/dev/null \
+                "$dir/$sel-par3.szx" "${bound[@]}" --kernel "$sel" --parallel >/dev/null \
                 || simd_fail "compress --kernel $sel --parallel (3 threads)"
             RAYON_NUM_THREADS=3 cargo run -q --release -p szx-cli -- decompress \
                 "$dir/$sel-par3.szx" "$dir/$sel-par3.f32" --kernel "$sel" --parallel >/dev/null \
@@ -210,6 +223,8 @@ run_simd_equivalence() {
             || simd_fail "scalar and kernel streams differ ($input)"
         cmp -s "$dir/scalar.szx" "$dir/simd.szx" \
             || simd_fail "scalar and simd streams differ ($input)"
+        cmp -s "$dir/scalar.f32" "$dir/kernel.f32" \
+            || simd_fail "scalar and kernel decodes differ bitwise ($input)"
         cmp -s "$dir/scalar.f32" "$dir/simd.f32" \
             || simd_fail "scalar and simd decodes differ bitwise ($input)"
     done
