@@ -11,16 +11,19 @@ use szx_core::{CommitStrategy, ErrorBound, SzxConfig, SzxFloat};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let f64 = has_flag(&args, "--f64");
     let result = match args.first().map(String::as_str) {
-        Some("compress") => by_dtype(&args[1..], compress_file::<f32>, compress_file::<f64>),
-        Some("decompress") => cmd_decompress(&args[1..]),
-        Some("stream") => by_dtype(&args[1..], stream_file::<f32>, stream_file::<f64>),
+        Some("compress") if f64 => encode_file::<f64>(&args[1..], false),
+        Some("compress") => encode_file::<f32>(&args[1..], false),
+        Some("stream") if f64 => encode_file::<f64>(&args[1..], true),
+        Some("stream") => encode_file::<f32>(&args[1..], true),
+        Some("decompress") => decode_file(&args[1..], false),
         Some("assess") => cmd_assess(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("gen") => cmd_gen(&args[1..]),
         Some("archive") => cmd_archive(&args[1..]),
         Some("list") => cmd_list(&args[1..]),
-        Some("extract") => cmd_extract(&args[1..]),
+        Some("extract") => decode_file(&args[1..], true),
         _ => {
             eprint!("{}", USAGE);
             return ExitCode::from(2);
@@ -39,30 +42,33 @@ const USAGE: &str = "\
 szx — ultrafast error-bounded lossy compression (SZx, HPDC '22)
 
 USAGE:
-  szx compress   <in.f32> <out.szx> --abs <e> | --rel <r>
-                 [--f64] [--block <n>] [--parallel] [--strategy a|b|c]
-                 [--kernel auto|scalar|kernel|simd] [--stats [--json]]
-                 [--trace <out.trace.json>] [--metrics <out.prom>]
-                 [--events <out.jsonl>] [--manifest <run.json>]
-                 [--profile <out.folded> [--profile-svg <out.svg>]]
+  szx compress   <in.f32> <out.szx> --abs <e> | --rel <r> [--f64] [--block <n>]
+                 [--parallel] [--strategy a|b|c] [--progress]
+                 [--kernel auto|scalar|kernel|simd] [OBSERVE]
+  szx stream     <in.f32> <out.szx> [--frame <elems>] and the compress flags
   szx decompress <in.szx> <out.f32> [--parallel]
-                 [--kernel auto|scalar|kernel|simd] [--stats [--json]]
-                 [--trace <out.trace.json>] [--metrics <out.prom>]
-                 [--events <out.jsonl>] [--manifest <run.json>]
-                 [--profile <out.folded> [--profile-svg <out.svg>]]
-  szx stream     <in.f32> <out.szxc> --abs <e> | --rel <r>
-                 [--f64] [--frame <elems>] [--progress] [--stats [--json]]
-                 [--metrics <out.prom>] [--events <out.jsonl>]
-                 [--manifest <run.json>]
-                 [--profile <out.folded> [--profile-svg <out.svg>]]
-  szx assess     <orig.f32|orig.f64> <in.szx> [--stats [--json]]
-                 [--profile <out.folded> [--profile-svg <out.svg>]]
+                 [--kernel auto|scalar|kernel|simd] [OBSERVE]
+  szx extract    <in.szx> <frame-name> <out.f32> and the decompress flags
+  szx assess     <orig.f32|orig.f64> <in.szx> [OBSERVE]
   szx info       <in.szx> [--stats]
+  szx list       <in.szx>
+  szx archive    <out.szx> <field1.f32> [field2.f32 ...] --abs <e> | --rel <r>
   szx gen        <cesm|hurricane|miranda|nyx|qmcpack|scale> <out-dir>
                  [--scale tiny|small|medium|large|full]
-  szx archive    <out.szxc> <field1.f32> [field2.f32 ...] --abs <e> | --rel <r>
-  szx list       <in.szxc>
-  szx extract    <in.szxc> <field-name> <out.f32|out.f64>
+
+  OBSERVE: [--stats [--json]] [--trace <out.trace.json>] [--metrics <out.prom>]
+           [--events <out.jsonl>] [--manifest <run.json>]
+           [--profile <out.folded> [--profile-svg <out.svg>]]
+
+  Every file szx writes is one container (SZXC): SZx streams written as
+  each completes, each with a CRC32C, and a checksummed index. compress
+  writes the whole input as frame 0; stream writes frames of --frame
+  values (default 1048576) named 0, 1, 2, ...; archive names each field
+  after its file stem. decompress checks every frame's CRC, then writes
+  all frames in order; extract writes one. Both write f32 or f64 as the
+  frames record, and assess reads the original that way. --progress
+  renders a live line with EWMA GB/s, the running ratio and an ETA on
+  stderr.
 
   --stats collects per-stage wall times, block classification counters, and
   the required-length histogram (szx-telemetry); the report goes to stderr
@@ -74,9 +80,6 @@ USAGE:
   about:tracing or https://ui.perfetto.dev. SZX_TRACE=1 enables recording
   without the flag (the CLI still needs --trace to know where to write).
 
-  assess reads the original as raw little-endian f32 or f64, matching the
-  element type recorded in the compressed stream's header.
-
   --metrics writes the final registry snapshot as a Prometheus text
   exposition (format 0.0.4); --events streams per-frame JSON-lines events;
   --manifest writes a versioned run manifest (config, dataset digest,
@@ -85,17 +88,9 @@ USAGE:
   RSS, CPU time, per-phase attribution via /proc/self).
 
   compress, decompress, stream and assess read and write one 4 MiB window
-  at a time, not the whole file (a relative bound reads the input twice:
-  a range pass, then the encode pass). Outputs are written to
-  <out>.partial and renamed over <out> only on success.
-
-  stream, archive, list and extract share one container (SZXC): named
-  SZx streams written to the file as each completes, each with a CRC32C,
-  and a trailing index. stream names its frames 0, 1, 2, ...; archive
-  names each field after its file stem; extract writes f32 or f64 as the
-  frame's header records. stream compresses the input one frame at a
-  time; --progress renders a live line with EWMA GB/s, the running ratio,
-  and an ETA (on stderr, so piped stdout stays clean).
+  at a time, not the whole file (a relative bound reads each frame twice:
+  a range pass, then the encode pass). Outputs are
+  written to <out>.partial and renamed over <out> only on success.
 
   --profile runs the zone-stack sampling profiler (~997 Hz; SZX_PROFILE_HZ
   overrides) across the command and writes collapsed stacks
@@ -114,25 +109,13 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-/// Run the `f32` command, or the `f64` one under `--f64`.
-fn by_dtype(
-    args: &[String],
-    f32: fn(&[String]) -> Result<(), String>,
-    f64: fn(&[String]) -> Result<(), String>,
-) -> Result<(), String> {
-    if has_flag(args, "--f64") {
-        f64(args)
-    } else {
-        f32(args)
-    }
-}
-
 /// Prefix an I/O error with the path it happened on.
 fn at(path: &Path) -> impl Fn(std::io::Error) -> String + '_ {
     move |e| format!("{}: {e}", path.display())
 }
 
 fn read_file(path: &Path) -> Result<Vec<u8>, String> {
+    let _s = szx_telemetry::span("io.read");
     std::fs::read(path).map_err(at(path))
 }
 
@@ -234,32 +217,6 @@ fn profile_finish(run: Option<ProfileRun>) -> Result<(), String> {
         eprintln!("flamegraph: {}", svg.display());
     }
     Ok(())
-}
-
-/// Quality section of a compress-style manifest, from measured distortion
-/// and the timed pass. Measuring it costs one extra decompression and
-/// read of the input — documented behavior of `--manifest` on the
-/// compress/stream paths.
-fn quality_entries(
-    d: &szx_metrics::DistortionStats,
-    raw_bytes: usize,
-    stream_bytes: usize,
-    elapsed: std::time::Duration,
-) -> Vec<(&'static str, szx_telemetry::Value)> {
-    use szx_telemetry::Value;
-    vec![
-        (
-            "ratio",
-            Value::F64(raw_bytes as f64 / stream_bytes.max(1) as f64),
-        ),
-        ("psnr_db", Value::F64(d.psnr)),
-        ("max_abs_err", Value::F64(d.max_abs_error)),
-        ("nrmse", Value::F64(d.nrmse)),
-        (
-            "compress_gbps",
-            Value::F64(raw_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-12)),
-        ),
-    ]
 }
 
 /// `\"label\": value` pairs summarizing one timed codec pass.
@@ -474,41 +431,51 @@ impl<F: SzxFloat> WindowReader<F> {
         })
     }
 
-    /// The next window, or `None` at the end of the pass. A file that
-    /// shrank under the reader is an error.
-    fn next(&mut self) -> Result<Option<&[F]>, String> {
-        let mut left =
-            ((self.len - self.pos) / F::BYTES as u64).min(self.window as u64) as usize * F::BYTES;
-        if left == 0 {
-            return Ok(None);
+    /// Read the next `len` values window by window, handing each window to
+    /// `f`. A file that ends before them or shrank under the reader is an
+    /// error.
+    fn each(
+        &mut self,
+        len: usize,
+        mut f: impl FnMut(&[F]) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if len as u64 > (self.len - self.pos) / F::BYTES as u64 {
+            return Err(format!("{}: input ended early", self.path.display()));
         }
-        self.values.clear();
+        let mut left = len;
         while left > 0 {
-            let piece = &mut self.staging[..left.min(STAGING_BYTES)];
-            {
-                let _s = szx_telemetry::span("io.read");
-                self.file.read_exact(piece).map_err(|e| {
-                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                        format!("{}: input shrank while being read", self.path.display())
-                    } else {
-                        at(&self.path)(e)
-                    }
-                })?;
+            let n = left.min(self.window);
+            let mut bytes = n * F::BYTES;
+            self.values.clear();
+            while bytes > 0 {
+                let piece = &mut self.staging[..bytes.min(STAGING_BYTES)];
+                {
+                    let _s = szx_telemetry::span("io.read");
+                    self.file.read_exact(piece).map_err(|e| {
+                        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                            format!("{}: input shrank while being read", self.path.display())
+                        } else {
+                            at(&self.path)(e)
+                        }
+                    })?;
+                }
+                if let Some(digest) = &mut self.digest {
+                    digest.update(piece);
+                }
+                self.values
+                    .extend(piece.chunks_exact(F::BYTES).map(F::read_le));
+                self.pos += piece.len() as u64;
+                bytes -= piece.len();
             }
-            if let Some(digest) = &mut self.digest {
-                digest.update(piece);
-            }
-            self.values
-                .extend(piece.chunks_exact(F::BYTES).map(F::read_le));
-            self.pos += piece.len() as u64;
-            left -= piece.len();
+            left -= n;
+            f(&self.values)?;
         }
-        Ok(Some(&self.values))
+        Ok(())
     }
 
-    /// Start another pass from the top. The file must still have the
-    /// length it was opened with.
-    fn rewind(&mut self) -> Result<(), String> {
+    /// Start another pass at byte `pos`, the start of a frame. The file
+    /// must still have the length it was opened with.
+    fn rewind(&mut self, pos: u64) -> Result<(), String> {
         let len = self.file.metadata().map_err(at(&self.path))?.len();
         if len != self.len {
             return Err(format!(
@@ -518,9 +485,9 @@ impl<F: SzxFloat> WindowReader<F> {
             ));
         }
         self.file
-            .seek(std::io::SeekFrom::Start(0))
+            .seek(std::io::SeekFrom::Start(pos))
             .map_err(at(&self.path))?;
-        self.pos = 0;
+        self.pos = pos;
         Ok(())
     }
 }
@@ -591,50 +558,119 @@ fn quietly<T>(f: impl FnOnce() -> T) -> T {
     value
 }
 
-/// The `--manifest` measurement of a compress-style run: the input read
-/// once more, window by window, hashed for the dataset digest and scored
-/// against the reconstruction windows pushed alongside it.
-struct Measure<F> {
-    input: WindowReader<F>,
-    distortion: szx_metrics::Distortion,
+/// Score `frames` against the raw original at `orig`: the original read
+/// once more, window by window, beside the frames decoded window by
+/// window. Returns the distortion, the original's FNV-1a digest, and
+/// whether every value kept its frame's bound (NaN pairs pass, as
+/// `Distortion` skips them).
+fn measure<F: SzxFloat + Into<f64>>(
+    orig: &Path,
+    frames: &Frames,
+) -> Result<(szx_metrics::DistortionStats, u64, bool), String> {
+    let mut input = WindowReader::<F>::open(orig, MEASURE_BYTES / F::BYTES)?;
+    let len = input.len / F::BYTES as u64;
+    if len != frames.n() as u64 {
+        return Err(format!("length mismatch: {len} vs {}", frames.n()));
+    }
+    input.digest = Some(szx_telemetry::Fnv1a64::new());
+    let mut distortion = szx_metrics::Distortion::default();
+    let mut bound_ok = true;
+    frames.decode(
+        &mut szx_core::Decoder::default(),
+        MEASURE_BYTES,
+        |decoded: &[F], eb| {
+            // The reader's windows may be shorter than a decoded one.
+            let len = decoded.len();
+            let mut decoded = decoded;
+            let score = |original: &[F]| {
+                let (window, rest) = decoded.split_at(original.len());
+                decoded = rest;
+                let _z = szx_telemetry::span("assess.distortion");
+                distortion.push(original, window);
+                let mut errors =
+                    (original.iter().zip(window)).map(|(&a, &b)| (a.into() - b.into()).abs());
+                bound_ok &= errors.all(|e| e.is_nan() || e <= eb);
+                Ok(())
+            };
+            input.each(len, score).map_err(szx_core::SzxError::Io)
+        },
+    )?;
+    let digest = input.digest.map_or(0, |d| d.finish());
+    Ok((distortion.finish(), digest, bound_ok))
 }
 
-impl<F: SzxFloat + Into<f64>> Measure<F> {
-    /// Measure the raw file at `input` against a reconstruction of `n`
-    /// values pushed in windows of `window` values (the last may be short).
-    fn start(input: &Path, n: usize, window: usize) -> Result<Self, String> {
-        let mut input = WindowReader::open(input, window)?;
-        let len = input.len / F::BYTES as u64;
-        if len != n as u64 {
-            return Err(format!("length mismatch: {len} vs {n}"));
-        }
-        input.digest = Some(szx_telemetry::Fnv1a64::new());
-        Ok(Measure {
-            input,
-            distortion: szx_metrics::Distortion::default(),
+/// The frames of a container in index order, each one's CRC checked: its
+/// name, stream and stream header.
+struct Frames<'a> {
+    names: Vec<String>,
+    streams: Vec<&'a [u8]>,
+    headers: Vec<szx_core::Header>,
+}
+
+impl<'a> Frames<'a> {
+    /// Every frame of the container in `bytes`, or only the one called
+    /// `name`.
+    fn read(bytes: &'a [u8], name: Option<&str>) -> Result<Self, String> {
+        let err = |e: szx_core::SzxError| e.to_string();
+        let r = szx_core::ContainerReader::new(bytes).map_err(err)?;
+        let picked = match name {
+            Some(name) => r.position(name).map(|i| i..i + 1).map_err(err)?,
+            None => 0..r.len(),
+        };
+        let names = r.names().skip(picked.start).take(picked.len());
+        let names = names.map(str::to_string).collect();
+        let streams: szx_core::Result<Vec<_>> = picked.map(|i| r.frame_bytes(i)).collect();
+        let streams = streams.map_err(err)?;
+        let headers: szx_core::Result<_> = streams.iter().map(|s| szx_core::inspect(s)).collect();
+        Ok(Frames {
+            names,
+            headers: headers.map_err(err)?,
+            streams,
         })
     }
 
-    /// Score the reconstruction of the input's next window.
-    fn push(&mut self, decoded: &[F]) -> Result<(), String> {
-        let original = self
-            .input
-            .next()?
-            .ok_or("reconstruction is longer than the input")?;
-        if original.len() != decoded.len() {
-            return Err("reconstruction windows do not match the input's".into());
-        }
-        self.distortion.push(original, decoded);
-        Ok(())
+    /// Values over all frames.
+    fn n(&self) -> usize {
+        self.headers.iter().map(|h| h.n).sum()
     }
 
-    /// Distortion and dataset digest, once the whole input is scored.
-    fn finish(mut self) -> Result<(szx_metrics::DistortionStats, u64), String> {
-        if self.input.next()?.is_some() {
-            return Err("reconstruction is shorter than the input".into());
+    /// The first frame's element type code (f32 without frames): a frame
+    /// of another type fails to decode.
+    fn dtype(&self) -> u8 {
+        self.headers.first().map_or(0, |h| h.dtype)
+    }
+
+    /// The loosest frame bound, which every value keeps.
+    fn eb(&self) -> f64 {
+        self.headers.iter().map(|h| h.eb).fold(0.0, f64::max)
+    }
+
+    /// Stream bytes over all frames, without the container's framing.
+    fn stream_bytes(&self) -> usize {
+        self.streams.iter().map(|s| s.len()).sum()
+    }
+
+    /// Decode the frames in order, each through one reused window of about
+    /// `window_bytes` raw bytes, and hand `sink` every window with its
+    /// frame's bound.
+    fn decode<F: SzxFloat>(
+        &self,
+        decoder: &mut szx_core::Decoder,
+        window_bytes: usize,
+        mut sink: impl FnMut(&[F], f64) -> szx_core::Result<()>,
+    ) -> Result<(), String> {
+        let mut window = Vec::new();
+        for (stream, h) in self.streams.iter().zip(&self.headers) {
+            let len = window_elems::<F>(window_bytes, h.block_size).min(h.n);
+            if window.len() < len {
+                // Zeroed by the allocator: no page is touched before decode.
+                window = vec![F::ZERO; len];
+            }
+            decoder
+                .decode_windows(stream, &mut window[..len], |w| sink(w, h.eb))
+                .map_err(|e| e.to_string())?;
         }
-        let digest = self.input.digest.map_or(0, |d| d.finish());
-        Ok((self.distortion.finish(), digest))
+        Ok(())
     }
 }
 
@@ -736,59 +772,139 @@ impl Run {
     }
 }
 
-/// `szx compress` for element type `F`: a relative bound's range pass,
-/// then the encode pass, each reading the input one window at a time; the
-/// stream is written once all windows are encoded.
-fn compress_file<F: SzxFloat + Into<f64>>(args: &[String]) -> Result<(), String> {
+/// `szx compress` (the whole file is frame `"0"`) and, with `stream`,
+/// `szx stream` (frames of `--frame` values, named `0, 1, 2, …`) for
+/// element type `F`. Each frame gets a relative bound's range pass, then the encode
+/// pass, each reading the input one window at a time, and its stream goes
+/// into the container as the frame completes: the path an instrument
+/// pipeline (LCLS-II in the paper's §1) takes. `--progress` narrates EWMA
+/// throughput, running ratio, and ETA as frames land.
+fn encode_file<F: SzxFloat + Into<f64>>(args: &[String], stream: bool) -> Result<(), String> {
+    use szx_telemetry::Value;
+    let err = |e: szx_core::SzxError| e.to_string();
     let (input, output) = io_pair(args)?;
     let cfg = parse_config(args)?.with_parallel(has_flag(args, "--parallel"));
-    cfg.validate().map_err(|e| e.to_string())?;
+    cfg.validate().map_err(err)?;
+    let progress = has_flag(args, "--progress");
+    let frame = stream.then(|| frame_flag(args)).transpose()?;
     let run = run_begin(args)?;
     let mut reader =
         WindowReader::<F>::open(&input, window_elems::<F>(WINDOW_BYTES, cfg.block_size))?;
     let raw_bytes = reader.len as usize;
+    let n = raw_bytes / F::BYTES;
+    let frame_elems = frame.unwrap_or(n);
     let start = std::time::Instant::now();
-    let stream_bytes = {
-        let _total = szx_telemetry::span("compress.total");
-        let mut scan = szx_core::RangeScan::new(&cfg);
-        if let ErrorBound::Relative(_) = cfg.error_bound {
-            while let Some(window) = reader.next()? {
-                let _s = szx_telemetry::span("compress.range_scan");
-                scan.push(window);
+    let fstats = write_through(&output, |out| {
+        let mut w = szx_core::ContainerWriter::new(out, cfg).map_err(err)?;
+        let mut meter = szx_telemetry::ProgressMeter::new(Some(raw_bytes as u64));
+        for (k, first) in (0..n).step_by(frame_elems.max(1)).enumerate() {
+            let started = std::time::Instant::now();
+            let _z = szx_telemetry::trace_zone("stream.frame", k as u64);
+            let _total = szx_telemetry::span("compress.total");
+            let len = frame_elems.min(n - first);
+            let before = w.stats().compressed_bytes;
+            let encoder = encode_frame(&mut reader, &cfg, len)?;
+            w.push_encoder(&k.to_string(), encoder, started)
+                .map_err(err)?;
+            let snap = meter.on_frame((len * F::BYTES) as u64, w.stats().compressed_bytes - before);
+            if progress {
+                eprint!("\r{}", snap.render_line());
             }
-            reader.rewind()?;
         }
-        let mut encoder =
-            szx_core::Encoder::<F>::new(&cfg, scan.bound()).map_err(|e| e.to_string())?;
-        while let Some(window) = reader.next()? {
-            encoder.push(window).map_err(|e| e.to_string())?;
+        if progress {
+            eprintln!();
         }
-        drop(reader);
-        let len = encoder.stream_len();
-        write_through(&output, |out| {
-            encoder.finish(out).map(drop).map_err(|e| e.to_string())
-        })?;
-        len
-    };
+        let stats = *w.stats();
+        w.finish().map_err(err)?;
+        Ok(stats)
+    })?;
     let elapsed = start.elapsed();
+    let container_len = std::fs::metadata(&output).map_err(at(&output))?.len() as usize;
     run.summary(format!(
-        "{} -> {} ({raw_bytes} -> {stream_bytes} bytes, CR {:.2})",
+        "{} -> {} ({} frames, {raw_bytes} -> {container_len} bytes, CR {:.2})",
         input.display(),
         output.display(),
-        raw_bytes as f64 / stream_bytes as f64
+        fstats.frames,
+        fstats.ratio()
     ));
     let manifest = match run.manifest {
         None => None,
         Some(_) => {
-            let stream = read_file(&output)?;
-            let (quality, digest) = quietly(|| measure_stream::<F>(&input, &stream))?;
-            let mut m = run_manifest("compress", &cfg, F::NAME, &input, raw_bytes, digest);
-            m.set_quality(&quality_entries(&quality, raw_bytes, stream_bytes, elapsed));
+            use szx_telemetry::json::Json;
+            // Measuring quality costs one extra decode and read of the
+            // input, after the timed pass.
+            let (quality, digest, _) = quietly(|| {
+                let bytes = read_file(&output)?;
+                measure::<F>(&input, &Frames::read(&bytes, None)?)
+            })?;
+            let command = if stream { "stream" } else { "compress" };
+            let mut m = run_manifest(command, &cfg, F::NAME, &input, raw_bytes, digest);
+            let ratio = raw_bytes as f64 / fstats.compressed_bytes.max(1) as f64;
+            let gbps = raw_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-12);
+            m.set_quality(&[
+                ("ratio", Value::F64(ratio)),
+                ("psnr_db", Value::F64(quality.psnr)),
+                ("max_abs_err", Value::F64(quality.max_abs_error)),
+                ("nrmse", Value::F64(quality.nrmse)),
+                ("compress_gbps", Value::F64(gbps)),
+            ]);
+            let stream = [
+                ("frames", fstats.frames as f64),
+                ("frame_elems", frame_elems as f64),
+                ("mean_frame_ns", fstats.mean_frame_ns()),
+            ];
+            m.set(
+                "stream",
+                Json::Obj(stream.map(|(k, v)| (k.to_string(), Json::Num(v))).to_vec()),
+            );
             Some(m)
         }
     };
-    let extras = pass_extras(mode_name(cfg.parallel), raw_bytes, stream_bytes, elapsed);
+    let mut extras = pass_extras(mode_name(cfg.parallel), raw_bytes, container_len, elapsed);
+    extras.extend([
+        ("frames", Value::U64(fstats.frames)),
+        ("frame_elems", Value::U64(frame_elems as u64)),
+        ("min_frame_ns", Value::U64(fstats.min_frame_ns)),
+        ("max_frame_ns", Value::U64(fstats.max_frame_ns)),
+    ]);
     run.finish(manifest, extras)
+}
+
+/// Encode the next `len` values of `reader` as one frame: a relative
+/// bound's range pass over the frame, which is then read again from its
+/// start, and the encode pass.
+fn encode_frame<F: SzxFloat>(
+    reader: &mut WindowReader<F>,
+    cfg: &SzxConfig,
+    len: usize,
+) -> Result<szx_core::Encoder<F>, String> {
+    let err = |e: szx_core::SzxError| e.to_string();
+    let mut scan = szx_core::RangeScan::new(cfg);
+    if let ErrorBound::Relative(_) = cfg.error_bound {
+        let frame_start = reader.pos;
+        reader.each(len, |w| {
+            let _s = szx_telemetry::span("compress.range_scan");
+            scan.push(w);
+            Ok(())
+        })?;
+        reader.rewind(frame_start)?;
+    }
+    let mut encoder = szx_core::Encoder::new(cfg, scan.bound()).map_err(err)?;
+    reader.each(len, |w| encoder.push(w).map_err(err))?;
+    Ok(encoder)
+}
+
+/// Name of a stream header's element-type code (0 or 1).
+fn dtype_name(code: u8) -> &'static str {
+    ["f32", "f64"][usize::from(code)]
+}
+
+/// `--frame <elems>` of `szx stream`: 1 Mi values unless given.
+fn frame_flag(args: &[String]) -> Result<usize, String> {
+    match flag_value(args, "--frame").map_or(Ok(1 << 20), |v| v.parse()) {
+        Ok(0) | Err(_) => Err("--frame must be a positive count".into()),
+        Ok(frame) => Ok(frame),
+    }
 }
 
 /// `mode` label of a run in manifests and `--stats` reports.
@@ -837,241 +953,121 @@ fn run_manifest(
     m
 }
 
-fn cmd_decompress(args: &[String]) -> Result<(), String> {
+/// `szx decompress <in> <out>` and, with `extract`, `szx extract <in>
+/// <name> <out>`: check the CRC of every frame (or of the one called
+/// `name`), then decode them in index order into one raw little-endian
+/// file of the element type their headers record.
+fn decode_file(args: &[String], extract: bool) -> Result<(), String> {
     use szx_telemetry::Value;
-    let (input, output) = io_pair(args)?;
+    let paths = positional(args);
+    let (input, name, output) = match (extract, &paths[..]) {
+        (false, [input, output, ..]) => (input, None, output),
+        (true, [input, name, output, ..]) => (input, Some(name.to_string_lossy()), output),
+        _ => return Err("need input and output paths (and a frame name)".into()),
+    };
     let parallel = has_flag(args, "--parallel");
     let kernel = parse_kernel(args)?;
     let run = run_begin(args)?;
     let start = std::time::Instant::now();
-    let bytes = {
-        let _s = szx_telemetry::span("io.read");
-        read_file(&input)?
-    };
-    let header = szx_core::inspect(&bytes).map_err(|e| e.to_string())?;
+    let bytes = read_file(input)?;
+    let frames = Frames::read(&bytes, name.as_deref())?;
     let mut decoder = szx_core::Decoder::new(kernel, parallel);
-    let raw_bytes = if header.dtype == 0 {
-        decode_file::<f32>(&mut decoder, &bytes, &header, &output)?
+    let raw_bytes = if frames.dtype() == 0 {
+        write_frames::<f32>(&frames, &mut decoder, output)?
     } else {
-        decode_file::<f64>(&mut decoder, &bytes, &header, &output)?
+        write_frames::<f64>(&frames, &mut decoder, output)?
     };
     let elapsed = start.elapsed();
     run.summary(format!(
         "{} -> {} ({} values)",
-        input.display(),
+        name.as_deref().unwrap_or(&input.to_string_lossy()),
         output.display(),
-        header.n
+        frames.n()
     ));
     // The kernel and simd decoders cover only the ByteAligned strategy;
     // report the path the blocks actually took (resolve() folds in runtime
     // ISA detection and the SZX_DISABLE_SIMD override).
-    let decode_path = if header.strategy == CommitStrategy::ByteAligned {
-        kernel.resolve().name()
-    } else {
-        "scalar"
-    };
+    let scalar = (frames.headers.iter()).any(|h| h.strategy != CommitStrategy::ByteAligned);
+    let kernel_path = kernel.resolve().name();
+    let decode_path = if scalar { "scalar" } else { kernel_path };
     let manifest = run.manifest.is_some().then(|| {
+        let first = frames.headers.first();
         let cfg = SzxConfig {
-            block_size: header.block_size,
-            error_bound: ErrorBound::Absolute(header.eb),
-            strategy: header.strategy,
+            block_size: first.map_or(szx_core::DEFAULT_BLOCK_SIZE, |h| h.block_size),
+            error_bound: ErrorBound::Absolute(frames.eb()),
+            strategy: first.map_or(CommitStrategy::ByteAligned, |h| h.strategy),
             kernel,
             parallel,
         };
-        let dtype = if header.dtype == 0 { "f32" } else { "f64" };
         let digest = szx_telemetry::fnv1a64(&bytes);
-        let mut m = run_manifest("decompress", &cfg, dtype, &input, bytes.len(), digest);
+        let command = if extract { "extract" } else { "decompress" };
+        let dtype = dtype_name(frames.dtype());
+        let mut m = run_manifest(command, &cfg, dtype, input, bytes.len(), digest);
+        let ratio = raw_bytes as f64 / frames.stream_bytes().max(1) as f64;
+        let gbps = raw_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-12);
         m.set_quality(&[
-            (
-                "ratio",
-                Value::F64(raw_bytes as f64 / bytes.len().max(1) as f64),
-            ),
-            (
-                "decompress_gbps",
-                Value::F64(raw_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-12)),
-            ),
+            ("ratio", Value::F64(ratio)),
+            ("decompress_gbps", Value::F64(gbps)),
             ("decode_path", Value::Str(decode_path.into())),
         ]);
         m
     });
     let mut extras = pass_extras(mode_name(parallel), raw_bytes, bytes.len(), elapsed);
-    extras.push(("decode_path", Value::Str(decode_path.to_string())));
+    extras.extend([
+        ("frames", Value::U64(frames.streams.len() as u64)),
+        ("decode_path", Value::Str(decode_path.to_string())),
+    ]);
     run.finish(manifest, extras)
 }
 
-/// Decode `stream` to a raw little-endian file at `output` one window at a
+/// Decode `frames` to a raw little-endian file at `output` one window at a
 /// time, each written through one reused staging buffer. Returns the bytes
 /// written.
-fn decode_file<F: SzxFloat>(
+fn write_frames<F: SzxFloat>(
+    frames: &Frames,
     decoder: &mut szx_core::Decoder,
-    stream: &[u8],
-    header: &szx_core::Header,
     output: &Path,
 ) -> Result<usize, String> {
-    let window = window_elems::<F>(WINDOW_BYTES, header.block_size).min(header.n);
-    let mut window = vec![F::ZERO; window];
     let mut le = Vec::new();
     write_through(output, |out| {
-        decoder
-            .decode_windows(stream, &mut window, |w| {
-                for piece in w.chunks(STAGING_BYTES / F::BYTES) {
-                    to_le(piece, &mut le);
-                    out.write_all(&le)?;
-                }
-                Ok(())
-            })
-            .map_err(|e| e.to_string())
-    })?;
-    Ok(header.n * F::BYTES)
-}
-
-/// `szx stream <in> <out>` for element type `F` — compress a raw float
-/// file into a container one frame at a time, each frame read and its
-/// stream written as it completes: the path an instrument pipeline
-/// (LCLS-II in the paper's §1) would take. Each frame is an independent SZx
-/// stream; `--progress` narrates EWMA throughput, running ratio, and ETA
-/// as frames land.
-fn stream_file<F: SzxFloat + Into<f64>>(args: &[String]) -> Result<(), String> {
-    use szx_telemetry::Value;
-    let (input, output) = io_pair(args)?;
-    let cfg = parse_config(args)?;
-    let frame_elems: usize = flag_value(args, "--frame")
-        .map(|v| v.parse().map_err(|_| "bad --frame value".to_string()))
-        .transpose()?
-        .unwrap_or(1 << 20);
-    if frame_elems == 0 {
-        return Err("--frame must be positive".into());
-    }
-    let progress = has_flag(args, "--progress");
-    let run = run_begin(args)?;
-    let mut reader = WindowReader::<F>::open(&input, frame_elems)?;
-    let raw_bytes = reader.len as usize;
-    let start = std::time::Instant::now();
-    let fstats = write_through(&output, move |out| {
-        let mut w = szx_core::ContainerWriter::new(out, cfg).map_err(|e| e.to_string())?;
-        let mut meter = szx_telemetry::ProgressMeter::new(Some(raw_bytes as u64));
-        let mut prev_compressed = 0u64;
-        while let Some(frame) = reader.next()? {
-            w.push(&w.stats().frames.to_string(), frame)
-                .map_err(|e| e.to_string())?;
-            let s = *w.stats();
-            let snap = meter.on_frame(
-                (frame.len() * F::BYTES) as u64,
-                s.compressed_bytes - prev_compressed,
-            );
-            prev_compressed = s.compressed_bytes;
-            if progress {
-                eprint!("\r{}", snap.render_line());
+        frames.decode(decoder, WINDOW_BYTES, |w: &[F], _| {
+            for piece in w.chunks(STAGING_BYTES / F::BYTES) {
+                to_le(piece, &mut le);
+                out.write_all(&le)?;
             }
-        }
-        if progress {
-            eprintln!();
-        }
-        let stats = *w.stats();
-        w.finish().map_err(|e| e.to_string())?;
-        Ok(stats)
+            Ok(())
+        })
     })?;
-    let elapsed = start.elapsed();
-    let container_len = std::fs::metadata(&output).map_err(at(&output))?.len() as usize;
-    run.summary(format!(
-        "{} -> {} ({} frames, {raw_bytes} -> {container_len} bytes, CR {:.2})",
-        input.display(),
-        output.display(),
-        fstats.frames,
-        fstats.ratio()
-    ));
-    let manifest = match run.manifest {
-        None => None,
-        Some(_) => {
-            use szx_telemetry::json::Json;
-            // Frame events are all written; close the sink so the quality
-            // decode doesn't append frame.decoded noise.
-            drop(szx_telemetry::take_event_sink());
-            let bytes = read_file(&output)?;
-            let (quality, digest) = quietly(|| {
-                let r = szx_core::ContainerReader::new(&bytes).map_err(|e| e.to_string())?;
-                let mut m = Measure::start(&input, raw_bytes / F::BYTES, frame_elems)?;
-                for i in 0..r.len() {
-                    m.push(&r.frame::<F>(i).map_err(|e| e.to_string())?)?;
-                }
-                m.finish()
-            })?;
-            let mut m = run_manifest("stream", &cfg, F::NAME, &input, raw_bytes, digest);
-            let compressed = fstats.compressed_bytes as usize;
-            m.set_quality(&quality_entries(&quality, raw_bytes, compressed, elapsed));
-            m.set(
-                "stream",
-                Json::Obj(vec![
-                    ("frames".to_string(), Json::Num(fstats.frames as f64)),
-                    ("frame_elems".to_string(), Json::Num(frame_elems as f64)),
-                    (
-                        "mean_frame_ns".to_string(),
-                        Json::Num(fstats.mean_frame_ns()),
-                    ),
-                ]),
-            );
-            Some(m)
-        }
-    };
-    let mut extras = pass_extras("stream", raw_bytes, container_len, elapsed);
-    extras.push(("frames", Value::U64(fstats.frames)));
-    extras.push(("frame_elems", Value::U64(frame_elems as u64)));
-    extras.push(("min_frame_ns", Value::U64(fstats.min_frame_ns)));
-    extras.push(("max_frame_ns", Value::U64(fstats.max_frame_ns)));
-    run.finish(manifest, extras)
+    Ok(frames.n() * F::BYTES)
 }
 
 fn cmd_assess(args: &[String]) -> Result<(), String> {
     let (orig_path, comp_path) = io_pair(args)?;
     let bytes = read_file(&comp_path)?;
-    let header = szx_core::inspect(&bytes).map_err(|e| e.to_string())?;
+    let frames = Frames::read(&bytes, None)?;
     let run = run_begin(args)?;
-    // The stream header knows its element type; read the original in the
+    // The stream headers know their element type; read the original in the
     // matching raw layout and share one metric path for both widths.
     let start = std::time::Instant::now();
-    let (stats, raw_bytes) = if header.dtype == 0 {
-        (measure_stream::<f32>(&orig_path, &bytes)?.0, header.n * 4)
+    let (stats, _, bound_ok) = if frames.dtype() == 0 {
+        measure::<f32>(&orig_path, &frames)?
     } else {
-        (measure_stream::<f64>(&orig_path, &bytes)?.0, header.n * 8)
+        measure::<f64>(&orig_path, &frames)?
     };
     let elapsed = start.elapsed();
-    println!(
-        "element type: {}",
-        if header.dtype == 0 { "f32" } else { "f64" }
-    );
+    let raw_bytes = frames.n() * if frames.dtype() == 0 { 4 } else { 8 };
+    println!("element type: {}", dtype_name(frames.dtype()));
     println!("elements:     {}", stats.n);
-    println!("error bound:  {:.6e}", header.eb);
+    println!("error bound:  {:.6e}", frames.eb());
     println!("max |error|:  {:.6e}", stats.max_abs_error);
     println!("PSNR:         {:.2} dB", stats.psnr);
     println!("NRMSE:        {:.6e}", stats.nrmse);
     println!("CR:           {:.2}", raw_bytes as f64 / bytes.len() as f64);
     println!(
         "bound ok:     {}",
-        if stats.max_abs_error <= header.eb {
-            "yes"
-        } else {
-            "NO — BUG"
-        }
+        if bound_ok { "yes" } else { "NO — BUG" }
     );
     run.finish(None, pass_extras("serial", raw_bytes, bytes.len(), elapsed))
-}
-
-/// [`Measure`] the raw file at `orig` against `stream`, decoded window by
-/// window: the distortion and the file's digest.
-fn measure_stream<F: SzxFloat + Into<f64>>(
-    orig: &Path,
-    stream: &[u8],
-) -> Result<(szx_metrics::DistortionStats, u64), String> {
-    let header = szx_core::inspect(stream).map_err(|e| e.to_string())?;
-    let window = window_elems::<F>(MEASURE_BYTES, header.block_size).min(header.n);
-    let mut m = Measure::start(orig, header.n, window)?;
-    szx_core::Decoder::default()
-        .decode_windows(stream, &mut vec![F::ZERO; window], |w| {
-            let _z = szx_telemetry::span("assess.distortion");
-            m.push(w).map_err(szx_core::SzxError::Io)
-        })
-        .map_err(|e| e.to_string())?;
-    m.finish()
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
@@ -1080,31 +1076,45 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         .find(|a| !a.starts_with("--"))
         .ok_or("need a file")?;
     let bytes = read_file(Path::new(path))?;
-    let h = szx_core::inspect(&bytes).map_err(|e| e.to_string())?;
+    let frames = Frames::read(&bytes, None)?;
+    let hs = &frames.headers;
+    // A field every frame shares, "mixed" if they differ.
+    let shared = |f: fn(&szx_core::Header) -> String| match hs.first().map(f) {
+        None => "n/a".to_string(),
+        Some(v) if hs.iter().all(|h| f(h) == v) => v,
+        Some(_) => "mixed".to_string(),
+    };
+    let blocks: usize = hs.iter().map(|h| h.num_blocks()).sum();
+    let nonconstant: usize = hs.iter().map(|h| h.n_nonconstant).sum();
+    println!("frames:           {}", hs.len());
     println!(
         "element type:     {}",
-        if h.dtype == 0 { "f32" } else { "f64" }
+        shared(|h| dtype_name(h.dtype).to_string())
     );
-    println!("elements:         {}", h.n);
-    println!("block size:       {}", h.block_size);
-    println!("blocks:           {}", h.num_blocks());
+    println!("elements:         {}", frames.n());
+    println!("block size:       {}", shared(|h| h.block_size.to_string()));
+    println!("blocks:           {blocks}");
     println!(
-        "non-constant:     {} ({:.1}%)",
-        h.n_nonconstant,
-        100.0 * h.n_nonconstant as f64 / h.num_blocks() as f64
+        "non-constant:     {nonconstant} ({:.1}%)",
+        100.0 * nonconstant as f64 / blocks.max(1) as f64
     );
-    println!("abs error bound:  {:.6e}", h.eb);
-    println!("strategy:         {:?}", h.strategy);
-    println!("stream bytes:     {}", bytes.len());
+    println!("abs error bound:  {:.6e}", frames.eb());
+    println!(
+        "strategy:         {}",
+        shared(|h| format!("{:?}", h.strategy))
+    );
+    println!("stream bytes:     {}", frames.stream_bytes());
+    println!("container bytes:  {}", bytes.len());
     if has_flag(args, "--stats") {
-        let mut zs: Vec<u16> = if h.dtype == 0 {
-            szx_core::decode::ParsedStream::parse::<f32>(&bytes)
-        } else {
-            szx_core::decode::ParsedStream::parse::<f64>(&bytes)
+        let mut zs = Vec::new();
+        for (stream, h) in frames.streams.iter().zip(hs) {
+            let parsed = if h.dtype == 0 {
+                szx_core::decode::ParsedStream::parse::<f32>(stream)
+            } else {
+                szx_core::decode::ParsedStream::parse::<f64>(stream)
+            };
+            zs.extend_from_slice(parsed.map_err(|e| e.to_string())?.zsizes());
         }
-        .map_err(|e| e.to_string())?
-        .zsizes()
-        .to_vec();
         if zs.is_empty() {
             println!("block zsize:      n/a (all blocks constant)");
         } else {
@@ -1157,47 +1167,27 @@ fn cmd_archive(args: &[String]) -> Result<(), String> {
 fn cmd_list(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("need a container file")?;
     let bytes = read_file(Path::new(path))?;
-    let r = szx_core::ContainerReader::new(&bytes).map_err(|e| e.to_string())?;
+    let frames = Frames::read(&bytes, None)?;
     println!(
         "{:<20} {:>10} {:>12} {:>12} {:>8}",
         "field", "elements", "compressed", "eb", "CR"
     );
-    for (i, name) in r.names().enumerate() {
-        let stream = r.frame_bytes(i).map_err(|e| e.to_string())?;
-        let h = szx_core::inspect(stream).map_err(|e| e.to_string())?;
-        let elem_bytes = if h.dtype == 0 { 4 } else { 8 };
+    let rows = frames
+        .names
+        .iter()
+        .zip(&frames.streams)
+        .zip(&frames.headers);
+    for ((name, stream), h) in rows {
+        let raw = h.n * if h.dtype == 0 { 4 } else { 8 };
         println!(
             "{:<20} {:>10} {:>12} {:>12.3e} {:>8.2}",
             name,
             h.n,
             stream.len(),
             h.eb,
-            (h.n * elem_bytes) as f64 / stream.len() as f64
+            raw as f64 / stream.len() as f64
         );
     }
-    Ok(())
-}
-
-/// `szx extract <container> <name> <out>` — decode one frame to a raw file
-/// of the element type its stream header records.
-fn cmd_extract(args: &[String]) -> Result<(), String> {
-    let [file, name, out, ..] = args else {
-        return Err("need <container> <field-name> <out.f32>".into());
-    };
-    let bytes = read_file(Path::new(file))?;
-    let r = szx_core::ContainerReader::new(&bytes).map_err(|e| e.to_string())?;
-    let i = r.position(name).map_err(|e| e.to_string())?;
-    // Check the frame's CRC once, then decode those bytes as the element
-    // type their header records.
-    let stream = r.frame_bytes(i).map_err(|e| e.to_string())?;
-    let header = szx_core::inspect(stream).map_err(|e| e.to_string())?;
-    let mut decoder = szx_core::Decoder::default();
-    if header.dtype == 1 {
-        decode_file::<f64>(&mut decoder, stream, &header, Path::new(out))?;
-    } else {
-        decode_file::<f32>(&mut decoder, stream, &header, Path::new(out))?;
-    }
-    println!("{name} -> {out} ({} values)", header.n);
     Ok(())
 }
 
@@ -1263,12 +1253,14 @@ mod tests {
         let mut r = WindowReader::<f32>::open(&path, 1024).unwrap();
         for _ in 0..2 {
             let mut got = Vec::new();
-            while let Some(w) = r.next().unwrap() {
+            r.each(3584, |w| {
                 assert!(w.len() == 1024 || got.len() == 3072);
                 got.extend_from_slice(w);
-            }
+                Ok(())
+            })
+            .unwrap();
             assert_eq!(got, data);
-            r.rewind().unwrap();
+            r.rewind(0).unwrap();
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1279,10 +1271,10 @@ mod tests {
         let path = dir.join("in.f32");
         write_input(&path);
         let mut r = WindowReader::<f32>::open(&path, 1024).unwrap();
-        while r.next().unwrap().is_some() {}
+        r.each(3584, |_| Ok(())).unwrap();
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(2048 * 4).unwrap();
-        let err = r.rewind().unwrap_err();
+        let err = r.rewind(0).unwrap_err();
         assert!(err.contains("changed from 14336 to 8192 bytes"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1293,10 +1285,10 @@ mod tests {
         let path = dir.join("in.f32");
         write_input(&path);
         let mut r = WindowReader::<f32>::open(&path, 1024).unwrap();
-        r.next().unwrap();
+        r.each(1024, |_| Ok(())).unwrap();
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(1500 * 4).unwrap();
-        let err = r.next().unwrap_err();
+        let err = r.each(1024, |_| Ok(())).unwrap_err();
         assert!(err.contains("input shrank"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

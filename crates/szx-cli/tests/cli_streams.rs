@@ -248,6 +248,48 @@ fn stream_output_lists_and_extracts_like_an_archive() {
         assert!((a - b).abs() <= 1e-3, "{a} vs {b}");
     }
 
+    // `decompress` is the inverse of `stream`: every frame, in order.
+    run_ok(&["decompress", &p("a.szxc"), &p("all.f32")]);
+    let mut frames = Vec::new();
+    for k in 0..3 {
+        let out = p(&format!("frame{k}.f32"));
+        run_ok(&["extract", &p("a.szxc"), &k.to_string(), &out]);
+        frames.extend(std::fs::read(out).unwrap());
+    }
+    assert_eq!(frames.len(), n * 4);
+    assert!(std::fs::read(p("all.f32")).unwrap() == frames);
+
+    // An empty input is a zero-frame container from either verb, and
+    // decompresses to an empty file.
+    std::fs::write(p("empty.f32"), b"").unwrap();
+    run_ok(&["compress", &p("empty.f32"), &p("e1.szx"), "--rel", "1e-3"]);
+    run_ok(&["stream", &p("empty.f32"), &p("e2.szx"), "--rel", "1e-3"]);
+    assert_eq!(
+        std::fs::read(p("e1.szx")).unwrap(),
+        std::fs::read(p("e2.szx")).unwrap()
+    );
+    run_ok(&["decompress", &p("e1.szx"), &p("e.f32")]);
+    assert!(std::fs::read(p("e.f32")).unwrap().is_empty());
+
+    // A bare SZx stream is a frame payload, not a file `szx` reads.
+    let data: Vec<f32> = (0..1000).map(|i| i as f32).collect();
+    let bare = szx_core::compress(&data, &szx_core::SzxConfig::absolute(1e-3)).unwrap();
+    std::fs::write(p("bare.szx"), bare).unwrap();
+    for args in [
+        &["decompress", &p("bare.szx"), &p("bare.f32")][..],
+        &["info", &p("bare.szx")],
+        &["assess", &p("in.f32"), &p("bare.szx")],
+    ] {
+        let out = szx().args(args).output().expect("run szx");
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("bare SZx stream, not an SZXC container"),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(!dir.join("bare.f32").exists());
+
     // `archive` writes the same format, one frame per field file.
     std::fs::copy(p("in.f32"), p("wave.f32")).unwrap();
     run_ok(&[
@@ -282,5 +324,70 @@ fn stream_output_lists_and_extracts_like_an_archive() {
     assert_eq!(std::fs::read(p("fields.szxc")).unwrap(), before);
     assert!(!dir.join("fields.szxc.partial").exists());
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn compress_is_a_one_frame_stream() {
+    let dir = std::env::temp_dir().join(format!("szx-cli-oneframe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let n = 50_000;
+    write_field(&dir.join("in.f32"), n);
+    // The same values as doubles.
+    let doubles: Vec<u8> = std::fs::read(p("in.f32"))
+        .unwrap()
+        .chunks_exact(4)
+        .flat_map(|b| f64::from(f32::from_le_bytes(b.try_into().unwrap())).to_le_bytes())
+        .collect();
+    std::fs::write(p("in.f64"), doubles).unwrap();
+    for (input, dtype) in [("in.f32", None), ("in.f64", Some("--f64"))] {
+        for bound in [["--abs", "1e-3"], ["--rel", "1e-4"]] {
+            let mut outputs = Vec::new();
+            for parallel in [None, Some("--parallel")] {
+                let flags: Vec<&str> = bound.iter().copied().chain(dtype).chain(parallel).collect();
+                let (c, s) = (p("c.szx"), p("s.szx"));
+                run_ok(&[&["compress", &p(input), &c][..], &flags].concat());
+                let frame = ["--frame", "50000"];
+                run_ok(&[&["stream", &p(input), &s][..], &flags, &frame].concat());
+                let compressed = std::fs::read(&c).unwrap();
+                assert!(
+                    compressed == std::fs::read(&s).unwrap(),
+                    "{input} {flags:?}: compress and a one-frame stream differ"
+                );
+                outputs.push(compressed);
+            }
+            assert!(
+                outputs[0] == outputs[1],
+                "{input} {bound:?}: serial and parallel differ"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_flipped_byte_of_a_compressed_file_fails_decompress() {
+    let dir = std::env::temp_dir().join(format!("szx-cli-flip-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    write_field(&dir.join("in.f32"), 512);
+    run_ok(&["compress", &p("in.f32"), &p("x.szx"), "--abs", "1e-1"]);
+    let clean = std::fs::read(p("x.szx")).unwrap();
+    assert!(clean.len() <= 1024, "{} bytes", clean.len());
+    run_ok(&["decompress", &p("x.szx"), &p("x.f32")]);
+    let earlier = std::fs::read(p("x.f32")).unwrap();
+    for at in 0..clean.len() {
+        let mut bad = clean.clone();
+        bad[at] ^= 0x01;
+        std::fs::write(p("bad.szx"), &bad).unwrap();
+        let out = szx()
+            .args(["decompress", &p("bad.szx"), &p("x.f32")])
+            .output()
+            .expect("run szx decompress");
+        assert!(!out.status.success(), "flip at byte {at} went undetected");
+        assert!(std::fs::read(p("x.f32")).unwrap() == earlier, "byte {at}");
+        assert!(!dir.join("x.f32.partial").exists(), "byte {at}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

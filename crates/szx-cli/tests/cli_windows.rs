@@ -1,13 +1,15 @@
 //! The windowed `compress`/`decompress` path end to end: multi-window
-//! inputs give the library's stream and decode, `--manifest` quality and
-//! digest do not depend on the windowing, memory stays bounded by the
-//! window rather than the file, and a failure leaves no output behind.
+//! inputs give the library's stream (as the container's one frame) and
+//! decode, `--manifest` quality and digest do not depend on the
+//! windowing, memory stays bounded by the window rather than the file,
+//! and a failure leaves no output behind.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use szx_core::container::crc32c;
 use szx_core::decode::ParsedStream;
-use szx_core::{Decoder, KernelSelect, SzxConfig};
+use szx_core::{ContainerReader, Decoder, KernelSelect, SzxConfig};
 use szx_telemetry::json::Json;
 
 fn szx() -> Command {
@@ -108,8 +110,13 @@ fn multi_window_runs_match_the_library_in_bounded_memory() {
     ]);
     let cfg = SzxConfig::relative(1e-3);
     let expected = szx_core::compress(&data, &cfg).unwrap();
-    let stream = std::fs::read(p("out.szx")).unwrap();
-    assert!(stream == expected, "windowed stream differs from compress");
+    let container = std::fs::read(p("out.szx")).unwrap();
+    let r = ContainerReader::new(&container).unwrap();
+    assert_eq!(r.len(), 1, "compress writes one frame");
+    assert!(
+        r.frame_bytes(0).unwrap() == expected,
+        "windowed stream differs from compress"
+    );
 
     // Quality and digest are those of the whole file in one piece.
     let c = manifest(&dir.join("c.json"));
@@ -211,10 +218,17 @@ fn corrupt_last_window_leaves_no_output() {
     run_ok(&["compress", &p("in.f32"), &p("x.szx"), "--abs", "1e-3"]);
 
     // Forge an impossible required length into the last non-constant
-    // block's payload, which the second window decodes.
-    let mut stream = std::fs::read(p("x.szx")).unwrap();
+    // block's payload, which the second window decodes, and re-seal the
+    // checksums so decode, not the CRC check, finds it.
+    let mut container = std::fs::read(p("x.szx")).unwrap();
+    let stream_len = ContainerReader::new(&container)
+        .unwrap()
+        .frame_bytes(0)
+        .unwrap()
+        .len();
+    let stream = &mut container[FRAME_START..FRAME_START + stream_len];
     let at = {
-        let parsed = ParsedStream::parse::<f32>(&stream).unwrap();
+        let parsed = ParsedStream::parse::<f32>(stream).unwrap();
         let last = (0..parsed.num_blocks())
             .rev()
             .find(|&b| parsed.state(b))
@@ -223,10 +237,11 @@ fn corrupt_last_window_leaves_no_output() {
             last * 128 >= 1 << 20,
             "corrupt block sits in the last window"
         );
-        bytes_before_payloads(&stream, &parsed) + parsed.payload_span(last).0
+        bytes_before_payloads(stream, &parsed) + parsed.payload_span(last).0
     };
     stream[at] = 0xff;
-    std::fs::write(p("x.szx"), &stream).unwrap();
+    reseal_one_frame(&mut container, stream_len);
+    std::fs::write(p("x.szx"), &container).unwrap();
 
     // An earlier output at the path survives, and nothing sits beside it.
     std::fs::write(p("x.f32"), b"earlier").unwrap();
@@ -243,6 +258,24 @@ fn corrupt_last_window_leaves_no_output() {
         assert!(!dir.join("x.f32.partial").exists());
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Where a container's first frame starts: after the magic and version.
+const FRAME_START: usize = 5;
+
+/// Recompute the frame CRC and the index CRC of a one-frame container
+/// whose frame, `stream_len` bytes long, was edited in place.
+fn reseal_one_frame(container: &mut [u8], stream_len: usize) {
+    let frame_end = FRAME_START + stream_len;
+    let crc = crc32c(&container[FRAME_START..frame_end]);
+    // Index: count, then name length, the name "0", length and CRC.
+    let index_len = 4 + 2 + 1 + 8 + 4;
+    let crc_at = frame_end + index_len - 4;
+    container[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    let index_crc = crc32c(&container[frame_end..frame_end + index_len]);
+    let footer = frame_end + index_len;
+    container[footer..footer + 4].copy_from_slice(&index_crc.to_le_bytes());
+    assert!(ContainerReader::new(container).is_ok(), "resealed");
 }
 
 fn bytes_before_payloads(stream: &[u8], parsed: &ParsedStream<'_>) -> usize {

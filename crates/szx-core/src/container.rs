@@ -1,8 +1,11 @@
 //! One container for named, independently compressed SZx streams: the
 //! fields of a snapshot (Table 2: CESM-ATM has 77) or the endless frames of
-//! an instrument (LCLS-II, §1). [`ContainerWriter`] writes each frame's
-//! stream to any [`Write`] sink at once and keeps only its index entry;
-//! [`ContainerReader`] lists, random-accesses and decodes frames in place.
+//! an instrument (LCLS-II, §1), and every file the `szx` tool writes.
+//! [`ContainerWriter`] has an [`Encoder`] write each frame's stream
+//! straight to any [`Write`] sink, CRC-ing it on the way, and keeps only
+//! its index entry; [`ContainerReader`] lists, random-accesses and decodes
+//! frames in place. The bare SZx stream (`SZXR`, [`crate::stream`]) is the
+//! frame payload.
 //!
 //! ```text
 //! magic b"SZXC" | version u8 = 1
@@ -23,6 +26,7 @@ use std::io::Write;
 use crate::config::SzxConfig;
 use crate::cursor::Cursor;
 use crate::decode::Decoder;
+use crate::encode::Encoder;
 use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
 
@@ -35,10 +39,23 @@ const FOOTER_LEN: usize = 16;
 /// Smallest index entry: empty name, length, CRC.
 const MIN_ENTRY_LEN: usize = 2 + 8 + 4;
 
-/// CRC32C (Castagnoli, reflected polynomial `0x82F63B78`), slicing-by-8
-/// over tables built at compile time.
+/// CRC32C (Castagnoli, reflected polynomial `0x82F63B78`) of `bytes`.
 pub fn crc32c(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    crc32c_update(0, bytes)
+}
+
+/// Extend `crc`, the CRC32C of some bytes, by `bytes`:
+/// `crc32c_update(crc32c(a), b) == crc32c(a ++ b)`, and the CRC of no
+/// bytes is 0. Runs on the SSE4.2 `crc32` instruction where the CPU has it
+/// (see [`crate::simd`]), else on [`crc32c_table`].
+pub fn crc32c_update(crc: u32, bytes: &[u8]) -> u32 {
+    !crate::simd::crc32c(!crc, bytes)
+}
+
+/// Fold `bytes` into the CRC32C register `reg` (the CRC before its final
+/// inversion) with slicing-by-8 over tables built at compile time: the
+/// portable backend, and the oracle of the hardware one.
+pub(crate) fn crc32c_table(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let w = u64::from_le_bytes(w.try_into().unwrap_or_default()) ^ u64::from(crc);
@@ -50,11 +67,11 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         crc = lut(t0, u64::from(crc ^ u32::from(b))) ^ (crc >> 8);
     }
-    !crc
+    crc
 }
 
 /// `table[x & 0xff]`.
-fn lut(table: &[u32; 256], x: u64) -> u32 {
+pub(crate) fn lut(table: &[u32; 256], x: u64) -> u32 {
     // PANIC-OK: the index is masked to 0..=255.
     table[(x & 0xff) as usize]
 }
@@ -127,10 +144,10 @@ impl FrameStats {
         }
     }
 
-    fn record(&mut self, raw: usize, compressed: usize, ns: u64) {
+    fn record(&mut self, raw: u64, compressed: u64, ns: u64) {
         self.frames = self.frames.saturating_add(1);
-        self.raw_bytes = self.raw_bytes.saturating_add(raw as u64);
-        self.compressed_bytes = self.compressed_bytes.saturating_add(compressed as u64);
+        self.raw_bytes = self.raw_bytes.saturating_add(raw);
+        self.compressed_bytes = self.compressed_bytes.saturating_add(compressed);
         self.compress_ns = self.compress_ns.saturating_add(ns);
         self.min_frame_ns = if self.frames == 1 {
             ns
@@ -171,8 +188,32 @@ impl<W: Write> ContainerWriter<W> {
 
     /// Compress `frame` and write its stream under `name`, which must be
     /// unique and at most 65535 bytes of UTF-8. Frames may differ in length
-    /// and element type.
+    /// and element type. This is [`Self::push_encoder`] of the frame as one
+    /// window.
     pub fn push<F: SzxFloat>(&mut self, name: &str, frame: &[F]) -> Result<()> {
+        let started = std::time::Instant::now();
+        let _z = szx_telemetry::trace_zone("stream.frame", self.stats.frames);
+        let _total = szx_telemetry::span("compress.total");
+        let eb = {
+            let _s = szx_telemetry::span("compress.range_scan");
+            crate::encode::resolve_bound(frame, &self.cfg)
+        };
+        let mut encoder = Encoder::new(&self.cfg, eb)?;
+        encoder.push(frame)?;
+        self.push_encoder(name, encoder, started)
+    }
+
+    /// Write the stream of `encoder` under `name` (rules as for
+    /// [`Self::push`]): [`Encoder::finish`] writes it straight to the sink,
+    /// which counts its bytes and folds them into the frame's CRC32C on the
+    /// way. `started` is when the frame's coding began, so the frame's
+    /// time in [`FrameStats`] covers its scan, encode and write.
+    pub fn push_encoder<F: SzxFloat>(
+        &mut self,
+        name: &str,
+        encoder: Encoder<F>,
+        started: std::time::Instant,
+    ) -> Result<()> {
         let invalid = |m: String| Err(SzxError::InvalidConfig(m));
         let Ok(name_len) = u16::try_from(name.len()) else {
             return invalid(format!("frame name too long ({} bytes)", name.len()));
@@ -183,21 +224,26 @@ impl<W: Write> ContainerWriter<W> {
         if self.stats.frames == u64::from(u32::MAX) {
             return invalid("too many frames".into());
         }
-        let _z = szx_telemetry::trace_zone("stream.frame", self.stats.frames);
-        let start = std::time::Instant::now();
-        let bytes = crate::compress(frame, &self.cfg)?;
-        let ns = start.elapsed().as_nanos() as u64;
-        self.write(&bytes)?;
+        if encoder.is_empty() {
+            return Err(SzxError::EmptyInput);
+        }
+        let raw = encoder.len() * F::BYTES;
+        let (zsize, crc) = self.with_sink(|sink| {
+            let out = encoder.finish(FrameSink {
+                sink,
+                len: 0,
+                crc: 0,
+            })?;
+            Ok((out.len, out.crc))
+        })?;
+        let ns = started.elapsed().as_nanos() as u64;
         self.names.insert(name.to_string());
         self.index.extend_from_slice(&name_len.to_le_bytes());
         self.index.extend_from_slice(name.as_bytes());
-        self.index
-            .extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        self.index.extend_from_slice(&crc32c(&bytes).to_le_bytes());
+        self.index.extend_from_slice(&zsize.to_le_bytes());
+        self.index.extend_from_slice(&crc.to_le_bytes());
 
-        let raw = frame.len() * F::BYTES;
-        self.stats.record(raw, bytes.len(), ns);
-        let zsize = bytes.len() as u64;
+        self.stats.record(raw as u64, zsize, ns);
         if szx_telemetry::enabled() {
             let tel = szx_telemetry::global();
             tel.span_stats("stream.frame").record(ns);
@@ -214,7 +260,7 @@ impl<W: Write> ContainerWriter<W> {
                     ("raw_bytes", Value::U64(raw as u64)),
                     ("compressed_bytes", Value::U64(zsize)),
                     ("ns", Value::U64(ns)),
-                    ("ratio", Value::F64(raw as f64 / bytes.len().max(1) as f64)),
+                    ("ratio", Value::F64(raw as f64 / zsize.max(1) as f64)),
                 ],
             );
         }
@@ -226,17 +272,17 @@ impl<W: Write> ContainerWriter<W> {
         &self.stats
     }
 
-    /// Write `bytes` to the sink. A failed write may leave part of them
-    /// there, which no index entry describes, so it poisons the writer:
-    /// every later `push` and `finish` errors.
-    fn write(&mut self, bytes: &[u8]) -> Result<()> {
+    /// Run `f` on the sink. A failed write may leave bytes there that no
+    /// index entry describes, so a failure poisons the writer: every later
+    /// `push` and `finish` errors.
+    fn with_sink<T>(&mut self, f: impl FnOnce(&mut W) -> Result<T>) -> Result<T> {
         if self.failed {
             return Err(SzxError::Io("container sink failed earlier".into()));
         }
         self.failed = true;
-        self.sink.write_all(bytes)?;
+        let value = f(&mut self.sink)?;
         self.failed = false;
-        Ok(())
+        Ok(value)
     }
 
     /// Write the index and footer, flush, and hand back the sink.
@@ -248,9 +294,37 @@ impl<W: Write> ContainerWriter<W> {
         tail.extend_from_slice(&crc32c(&tail).to_le_bytes());
         tail.extend_from_slice(&index_len.to_le_bytes());
         tail.extend_from_slice(&MAGIC);
-        self.write(&tail)?;
-        self.sink.flush()?;
+        self.with_sink(|sink| {
+            sink.write_all(&tail)?;
+            Ok(sink.flush()?)
+        })?;
         Ok(self.sink)
+    }
+}
+
+/// The container's sink as one frame's stream passes through it: counts
+/// the bytes and folds them into the frame's CRC32C.
+struct FrameSink<'a, W> {
+    sink: &'a mut W,
+    len: u64,
+    crc: u32,
+}
+
+impl<W: Write> Write for FrameSink<'_, W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.write_all(buf).map(|()| buf.len())
+    }
+
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        self.sink.write_all(buf)?;
+        let _s = szx_telemetry::span("container.crc");
+        self.crc = crc32c_update(self.crc, buf);
+        self.len = self.len.saturating_add(buf.len() as u64);
+        Ok(())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.sink.flush()
     }
 }
 
@@ -277,6 +351,9 @@ impl ContainerIndex {
         let corrupt = |m: &str| SzxError::CorruptStream(format!("container: {m}"));
         let mut head = Cursor::new(bytes);
         if head.take(4) != Some(MAGIC.as_slice()) {
+            if bytes.starts_with(&crate::stream::MAGIC) {
+                return Err(corrupt("bare SZx stream, not an SZXC container"));
+            }
             return Err(corrupt("bad magic"));
         }
         match head.u8() {
@@ -389,7 +466,11 @@ impl<'a> ContainerReader<'a> {
             .bytes
             .get(e.start..e.end)
             .ok_or_else(|| SzxError::CorruptStream("container: frame out of bounds".into()))?;
-        if crc32c(stream) != e.crc {
+        let crc = {
+            let _s = szx_telemetry::span("container.crc");
+            crc32c(stream)
+        };
+        if crc != e.crc {
             return Err(SzxError::CorruptStream(format!(
                 "container: frame {:?} checksum mismatch",
                 e.name

@@ -271,6 +271,16 @@ impl<F: SzxFloat> Encoder<F> {
         Ok(())
     }
 
+    /// Elements pushed so far.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Has no element been pushed yet?
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
     /// Byte length of the stream [`Self::finish`] writes for the windows
     /// pushed so far.
     pub fn stream_len(&self) -> usize {

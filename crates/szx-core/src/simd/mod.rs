@@ -4,7 +4,7 @@
 //! The portable kernels in [`crate::kernels`] / [`crate::dekernels`] are
 //! written so the autovectorizer *can* emit vector code, but nothing forces
 //! it to — a register-allocation hiccup or a cost-model miss silently
-//! degrades them to scalar. This module pins the three hot loops to explicit
+//! degrades them to scalar. This module pins the hot loops to explicit
 //! `std::arch` intrinsics:
 //!
 //! 1. **Range scan** ([`block_stats`] / [`minmax`]): 8-lane min/max stripes
@@ -20,6 +20,11 @@
 //!    loads from the mid-byte pool, and two permute+blend Hillis–Steele
 //!    steps compose the `(keep, word)` pairs of
 //!    [`crate::dekernels`]' recurrence before the carried word is applied.
+//!
+//! 4. **CRC32C** ([`crc32c`]): the SSE4.2 `crc32` instruction over 8-byte
+//!    words, three lanes at once, for the container's frame and index
+//!    checksums; the slicing-by-8 table of [`crate::container`] is the
+//!    portable path.
 //!
 //! **Dispatch.** Callers never invoke the backends directly: every entry
 //! point here re-checks [`ready`] (a cached `is_x86_feature_detected!`) and
@@ -291,6 +296,34 @@ pub(crate) fn decode_nonconstant_block<F: SzxFloat>(
     }
 }
 
+/// Fold `bytes` into the CRC32C register `reg` (see
+/// [`crate::container::crc32c_update`]): the SSE4.2 `crc32` instruction,
+/// 8 bytes at a time in three lanes, when [`crc_ready`], else the
+/// slicing-by-8 table.
+/// aarch64 stays on the table.
+pub(crate) fn crc32c(reg: u32, bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if crc_ready() {
+        // SAFETY: `crc_ready()` confirmed SSE4.2 via cached runtime feature
+        // detection (`is_x86_feature_detected!("sse4.2")`).
+        return unsafe { x86::crc32c(reg, bytes) };
+    }
+    crate::container::crc32c_table(reg, bytes)
+}
+
+/// Does the CRC32C run on SSE4.2? The CPU must have it and
+/// `SZX_DISABLE_SIMD` be unset; both are read once per process, since a
+/// checksum never depends on its backend.
+#[cfg(target_arch = "x86_64")]
+fn crc_ready() -> bool {
+    use std::sync::OnceLock;
+    static SSE42: OnceLock<bool> = OnceLock::new();
+    *SSE42.get_or_init(|| {
+        std::arch::is_x86_feature_detected!("sse4.2")
+            && std::env::var_os("SZX_DISABLE_SIMD").is_none_or(|v| v.is_empty())
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,6 +447,68 @@ mod tests {
                 for (a, b) in k.iter().zip(&v) {
                     assert_eq!(a.to_bits(), b.to_bits());
                 }
+            }
+        }
+    }
+
+    /// Every CRC32C backend this CPU runs: the table, and SSE4.2 if present.
+    fn crc_backends() -> Vec<fn(u32, &[u8]) -> u32> {
+        let mut backends: Vec<fn(u32, &[u8]) -> u32> = vec![crate::container::crc32c_table];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: called only after `is_x86_feature_detected!("sse4.2")`
+            // returned true just above.
+            backends.push(|reg, bytes| unsafe { x86::crc32c(reg, bytes) });
+        }
+        backends
+    }
+
+    #[test]
+    fn crc32c_backends_agree_with_the_table() {
+        let backends = crc_backends();
+        let crc = |f: fn(u32, &[u8]) -> u32, bytes: &[u8]| !f(!0, bytes);
+        for f in &backends {
+            assert_eq!(crc(*f, b""), 0);
+            assert_eq!(crc(*f, b"123456789"), 0xE306_9283);
+            assert_eq!(crc(*f, &[0u8; 32]), 0x8A91_36AA);
+        }
+        let long: Vec<u8> = (0..40_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let bytes = &long[..4096];
+        // Every length 0..=1024 at every start offset 0..8, then lengths
+        // around whole three-lane blocks of the SSE4.2 loop.
+        let lengths = (0..=1024).chain([6143, 6144, 6145, 12_288 + 7, 39_990]);
+        for len in lengths {
+            for start in 0..8 {
+                let piece = &long[start..start + len];
+                let want = crc(crate::container::crc32c_table, piece);
+                for f in &backends {
+                    assert_eq!(crc(*f, piece), want, "start {start} len {len}");
+                }
+            }
+        }
+        // Incremental: a 4 KiB buffer cut at every point.
+        let whole = crate::container::crc32c(bytes);
+        assert_eq!(whole, crc(crate::container::crc32c_table, bytes));
+        for cut in 0..=bytes.len() {
+            let (a, b) = bytes.split_at(cut);
+            let first = crate::container::crc32c(a);
+            assert_eq!(
+                crate::container::crc32c_update(first, b),
+                whole,
+                "cut {cut}"
+            );
+            for f in &backends {
+                assert_eq!(!f(f(!0, a), b), whole, "cut {cut}");
+            }
+        }
+        // And a long buffer cut at a stride, across the three-lane blocks.
+        let whole = crate::container::crc32c(&long);
+        for cut in (0..long.len()).step_by(997) {
+            let (a, b) = long.split_at(cut);
+            for f in &backends {
+                assert_eq!(!f(f(!0, a), b), whole, "long cut {cut}");
             }
         }
     }

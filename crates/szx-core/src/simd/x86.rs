@@ -1,9 +1,11 @@
-//! AVX2 backends for the dispatch layer in [`super`].
+//! AVX2 (and, for [`crc32c`], SSE4.2) backends for the dispatch layer in
+//! [`super`].
 //!
-//! Every function here carries `#[target_feature(enable = "avx2")]` and is
-//! therefore unsafe to *call* from non-feature contexts: the dispatch layer
-//! guards every call with the cached `is_x86_feature_detected!("avx2")`
-//! check and documents it with a `SAFETY:` comment (enforced by szx-audit).
+//! Every function here carries `#[target_feature(enable = "avx2")]` (or
+//! `"sse4.2"`) and is therefore unsafe to *call* from non-feature contexts:
+//! the dispatch layer guards every call with the cached
+//! `is_x86_feature_detected!` check and documents it with a `SAFETY:`
+//! comment (enforced by szx-audit).
 //! Inside the bodies, only the pointer intrinsics (loads, stores, gathers)
 //! are `unsafe`; the arithmetic/shuffle intrinsics are safe once the
 //! feature is statically enabled.
@@ -576,4 +578,109 @@ pub(super) fn decode_quads_f64(blk: &Block<'_>, mu: f64, out: &mut [f64]) -> (us
         unsafe { _mm256_storeu_pd(vals.as_mut_ptr(), v) };
     }
     quads.carried()
+}
+
+/// SSE4.2 CRC32C: fold `bytes` into the register `reg`. `crc32` has a
+/// latency of three cycles and a throughput of one, so whole blocks run
+/// as three lanes of [`CRC_LANE`] bytes in flight at once, joined by
+/// moving each lane's register past the lanes after it
+/// ([`crc_shift`]); the rest is one `crc32` per 8-byte word, then one per
+/// byte. Same result as [`crate::container::crc32c_table`] for every
+/// input.
+#[target_feature(enable = "sse4.2")]
+pub(super) fn crc32c(reg: u32, bytes: &[u8]) -> u32 {
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap_or_default());
+    let mut crc = u64::from(reg);
+    let mut blocks = bytes.chunks_exact(3 * CRC_LANE);
+    for block in &mut blocks {
+        let mut lanes = block.chunks_exact(CRC_LANE).map(|l| l.chunks_exact(8));
+        let (Some(a), Some(b), Some(c)) = (lanes.next(), lanes.next(), lanes.next()) else {
+            break;
+        };
+        let (mut x, mut y, mut z) = (crc, 0, 0);
+        for ((wa, wb), wc) in a.zip(b).zip(c) {
+            x = _mm_crc32_u64(x, word(wa));
+            y = _mm_crc32_u64(y, word(wb));
+            z = _mm_crc32_u64(z, word(wc));
+        }
+        crc = crc_shift(crc_shift(x) ^ y) ^ z;
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for w in &mut words {
+        crc = _mm_crc32_u64(crc, word(w));
+    }
+    // CAST: `crc32` leaves the register in the low 32 bits.
+    let mut crc = crc as u32;
+    for &b in words.remainder() {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    crc
+}
+
+/// Bytes per lane of the three-lane [`crc32c`] loop.
+const CRC_LANE: usize = 2048;
+
+/// Move the CRC register `reg` past [`CRC_LANE`] zero bytes: the move is
+/// linear over GF(2), so one lookup per register byte.
+fn crc_shift(reg: u64) -> u64 {
+    let moved = (CRC_SHIFT.iter().zip((0..32).step_by(8))).fold(0, |acc, (t, shift)| {
+        acc ^ crate::container::lut(t, reg >> shift)
+    });
+    u64::from(moved)
+}
+
+/// `CRC_SHIFT[k][b]`: the register bits `b << 8k` moved past
+/// [`CRC_LANE`] zero bytes.
+static CRC_SHIFT: [[u32; 256]; 4] = {
+    // Column i of the one-zero-byte operator is bit i's image: eight steps
+    // of the reflected polynomial 0x82F63B78.
+    let mut cols = [0u32; 32];
+    let mut i = 0;
+    while i < 32 {
+        let mut c = 1u32 << i;
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (0x82F6_3B78 & (c & 1).wrapping_neg());
+            bit += 1;
+        }
+        cols[i] = c;
+        i += 1;
+    }
+    // Square it up to CRC_LANE bytes: 2, 4, ..., 2048.
+    let mut len = 1;
+    while len < CRC_LANE {
+        let mut squared = [0u32; 32];
+        let mut i = 0;
+        while i < 32 {
+            squared[i] = gf2_apply(&cols, cols[i]);
+            i += 1;
+        }
+        cols = squared;
+        len *= 2;
+    }
+    let mut t = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            // CAST: b < 256 fits in u32.
+            t[k][b] = gf2_apply(&cols, (b as u32) << (8 * k));
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// The GF(2) linear map with columns `cols` applied to `v`.
+const fn gf2_apply(cols: &[u32; 32], v: u32) -> u32 {
+    let mut out = 0;
+    let mut i = 0;
+    while i < 32 {
+        if v >> i & 1 == 1 {
+            out ^= cols[i];
+        }
+        i += 1;
+    }
+    out
 }

@@ -227,7 +227,35 @@ run_simd_equivalence() {
             || simd_fail "scalar and kernel decodes differ bitwise ($input)"
         cmp -s "$dir/scalar.f32" "$dir/simd.f32" \
             || simd_fail "scalar and simd decodes differ bitwise ($input)"
+        # The frame and index CRC32Cs: the table backend must write the
+        # file the SSE4.2 one does.
+        SZX_DISABLE_SIMD=1 cargo run -q --release -p szx-cli -- compress "$input" \
+            "$dir/nosimd.szx" "${bound[@]}" >/dev/null \
+            || simd_fail "compress with SZX_DISABLE_SIMD=1"
+        cargo run -q --release -p szx-cli -- compress "$input" \
+            "$dir/auto.szx" "${bound[@]}" >/dev/null \
+            || simd_fail "compress --kernel auto"
+        cmp -s "$dir/nosimd.szx" "$dir/auto.szx" \
+            || simd_fail "SZX_DISABLE_SIMD=1 and default files differ ($input)"
     done
+    # decompress inverts stream: all frames in order, the concatenation of
+    # every frame's extract (25 frames of one small field).
+    cargo run -q --release -p szx-cli -- stream "$field" "$dir/s.szx" \
+        --abs 1e-3 --frame 4096 >/dev/null \
+        || simd_fail "stream --frame 4096"
+    cargo run -q --release -p szx-cli -- decompress "$dir/s.szx" "$dir/s.f32" >/dev/null \
+        || simd_fail "decompress of a stream"
+    local frames k
+    frames="$(cargo run -q --release -p szx-cli -- list "$dir/s.szx" | tail -n +2 | wc -l)"
+    ((frames > 1)) || simd_fail "stream wrote $frames frames"
+    : >"$dir/s-extracts.f32"
+    for ((k = 0; k < frames; k++)); do
+        cargo run -q --release -p szx-cli -- extract "$dir/s.szx" "$k" "$dir/frame.f32" >/dev/null \
+            || simd_fail "extract of frame $k"
+        cat "$dir/frame.f32" >>"$dir/s-extracts.f32"
+    done
+    cmp -s "$dir/s.f32" "$dir/s-extracts.f32" \
+        || simd_fail "decompress of a stream differs from its extracts concatenated"
     rm -rf "$dir"
 }
 
