@@ -5,7 +5,7 @@
 //! CESM-ATM and Nyx generators. All paths produce byte-identical archives
 //! (asserted at setup), so any delta is pure hot-loop throughput.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use szx_core::config::KernelSelect;
 use szx_core::SzxConfig;
 use szx_data::{Application, Scale};
@@ -91,5 +91,41 @@ fn bench_kernels(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_kernels);
+/// The relative bound's range pass alone, apart from file I/O: the SIMD
+/// min/max and a `RangeScan` over one CLI window (512 KiB, cache-resident)
+/// and over 64 MB (memory-bound), f32 and f64.
+fn bench_range_scan(c: &mut Criterion) {
+    let f32s = dataset_64mb(Application::CesmAtm);
+    let f64s: Vec<f64> = f32s[..f32s.len() / 2].iter().map(|&v| v.into()).collect();
+    let mut g = c.benchmark_group("range-scan");
+    g.sample_size(10);
+    range_scan_arms(&mut g, "f32", &f32s);
+    range_scan_arms(&mut g, "f64", &f64s);
+    g.finish();
+}
+
+fn range_scan_arms<F: szx_core::SzxFloat>(
+    g: &mut criterion::BenchmarkGroup<'_>,
+    dtype: &str,
+    data: &[F],
+) {
+    let cfg = SzxConfig::relative(1e-3);
+    for (size, bytes) in [("512KiB", 512 << 10), ("64MB", data.len() * F::BYTES)] {
+        let slice = &data[..bytes / F::BYTES];
+        let id = format!("{dtype}-{size}");
+        g.throughput(Throughput::Bytes(bytes as u64));
+        g.bench_function(BenchmarkId::new("simd-minmax", &id), |b| {
+            b.iter(|| szx_core::simd::minmax(black_box(slice)));
+        });
+        g.bench_function(BenchmarkId::new("range-scan-push", &id), |b| {
+            b.iter(|| {
+                let mut scan = szx_core::RangeScan::new(&cfg);
+                scan.push(black_box(slice));
+                scan.range()
+            });
+        });
+    }
+}
+
+criterion_group!(benches, bench_kernels, bench_range_scan);
 criterion_main!(benches);

@@ -87,10 +87,10 @@ USAGE:
   implies telemetry collection and starts the resource accountant (peak
   RSS, CPU time, per-phase attribution via /proc/self).
 
-  compress, decompress, stream and assess read and write one 4 MiB window
-  at a time, not the whole file (a relative bound reads each frame twice:
-  a range pass, then the encode pass). Outputs are
-  written to <out>.partial and renamed over <out> only on success.
+  compress, stream, decompress, extract and assess read and write one
+  512 KiB window at a time, not the whole file (a relative bound reads each
+  frame twice: a range pass, then the encode pass). Outputs are written to
+  <out>.partial and renamed over <out> only on success.
 
   --profile runs the zone-stack sampling profiler (~997 Hz; SZX_PROFILE_HZ
   overrides) across the command and writes collapsed stacks
@@ -369,14 +369,12 @@ fn parse_config(args: &[String]) -> Result<SzxConfig, String> {
     })
 }
 
-/// Raw bytes a `compress`, `decompress` or `stream` pass holds at a time.
-const WINDOW_BYTES: usize = 4 << 20;
-/// Raw bytes a window passes through at once, on its way between the file
-/// and its values.
-const STAGING_BYTES: usize = 1 << 20;
-/// Raw bytes per window of the `--manifest` measurement pass, which holds
-/// a decoded window beside each original one.
-const MEASURE_BYTES: usize = 256 << 10;
+/// Raw bytes every windowed pass holds at a time: `compress`, `stream`,
+/// `decompress`, `extract`, `assess` and the `--manifest` measurement. A
+/// window of values and its byte twin, or a decoded window beside an
+/// original one, stay inside a 2 MiB per-core L2, so a value is coded from
+/// cache after its one conversion (DESIGN.md §15).
+const WINDOW_BYTES: usize = 512 << 10;
 
 /// Elements per window of `F` at `block_size`: `bytes` rounded down to
 /// whole groups of `DECODE_GROUP` blocks, at least one group. A group is a
@@ -388,8 +386,8 @@ fn window_elems<F: SzxFloat>(bytes: usize, block_size: usize) -> usize {
 }
 
 /// Reads a raw little-endian float file window by window into one reused
-/// value buffer, through one reused staging buffer. Each pass reads
-/// exactly the length the file had when it was opened.
+/// value buffer: one read into its byte twin, then one conversion. Each
+/// pass reads exactly the length the file had when it was opened.
 struct WindowReader<F> {
     path: PathBuf,
     file: std::fs::File,
@@ -397,7 +395,7 @@ struct WindowReader<F> {
     /// Bytes read in this pass.
     pos: u64,
     window: usize,
-    staging: Vec<u8>,
+    bytes: Vec<u8>,
     values: Vec<F>,
     /// FNV-1a of the bytes read, when asked for.
     digest: Option<szx_telemetry::Fnv1a64>,
@@ -425,7 +423,7 @@ impl<F: SzxFloat> WindowReader<F> {
             len,
             pos: 0,
             window,
-            staging: vec![0; (window * F::BYTES).min(STAGING_BYTES)],
+            bytes: vec![0; window * F::BYTES],
             values: Vec::with_capacity(window),
             digest: None,
         })
@@ -445,28 +443,24 @@ impl<F: SzxFloat> WindowReader<F> {
         let mut left = len;
         while left > 0 {
             let n = left.min(self.window);
-            let mut bytes = n * F::BYTES;
-            self.values.clear();
-            while bytes > 0 {
-                let piece = &mut self.staging[..bytes.min(STAGING_BYTES)];
-                {
-                    let _s = szx_telemetry::span("io.read");
-                    self.file.read_exact(piece).map_err(|e| {
-                        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                            format!("{}: input shrank while being read", self.path.display())
-                        } else {
-                            at(&self.path)(e)
-                        }
-                    })?;
-                }
-                if let Some(digest) = &mut self.digest {
-                    digest.update(piece);
-                }
-                self.values
-                    .extend(piece.chunks_exact(F::BYTES).map(F::read_le));
-                self.pos += piece.len() as u64;
-                bytes -= piece.len();
+            let bytes = &mut self.bytes[..n * F::BYTES];
+            {
+                let _s = szx_telemetry::span("io.read");
+                self.file.read_exact(bytes).map_err(|e| {
+                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                        format!("{}: input shrank while being read", self.path.display())
+                    } else {
+                        at(&self.path)(e)
+                    }
+                })?;
             }
+            if let Some(digest) = &mut self.digest {
+                digest.update(bytes);
+            }
+            self.values.clear();
+            self.values
+                .extend(bytes.chunks_exact(F::BYTES).map(F::read_le));
+            self.pos += bytes.len() as u64;
             left -= n;
             f(&self.values)?;
         }
@@ -567,7 +561,7 @@ fn measure<F: SzxFloat + Into<f64>>(
     orig: &Path,
     frames: &Frames,
 ) -> Result<(szx_metrics::DistortionStats, u64, bool), String> {
-    let mut input = WindowReader::<F>::open(orig, MEASURE_BYTES / F::BYTES)?;
+    let mut input = WindowReader::<F>::open(orig, WINDOW_BYTES / F::BYTES)?;
     let len = input.len / F::BYTES as u64;
     if len != frames.n() as u64 {
         return Err(format!("length mismatch: {len} vs {}", frames.n()));
@@ -577,7 +571,7 @@ fn measure<F: SzxFloat + Into<f64>>(
     let mut bound_ok = true;
     frames.decode(
         &mut szx_core::Decoder::default(),
-        MEASURE_BYTES,
+        WINDOW_BYTES,
         |decoded: &[F], eb| {
             // The reader's windows may be shorter than a decoded one.
             let len = decoded.len();
@@ -1021,8 +1015,8 @@ fn decode_file(args: &[String], extract: bool) -> Result<(), String> {
 }
 
 /// Decode `frames` to a raw little-endian file at `output` one window at a
-/// time, each written through one reused staging buffer. Returns the bytes
-/// written.
+/// time, each converted into one reused byte buffer and written with one
+/// call. Returns the bytes written.
 fn write_frames<F: SzxFloat>(
     frames: &Frames,
     decoder: &mut szx_core::Decoder,
@@ -1031,11 +1025,8 @@ fn write_frames<F: SzxFloat>(
     let mut le = Vec::new();
     write_through(output, |out| {
         frames.decode(decoder, WINDOW_BYTES, |w: &[F], _| {
-            for piece in w.chunks(STAGING_BYTES / F::BYTES) {
-                to_le(piece, &mut le);
-                out.write_all(&le)?;
-            }
-            Ok(())
+            to_le(w, &mut le);
+            Ok(out.write_all(&le)?)
         })
     })?;
     Ok(frames.n() * F::BYTES)

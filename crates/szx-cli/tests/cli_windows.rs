@@ -9,8 +9,12 @@ use std::process::Command;
 
 use szx_core::container::crc32c;
 use szx_core::decode::ParsedStream;
-use szx_core::{ContainerReader, Decoder, KernelSelect, SzxConfig};
+use szx_core::{ContainerReader, Decoder, KernelSelect, SzxConfig, SzxFloat};
 use szx_telemetry::json::Json;
+
+/// Raw bytes of one window of the windowed commands (`WINDOW_BYTES` in
+/// the CLI).
+const WINDOW_BYTES: usize = 512 << 10;
 
 fn szx() -> Command {
     Command::new(env!("CARGO_BIN_EXE_szx"))
@@ -57,8 +61,14 @@ fn mostly_flat(n: usize) -> Vec<f32> {
 }
 
 fn write_f32(path: &Path, data: &[f32]) {
-    let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-    std::fs::write(path, bytes).unwrap();
+    std::fs::write(path, le_bytes(data)).unwrap();
+}
+
+/// `data` as raw little-endian bytes, for either float type.
+fn le_bytes<F: SzxFloat>(data: &[F]) -> Vec<u8> {
+    data.iter()
+        .flat_map(|v| (v.to_word() >> (64 - 8 * F::BYTES)).to_le_bytes()[..F::BYTES].to_vec())
+        .collect()
 }
 
 fn run_ok(args: &[&str]) {
@@ -93,7 +103,7 @@ fn peak_rss(doc: &Json) -> f64 {
 fn multi_window_runs_match_the_library_in_bounded_memory() {
     let dir = scratch("windows");
     let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    // 32 MB: seven full 4 MiB windows and a ragged eighth.
+    // 32 MB: 61 full windows and a ragged 62nd.
     let data = mostly_flat(8_000_000);
     let raw = (data.len() * 4) as f64;
     write_f32(&dir.join("in.f32"), &data);
@@ -171,7 +181,7 @@ fn multi_window_runs_match_the_library_in_bounded_memory() {
 fn manifest_quality_and_digest_keep_their_values() {
     let dir = scratch("quality");
     let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    // Three windows, the last ragged.
+    // Twenty windows, the last ragged.
     write_f32(&dir.join("in.f32"), &wave(2_500_000));
     run_ok(&[
         "compress",
@@ -212,8 +222,10 @@ const DIGEST: &str = "d398b0c409601ee0";
 fn corrupt_last_window_leaves_no_output() {
     let dir = scratch("corrupt");
     let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    // Two windows.
+    // Twelve windows, the last ragged.
     let data = wave(1_500_000);
+    let window = WINDOW_BYTES / 4;
+    let last_window = (data.len() - 1) / window * window;
     write_f32(&dir.join("in.f32"), &data);
     run_ok(&["compress", &p("in.f32"), &p("x.szx"), "--abs", "1e-3"]);
 
@@ -234,7 +246,7 @@ fn corrupt_last_window_leaves_no_output() {
             .find(|&b| parsed.state(b))
             .unwrap();
         assert!(
-            last * 128 >= 1 << 20,
+            last * 128 >= last_window,
             "corrupt block sits in the last window"
         );
         bytes_before_payloads(stream, &parsed) + parsed.payload_span(last).0
@@ -258,6 +270,64 @@ fn corrupt_last_window_leaves_no_output() {
         assert!(!dir.join("x.f32.partial").exists());
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `n` values of `F` shaped like [`wave`], a few of them zeros of both
+/// signs.
+fn wave_of<F: SzxFloat>(n: usize) -> Vec<F> {
+    let mut data: Vec<F> = wave(n).into_iter().map(|v| F::from_f64(v.into())).collect();
+    for (k, i) in (0..n).step_by(9_973).enumerate() {
+        data[i] = F::from_f64(if k % 2 == 0 { -0.0 } else { 0.0 });
+    }
+    data
+}
+
+/// Inputs on either side of each window edge: exactly one window, one
+/// window ± one value, and two windows plus one block. Frame 0 of
+/// `compress` is the library's stream and `decompress` writes the
+/// library's decode, serially and with `--parallel`.
+fn window_edges_match_the_library<F: SzxFloat>(flags: &[&str]) {
+    let dir = scratch(&format!("edges-{}", F::NAME));
+    let [input, szx, out] =
+        ["in.raw", "out.szx", "out.raw"].map(|name| dir.join(name).to_str().unwrap().to_string());
+    let window = WINDOW_BYTES / F::BYTES;
+    for n in [window, window - 1, window + 1, 2 * window + 128] {
+        let data = wave_of::<F>(n);
+        std::fs::write(&input, le_bytes(&data)).unwrap();
+        let expected = szx_core::compress(&data, &SzxConfig::relative(1e-3)).unwrap();
+        let decoded: Vec<F> = Decoder::new(KernelSelect::Scalar, false)
+            .decode(&expected)
+            .unwrap();
+        for parallel in [&[][..], &["--parallel"][..]] {
+            let mut args = vec!["compress", &input, &szx, "--rel", "1e-3"];
+            args.extend(flags.iter().chain(parallel));
+            run_ok(&args);
+            let container = std::fs::read(&szx).unwrap();
+            let frame = ContainerReader::new(&container)
+                .unwrap()
+                .frame_bytes(0)
+                .unwrap();
+            assert!(frame == expected, "n = {n} {parallel:?}: stream differs");
+            let mut args = vec!["decompress", &szx, &out];
+            args.extend(parallel);
+            run_ok(&args);
+            assert!(
+                std::fs::read(&out).unwrap() == le_bytes(&decoded),
+                "n = {n} {parallel:?}: decode differs"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn window_edges_match_the_library_f32() {
+    window_edges_match_the_library::<f32>(&[]);
+}
+
+#[test]
+fn window_edges_match_the_library_f64() {
+    window_edges_match_the_library::<f64>(&["--f64"]);
 }
 
 /// Where a container's first frame starts: after the magic and version.

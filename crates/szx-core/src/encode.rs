@@ -47,8 +47,19 @@ impl<F: SzxFloat> ChunkOutput<F> {
     }
 }
 
-/// Elements per range-scan chunk on the parallel path.
-const RANGE_CHUNK: usize = 64 * 1024;
+/// Elements per range-scan chunk on the parallel path. The SIMD scan
+/// runs at tens of GB/s from cache, so a chunk must be large for its work
+/// to outweigh waking the pool: a 512 KiB window of the CLI is one chunk,
+/// scanned inline, and a 64 MB slice is 16.
+const RANGE_CHUNK: usize = 1 << 20;
+
+/// Fewest blocks in a parallel encode chunk (the window's last chunk may
+/// hold fewer). A chunk costs a claim on the pool and its own output
+/// sections, to be walked again by [`Encoder::finish`]; at 256 blocks that
+/// stays small beside its coding work. A 512 KiB window of the CLI splits
+/// into four chunks of `f32` (two of `f64`); a large slice still splits
+/// into `current_num_threads() × 4`.
+const MIN_CHUNK_BLOCKS: usize = 256;
 
 /// The running value range (max − min, NaN-ignoring) a relative bound is
 /// resolved against, fed the data window by window.
@@ -240,7 +251,8 @@ impl<F: SzxFloat> Encoder<F> {
         } else {
             1
         };
-        let chunk_elems = (nblocks.div_ceil(target_chunks).div_ceil(8) * 8).max(8) * bs;
+        let chunk_elems =
+            (nblocks.div_ceil(target_chunks).div_ceil(8) * 8).max(MIN_CHUNK_BLOCKS) * bs;
         let nchunks = window.len().div_ceil(chunk_elems);
         if self.scratch.len() < nchunks {
             self.scratch.resize_with(nchunks, EncodeScratch::default);

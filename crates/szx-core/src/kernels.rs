@@ -160,7 +160,8 @@ pub fn block_stats<F: SzxFloat>(block: &[F]) -> BlockStats<F> {
 
 /// Branch-free global min/max (NaN-ignoring), the kernel behind the
 /// relative-error-bound range scan. Returns `(+inf, -inf)` for all-NaN
-/// input, matching the scalar scan's untouched sentinels.
+/// input, matching the scalar scan's untouched sentinels. A zero extreme
+/// is returned as +0.0 (see [`unsigned_zero`]).
 #[inline]
 pub fn minmax<F: SzxFloat>(data: &[F]) -> (F, F) {
     let mut min = F::from_f64(f64::INFINITY);
@@ -183,7 +184,21 @@ pub fn minmax<F: SzxFloat>(data: &[F]) -> (F, F) {
         min = if d < min { d } else { min };
         max = if d > max { d } else { max };
     }
-    (min, max)
+    (unsigned_zero(min), unsigned_zero(max))
+}
+
+/// `x`, or +0.0 if `x` is a zero of either sign. Which zero a min/max scan
+/// keeps depends on how its accumulators split the data, since −0.0 and
+/// +0.0 compare equal; the range `max − min` never depends on it. Every
+/// [`minmax`] backend returns its zero extremes through this, so they
+/// agree bit for bit whatever their accumulator layout.
+#[inline]
+pub(crate) fn unsigned_zero<F: SzxFloat>(x: F) -> F {
+    if x == F::ZERO {
+        F::ZERO
+    } else {
+        x
+    }
 }
 
 /// Kernel encode of one non-constant block: same payload layout and bytes as

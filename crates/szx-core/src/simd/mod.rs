@@ -9,7 +9,12 @@
 //!
 //! 1. **Range scan** ([`block_stats`] / [`minmax`]): 8-lane min/max stripes
 //!    with NaN presence folded in via unordered compares — one AVX2 register
-//!    of `f32`, two of `f64`.
+//!    of `f32`, two of `f64`. `vminps(d, acc)`/`vmaxps(d, acc)` are the
+//!    scalar select `d < acc ? d : acc` itself: they return the second
+//!    operand, the incumbent, on ties and on NaN, so the blocks' extrema
+//!    keep the portable kernel's bits. [`minmax`] runs four independent
+//!    accumulators, off the one-register dependency chain, and returns a
+//!    zero extreme as +0.0 as every backend does.
 //! 2. **Encode coder** ([`encode_nonconstant`]): normalize → shift into the
 //!    high-aligned word (Formulas 4–5), XOR-against-predecessor leading-byte
 //!    counting with branch-free nested byte-prefix compares, and a
@@ -37,7 +42,8 @@
 //!
 //! **Equivalence.** Every backend is byte-for-byte equivalent to the
 //! portable kernels — same select semantics (NaN never replaces an
-//! incumbent, ties keep the earlier element), same clamps, same overlapping
+//! incumbent, ties keep the earlier element; [`minmax`] returns a zero
+//! extreme as +0.0 on every path), same clamps, same overlapping
 //! store/load trick — which the roundtrip property suite, the fuzz
 //! differential oracle, and the corrupt-archive suite assert. The scalar
 //! loops remain the oracle of record.
@@ -147,8 +153,18 @@ pub fn block_stats<F: SzxFloat>(block: &[F]) -> BlockStats<F> {
 
 /// SIMD global min/max (NaN-ignoring), bit-identical to
 /// [`crate::kernels::minmax`] including the `(+inf, -inf)` all-NaN result.
+/// The backends merge several accumulators, so a zero extreme's sign
+/// depends on their layout; it leaves here as +0.0, as it does the kernel.
 #[inline]
 pub fn minmax<F: SzxFloat>(data: &[F]) -> (F, F) {
+    let (lo, hi) = backend_minmax(data);
+    (kernels::unsigned_zero(lo), kernels::unsigned_zero(hi))
+}
+
+/// [`minmax`] on the widest backend for this CPU, a zero extreme of
+/// either sign.
+#[inline]
+fn backend_minmax<F: SzxFloat>(data: &[F]) -> (F, F) {
     #[cfg(target_arch = "x86_64")]
     if ready() && data.len() >= kernels::LANES {
         if let Some(d) = F::as_f32s(data) {
@@ -390,6 +406,75 @@ mod tests {
         let (b0, b1) = minmax(&d64);
         assert_eq!(a0.to_bits(), b0.to_bits());
         assert_eq!(a1.to_bits(), b1.to_bits());
+    }
+
+    /// `simd::minmax` ≡ `kernels::minmax` bit for bit, and every range scan
+    /// of `data` ≡ the scalar oracle's range.
+    fn assert_minmax_agrees<F: SzxFloat>(data: &[F], what: &str) {
+        let (a0, a1) = kernels::minmax(data);
+        let (b0, b1) = minmax(data);
+        assert_eq!(a0.to_word(), b0.to_word(), "min of {what}");
+        assert_eq!(a1.to_word(), b1.to_word(), "max of {what}");
+        let want = crate::config::value_range(data);
+        for path in [KernelPath::Simd, KernelPath::Kernel] {
+            for parallel in [false, true] {
+                assert_eq!(value_range_on(data, path, parallel), want, "{what}");
+            }
+        }
+    }
+
+    /// The cases the four-accumulator AVX2 scan could get wrong, at `F`.
+    fn minmax_edge_cases<F: SzxFloat>() {
+        let f = F::from_f64;
+        // Both zeros as the extreme, one in each of two positions, the rest
+        // on one side of zero: every pairing of accumulators, lanes, the
+        // unrolled loop, its whole-register tail and the scalar tail.
+        let n = 83;
+        for (side, what) in [(1.0, "min"), (-1.0, "max")] {
+            let base: Vec<F> = (0..n).map(|i| f(side * (1.0 + i as f64))).collect();
+            for i in 0..n {
+                for j in (0..n).filter(|&j| j != i) {
+                    let mut data = base.clone();
+                    data[i] = f(-0.0);
+                    data[j] = f(0.0);
+                    assert_minmax_agrees(&data, &format!("zero {what}: -0 at {i}, +0 at {j}"));
+                }
+            }
+        }
+        // NaN in the first stripe, in a later one, in the tail; all NaN.
+        let wave: Vec<F> = (0..200).map(|i| f((i as f64 * 0.37).sin() * 5.0)).collect();
+        for at in [[0, 100], [3, 40], [9, 199], [31, 32]] {
+            let mut data = wave.clone();
+            for k in at {
+                data[k] = f(f64::NAN);
+            }
+            assert_minmax_agrees(&data, &format!("NaN at {at:?}"));
+        }
+        for len in [8, 9, 33, 200] {
+            let nan = vec![f(f64::NAN); len];
+            assert_minmax_agrees(&nan, &format!("{len} NaNs"));
+            assert_eq!(minmax(&nan).0.to_f64(), f64::INFINITY);
+            assert_eq!(minmax(&nan).1.to_f64(), f64::NEG_INFINITY);
+        }
+        // Lengths 8·k ± 1 around the unroll, the extremes at the end.
+        for k in 1..=12 {
+            for len in [8 * k - 1, 8 * k, 8 * k + 1] {
+                let mut data: Vec<F> = (0..len).map(|i| f((i % 7) as f64)).collect();
+                data[len - 1] = f(-3.0);
+                if len > 1 {
+                    data[len - 2] = f(9.0);
+                }
+                assert_minmax_agrees(&data, &format!("len {len}"));
+                let (lo, hi) = minmax(&data);
+                assert_eq!((lo.to_f64(), hi.to_f64()), (-3.0, 9.0), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn simd_minmax_agrees_on_zeros_nans_and_unroll_edges() {
+        minmax_edge_cases::<f32>();
+        minmax_edge_cases::<f64>();
     }
 
     #[test]

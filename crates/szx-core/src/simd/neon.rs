@@ -11,8 +11,9 @@
 //! The one semantic trap: `vminq_f32`/`vmaxq_f32` propagate NaN, but the
 //! scalar oracle's `if d < min { d } else { min }` keeps the incumbent on
 //! NaN. The kernels therefore use compare (`vcltq`/`vcgtq`, false on any
-//! NaN operand) + bitwise select (`vbslq`) — the same choice the AVX2
-//! backend makes with `vcmpps`/`vblendvps`.
+//! NaN operand) + bitwise select (`vbslq`). The AVX2 backend gets the same
+//! select from `vminps(d, acc)`/`vmaxps(d, acc)`, which return their second
+//! operand on NaN; NEON's min/max have no such operand order.
 
 #![allow(unsafe_code)]
 

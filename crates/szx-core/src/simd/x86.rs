@@ -12,8 +12,9 @@
 //!
 //! The kernels mirror [`crate::kernels`] / [`crate::dekernels`] pass for
 //! pass; comments note where an instruction choice is forced by the
-//! byte-identity contract (e.g. compare-and-blend instead of `vminps`,
-//! which would propagate NaN where the scalar select keeps the incumbent).
+//! byte-identity contract (e.g. the operand order of `vminps`/`vmaxps`,
+//! which return their second operand on ties and on NaN, exactly the
+//! scalar select's incumbent).
 
 #![allow(unsafe_code)]
 
@@ -42,11 +43,13 @@ pub(super) fn block_stats_f32(block: &[f32]) -> BlockStats<f32> {
     for k in 1..full {
         // SAFETY: k < full = n / LANES, so lanes k*8 .. k*8+8 are in bounds.
         let d = unsafe { _mm256_loadu_ps(ptr.add(k * LANES)) };
-        // Compare-and-blend, not vminps/vmaxps: the scalar select keeps the
-        // incumbent on NaN and on ties, and ordered `<`/`>` against a NaN
-        // incumbent is false, which preserves exactly that.
-        mins = _mm256_blendv_ps(mins, d, _mm256_cmp_ps::<_CMP_LT_OQ>(d, mins));
-        maxs = _mm256_blendv_ps(maxs, d, _mm256_cmp_ps::<_CMP_GT_OQ>(d, maxs));
+        // `vminps(d, acc)` is `d < acc ? d : acc` and `vmaxps(d, acc)` is
+        // `d > acc ? d : acc`: both return the second operand, the
+        // incumbent, on ties and whenever either operand is NaN, which is
+        // exactly the scalar select. The reverse order would let a NaN `d`
+        // replace the incumbent.
+        mins = _mm256_min_ps(d, mins);
+        maxs = _mm256_max_ps(d, maxs);
         unord = _mm256_or_ps(unord, _mm256_cmp_ps::<_CMP_UNORD_Q>(d, d));
     }
     let mut minl = [0f32; LANES];
@@ -112,10 +115,11 @@ pub(super) fn block_stats_f64(block: &[f64]) -> BlockStats<f64> {
                 _mm256_loadu_pd(ptr.add(k * LANES + 4)),
             )
         };
-        min_lo = _mm256_blendv_pd(min_lo, d_lo, _mm256_cmp_pd::<_CMP_LT_OQ>(d_lo, min_lo));
-        min_hi = _mm256_blendv_pd(min_hi, d_hi, _mm256_cmp_pd::<_CMP_LT_OQ>(d_hi, min_hi));
-        max_lo = _mm256_blendv_pd(max_lo, d_lo, _mm256_cmp_pd::<_CMP_GT_OQ>(d_lo, max_lo));
-        max_hi = _mm256_blendv_pd(max_hi, d_hi, _mm256_cmp_pd::<_CMP_GT_OQ>(d_hi, max_hi));
+        // Incumbent second, as in `block_stats_f32`.
+        min_lo = _mm256_min_pd(d_lo, min_lo);
+        min_hi = _mm256_min_pd(d_hi, min_hi);
+        max_lo = _mm256_max_pd(d_lo, max_lo);
+        max_hi = _mm256_max_pd(d_hi, max_hi);
         unord = _mm256_or_pd(unord, _mm256_cmp_pd::<_CMP_UNORD_Q>(d_lo, d_lo));
         unord = _mm256_or_pd(unord, _mm256_cmp_pd::<_CMP_UNORD_Q>(d_hi, d_hi));
     }
@@ -153,37 +157,64 @@ pub(super) fn block_stats_f64(block: &[f64]) -> BlockStats<f64> {
     }
 }
 
-/// AVX2 global min/max for `f32`, NaN-ignoring, `(+inf, -inf)` sentinels —
-/// bit-identical to [`crate::kernels::minmax`]. Caller guarantees
-/// `data.len() >= LANES`.
+/// Independent min/max accumulators of the [`minmax_f32`] and
+/// [`minmax_f64`] loops: each `vminps`/`vmaxps` waits only on its own
+/// register, so four loads are in flight per step instead of one chain.
+const ACCS: usize = 4;
+
+/// AVX2 global min/max for `f32`, NaN-ignoring, `(+inf, -inf)` sentinels.
+/// The extrema are those of [`crate::kernels::minmax`]; the sign of a zero
+/// extreme may differ, which the dispatch wrapper canonicalizes. Caller
+/// guarantees `data.len() >= LANES`.
 #[target_feature(enable = "avx2")]
 pub(super) fn minmax_f32(data: &[f32]) -> (f32, f32) {
+    const W: usize = 8;
     let n = data.len();
     debug_assert!(n >= LANES);
-    let full = n / LANES;
     let ptr = data.as_ptr();
-    let mut mins = _mm256_set1_ps(f32::INFINITY);
-    let mut maxs = _mm256_set1_ps(f32::NEG_INFINITY);
-    for k in 0..full {
-        // SAFETY: k < full = n / LANES, so lanes k*8 .. k*8+8 are in bounds.
-        let d = unsafe { _mm256_loadu_ps(ptr.add(k * LANES)) };
-        mins = _mm256_blendv_ps(mins, d, _mm256_cmp_ps::<_CMP_LT_OQ>(d, mins));
-        maxs = _mm256_blendv_ps(maxs, d, _mm256_cmp_ps::<_CMP_GT_OQ>(d, maxs));
+    let mut mins = [_mm256_set1_ps(f32::INFINITY); ACCS];
+    let mut maxs = [_mm256_set1_ps(f32::NEG_INFINITY); ACCS];
+    let steps = n / (ACCS * W);
+    for k in 0..steps {
+        for j in 0..ACCS {
+            // SAFETY: k < n / (ACCS * W) and j < ACCS, so lanes
+            // (k·ACCS + j)·W .. +W are in bounds.
+            let d = unsafe { _mm256_loadu_ps(ptr.add((k * ACCS + j) * W)) };
+            // Incumbent second: NaN in `d` never replaces it.
+            mins[j] = _mm256_min_ps(d, mins[j]);
+            maxs[j] = _mm256_max_ps(d, maxs[j]);
+        }
     }
-    let mut minl = [0f32; LANES];
-    let mut maxl = [0f32; LANES];
+    for k in steps * ACCS..n / W {
+        // SAFETY: k < n / W, so lanes k·W .. k·W + W are in bounds.
+        let d = unsafe { _mm256_loadu_ps(ptr.add(k * W)) };
+        mins[0] = _mm256_min_ps(d, mins[0]);
+        maxs[0] = _mm256_max_ps(d, maxs[0]);
+    }
+    // No accumulator holds NaN (the sentinels are not NaN and NaN never
+    // replaces), so the merge is a plain min/max.
+    let min = _mm256_min_ps(
+        _mm256_min_ps(mins[0], mins[1]),
+        _mm256_min_ps(mins[2], mins[3]),
+    );
+    let max = _mm256_max_ps(
+        _mm256_max_ps(maxs[0], maxs[1]),
+        _mm256_max_ps(maxs[2], maxs[3]),
+    );
+    let mut minl = [0f32; W];
+    let mut maxl = [0f32; W];
     // SAFETY: each array is exactly 8 f32 = 32 bytes, matching the store.
     unsafe {
-        _mm256_storeu_ps(minl.as_mut_ptr(), mins);
-        _mm256_storeu_ps(maxl.as_mut_ptr(), maxs);
+        _mm256_storeu_ps(minl.as_mut_ptr(), min);
+        _mm256_storeu_ps(maxl.as_mut_ptr(), max);
     }
     let mut min = f32::INFINITY;
     let mut max = f32::NEG_INFINITY;
-    for j in 0..LANES {
+    for j in 0..W {
         min = if minl[j] < min { minl[j] } else { min };
         max = if maxl[j] > max { maxl[j] } else { max };
     }
-    for &d in &data[full * LANES..] {
+    for &d in &data[n / W * W..] {
         min = if d < min { d } else { min };
         max = if d > max { d } else { max };
     }
@@ -194,43 +225,50 @@ pub(super) fn minmax_f32(data: &[f32]) -> (f32, f32) {
 /// `data.len() >= LANES`.
 #[target_feature(enable = "avx2")]
 pub(super) fn minmax_f64(data: &[f64]) -> (f64, f64) {
+    const W: usize = 4;
     let n = data.len();
     debug_assert!(n >= LANES);
-    let full = n / LANES;
     let ptr = data.as_ptr();
-    let mut min_lo = _mm256_set1_pd(f64::INFINITY);
-    let mut min_hi = min_lo;
-    let mut max_lo = _mm256_set1_pd(f64::NEG_INFINITY);
-    let mut max_hi = max_lo;
-    for k in 0..full {
-        // SAFETY: k < full = n / LANES, so lanes k*8 .. k*8+8 are in bounds.
-        let (d_lo, d_hi) = unsafe {
-            (
-                _mm256_loadu_pd(ptr.add(k * LANES)),
-                _mm256_loadu_pd(ptr.add(k * LANES + 4)),
-            )
-        };
-        min_lo = _mm256_blendv_pd(min_lo, d_lo, _mm256_cmp_pd::<_CMP_LT_OQ>(d_lo, min_lo));
-        min_hi = _mm256_blendv_pd(min_hi, d_hi, _mm256_cmp_pd::<_CMP_LT_OQ>(d_hi, min_hi));
-        max_lo = _mm256_blendv_pd(max_lo, d_lo, _mm256_cmp_pd::<_CMP_GT_OQ>(d_lo, max_lo));
-        max_hi = _mm256_blendv_pd(max_hi, d_hi, _mm256_cmp_pd::<_CMP_GT_OQ>(d_hi, max_hi));
+    let mut mins = [_mm256_set1_pd(f64::INFINITY); ACCS];
+    let mut maxs = [_mm256_set1_pd(f64::NEG_INFINITY); ACCS];
+    let steps = n / (ACCS * W);
+    for k in 0..steps {
+        for j in 0..ACCS {
+            // SAFETY: k < n / (ACCS * W) and j < ACCS, so lanes
+            // (k·ACCS + j)·W .. +W are in bounds.
+            let d = unsafe { _mm256_loadu_pd(ptr.add((k * ACCS + j) * W)) };
+            mins[j] = _mm256_min_pd(d, mins[j]);
+            maxs[j] = _mm256_max_pd(d, maxs[j]);
+        }
     }
-    let mut minl = [0f64; LANES];
-    let mut maxl = [0f64; LANES];
-    // SAFETY: each half-store writes 4 f64 into an 8-element array.
+    for k in steps * ACCS..n / W {
+        // SAFETY: k < n / W, so lanes k·W .. k·W + W are in bounds.
+        let d = unsafe { _mm256_loadu_pd(ptr.add(k * W)) };
+        mins[0] = _mm256_min_pd(d, mins[0]);
+        maxs[0] = _mm256_max_pd(d, maxs[0]);
+    }
+    let min = _mm256_min_pd(
+        _mm256_min_pd(mins[0], mins[1]),
+        _mm256_min_pd(mins[2], mins[3]),
+    );
+    let max = _mm256_max_pd(
+        _mm256_max_pd(maxs[0], maxs[1]),
+        _mm256_max_pd(maxs[2], maxs[3]),
+    );
+    let mut minl = [0f64; W];
+    let mut maxl = [0f64; W];
+    // SAFETY: each array is exactly 4 f64 = 32 bytes, matching the store.
     unsafe {
-        _mm256_storeu_pd(minl.as_mut_ptr(), min_lo);
-        _mm256_storeu_pd(minl.as_mut_ptr().add(4), min_hi);
-        _mm256_storeu_pd(maxl.as_mut_ptr(), max_lo);
-        _mm256_storeu_pd(maxl.as_mut_ptr().add(4), max_hi);
+        _mm256_storeu_pd(minl.as_mut_ptr(), min);
+        _mm256_storeu_pd(maxl.as_mut_ptr(), max);
     }
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
-    for j in 0..LANES {
+    for j in 0..W {
         min = if minl[j] < min { minl[j] } else { min };
         max = if maxl[j] > max { maxl[j] } else { max };
     }
-    for &d in &data[full * LANES..] {
+    for &d in &data[n / W * W..] {
         min = if d < min { d } else { min };
         max = if d > max { d } else { max };
     }

@@ -166,12 +166,34 @@ run_simd_equivalence() {
     local field
     field="$(find "$dir/fields" -name '*.f32' | sort | head -1)"
     [[ -n "$field" ]] || simd_fail "no .f32 field generated"
-    # One field fits in one 4 MiB window; the concatenation of 30 spans
-    # three, so its cmp crosses window boundaries in both directions.
+    # One small field (405 000 bytes) fits in one 512 KiB window; the
+    # concatenation of 30 spans more than 16, so its cmp crosses window
+    # boundaries in both directions.
     find "$dir/fields" -name '*.f32' | sort | head -30 | xargs cat >"$dir/multi.f32" \
         || simd_fail "concatenating fields"
     (($(stat -c %s "$dir/multi.f32") > 8 * 1024 * 1024)) \
-        || simd_fail "concatenated input is not larger than two windows"
+        || simd_fail "concatenated input is not larger than 8 MiB"
+    # Zeros of both signs and NaNs, f32 and f64, over several windows: the
+    # zero extreme a relative bound's range scan meets lands in different
+    # accumulators of the SIMD min/max, whose result every path must share.
+    python3 - "$dir/mixed" <<'PY' || simd_fail "writing the mixed-zero inputs"
+import math, struct, sys
+n = 400_000
+vals = []
+for i in range(n):
+    if i % 10_007 == 5:
+        v = math.nan
+    elif (i // 5_000) % 3 == 0:
+        v = -0.0 if i * 7 % 3 == 0 else 0.0
+    else:
+        v = abs(50 * math.sin(i * 1e-3) + 0.3 * math.cos(i * 0.037))
+    vals.append(v)
+for code in "fd":
+    with open(f"{sys.argv[1]}.{'f32' if code == 'f' else 'f64'}", "wb") as f:
+        f.write(struct.pack(f"<{n}{code}", *vals))
+PY
+    (($(stat -c %s "$dir/mixed.f32") > 3 * 512 * 1024)) \
+        || simd_fail "the mixed-zero input spans fewer than four windows"
     # SCALE-LetKF T at REL 1e-3 is almost all nb = 2 non-constant blocks,
     # the lead-clamp path of the decode kernels.
     cargo run -q --release -p szx-cli -- gen scale "$dir/scale" --scale small >/dev/null \
@@ -182,10 +204,14 @@ run_simd_equivalence() {
     head -c 400012 "$dir/scale/T.f32" >"$dir/scale/T-ragged.f32" \
         || simd_fail "cutting the ragged input"
     local input bound sel
-    for input in "$field" "$dir/multi.f32" "$dir/scale/T.f32" "$dir/scale/T-ragged.f32"; do
+    for input in "$field" "$dir/multi.f32" "$dir/scale/T.f32" "$dir/scale/T-ragged.f32" \
+        "$dir/mixed.f32" "$dir/mixed.f64"; do
         bound=(--abs 1e-3)
-        if [[ "$input" == "$dir/scale/"* ]]; then
+        if [[ "$input" == "$dir/scale/"* || "$input" == "$dir/mixed."* ]]; then
             bound=(--rel 1e-3)
+        fi
+        if [[ "$input" == *.f64 ]]; then
+            bound+=(--f64)
         fi
         for sel in scalar kernel simd; do
             cargo run -q --release -p szx-cli -- compress "$input" \
@@ -237,6 +263,11 @@ run_simd_equivalence() {
             || simd_fail "compress --kernel auto"
         cmp -s "$dir/nosimd.szx" "$dir/auto.szx" \
             || simd_fail "SZX_DISABLE_SIMD=1 and default files differ ($input)"
+        SZX_DISABLE_SIMD=1 cargo run -q --release -p szx-cli -- decompress "$dir/nosimd.szx" \
+            "$dir/nosimd.f32" >/dev/null \
+            || simd_fail "decompress with SZX_DISABLE_SIMD=1"
+        cmp -s "$dir/scalar.f32" "$dir/nosimd.f32" \
+            || simd_fail "SZX_DISABLE_SIMD=1 and scalar decodes differ bitwise ($input)"
     done
     # decompress inverts stream: all frames in order, the concatenation of
     # every frame's extract (25 frames of one small field).

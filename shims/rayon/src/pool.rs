@@ -6,7 +6,10 @@
 //! the same work on the calling thread, so the caller is the pool's last
 //! worker. The work itself (claiming items, collecting results) lives in
 //! the crate root; this module only runs a borrowed closure on several
-//! threads at once and waits for every copy.
+//! threads at once and waits for every copy that started. A job no worker
+//! has started by the time the caller's copy returns is dropped unrun: the
+//! caller has claimed every item by then, so an operation never waits for
+//! a parked worker to wake only to find nothing left.
 //!
 //! This is the crate's one `unsafe` surface: a job carries the caller's
 //! closure to a thread that outlives it, which needs one lifetime erasure.
@@ -97,7 +100,11 @@ struct Op {
 
 #[derive(Default)]
 struct OpState {
+    /// Jobs a worker started that have not reported yet.
     pending: usize,
+    /// Set when the caller's own copy has returned: a job a worker takes
+    /// after that is dropped unrun.
+    closed: bool,
     panic: Option<Box<dyn Any + Send>>,
 }
 
@@ -119,10 +126,18 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>) {
         // The sender lives in a static and is never dropped, so the
         // channel stays open for the life of the process.
         let Ok(job) = lock(rx).recv() else { return };
+        {
+            let mut state = lock(&job.op.state);
+            if state.closed {
+                continue;
+            }
+            state.pending += 1;
+        }
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            // SAFETY: `run` does not return or unwind until this job has
-            // reported below, so the closure behind the pointer is alive
-            // for the whole call.
+            // SAFETY: this job registered as started while its operation
+            // was open, and `run` does not return or unwind until every
+            // started job has reported below, so the closure behind the
+            // pointer is alive for the whole call.
             unsafe { (*job.work.0)() }
         }));
         let mut state = lock(&job.op.state);
@@ -136,9 +151,11 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>) {
 }
 
 /// Run `work` on the calling thread and on up to `helpers` pool workers
-/// at once, returning when every copy has returned. A panic in any copy
-/// is re-raised here, after all of them have reported. On a pool thread
-/// the call runs `work` once, inline, so nesting cannot deadlock.
+/// at once, returning when every copy that started has returned; `work`
+/// must not need the helpers, which start only if a worker takes their job
+/// before the caller's copy returns. A panic in any copy is re-raised
+/// here, after all of them have reported. On a pool thread the call runs
+/// `work` once, inline, so nesting cannot deadlock.
 pub(crate) fn run(helpers: usize, work: &Work<'_>) {
     if helpers == 0 || IN_WORKER.get() {
         work();
@@ -151,26 +168,27 @@ pub(crate) fn run(helpers: usize, work: &Work<'_>) {
         return;
     }
     let op = Arc::new(Op::default());
-    lock(&op.state).pending = helpers;
     // SAFETY: erases the borrow's lifetime so the jobs can carry `work` to
-    // the pool threads. Every job reports to `op` after its last use of
-    // the pointer, and this function does not return or unwind before all
-    // `helpers` jobs have reported: the caller's own panic is caught and
-    // re-raised only after the wait below. So no call through the pointer
-    // outlives the borrow.
+    // the pool threads. A worker calls through the pointer only after
+    // registering its job as started under `op`'s lock while `closed` is
+    // unset, and reports after its last use. This function sets `closed`
+    // under that lock and then waits until every started job has
+    // reported, and does not return or unwind before: the caller's own
+    // panic is caught and re-raised only after the wait below. A job taken
+    // after `closed` is dropped without a call. So no call through the
+    // pointer outlives the borrow.
     let ptr = unsafe { std::mem::transmute::<*const Work<'_>, *const Work<'static>>(work) };
     for _ in 0..helpers {
         let job = Job {
             work: WorkPtr(ptr),
             op: Arc::clone(&op),
         };
-        if pool.jobs.send(job).is_err() {
-            // The job never reaches a worker; it reports as done.
-            lock(&op.state).pending -= 1;
-        }
+        // A job that never reaches a worker never starts.
+        let _ = pool.jobs.send(job);
     }
     let mine = panic::catch_unwind(AssertUnwindSafe(work));
     let mut state = lock(&op.state);
+    state.closed = true;
     while state.pending > 0 {
         state = op
             .reported

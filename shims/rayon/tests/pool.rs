@@ -5,7 +5,7 @@
 
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Once;
+use std::sync::{mpsc, Barrier, Mutex, Once};
 use std::time::Duration;
 
 use rayon::prelude::*;
@@ -134,4 +134,34 @@ fn pool_size_is_fixed_at_first_use() {
     let out: Vec<u32> = items.par_iter().map(|&v| v + 1).collect();
     assert_eq!(out.len(), 100);
     assert!(rayon::started_workers() <= 3);
+}
+
+#[test]
+fn an_operation_does_not_wait_for_a_busy_pool() {
+    four_threads();
+    let started = Barrier::new(5);
+    let gate = Mutex::new(());
+    let held = gate.lock().unwrap();
+    std::thread::scope(|s| {
+        // Four items that hold the three workers and their caller until
+        // the gate opens.
+        s.spawn(|| {
+            let items: Vec<u32> = (0..4).collect();
+            items.par_iter().for_each(|_| {
+                started.wait();
+                drop(gate.lock().unwrap());
+            });
+        });
+        started.wait();
+        // Every worker is busy, so this caller claims all of its items
+        // itself and must return without waiting for a worker.
+        let (tx, rx) = mpsc::channel();
+        s.spawn(move || {
+            let items: Vec<u64> = (0..100).collect();
+            tx.send(items.par_iter().map(|&v| v).sum::<u64>()).unwrap();
+        });
+        let sum = rx.recv_timeout(Duration::from_secs(10));
+        drop(held);
+        assert_eq!(sum, Ok(4950), "the operation waited for the busy pool");
+    });
 }
