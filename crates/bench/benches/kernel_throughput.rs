@@ -120,7 +120,7 @@ fn range_scan_arms<F: szx_core::SzxFloat>(
         g.bench_function(BenchmarkId::new("range-scan-push", &id), |b| {
             b.iter(|| {
                 let mut scan = szx_core::RangeScan::new(&cfg);
-                scan.push(black_box(slice));
+                scan.push(black_box(slice)).unwrap();
                 scan.range()
             });
         });

@@ -37,17 +37,31 @@ const ENTRY_TYPES: &[&str] = &["Decoder", "Encoder", "ContainerReader", "RandomA
 /// checked transitively when an entry reaches them).
 const PARSER_TYPES: &[&str] = &["Header", "ParsedStream", "StreamIndex", "ContainerIndex"];
 
+/// The `szx` tool's positional file I/O: its raw-file reader and window
+/// source, and the decoded-window writer. Pool threads read and write any
+/// window at its own offset, so these take file bytes and offsets the way
+/// the decode entries take stream bytes.
+const POSITIONAL_IO: &[&str] = &["RawFile", "Frame", "write_frames"];
+
 /// Is this function a decode entry point — a place where untrusted bytes
-/// first enter the library? Scoped to the szx-core crate: the baseline
-/// codecs (szx-baselines, szx-gpu-sim) define their own `decompress*`
-/// surfaces, but they only ever parse bytes they themselves produced in
-/// the bench harness — the untrusted-input contract is szx-core's.
+/// first enter the library? Scoped to the szx-core crate, plus the `szx`
+/// tool's [`POSITIONAL_IO`]: the baseline codecs (szx-baselines,
+/// szx-gpu-sim) define their own `decompress*` surfaces, but they only
+/// ever parse bytes they themselves produced in the bench harness — the
+/// untrusted-input contract is szx-core's.
 pub fn is_decode_entry(node: &Node) -> bool {
-    if node.item.is_test || node.krate != "szx_core" || super::is_test_context(&node.rel_path) {
+    if node.item.is_test || super::is_test_context(&node.rel_path) {
         return false;
     }
     let name = node.item.name.as_str();
     let impl_type = node.item.impl_type.as_deref().unwrap_or("");
+    if node.krate == "szx_cli" {
+        return POSITIONAL_IO.contains(&impl_type) || POSITIONAL_IO.contains(&name);
+    }
+    node.krate == "szx_core" && is_core_entry(name, impl_type)
+}
+
+fn is_core_entry(name: &str, impl_type: &str) -> bool {
     name.starts_with("decompress")
         || ENTRY_TYPES.contains(&impl_type)
         || (PARSER_TYPES.contains(&impl_type) && matches!(name, "parse" | "build" | "new"))
@@ -246,6 +260,23 @@ mod tests {
         assert_eq!(c.decode_entries, 1);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].symbol, "szx_core::encode::Encoder::push");
+    }
+
+    #[test]
+    fn positional_io_of_the_cli_is_an_entry() {
+        let src = "impl<F> RawFile<F> {\n\
+                   fn read(&self, b: &[u8]) -> u8 { b[0] }\n\
+                   }\n\
+                   fn write_frames(b: &[u8]) -> u8 { b[1] }\n\
+                   fn cmd_gen(b: &[u8]) -> u8 { b[2] }\n";
+        let (f, c) = run_graph(&[("crates/szx-cli/src/main.rs", src)]);
+        assert_eq!(c.decode_entries, 2);
+        let symbols: Vec<&str> = f.iter().map(|x| x.symbol.as_str()).collect();
+        assert_eq!(
+            symbols,
+            ["szx_cli::RawFile::read", "szx_cli::write_frames"],
+            "{f:?}"
+        );
     }
 
     #[test]

@@ -3,11 +3,14 @@
 
 #![forbid(unsafe_code)]
 
-use std::io::{Read, Seek, Write};
+use std::io::Write;
+use std::marker::PhantomData;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use szx_core::{CommitStrategy, ErrorBound, SzxConfig, SzxFloat};
+use szx_core::{CommitStrategy, ErrorBound, SzxConfig, SzxError, SzxFloat, WindowSource};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -21,7 +24,8 @@ fn main() -> ExitCode {
         Some("assess") => cmd_assess(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("gen") => cmd_gen(&args[1..]),
-        Some("archive") => cmd_archive(&args[1..]),
+        Some("archive") if f64 => cmd_archive::<f64>(&args[1..]),
+        Some("archive") => cmd_archive::<f32>(&args[1..]),
         Some("list") => cmd_list(&args[1..]),
         Some("extract") => decode_file(&args[1..], true),
         _ => {
@@ -52,7 +56,7 @@ USAGE:
   szx assess     <orig.f32|orig.f64> <in.szx> [OBSERVE]
   szx info       <in.szx> [--stats]
   szx list       <in.szx>
-  szx archive    <out.szx> <field1.f32> [field2.f32 ...] --abs <e> | --rel <r>
+  szx archive    <out.szx> <field1.f32> [field2.f32 ...] and the compress flags
   szx gen        <cesm|hurricane|miranda|nyx|qmcpack|scale> <out-dir>
                  [--scale tiny|small|medium|large|full]
 
@@ -87,10 +91,12 @@ USAGE:
   implies telemetry collection and starts the resource accountant (peak
   RSS, CPU time, per-phase attribution via /proc/self).
 
-  compress, stream, decompress, extract and assess read and write one
-  512 KiB window at a time, not the whole file (a relative bound reads each
-  frame twice: a range pass, then the encode pass). Outputs are written to
-  <out>.partial and renamed over <out> only on success.
+  compress, stream, archive, decompress, extract and assess read and write
+  one 512 KiB window at a time, not the whole file (a relative bound reads
+  each frame twice: a range pass, then the encode pass). With --parallel
+  each thread reads, codes and writes whole windows at their own file
+  offsets. Outputs are written to <out>.partial and renamed over <out>
+  only on success.
 
   --profile runs the zone-stack sampling profiler (~997 Hz; SZX_PROFILE_HZ
   overrides) across the command and writes collapsed stacks
@@ -369,40 +375,26 @@ fn parse_config(args: &[String]) -> Result<SzxConfig, String> {
     })
 }
 
-/// Raw bytes every windowed pass holds at a time: `compress`, `stream`,
-/// `decompress`, `extract`, `assess` and the `--manifest` measurement. A
-/// window of values and its byte twin, or a decoded window beside an
-/// original one, stay inside a 2 MiB per-core L2, so a value is coded from
-/// cache after its one conversion (DESIGN.md §15).
-const WINDOW_BYTES: usize = 512 << 10;
-
-/// Elements per window of `F` at `block_size`: `bytes` rounded down to
-/// whole groups of `DECODE_GROUP` blocks, at least one group. A group is a
-/// multiple of the 8 blocks an `Encoder` window needs, so compress and
-/// decompress share one window.
-fn window_elems<F: SzxFloat>(bytes: usize, block_size: usize) -> usize {
-    let group = block_size * szx_core::decode::DECODE_GROUP;
-    (bytes / F::BYTES / group).max(1) * group
-}
-
-/// Reads a raw little-endian float file window by window into one reused
-/// value buffer: one read into its byte twin, then one conversion. Each
-/// pass reads exactly the length the file had when it was opened.
-struct WindowReader<F> {
+/// A raw little-endian float file, read by position: any thread reads any
+/// window into its own [`Twin`] and converts it once. Reads stay inside the
+/// length the file had when it was opened.
+struct RawFile<F> {
     path: PathBuf,
     file: std::fs::File,
-    len: u64,
-    /// Bytes read in this pass.
-    pos: u64,
-    window: usize,
-    bytes: Vec<u8>,
-    values: Vec<F>,
-    /// FNV-1a of the bytes read, when asked for.
-    digest: Option<szx_telemetry::Fnv1a64>,
+    /// Values in the file when it was opened.
+    n: usize,
+    /// One window buffer per thread that can read at once, kept across
+    /// passes and frames so a pass does not fault in fresh pages.
+    twins: Vec<Mutex<Twin<F>>>,
+    kind: PhantomData<F>,
 }
 
-impl<F: SzxFloat> WindowReader<F> {
-    fn open(path: &Path, window: usize) -> Result<Self, String> {
+/// A thread's buffers for the windows it reads: raw bytes and values.
+type Twin<F> = (Vec<u8>, Vec<F>);
+
+impl<F: SzxFloat> RawFile<F> {
+    /// Open `path` for `threads` threads reading at once.
+    fn open(path: &Path, threads: usize) -> Result<Self, String> {
         let file = std::fs::File::open(path).map_err(at(path))?;
         let len = file.metadata().map_err(at(path))?.len();
         if len % F::BYTES as u64 != 0 {
@@ -416,73 +408,84 @@ impl<F: SzxFloat> WindowReader<F> {
                 F::BYTES
             ));
         }
-        let window = (len / F::BYTES as u64).min(window as u64) as usize;
-        Ok(WindowReader {
+        Ok(RawFile {
             path: path.to_path_buf(),
             file,
-            len,
-            pos: 0,
-            window,
-            bytes: vec![0; window * F::BYTES],
-            values: Vec::with_capacity(window),
-            digest: None,
+            n: (len / F::BYTES as u64) as usize,
+            twins: (0..threads).map(|_| Mutex::default()).collect(),
+            kind: PhantomData,
         })
     }
 
-    /// Read the next `len` values window by window, handing each window to
-    /// `f`. A file that ends before them or shrank under the reader is an
-    /// error.
-    fn each(
-        &mut self,
-        len: usize,
-        mut f: impl FnMut(&[F]) -> Result<(), String>,
-    ) -> Result<(), String> {
-        if len as u64 > (self.len - self.pos) / F::BYTES as u64 {
-            return Err(format!("{}: input ended early", self.path.display()));
+    /// Values `first..first + len`, read into `twin`. A file that shrank
+    /// under the reader is an error.
+    fn read<'a>(&self, first: usize, len: usize, twin: &'a mut Twin<F>) -> Result<&'a [F], String> {
+        let (bytes, values) = twin;
+        let n = len * F::BYTES;
+        if bytes.len() < n {
+            // Zeroed by the allocator: no page is touched before the read.
+            *bytes = vec![0; n];
         }
-        let mut left = len;
-        while left > 0 {
-            let n = left.min(self.window);
-            let bytes = &mut self.bytes[..n * F::BYTES];
-            {
-                let _s = szx_telemetry::span("io.read");
-                self.file.read_exact(bytes).map_err(|e| {
-                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                        format!("{}: input shrank while being read", self.path.display())
-                    } else {
-                        at(&self.path)(e)
-                    }
-                })?;
-            }
-            if let Some(digest) = &mut self.digest {
-                digest.update(bytes);
-            }
-            self.values.clear();
-            self.values
-                .extend(bytes.chunks_exact(F::BYTES).map(F::read_le));
-            self.pos += bytes.len() as u64;
-            left -= n;
-            f(&self.values)?;
+        // PANIC-OK: at least `n` bytes long, by the check just above.
+        let bytes = &mut bytes[..n];
+        {
+            let _s = szx_telemetry::span("io.read");
+            (self.file.read_exact_at(bytes, (first * F::BYTES) as u64)).map_err(|e| {
+                if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                    format!("{}: input shrank while being read", self.path.display())
+                } else {
+                    at(&self.path)(e)
+                }
+            })?;
+        }
+        values.clear();
+        values.extend(bytes.chunks_exact(F::BYTES).map(F::read_le));
+        Ok(values)
+    }
+
+    /// Fails unless the file still has the length it was opened with.
+    fn check_len(&self) -> Result<(), String> {
+        let len = self.file.metadata().map_err(at(&self.path))?.len();
+        let opened = (self.n * F::BYTES) as u64;
+        if len != opened {
+            return Err(format!(
+                "{}: input changed from {opened} to {len} bytes between passes",
+                self.path.display()
+            ));
         }
         Ok(())
     }
+}
 
-    /// Start another pass at byte `pos`, the start of a frame. The file
-    /// must still have the length it was opened with.
-    fn rewind(&mut self, pos: u64) -> Result<(), String> {
-        let len = self.file.metadata().map_err(at(&self.path))?.len();
-        if len != self.len {
-            return Err(format!(
-                "{}: input changed from {} to {len} bytes between passes",
-                self.path.display(),
-                self.len
-            ));
-        }
-        self.file
-            .seek(std::io::SeekFrom::Start(pos))
-            .map_err(at(&self.path))?;
-        self.pos = pos;
-        Ok(())
+/// Values `first..first + len` of a raw file: one frame, which the codec
+/// reads window by window, on several threads with `--parallel`.
+struct Frame<'a, F> {
+    file: &'a RawFile<F>,
+    first: usize,
+    len: usize,
+}
+
+impl<'f, F: SzxFloat> WindowSource<F> for Frame<'f, F> {
+    /// A free buffer of the file's, else one of the thread's own.
+    type Buf = (Option<MutexGuard<'f, Twin<F>>>, Twin<F>);
+
+    fn buf(&self) -> Self::Buf {
+        let free = self.file.twins.iter().find_map(|t| t.try_lock().ok());
+        (free, Twin::default())
+    }
+
+    fn n(&self) -> usize {
+        self.len
+    }
+
+    fn window<'a>(
+        &'a self,
+        at: usize,
+        len: usize,
+        buf: &'a mut Self::Buf,
+    ) -> szx_core::Result<&'a [F]> {
+        let twin = buf.0.as_deref_mut().unwrap_or(&mut buf.1);
+        (self.file.read(self.first + at, len, twin)).map_err(SzxError::Io)
     }
 }
 
@@ -501,27 +504,19 @@ impl<W: Write> Write for IoSpan<W> {
     }
 }
 
-/// The output file as the commands write it.
-type OutFile = std::io::BufWriter<IoSpan<std::fs::File>>;
-
 /// Write `out` through `<out>.partial`, renamed over `out` once `write`
-/// and the final flush succeed and removed otherwise: a failed run leaves
-/// no plausible output behind and keeps any earlier file at `out`.
+/// succeeds and removed otherwise: a failed run leaves no plausible output
+/// behind and keeps any earlier file at `out`.
 fn write_through<T>(
     out: &Path,
-    write: impl FnOnce(&mut OutFile) -> Result<T, String>,
+    write: impl FnOnce(&std::fs::File) -> Result<T, String>,
 ) -> Result<T, String> {
     let mut partial = out.as_os_str().to_owned();
     partial.push(".partial");
     let partial = PathBuf::from(partial);
     let result = std::fs::File::create(&partial)
         .map_err(at(&partial))
-        .and_then(|file| {
-            let mut sink = std::io::BufWriter::new(IoSpan(file));
-            let value = write(&mut sink)?;
-            sink.flush().map_err(at(&partial))?;
-            Ok(value)
-        })
+        .and_then(|file| write(&file))
         .and_then(|value| {
             std::fs::rename(&partial, out)
                 .map(|()| value)
@@ -537,7 +532,8 @@ fn write_through<T>(
 fn to_le<F: SzxFloat>(values: &[F], out: &mut Vec<u8>) {
     out.resize(values.len() * F::BYTES, 0);
     for (dst, &v) in out.chunks_exact_mut(F::BYTES).zip(values) {
-        // A word holds the value's bits high-aligned.
+        // PANIC-OK: a word holds the value's bits high-aligned, in the
+        // first F::BYTES <= 8 of its little-endian bytes.
         dst.copy_from_slice(&(v.to_word() >> (64 - 8 * F::BYTES)).to_le_bytes()[..F::BYTES]);
     }
 }
@@ -552,45 +548,48 @@ fn quietly<T>(f: impl FnOnce() -> T) -> T {
     value
 }
 
-/// Score `frames` against the raw original at `orig`: the original read
-/// once more, window by window, beside the frames decoded window by
-/// window. Returns the distortion, the original's FNV-1a digest, and
-/// whether every value kept its frame's bound (NaN pairs pass, as
-/// `Distortion` skips them).
+/// Score `frames` against the raw original at `orig`: the frames decoded
+/// serially, window by window, each beside the original's same window.
+/// Returns the distortion, the original's FNV-1a digest, and whether every
+/// value kept its frame's bound (NaN pairs pass, as `Distortion` skips
+/// them).
 fn measure<F: SzxFloat + Into<f64>>(
     orig: &Path,
     frames: &Frames,
 ) -> Result<(szx_metrics::DistortionStats, u64, bool), String> {
-    let mut input = WindowReader::<F>::open(orig, WINDOW_BYTES / F::BYTES)?;
-    let len = input.len / F::BYTES as u64;
-    if len != frames.n() as u64 {
-        return Err(format!("length mismatch: {len} vs {}", frames.n()));
+    let input = RawFile::<F>::open(orig, 1)?;
+    if input.n != frames.n() {
+        return Err(format!("length mismatch: {} vs {}", input.n, frames.n()));
     }
-    input.digest = Some(szx_telemetry::Fnv1a64::new());
-    let mut distortion = szx_metrics::Distortion::default();
-    let mut bound_ok = true;
+    // The windows arrive in stream order, so the distortion and the digest
+    // accumulate as they would over one buffer.
+    let distortion = szx_metrics::Distortion::default();
+    let state = Mutex::new((
+        distortion,
+        szx_telemetry::Fnv1a64::new(),
+        true,
+        Twin::default(),
+    ));
     frames.decode(
         &mut szx_core::Decoder::default(),
-        WINDOW_BYTES,
-        |decoded: &[F], eb| {
-            // The reader's windows may be shorter than a decoded one.
-            let len = decoded.len();
-            let mut decoded = decoded;
-            let score = |original: &[F]| {
-                let (window, rest) = decoded.split_at(original.len());
-                decoded = rest;
-                let _z = szx_telemetry::span("assess.distortion");
-                distortion.push(original, window);
-                let mut errors =
-                    (original.iter().zip(window)).map(|(&a, &b)| (a.into() - b.into()).abs());
-                bound_ok &= errors.all(|e| e.is_nan() || e <= eb);
-                Ok(())
-            };
-            input.each(len, score).map_err(szx_core::SzxError::Io)
+        |(), first, decoded: &[F], eb| {
+            let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
+            let (distortion, digest, bound_ok, twin) = &mut *state;
+            let original = input
+                .read(first, decoded.len(), twin)
+                .map_err(SzxError::Io)?;
+            let _z = szx_telemetry::span("assess.distortion");
+            distortion.push(original, decoded);
+            let mut errors =
+                (original.iter().zip(decoded)).map(|(&a, &b)| (a.into() - b.into()).abs());
+            *bound_ok &= errors.all(|e| e.is_nan() || e <= eb);
+            digest.update(&twin.0[..decoded.len() * F::BYTES]);
+            Ok(())
         },
     )?;
-    let digest = input.digest.map_or(0, |d| d.finish());
-    Ok((distortion.finish(), digest, bound_ok))
+    let (distortion, digest, bound_ok, _) =
+        state.into_inner().unwrap_or_else(PoisonError::into_inner);
+    Ok((distortion.finish(), digest.finish(), bound_ok))
 }
 
 /// The frames of a container in index order, each one's CRC checked: its
@@ -644,25 +643,20 @@ impl<'a> Frames<'a> {
         self.streams.iter().map(|s| s.len()).sum()
     }
 
-    /// Decode the frames in order, each through one reused window of about
-    /// `window_bytes` raw bytes, and hand `sink` every window with its
-    /// frame's bound.
-    fn decode<F: SzxFloat>(
+    /// Decode the frames in order, window by window, and hand `sink` the
+    /// thread's `T`, each window's first value index over all frames, the
+    /// window and its frame's bound: in stream order serially, as the
+    /// threads finish them in parallel (`Decoder::decode_windows`).
+    fn decode<F: SzxFloat, T: Default>(
         &self,
         decoder: &mut szx_core::Decoder,
-        window_bytes: usize,
-        mut sink: impl FnMut(&[F], f64) -> szx_core::Result<()>,
+        sink: impl Fn(&mut T, usize, &[F], f64) -> szx_core::Result<()> + Sync + Send,
     ) -> Result<(), String> {
-        let mut window = Vec::new();
+        let mut first = 0;
         for (stream, h) in self.streams.iter().zip(&self.headers) {
-            let len = window_elems::<F>(window_bytes, h.block_size).min(h.n);
-            if window.len() < len {
-                // Zeroed by the allocator: no page is touched before decode.
-                window = vec![F::ZERO; len];
-            }
-            decoder
-                .decode_windows(stream, &mut window[..len], |w| sink(w, h.eb))
+            (decoder.decode_windows(stream, |t, at, w| sink(t, first + at, w, h.eb)))
                 .map_err(|e| e.to_string())?;
+            first += h.n;
         }
         Ok(())
     }
@@ -782,14 +776,14 @@ fn encode_file<F: SzxFloat + Into<f64>>(args: &[String], stream: bool) -> Result
     let progress = has_flag(args, "--progress");
     let frame = stream.then(|| frame_flag(args)).transpose()?;
     let run = run_begin(args)?;
-    let mut reader =
-        WindowReader::<F>::open(&input, window_elems::<F>(WINDOW_BYTES, cfg.block_size))?;
-    let raw_bytes = reader.len as usize;
-    let n = raw_bytes / F::BYTES;
+    let file = RawFile::<F>::open(&input, threads(cfg.parallel))?;
+    let n = file.n;
+    let raw_bytes = n * F::BYTES;
     let frame_elems = frame.unwrap_or(n);
     let start = std::time::Instant::now();
     let fstats = write_through(&output, |out| {
-        let mut w = szx_core::ContainerWriter::new(out, cfg).map_err(err)?;
+        let mut w = szx_core::ContainerWriter::new(std::io::BufWriter::new(IoSpan(out)), cfg)
+            .map_err(err)?;
         let mut meter = szx_telemetry::ProgressMeter::new(Some(raw_bytes as u64));
         for (k, first) in (0..n).step_by(frame_elems.max(1)).enumerate() {
             let started = std::time::Instant::now();
@@ -797,7 +791,7 @@ fn encode_file<F: SzxFloat + Into<f64>>(args: &[String], stream: bool) -> Result
             let _total = szx_telemetry::span("compress.total");
             let len = frame_elems.min(n - first);
             let before = w.stats().compressed_bytes;
-            let encoder = encode_frame(&mut reader, &cfg, len)?;
+            let encoder = encode_frame(&file, first, len, &cfg)?;
             w.push_encoder(&k.to_string(), encoder, started)
                 .map_err(err)?;
             let snap = meter.on_frame((len * F::BYTES) as u64, w.stats().compressed_bytes - before);
@@ -864,27 +858,25 @@ fn encode_file<F: SzxFloat + Into<f64>>(args: &[String], stream: bool) -> Result
     run.finish(manifest, extras)
 }
 
-/// Encode the next `len` values of `reader` as one frame: a relative
-/// bound's range pass over the frame, which is then read again from its
-/// start, and the encode pass.
+/// Encode values `first..first + len` of `file` as one frame: a relative
+/// bound's range pass over them, then, once the file is seen to keep its
+/// length, the encode pass.
 fn encode_frame<F: SzxFloat>(
-    reader: &mut WindowReader<F>,
-    cfg: &SzxConfig,
+    file: &RawFile<F>,
+    first: usize,
     len: usize,
+    cfg: &SzxConfig,
 ) -> Result<szx_core::Encoder<F>, String> {
-    let err = |e: szx_core::SzxError| e.to_string();
+    let frame = Frame { file, first, len };
+    let err = |e: SzxError| e.to_string();
     let mut scan = szx_core::RangeScan::new(cfg);
     if let ErrorBound::Relative(_) = cfg.error_bound {
-        let frame_start = reader.pos;
-        reader.each(len, |w| {
-            let _s = szx_telemetry::span("compress.range_scan");
-            scan.push(w);
-            Ok(())
-        })?;
-        reader.rewind(frame_start)?;
+        let _s = szx_telemetry::span("compress.range_scan");
+        scan.push(&frame).map_err(err)?;
+        file.check_len()?;
     }
     let mut encoder = szx_core::Encoder::new(cfg, scan.bound()).map_err(err)?;
-    reader.each(len, |w| encoder.push(w).map_err(err))?;
+    encoder.push(&frame).map_err(err)?;
     Ok(encoder)
 }
 
@@ -898,6 +890,16 @@ fn frame_flag(args: &[String]) -> Result<usize, String> {
     match flag_value(args, "--frame").map_or(Ok(1 << 20), |v| v.parse()) {
         Ok(0) | Err(_) => Err("--frame must be a positive count".into()),
         Ok(frame) => Ok(frame),
+    }
+}
+
+/// The threads a run codes on: the pool's size with `--parallel`, else 1
+/// (a serial run does not ask: working out the core count takes 0.1 ms).
+fn threads(parallel: bool) -> usize {
+    if parallel {
+        szx_core::current_num_threads()
+    } else {
+        1
     }
 }
 
@@ -925,13 +927,7 @@ fn run_manifest(
         ErrorBound::Absolute(e) => ("abs", e),
         ErrorBound::Relative(r) => ("rel", r),
     };
-    // The worker count the codec actually splits over (RAYON_NUM_THREADS
-    // wins over the core count).
-    let threads = if cfg.parallel {
-        szx_core::current_num_threads() as u64
-    } else {
-        1
-    };
+    let threads = threads(cfg.parallel) as u64;
     let mut m = szx_telemetry::Manifest::new(command);
     m.set_config(&[
         ("bound_mode", Value::Str(bound_mode.into())),
@@ -1014,22 +1010,24 @@ fn decode_file(args: &[String], extract: bool) -> Result<(), String> {
     run.finish(manifest, extras)
 }
 
-/// Decode `frames` to a raw little-endian file at `output` one window at a
-/// time, each converted into one reused byte buffer and written with one
-/// call. Returns the bytes written.
+/// Decode `frames` to a raw little-endian file at `output`, pre-sized:
+/// each thread converts the windows it decodes into its own byte buffer
+/// and writes each at its own offset. Returns the bytes written.
 fn write_frames<F: SzxFloat>(
     frames: &Frames,
     decoder: &mut szx_core::Decoder,
     output: &Path,
 ) -> Result<usize, String> {
-    let mut le = Vec::new();
+    let len = frames.n() * F::BYTES;
     write_through(output, |out| {
-        frames.decode(decoder, WINDOW_BYTES, |w: &[F], _| {
-            to_le(w, &mut le);
-            Ok(out.write_all(&le)?)
+        out.set_len(len as u64).map_err(at(output))?;
+        frames.decode(decoder, |le: &mut Vec<u8>, first, w: &[F], _| {
+            to_le(w, le);
+            let _s = szx_telemetry::span("io.write");
+            Ok(out.write_all_at(le, (first * F::BYTES) as u64)?)
         })
     })?;
-    Ok(frames.n() * F::BYTES)
+    Ok(len)
 }
 
 fn cmd_assess(args: &[String]) -> Result<(), String> {
@@ -1062,11 +1060,8 @@ fn cmd_assess(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .ok_or("need a file")?;
-    let bytes = read_file(Path::new(path))?;
+    let path = positional(args).into_iter().next().ok_or("need a file")?;
+    let bytes = read_file(&path)?;
     let frames = Frames::read(&bytes, None)?;
     let hs = &frames.headers;
     // A field every frame shares, "mixed" if they differ.
@@ -1122,29 +1117,31 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_archive(args: &[String]) -> Result<(), String> {
-    let cfg = SzxConfig {
-        error_bound: parse_bound(args)?,
-        ..SzxConfig::relative(1e-3)
-    };
+/// `szx archive`: each field file, read window by window like the input
+/// of `compress`, becomes one frame named after its file stem.
+fn cmd_archive<F: SzxFloat>(args: &[String]) -> Result<(), String> {
+    let err = |e: SzxError| e.to_string();
+    let cfg = parse_config(args)?.with_parallel(has_flag(args, "--parallel"));
     let mut positional = positional(args);
     if positional.len() < 2 {
         return Err("need an output archive and at least one field file".into());
     }
     let out_path = positional.remove(0);
-    // Each field file goes to the container under its file stem.
     write_through(&out_path, |out| {
-        let mut w = szx_core::ContainerWriter::new(out, cfg).map_err(|e| e.to_string())?;
+        let mut w = szx_core::ContainerWriter::new(std::io::BufWriter::new(IoSpan(out)), cfg)
+            .map_err(err)?;
         for path in &positional {
-            let data = szx_data::io::read_f32_raw(path).map_err(at(path))?;
+            let started = std::time::Instant::now();
+            let file = RawFile::<F>::open(path, threads(cfg.parallel))?;
             let name = path
                 .file_stem()
                 .and_then(|s| s.to_str())
                 .ok_or_else(|| format!("bad field file name {}", path.display()))?;
-            w.push(name, &data).map_err(|e| e.to_string())?;
-            println!("added {name} ({} values)", data.len());
+            let encoder = encode_frame(&file, 0, file.n, &cfg)?;
+            w.push_encoder(name, encoder, started).map_err(err)?;
+            println!("added {name} ({} values)", file.n);
         }
-        w.finish().map(drop).map_err(|e| e.to_string())
+        w.finish().map(drop).map_err(err)
     })?;
     let len = std::fs::metadata(&out_path).map_err(at(&out_path))?.len();
     println!(
@@ -1156,8 +1153,8 @@ fn cmd_archive(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_list(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("need a container file")?;
-    let bytes = read_file(Path::new(path))?;
+    let path = (positional(args).into_iter().next()).ok_or("need a container file")?;
+    let bytes = read_file(&path)?;
     let frames = Frames::read(&bytes, None)?;
     println!(
         "{:<20} {:>10} {:>12} {:>12} {:>8}",
@@ -1241,17 +1238,19 @@ mod tests {
         let dir = scratch("passes");
         let path = dir.join("in.f32");
         let data = write_input(&path);
-        let mut r = WindowReader::<f32>::open(&path, 1024).unwrap();
+        let file = RawFile::<f32>::open(&path, 1).unwrap();
+        assert_eq!(file.n, 3584);
+        let mut twin = Twin::default();
         for _ in 0..2 {
-            let mut got = Vec::new();
-            r.each(3584, |w| {
-                assert!(w.len() == 1024 || got.len() == 3072);
-                got.extend_from_slice(w);
-                Ok(())
-            })
-            .unwrap();
+            // Any window at any time: last to first.
+            let mut got = vec![0.0; 3584];
+            for first in (0..3584).step_by(1024).rev() {
+                let len = 1024.min(3584 - first);
+                let window = file.read(first, len, &mut twin).unwrap();
+                got[first..first + len].copy_from_slice(window);
+            }
             assert_eq!(got, data);
-            r.rewind(0).unwrap();
+            file.check_len().unwrap();
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1261,11 +1260,11 @@ mod tests {
         let dir = scratch("between");
         let path = dir.join("in.f32");
         write_input(&path);
-        let mut r = WindowReader::<f32>::open(&path, 1024).unwrap();
-        r.each(3584, |_| Ok(())).unwrap();
-        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(2048 * 4).unwrap();
-        let err = r.rewind(0).unwrap_err();
+        let file = RawFile::<f32>::open(&path, 1).unwrap();
+        file.read(0, 3584, &mut Twin::default()).unwrap();
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(2048 * 4).unwrap();
+        let err = file.check_len().unwrap_err();
         assert!(err.contains("changed from 14336 to 8192 bytes"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1275,11 +1274,12 @@ mod tests {
         let dir = scratch("during");
         let path = dir.join("in.f32");
         write_input(&path);
-        let mut r = WindowReader::<f32>::open(&path, 1024).unwrap();
-        r.each(1024, |_| Ok(())).unwrap();
-        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(1500 * 4).unwrap();
-        let err = r.each(1024, |_| Ok(())).unwrap_err();
+        let file = RawFile::<f32>::open(&path, 1).unwrap();
+        let mut twin = Twin::default();
+        file.read(0, 1024, &mut twin).unwrap();
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(1500 * 4).unwrap();
+        let err = file.read(1024, 1024, &mut twin).unwrap_err();
         assert!(err.contains("input shrank"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1289,14 +1289,14 @@ mod tests {
         let dir = scratch("partial");
         let out = dir.join("out.f32");
         std::fs::write(&out, b"earlier").unwrap();
-        let r: Result<(), String> = write_through(&out, |w| {
+        let r: Result<(), String> = write_through(&out, |mut w| {
             w.write_all(b"half a file").map_err(|e| e.to_string())?;
             Err("corrupt window".into())
         });
         assert_eq!(r.unwrap_err(), "corrupt window");
         assert_eq!(std::fs::read(&out).unwrap(), b"earlier");
         assert!(!dir.join("out.f32.partial").exists());
-        write_through(&out, |w| w.write_all(b"new").map_err(|e| e.to_string())).unwrap();
+        write_through(&out, |mut w| w.write_all(b"new").map_err(|e| e.to_string())).unwrap();
         assert_eq!(std::fs::read(&out).unwrap(), b"new");
         assert!(!dir.join("out.f32.partial").exists());
         let _ = std::fs::remove_dir_all(&dir);

@@ -236,6 +236,11 @@ fn stream_output_lists_and_extracts_like_an_archive() {
     for (k, row) in rows.iter().enumerate() {
         assert_eq!(row.split_whitespace().next(), Some(k.to_string().as_str()));
     }
+    // `list` and `info` take their path like every command: an unknown
+    // flag before it is skipped, not read as the path.
+    assert_eq!(run_ok(&["list", "--x", &p("a.szxc")]), listing);
+    let info = run_ok(&["info", "--x", &p("a.szxc")]);
+    assert!(info.starts_with("frames:           3\n"), "{info}");
 
     // `extract <file> 0` reproduces frame 0 within the bound.
     run_ok(&["extract", &p("a.szxc"), "0", &p("frame0.f32")]);
@@ -389,5 +394,57 @@ fn every_flipped_byte_of_a_compressed_file_fails_decompress() {
         assert!(std::fs::read(p("x.f32")).unwrap() == earlier, "byte {at}");
         assert!(!dir.join("x.f32.partial").exists(), "byte {at}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn archive_takes_the_compress_flags() {
+    let dir = std::env::temp_dir().join(format!("szx-cli-archive-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    write_field(&dir.join("a.f32"), 50_000);
+    // 100 000 doubles: 800 000 bytes, which as f32 would be 200 000 values.
+    let doubles: Vec<u8> = (0..100_000)
+        .flat_map(|i| ((i as f64 * 0.01).sin() * 100.0).to_le_bytes())
+        .collect();
+    std::fs::write(p("d.f64"), doubles).unwrap();
+    let frame = |file: &str| {
+        let bytes = std::fs::read(p(file)).unwrap();
+        let r = szx_core::ContainerReader::new(&bytes).unwrap();
+        r.frame_bytes(0).unwrap().to_vec()
+    };
+    for (input, flags) in [
+        (
+            "a.f32",
+            &["--abs", "1e-3", "--block", "64", "--strategy", "a"][..],
+        ),
+        (
+            "a.f32",
+            &["--rel", "1e-3", "--kernel", "scalar", "--parallel"],
+        ),
+        ("d.f64", &["--abs", "1e-3", "--f64"]),
+    ] {
+        // Each field is the frame `compress` writes with the same flags.
+        run_ok(&[&["archive", &p("ar.szx"), &p(input)][..], flags].concat());
+        run_ok(&[&["compress", &p(input), &p("c.szx")][..], flags].concat());
+        assert!(frame("ar.szx") == frame("c.szx"), "{input} {flags:?}");
+    }
+    let info = run_ok(&["info", &p("ar.szx")]);
+    assert!(info.contains("element type:     f64"), "{info}");
+    assert!(info.contains("elements:         100000"), "{info}");
+    run_ok(&[
+        "archive",
+        &p("ar.szx"),
+        &p("a.f32"),
+        "--abs",
+        "1e-3",
+        "--block",
+        "64",
+        "--strategy",
+        "a",
+    ]);
+    let info = run_ok(&["info", &p("ar.szx")]);
+    assert!(info.contains("block size:       64"), "{info}");
+    assert!(info.contains("strategy:         BitPack"), "{info}");
     let _ = std::fs::remove_dir_all(&dir);
 }

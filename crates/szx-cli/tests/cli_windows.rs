@@ -228,48 +228,63 @@ fn corrupt_last_window_leaves_no_output() {
     let last_window = (data.len() - 1) / window * window;
     write_f32(&dir.join("in.f32"), &data);
     run_ok(&["compress", &p("in.f32"), &p("x.szx"), "--abs", "1e-3"]);
+    let clean = std::fs::read(p("x.szx")).unwrap();
 
     // Forge an impossible required length into the last non-constant
-    // block's payload, which the second window decodes, and re-seal the
+    // block's payload, which the last window decodes, and re-seal the
     // checksums so decode, not the CRC check, finds it.
-    let mut container = std::fs::read(p("x.szx")).unwrap();
-    let stream_len = ContainerReader::new(&container)
+    let mut last = clean.clone();
+    let block = forge_block(&mut last, last_window, 0xff);
+    assert!(
+        block * 128 >= last_window,
+        "corrupt block sits in the last window"
+    );
+    // Forged blocks in windows 1 and 3: whichever thread finishes first,
+    // every run reports window 1's.
+    let mut two = clean.clone();
+    assert_eq!(forge_block(&mut two, window, 0xfe) * 128 / window, 1);
+    assert_eq!(forge_block(&mut two, 3 * window, 0xff) * 128 / window, 3);
+
+    // An earlier output at the path survives, and nothing sits beside it.
+    std::fs::write(p("x.f32"), b"earlier").unwrap();
+    for (container, expected) in [(last, "required length 255"), (two, "required length 254")] {
+        std::fs::write(p("x.szx"), &container).unwrap();
+        let runs = [None, Some("1"), Some("2"), Some("3"), Some("4")];
+        for threads in runs {
+            let mut cmd = szx();
+            cmd.args(["decompress", &p("x.szx"), &p("x.f32")]);
+            if let Some(threads) = threads {
+                cmd.arg("--parallel").env("RAYON_NUM_THREADS", threads);
+            }
+            let out = cmd.output().expect("run szx decompress");
+            assert!(!out.status.success(), "corrupt stream must fail");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(expected), "{threads:?}: {stderr}");
+            assert_eq!(std::fs::read(p("x.f32")).unwrap(), b"earlier");
+            assert!(!dir.join("x.f32.partial").exists());
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Forge the impossible required length `r_k` into the payload of the
+/// first non-constant block from value `from` on, in the one frame of
+/// `container`, and re-seal its checksums. Returns the block.
+fn forge_block(container: &mut [u8], from: usize, r_k: u8) -> usize {
+    let stream_len = ContainerReader::new(container)
         .unwrap()
         .frame_bytes(0)
         .unwrap()
         .len();
     let stream = &mut container[FRAME_START..FRAME_START + stream_len];
-    let at = {
-        let parsed = ParsedStream::parse::<f32>(stream).unwrap();
-        let last = (0..parsed.num_blocks())
-            .rev()
-            .find(|&b| parsed.state(b))
-            .unwrap();
-        assert!(
-            last * 128 >= last_window,
-            "corrupt block sits in the last window"
-        );
-        bytes_before_payloads(stream, &parsed) + parsed.payload_span(last).0
-    };
-    stream[at] = 0xff;
-    reseal_one_frame(&mut container, stream_len);
-    std::fs::write(p("x.szx"), &container).unwrap();
-
-    // An earlier output at the path survives, and nothing sits beside it.
-    std::fs::write(p("x.f32"), b"earlier").unwrap();
-    for parallel in [false, true] {
-        let mut args = vec!["decompress".to_string(), p("x.szx"), p("x.f32")];
-        if parallel {
-            args.push("--parallel".into());
-        }
-        let out = szx().args(&args).output().expect("run szx decompress");
-        assert!(!out.status.success(), "corrupt stream must fail");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("required length 255"), "{stderr}");
-        assert_eq!(std::fs::read(p("x.f32")).unwrap(), b"earlier");
-        assert!(!dir.join("x.f32.partial").exists());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    let parsed = ParsedStream::parse::<f32>(stream).unwrap();
+    let block = (from / 128..parsed.num_blocks())
+        .find(|&b| parsed.state(b))
+        .unwrap();
+    let at = bytes_before_payloads(stream, &parsed) + parsed.payload_span(block).0;
+    stream[at] = r_k;
+    reseal_one_frame(container, stream_len);
+    block
 }
 
 /// `n` values of `F` shaped like [`wave`], a few of them zeros of both

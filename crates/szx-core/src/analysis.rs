@@ -52,7 +52,7 @@ pub fn classify<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<BlockReport>
     if data.is_empty() {
         return Err(SzxError::EmptyInput);
     }
-    let eb = crate::encode::resolve_bound(data, cfg);
+    let eb = crate::encode::resolve_bound(data, cfg)?;
     let mut report = BlockReport {
         n_blocks: 0,
         n_constant: 0,
@@ -108,7 +108,7 @@ pub fn shift_overhead<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<ShiftO
     if data.is_empty() {
         return Err(SzxError::EmptyInput);
     }
-    let eb = crate::encode::resolve_bound(data, cfg);
+    let eb = crate::encode::resolve_bound(data, cfg)?;
     let mut bits_exact = 0u64;
     let mut bits_byte_aligned = 0u64;
 

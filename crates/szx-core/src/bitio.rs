@@ -254,6 +254,16 @@ impl<'a> StateBits<'a> {
         count
     }
 
+    /// The states of blocks `first..first + n` (fewer at the end), with
+    /// `first` a multiple of 8 like a window's first block.
+    pub fn window(&self, first: usize, n: usize) -> Self {
+        let bytes = self.bytes.get(first / 8..).unwrap_or_default();
+        StateBits {
+            bytes,
+            n: n.min(self.n.saturating_sub(first)),
+        }
+    }
+
     /// Iterate the `n` states in block order.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.n).map(move |i| self.get(i))

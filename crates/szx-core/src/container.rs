@@ -196,7 +196,7 @@ impl<W: Write> ContainerWriter<W> {
         let _total = szx_telemetry::span("compress.total");
         let eb = {
             let _s = szx_telemetry::span("compress.range_scan");
-            crate::encode::resolve_bound(frame, &self.cfg)
+            crate::encode::resolve_bound(frame, &self.cfg)?
         };
         let mut encoder = Encoder::new(&self.cfg, eb)?;
         encoder.push(frame)?;

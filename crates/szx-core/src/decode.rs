@@ -1,9 +1,7 @@
 //! The SZx decompressor: stream indexing, the [`Decoder`] (serial or
-//! parallel over one block-run loop), and the per-block routines.
+//! parallel over one window loop), and the per-block routines.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-use rayon::prelude::*;
+use std::sync::Mutex;
 
 use crate::bitio::{BitReader, StateBits};
 use crate::block::{bytes_for, shift_for};
@@ -12,6 +10,7 @@ use crate::dekernels::DecodeScratch;
 use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
 use crate::stream::{Header, SectionLayout};
+use crate::window::{for_each_window, window_len, windows};
 
 /// Everything needed to locate each block inside a compressed stream.
 /// Building it costs one pass over the state bits and the zsize array —
@@ -195,31 +194,26 @@ pub fn decompress<F: SzxFloat>(bytes: &[u8]) -> Result<Vec<F>> {
     Decoder::default().decode(bytes)
 }
 
-/// Blocks handled per parallel decode task. Coarse enough to amortize
-/// scheduling, fine enough to balance skewed payloads. Decode windows
-/// hold whole groups.
-pub const DECODE_GROUP: usize = 32;
-
 /// The SZx decompressor: a decode path, a serial/parallel switch, and the
 /// kernel arenas it reuses across calls.
 ///
 /// Every path and both modes reconstruct bit-identical values and fail
 /// with identical errors; the settings only choose *how* blocks are
 /// decoded, never *what* they decode to. The parallel mode is the paper's
-/// multicore design (§6.1): the stream index prefix-sums the
-/// `zsize_array`, so each rayon worker starts its group of blocks at a
-/// known payload offset.
+/// multicore design (§6.1): the pool's threads claim whole windows (see
+/// [`crate::window`]), and the non-constant blocks before a window give
+/// its first payload's offset in the prefix-summed `zsize_array`.
 #[derive(Debug)]
 pub struct Decoder {
     kernel: KernelPath,
     parallel: bool,
-    /// Arenas for the serial mode, reused across calls: once grown to the
-    /// largest block they never grow again.
+    /// The arena of random-access block decodes.
     scratch: DecodeScratch,
-    /// Arenas for the parallel mode, one per pool thread, reused the same
-    /// way: each thread taking part in a window borrows one for all the
-    /// groups it decodes.
-    shelf: Vec<DecodeScratch>,
+    /// Arenas for the window loop, one per thread that can take part,
+    /// reused across calls: once grown to the largest block they never
+    /// grow again. Each thread locks a free one for all the windows it
+    /// claims.
+    shelf: Vec<Mutex<DecodeScratch>>,
 }
 
 impl Default for Decoder {
@@ -248,7 +242,7 @@ impl Decoder {
         // allocation.
         let index = StreamIndex::build_traced::<F>(bytes)?;
         let mut out = vec![F::ZERO; index.header.n];
-        self.decode_windows_index(&index, &mut out, |_| Ok(()))?;
+        self.decode_into_index(&index, &mut out)?;
         Ok(out)
     }
 
@@ -264,25 +258,40 @@ impl Decoder {
                 index.header.n
             )));
         }
-        self.decode_windows_index(&index, out, |_| Ok(()))
+        self.decode_into_index(&index, out)
     }
 
-    /// Decompress `bytes` window by window through `window`, a buffer the
-    /// caller reuses, and hand each decoded window to `sink` in stream
-    /// order. A window is the whole stream when `window` holds it, else as
-    /// many whole groups of [`DECODE_GROUP`] blocks as fit (at least one
-    /// must). The values, and the error of a corrupt stream, are those of
-    /// [`Self::decode`]; windows before the corrupt block have already
-    /// reached `sink` by then.
-    pub fn decode_windows<F: SzxFloat>(
+    /// Decode straight into `out`, window by window.
+    fn decode_into_index<F: SzxFloat>(&mut self, index: &StreamIndex, out: &mut [F]) -> Result<()> {
+        let windows = out.chunks_mut(window_len::<F>(index.header.block_size));
+        let path = self.kernel;
+        self.each_window::<F, _, ()>(index, windows.collect(), |(), scratch, (b, nc), out| {
+            decode_run(index, b, nc, out, path, scratch)
+        })
+    }
+
+    /// Decompress `bytes` window by window (see [`crate::window`]), each
+    /// into a buffer of the thread decoding it, and hand `sink` the
+    /// thread's `T`, the index of the window's first value and the window.
+    /// Serially the windows reach `sink` in stream order on the calling
+    /// thread; in parallel each pool thread hands over the windows it
+    /// claims, in any order. The values, and the error of a corrupt stream,
+    /// are those of [`Self::decode`]: the error is the first corrupt
+    /// window's, and serially the windows before it have reached `sink`.
+    pub fn decode_windows<F: SzxFloat, T: Default>(
         &mut self,
         bytes: &[u8],
-        window: &mut [F],
-        sink: impl FnMut(&[F]) -> Result<()>,
+        sink: impl Fn(&mut T, usize, &[F]) -> Result<()> + Sync + Send,
     ) -> Result<()> {
         let _total = szx_telemetry::span("decompress.total");
         let index = StreamIndex::build_traced::<F>(bytes)?;
-        self.decode_windows_index(&index, window, sink)
+        let items = windows(index.header.n, window_len::<F>(index.header.block_size));
+        let path = self.kernel;
+        self.each_window::<F, _, (Vec<F>, T)>(&index, items, |(buf, t), scratch, (b, nc), w| {
+            buf.resize(w.len(), F::ZERO);
+            decode_run(&index, b, nc, buf, path, scratch)?;
+            sink(t, w.start, buf)
+        })
     }
 
     /// Decode one non-constant block payload (random access).
@@ -296,67 +305,79 @@ impl Decoder {
         decode_block_dispatch(payload, out, mu, strategy, self.kernel, &mut self.scratch)
     }
 
-    /// The one decode loop: consecutive windows of whole block groups into
-    /// `window`, serially or group-parallel within each window.
-    fn decode_windows_index<F: SzxFloat>(
+    /// The one window loop: `f` decodes window `k`'s `item` with the
+    /// thread's state and arena, given the window's first block and the
+    /// non-constant blocks before it.
+    fn each_window<F: SzxFloat, I: Send, S: Default>(
         &mut self,
         index: &StreamIndex<'_>,
-        window: &mut [F],
-        mut sink: impl FnMut(&[F]) -> Result<()>,
+        items: Vec<I>,
+        f: impl Fn(&mut S, &mut DecodeScratch, (usize, usize), I) -> Result<()> + Sync + Send,
     ) -> Result<()> {
-        let n = index.header.n;
-        let group = index.header.block_size * DECODE_GROUP;
-        let win = if window.len() >= n {
-            n
-        } else {
-            window.len() / group * group
-        };
-        if win == 0 {
-            return Err(SzxError::InvalidConfig(format!(
-                "decode window of {} elements holds no {group}-element group",
-                window.len()
-            )));
-        }
         if szx_telemetry::enabled() {
             flush_decode_telemetry::<F>(index);
         }
-        // Non-constant blocks before each group: where its first payload
-        // sits in the zsize prefix sum. Only the parallel split needs them;
-        // the serial loop carries the count from window to window.
-        let mut group_nc = Vec::new();
-        if self.parallel {
-            // One arena per thread that can take part, sized for a whole
-            // block up front where the path uses one, so growth depends on
-            // the stream and not on which threads join which window.
-            self.shelf
-                .resize_with(rayon::current_num_threads(), DecodeScratch::default);
-            if uses_arena(self.kernel, index.header.strategy) {
-                for s in &mut self.shelf {
-                    s.ensure(index.header.block_size);
-                }
-            }
-            group_nc.reserve(index.states.len().div_ceil(DECODE_GROUP));
-            let mut nc = 0usize;
-            for (b, s) in index.states.iter().enumerate() {
-                if b % DECODE_GROUP == 0 {
-                    group_nc.push(nc);
-                }
-                nc += s as usize;
+        let bs = index.header.block_size;
+        let win_blocks = window_len::<F>(bs) / bs;
+        // Non-constant blocks before each window: where its first payload
+        // sits in the zsize prefix sum.
+        let starts = (0..index.states.len()).step_by(win_blocks);
+        let counts = starts.map(|b| index.states.window(b, win_blocks).count_ones());
+        let nc_before: Vec<usize> = counts
+            .scan(0, |nc, c| Some(std::mem::replace(nc, *nc + c)))
+            .collect();
+        // One arena per thread that can take part, sized for a whole block
+        // up front where the path uses one, so growth depends on the stream
+        // and not on which threads claim which window.
+        let threads = if self.parallel {
+            rayon::current_num_threads()
+        } else {
+            1
+        };
+        self.shelf.resize_with(threads, Mutex::default);
+        if uses_arena(self.kernel, index.header.strategy) {
+            for s in self.shelf.iter_mut().filter_map(|s| s.get_mut().ok()) {
+                s.ensure(bs);
             }
         }
-        let mut nc = 0usize;
-        let result = (0..n).step_by(win).try_for_each(|start| {
-            // PANIC-OK: start < n and win <= window.len(), so the window
-            // range is in bounds.
-            let out = &mut window[..win.min(n - start)];
-            nc = self.decode_window(index, start / index.header.block_size, nc, &group_nc, out)?;
-            sink(out)
-        });
+        let _s = szx_telemetry::span("decompress.blocks");
+        // Zone-only path attribution for the profiler (the per-block
+        // dispatch also depends on the stream's strategy; this names the
+        // path that was *requested*), one zone per window.
+        let zone = match self.kernel {
+            KernelPath::Simd => "decompress.simd.decode",
+            KernelPath::Kernel => "decompress.path.kernel",
+            KernelPath::Scalar => "decompress.path.scalar",
+        };
+        // At most one thread per arena takes part, so each finds a free one.
+        let shelf = &self.shelf;
+        let init = || {
+            (
+                shelf.iter().find_map(|s| s.try_lock().ok()),
+                <(DecodeScratch, S)>::default(),
+            )
+        };
+        let result = for_each_window(
+            items,
+            self.parallel,
+            init,
+            |(lease, (spare, state)), k, item| {
+                let _z = szx_telemetry::trace_zone(zone, k as u64);
+                let nc = nc_before[k]; // PANIC-OK: the items are the stream's windows.
+                f(
+                    state,
+                    lease.as_deref_mut().unwrap_or(spare),
+                    (k * win_blocks, nc),
+                    item,
+                )
+            },
+        );
         // Runs publish the growth of the arena they used; what is left was
         // grown outside a run (the shelf's up-front sizing, random-access
         // block decodes).
         let mut bytes = 0;
-        for s in std::iter::once(&mut self.scratch).chain(&mut self.shelf) {
+        let shelf = self.shelf.iter_mut().filter_map(|s| s.get_mut().ok());
+        for s in std::iter::once(&mut self.scratch).chain(shelf) {
             flush_grows(s);
             bytes += s.arena_bytes();
         }
@@ -365,84 +386,8 @@ impl Decoder {
                 .gauge("decompress.scratch.arena_bytes")
                 .set_max(bytes as f64);
         }
-        result
+        result.map(drop)
     }
-
-    /// Decode the blocks from `first_block` on into `out` (whole groups,
-    /// except possibly the stream's tail). `nc` counts the non-constant
-    /// blocks before `first_block` for the serial loop; the parallel split
-    /// reads each group's count from `group_nc`. Returns the count after
-    /// the window.
-    fn decode_window<F: SzxFloat>(
-        &mut self,
-        index: &StreamIndex<'_>,
-        first_block: usize,
-        nc: usize,
-        group_nc: &[usize],
-        out: &mut [F],
-    ) -> Result<usize> {
-        let _s = szx_telemetry::span("decompress.blocks");
-        // Zone-only path attribution for the profiler (the per-block
-        // dispatch also depends on the stream's strategy; this names the
-        // path that was *requested* for the sweep).
-        let _z = szx_telemetry::trace_zone(
-            match self.kernel {
-                KernelPath::Simd => "decompress.simd.decode",
-                KernelPath::Kernel => "decompress.path.kernel",
-                KernelPath::Scalar => "decompress.path.scalar",
-            },
-            0,
-        );
-        let path = self.kernel;
-        if !self.parallel {
-            return decode_run(index, first_block, nc, out, path, &mut self.scratch);
-        }
-        let first_group = first_block / DECODE_GROUP;
-        let shelf = Mutex::new(std::mem::take(&mut self.shelf));
-        let result = out
-            .par_chunks_mut(index.header.block_size * DECODE_GROUP)
-            .enumerate()
-            .try_for_each_init(
-                || Lease::take(&shelf),
-                |lease, (g, group)| {
-                    let g = first_group + g;
-                    let _z = szx_telemetry::trace_zone("decompress.group", g as u64);
-                    // PANIC-OK: windows start on group boundaries inside the
-                    // stream's num_blocks blocks, and group_nc holds one
-                    // entry per group of the stream.
-                    let nc = group_nc[g];
-                    decode_run(index, g * DECODE_GROUP, nc, group, path, &mut lease.scratch)
-                        .map(|_| ())
-                },
-            );
-        self.shelf = shelf.into_inner().unwrap_or_else(PoisonError::into_inner);
-        result.map(|()| nc)
-    }
-}
-
-/// One thread's decode arena for a parallel window: taken from the
-/// decoder's shelf by the thread's first group, put back when the thread
-/// has no group left.
-struct Lease<'a> {
-    shelf: &'a Mutex<Vec<DecodeScratch>>,
-    scratch: DecodeScratch,
-}
-
-impl<'a> Lease<'a> {
-    fn take(shelf: &'a Mutex<Vec<DecodeScratch>>) -> Self {
-        let scratch = lock(shelf).pop().unwrap_or_default();
-        Lease { shelf, scratch }
-    }
-}
-
-impl Drop for Lease<'_> {
-    fn drop(&mut self) {
-        lock(self.shelf).push(std::mem::take(&mut self.scratch));
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Whether [`decode_block_dispatch`] sends `path` and `strategy` to a
@@ -491,8 +436,7 @@ fn decode_block_dispatch<F: SzxFloat>(
 /// Decode the consecutive blocks starting at `first_block` into `out` (a
 /// whole number of blocks, except possibly the stream's last), stopping at
 /// the first corrupt one. `nc` counts the non-constant blocks before
-/// `first_block`, whose payloads precede this run's; the count after the
-/// run is returned.
+/// `first_block`, whose payloads precede this run's.
 fn decode_run<F: SzxFloat>(
     index: &StreamIndex<'_>,
     first_block: usize,
@@ -500,7 +444,7 @@ fn decode_run<F: SzxFloat>(
     out: &mut [F],
     path: KernelPath,
     scratch: &mut DecodeScratch,
-) -> Result<usize> {
+) -> Result<()> {
     let bs = index.header.block_size;
     let strategy = index.header.strategy;
     for (j, block_out) in out.chunks_mut(bs).enumerate() {
@@ -520,7 +464,7 @@ fn decode_run<F: SzxFloat>(
         }
     }
     flush_grows(scratch);
-    Ok(nc)
+    Ok(())
 }
 
 /// Publish the growth events `scratch` has seen since its last flush.

@@ -2,17 +2,16 @@
 
 use std::io::Write;
 
-use rayon::prelude::*;
-
 use crate::block::{bytes_for, required_length, shift_for, BlockStats};
 use crate::config::{CommitStrategy, ErrorBound, KernelPath, SzxConfig};
 use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
 use crate::kernels::{self, EncodeScratch};
 use crate::stream::Header;
+use crate::window::{for_each_window, window_len, windows, WindowSource};
 
-/// Per-chunk compression output; chunks are later written out as one
-/// stream. The serial compressor uses a single chunk per window.
+/// One window's compression output; [`Encoder::finish`] writes the windows
+/// out as one stream.
 #[derive(Debug, Default)]
 pub(crate) struct ChunkOutput<F: SzxFloat> {
     /// One entry per block: `true` = non-constant.
@@ -23,104 +22,77 @@ pub(crate) struct ChunkOutput<F: SzxFloat> {
     pub zsizes: Vec<u16>,
     /// Concatenated non-constant payloads.
     pub payload: Vec<u8>,
-    /// Scratch-arena growth events — nonzero only while the chunk's
-    /// [`EncodeScratch`] warms up to the largest block.
+    /// Scratch-arena growth events — nonzero only while the encoding
+    /// thread's [`EncodeScratch`] warms up to the largest block.
     pub scratch_grows: u64,
-    /// Final arena footprint of the chunk's [`EncodeScratch`] in bytes,
-    /// published (max over chunks) as the `compress.scratch.arena_bytes`
+    /// Final arena footprint of that [`EncodeScratch`] in bytes,
+    /// published (max over windows) as the `compress.scratch.arena_bytes`
     /// gauge.
     pub scratch_arena_bytes: u64,
 }
 
-impl<F: SzxFloat> ChunkOutput<F> {
-    pub(crate) fn with_capacity(nblocks: usize, data_bytes: usize) -> Self {
-        ChunkOutput {
-            states: Vec::with_capacity(nblocks),
-            mus: Vec::with_capacity(nblocks),
-            zsizes: Vec::with_capacity(nblocks),
-            // Non-constant payloads rarely exceed half the raw size on
-            // compressible data; growing is cheap if they do.
-            payload: Vec::with_capacity(data_bytes / 2 + 64),
-            scratch_grows: 0,
-            scratch_arena_bytes: 0,
-        }
-    }
-}
-
-/// Elements per range-scan chunk on the parallel path. The SIMD scan
-/// runs at tens of GB/s from cache, so a chunk must be large for its work
-/// to outweigh waking the pool: a 512 KiB window of the CLI is one chunk,
-/// scanned inline, and a 64 MB slice is 16.
-const RANGE_CHUNK: usize = 1 << 20;
-
-/// Fewest blocks in a parallel encode chunk (the window's last chunk may
-/// hold fewer). A chunk costs a claim on the pool and its own output
-/// sections, to be walked again by [`Encoder::finish`]; at 256 blocks that
-/// stays small beside its coding work. A 512 KiB window of the CLI splits
-/// into four chunks of `f32` (two of `f64`); a large slice still splits
-/// into `current_num_threads() × 4`.
-const MIN_CHUNK_BLOCKS: usize = 256;
-
 /// The running value range (max − min, NaN-ignoring) a relative bound is
-/// resolved against, fed the data window by window.
+/// resolved against, fed the data window by window (see [`crate::window`]).
 ///
-/// Each window is scanned in one go serially, or in [`RANGE_CHUNK`]-element
-/// chunks on the rayon workers in parallel. The configured kernel path
-/// selects the per-chunk min/max. Every path *picks* the same extrema
-/// (they are never computed), so the range — and therefore the resolved
-/// bound and the stream — is identical for every path, either split and
-/// any windowing of the data.
+/// The configured kernel path selects the per-window min/max. Every path
+/// *picks* the same extrema (they are never computed), so the range — and
+/// therefore the resolved bound and the stream — is identical for every
+/// path, serial or parallel, and any split of the data into pushes.
 #[derive(Debug, Clone, Copy)]
 pub struct RangeScan {
     bound: ErrorBound,
     path: KernelPath,
     parallel: bool,
+    block_size: usize,
     min: f64,
     max: f64,
 }
 
 impl RangeScan {
-    /// An empty scan for `cfg`'s bound, kernel and split.
+    /// An empty scan for `cfg`'s bound, kernel, block size and switch.
     pub fn new(cfg: &SzxConfig) -> Self {
         RangeScan {
             bound: cfg.error_bound,
             path: cfg.kernel.resolve(),
             parallel: cfg.parallel,
+            block_size: cfg.block_size,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
 
-    /// Fold the extrema of the next window into the scan.
-    pub fn push<F: SzxFloat>(&mut self, data: &[F]) {
-        let chunk = if self.parallel {
-            RANGE_CHUNK
-        } else {
-            data.len()
-        };
+    /// Fold the extrema of `source`'s values into the scan: one min/max
+    /// per window, on the pool's threads when the config is parallel.
+    pub fn push<F: SzxFloat, S: WindowSource<F> + ?Sized>(&mut self, source: &S) -> Result<()> {
         let path = self.path;
-        let (min, max) = data
-            .par_chunks(chunk.max(1))
-            .enumerate()
-            .map(|(ci, chunk)| {
-                let _z = szx_telemetry::trace_zone("compress.range_chunk", ci as u64);
+        let items = windows(source.n(), window_len::<F>(self.block_size));
+        let extrema = for_each_window(
+            items,
+            self.parallel,
+            || source.buf(),
+            |buf, k, w| {
+                let _z = szx_telemetry::trace_zone("compress.range_chunk", k as u64);
+                let data = source.window(w.start, w.len(), buf)?;
                 let (lo, hi) = match path {
-                    KernelPath::Simd => crate::simd::minmax(chunk),
-                    KernelPath::Kernel => kernels::minmax(chunk),
-                    KernelPath::Scalar => chunk.iter().fold(
+                    KernelPath::Simd => crate::simd::minmax(data),
+                    KernelPath::Kernel => kernels::minmax(data),
+                    KernelPath::Scalar => data.iter().fold(
                         (F::from_f64(f64::INFINITY), F::from_f64(f64::NEG_INFINITY)),
                         |(lo, hi), &d| (if d < lo { d } else { lo }, if d > hi { d } else { hi }),
                     ),
                 };
-                (lo.to_f64(), hi.to_f64())
-            })
-            .reduce(|| (self.min, self.max), |a, b| (a.0.min(b.0), a.1.max(b.1)));
-        self.min = min;
-        self.max = max;
+                Ok((lo.to_f64(), hi.to_f64()))
+            },
+        )?;
+        for (lo, hi) in extrema {
+            self.min = self.min.min(lo);
+            self.max = self.max.max(hi);
+        }
+        Ok(())
     }
 
     /// Value range of everything pushed so far. Equal to the scalar oracle
-    /// [`crate::config::value_range`] of the concatenated windows.
+    /// [`crate::config::value_range`] of the concatenated pushes.
     pub fn range(&self) -> f64 {
         if self.max >= self.min {
             self.max - self.min
@@ -140,37 +112,33 @@ impl RangeScan {
 }
 
 /// The value range of `data` on `path`, serially or split: what a
-/// [`RangeScan`] over one window finds.
+/// [`RangeScan`] finds.
 #[cfg(test)]
 pub(crate) fn value_range_on<F: SzxFloat>(data: &[F], path: KernelPath, parallel: bool) -> f64 {
     let mut scan = RangeScan::new(&SzxConfig::default().with_parallel(parallel));
     scan.path = path;
-    scan.push(data);
+    scan.push(data).unwrap();
     scan.range()
 }
 
 /// Resolve the configured error bound against `data`: a relative bound
 /// scans it (see [`RangeScan`]), an absolute one does not.
-pub(crate) fn resolve_bound<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> f64 {
+pub(crate) fn resolve_bound<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<f64> {
     let mut scan = RangeScan::new(cfg);
     if let ErrorBound::Relative(_) = cfg.error_bound {
-        scan.push(data);
+        scan.push(data)?;
     }
-    scan.bound()
+    Ok(scan.bound())
 }
 
 /// Compress `data` into a self-describing SZx stream.
 ///
 /// The relative error bound, if configured, is resolved against the global
 /// value range here and the stream records the resulting absolute bound.
-/// The data then goes through an [`Encoder`] as one window.
-///
-/// With [`SzxConfig::parallel`] the work is split the way the paper's
-/// OpenMP design does it (§6.1): contiguous chunks of blocks, a few per
-/// rayon worker, each encoded into its own buffers. Chunks are multiples
-/// of 8 blocks, so the per-chunk state bits concatenate on byte boundaries
-/// and the stream is byte-identical to the serial one, which is the same
-/// loop over a single chunk.
+/// The data then goes through an [`Encoder`], which borrows its windows
+/// (see [`crate::window`]) and copies nothing. With [`SzxConfig::parallel`]
+/// the pool's threads claim whole windows; the stream is byte-identical
+/// to the serial one.
 pub fn compress<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<Vec<u8>> {
     let _total = szx_telemetry::span("compress.total");
     cfg.validate()?;
@@ -179,7 +147,7 @@ pub fn compress<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<Vec<u8>> {
     }
     let eb = {
         let _s = szx_telemetry::span("compress.range_scan");
-        resolve_bound(data, cfg)
+        resolve_bound(data, cfg)?
     };
     let mut encoder = Encoder::new(cfg, eb)?;
     encoder.push(data)?;
@@ -188,15 +156,14 @@ pub fn compress<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<Vec<u8>> {
     Ok(bytes)
 }
 
-/// Compresses one stream from consecutive windows of its data and writes
+/// Compresses one stream from consecutive pushes of its data and writes
 /// it to a sink in one pass.
 ///
-/// Every window but the last must hold a whole multiple of 8 blocks, so
-/// each window's state bits start on a byte boundary and the stream equals
-/// [`compress`] of the concatenated windows byte for byte. The encoder
-/// holds only the compressed sections of the windows pushed so far; its
-/// scratch arenas (one per chunk of a window, one serially) are reused by
-/// every window.
+/// Every push but the last must hold a whole multiple of 8 blocks, so
+/// each push's state bits start on a byte boundary and the stream equals
+/// [`compress`] of the concatenated pushes byte for byte. A push is coded
+/// window by window (see [`crate::window`]), each window into its own
+/// [`ChunkOutput`]; the encoder holds only these compressed sections.
 #[derive(Debug)]
 pub struct Encoder<F: SzxFloat> {
     cfg: SzxConfig,
@@ -204,10 +171,10 @@ pub struct Encoder<F: SzxFloat> {
     path: KernelPath,
     /// Elements pushed so far.
     n: usize,
+    /// One per window, in stream order.
     chunks: Vec<ChunkOutput<F>>,
-    scratch: Vec<EncodeScratch>,
-    /// Set by a window that is not a whole multiple of 8 blocks: it must
-    /// be the last.
+    /// Set by a push that is not a whole multiple of 8 blocks: it must be
+    /// the last.
     ragged: bool,
 }
 
@@ -227,59 +194,41 @@ impl<F: SzxFloat> Encoder<F> {
             path: cfg.kernel.resolve(),
             n: 0,
             chunks: Vec::new(),
-            scratch: Vec::new(),
             ragged: false,
         })
     }
 
-    /// Encode the next window of the data.
-    pub fn push(&mut self, window: &[F]) -> Result<()> {
+    /// Encode `source`'s values, the next of the data. With
+    /// [`SzxConfig::parallel`] the pool's threads claim its windows, each
+    /// encoding window `k` with its own arena into slot `k`.
+    pub fn push<S: WindowSource<F> + ?Sized>(&mut self, source: &S) -> Result<()> {
         let bs = self.cfg.block_size;
         if self.ragged {
             return Err(SzxError::InvalidConfig(format!(
-                "only the last window may be other than a multiple of 8 blocks of {bs}"
+                "only the last push may be other than a multiple of 8 blocks of {bs}"
             )));
         }
-        if window.is_empty() {
+        let len = source.n();
+        if len == 0 {
             return Ok(());
         }
         let _s = szx_telemetry::span("compress.encode_blocks");
-        self.ragged = !window.len().is_multiple_of(8 * bs);
-        let nblocks = window.len().div_ceil(bs);
-        let target_chunks = if self.cfg.parallel {
-            rayon::current_num_threads() * 4
-        } else {
-            1
-        };
-        let chunk_elems =
-            (nblocks.div_ceil(target_chunks).div_ceil(8) * 8).max(MIN_CHUNK_BLOCKS) * bs;
-        let nchunks = window.len().div_ceil(chunk_elems);
-        if self.scratch.len() < nchunks {
-            self.scratch.resize_with(nchunks, EncodeScratch::default);
-        }
+        self.ragged = !len.is_multiple_of(8 * bs);
         let (eb, strategy, path) = (self.eb, self.cfg.strategy, self.path);
         let first = self.chunks.len();
-        let mut jobs: Vec<_> = window
-            .chunks(chunk_elems)
-            .zip(self.scratch.iter_mut())
-            .map(|(data, scratch)| {
-                let out =
-                    ChunkOutput::with_capacity(data.len().div_ceil(bs), data.len() * F::BYTES);
-                (data, scratch, out)
-            })
-            .collect();
+        let init = || (source.buf(), EncodeScratch::default());
         // The block loop keeps no telemetry: finish() derives every counter
-        // from the chunk outputs, once per stream.
-        jobs.par_chunks_mut(1).enumerate().for_each(|(ci, job)| {
-            for (data, scratch, out) in job.iter_mut() {
-                // One timeline lane entry per chunk: the flight recorder's
-                // view of skew across rayon workers.
-                let _z = szx_telemetry::trace_zone("compress.chunk", (first + ci) as u64);
-                encode_blocks(data, bs, eb, strategy, path, out, scratch);
-            }
-        });
-        self.chunks.extend(jobs.into_iter().map(|(_, _, out)| out));
-        self.n += window.len();
+        // from the window outputs, once per stream.
+        let items = windows(len, window_len::<F>(bs));
+        let outs = for_each_window(items, self.cfg.parallel, init, |(buf, scratch), k, w| {
+            // One timeline lane entry per window: the flight recorder's view
+            // of skew across the pool's threads.
+            let _z = szx_telemetry::trace_zone("compress.chunk", (first + k) as u64);
+            let data = source.window(w.start, w.len(), buf)?;
+            Ok(encode_blocks(data, bs, eb, strategy, path, scratch))
+        })?;
+        self.chunks.extend(outs);
+        self.n += len;
         Ok(())
     }
 
@@ -311,7 +260,7 @@ impl<F: SzxFloat> Encoder<F> {
 
     /// Write the stream to `sink` and return the sink: the header, then the
     /// state-bit, μ and zsize sections through one small staging buffer,
-    /// then each chunk's payloads as they are. Nothing the size of the
+    /// then each window's payloads as they are. Nothing the size of the
     /// stream is assembled or copied.
     pub fn finish<W: Write>(self, mut sink: W) -> Result<W> {
         if self.n == 0 {
@@ -328,7 +277,7 @@ impl<F: SzxFloat> Encoder<F> {
         };
         let mut staging = Vec::with_capacity(STAGING_BYTES);
         header.write(&mut staging);
-        // State bits, MSB first. Every chunk but the last holds a multiple
+        // State bits, MSB first. Every window but the last holds a multiple
         // of 8 blocks, so each packs into whole bytes of its own.
         for c in &self.chunks {
             for bits in c.states.chunks(8) {
@@ -376,45 +325,41 @@ fn flush_full<W: Write>(sink: &mut W, staging: &mut Vec<u8>) -> Result<()> {
 }
 
 /// Encode every block of `data` (a whole number of blocks except possibly
-/// the last) into `out`. Runs once per chunk of an [`Encoder`] window; `path`
-/// selects among the explicit SIMD kernels, the branch-free portable
-/// kernels, and the scalar oracle (byte-identical outputs, see
-/// [`crate::kernels`] and [`crate::simd`]).
-pub(crate) fn encode_blocks<F: SzxFloat>(
+/// the last): one [`Encoder`] window. `path` selects among the explicit
+/// SIMD kernels, the branch-free portable kernels, and the scalar oracle
+/// (byte-identical outputs, see [`crate::kernels`] and [`crate::simd`]).
+fn encode_blocks<F: SzxFloat>(
     data: &[F],
     block_size: usize,
     eb: f64,
     strategy: CommitStrategy,
     path: KernelPath,
-    out: &mut ChunkOutput<F>,
     scratch: &mut EncodeScratch,
-) {
+) -> ChunkOutput<F> {
     // Zone-only attribution of which hot-loop path ran: the profiler and
     // flight recorder see simd vs kernel vs scalar time separately, at the
-    // cost of one zone per chunk (never per block).
-    match path {
+    // cost of one zone per window (never per block).
+    let (bs, s) = (block_size, strategy);
+    let mut out = match path {
         KernelPath::Simd => {
             let _z = szx_telemetry::trace_zone("compress.simd.encode", 0);
-            encode_blocks_impl::<F, { KERNEL_SIMD }>(data, block_size, eb, strategy, out, scratch);
+            encode_blocks_impl::<F, { KERNEL_SIMD }>(data, bs, eb, s, scratch)
         }
         KernelPath::Kernel => {
             let _z = szx_telemetry::trace_zone("compress.encode.kernel", 0);
-            encode_blocks_impl::<F, { KERNEL_PORTABLE }>(
-                data, block_size, eb, strategy, out, scratch,
-            );
+            encode_blocks_impl::<F, { KERNEL_PORTABLE }>(data, bs, eb, s, scratch)
         }
         KernelPath::Scalar => {
             let _z = szx_telemetry::trace_zone("compress.encode.scalar", 0);
-            encode_blocks_impl::<F, { KERNEL_SCALAR }>(
-                data, block_size, eb, strategy, out, scratch,
-            );
+            encode_blocks_impl::<F, { KERNEL_SCALAR }>(data, bs, eb, s, scratch)
         }
-    }
-    // Surface the scratch arena's growth events through the chunk output so
+    };
+    // Surface the scratch arena's growth events through the window output so
     // the allocation-regression test can observe them; the counter is reset
     // so a reused scratch is not double-counted.
-    out.scratch_grows += scratch.take_grows();
-    out.scratch_arena_bytes = out.scratch_arena_bytes.max(scratch.arena_bytes());
+    out.scratch_grows = scratch.take_grows();
+    out.scratch_arena_bytes = scratch.arena_bytes();
+    out
 }
 
 /// Path discriminants for the monomorphized block loop (a const-generic
@@ -430,9 +375,15 @@ fn encode_blocks_impl<F: SzxFloat, const PATH: u8>(
     block_size: usize,
     eb: f64,
     strategy: CommitStrategy,
-    out: &mut ChunkOutput<F>,
     scratch: &mut EncodeScratch,
-) {
+) -> ChunkOutput<F> {
+    // Non-constant payloads rarely exceed half the raw size on
+    // compressible data; growing is cheap if they do.
+    let payload = Vec::with_capacity(data.len() * F::BYTES / 2 + 64);
+    let mut out = ChunkOutput {
+        payload,
+        ..ChunkOutput::default()
+    };
     for block in data.chunks(block_size) {
         let stats = match PATH {
             KERNEL_SIMD => crate::simd::block_stats(block),
@@ -473,12 +424,13 @@ fn encode_blocks_impl<F: SzxFloat, const PATH: u8>(
             out.zsizes.push(zsize as u16);
         }
     }
+    out
 }
 
-/// Derive the §5.3 impact factors from the chunk outputs and publish them
+/// Derive the §5.3 impact factors from the window outputs and publish them
 /// to the global registry — the single join point of [`Encoder::finish`],
 /// so the registry sees exactly one flush per stream however many windows
-/// and rayon workers produced the chunks. Everything is read back from what the
+/// and pool threads produced them. Everything is read back from what the
 /// stream records (state bits, zsizes, each payload's leading `R_k` byte);
 /// the block loop itself keeps no accounting.
 fn flush_encode_telemetry<F: SzxFloat>(
@@ -755,7 +707,7 @@ mod tests {
 
     #[test]
     fn parallel_relative_bound_matches_serial_resolution() {
-        // Spans several range-scan chunks, so the parallel reduction runs.
+        // Spans several windows, so the parallel reduction runs.
         let data = noisy_wave(300_000);
         let cfg = SzxConfig::relative(1e-2);
         let serial = compress(&data, &cfg).unwrap();

@@ -23,6 +23,7 @@ pub trait SzxFloat:
     + core::ops::Sub<Output = Self>
     + core::ops::Add<Output = Self>
     + core::fmt::Debug
+    + Default
     + Send
     + Sync
     + sealed::Sealed

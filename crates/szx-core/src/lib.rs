@@ -38,11 +38,11 @@
 //!
 //! Serial and multicore runs are the same codec with one switch:
 //! [`SzxConfig::parallel`] on compression and the `parallel` argument of
-//! [`Decoder::new`] on decompression. Work is spread over rayon workers
-//! the way the paper's OpenMP design does it (§6.1): compression chunks
-//! blocks across threads, decompression prefix-sums the per-block
-//! compressed sizes (`zsize_array`) to hand each thread an independent
-//! starting offset. Streams and decodes are byte-identical either way.
+//! [`Decoder::new`] on decompression. The pool's threads claim whole
+//! [`window`]s, the paper's OpenMP layout (§6.1): each codes one run of
+//! blocks with its own buffers, and a decoding thread finds its window's
+//! first payload from the non-constant blocks before it. Streams and
+//! decodes are byte-identical either way.
 //!
 //! ```
 //! use szx_core::{compress, Decoder, KernelSelect, SzxConfig};
@@ -60,11 +60,11 @@
 //!
 //! ## Windows
 //!
-//! An [`Encoder`] takes the data in consecutive windows (each a multiple
-//! of 8 blocks but the last) and writes the stream [`compress`] writes
-//! for the whole slice; a relative bound is resolved first by a
-//! [`RangeScan`] over the same windows. [`Decoder::decode_windows`]
-//! decodes into a reused window buffer and hands each window to a sink.
+//! An [`Encoder`] takes the data in consecutive pushes (each a multiple
+//! of 8 blocks but the last, read window by window from a [`WindowSource`])
+//! and writes the stream [`compress`] writes for the whole slice; a
+//! relative bound is resolved first by a [`RangeScan`] over the same
+//! pushes. [`Decoder::decode_windows`] hands each decoded window to a sink.
 //!
 //! ```
 //! use szx_core::{compress, Encoder, RangeScan, SzxConfig};
@@ -72,7 +72,7 @@
 //! let data: Vec<f32> = (0..10_000).map(|i| (i as f32 * 0.01).sin()).collect();
 //! let cfg = SzxConfig::relative(1e-3);
 //! let mut scan = RangeScan::new(&cfg);
-//! data.chunks(1024).for_each(|w| scan.push(w));
+//! data.chunks(1024).for_each(|w| scan.push(w).unwrap());
 //! let mut encoder = Encoder::new(&cfg, scan.bound()).unwrap();
 //! for window in data.chunks(1024) {
 //!     encoder.push(window).unwrap();
@@ -113,6 +113,7 @@ pub mod kernels;
 pub mod random_access;
 pub mod simd;
 pub mod stream;
+pub mod window;
 
 pub use config::{
     CommitStrategy, ErrorBound, KernelPath, KernelSelect, SzxConfig, DEFAULT_BLOCK_SIZE,
@@ -128,6 +129,7 @@ pub use random_access::RandomAccess;
 /// (`RAYON_NUM_THREADS`, else the available cores).
 pub use rayon::current_num_threads;
 pub use stream::{inspect, Header};
+pub use window::{window_len, WindowSource, WINDOW_BYTES};
 
 /// Compression ratio helper: original bytes / compressed bytes.
 pub fn compression_ratio<F: SzxFloat>(n_elements: usize, compressed_len: usize) -> f64 {

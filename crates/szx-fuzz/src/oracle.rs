@@ -7,8 +7,9 @@
 //!   Serial scalar is the reference. `Simd` resolves to the portable kernel
 //!   when the CPU lacks the ISA, so the cell is always exercised and always
 //!   held to the contract;
-//! * the windowed decode (`Decoder::decode_windows`) through a window of
-//!   one block group, serial and parallel;
+//! * the windowed decode (`Decoder::decode_windows`), window by window
+//!   (`szx_core::window_len` values each), serial and parallel, each
+//!   window put back at its offset;
 //! * random access (`RandomAccess::decode_range` over the whole stream,
 //!   scalar and kernel).
 //!
@@ -32,7 +33,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use szx_core::decode::DECODE_GROUP;
+use std::sync::{Mutex, PoisonError};
+
 use szx_core::{Decoder, KernelSelect, RandomAccess, SzxFloat};
 
 use crate::corpus::fnv1a64;
@@ -135,8 +137,7 @@ const DECODER_CELLS: [(&str, KernelSelect, bool); 5] = [
     ("parallel-simd", KernelSelect::Simd, true),
 ];
 
-/// Windowed-decode cells ([`Decoder::decode_windows`], one block group
-/// per window).
+/// Windowed-decode cells ([`Decoder::decode_windows`]).
 const WINDOWED_CELLS: [(&str, KernelSelect, bool); 2] = [
     ("windowed-serial-kernel", KernelSelect::Kernel, false),
     ("windowed-parallel-simd", KernelSelect::Simd, true),
@@ -197,19 +198,19 @@ pub fn differential_decode_typed<F: SzxFloat>(bytes: &[u8]) -> Result<DecodeRepo
         check(path, out, true)?;
     }
 
-    // The windowed decode with the smallest window a stream allows: one
-    // group of blocks (or the whole stream, if shorter). An input without
-    // a header fails in the index, before the window is looked at.
-    let window = szx_core::inspect(bytes).map_or(0, |h| h.n.min(DECODE_GROUP * h.block_size));
+    // The windowed decode: a parallel decoder hands over the windows in
+    // the order its threads finish them, so each goes back to its offset.
     for (path, kernel, parallel) in WINDOWED_CELLS {
         let out = run_path(path, || {
-            let mut buf = vec![F::ZERO; window];
-            let mut values = Vec::new();
-            Decoder::new(kernel, parallel).decode_windows::<F>(bytes, &mut buf, |w| {
-                values.extend_from_slice(w);
+            let windows = Mutex::new(Vec::new());
+            Decoder::new(kernel, parallel).decode_windows::<F, ()>(bytes, |(), at, w| {
+                let mut windows = windows.lock().unwrap_or_else(PoisonError::into_inner);
+                windows.push((at, w.to_vec()));
                 Ok(())
             })?;
-            Ok(values)
+            let mut windows = windows.into_inner().unwrap_or_else(PoisonError::into_inner);
+            windows.sort_unstable_by_key(|&(at, _)| at);
+            Ok(windows.into_iter().flat_map(|(_, w)| w).collect())
         })?;
         check(path, out, true)?;
     }

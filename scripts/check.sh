@@ -145,7 +145,7 @@ run_profile_smoke() {
 # kernels and the autovectorized portable kernels both need optimizations
 # to exercise their real codegen. Also proves the CLI-level plumbing end to
 # end with a stream `cmp` across --kernel selections, each serial and
-# --parallel (on the default pool and on RAYON_NUM_THREADS=3).
+# --parallel on RAYON_NUM_THREADS=1 to 4.
 run_simd_equivalence() {
     echo "==> SIMD equivalence (scalar vs kernel vs simd, serial vs parallel, release)"
     cargo test -q --release -p szx-core simd \
@@ -203,7 +203,7 @@ PY
     # values) ends in a ragged quad.
     head -c 400012 "$dir/scale/T.f32" >"$dir/scale/T-ragged.f32" \
         || simd_fail "cutting the ragged input"
-    local input bound sel
+    local input bound sel threads
     for input in "$field" "$dir/multi.f32" "$dir/scale/T.f32" "$dir/scale/T-ragged.f32" \
         "$dir/mixed.f32" "$dir/mixed.f64"; do
         bound=(--abs 1e-3)
@@ -220,30 +220,22 @@ PY
             cargo run -q --release -p szx-cli -- decompress "$dir/$sel.szx" \
                 "$dir/$sel.f32" --kernel "$sel" >/dev/null \
                 || simd_fail "decompress --kernel $sel"
-            # Serial and --parallel are one codec with a different split: the
-            # parallel stream and decode must equal the serial files bytewise.
-            cargo run -q --release -p szx-cli -- compress "$input" \
-                "$dir/$sel-par.szx" "${bound[@]}" --kernel "$sel" --parallel >/dev/null \
-                || simd_fail "compress --kernel $sel --parallel"
-            cargo run -q --release -p szx-cli -- decompress "$dir/$sel-par.szx" \
-                "$dir/$sel-par.f32" --kernel "$sel" --parallel >/dev/null \
-                || simd_fail "decompress --kernel $sel --parallel"
-            cmp -s "$dir/$sel.szx" "$dir/$sel-par.szx" \
-                || simd_fail "$sel serial and parallel streams differ ($input)"
-            cmp -s "$dir/$sel.f32" "$dir/$sel-par.f32" \
-                || simd_fail "$sel serial and parallel decodes differ bitwise ($input)"
-            # Again on three threads, more than a 2-core runner has: the
-            # bytes must not depend on the pool size or the claim order.
-            RAYON_NUM_THREADS=3 cargo run -q --release -p szx-cli -- compress "$input" \
-                "$dir/$sel-par3.szx" "${bound[@]}" --kernel "$sel" --parallel >/dev/null \
-                || simd_fail "compress --kernel $sel --parallel (3 threads)"
-            RAYON_NUM_THREADS=3 cargo run -q --release -p szx-cli -- decompress \
-                "$dir/$sel-par3.szx" "$dir/$sel-par3.f32" --kernel "$sel" --parallel >/dev/null \
-                || simd_fail "decompress --kernel $sel --parallel (3 threads)"
-            cmp -s "$dir/$sel.szx" "$dir/$sel-par3.szx" \
-                || simd_fail "$sel serial and 3-thread parallel streams differ ($input)"
-            cmp -s "$dir/$sel.f32" "$dir/$sel-par3.f32" \
-                || simd_fail "$sel serial and 3-thread parallel decodes differ bitwise ($input)"
+            # Serial and --parallel are one codec: the pool's threads claim
+            # whole windows, so on any pool size (1 to 4, more than a
+            # 2-core runner has) and in any claim order the parallel stream
+            # and decode must equal the serial files bytewise.
+            for threads in 1 2 3 4; do
+                RAYON_NUM_THREADS=$threads cargo run -q --release -p szx-cli -- compress \
+                    "$input" "$dir/par.szx" "${bound[@]}" --kernel "$sel" --parallel >/dev/null \
+                    || simd_fail "compress --kernel $sel --parallel ($threads threads)"
+                RAYON_NUM_THREADS=$threads cargo run -q --release -p szx-cli -- decompress \
+                    "$dir/par.szx" "$dir/par.f32" --kernel "$sel" --parallel >/dev/null \
+                    || simd_fail "decompress --kernel $sel --parallel ($threads threads)"
+                cmp -s "$dir/$sel.szx" "$dir/par.szx" \
+                    || simd_fail "$sel serial and $threads-thread streams differ ($input)"
+                cmp -s "$dir/$sel.f32" "$dir/par.f32" \
+                    || simd_fail "$sel serial and $threads-thread decodes differ ($input)"
+            done
         done
         cmp -s "$dir/scalar.szx" "$dir/kernel.szx" \
             || simd_fail "scalar and kernel streams differ ($input)"

@@ -2,10 +2,11 @@
 //!
 //! The build environment has no access to crates.io, so the workspace ships
 //! this minimal drop-in that implements exactly the data-parallel subset the
-//! codebase uses — `par_chunks`, `par_chunks_mut`, `par_iter`, `map`,
-//! `enumerate`, `collect`, `reduce`, `for_each`, `try_for_each`,
-//! `try_for_each_init`, and `current_num_threads` — on a persistent pool
-//! of OS threads (the `pool` module).
+//! codebase uses — `par_chunks`, `par_chunks_mut`, `par_iter`,
+//! `into_par_iter`, `map`, `map_init`, `enumerate`, `collect`, `reduce`,
+//! `for_each`, `try_for_each`, `try_for_each_init`, and
+//! `current_num_threads` — on a persistent pool of OS threads (the `pool`
+//! module).
 //!
 //! Semantics match rayon where it matters here:
 //! * closures run concurrently on up to [`current_num_threads`] threads:
@@ -104,6 +105,21 @@ pub trait ParallelIterator: Sized + Send {
         Map { base: self, f }
     }
 
+    /// [`Self::map`] with per-thread state: every thread taking part calls
+    /// `init` once and passes the state to `f` for each item it claims.
+    fn map_init<INIT, S, R, F>(self, init: INIT, f: F) -> MapInit<Self, INIT, F>
+    where
+        INIT: Fn() -> S + Sync + Send,
+        F: Fn(&mut S, Self::Item) -> R + Sync + Send,
+        R: Send,
+    {
+        MapInit {
+            base: self,
+            init,
+            f,
+        }
+    }
+
     fn enumerate(self) -> Enumerate<Self> {
         Enumerate { base: self }
     }
@@ -193,6 +209,27 @@ where
     }
 }
 
+/// `map_init` adapter.
+pub struct MapInit<I, INIT, F> {
+    base: I,
+    init: INIT,
+    f: F,
+}
+
+impl<I, INIT, S, R, F> ParallelIterator for MapInit<I, INIT, F>
+where
+    I: ParallelIterator,
+    INIT: Fn() -> S + Sync + Send,
+    F: Fn(&mut S, I::Item) -> R + Sync + Send,
+    R: Send,
+{
+    type Item = R;
+
+    fn collect_items(self) -> Vec<R> {
+        par_apply_init(self.base.collect_items(), self.init, self.f)
+    }
+}
+
 /// `enumerate` adapter (indices follow source order, as in rayon's indexed
 /// iterators).
 pub struct Enumerate<I> {
@@ -248,6 +285,33 @@ impl<'a, T: Sync> ParallelIterator for Iter<'a, T> {
     }
 }
 
+/// Source: `vec.into_par_iter()`.
+pub struct IntoIter<T> {
+    items: Vec<T>,
+}
+
+impl<T: Send> ParallelIterator for IntoIter<T> {
+    type Item = T;
+
+    fn collect_items(self) -> Vec<T> {
+        self.items
+    }
+}
+
+pub trait IntoParallelIterator {
+    type Item: Send;
+    type Iter: ParallelIterator<Item = Self::Item>;
+    fn into_par_iter(self) -> Self::Iter;
+}
+
+impl<T: Send> IntoParallelIterator for Vec<T> {
+    type Item = T;
+    type Iter = IntoIter<T>;
+    fn into_par_iter(self) -> IntoIter<T> {
+        IntoIter { items: self }
+    }
+}
+
 pub trait ParallelSlice<T: Sync> {
     fn par_chunks(&self, size: usize) -> Chunks<'_, T>;
 }
@@ -298,8 +362,8 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
 
 pub mod prelude {
     pub use crate::{
-        FromParallelIterator, IntoParallelRefIterator, ParallelIterator, ParallelSlice,
-        ParallelSliceMut,
+        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
+        ParallelSlice, ParallelSliceMut,
     };
 }
 
@@ -330,6 +394,25 @@ mod tests {
         for (i, c) in data.chunks(9).enumerate() {
             assert!(c.iter().all(|&v| v == i as u32));
         }
+    }
+
+    #[test]
+    fn map_init_keeps_order_and_one_state_per_thread() {
+        let inits = std::sync::atomic::AtomicUsize::new(0);
+        let out: Vec<(usize, usize)> = (0..100usize)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map_init(
+                || inits.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                |_, i| (i, i * 2),
+            )
+            .collect();
+        assert_eq!(out, (0..100).map(|i| (i, i * 2)).collect::<Vec<_>>());
+        let inits = inits.into_inner();
+        assert!(
+            (1..=crate::current_num_threads()).contains(&inits),
+            "{inits}"
+        );
     }
 
     #[test]

@@ -17,11 +17,16 @@ use szx_data::{Application, Scale};
 use szx_telemetry::json::Json;
 use szx_telemetry::{take_trace, TraceCapture, TraceEvent, TracePhase};
 
+/// The tiny Miranda fields over and over, for eight windows: a pool
+/// thread claims a whole window, so a parallel run needs several.
 fn field() -> Vec<f32> {
     let ds = Application::Miranda.generate(Scale::Tiny, 0x7E1E);
+    let n = 8 * szx_core::window_len::<f32>(szx_core::DEFAULT_BLOCK_SIZE);
     ds.fields
         .iter()
         .flat_map(|f| f.data.iter().copied())
+        .cycle()
+        .take(n)
         .collect()
 }
 

@@ -1,18 +1,21 @@
-//! The windowed codec path: an `Encoder` fed consecutive windows writes
+//! The windowed codec path: an `Encoder` fed consecutive pushes writes
 //! the stream `compress` writes for the whole slice, byte for byte, and
 //! `Decoder::decode_windows` reconstructs what `decode` does — values and
-//! the error of a corrupt stream alike.
+//! the error of a corrupt stream alike — whichever thread decodes which
+//! window.
 
-use szx_core::decode::{ParsedStream, DECODE_GROUP};
+use std::sync::Mutex;
+
+use szx_core::decode::ParsedStream;
 use szx_core::{
-    compress, CommitStrategy, Decoder, Encoder, ErrorBound, KernelSelect, RangeScan, SzxConfig,
-    SzxError, SzxFloat,
+    compress, window_len, CommitStrategy, Decoder, Encoder, ErrorBound, KernelSelect, RangeScan,
+    SzxConfig, SzxError, SzxFloat,
 };
 
-/// Small blocks, so windows of a few groups stay small.
 const BS: usize = 32;
-/// Not a multiple of 8 blocks: the last window of every split is ragged.
-const N: usize = 8 * BS * 37 + 19;
+/// Two `f32` windows (four `f64` ones) and a ragged tail: not a multiple
+/// of 8 blocks, so the last window of every split is ragged.
+const N: usize = 2 * (512 << 10) / 4 + 8 * BS * 3 + 19;
 
 const STRATEGIES: [CommitStrategy; 3] = [
     CommitStrategy::ByteAligned,
@@ -41,17 +44,18 @@ fn field<F: SzxFloat>() -> Vec<F> {
         .collect()
 }
 
-/// The stream of `data` fed to an `Encoder` in windows of `window`
-/// elements, with a relative bound resolved by a windowed range pass.
-fn encode_windows<F: SzxFloat>(data: &[F], cfg: &SzxConfig, window: usize) -> Vec<u8> {
+/// The stream of `data` fed to an `Encoder` in pushes of `push`
+/// elements, with a relative bound resolved by a range pass over the same
+/// pushes.
+fn encode_windows<F: SzxFloat>(data: &[F], cfg: &SzxConfig, push: usize) -> Vec<u8> {
     let mut scan = RangeScan::new(cfg);
     if let ErrorBound::Relative(_) = cfg.error_bound {
-        for w in data.chunks(window) {
-            scan.push(w);
+        for w in data.chunks(push) {
+            scan.push(w).unwrap();
         }
     }
     let mut encoder = Encoder::new(cfg, scan.bound()).unwrap();
-    for w in data.chunks(window) {
+    for w in data.chunks(push) {
         encoder.push(w).unwrap();
     }
     let len = encoder.stream_len();
@@ -62,9 +66,10 @@ fn encode_windows<F: SzxFloat>(data: &[F], cfg: &SzxConfig, window: usize) -> Ve
 
 fn encoder_matches_compress<F: SzxFloat>() {
     let data = field::<F>();
-    // One group of 8 blocks, odd multiples of it, and a window holding the
-    // whole input.
-    let windows = [8 * BS, 3 * 8 * BS, 5 * 8 * BS, N];
+    // An odd multiple of 8 blocks shorter than a window, one window plus
+    // 8 blocks, and one push of the whole input (several windows).
+    let window = window_len::<F>(BS);
+    let windows = [97 * 8 * BS, window + 8 * BS, N];
     for bound in [ErrorBound::Absolute(1e-2), ErrorBound::Relative(1e-3)] {
         for strategy in STRATEGIES {
             for kernel in KERNELS {
@@ -80,7 +85,7 @@ fn encoder_matches_compress<F: SzxFloat>() {
                     for window in windows {
                         assert!(
                             encode_windows(&data, &cfg, window) == reference,
-                            "{} {cfg:?} windows of {window}",
+                            "{} {cfg:?} pushes of {window}",
                             F::NAME
                         );
                     }
@@ -117,25 +122,23 @@ fn window_after_a_ragged_window_is_an_error() {
     assert!(Encoder::<f32>::new(&cfg, f64::NAN).is_err());
 }
 
-/// Decode `bytes` through a window of `window` elements, collecting every
-/// window the sink receives.
+/// Decode `bytes` window by window: what the sink received, each window
+/// with its first value's index, in the order it arrived.
 fn decode_windows<F: SzxFloat>(
     decoder: &mut Decoder,
     bytes: &[u8],
-    window: usize,
-) -> (szx_core::Result<()>, Vec<F>) {
-    let mut buf = vec![F::ZERO; window];
-    let mut got = Vec::new();
-    let r = decoder.decode_windows(bytes, &mut buf, |w| {
-        got.extend_from_slice(w);
+) -> (szx_core::Result<()>, Vec<(usize, Vec<F>)>) {
+    let got = Mutex::new(Vec::new());
+    let r = decoder.decode_windows::<F, ()>(bytes, |(), at, w| {
+        got.lock().unwrap().push((at, w.to_vec()));
         Ok(())
     });
-    (r, got)
+    (r, got.into_inner().unwrap())
 }
 
 fn windowed_decode_matches_decode<F: SzxFloat>() {
     let data = field::<F>();
-    let group = DECODE_GROUP * BS;
+    let window = window_len::<F>(BS);
     for strategy in STRATEGIES {
         let cfg = SzxConfig::relative(1e-3)
             .with_block_size(BS)
@@ -146,24 +149,26 @@ fn windowed_decode_matches_decode<F: SzxFloat>() {
             .unwrap();
         for kernel in KERNELS {
             for parallel in [false, true] {
+                let what = format!("{} {strategy:?} {kernel:?} parallel={parallel}", F::NAME);
                 let mut decoder = Decoder::new(kernel, parallel);
-                // One group, an odd number of groups plus spare room, and
-                // more than the whole stream.
-                for window in [group, 3 * group + 5, N + 1] {
-                    let (r, got) = decode_windows::<F>(&mut decoder, &bytes, window);
-                    r.unwrap();
-                    assert!(
-                        got.len() == reference.len()
-                            && got
-                                .iter()
-                                .zip(&reference)
-                                .all(|(a, b)| a.to_word() == b.to_word()),
-                        "{} {strategy:?} {kernel:?} parallel={parallel} window {window}",
-                        F::NAME
-                    );
+                let (r, mut got) = decode_windows::<F>(&mut decoder, &bytes);
+                r.unwrap();
+                if !parallel {
+                    assert!(got.is_sorted_by_key(|&(at, _)| at), "{what}: serial order");
                 }
-                let (r, _) = decode_windows::<F>(&mut decoder, &bytes, group - 1);
-                assert!(matches!(r, Err(SzxError::InvalidConfig(_))));
+                got.sort_unstable_by_key(|&(at, _)| at);
+                // Whole windows at their offsets, the last one ragged.
+                let starts: Vec<usize> = got.iter().map(|&(at, _)| at).collect();
+                assert_eq!(starts, (0..N).step_by(window).collect::<Vec<_>>(), "{what}");
+                let values: Vec<F> = got.into_iter().flat_map(|(_, w)| w).collect();
+                assert!(
+                    values.len() == reference.len()
+                        && values
+                            .iter()
+                            .zip(&reference)
+                            .all(|(a, b)| a.to_word() == b.to_word()),
+                    "{what}"
+                );
             }
         }
     }
@@ -179,34 +184,39 @@ fn windowed_decode_equals_decode_f64() {
     windowed_decode_matches_decode::<f64>();
 }
 
+/// `bytes` with the first non-constant block from value `from` on
+/// forged to the impossible required length `r_k`; returns that block.
+fn forge(bytes: &mut [u8], from: usize, r_k: u8) -> usize {
+    let parsed = ParsedStream::parse::<f32>(bytes).unwrap();
+    let block = (from / BS..parsed.num_blocks())
+        .find(|&b| parsed.state(b))
+        .unwrap();
+    let at = bytes.len() - parsed.payloads.len() + parsed.payload_span(block).0;
+    bytes[at] = r_k;
+    block
+}
+
 #[test]
 fn corrupt_stream_fails_with_the_same_error_in_any_window() {
     let data = field::<f32>();
+    let window = window_len::<f32>(BS);
     let cfg = SzxConfig::absolute(1e-2).with_block_size(BS);
     let mut bytes = compress(&data, &cfg).unwrap();
-    // Forge an impossible required length into the last non-constant
-    // block's payload.
-    let (at, corrupt_block) = {
-        let parsed = ParsedStream::parse::<f32>(&bytes).unwrap();
-        let last = (0..parsed.num_blocks())
-            .rev()
-            .find(|&b| parsed.state(b))
-            .unwrap();
-        let (off, _) = parsed.payload_span(last);
-        (bytes.len() - parsed.payloads.len() + off, last)
-    };
-    bytes[at] = 0xff;
-    let group = DECODE_GROUP * BS;
+    // Forged blocks in the second and the last window: every path reports
+    // the second window's, however the threads finish.
+    let corrupt_block = forge(&mut bytes, window, 0xfe);
+    assert_eq!(corrupt_block * BS / window, 1);
+    forge(&mut bytes, 2 * window, 0xff);
     for kernel in KERNELS {
         for parallel in [false, true] {
             let mut decoder = Decoder::new(kernel, parallel);
             let expected = decoder.decode::<f32>(&bytes).unwrap_err().to_string();
-            for window in [group, 2 * group, N] {
-                let (r, got) = decode_windows::<f32>(&mut decoder, &bytes, window);
-                assert_eq!(r.unwrap_err().to_string(), expected, "window {window}");
+            assert!(expected.contains("required length 254"), "{expected}");
+            let (r, got) = decode_windows::<f32>(&mut decoder, &bytes);
+            assert_eq!(r.unwrap_err().to_string(), expected);
+            if !parallel {
                 // Every window before the corrupt block's reached the sink.
-                let before = corrupt_block * BS / window * window;
-                assert_eq!(got.len(), before.min(N), "window {window}");
+                assert_eq!(got.len(), 1, "{kernel:?}");
             }
         }
     }
