@@ -1,7 +1,7 @@
 //! Decode-side acceptance bench: the one-pass branch-free decode kernel
-//! (`KernelSelect::Kernel`) vs. the scalar reference decoder
-//! (`KernelSelect::Scalar`) — plus, on capable hosts, the SIMD lane-scan
-//! decoder (`KernelSelect::Simd`) — on 64 MB f32 streams from the CESM-ATM,
+//! (`KernelPath::Kernel`) vs. the scalar reference decoder
+//! (`KernelPath::Scalar`) — plus, on capable hosts, the SIMD lane-scan
+//! decoder (`KernelPath::Simd`) — on 64 MB f32 streams from the CESM-ATM,
 //! Nyx and SCALE-LetKF generators. Both kernels carry the lead-byte
 //! recurrence `w_i = a_i | (w_{i-1} & keep(l_i))` as a running word: the
 //! portable one four values per code byte, the SIMD one as a `(keep, word)`
@@ -14,7 +14,7 @@
 //! measured region.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use szx_core::config::KernelSelect;
+use szx_core::config::KernelPath;
 use szx_core::{Decoder, SzxConfig};
 use szx_data::{Application, Scale};
 
@@ -48,10 +48,10 @@ fn bench_decode(c: &mut Criterion) {
 
         // The acceptance criterion only counts if both decoders agree on
         // every bit of the reconstruction.
-        let scalar: Vec<f32> = Decoder::new(KernelSelect::Scalar, false)
+        let scalar: Vec<f32> = Decoder::new(KernelPath::Scalar, false)
             .decode(&stream)
             .unwrap();
-        let kernel: Vec<f32> = Decoder::new(KernelSelect::Kernel, false)
+        let kernel: Vec<f32> = Decoder::new(KernelPath::Kernel, false)
             .decode(&stream)
             .unwrap();
         for (i, (a, b)) in scalar.iter().zip(&kernel).enumerate() {
@@ -62,11 +62,11 @@ fn bench_decode(c: &mut Criterion) {
             );
         }
         let mut arms = vec![
-            ("scalar", KernelSelect::Scalar),
-            ("kernel", KernelSelect::Kernel),
+            ("scalar", KernelPath::Scalar),
+            ("kernel", KernelPath::Kernel),
         ];
         if szx_core::simd::available() {
-            let simd: Vec<f32> = Decoder::new(KernelSelect::Simd, false)
+            let simd: Vec<f32> = Decoder::new(KernelPath::Simd, false)
                 .decode(&stream)
                 .unwrap();
             for (i, (a, b)) in scalar.iter().zip(&simd).enumerate() {
@@ -76,7 +76,7 @@ fn bench_decode(c: &mut Criterion) {
                     "{name}: simd decode diverges at {i}"
                 );
             }
-            arms.push(("simd", KernelSelect::Simd));
+            arms.push(("simd", KernelPath::Simd));
         }
         drop((scalar, kernel));
 

@@ -1,12 +1,12 @@
 //! Tentpole acceptance bench: the branch-free kernel path
-//! (`KernelSelect::Kernel`) vs. the scalar reference path
-//! (`KernelSelect::Scalar`) — plus, on capable hosts, the explicit SIMD
-//! path (`KernelSelect::Simd`) — on 64 MB f32 inputs drawn from the
+//! (`KernelPath::Kernel`) vs. the scalar reference path
+//! (`KernelPath::Scalar`) — plus, on capable hosts, the explicit SIMD
+//! path (`KernelPath::Simd`) — on 64 MB f32 inputs drawn from the
 //! CESM-ATM and Nyx generators. All paths produce byte-identical archives
 //! (asserted at setup), so any delta is pure hot-loop throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use szx_core::config::KernelSelect;
+use szx_core::config::KernelPath;
 use szx_core::SzxConfig;
 use szx_data::{Application, Scale};
 
@@ -35,17 +35,17 @@ fn bench_kernels(c: &mut Criterion) {
 
         // The acceptance criterion only counts if both paths agree.
         let cfg = SzxConfig::relative(1e-3);
-        let scalar = szx_core::compress(&data, &cfg.with_kernel(KernelSelect::Scalar)).unwrap();
-        let kernel = szx_core::compress(&data, &cfg.with_kernel(KernelSelect::Kernel)).unwrap();
+        let scalar = szx_core::compress(&data, &cfg.with_kernel(KernelPath::Scalar)).unwrap();
+        let kernel = szx_core::compress(&data, &cfg.with_kernel(KernelPath::Kernel)).unwrap();
         assert_eq!(scalar, kernel, "{name}: paths must be byte-identical");
         let mut arms = vec![
-            ("scalar", KernelSelect::Scalar),
-            ("kernel", KernelSelect::Kernel),
+            ("scalar", KernelPath::Scalar),
+            ("kernel", KernelPath::Kernel),
         ];
         if szx_core::simd::available() {
-            let simd = szx_core::compress(&data, &cfg.with_kernel(KernelSelect::Simd)).unwrap();
+            let simd = szx_core::compress(&data, &cfg.with_kernel(KernelPath::Simd)).unwrap();
             assert_eq!(scalar, simd, "{name}: simd path must be byte-identical");
-            arms.push(("simd", KernelSelect::Simd));
+            arms.push(("simd", KernelPath::Simd));
         }
         drop((scalar, kernel));
 

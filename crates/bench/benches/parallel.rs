@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use szx_baselines::chunked::{self, Codec};
-use szx_core::{Decoder, KernelSelect, SzxConfig};
+use szx_core::{Decoder, KernelPath, SzxConfig};
 use szx_data::{Application, Scale};
 
 fn field() -> (Vec<f32>, [usize; 3], f64) {
@@ -27,7 +27,7 @@ fn bench_parallel(c: &mut Criterion) {
     });
     let stream = szx_core::compress(&data, &cfg).unwrap();
     let mut out = vec![0f32; data.len()];
-    let mut decoder = Decoder::new(KernelSelect::Auto, true);
+    let mut decoder = Decoder::new(KernelPath::detect(), true);
     g.bench_function(BenchmarkId::new("szx-decompress", "nyx-vx"), |b| {
         b.iter(|| decoder.decode_into(&stream, &mut out).unwrap());
     });

@@ -5,7 +5,7 @@
 
 use bench::{gbs, median_time, scale_from_env, seed_for, REL_BOUNDS};
 use szx_baselines::chunked::{self, Codec};
-use szx_core::{Decoder, KernelSelect, SzxConfig};
+use szx_core::{Decoder, KernelPath, SzxConfig};
 use szx_data::Application;
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
                                 let cfg = SzxConfig::absolute(eb).with_parallel(true);
                                 let bytes = szx_core::compress(&f.data, &cfg).expect("szx");
                                 let mut out = vec![0f32; f.data.len()];
-                                let mut decoder = Decoder::new(KernelSelect::Auto, true);
+                                let mut decoder = Decoder::new(KernelPath::detect(), true);
                                 median_time(3, || {
                                     decoder.decode_into(&bytes, &mut out).expect("szx d")
                                 })

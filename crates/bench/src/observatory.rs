@@ -21,7 +21,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use szx_core::{Decoder, KernelSelect, SzxConfig};
+use szx_core::{Decoder, KernelPath, SzxConfig};
 use szx_data::{Application, Scale};
 use szx_telemetry::json::Json;
 
@@ -549,7 +549,7 @@ const HOTSPOT_MIN_SECS: f64 = 0.05;
 fn collect_hotspots(
     dataset: &szx_data::Dataset,
     cfg: &SzxConfig,
-    kernel: KernelSelect,
+    kernel: KernelPath,
     mode: &str,
 ) -> Vec<szx_profile::Hotspot> {
     let profiler = szx_profile::Profiler::start(HOTSPOT_HZ);
@@ -594,17 +594,14 @@ pub fn run(opts: &RunOptions) -> BenchReport {
     // `SZX_DISABLE_SIMD` is unset): the grid grows on capable hosts and the
     // gate treats current-only cells as growth, so BENCH history stays
     // comparable across machines.
-    let mut kernels = vec![
-        ("scalar", KernelSelect::Scalar),
-        ("kernel", KernelSelect::Kernel),
-    ];
+    let mut kernels = vec![KernelPath::Scalar, KernelPath::Kernel];
     if szx_core::simd::available() {
-        kernels.push(("simd", KernelSelect::Simd));
+        kernels.push(KernelPath::Simd);
     }
     for app in SUITES {
         let dataset = app.generate_limited(opts.scale, crate::seed_for(app), opts.max_fields);
         for &rel in &opts.bounds {
-            for &(kernel_name, kernel) in &kernels {
+            for &kernel in &kernels {
                 for mode in ["serial", "parallel"] {
                     let cfg = SzxConfig::relative(rel)
                         .with_kernel(kernel)
@@ -661,7 +658,7 @@ pub fn run(opts: &RunOptions) -> BenchReport {
                     let record = BenchRecord {
                         suite: app.short_name().to_string(),
                         rel_bound: rel,
-                        kernel: kernel_name.to_string(),
+                        kernel: kernel.name().to_string(),
                         mode: mode.to_string(),
                         raw_bytes,
                         compress_gbps: raw_bytes as f64 / compress_secs.max(1e-12) / 1e9,
@@ -808,7 +805,7 @@ mod tests {
         m.set_config(&[
             ("bound_mode", szx_telemetry::Value::Str("abs".into())),
             ("bound", szx_telemetry::Value::F64(1e-3)),
-            ("kernel", szx_telemetry::Value::Str("Auto".into())),
+            ("kernel", szx_telemetry::Value::Str("simd".into())),
             ("mode", szx_telemetry::Value::Str("serial".into())),
             ("threads", szx_telemetry::Value::U64(1)),
         ]);
@@ -829,7 +826,8 @@ mod tests {
         assert_eq!(r.scale, "manifest");
         let rec = &r.records[0];
         assert_eq!(rec.suite, "CLDHGH.f32");
-        assert_eq!(rec.kernel, "auto");
+        // The CLI's resolved path name: the key of the grid's simd cells.
+        assert_eq!(rec.kernel, "simd");
         assert_eq!(rec.mode, "serial");
         assert_eq!(rec.raw_bytes, 100800);
         assert!((rec.compress_gbps - 2.2).abs() < 1e-12);

@@ -47,11 +47,9 @@ szx — ultrafast error-bounded lossy compression (SZx, HPDC '22)
 
 USAGE:
   szx compress   <in.f32> <out.szx> --abs <e> | --rel <r> [--f64] [--block <n>]
-                 [--parallel] [--strategy a|b|c] [--progress]
-                 [--kernel auto|scalar|kernel|simd] [OBSERVE]
+                 [--parallel] [--strategy a|b|c] [--progress] [OBSERVE]
   szx stream     <in.f32> <out.szx> [--frame <elems>] and the compress flags
-  szx decompress <in.szx> <out.f32> [--parallel]
-                 [--kernel auto|scalar|kernel|simd] [OBSERVE]
+  szx decompress <in.szx> <out.f32> [--parallel] [OBSERVE]
   szx extract    <in.szx> <frame-name> <out.f32> and the decompress flags
   szx assess     <orig.f32|orig.f64> <in.szx> [OBSERVE]
   szx info       <in.szx> [--stats]
@@ -73,6 +71,9 @@ USAGE:
   frames record, and assess reads the original that way. --progress
   renders a live line with EWMA GB/s, the running ratio and an ETA on
   stderr.
+
+  The hot loops run on SIMD kernels where the CPU has them (AVX2, NEON);
+  SZX_DISABLE_SIMD=1 forces the portable ones, with the same bytes.
 
   --stats collects per-stage wall times, block classification counters, and
   the required-length histogram (szx-telemetry); the report goes to stderr
@@ -283,61 +284,55 @@ fn write_trace(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// First two non-flag tokens, skipping the values of value-taking flags.
-fn io_pair(args: &[String]) -> Result<(PathBuf, PathBuf), String> {
-    match positional(args)[..] {
-        [ref input, ref output, ..] => Ok((input.clone(), output.clone())),
-        _ => Err("need input and output paths".into()),
-    }
-}
+/// Every flag `szx` takes, and whether a value follows it.
+const FLAGS: [(&str, bool); 17] = [
+    ("--abs", true),
+    ("--rel", true),
+    ("--block", true),
+    ("--strategy", true),
+    ("--frame", true),
+    ("--scale", true),
+    ("--trace", true),
+    ("--metrics", true),
+    ("--events", true),
+    ("--manifest", true),
+    ("--profile", true),
+    ("--profile-svg", true),
+    ("--f64", false),
+    ("--parallel", false),
+    ("--progress", false),
+    ("--stats", false),
+    ("--json", false),
+];
 
-/// The arguments that are neither flags nor flag values.
-fn positional(args: &[String]) -> Vec<PathBuf> {
+/// The arguments that are neither flags nor flag values. An unknown flag
+/// is an error that names it.
+fn positional(args: &[String]) -> Result<Vec<PathBuf>, String> {
     let mut cleaned = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if !a.starts_with("--") {
+            cleaned.push(PathBuf::from(a));
             continue;
         }
-        if a.starts_with("--") {
-            if matches!(
-                a.as_str(),
-                "--abs"
-                    | "--rel"
-                    | "--block"
-                    | "--strategy"
-                    | "--scale"
-                    | "--kernel"
-                    | "--trace"
-                    | "--metrics"
-                    | "--events"
-                    | "--manifest"
-                    | "--frame"
-                    | "--profile"
-                    | "--profile-svg"
-            ) {
-                skip = true;
+        match FLAGS.iter().find(|(flag, _)| flag == a) {
+            Some((_, true)) => {
+                args.next();
             }
-            continue;
+            Some((_, false)) => {}
+            None => return Err(format!("unknown flag {a}")),
         }
-        cleaned.push(PathBuf::from(a));
     }
-    cleaned
+    Ok(cleaned)
 }
 
-/// Hot-loop selection shared by compress and decompress: `scalar` is the
-/// reference oracle, `kernel` the branch-free portable path, `simd` the
-/// explicit AVX2/NEON path (falls back to `kernel` when the CPU lacks the
-/// ISA or `SZX_DISABLE_SIMD` is set); outputs are identical in all cases.
-fn parse_kernel(args: &[String]) -> Result<szx_core::KernelSelect, String> {
-    match flag_value(args, "--kernel").as_deref() {
-        Some("auto") | None => Ok(szx_core::KernelSelect::Auto),
-        Some("scalar") => Ok(szx_core::KernelSelect::Scalar),
-        Some("kernel") => Ok(szx_core::KernelSelect::Kernel),
-        Some("simd") => Ok(szx_core::KernelSelect::Simd),
-        Some(other) => Err(format!("unknown kernel selection {other}")),
-    }
+/// Exactly `N` positional arguments (`what` names them); a missing one or
+/// a surplus one is an error, the surplus one named.
+fn paths<const N: usize>(args: &[String], what: &str) -> Result<[PathBuf; N], String> {
+    <[PathBuf; N]>::try_from(positional(args)?).map_err(|extra| match extra.get(N) {
+        Some(token) => format!("unexpected argument {}", token.display()),
+        None => format!("need {what}"),
+    })
 }
 
 /// `--abs <e>` or `--rel <r>`.
@@ -352,8 +347,9 @@ fn parse_bound(args: &[String]) -> Result<ErrorBound, String> {
     }
 }
 
-/// Full `SzxConfig` from the compression flags shared by `compress` and
-/// `stream` (`--abs`/`--rel`, `--block`, `--strategy`, `--kernel`).
+/// Full `SzxConfig` from the compression flags shared by `compress`,
+/// `stream` and `archive` (`--abs`/`--rel`, `--block`, `--strategy`), on
+/// the detected hot-loop path (`SzxConfig::default`'s).
 fn parse_config(args: &[String]) -> Result<SzxConfig, String> {
     let bound = parse_bound(args)?;
     let block: usize = flag_value(args, "--block")
@@ -370,8 +366,7 @@ fn parse_config(args: &[String]) -> Result<SzxConfig, String> {
         block_size: block,
         error_bound: bound,
         strategy,
-        kernel: parse_kernel(args)?,
-        parallel: false,
+        ..SzxConfig::default()
     })
 }
 
@@ -770,7 +765,7 @@ impl Run {
 fn encode_file<F: SzxFloat + Into<f64>>(args: &[String], stream: bool) -> Result<(), String> {
     use szx_telemetry::Value;
     let err = |e: szx_core::SzxError| e.to_string();
-    let (input, output) = io_pair(args)?;
+    let [input, output] = paths(args, "input and output paths")?;
     let cfg = parse_config(args)?.with_parallel(has_flag(args, "--parallel"));
     cfg.validate().map_err(err)?;
     let progress = has_flag(args, "--progress");
@@ -934,7 +929,10 @@ fn run_manifest(
         ("bound", Value::F64(bound)),
         ("block_size", Value::U64(cfg.block_size as u64)),
         ("strategy", Value::Str(format!("{:?}", cfg.strategy))),
-        ("kernel", Value::Str(format!("{:?}", cfg.kernel))),
+        (
+            "kernel",
+            Value::Str(cfg.kernel.decoding(cfg.strategy).name().into()),
+        ),
         ("mode", Value::Str(mode_name(cfg.parallel).into())),
         ("threads", Value::U64(threads)),
         ("dtype", Value::Str(dtype.into())),
@@ -949,23 +947,33 @@ fn run_manifest(
 /// file of the element type their headers record.
 fn decode_file(args: &[String], extract: bool) -> Result<(), String> {
     use szx_telemetry::Value;
-    let paths = positional(args);
-    let (input, name, output) = match (extract, &paths[..]) {
-        (false, [input, output, ..]) => (input, None, output),
-        (true, [input, name, output, ..]) => (input, Some(name.to_string_lossy()), output),
-        _ => return Err("need input and output paths (and a frame name)".into()),
+    let (input, name, output) = if extract {
+        let [input, name, output] = paths(args, "input, frame name and output")?;
+        (input, Some(name.to_string_lossy().into_owned()), output)
+    } else {
+        let [input, output] = paths(args, "input and output paths")?;
+        (input, None, output)
     };
     let parallel = has_flag(args, "--parallel");
-    let kernel = parse_kernel(args)?;
     let run = run_begin(args)?;
     let start = std::time::Instant::now();
-    let bytes = read_file(input)?;
+    let bytes = read_file(&input)?;
     let frames = Frames::read(&bytes, name.as_deref())?;
-    let mut decoder = szx_core::Decoder::new(kernel, parallel);
+    // One writer configuration made every frame: the first header's.
+    let first = frames.headers.first();
+    let cfg = SzxConfig {
+        block_size: first.map_or(szx_core::DEFAULT_BLOCK_SIZE, |h| h.block_size),
+        error_bound: ErrorBound::Absolute(frames.eb()),
+        strategy: first.map_or(CommitStrategy::ByteAligned, |h| h.strategy),
+        ..SzxConfig::default()
+    }
+    .with_parallel(parallel);
+    let decode_path = cfg.kernel.decoding(cfg.strategy).name();
+    let mut decoder = szx_core::Decoder::new(cfg.kernel, parallel);
     let raw_bytes = if frames.dtype() == 0 {
-        write_frames::<f32>(&frames, &mut decoder, output)?
+        write_frames::<f32>(&frames, &mut decoder, &output)?
     } else {
-        write_frames::<f64>(&frames, &mut decoder, output)?
+        write_frames::<f64>(&frames, &mut decoder, &output)?
     };
     let elapsed = start.elapsed();
     run.summary(format!(
@@ -974,25 +982,11 @@ fn decode_file(args: &[String], extract: bool) -> Result<(), String> {
         output.display(),
         frames.n()
     ));
-    // The kernel and simd decoders cover only the ByteAligned strategy;
-    // report the path the blocks actually took (resolve() folds in runtime
-    // ISA detection and the SZX_DISABLE_SIMD override).
-    let scalar = (frames.headers.iter()).any(|h| h.strategy != CommitStrategy::ByteAligned);
-    let kernel_path = kernel.resolve().name();
-    let decode_path = if scalar { "scalar" } else { kernel_path };
     let manifest = run.manifest.is_some().then(|| {
-        let first = frames.headers.first();
-        let cfg = SzxConfig {
-            block_size: first.map_or(szx_core::DEFAULT_BLOCK_SIZE, |h| h.block_size),
-            error_bound: ErrorBound::Absolute(frames.eb()),
-            strategy: first.map_or(CommitStrategy::ByteAligned, |h| h.strategy),
-            kernel,
-            parallel,
-        };
         let digest = szx_telemetry::fnv1a64(&bytes);
         let command = if extract { "extract" } else { "decompress" };
         let dtype = dtype_name(frames.dtype());
-        let mut m = run_manifest(command, &cfg, dtype, input, bytes.len(), digest);
+        let mut m = run_manifest(command, &cfg, dtype, &input, bytes.len(), digest);
         let ratio = raw_bytes as f64 / frames.stream_bytes().max(1) as f64;
         let gbps = raw_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-12);
         m.set_quality(&[
@@ -1031,7 +1025,7 @@ fn write_frames<F: SzxFloat>(
 }
 
 fn cmd_assess(args: &[String]) -> Result<(), String> {
-    let (orig_path, comp_path) = io_pair(args)?;
+    let [orig_path, comp_path] = paths(args, "the original and the compressed file")?;
     let bytes = read_file(&comp_path)?;
     let frames = Frames::read(&bytes, None)?;
     let run = run_begin(args)?;
@@ -1060,7 +1054,7 @@ fn cmd_assess(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let path = positional(args).into_iter().next().ok_or("need a file")?;
+    let [path] = paths(args, "a file")?;
     let bytes = read_file(&path)?;
     let frames = Frames::read(&bytes, None)?;
     let hs = &frames.headers;
@@ -1122,7 +1116,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 fn cmd_archive<F: SzxFloat>(args: &[String]) -> Result<(), String> {
     let err = |e: SzxError| e.to_string();
     let cfg = parse_config(args)?.with_parallel(has_flag(args, "--parallel"));
-    let mut positional = positional(args);
+    let mut positional = positional(args)?;
     if positional.len() < 2 {
         return Err("need an output archive and at least one field file".into());
     }
@@ -1153,7 +1147,7 @@ fn cmd_archive<F: SzxFloat>(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_list(args: &[String]) -> Result<(), String> {
-    let path = (positional(args).into_iter().next()).ok_or("need a container file")?;
+    let [path] = paths(args, "a container file")?;
     let bytes = read_file(&path)?;
     let frames = Frames::read(&bytes, None)?;
     println!(
@@ -1181,16 +1175,16 @@ fn cmd_list(args: &[String]) -> Result<(), String> {
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
     use szx_data::{Application, Scale};
-    let app = match args.first().map(String::as_str) {
+    let [app, dir] = paths(args, "an application and an output directory")?;
+    let app = match app.to_str() {
         Some("cesm") => Application::CesmAtm,
         Some("hurricane") => Application::Hurricane,
         Some("miranda") => Application::Miranda,
         Some("nyx") => Application::Nyx,
         Some("qmcpack") => Application::QmcPack,
         Some("scale") => Application::ScaleLetkf,
-        other => return Err(format!("unknown application {other:?}")),
+        _ => return Err(format!("unknown application {}", app.display())),
     };
-    let dir = PathBuf::from(args.get(1).ok_or("need an output directory")?);
     std::fs::create_dir_all(&dir).map_err(at(&dir))?;
     let scale = match flag_value(args, "--scale").as_deref() {
         Some("tiny") => Scale::Tiny,

@@ -236,11 +236,14 @@ fn stream_output_lists_and_extracts_like_an_archive() {
     for (k, row) in rows.iter().enumerate() {
         assert_eq!(row.split_whitespace().next(), Some(k.to_string().as_str()));
     }
-    // `list` and `info` take their path like every command: an unknown
-    // flag before it is skipped, not read as the path.
-    assert_eq!(run_ok(&["list", "--x", &p("a.szxc")]), listing);
-    let info = run_ok(&["info", "--x", &p("a.szxc")]);
+    // `list` and `info` take their path like every command: a flag before
+    // it is not read as the path, and an unknown one is an error.
+    assert_eq!(run_ok(&["list", "--parallel", &p("a.szxc")]), listing);
+    let info = run_ok(&["info", "--parallel", &p("a.szxc")]);
     assert!(info.starts_with("frames:           3\n"), "{info}");
+    let out = szx().args(["info", "--x", &p("a.szxc")]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--x"));
 
     // `extract <file> 0` reproduces frame 0 within the bound.
     run_ok(&["extract", &p("a.szxc"), "0", &p("frame0.f32")]);
@@ -418,10 +421,7 @@ fn archive_takes_the_compress_flags() {
             "a.f32",
             &["--abs", "1e-3", "--block", "64", "--strategy", "a"][..],
         ),
-        (
-            "a.f32",
-            &["--rel", "1e-3", "--kernel", "scalar", "--parallel"],
-        ),
+        ("a.f32", &["--rel", "1e-3", "--strategy", "b", "--parallel"]),
         ("d.f64", &["--abs", "1e-3", "--f64"]),
     ] {
         // Each field is the frame `compress` writes with the same flags.

@@ -9,7 +9,7 @@ use std::process::Command;
 
 use szx_core::container::crc32c;
 use szx_core::decode::ParsedStream;
-use szx_core::{ContainerReader, Decoder, KernelSelect, SzxConfig, SzxFloat};
+use szx_core::{ContainerReader, Decoder, KernelPath, SzxConfig, SzxFloat};
 use szx_telemetry::json::Json;
 
 /// Raw bytes of one window of the windowed commands (`WINDOW_BYTES` in
@@ -130,7 +130,7 @@ fn multi_window_runs_match_the_library_in_bounded_memory() {
 
     // Quality and digest are those of the whole file in one piece.
     let c = manifest(&dir.join("c.json"));
-    let decoded: Vec<f32> = Decoder::new(KernelSelect::Scalar, false)
+    let decoded: Vec<f32> = Decoder::new(KernelPath::Scalar, false)
         .decode(&expected)
         .unwrap();
     let q = szx_metrics::distortion(&data, &decoded);
@@ -310,7 +310,7 @@ fn window_edges_match_the_library<F: SzxFloat>(flags: &[&str]) {
         let data = wave_of::<F>(n);
         std::fs::write(&input, le_bytes(&data)).unwrap();
         let expected = szx_core::compress(&data, &SzxConfig::relative(1e-3)).unwrap();
-        let decoded: Vec<F> = Decoder::new(KernelSelect::Scalar, false)
+        let decoded: Vec<F> = Decoder::new(KernelPath::Scalar, false)
             .decode(&expected)
             .unwrap();
         for parallel in [&[][..], &["--parallel"][..]] {

@@ -61,7 +61,7 @@ pub fn classify<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<BlockReport>
     };
     // The kernel scan is bit-identical to `BlockStats::compute` (property
     // tested), so classification always matches what the compressor does
-    // regardless of the configured `KernelSelect`.
+    // regardless of the configured `KernelPath`.
     for block in data.chunks(cfg.block_size) {
         let stats = crate::kernels::block_stats(block);
         report.n_blocks += 1;

@@ -25,14 +25,20 @@ impl<F: SzxFloat> BlockStats<F> {
     #[inline]
     pub fn compute(block: &[F]) -> Self {
         debug_assert!(!block.is_empty());
-        let mut min = block[0];
-        let mut max = block[0];
+        let [first, rest @ ..] = block else {
+            // No block is empty; a zero radius keeps this total.
+            return BlockStats {
+                mu: F::ZERO,
+                radius: F::ZERO,
+            };
+        };
+        let (mut min, mut max) = (*first, *first);
         // `<`/`>` are false for NaN, so a mid-block NaN would silently be
         // skipped by the min/max scan; track it in the same loop (branchless
         // OR) so NaN-carrying blocks degrade to bit-exact storage instead of
         // corrupting the payload.
-        let mut has_nan = block[0].is_nan();
-        for &d in &block[1..] {
+        let mut has_nan = first.is_nan();
+        for &d in rest {
             if d < min {
                 min = d;
             }
@@ -41,6 +47,14 @@ impl<F: SzxFloat> BlockStats<F> {
             }
             has_nan |= d.is_nan();
         }
+        Self::from_extrema(min, max, has_nan)
+    }
+
+    /// The stats of a block whose NaN-ignoring extrema are `min` and `max`:
+    /// μ their rounded midpoint, or a NaN radius (bit-exact storage) when
+    /// the block `has_nan`. Every block-stats path ends here.
+    #[inline]
+    pub(crate) fn from_extrema(min: F, max: F, has_nan: bool) -> Self {
         if has_nan {
             return BlockStats {
                 mu: F::ZERO,
@@ -82,8 +96,9 @@ impl<F: SzxFloat> BlockStats<F> {
             return false;
         }
         if eb == 0.0 {
-            let first = block[0].to_word();
-            return block.iter().all(|d| d.to_word() == first);
+            let mut words = block.iter().map(|d| d.to_word());
+            let first = words.next();
+            return words.all(|w| Some(w) == first);
         }
         true
     }

@@ -1,8 +1,11 @@
 //! Compressor configuration: error-bound mode, block size, and the
 //! bit-commit strategy of §5.1.
 
+use crate::block::BlockStats;
+use crate::dekernels::DecodeScratch;
 use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
+use crate::kernels::EncodeScratch;
 
 /// Largest block size the stream format supports. The per-block compressed
 /// size is recorded in a `u16` (`zsize_array`), so a block's worst-case
@@ -34,19 +37,15 @@ impl ErrorBound {
 }
 
 /// Global value range `max - min`, ignoring NaNs (a dataset of only NaNs has
-/// range 0 and compresses bit-exactly regardless of the bound).
+/// range 0 and compresses bit-exactly regardless of the bound): the scalar
+/// oracle of every range scan.
 pub fn value_range<F: SzxFloat>(data: &[F]) -> f64 {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for &d in data {
-        let x = d.to_f64();
-        if x < min {
-            min = x;
-        }
-        if x > max {
-            max = x;
-        }
-    }
+    let (min, max) = KernelPath::Scalar.minmax(data);
+    range_of(min.to_f64(), max.to_f64())
+}
+
+/// `max - min`, or 0 when no number was seen (`max < min`).
+pub(crate) fn range_of(min: f64, max: f64) -> f64 {
     if max >= min {
         max - min
     } else {
@@ -91,43 +90,47 @@ impl CommitStrategy {
     }
 }
 
-/// Which implementation of the hot loops the compressor runs. All paths
-/// produce **byte-identical** streams (asserted by the roundtrip property
-/// suite and the fuzz differential oracle); the choice only affects speed,
-/// never the format, so it is not recorded in the stream header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelSelect {
-    /// Pick the fastest available path: explicit SIMD when the CPU supports
-    /// it, otherwise the branch-free portable kernels.
-    #[default]
-    Auto,
-    /// The scalar reference loops — the correctness oracle the kernels are
-    /// tested against, and a debugging fallback.
-    Scalar,
-    /// The branch-free lane kernels in [`crate::kernels`], explicitly.
-    Kernel,
-    /// The explicit `std::arch` intrinsic kernels in [`crate::simd`].
-    /// Falls back to [`KernelSelect::Kernel`] when the running CPU lacks
-    /// the required ISA extension (or `SZX_DISABLE_SIMD` is set) — output
-    /// is byte-identical either way, so the fallback is silent.
-    Simd,
-}
-
-/// A concrete, resolved hot-loop implementation. Unlike [`KernelSelect`]
-/// (a *request*, which may name an unavailable path), a `KernelPath` is
-/// always runnable on the current machine.
+/// Which implementation of the hot loops runs: the one selector of the
+/// codec. All paths produce **byte-identical** streams and bit-identical
+/// decodes (asserted by the roundtrip property suite and the fuzz
+/// differential oracle); the choice only affects speed, never the format,
+/// so it is not recorded in the stream header.
+///
+/// [`KernelPath::detect`] (the [`Default`]) picks the fastest path the
+/// running CPU has. The other values are there for the oracle matrices:
+/// any path can be named, and every per-path decision of the codec is a
+/// method of this type, so no other module matches on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
-    /// Scalar reference loops.
+    /// The scalar reference loops: the correctness oracle the kernels are
+    /// tested against. Never picked by [`KernelPath::detect`].
     Scalar,
     /// Branch-free portable kernels ([`crate::kernels`]/[`crate::dekernels`]).
     Kernel,
-    /// Explicit SIMD intrinsic kernels ([`crate::simd`]). Only produced by
-    /// [`KernelSelect::resolve`] when runtime feature detection succeeds.
+    /// Explicit SIMD intrinsic kernels ([`crate::simd`]). Each entry point
+    /// re-checks the CPU and runs the portable kernel where the ISA
+    /// extension is missing, with identical output.
     Simd,
 }
 
+impl Default for KernelPath {
+    fn default() -> Self {
+        KernelPath::detect()
+    }
+}
+
 impl KernelPath {
+    /// The fastest path on this machine: [`KernelPath::Simd`] when
+    /// [`crate::simd::available`] (the CPU has the ISA extension and
+    /// `SZX_DISABLE_SIMD` is unset), else [`KernelPath::Kernel`].
+    pub fn detect() -> Self {
+        if crate::simd::available() {
+            KernelPath::Simd
+        } else {
+            KernelPath::Kernel
+        }
+    }
+
     /// Short lowercase name, used by telemetry labels and CLI output.
     #[inline]
     pub fn name(self) -> &'static str {
@@ -137,31 +140,115 @@ impl KernelPath {
             KernelPath::Simd => "simd",
         }
     }
-}
 
-impl KernelSelect {
-    /// Resolve to a concrete choice: does this selection run the kernels?
+    /// NaN-ignoring min and max of `data`, `(+inf, −inf)` when it holds no
+    /// number: what a range scan folds per window. The scalar arm is the
+    /// oracle: a NaN never replaces an incumbent and a tie keeps the
+    /// earlier value. The kernels return a zero extreme as +0.0.
     #[inline]
-    pub fn use_kernel(self) -> bool {
-        !matches!(self, KernelSelect::Scalar)
+    pub(crate) fn minmax<F: SzxFloat>(self, data: &[F]) -> (F, F) {
+        match self {
+            KernelPath::Simd => crate::simd::minmax(data),
+            KernelPath::Kernel => crate::kernels::minmax(data),
+            KernelPath::Scalar => data.iter().fold(
+                (F::from_f64(f64::INFINITY), F::from_f64(f64::NEG_INFINITY)),
+                |(lo, hi), &d| (if d < lo { d } else { lo }, if d > hi { d } else { hi }),
+            ),
+        }
     }
 
-    /// Resolve the request against the running CPU. Resolution order for
-    /// `Auto` is simd → kernel (scalar is never picked implicitly); an
-    /// explicit `Simd` request degrades to `Kernel` when the ISA extension
-    /// is missing, because every path emits byte-identical streams.
+    /// μ and radius of one block (Algorithm 1, line 3).
     #[inline]
-    pub fn resolve(self) -> KernelPath {
+    pub(crate) fn block_stats<F: SzxFloat>(self, block: &[F]) -> BlockStats<F> {
         match self {
-            KernelSelect::Scalar => KernelPath::Scalar,
-            KernelSelect::Kernel => KernelPath::Kernel,
-            KernelSelect::Simd | KernelSelect::Auto => {
-                if crate::simd::available() {
-                    KernelPath::Simd
-                } else {
-                    KernelPath::Kernel
-                }
+            KernelPath::Simd => crate::simd::block_stats(block),
+            KernelPath::Kernel => crate::kernels::block_stats(block),
+            KernelPath::Scalar => BlockStats::compute(block),
+        }
+    }
+
+    /// Append one non-constant block's payload to `payload`; returns the μ
+    /// it used (0.0 for a block stored bit-exactly).
+    #[inline]
+    pub(crate) fn encode_nonconstant<F: SzxFloat>(
+        self,
+        block: &[F],
+        stats: &BlockStats<F>,
+        eb: f64,
+        strategy: CommitStrategy,
+        payload: &mut Vec<u8>,
+        scratch: &mut EncodeScratch,
+    ) -> F {
+        match self {
+            KernelPath::Simd => {
+                crate::simd::encode_nonconstant(block, stats, eb, strategy, payload, scratch)
             }
+            KernelPath::Kernel => {
+                crate::kernels::encode_nonconstant(block, stats, eb, strategy, payload, scratch)
+            }
+            KernelPath::Scalar => {
+                crate::encode::encode_nonconstant(block, stats, eb, strategy, payload, scratch)
+            }
+        }
+    }
+
+    /// The path that decodes blocks of `strategy` on this one: itself for
+    /// `ByteAligned` (the default strategy and the paper's Solution C),
+    /// the scalar loop for the other strategies, which the kernel and SIMD
+    /// decoders do not cover.
+    #[inline]
+    pub fn decoding(self, strategy: CommitStrategy) -> KernelPath {
+        if strategy == CommitStrategy::ByteAligned {
+            self
+        } else {
+            KernelPath::Scalar
+        }
+    }
+
+    /// Decode one non-constant block payload into `out` (the block's
+    /// length), on [`Self::decoding`] `strategy`.
+    #[inline]
+    pub(crate) fn decode_nonconstant<F: SzxFloat>(
+        self,
+        payload: &[u8],
+        out: &mut [F],
+        mu: F,
+        strategy: CommitStrategy,
+        scratch: &mut DecodeScratch,
+    ) -> Result<()> {
+        match self.decoding(strategy) {
+            KernelPath::Simd => crate::simd::decode_nonconstant_block(payload, out, mu, scratch),
+            KernelPath::Kernel => {
+                crate::dekernels::decode_nonconstant_block(payload, out, mu, scratch)
+            }
+            KernelPath::Scalar => {
+                crate::decode::decode_nonconstant_block(payload, out, mu, strategy)
+            }
+        }
+    }
+
+    /// Does [`Self::decode_nonconstant`] work in a [`DecodeScratch`] for
+    /// `strategy`? The scalar loop needs none.
+    pub(crate) fn uses_arena(self, strategy: CommitStrategy) -> bool {
+        self.decoding(strategy) != KernelPath::Scalar
+    }
+
+    /// The profiler zone one window's block encode runs in.
+    pub(crate) fn encode_zone(self) -> &'static str {
+        match self {
+            KernelPath::Simd => "compress.simd.encode",
+            KernelPath::Kernel => "compress.encode.kernel",
+            KernelPath::Scalar => "compress.encode.scalar",
+        }
+    }
+
+    /// The profiler zone one window's block decode runs in (the path asked
+    /// for; a strategy other than `ByteAligned` decodes in the scalar loop).
+    pub(crate) fn decode_zone(self) -> &'static str {
+        match self {
+            KernelPath::Simd => "decompress.simd.decode",
+            KernelPath::Kernel => "decompress.path.kernel",
+            KernelPath::Scalar => "decompress.path.scalar",
         }
     }
 }
@@ -175,9 +262,9 @@ pub struct SzxConfig {
     pub error_bound: ErrorBound,
     /// Bit-commit strategy; keep the default unless running the §5.1 ablation.
     pub strategy: CommitStrategy,
-    /// Hot-loop implementation; keep the default unless benchmarking the
-    /// scalar oracle against the branch-free kernels.
-    pub kernel: KernelSelect,
+    /// Hot-loop implementation; keep the default ([`KernelPath::detect`])
+    /// unless checking one path against another.
+    pub kernel: KernelPath,
     /// Split the range scan and the block encode across the rayon workers
     /// (§6.1). Only the chunking changes: the stream is byte-identical to
     /// the serial one.
@@ -191,7 +278,7 @@ impl SzxConfig {
             block_size: DEFAULT_BLOCK_SIZE,
             error_bound: ErrorBound::Absolute(eb),
             strategy: CommitStrategy::default(),
-            kernel: KernelSelect::default(),
+            kernel: KernelPath::detect(),
             parallel: false,
         }
     }
@@ -203,7 +290,7 @@ impl SzxConfig {
             block_size: DEFAULT_BLOCK_SIZE,
             error_bound: ErrorBound::Relative(rel),
             strategy: CommitStrategy::default(),
-            kernel: KernelSelect::default(),
+            kernel: KernelPath::detect(),
             parallel: false,
         }
     }
@@ -221,7 +308,7 @@ impl SzxConfig {
     }
 
     /// Builder-style hot-loop selection override.
-    pub fn with_kernel(mut self, kernel: KernelSelect) -> Self {
+    pub fn with_kernel(mut self, kernel: KernelPath) -> Self {
         self.kernel = kernel;
         self
     }
@@ -304,11 +391,7 @@ mod tests {
             (SzxConfig::relative(0.5), 2.0),
             (SzxConfig::absolute(0.125), 0.125),
         ] {
-            for kernel in [
-                KernelSelect::Scalar,
-                KernelSelect::Kernel,
-                KernelSelect::Simd,
-            ] {
+            for kernel in [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd] {
                 for parallel in [false, true] {
                     let cfg = cfg.with_kernel(kernel).with_parallel(parallel);
                     let bytes = crate::compress(&data, &cfg).unwrap();
@@ -340,18 +423,15 @@ mod tests {
     }
 
     #[test]
-    fn kernel_select_resolves_to_runnable_paths() {
-        assert_eq!(KernelSelect::Scalar.resolve(), KernelPath::Scalar);
-        assert_eq!(KernelSelect::Kernel.resolve(), KernelPath::Kernel);
-        // Simd and Auto agree: both land on Simd when the CPU supports it
-        // and on the portable kernel otherwise.
-        assert_eq!(KernelSelect::Simd.resolve(), KernelSelect::Auto.resolve());
-        let resolved = KernelSelect::Auto.resolve();
-        assert!(matches!(resolved, KernelPath::Simd | KernelPath::Kernel));
+    fn detect_resolves_to_a_runnable_path() {
+        let detected = KernelPath::detect();
+        assert_eq!(KernelPath::default(), detected);
+        assert!(matches!(detected, KernelPath::Simd | KernelPath::Kernel));
         assert_eq!(
-            resolved == KernelPath::Simd,
+            detected == KernelPath::Simd,
             crate::simd::available(),
-            "Auto picks simd exactly when detection reports it available"
+            "detect picks simd exactly when detection reports it available"
         );
+        assert_eq!(SzxConfig::absolute(1e-3).kernel, detected);
     }
 }

@@ -796,8 +796,8 @@ mod tests {
         for k in 0..4 {
             let ours: Vec<f32> = r.frame(k).unwrap();
             for (sel, parallel) in [
-                (crate::KernelSelect::Scalar, false),
-                (crate::KernelSelect::Kernel, true),
+                (crate::KernelPath::Scalar, false),
+                (crate::KernelPath::Kernel, true),
             ] {
                 let theirs: Vec<f32> = Decoder::new(sel, parallel)
                     .decode(r.frame_bytes(k).unwrap())

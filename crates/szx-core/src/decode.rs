@@ -5,7 +5,7 @@ use std::sync::Mutex;
 
 use crate::bitio::{BitReader, StateBits};
 use crate::block::{bytes_for, shift_for};
-use crate::config::{CommitStrategy, KernelPath, KernelSelect};
+use crate::config::{CommitStrategy, KernelPath};
 use crate::dekernels::DecodeScratch;
 use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
@@ -218,16 +218,15 @@ pub struct Decoder {
 
 impl Default for Decoder {
     fn default() -> Self {
-        Decoder::new(KernelSelect::Auto, false)
+        Decoder::new(KernelPath::detect(), false)
     }
 }
 
 impl Decoder {
-    /// A decoder running `kernel` (resolved against the CPU now), serially
-    /// or on the rayon workers.
-    pub fn new(kernel: KernelSelect, parallel: bool) -> Self {
+    /// A decoder running `kernel`, serially or on the rayon workers.
+    pub fn new(kernel: KernelPath, parallel: bool) -> Self {
         Decoder {
-            kernel: kernel.resolve(),
+            kernel,
             parallel,
             scratch: DecodeScratch::default(),
             shelf: Vec::new(),
@@ -302,7 +301,8 @@ impl Decoder {
         mu: F,
         strategy: CommitStrategy,
     ) -> Result<()> {
-        decode_block_dispatch(payload, out, mu, strategy, self.kernel, &mut self.scratch)
+        self.kernel
+            .decode_nonconstant(payload, out, mu, strategy, &mut self.scratch)
     }
 
     /// The one window loop: `f` decodes window `k`'s `item` with the
@@ -335,20 +335,14 @@ impl Decoder {
             1
         };
         self.shelf.resize_with(threads, Mutex::default);
-        if uses_arena(self.kernel, index.header.strategy) {
+        if self.kernel.uses_arena(index.header.strategy) {
             for s in self.shelf.iter_mut().filter_map(|s| s.get_mut().ok()) {
                 s.ensure(bs);
             }
         }
         let _s = szx_telemetry::span("decompress.blocks");
-        // Zone-only path attribution for the profiler (the per-block
-        // dispatch also depends on the stream's strategy; this names the
-        // path that was *requested*), one zone per window.
-        let zone = match self.kernel {
-            KernelPath::Simd => "decompress.simd.decode",
-            KernelPath::Kernel => "decompress.path.kernel",
-            KernelPath::Scalar => "decompress.path.scalar",
-        };
+        // Zone-only path attribution for the profiler, one zone per window.
+        let zone = self.kernel.decode_zone();
         // At most one thread per arena takes part, so each finds a free one.
         let shelf = &self.shelf;
         let init = || {
@@ -390,12 +384,6 @@ impl Decoder {
     }
 }
 
-/// Whether [`decode_block_dispatch`] sends `path` and `strategy` to a
-/// decoder that works in a [`DecodeScratch`] (the scalar loop needs none).
-fn uses_arena(path: KernelPath, strategy: CommitStrategy) -> bool {
-    path != KernelPath::Scalar && strategy == CommitStrategy::ByteAligned
-}
-
 /// Publish what a decompression saw — block classes come for free from the
 /// already-built index, so decode telemetry costs nothing per block.
 fn flush_decode_telemetry<F: SzxFloat>(index: &StreamIndex<'_>) {
@@ -407,30 +395,6 @@ fn flush_decode_telemetry<F: SzxFloat>(index: &StreamIndex<'_>) {
     tel.counter("decompress.blocks.nonconstant").add(nc);
     tel.counter("decompress.bytes.out")
         .add((index.header.n * F::BYTES) as u64);
-}
-
-/// Route one non-constant block to the SIMD, kernel, or scalar decoder.
-/// The kernel and SIMD paths only cover `ByteAligned` (the default strategy
-/// and the paper's Solution C); other strategies always take the scalar
-/// loop.
-#[inline]
-fn decode_block_dispatch<F: SzxFloat>(
-    payload: &[u8],
-    out: &mut [F],
-    mu: F,
-    strategy: CommitStrategy,
-    path: KernelPath,
-    scratch: &mut DecodeScratch,
-) -> Result<()> {
-    match (path, strategy) {
-        (KernelPath::Simd, CommitStrategy::ByteAligned) => {
-            crate::simd::decode_nonconstant_block(payload, out, mu, scratch)
-        }
-        (KernelPath::Kernel, CommitStrategy::ByteAligned) => {
-            crate::dekernels::decode_nonconstant_block(payload, out, mu, scratch)
-        }
-        _ => decode_nonconstant_block(payload, out, mu, strategy),
-    }
 }
 
 /// Decode the consecutive blocks starting at `first_block` into `out` (a
@@ -457,7 +421,7 @@ fn decode_run<F: SzxFloat>(
             let off = index.payload_offsets[nc];
             let len = index.zsizes[nc] as usize; // PANIC-OK: as above
             let payload = &index.payloads[off..off + len]; // PANIC-OK: as above
-            decode_block_dispatch(payload, block_out, mu, strategy, path, scratch)?;
+            path.decode_nonconstant(payload, block_out, mu, strategy, scratch)?;
             nc += 1;
         } else {
             block_out.fill(mu);
@@ -477,7 +441,9 @@ fn flush_grows(scratch: &mut DecodeScratch) {
     }
 }
 
-/// Decode one non-constant block payload into `out` (of the block's length).
+/// Decode one non-constant block payload into `out` (of the block's
+/// length): the scalar oracle of [`KernelPath::decode_nonconstant`], and
+/// the one decoder of the `BitPack` and `BytePlusResidual` strategies.
 pub(crate) fn decode_nonconstant_block<F: SzxFloat>(
     payload: &[u8],
     out: &mut [F],
@@ -705,7 +671,7 @@ mod tests {
         let data = wave(100);
         let bytes = compress(&data, &SzxConfig::absolute(1e-3)).unwrap();
         for parallel in [false, true] {
-            let mut decoder = Decoder::new(KernelSelect::Auto, parallel);
+            let mut decoder = Decoder::new(KernelPath::detect(), parallel);
             let mut buf = vec![0f32; 99];
             assert!(decoder.decode_into(&bytes, &mut buf).is_err());
             let mut buf = vec![0f32; 100];
@@ -728,17 +694,13 @@ mod tests {
         ] {
             let cfg = SzxConfig::absolute(1e-4).with_strategy(strategy);
             let bytes = compress(&data, &cfg).unwrap();
-            let reference: Vec<f32> = Decoder::new(KernelSelect::Scalar, false)
+            let reference: Vec<f32> = Decoder::new(KernelPath::Scalar, false)
                 .decode(&bytes)
                 .unwrap();
             for (&x, &y) in data.iter().zip(&reference) {
                 assert!((x - y).abs() <= 1e-4);
             }
-            for kernel in [
-                KernelSelect::Scalar,
-                KernelSelect::Kernel,
-                KernelSelect::Simd,
-            ] {
+            for kernel in [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd] {
                 for parallel in [false, true] {
                     let mut decoder = Decoder::new(kernel, parallel);
                     let back: Vec<f32> = decoder.decode(&bytes).unwrap();
@@ -760,7 +722,7 @@ mod tests {
             .collect();
         let cfg = SzxConfig::absolute(1e-7).with_parallel(true);
         let bytes = compress(&data, &cfg).unwrap();
-        let back: Vec<f64> = Decoder::new(KernelSelect::Auto, true)
+        let back: Vec<f64> = Decoder::new(KernelPath::detect(), true)
             .decode(&bytes)
             .unwrap();
         for (&x, &y) in data.iter().zip(&back) {

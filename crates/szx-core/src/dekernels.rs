@@ -42,8 +42,8 @@
 //! identical outputs on every valid stream (bit patterns included) and the
 //! same error on exactly the corrupt streams the scalar loop rejects — which
 //! the forged-payload tests below, the roundtrip property suite and the
-//! fuzz oracle assert. The scalar decoder stays behind
-//! [`KernelSelect::Scalar`](crate::config::KernelSelect) as the oracle.
+//! fuzz oracle assert. The scalar decoder stays as the oracle, the scalar
+//! [`KernelPath`](crate::config::KernelPath).
 
 use crate::block::{bytes_for, shift_for};
 use crate::contracts::contract;

@@ -3,10 +3,10 @@
 use std::io::Write;
 
 use crate::block::{bytes_for, required_length, shift_for, BlockStats};
-use crate::config::{CommitStrategy, ErrorBound, KernelPath, SzxConfig};
+use crate::config::{range_of, CommitStrategy, ErrorBound, KernelPath, SzxConfig};
 use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
-use crate::kernels::{self, EncodeScratch};
+use crate::kernels::EncodeScratch;
 use crate::stream::Header;
 use crate::window::{for_each_window, window_len, windows, WindowSource};
 
@@ -53,7 +53,7 @@ impl RangeScan {
     pub fn new(cfg: &SzxConfig) -> Self {
         RangeScan {
             bound: cfg.error_bound,
-            path: cfg.kernel.resolve(),
+            path: cfg.kernel,
             parallel: cfg.parallel,
             block_size: cfg.block_size,
             min: f64::INFINITY,
@@ -73,14 +73,7 @@ impl RangeScan {
             |buf, k, w| {
                 let _z = szx_telemetry::trace_zone("compress.range_chunk", k as u64);
                 let data = source.window(w.start, w.len(), buf)?;
-                let (lo, hi) = match path {
-                    KernelPath::Simd => crate::simd::minmax(data),
-                    KernelPath::Kernel => kernels::minmax(data),
-                    KernelPath::Scalar => data.iter().fold(
-                        (F::from_f64(f64::INFINITY), F::from_f64(f64::NEG_INFINITY)),
-                        |(lo, hi), &d| (if d < lo { d } else { lo }, if d > hi { d } else { hi }),
-                    ),
-                };
+                let (lo, hi) = path.minmax(data);
                 Ok((lo.to_f64(), hi.to_f64()))
             },
         )?;
@@ -94,11 +87,7 @@ impl RangeScan {
     /// Value range of everything pushed so far. Equal to the scalar oracle
     /// [`crate::config::value_range`] of the concatenated pushes.
     pub fn range(&self) -> f64 {
-        if self.max >= self.min {
-            self.max - self.min
-        } else {
-            0.0
-        }
+        range_of(self.min, self.max)
     }
 
     /// The absolute bound the configured bound resolves to: an absolute
@@ -115,8 +104,10 @@ impl RangeScan {
 /// [`RangeScan`] finds.
 #[cfg(test)]
 pub(crate) fn value_range_on<F: SzxFloat>(data: &[F], path: KernelPath, parallel: bool) -> f64 {
-    let mut scan = RangeScan::new(&SzxConfig::default().with_parallel(parallel));
-    scan.path = path;
+    let cfg = SzxConfig::default()
+        .with_kernel(path)
+        .with_parallel(parallel);
+    let mut scan = RangeScan::new(&cfg);
     scan.push(data).unwrap();
     scan.range()
 }
@@ -168,7 +159,6 @@ pub fn compress<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<Vec<u8>> {
 pub struct Encoder<F: SzxFloat> {
     cfg: SzxConfig,
     eb: f64,
-    path: KernelPath,
     /// Elements pushed so far.
     n: usize,
     /// One per window, in stream order.
@@ -191,7 +181,6 @@ impl<F: SzxFloat> Encoder<F> {
         Ok(Encoder {
             cfg: *cfg,
             eb,
-            path: cfg.kernel.resolve(),
             n: 0,
             chunks: Vec::new(),
             ragged: false,
@@ -214,7 +203,7 @@ impl<F: SzxFloat> Encoder<F> {
         }
         let _s = szx_telemetry::span("compress.encode_blocks");
         self.ragged = !len.is_multiple_of(8 * bs);
-        let (eb, strategy, path) = (self.eb, self.cfg.strategy, self.path);
+        let (eb, strategy, path) = (self.eb, self.cfg.strategy, self.cfg.kernel);
         let first = self.chunks.len();
         let init = || (source.buf(), EncodeScratch::default());
         // The block loop keeps no telemetry: finish() derives every counter
@@ -325,9 +314,8 @@ fn flush_full<W: Write>(sink: &mut W, staging: &mut Vec<u8>) -> Result<()> {
 }
 
 /// Encode every block of `data` (a whole number of blocks except possibly
-/// the last): one [`Encoder`] window. `path` selects among the explicit
-/// SIMD kernels, the branch-free portable kernels, and the scalar oracle
-/// (byte-identical outputs, see [`crate::kernels`] and [`crate::simd`]).
+/// the last): one [`Encoder`] window, on `path`'s block statistics and
+/// non-constant coder (byte-identical outputs, see [`KernelPath`]).
 fn encode_blocks<F: SzxFloat>(
     data: &[F],
     block_size: usize,
@@ -339,44 +327,7 @@ fn encode_blocks<F: SzxFloat>(
     // Zone-only attribution of which hot-loop path ran: the profiler and
     // flight recorder see simd vs kernel vs scalar time separately, at the
     // cost of one zone per window (never per block).
-    let (bs, s) = (block_size, strategy);
-    let mut out = match path {
-        KernelPath::Simd => {
-            let _z = szx_telemetry::trace_zone("compress.simd.encode", 0);
-            encode_blocks_impl::<F, { KERNEL_SIMD }>(data, bs, eb, s, scratch)
-        }
-        KernelPath::Kernel => {
-            let _z = szx_telemetry::trace_zone("compress.encode.kernel", 0);
-            encode_blocks_impl::<F, { KERNEL_PORTABLE }>(data, bs, eb, s, scratch)
-        }
-        KernelPath::Scalar => {
-            let _z = szx_telemetry::trace_zone("compress.encode.scalar", 0);
-            encode_blocks_impl::<F, { KERNEL_SCALAR }>(data, bs, eb, s, scratch)
-        }
-    };
-    // Surface the scratch arena's growth events through the window output so
-    // the allocation-regression test can observe them; the counter is reset
-    // so a reused scratch is not double-counted.
-    out.scratch_grows = scratch.take_grows();
-    out.scratch_arena_bytes = scratch.arena_bytes();
-    out
-}
-
-/// Path discriminants for the monomorphized block loop (a const-generic
-/// enum is not expressible, so the three paths are const `u8` values).
-const KERNEL_SCALAR: u8 = 0;
-const KERNEL_PORTABLE: u8 = 1;
-const KERNEL_SIMD: u8 = 2;
-
-/// The monomorphized block loop. `PATH` is a const so each path compiles
-/// to its own fully-inlined loop with zero dispatch inside.
-fn encode_blocks_impl<F: SzxFloat, const PATH: u8>(
-    data: &[F],
-    block_size: usize,
-    eb: f64,
-    strategy: CommitStrategy,
-    scratch: &mut EncodeScratch,
-) -> ChunkOutput<F> {
+    let _z = szx_telemetry::trace_zone(path.encode_zone(), 0);
     // Non-constant payloads rarely exceed half the raw size on
     // compressible data; growing is cheap if they do.
     let payload = Vec::with_capacity(data.len() * F::BYTES / 2 + 64);
@@ -385,36 +336,15 @@ fn encode_blocks_impl<F: SzxFloat, const PATH: u8>(
         ..ChunkOutput::default()
     };
     for block in data.chunks(block_size) {
-        let stats = match PATH {
-            KERNEL_SIMD => crate::simd::block_stats(block),
-            KERNEL_PORTABLE => kernels::block_stats(block),
-            _ => BlockStats::compute(block),
-        };
+        let stats = path.block_stats(block);
         if stats.is_constant_for(eb, block) {
             out.states.push(false);
             out.mus.push(stats.mu);
         } else {
             out.states.push(true);
             let start = out.payload.len();
-            let mu = match PATH {
-                KERNEL_SIMD => crate::simd::encode_nonconstant(
-                    block,
-                    &stats,
-                    eb,
-                    strategy,
-                    &mut out.payload,
-                    scratch,
-                ),
-                KERNEL_PORTABLE => kernels::encode_nonconstant(
-                    block,
-                    &stats,
-                    eb,
-                    strategy,
-                    &mut out.payload,
-                    scratch,
-                ),
-                _ => encode_nonconstant(block, &stats, eb, strategy, &mut out.payload, scratch),
-            };
+            let mu =
+                path.encode_nonconstant(block, &stats, eb, strategy, &mut out.payload, scratch);
             out.mus.push(mu);
             let zsize = out.payload.len() - start;
             debug_assert!(
@@ -424,6 +354,11 @@ fn encode_blocks_impl<F: SzxFloat, const PATH: u8>(
             out.zsizes.push(zsize as u16);
         }
     }
+    // Surface the scratch arena's growth events through the window output so
+    // the allocation-regression test can observe them; the counter is reset
+    // so a reused scratch is not double-counted.
+    out.scratch_grows = scratch.take_grows();
+    out.scratch_arena_bytes = scratch.arena_bytes();
     out
 }
 
@@ -523,8 +458,9 @@ fn flush_encode_telemetry<F: SzxFloat>(
     }
 }
 
-/// Encode one non-constant block. Returns the μ actually used (0.0 when the
-/// block is stored bit-exactly).
+/// Encode one non-constant block: the scalar oracle of
+/// [`KernelPath::encode_nonconstant`]. Returns the μ actually used (0.0
+/// when the block is stored bit-exactly).
 ///
 /// Payload layout (all strategies): `[R_k: u8][2-bit leading codes][data...]`
 /// where `data` depends on the strategy:
@@ -532,7 +468,7 @@ fn flush_encode_telemetry<F: SzxFloat>(
 /// * Solution A: one tightly bit-packed pool of `R_k − 8·L_i` bits per value.
 /// * Solution B: whole-byte pool followed by a `β = R_k mod 8`-bit residual
 ///   pool.
-fn encode_nonconstant<F: SzxFloat>(
+pub(crate) fn encode_nonconstant<F: SzxFloat>(
     block: &[F],
     stats: &BlockStats<F>,
     eb: f64,
@@ -560,8 +496,11 @@ fn encode_nonconstant<F: SzxFloat>(
                 let w = v.to_word() >> s;
                 let xor = w ^ prev;
                 let lead = ((xor.leading_zeros() / 8) as usize).min(lead_cap);
+                // PANIC-OK: i < blen, and the ⌈2·blen/8⌉ code bytes from
+                // lead_off on were resized in above.
                 payload[lead_off + i / 4] |= (lead as u8) << (6 - 2 * (i % 4));
                 let be = w.to_be_bytes();
+                // PANIC-OK: lead <= lead_cap <= nb <= 8.
                 payload.extend_from_slice(&be[lead..nb]);
                 prev = w;
             }
@@ -575,6 +514,7 @@ fn encode_nonconstant<F: SzxFloat>(
                 let w = v.to_word();
                 let xor = w ^ prev;
                 let lead = ((xor.leading_zeros() / 8) as usize).min(lead_cap);
+                // PANIC-OK: as in the ByteAligned arm.
                 payload[lead_off + i / 4] |= (lead as u8) << (6 - 2 * (i % 4));
                 let t = req_len - 8 * lead as u32;
                 if t > 0 {
@@ -596,13 +536,14 @@ fn encode_nonconstant<F: SzxFloat>(
                 let w = v.to_word();
                 let xor = w ^ prev;
                 let lead = ((xor.leading_zeros() / 8) as usize).min(lead_cap);
+                // PANIC-OK: as in the ByteAligned arm.
                 payload[lead_off + i / 4] |= (lead as u8) << (6 - 2 * (i % 4));
                 // α whole bytes after the identical prefix...
                 let alpha = (req_len / 8) as usize - lead;
                 let be = w.to_be_bytes();
-                scratch
-                    .bytes_pool
-                    .extend_from_slice(&be[lead..lead + alpha]);
+                // PANIC-OK: lead + alpha == req_len / 8 <= 8.
+                let bytes = &be[lead..lead + alpha];
+                scratch.bytes_pool.extend_from_slice(bytes);
                 // ...then β residual bits, identical width for every value.
                 if beta > 0 {
                     let shift_out = 8 * (lead + alpha) as u32;
@@ -621,7 +562,7 @@ fn encode_nonconstant<F: SzxFloat>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ErrorBound, KernelSelect};
+    use crate::config::ErrorBound;
 
     #[test]
     fn compress_rejects_empty() {
@@ -652,7 +593,7 @@ mod tests {
             block_size: 4,
             error_bound: ErrorBound::Relative(1e-3),
             strategy: CommitStrategy::ByteAligned,
-            kernel: crate::config::KernelSelect::Auto,
+            kernel: KernelPath::detect(),
             parallel: false,
         };
         // Range overflows f64? No — f32::MAX fits in f64, so this resolves
@@ -678,12 +619,8 @@ mod tests {
             CommitStrategy::BytePlusResidual,
         ] {
             let cfg = SzxConfig::relative(1e-3).with_strategy(strategy);
-            let reference = compress(&data, &cfg.with_kernel(KernelSelect::Scalar)).unwrap();
-            for kernel in [
-                KernelSelect::Scalar,
-                KernelSelect::Kernel,
-                KernelSelect::Simd,
-            ] {
+            let reference = compress(&data, &cfg.with_kernel(KernelPath::Scalar)).unwrap();
+            for kernel in [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd] {
                 for parallel in [false, true] {
                     let cfg = cfg.with_kernel(kernel).with_parallel(parallel);
                     let bytes = compress(&data, &cfg).unwrap();

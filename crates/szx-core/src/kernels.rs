@@ -27,8 +27,8 @@
 //! loops in [`crate::block`] / [`crate::encode`] — including the sign of
 //! zero in `μ` for mixed-zero blocks and NaN classification — which the
 //! roundtrip property suite asserts over the full configuration grid. The
-//! scalar loops are kept as the oracle behind
-//! [`KernelSelect::Scalar`](crate::config::KernelSelect).
+//! scalar loops are kept as the oracle, the scalar
+//! [`KernelPath`](crate::config::KernelPath).
 
 use crate::bitio::BitWriter;
 use crate::block::{bytes_for, required_length, shift_for, BlockStats};
@@ -107,55 +107,52 @@ impl EncodeScratch {
 #[inline]
 pub fn block_stats<F: SzxFloat>(block: &[F]) -> BlockStats<F> {
     debug_assert!(!block.is_empty());
-    if block.len() < 2 * LANES {
+    let (stripes, tail) = block.as_chunks::<LANES>();
+    let [first, rest @ ..] = stripes else {
+        return BlockStats::compute(block);
+    };
+    if rest.is_empty() {
         return BlockStats::compute(block);
     }
-    let mut stripes = block.chunks_exact(LANES);
-    let first = stripes.next().expect("len >= 2*LANES");
-    let mut mins: [F; LANES] = first.try_into().expect("stripe width");
-    let mut maxs = mins;
-    let mut nans = [false; LANES];
-    for j in 0..LANES {
-        nans[j] = first[j].is_nan();
-    }
-    for stripe in &mut stripes {
-        for j in 0..LANES {
-            let d = stripe[j];
+    let (mut mins, mut maxs) = (*first, *first);
+    let mut nans = first.map(|d| d.is_nan());
+    for stripe in rest {
+        let lanes = mins.iter_mut().zip(&mut maxs).zip(&mut nans);
+        for (((lo, hi), nan), &d) in lanes.zip(stripe) {
             // `if c { a } else { b }` over floats lowers to a select/vmin —
             // same comparison semantics as the scalar loop (NaN never
             // replaces, ties keep the incumbent).
-            mins[j] = if d < mins[j] { d } else { mins[j] };
-            maxs[j] = if d > maxs[j] { d } else { maxs[j] };
-            nans[j] |= d.is_nan();
+            *lo = if d < *lo { d } else { *lo };
+            *hi = if d > *hi { d } else { *hi };
+            *nan |= d.is_nan();
         }
     }
-    // Lane reduction in stripe order, then the scalar tail: ties keep the
-    // earlier lane / earlier element, so an all-equal block yields exactly
-    // `block[0]` as the scalar scan does.
-    let mut min = mins[0];
-    let mut max = maxs[0];
-    let mut has_nan = nans[0];
-    for j in 1..LANES {
-        min = if mins[j] < min { mins[j] } else { min };
-        max = if maxs[j] > max { maxs[j] } else { max };
-        has_nan |= nans[j];
+    finish_stats(mins, maxs, nans.contains(&true), tail)
+}
+
+/// The end of every striped block scan: reduce the lane extrema in stripe
+/// order, then fold in the scalar `tail`. Ties keep the earlier lane or
+/// element, so an all-equal block yields exactly its first value, as the
+/// scalar scan does.
+#[inline]
+pub(crate) fn finish_stats<F: SzxFloat>(
+    mins: [F; LANES],
+    maxs: [F; LANES],
+    mut has_nan: bool,
+    tail: &[F],
+) -> BlockStats<F> {
+    let [mut min, lanes_min @ ..] = mins;
+    let [mut max, lanes_max @ ..] = maxs;
+    for (lo, hi) in lanes_min.into_iter().zip(lanes_max) {
+        min = if lo < min { lo } else { min };
+        max = if hi > max { hi } else { max };
     }
-    for &d in stripes.remainder() {
+    for &d in tail {
         min = if d < min { d } else { min };
         max = if d > max { d } else { max };
         has_nan |= d.is_nan();
     }
-    if has_nan {
-        return BlockStats {
-            mu: F::ZERO,
-            radius: F::from_f64(f64::NAN),
-        };
-    }
-    let mu = F::half_sum(min, max);
-    BlockStats {
-        mu,
-        radius: crate::block::radius_about(mu, min, max),
-    }
+    BlockStats::from_extrema(min, max, has_nan)
 }
 
 /// Branch-free global min/max (NaN-ignoring), the kernel behind the
@@ -228,6 +225,7 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
         CommitStrategy::ByteAligned => shift_for(req_len),
         _ => 0,
     };
+    // PANIC-OK: ensure(blen) above sized the arenas to at least blen.
     let words = &mut scratch.words[..blen];
     if raw {
         for (w, &d) in words.iter_mut().zip(block) {
@@ -248,10 +246,14 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
         CommitStrategy::ByteAligned => bytes_for(req_len).min(3),
         _ => (req_len / 8).min(3) as usize,
     } as u8; // CAST: as above
+             // PANIC-OK: as for words.
     let leads = &mut scratch.leads[..blen];
     // CAST: leading_zeros() <= 64, so clz >> 3 <= 8 fits u8.
+    // PANIC-OK: a non-constant block holds at least one value.
     leads[0] = ((words[0].leading_zeros() >> 3) as u8).min(lead_cap);
+    // PANIC-OK: as above, so leads[1..] is at worst empty.
     for (l, pair) in leads[1..].iter_mut().zip(words.windows(2)) {
+        // PANIC-OK: windows(2) yields pairs.
         let xor = pair[0] ^ pair[1];
         // CAST: as above; clz >> 3 <= 8 fits u8.
         *l = ((xor.leading_zeros() >> 3) as u8).min(lead_cap);
@@ -287,7 +289,7 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
             let base_alpha = (req_len / 8) as usize;
             let shift_out = 8 * base_alpha as u32; // CAST: base_alpha <= 8
             scratch.bits.clear();
-            let mid = &mut scratch.mid[..];
+            let mid = scratch.mid.as_mut_slice();
             let mut pos = 0usize;
             for (&w, &lead) in words.iter().zip(leads.iter()) {
                 let lead = lead as usize;
@@ -296,6 +298,7 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
                     "byte-pool store at {pos} must stay inside the slack-padded arena"
                 );
                 // CAST: lead <= lead_cap <= 3.
+                // PANIC-OK: the contract above bounds pos + 8.
                 mid[pos..pos + 8].copy_from_slice(&(w << (8 * lead as u32)).to_be_bytes());
                 pos += base_alpha - lead;
                 if beta > 0 {
@@ -304,7 +307,7 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
                         .write_bits((w << shift_out) >> (64 - beta), beta);
                 }
             }
-            payload.extend_from_slice(&mid[..pos]);
+            payload.extend_from_slice(&mid[..pos]); // PANIC-OK: pos <= mid.len() - 8
             payload.extend_from_slice(scratch.bits.as_bytes());
         }
     }
@@ -318,11 +321,10 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
 /// with intrinsics (the split point must be a multiple of 4).
 #[inline]
 pub(crate) fn pack_lead_codes(leads: &[u8], payload: &mut Vec<u8>) {
-    let mut quads = leads.chunks_exact(4);
-    for q in &mut quads {
-        payload.push(q[0] << 6 | q[1] << 4 | q[2] << 2 | q[3]);
+    let (quads, rem) = leads.as_chunks::<4>();
+    for &[a, b, c, d] in quads {
+        payload.push(a << 6 | b << 4 | c << 2 | d);
     }
-    let rem = quads.remainder();
     if !rem.is_empty() {
         let mut b = 0u8;
         for (j, &l) in rem.iter().enumerate() {
@@ -354,10 +356,11 @@ pub(crate) fn commit_byte_aligned(
             "committer store at {pos} must stay inside the slack-padded arena"
         );
         // CAST: lead <= lead_cap <= 3.
+        // PANIC-OK: the contract above bounds pos + 8.
         mid[pos..pos + 8].copy_from_slice(&(w << (8 * lead as u32)).to_be_bytes());
         pos += nb - lead;
     }
-    payload.extend_from_slice(&mid[..pos]);
+    payload.extend_from_slice(&mid[..pos]); // PANIC-OK: pos <= mid.len() - 8
 }
 
 #[cfg(test)]

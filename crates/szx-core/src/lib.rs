@@ -45,7 +45,7 @@
 //! decodes are byte-identical either way.
 //!
 //! ```
-//! use szx_core::{compress, Decoder, KernelSelect, SzxConfig};
+//! use szx_core::{compress, Decoder, KernelPath, SzxConfig};
 //!
 //! let data: Vec<f32> = (0..100_000).map(|i| (i as f32 * 1e-3).cos()).collect();
 //! let cfg = SzxConfig::relative(1e-3);
@@ -53,7 +53,7 @@
 //! assert_eq!(bytes, compress(&data, &cfg).unwrap());
 //!
 //! // Parallel decode into a caller-held buffer.
-//! let mut decoder = Decoder::new(KernelSelect::Auto, true);
+//! let mut decoder = Decoder::new(KernelPath::detect(), true);
 //! let mut out = vec![0f32; data.len()];
 //! decoder.decode_into(&bytes, &mut out).unwrap();
 //! ```
@@ -116,8 +116,7 @@ pub mod stream;
 pub mod window;
 
 pub use config::{
-    CommitStrategy, ErrorBound, KernelPath, KernelSelect, SzxConfig, DEFAULT_BLOCK_SIZE,
-    MAX_BLOCK_SIZE,
+    CommitStrategy, ErrorBound, KernelPath, SzxConfig, DEFAULT_BLOCK_SIZE, MAX_BLOCK_SIZE,
 };
 pub use container::{ContainerReader, ContainerWriter, FrameStats};
 pub use decode::{decompress, Decoder};

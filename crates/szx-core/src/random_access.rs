@@ -240,10 +240,10 @@ mod tests {
         let bytes = crate::compress(&data, &SzxConfig::absolute(1e-4)).unwrap();
         let scalar = RandomAccess::<f32>::new(&bytes)
             .unwrap()
-            .with_decoder(Decoder::new(crate::KernelSelect::Scalar, false));
+            .with_decoder(Decoder::new(crate::KernelPath::Scalar, false));
         let kernel = RandomAccess::<f32>::new(&bytes)
             .unwrap()
-            .with_decoder(Decoder::new(crate::KernelSelect::Kernel, false));
+            .with_decoder(Decoder::new(crate::KernelPath::Kernel, false));
         for (start, end) in [(0, 5000), (100, 400), (699, 702), (4990, 5000)] {
             let a = scalar.decode_range(start, end).unwrap();
             let b = kernel.decode_range(start, end).unwrap();

@@ -33,11 +33,12 @@
 //!
 //! **Dispatch.** Callers never invoke the backends directly: every entry
 //! point here re-checks [`ready`] (a cached `is_x86_feature_detected!`) and
-//! silently falls back to the portable kernel, so a `KernelPath::Simd`
-//! resolved on one machine is still *safe* — just not reachable — if the
-//! state ever migrates. [`available`] additionally honors the
-//! `SZX_DISABLE_SIMD` environment override (checked once per top-level
-//! compress/decompress call, not per block) so operators can force the
+//! silently falls back to the portable kernel, so the simd
+//! [`KernelPath`](crate::config::KernelPath) is *safe* on any machine, just
+//! not faster where the ISA extension is missing. [`available`]
+//! additionally honors the `SZX_DISABLE_SIMD` environment override
+//! (consulted by [`KernelPath::detect`](crate::config::KernelPath::detect),
+//! once per configuration, not per block) so operators can force the
 //! portable path without rebuilding.
 //!
 //! **Equivalence.** Every backend is byte-for-byte equivalent to the
@@ -95,9 +96,9 @@ pub(crate) fn ready() -> bool {
 /// Is the SIMD path available for dispatch? True when the running CPU has
 /// the required ISA extension **and** the `SZX_DISABLE_SIMD` environment
 /// variable is unset (or set to the empty string). This is what
-/// [`KernelSelect::resolve`](crate::config::KernelSelect::resolve) consults:
-/// with the override set, `Auto` and explicit `Simd` requests silently land
-/// on the portable kernel and produce identical output.
+/// [`KernelPath::detect`](crate::config::KernelPath::detect) consults:
+/// with the override set, it picks the portable kernel, which produces
+/// identical output.
 pub fn available() -> bool {
     ready() && std::env::var_os("SZX_DISABLE_SIMD").is_none_or(|v| v.is_empty())
 }
@@ -479,17 +480,16 @@ mod tests {
 
     #[test]
     fn simd_streams_are_byte_identical_to_kernel_streams() {
-        use crate::config::KernelSelect;
         for data in cases_f32() {
             for eb in [1e-2, 1e-4, 1e-7, 0.0] {
                 let base = SzxConfig::absolute(eb);
-                let k = crate::compress(&data, &base.with_kernel(KernelSelect::Kernel)).unwrap();
-                let v = crate::compress(&data, &base.with_kernel(KernelSelect::Simd)).unwrap();
+                let k = crate::compress(&data, &base.with_kernel(KernelPath::Kernel)).unwrap();
+                let v = crate::compress(&data, &base.with_kernel(KernelPath::Simd)).unwrap();
                 assert_eq!(k, v, "eb={eb}");
-                let dk: Vec<f32> = crate::Decoder::new(KernelSelect::Kernel, false)
+                let dk: Vec<f32> = crate::Decoder::new(KernelPath::Kernel, false)
                     .decode(&k)
                     .unwrap();
-                let dv: Vec<f32> = crate::Decoder::new(KernelSelect::Simd, false)
+                let dv: Vec<f32> = crate::Decoder::new(KernelPath::Simd, false)
                     .decode(&k)
                     .unwrap();
                 assert_eq!(dk.len(), dv.len());
@@ -502,14 +502,13 @@ mod tests {
 
     #[test]
     fn simd_roundtrips_f64_across_required_lengths() {
-        use crate::config::KernelSelect;
         let data: Vec<f64> = (0..600).map(|i| (i as f64 * 0.011).sin() * 40.0).collect();
         for eb in [1e-1, 1e-3, 1e-6, 1e-9, 1e-13, 0.0] {
             let base = SzxConfig::absolute(eb);
-            let k = crate::compress(&data, &base.with_kernel(KernelSelect::Kernel)).unwrap();
-            let v = crate::compress(&data, &base.with_kernel(KernelSelect::Simd)).unwrap();
+            let k = crate::compress(&data, &base.with_kernel(KernelPath::Kernel)).unwrap();
+            let v = crate::compress(&data, &base.with_kernel(KernelPath::Simd)).unwrap();
             assert_eq!(k, v, "eb={eb}");
-            let dv: Vec<f64> = crate::Decoder::new(KernelSelect::Simd, false)
+            let dv: Vec<f64> = crate::Decoder::new(KernelPath::Simd, false)
                 .decode(&v)
                 .unwrap();
             for (a, b) in data.iter().zip(&dv) {
@@ -520,12 +519,11 @@ mod tests {
 
     #[test]
     fn simd_decode_rejects_truncations_like_the_kernel() {
-        use crate::config::KernelSelect;
         let data: Vec<f32> = (0..256).map(|i| (i as f32 * 0.3).sin() * 9.0).collect();
         let bytes = crate::compress(&data, &SzxConfig::absolute(1e-4)).unwrap();
         for cut in 0..bytes.len() {
-            let k = crate::Decoder::new(KernelSelect::Kernel, false).decode::<f32>(&bytes[..cut]);
-            let v = crate::Decoder::new(KernelSelect::Simd, false).decode::<f32>(&bytes[..cut]);
+            let k = crate::Decoder::new(KernelPath::Kernel, false).decode::<f32>(&bytes[..cut]);
+            let v = crate::Decoder::new(KernelPath::Simd, false).decode::<f32>(&bytes[..cut]);
             assert_eq!(k.is_err(), v.is_err(), "cut at {cut}");
             if let (Ok(k), Ok(v)) = (k, v) {
                 assert_eq!(k.len(), v.len());

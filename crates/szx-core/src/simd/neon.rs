@@ -19,9 +19,8 @@
 
 use core::arch::aarch64::*;
 
-use crate::block::{radius_about, BlockStats};
-use crate::float::SzxFloat;
-use crate::kernels::LANES;
+use crate::block::BlockStats;
+use crate::kernels::{finish_stats, LANES};
 
 /// NEON equivalent of [`crate::kernels::block_stats`] for `f32`: one
 /// 8-lane stripe held in two quad registers. Caller guarantees
@@ -65,33 +64,10 @@ pub(super) fn block_stats_f32(block: &[f32]) -> BlockStats<f32> {
         vst1q_f32(maxl.as_mut_ptr(), max_lo);
         vst1q_f32(maxl.as_mut_ptr().add(4), max_hi);
     }
-    let mut has_nan = vmaxvq_u32(nan_acc) != 0;
+    let has_nan = vmaxvq_u32(nan_acc) != 0;
     // Lane reduction in stripe order, then the scalar tail — identical
     // select semantics to the portable kernel.
-    let mut min = minl[0];
-    let mut max = maxl[0];
-    for j in 1..LANES {
-        min = if minl[j] < min { minl[j] } else { min };
-        max = if maxl[j] > max { maxl[j] } else { max };
-    }
-    for &d in &block[full * LANES..] {
-        min = if d < min { d } else { min };
-        max = if d > max { d } else { max };
-        has_nan |= d.is_nan();
-    }
-    if has_nan {
-        return BlockStats {
-            mu: 0.0,
-            // Same spelling as the portable kernel's F::from_f64(NAN) so
-            // the quiet-NaN bit pattern matches exactly.
-            radius: f64::NAN as f32,
-        };
-    }
-    let mu = f32::half_sum(min, max);
-    BlockStats {
-        mu,
-        radius: radius_about(mu, min, max),
-    }
+    finish_stats(minl, maxl, has_nan, block.as_chunks::<LANES>().1)
 }
 
 /// NEON global min/max for `f32`, NaN-ignoring, `(+inf, -inf)` sentinels —

@@ -20,10 +20,10 @@
 
 use core::arch::x86_64::*;
 
-use crate::block::{radius_about, BlockStats};
+use crate::block::BlockStats;
 use crate::dekernels::Block;
 use crate::float::SzxFloat;
-use crate::kernels::LANES;
+use crate::kernels::{finish_stats, LANES};
 
 /// AVX2 equivalent of [`crate::kernels::block_stats`] for `f32`: one
 /// 8-lane register of min/max stripes, NaN presence OR-accumulated from
@@ -59,34 +59,10 @@ pub(super) fn block_stats_f32(block: &[f32]) -> BlockStats<f32> {
         _mm256_storeu_ps(minl.as_mut_ptr(), mins);
         _mm256_storeu_ps(maxl.as_mut_ptr(), maxs);
     }
-    let mut has_nan = _mm256_movemask_ps(unord) != 0;
+    let has_nan = _mm256_movemask_ps(unord) != 0;
     // Lane reduction in stripe order, then the scalar tail — identical
-    // select semantics to the portable kernel (ties keep the incumbent, so
-    // an all-equal block yields exactly block[0]).
-    let mut min = minl[0];
-    let mut max = maxl[0];
-    for j in 1..LANES {
-        min = if minl[j] < min { minl[j] } else { min };
-        max = if maxl[j] > max { maxl[j] } else { max };
-    }
-    for &d in &block[full * LANES..] {
-        min = if d < min { d } else { min };
-        max = if d > max { d } else { max };
-        has_nan |= d.is_nan();
-    }
-    if has_nan {
-        return BlockStats {
-            mu: 0.0,
-            // Same spelling as the portable kernel's F::from_f64(NAN) so
-            // the quiet-NaN bit pattern matches exactly.
-            radius: f64::NAN as f32,
-        };
-    }
-    let mu = f32::half_sum(min, max);
-    BlockStats {
-        mu,
-        radius: radius_about(mu, min, max),
-    }
+    // select semantics to the portable kernel.
+    finish_stats(minl, maxl, has_nan, block.as_chunks::<LANES>().1)
 }
 
 /// AVX2 equivalent of [`crate::kernels::block_stats`] for `f64`: the same
@@ -132,29 +108,8 @@ pub(super) fn block_stats_f64(block: &[f64]) -> BlockStats<f64> {
         _mm256_storeu_pd(maxl.as_mut_ptr(), max_lo);
         _mm256_storeu_pd(maxl.as_mut_ptr().add(4), max_hi);
     }
-    let mut has_nan = _mm256_movemask_pd(unord) != 0;
-    let mut min = minl[0];
-    let mut max = maxl[0];
-    for j in 1..LANES {
-        min = if minl[j] < min { minl[j] } else { min };
-        max = if maxl[j] > max { maxl[j] } else { max };
-    }
-    for &d in &block[full * LANES..] {
-        min = if d < min { d } else { min };
-        max = if d > max { d } else { max };
-        has_nan |= d.is_nan();
-    }
-    if has_nan {
-        return BlockStats {
-            mu: 0.0,
-            radius: f64::NAN,
-        };
-    }
-    let mu = f64::half_sum(min, max);
-    BlockStats {
-        mu,
-        radius: radius_about(mu, min, max),
-    }
+    let has_nan = _mm256_movemask_pd(unord) != 0;
+    finish_stats(minl, maxl, has_nan, block.as_chunks::<LANES>().1)
 }
 
 /// Independent min/max accumulators of the [`minmax_f32`] and
@@ -321,9 +276,9 @@ pub(super) fn encode_words_leads_f32(
         }
     }
     for i in full * 8..blen {
-        let d = block[i];
+        let d = block[i]; // PANIC-OK: i < blen
         let v = if raw { d } else { d - mu };
-        words[i] = v.to_word() >> s;
+        words[i] = v.to_word() >> s; // PANIC-OK: words holds blen slots
     }
     lead_codes(words, leads, lead_cap);
 }
@@ -356,9 +311,9 @@ pub(super) fn encode_words_leads_f64(
         unsafe { _mm256_storeu_si256(wptr.add(k * 4).cast::<__m256i>(), w) };
     }
     for i in full * 4..blen {
-        let d = block[i];
+        let d = block[i]; // PANIC-OK: i < blen
         let v = if raw { d } else { d - mu };
-        words[i] = v.to_word() >> s;
+        words[i] = v.to_word() >> s; // PANIC-OK: words holds blen slots
     }
     lead_codes(words, leads, lead_cap);
 }
@@ -376,6 +331,8 @@ fn lead_codes(words: &[u64], leads: &mut [u8], lead_cap: u8) {
         return;
     }
     // CAST: leading_zeros() <= 64, so clz >> 3 <= 8 fits u8.
+    // PANIC-OK: blen >= 1 here, and leads holds blen codes (callers
+    // pass the two arenas cut to the block's length).
     leads[0] = ((words[0].leading_zeros() >> 3) as u8).min(lead_cap);
     let m1 = _mm256_set1_epi64x(0xff00_0000_0000_0000_u64 as i64);
     let m2 = _mm256_set1_epi64x(0xffff_0000_0000_0000_u64 as i64);
@@ -407,15 +364,19 @@ fn lead_codes(words: &[u64], leads: &mut [u8], lead_cap: u8) {
         let mut buf = [0u64; 4];
         // SAFETY: buf is exactly 4 u64 = 32 bytes, matching the store.
         unsafe { _mm256_storeu_si256(buf.as_mut_ptr().cast::<__m256i>(), clamped) };
-        leads[i] = buf[0] as u8; // CAST: clamped to <= 3 (four below)
-        leads[i + 1] = buf[1] as u8; // CAST: as above
-        leads[i + 2] = buf[2] as u8; // CAST: as above
-        leads[i + 3] = buf[3] as u8; // CAST: as above
+        // CAST: each lane is clamped to <= 3 (four below).
+        // PANIC-OK: i + 4 <= blen, the length of leads (four below).
+        leads[i] = buf[0] as u8;
+        leads[i + 1] = buf[1] as u8; // CAST: as above. PANIC-OK: as above.
+        leads[i + 2] = buf[2] as u8; // CAST: as above. PANIC-OK: as above.
+        leads[i + 3] = buf[3] as u8; // CAST: as above. PANIC-OK: as above.
         i += 4;
     }
     while i < blen {
+        // PANIC-OK: 1 <= i < blen.
         let xor = words[i] ^ words[i - 1];
         // CAST: clz >> 3 <= 8 fits u8.
+        // PANIC-OK: i < blen, the length of leads.
         leads[i] = ((xor.leading_zeros() >> 3) as u8).min(lead_cap);
         i += 1;
     }

@@ -10,7 +10,7 @@
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use szx_core::{CommitStrategy, Decoder, KernelSelect, SzxConfig};
+use szx_core::{CommitStrategy, Decoder, KernelPath, SzxConfig};
 
 fn strategies() -> impl Strategy<Value = CommitStrategy> {
     prop_oneof![
@@ -150,7 +150,7 @@ proptest! {
         let par = szx_core::compress(&data, &cfg.with_parallel(true)).unwrap();
         prop_assert_eq!(&serial, &par);
         let a: Vec<f32> = szx_core::decompress(&serial).unwrap();
-        let b: Vec<f32> = Decoder::new(KernelSelect::Auto, true).decode(&serial).unwrap();
+        let b: Vec<f32> = Decoder::new(KernelPath::detect(), true).decode(&serial).unwrap();
         prop_assert_eq!(a, b);
     }
 
@@ -187,6 +187,6 @@ proptest! {
         if let Ok(out) = szx_core::decompress::<f32>(&bytes) {
             prop_assert_eq!(out.len(), data.len());
         }
-        let _ = Decoder::new(KernelSelect::Auto, true).decode::<f32>(&bytes);
+        let _ = Decoder::new(KernelPath::detect(), true).decode::<f32>(&bytes);
     }
 }

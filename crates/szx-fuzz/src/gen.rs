@@ -130,7 +130,7 @@ impl Spec {
             block_size: self.block_size,
             error_bound: self.bound,
             strategy: self.strategy,
-            kernel: szx_core::KernelSelect::Scalar,
+            kernel: szx_core::KernelPath::Scalar,
             parallel: false,
         }
     }

@@ -278,7 +278,7 @@ fn cmd_seed(args: &[String]) -> Result<bool, String> {
         Ok(())
     };
 
-    use szx_core::{CommitStrategy, ErrorBound, KernelSelect, SzxConfig};
+    use szx_core::{CommitStrategy, ErrorBound, KernelPath, SzxConfig};
     use szx_fuzz::gen::{Spec, SpecType};
 
     let strategies = [
@@ -303,7 +303,7 @@ fn cmd_seed(args: &[String]) -> Result<bool, String> {
             block_size: block_sizes[k % block_sizes.len()],
             error_bound: bound,
             strategy: strategies[k % strategies.len()],
-            kernel: KernelSelect::Auto,
+            kernel: KernelPath::detect(),
             parallel: false,
         };
         let archive = szx_core::compress(&values, &cfg).map_err(|e| e.to_string())?;

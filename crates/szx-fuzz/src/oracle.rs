@@ -4,9 +4,9 @@
 //! stream is pushed through **every decode path** the workspace ships:
 //!
 //! * the [`Decoder`] matrix, `{Scalar, Kernel, Simd} × {serial, parallel}`.
-//!   Serial scalar is the reference. `Simd` resolves to the portable kernel
-//!   when the CPU lacks the ISA, so the cell is always exercised and always
-//!   held to the contract;
+//!   Serial scalar is the reference. The `Simd` entry points run the
+//!   portable kernel when the CPU lacks the ISA, so the cell is always
+//!   exercised and always held to the contract;
 //! * the windowed decode (`Decoder::decode_windows`), window by window
 //!   (`szx_core::window_len` values each), serial and parallel, each
 //!   window put back at its offset;
@@ -35,7 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use std::sync::{Mutex, PoisonError};
 
-use szx_core::{Decoder, KernelSelect, RandomAccess, SzxFloat};
+use szx_core::{Decoder, KernelPath, RandomAccess, SzxFloat};
 
 use crate::corpus::fnv1a64;
 
@@ -129,18 +129,18 @@ pub struct DecodeReport {
 }
 
 /// The [`Decoder`] cells besides the serial-scalar reference.
-const DECODER_CELLS: [(&str, KernelSelect, bool); 5] = [
-    ("serial-kernel", KernelSelect::Kernel, false),
-    ("serial-simd", KernelSelect::Simd, false),
-    ("parallel-scalar", KernelSelect::Scalar, true),
-    ("parallel-kernel", KernelSelect::Kernel, true),
-    ("parallel-simd", KernelSelect::Simd, true),
+const DECODER_CELLS: [(&str, KernelPath, bool); 5] = [
+    ("serial-kernel", KernelPath::Kernel, false),
+    ("serial-simd", KernelPath::Simd, false),
+    ("parallel-scalar", KernelPath::Scalar, true),
+    ("parallel-kernel", KernelPath::Kernel, true),
+    ("parallel-simd", KernelPath::Simd, true),
 ];
 
 /// Windowed-decode cells ([`Decoder::decode_windows`]).
-const WINDOWED_CELLS: [(&str, KernelSelect, bool); 2] = [
-    ("windowed-serial-kernel", KernelSelect::Kernel, false),
-    ("windowed-parallel-simd", KernelSelect::Simd, true),
+const WINDOWED_CELLS: [(&str, KernelPath, bool); 2] = [
+    ("windowed-serial-kernel", KernelPath::Kernel, false),
+    ("windowed-parallel-simd", KernelPath::Simd, true),
 ];
 
 /// Run every decode path for element type `F` and check the differential
@@ -148,7 +148,7 @@ const WINDOWED_CELLS: [(&str, KernelSelect, bool); 2] = [
 /// input that merely fails to decode everywhere is `Ok`.
 pub fn differential_decode_typed<F: SzxFloat>(bytes: &[u8]) -> Result<DecodeReport, Failure> {
     let reference = run_path("serial-scalar", || {
-        Decoder::new(KernelSelect::Scalar, false).decode::<F>(bytes)
+        Decoder::new(KernelPath::Scalar, false).decode::<F>(bytes)
     })?;
 
     let mut features = reference.feature();
@@ -216,8 +216,8 @@ pub fn differential_decode_typed<F: SzxFloat>(bytes: &[u8]) -> Result<DecodeRepo
     }
 
     for (path, sel) in [
-        ("random-access-scalar", KernelSelect::Scalar),
-        ("random-access-kernel", KernelSelect::Kernel),
+        ("random-access-scalar", KernelPath::Scalar),
+        ("random-access-kernel", KernelPath::Kernel),
     ] {
         let out = run_path(path, || {
             let ra = RandomAccess::<F>::new(bytes)?.with_decoder(Decoder::new(sel, false));

@@ -5,7 +5,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use szx_core::{ContainerReader, ContainerWriter, Decoder, KernelSelect, SzxFloat};
+use szx_core::{ContainerReader, ContainerWriter, Decoder, KernelPath, SzxFloat};
 
 use crate::corpus::fnv1a64;
 use crate::gen::{Spec, SpecType};
@@ -113,11 +113,11 @@ fn roundtrip_typed<F: SzxFloat>(spec: &Spec) -> Result<u64, Failure> {
     // over data containing ±inf resolves to an unusable infinite absolute
     // bound.)
     let scalar = szx_core::compress(&data, &cfg);
-    let kernel = szx_core::compress(&data, &cfg.with_kernel(KernelSelect::Kernel));
-    let simd = szx_core::compress(&data, &cfg.with_kernel(KernelSelect::Simd));
+    let kernel = szx_core::compress(&data, &cfg.with_kernel(KernelPath::Kernel));
+    let simd = szx_core::compress(&data, &cfg.with_kernel(KernelPath::Simd));
     let par = szx_core::compress(
         &data,
-        &cfg.with_kernel(KernelSelect::Kernel).with_parallel(true),
+        &cfg.with_kernel(KernelPath::Kernel).with_parallel(true),
     );
     let archive = match scalar {
         Err(e) => {
@@ -254,11 +254,7 @@ fn roundtrip_typed<F: SzxFloat>(spec: &Spec) -> Result<u64, Failure> {
 
     // Buffer-reuse decode paths: a right-sized buffer must reproduce the
     // reference bits, a wrong-sized one must error (never write OOB).
-    for sel in [
-        KernelSelect::Scalar,
-        KernelSelect::Kernel,
-        KernelSelect::Simd,
-    ] {
+    for sel in [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd] {
         let mut out = vec![F::ZERO; data.len()];
         let mut decoder = Decoder::new(sel, false);
         decoder

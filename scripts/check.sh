@@ -123,17 +123,13 @@ run_profile_smoke() {
     fi
     grep -q '</svg>' "$dir/p.svg" \
         || prof_fail "SVG flamegraph is truncated"
-    # On hosts with the ISA extension the explicit SIMD path must show up
-    # in the profile under its own zone — that attribution is how a perf
-    # regression in dispatch (silently falling back to the portable kernel)
-    # becomes visible. Skipped elsewhere: Auto resolves to the portable
-    # kernel there and no simd zone can exist.
+    # On hosts with the ISA extension the default path is the explicit SIMD
+    # one, and it must show up in the profile under its own zone — that
+    # attribution is how a perf regression in dispatch (silently falling
+    # back to the portable kernel) becomes visible. Skipped elsewhere: the
+    # portable kernel is the default there and no simd zone can exist.
     if grep -q '^flags.* avx2' /proc/cpuinfo 2>/dev/null; then
-        SZX_PROFILE_HZ=4000 cargo run -q --release -p szx-cli -- \
-            compress "$dir/big.f32" "$dir/out2.szx" --abs 1e-3 \
-            --kernel simd --profile "$dir/ps.folded" >/dev/null \
-            || prof_fail "compress with --kernel simd --profile"
-        grep -q 'compress\.simd' "$dir/ps.folded" \
+        grep -q 'compress\.simd' "$dir/p.folded" \
             || prof_fail "no compress.simd zone in the folded profile (simd dispatch fell back?)"
     fi
     rm -rf "$dir"
@@ -143,11 +139,13 @@ run_profile_smoke() {
 # to the portable kernel and the scalar oracle — same compressed stream,
 # same decode bits, same error messages. Release mode only: the intrinsic
 # kernels and the autovectorized portable kernels both need optimizations
-# to exercise their real codegen. Also proves the CLI-level plumbing end to
-# end with a stream `cmp` across --kernel selections, each serial and
-# --parallel on RAYON_NUM_THREADS=1 to 4.
+# to exercise their real codegen. The scalar × kernel × simd matrix over
+# these shapes is `tests/tests/windowed_codec.rs`; here the CLI end to end
+# `cmp`s the default path against SZX_DISABLE_SIMD=1 (the portable kernels
+# and the table CRC32C), each serial and --parallel on RAYON_NUM_THREADS=1
+# to 4.
 run_simd_equivalence() {
-    echo "==> SIMD equivalence (scalar vs kernel vs simd, serial vs parallel, release)"
+    echo "==> SIMD equivalence (scalar vs kernel vs simd, default vs SZX_DISABLE_SIMD=1, serial vs parallel, release)"
     cargo test -q --release -p szx-core simd \
         || { echo "==> FAIL szx-core simd equivalence tests" >&2; exit 1; }
     cargo test -q --release -p szx-integration-tests --test simd_dispatch \
@@ -203,7 +201,7 @@ PY
     # values) ends in a ragged quad.
     head -c 400012 "$dir/scale/T.f32" >"$dir/scale/T-ragged.f32" \
         || simd_fail "cutting the ragged input"
-    local input bound sel threads
+    local input bound sel off threads
     for input in "$field" "$dir/multi.f32" "$dir/scale/T.f32" "$dir/scale/T-ragged.f32" \
         "$dir/mixed.f32" "$dir/mixed.f64"; do
         bound=(--abs 1e-3)
@@ -213,53 +211,39 @@ PY
         if [[ "$input" == *.f64 ]]; then
             bound+=(--f64)
         fi
-        for sel in scalar kernel simd; do
-            cargo run -q --release -p szx-cli -- compress "$input" \
-                "$dir/$sel.szx" "${bound[@]}" --kernel "$sel" >/dev/null \
-                || simd_fail "compress --kernel $sel"
-            cargo run -q --release -p szx-cli -- decompress "$dir/$sel.szx" \
-                "$dir/$sel.f32" --kernel "$sel" >/dev/null \
-                || simd_fail "decompress --kernel $sel"
+        # SZX_DISABLE_SIMD="" is unset: the default path.
+        for sel in default nosimd; do
+            off=""
+            [[ "$sel" == nosimd ]] && off=1
+            SZX_DISABLE_SIMD=$off cargo run -q --release -p szx-cli -- compress "$input" \
+                "$dir/$sel.szx" "${bound[@]}" >/dev/null \
+                || simd_fail "compress ($sel)"
+            SZX_DISABLE_SIMD=$off cargo run -q --release -p szx-cli -- decompress \
+                "$dir/$sel.szx" "$dir/$sel.f32" >/dev/null \
+                || simd_fail "decompress ($sel)"
             # Serial and --parallel are one codec: the pool's threads claim
             # whole windows, so on any pool size (1 to 4, more than a
             # 2-core runner has) and in any claim order the parallel stream
             # and decode must equal the serial files bytewise.
             for threads in 1 2 3 4; do
-                RAYON_NUM_THREADS=$threads cargo run -q --release -p szx-cli -- compress \
-                    "$input" "$dir/par.szx" "${bound[@]}" --kernel "$sel" --parallel >/dev/null \
-                    || simd_fail "compress --kernel $sel --parallel ($threads threads)"
-                RAYON_NUM_THREADS=$threads cargo run -q --release -p szx-cli -- decompress \
-                    "$dir/par.szx" "$dir/par.f32" --kernel "$sel" --parallel >/dev/null \
-                    || simd_fail "decompress --kernel $sel --parallel ($threads threads)"
+                SZX_DISABLE_SIMD=$off RAYON_NUM_THREADS=$threads cargo run -q --release \
+                    -p szx-cli -- compress "$input" "$dir/par.szx" "${bound[@]}" --parallel \
+                    >/dev/null \
+                    || simd_fail "compress --parallel ($sel, $threads threads)"
+                SZX_DISABLE_SIMD=$off RAYON_NUM_THREADS=$threads cargo run -q --release \
+                    -p szx-cli -- decompress "$dir/par.szx" "$dir/par.f32" --parallel \
+                    >/dev/null \
+                    || simd_fail "decompress --parallel ($sel, $threads threads)"
                 cmp -s "$dir/$sel.szx" "$dir/par.szx" \
                     || simd_fail "$sel serial and $threads-thread streams differ ($input)"
                 cmp -s "$dir/$sel.f32" "$dir/par.f32" \
                     || simd_fail "$sel serial and $threads-thread decodes differ ($input)"
             done
         done
-        cmp -s "$dir/scalar.szx" "$dir/kernel.szx" \
-            || simd_fail "scalar and kernel streams differ ($input)"
-        cmp -s "$dir/scalar.szx" "$dir/simd.szx" \
-            || simd_fail "scalar and simd streams differ ($input)"
-        cmp -s "$dir/scalar.f32" "$dir/kernel.f32" \
-            || simd_fail "scalar and kernel decodes differ bitwise ($input)"
-        cmp -s "$dir/scalar.f32" "$dir/simd.f32" \
-            || simd_fail "scalar and simd decodes differ bitwise ($input)"
-        # The frame and index CRC32Cs: the table backend must write the
-        # file the SSE4.2 one does.
-        SZX_DISABLE_SIMD=1 cargo run -q --release -p szx-cli -- compress "$input" \
-            "$dir/nosimd.szx" "${bound[@]}" >/dev/null \
-            || simd_fail "compress with SZX_DISABLE_SIMD=1"
-        cargo run -q --release -p szx-cli -- compress "$input" \
-            "$dir/auto.szx" "${bound[@]}" >/dev/null \
-            || simd_fail "compress --kernel auto"
-        cmp -s "$dir/nosimd.szx" "$dir/auto.szx" \
+        cmp -s "$dir/default.szx" "$dir/nosimd.szx" \
             || simd_fail "SZX_DISABLE_SIMD=1 and default files differ ($input)"
-        SZX_DISABLE_SIMD=1 cargo run -q --release -p szx-cli -- decompress "$dir/nosimd.szx" \
-            "$dir/nosimd.f32" >/dev/null \
-            || simd_fail "decompress with SZX_DISABLE_SIMD=1"
-        cmp -s "$dir/scalar.f32" "$dir/nosimd.f32" \
-            || simd_fail "SZX_DISABLE_SIMD=1 and scalar decodes differ bitwise ($input)"
+        cmp -s "$dir/default.f32" "$dir/nosimd.f32" \
+            || simd_fail "SZX_DISABLE_SIMD=1 and default decodes differ bitwise ($input)"
     done
     # decompress inverts stream: all frames in order, the concatenation of
     # every frame's extract (25 frames of one small field).

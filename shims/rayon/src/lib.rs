@@ -2,11 +2,10 @@
 //!
 //! The build environment has no access to crates.io, so the workspace ships
 //! this minimal drop-in that implements exactly the data-parallel subset the
-//! codebase uses — `par_chunks`, `par_chunks_mut`, `par_iter`,
-//! `into_par_iter`, `map`, `map_init`, `enumerate`, `collect`, `reduce`,
-//! `for_each`, `try_for_each`, `try_for_each_init`, and
-//! `current_num_threads` — on a persistent pool of OS threads (the `pool`
-//! module).
+//! codebase uses — `par_iter` on a slice, `into_par_iter` on a `Vec`, `map`,
+//! `map_init`, `enumerate`, `collect` (into a `Vec` or a `Result<Vec, E>`),
+//! and `current_num_threads` — on a persistent pool of OS threads (the
+//! `pool` module).
 //!
 //! Semantics match rayon where it matters here:
 //! * closures run concurrently on up to [`current_num_threads`] threads:
@@ -44,15 +43,10 @@ pub fn current_num_threads() -> usize {
 }
 
 /// Run `f` over `items` on up to [`current_num_threads`] threads, preserving
-/// item order in the result.
-fn par_apply<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    par_apply_init(items, || (), |_, item| f(item))
-}
-
-/// [`par_apply`] with per-thread state: each thread taking part calls
-/// `init` once, before its first item, and hands the state to `f` for
-/// every item it claims.
-fn par_apply_init<T: Send, R: Send, S>(
+/// item order in the result. Each thread taking part calls `init` once,
+/// before its first item, and hands the state to `f` for every item it
+/// claims.
+fn par_apply<T: Send, R: Send, S>(
     items: Vec<T>,
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, T) -> R + Sync,
@@ -127,50 +121,6 @@ pub trait ParallelIterator: Sized + Send {
     fn collect<C: FromParallelIterator<Self::Item>>(self) -> C {
         C::from_par_items(self.collect_items())
     }
-
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Sync + Send,
-    {
-        par_apply(self.collect_items(), f);
-    }
-
-    fn try_for_each<F, E>(self, f: F) -> Result<(), E>
-    where
-        F: Fn(Self::Item) -> Result<(), E> + Sync + Send,
-        E: Send,
-    {
-        par_apply(self.collect_items(), f).into_iter().collect()
-    }
-
-    /// [`Self::try_for_each`] with per-thread state: every thread taking
-    /// part calls `init` once and passes the state to `f` for each item
-    /// it claims (rayon calls `init` per split; here a split is a thread).
-    fn try_for_each_init<INIT, S, F, E>(self, init: INIT, f: F) -> Result<(), E>
-    where
-        INIT: Fn() -> S + Sync + Send,
-        F: Fn(&mut S, Self::Item) -> Result<(), E> + Sync + Send,
-        E: Send,
-    {
-        par_apply_init(self.collect_items(), init, f)
-            .into_iter()
-            .collect()
-    }
-
-    fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item
-    where
-        ID: Fn() -> Self::Item + Sync + Send,
-        OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync + Send,
-    {
-        self.collect_items().into_iter().fold(identity(), &op)
-    }
-
-    fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<Self::Item> + Send,
-    {
-        self.collect_items().into_iter().sum()
-    }
 }
 
 /// Conversion out of a finished parallel pipeline (rayon's `collect` bound).
@@ -205,7 +155,8 @@ where
     type Item = R;
 
     fn collect_items(self) -> Vec<R> {
-        par_apply(self.base.collect_items(), self.f)
+        let f = self.f;
+        par_apply(self.base.collect_items(), || (), |_, item| f(item))
     }
 }
 
@@ -226,7 +177,7 @@ where
     type Item = R;
 
     fn collect_items(self) -> Vec<R> {
-        par_apply_init(self.base.collect_items(), self.init, self.f)
+        par_apply(self.base.collect_items(), self.init, self.f)
     }
 }
 
@@ -244,35 +195,7 @@ impl<I: ParallelIterator> ParallelIterator for Enumerate<I> {
     }
 }
 
-/// Source: `&slice.par_chunks(n)`.
-pub struct Chunks<'a, T> {
-    slice: &'a [T],
-    size: usize,
-}
-
-impl<'a, T: Sync> ParallelIterator for Chunks<'a, T> {
-    type Item = &'a [T];
-
-    fn collect_items(self) -> Vec<&'a [T]> {
-        self.slice.chunks(self.size).collect()
-    }
-}
-
-/// Source: `&mut slice.par_chunks_mut(n)`.
-pub struct ChunksMut<'a, T> {
-    slice: &'a mut [T],
-    size: usize,
-}
-
-impl<'a, T: Send> ParallelIterator for ChunksMut<'a, T> {
-    type Item = &'a mut [T];
-
-    fn collect_items(self) -> Vec<&'a mut [T]> {
-        self.slice.chunks_mut(self.size).collect()
-    }
-}
-
-/// Source: `collection.par_iter()`.
+/// Source: `slice.par_iter()`.
 pub struct Iter<'a, T> {
     slice: &'a [T],
 }
@@ -312,32 +235,6 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     }
 }
 
-pub trait ParallelSlice<T: Sync> {
-    fn par_chunks(&self, size: usize) -> Chunks<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, size: usize) -> Chunks<'_, T> {
-        // PANIC-OK: programmer contract on chunk size (mirrors rayon and
-        // std::slice::chunks_mut) — callers pass compile-time group sizes.
-        assert!(size > 0, "chunk size must be non-zero");
-        Chunks { slice: self, size }
-    }
-}
-
-pub trait ParallelSliceMut<T: Send> {
-    fn par_chunks_mut(&mut self, size: usize) -> ChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, size: usize) -> ChunksMut<'_, T> {
-        // PANIC-OK: programmer contract on chunk size (mirrors rayon and
-        // std::slice::chunks_mut) — callers pass compile-time group sizes.
-        assert!(size > 0, "chunk size must be non-zero");
-        ChunksMut { slice: self, size }
-    }
-}
-
 pub trait IntoParallelRefIterator<'a> {
     type Item: Send;
     type Iter: ParallelIterator<Item = Self::Item>;
@@ -352,18 +249,9 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     }
 }
 
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    type Iter = Iter<'a, T>;
-    fn par_iter(&'a self) -> Iter<'a, T> {
-        Iter { slice: self }
-    }
-}
-
 pub mod prelude {
     pub use crate::{
         FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
-        ParallelSlice, ParallelSliceMut,
     };
 }
 
@@ -372,25 +260,28 @@ mod tests {
     use super::prelude::*;
 
     #[test]
-    fn par_chunks_map_collect_preserves_order() {
+    fn par_iter_map_collect_preserves_order() {
         let data: Vec<u32> = (0..1000).collect();
-        let sums: Vec<u32> = data.par_chunks(7).map(|c| c.iter().sum::<u32>()).collect();
-        let expect: Vec<u32> = data.chunks(7).map(|c| c.iter().sum::<u32>()).collect();
-        assert_eq!(sums, expect);
+        let out: Vec<u32> = data.par_iter().map(|&v| v * 7 + 1).collect();
+        assert_eq!(out, data.iter().map(|&v| v * 7 + 1).collect::<Vec<_>>());
     }
 
     #[test]
-    fn par_chunks_mut_enumerate_try_for_each() {
+    fn enumerate_map_init_fills_each_chunk() {
         let mut data = vec![0u32; 100];
-        data.par_chunks_mut(9)
+        let chunks: Vec<&mut [u32]> = data.chunks_mut(9).collect();
+        let out: Result<Vec<()>, ()> = chunks
+            .into_par_iter()
             .enumerate()
-            .try_for_each(|(i, c)| -> Result<(), ()> {
-                for v in c.iter_mut() {
-                    *v = i as u32;
-                }
-                Ok(())
-            })
-            .unwrap();
+            .map_init(
+                || (),
+                |_, (i, c)| {
+                    c.fill(i as u32);
+                    Ok(())
+                },
+            )
+            .collect();
+        assert_eq!(out.map(|v| v.len()), Ok(12));
         for (i, c) in data.chunks(9).enumerate() {
             assert!(c.iter().all(|&v| v == i as u32));
         }
@@ -416,26 +307,21 @@ mod tests {
     }
 
     #[test]
-    fn reduce_and_collect_result() {
+    fn collect_result_propagates_the_error() {
         let data: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let (lo, hi) = data.par_chunks(13).map(|c| (c[0], c[c.len() - 1])).reduce(
-            || (f64::INFINITY, f64::NEG_INFINITY),
-            |a, b| (a.0.min(b.0), a.1.max(b.1)),
-        );
-        assert_eq!((lo, hi), (0.0, 99.0));
-
         let ok: Result<Vec<u32>, String> = data.par_iter().map(|&v| Ok(v as u32)).collect();
         assert_eq!(ok.unwrap().len(), 100);
         let err: Result<Vec<u32>, String> = data
             .par_iter()
             .map(|&v| {
                 if v > 50.0 {
-                    Err("boom".to_string())
+                    Err(format!("boom at {v}"))
                 } else {
                     Ok(v as u32)
                 }
             })
             .collect();
-        assert!(err.is_err());
+        // The first failing item's error, in item order.
+        assert_eq!(err, Err("boom at 51".to_string()));
     }
 }

@@ -35,24 +35,27 @@ fn skewed_items_keep_their_order() {
 }
 
 #[test]
-fn try_for_each_init_gives_each_thread_one_state() {
+fn map_init_gives_each_thread_one_state() {
     four_threads();
     let inits = AtomicUsize::new(0);
     let mut data = vec![0u32; 4000];
-    data.par_chunks_mut(10)
+    let chunks: Vec<&mut [u32]> = data.chunks_mut(10).collect();
+    let seen: Result<Vec<usize>, ()> = chunks
+        .into_par_iter()
         .enumerate()
-        .try_for_each_init(
+        .map_init(
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 Vec::<u32>::new()
             },
-            |seen, (i, chunk)| -> Result<(), ()> {
+            |seen, (i, chunk)| {
                 seen.push(i as u32);
                 chunk.fill(i as u32);
-                Ok(())
+                Ok(seen.len())
             },
         )
-        .unwrap();
+        .collect();
+    assert_eq!(seen.map(|s| s.len()), Ok(400));
     for (i, c) in data.chunks(10).enumerate() {
         assert!(c.iter().all(|&v| v == i as u32));
     }
@@ -90,8 +93,8 @@ fn panic_reaches_the_caller_after_every_item_stopped() {
     );
 
     // The pool survives: the next operation runs normally.
-    let sum: usize = items.par_iter().map(|&i| i).sum();
-    assert_eq!(sum, 63 * 64 / 2);
+    let out: Vec<usize> = items.par_iter().map(|&i| i).collect();
+    assert_eq!(out, items);
 }
 
 #[test]
@@ -101,7 +104,10 @@ fn nested_operations_complete() {
     let inner: Vec<usize> = (0..50).collect();
     let sums: Vec<usize> = outer
         .par_iter()
-        .map(|&i| inner.par_iter().map(|&j| i * j).sum::<usize>())
+        .map(|&i| {
+            let products: Vec<usize> = inner.par_iter().map(|&j| i * j).collect();
+            products.into_iter().sum::<usize>()
+        })
         .collect();
     let expect: Vec<usize> = outer.iter().map(|&i| i * (49 * 50 / 2)).collect();
     assert_eq!(sums, expect);
@@ -147,10 +153,13 @@ fn an_operation_does_not_wait_for_a_busy_pool() {
         // the gate opens.
         s.spawn(|| {
             let items: Vec<u32> = (0..4).collect();
-            items.par_iter().for_each(|_| {
-                started.wait();
-                drop(gate.lock().unwrap());
-            });
+            let _: Vec<()> = items
+                .par_iter()
+                .map(|_| {
+                    started.wait();
+                    drop(gate.lock().unwrap());
+                })
+                .collect();
         });
         started.wait();
         // Every worker is busy, so this caller claims all of its items
@@ -158,7 +167,8 @@ fn an_operation_does_not_wait_for_a_busy_pool() {
         let (tx, rx) = mpsc::channel();
         s.spawn(move || {
             let items: Vec<u64> = (0..100).collect();
-            tx.send(items.par_iter().map(|&v| v).sum::<u64>()).unwrap();
+            let out: Vec<u64> = items.par_iter().map(|&v| v).collect();
+            tx.send(out.into_iter().sum::<u64>()).unwrap();
         });
         let sum = rx.recv_timeout(Duration::from_secs(10));
         drop(held);

@@ -19,15 +19,22 @@ fn one_thread_runs_inline_and_starts_no_worker() {
         .collect();
     assert_eq!(out, items.iter().map(|v| v * 2).collect::<Vec<_>>());
     let mut data = vec![0u8; 1000];
-    data.par_chunks_mut(7)
+    let chunks: Vec<&mut [u8]> = data.chunks_mut(7).collect();
+    let filled: Result<Vec<()>, ()> = chunks
+        .into_par_iter()
         .enumerate()
-        .try_for_each_init(
-            || (),
-            |_, (i, c)| -> Result<(), ()> {
+        .map_init(
+            || assert_eq!(std::thread::current().id(), me, "state made off the caller"),
+            |_, (i, c)| {
                 c.fill(i as u8);
                 Ok(())
             },
         )
-        .unwrap();
+        .collect();
+    assert!(filled.is_ok());
+    assert!(data
+        .chunks(7)
+        .enumerate()
+        .all(|(i, c)| c.iter().all(|&v| v == i as u8)));
     assert_eq!(rayon::started_workers(), 0);
 }

@@ -4,16 +4,16 @@
 //! serial and the parallel decompressor are held to the same contract.
 
 use szx_core::stream::HEADER_LEN;
-use szx_core::{ContainerReader, ContainerWriter, Decoder, KernelSelect, SzxConfig};
+use szx_core::{ContainerReader, ContainerWriter, Decoder, KernelPath, SzxConfig};
 
 /// Decode `bytes` with the scalar oracle, the branch-free kernel, and the
 /// explicit SIMD path; assert they agree on whether the stream is
 /// decodable, and — when it is — on every reconstructed bit. Returns
 /// whether decoding succeeded.
 fn scalar_kernel_parity(bytes: &[u8], what: &str) -> bool {
-    let s = Decoder::new(KernelSelect::Scalar, false).decode::<f32>(bytes);
-    let k = Decoder::new(KernelSelect::Kernel, false).decode::<f32>(bytes);
-    let v = Decoder::new(KernelSelect::Simd, false).decode::<f32>(bytes);
+    let s = Decoder::new(KernelPath::Scalar, false).decode::<f32>(bytes);
+    let k = Decoder::new(KernelPath::Kernel, false).decode::<f32>(bytes);
+    let v = Decoder::new(KernelPath::Simd, false).decode::<f32>(bytes);
     assert_eq!(
         s.is_ok(),
         k.is_ok(),
@@ -63,18 +63,18 @@ fn every_truncation_point_is_a_clean_error() {
     for cut in 0..bytes.len() {
         let r = szx_core::decompress::<f32>(&bytes[..cut]);
         assert!(r.is_err(), "truncation at {cut}/{} decoded", bytes.len());
-        let r = Decoder::new(KernelSelect::Auto, true).decode::<f32>(&bytes[..cut]);
+        let r = Decoder::new(KernelPath::detect(), true).decode::<f32>(&bytes[..cut]);
         assert!(r.is_err(), "parallel truncation at {cut} decoded");
         // The kernel decoder must reject every truncation the scalar one
         // does — no panic, no out-of-bounds load from its overlapping-read
         // arena.
-        let r = Decoder::new(KernelSelect::Kernel, false).decode::<f32>(&bytes[..cut]);
+        let r = Decoder::new(KernelPath::Kernel, false).decode::<f32>(&bytes[..cut]);
         assert!(r.is_err(), "kernel truncation at {cut} decoded");
-        let r = Decoder::new(KernelSelect::Kernel, true).decode::<f32>(&bytes[..cut]);
+        let r = Decoder::new(KernelPath::Kernel, true).decode::<f32>(&bytes[..cut]);
         assert!(r.is_err(), "parallel kernel truncation at {cut} decoded");
         // The SIMD decoder validates payloads before its gather pass; it
         // must reject exactly what the scalar decoder rejects.
-        let r = Decoder::new(KernelSelect::Simd, false).decode::<f32>(&bytes[..cut]);
+        let r = Decoder::new(KernelPath::Simd, false).decode::<f32>(&bytes[..cut]);
         assert!(r.is_err(), "simd truncation at {cut} decoded");
     }
 }
@@ -96,7 +96,7 @@ fn flipped_zsize_bytes_error_out() {
             szx_core::decompress::<f32>(&bad).is_err(),
             "oversized zsize[{entry}] decoded"
         );
-        assert!(Decoder::new(KernelSelect::Auto, true)
+        assert!(Decoder::new(KernelPath::detect(), true)
             .decode::<f32>(&bad)
             .is_err());
     }
@@ -108,8 +108,8 @@ fn flipped_zsize_bytes_error_out() {
     bad[z] = 1;
     bad[z + 1] = 0;
     scalar_kernel_parity(&bad, "shrunk zsize");
-    let _ = Decoder::new(KernelSelect::Auto, true).decode::<f32>(&bad);
-    let _ = Decoder::new(KernelSelect::Kernel, true).decode::<f32>(&bad);
+    let _ = Decoder::new(KernelPath::detect(), true).decode::<f32>(&bad);
+    let _ = Decoder::new(KernelPath::Kernel, true).decode::<f32>(&bad);
 }
 
 #[test]
@@ -125,7 +125,7 @@ fn oversized_req_len_is_rejected() {
             szx_core::decompress::<f32>(&bad).is_err(),
             "req_len={forged} decoded"
         );
-        assert!(Decoder::new(KernelSelect::Auto, true)
+        assert!(Decoder::new(KernelPath::detect(), true)
             .decode::<f32>(&bad)
             .is_err());
     }
@@ -177,8 +177,8 @@ fn single_byte_flips_never_panic() {
             let mut bad = bytes.clone();
             bad[pos] = val;
             scalar_kernel_parity(&bad, &format!("byte {pos} = {val:#x}"));
-            let _ = Decoder::new(KernelSelect::Auto, true).decode::<f32>(&bad);
-            let _ = Decoder::new(KernelSelect::Kernel, true).decode::<f32>(&bad);
+            let _ = Decoder::new(KernelPath::detect(), true).decode::<f32>(&bad);
+            let _ = Decoder::new(KernelPath::Kernel, true).decode::<f32>(&bad);
         }
     }
 }

@@ -4,16 +4,16 @@
 //! either roundtrip within the bound or return a clean `SzxError` — never
 //! panic — and the scalar and kernel paths must agree byte-for-byte.
 
-use szx_core::config::KernelSelect;
+use szx_core::config::KernelPath;
 use szx_core::{SzxConfig, SzxError};
 
-const SELECTS: [KernelSelect; 2] = [KernelSelect::Scalar, KernelSelect::Kernel];
+const SELECTS: [KernelPath; 2] = [KernelPath::Scalar, KernelPath::Kernel];
 
 /// Compress under both hot-loop implementations, assert identical streams,
 /// and return one of them.
 fn compress_both(data: &[f32], cfg: &SzxConfig) -> Vec<u8> {
-    let a = szx_core::compress(data, &cfg.with_kernel(KernelSelect::Scalar)).unwrap();
-    let b = szx_core::compress(data, &cfg.with_kernel(KernelSelect::Kernel)).unwrap();
+    let a = szx_core::compress(data, &cfg.with_kernel(KernelPath::Scalar)).unwrap();
+    let b = szx_core::compress(data, &cfg.with_kernel(KernelPath::Kernel)).unwrap();
     assert_eq!(a, b, "scalar and kernel streams differ");
     b
 }

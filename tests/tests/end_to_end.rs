@@ -86,7 +86,7 @@ fn parallel_paths_agree_with_serial_on_real_data() {
         let par = szx_core::compress(&f.data, &cfg.with_parallel(true)).unwrap();
         assert_eq!(serial, par, "{}", f.name);
         let a: Vec<f32> = szx_core::decompress(&serial).unwrap();
-        let b: Vec<f32> = szx_core::Decoder::new(szx_core::KernelSelect::Auto, true)
+        let b: Vec<f32> = szx_core::Decoder::new(szx_core::KernelPath::detect(), true)
             .decode(&serial)
             .unwrap();
         assert_eq!(a, b, "{}", f.name);

@@ -14,7 +14,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use szx_core::config::KernelSelect;
+use szx_core::config::KernelPath;
 use szx_core::{CommitStrategy, Decoder, ErrorBound, SzxConfig, SzxFloat};
 
 // Under Miri the same properties run over a reduced sweep: a handful of
@@ -87,7 +87,7 @@ fn check_case<F: SzxFloat>(seed: u64) {
         error_bound,
         block_size: bs,
         strategy,
-        kernel: KernelSelect::Scalar,
+        kernel: KernelPath::Scalar,
         parallel: false,
     };
     let ctx = format!(
@@ -96,13 +96,13 @@ fn check_case<F: SzxFloat>(seed: u64) {
     );
 
     let scalar = szx_core::compress(&data, &cfg).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    let kernel = szx_core::compress(&data, &cfg.with_kernel(KernelSelect::Kernel)).unwrap();
+    let kernel = szx_core::compress(&data, &cfg.with_kernel(KernelPath::Kernel)).unwrap();
     assert_eq!(scalar, kernel, "{ctx}: scalar vs kernel archives differ");
-    let simd = szx_core::compress(&data, &cfg.with_kernel(KernelSelect::Simd)).unwrap();
+    let simd = szx_core::compress(&data, &cfg.with_kernel(KernelPath::Simd)).unwrap();
     assert_eq!(scalar, simd, "{ctx}: scalar vs simd archives differ");
     let par = szx_core::compress(
         &data,
-        &cfg.with_kernel(KernelSelect::Kernel).with_parallel(true),
+        &cfg.with_kernel(KernelPath::Kernel).with_parallel(true),
     )
     .unwrap();
     assert_eq!(scalar, par, "{ctx}: serial vs parallel archives differ");
@@ -111,7 +111,7 @@ fn check_case<F: SzxFloat>(seed: u64) {
     // stream header (relative bounds are resolved against the value range
     // at compress time).
     let eb = szx_core::inspect(&scalar).unwrap().eb;
-    let back: Vec<F> = Decoder::new(KernelSelect::Scalar, false)
+    let back: Vec<F> = Decoder::new(KernelPath::Scalar, false)
         .decode(&scalar)
         .unwrap();
     assert_eq!(back.len(), data.len(), "{ctx}: length mismatch");
@@ -126,16 +126,16 @@ fn check_case<F: SzxFloat>(seed: u64) {
     // Decode-path equivalence: the kernel and simd decoders (and both
     // parallel decode paths) must reconstruct *bit-identical* outputs to
     // the scalar oracle — same NaN payloads included.
-    let kback: Vec<F> = Decoder::new(KernelSelect::Kernel, false)
+    let kback: Vec<F> = Decoder::new(KernelPath::Kernel, false)
         .decode(&scalar)
         .unwrap();
-    let vback: Vec<F> = Decoder::new(KernelSelect::Simd, false)
+    let vback: Vec<F> = Decoder::new(KernelPath::Simd, false)
         .decode(&scalar)
         .unwrap();
-    let pback: Vec<F> = Decoder::new(KernelSelect::Kernel, true)
+    let pback: Vec<F> = Decoder::new(KernelPath::Kernel, true)
         .decode(&scalar)
         .unwrap();
-    let psback: Vec<F> = Decoder::new(KernelSelect::Scalar, true)
+    let psback: Vec<F> = Decoder::new(KernelPath::Scalar, true)
         .decode(&scalar)
         .unwrap();
     for (i, x) in back.iter().enumerate() {
@@ -227,11 +227,7 @@ fn lossless_when_bound_is_zero() {
     const N: usize = if cfg!(miri) { 300 } else { 5_000 };
     let mut rng = SmallRng::seed_from_u64(99);
     let data: Vec<f32> = (0..N).map(|_| (rng.gen::<f32>() - 0.5) * 1e6).collect();
-    for sel in [
-        KernelSelect::Scalar,
-        KernelSelect::Kernel,
-        KernelSelect::Simd,
-    ] {
+    for sel in [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd] {
         let cfg = SzxConfig::absolute(0.0).with_kernel(sel);
         let bytes = szx_core::compress(&data, &cfg).unwrap();
         let back: Vec<f32> = szx_core::decompress(&bytes).unwrap();
@@ -241,7 +237,7 @@ fn lossless_when_bound_is_zero() {
 
 #[test]
 fn streaming_frames_match_serial_per_frame() {
-    // The frame writer routes through the same compress(); KernelSelect
+    // The frame writer routes through the same compress(); KernelPath
     // must not change frame bytes either.
     const N: usize = if cfg!(miri) { 1_000 } else { 10_000 };
     let mut rng = SmallRng::seed_from_u64(7);
@@ -249,11 +245,7 @@ fn streaming_frames_match_serial_per_frame() {
         .map(|i| (i as f32 * 0.01).sin() + rng.gen::<f32>() * 0.01)
         .collect();
     let mut streams = Vec::new();
-    for sel in [
-        KernelSelect::Scalar,
-        KernelSelect::Kernel,
-        KernelSelect::Simd,
-    ] {
+    for sel in [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd] {
         let cfg = SzxConfig::absolute(1e-4).with_kernel(sel);
         let mut w = szx_core::ContainerWriter::new(Vec::new(), cfg).unwrap();
         let frame_len = if cfg!(miri) { 300 } else { 3_000 };

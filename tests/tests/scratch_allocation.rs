@@ -8,7 +8,7 @@
 //! Single test function: the telemetry registry is process-global and this
 //! file is its own test binary (see telemetry_counters.rs).
 
-use szx_core::config::KernelSelect;
+use szx_core::config::KernelPath;
 use szx_core::{Decoder, SzxConfig};
 
 #[test]
@@ -23,14 +23,10 @@ fn scratch_arena_growth_is_bounded() {
     let nblocks = data.len().div_ceil(128);
     assert!(nblocks >= 4000);
 
-    for sel in [
-        KernelSelect::Scalar,
-        KernelSelect::Kernel,
-        KernelSelect::Simd,
-    ] {
+    for sel in [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd] {
         // SIMD degrades to the kernel path where it is unavailable; either
         // way it sizes the same arenas with `ensure()`.
-        let uses_arena = sel != KernelSelect::Scalar;
+        let uses_arena = sel != KernelPath::Scalar;
         let cfg = SzxConfig::absolute(1e-4).with_kernel(sel);
 
         // Serial: one scratch arena for the whole call. Uniform block

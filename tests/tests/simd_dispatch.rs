@@ -1,8 +1,8 @@
 //! Runtime dispatch behavior of the explicit SIMD path.
 //!
 //! The `SZX_DISABLE_SIMD` environment override must force
-//! `szx_core::simd::available()` to report "unsupported", making `Auto`
-//! and explicit `Simd` requests silently resolve to the portable kernel —
+//! `szx_core::simd::available()` to report "unsupported", making
+//! `KernelPath::detect()` (the default path) pick the portable kernel —
 //! with byte-identical streams and bit-identical decodes, so flipping the
 //! override can never change results, only instruction selection.
 //!
@@ -10,7 +10,7 @@
 //! assertion lives in ONE test function (this file is its own test binary;
 //! other binaries never see the variable).
 
-use szx_core::{Decoder, KernelPath, KernelSelect, SzxConfig};
+use szx_core::{Decoder, KernelPath, SzxConfig};
 
 fn field() -> Vec<f32> {
     (0..20_000)
@@ -24,31 +24,22 @@ fn field() -> Vec<f32> {
 #[test]
 fn szx_disable_simd_forces_portable_fallback_with_identical_output() {
     let data = field();
-    let cfg = SzxConfig::absolute(1e-4).with_kernel(KernelSelect::Simd);
+    let cfg = SzxConfig::absolute(1e-4);
     let baseline = szx_core::compress(&data, &cfg).unwrap();
-    let baseline_back: Vec<f32> = Decoder::new(KernelSelect::Simd, false)
-        .decode(&baseline)
-        .unwrap();
+    let baseline_back: Vec<f32> = Decoder::default().decode(&baseline).unwrap();
 
     std::env::set_var("SZX_DISABLE_SIMD", "1");
     assert!(
         !szx_core::simd::available(),
         "override must report the SIMD path unavailable"
     );
-    assert_eq!(KernelSelect::Auto.resolve(), KernelPath::Kernel);
-    assert_eq!(
-        KernelSelect::Simd.resolve(),
-        KernelPath::Kernel,
-        "an explicit Simd request degrades silently, it does not error"
-    );
-    // Scalar/Kernel requests are untouched by the override.
-    assert_eq!(KernelSelect::Scalar.resolve(), KernelPath::Scalar);
-    assert_eq!(KernelSelect::Kernel.resolve(), KernelPath::Kernel);
+    assert_eq!(KernelPath::detect(), KernelPath::Kernel);
+    // A configuration made now defaults to the portable kernel.
+    let cfg = SzxConfig::absolute(1e-4);
+    assert_eq!(cfg.kernel, KernelPath::Kernel);
 
     let disabled = szx_core::compress(&data, &cfg).unwrap();
-    let disabled_back: Vec<f32> = Decoder::new(KernelSelect::Simd, false)
-        .decode(&disabled)
-        .unwrap();
+    let disabled_back: Vec<f32> = Decoder::default().decode(&disabled).unwrap();
     let disabled_par = szx_core::compress(&data, &cfg.with_parallel(true)).unwrap();
 
     // The empty string means "unset": resolution returns to hardware
@@ -75,31 +66,28 @@ fn szx_disable_simd_forces_portable_fallback_with_identical_output() {
 
 #[test]
 fn auto_prefers_simd_when_the_cpu_supports_it() {
-    // On hosts with the ISA extension, Auto resolution order is
-    // simd → kernel; elsewhere it lands on the portable kernel. Either
-    // way it must agree with available().
-    let resolved = KernelSelect::Auto.resolve();
+    // On hosts with the ISA extension, detection picks simd over kernel;
+    // elsewhere it lands on the portable kernel. Either way it must agree
+    // with available(), and it is the path every default uses.
+    let detected = KernelPath::detect();
     if szx_core::simd::available() {
-        assert_eq!(resolved, KernelPath::Simd);
+        assert_eq!(detected, KernelPath::Simd);
     } else {
-        assert_eq!(resolved, KernelPath::Kernel);
+        assert_eq!(detected, KernelPath::Kernel);
     }
+    assert_eq!(KernelPath::default(), detected);
+    assert_eq!(SzxConfig::relative(1e-3).kernel, detected);
 }
 
 #[test]
 fn all_selections_roundtrip_within_bound() {
     let data = field();
-    for sel in [
-        KernelSelect::Auto,
-        KernelSelect::Scalar,
-        KernelSelect::Kernel,
-        KernelSelect::Simd,
-    ] {
-        let cfg = SzxConfig::absolute(1e-3).with_kernel(sel);
+    for path in [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd] {
+        let cfg = SzxConfig::absolute(1e-3).with_kernel(path);
         let bytes = szx_core::compress(&data, &cfg).unwrap();
-        let back: Vec<f32> = Decoder::new(sel, false).decode(&bytes).unwrap();
+        let back: Vec<f32> = Decoder::new(path, false).decode(&bytes).unwrap();
         for (x, y) in data.iter().zip(&back) {
-            assert!((x - y).abs() <= 1e-3, "{sel:?}");
+            assert!((x - y).abs() <= 1e-3, "{path:?}");
         }
     }
 }

@@ -19,7 +19,7 @@
 //! on multiple threads, so two tests snapshotting/resetting the registry
 //! would race each other.
 
-use szx_core::config::KernelSelect;
+use szx_core::config::KernelPath;
 use szx_core::decode::ParsedStream;
 use szx_core::{analysis, CommitStrategy, SzxConfig, SzxFloat};
 use szx_data::{Application, Scale};
@@ -185,11 +185,7 @@ fn check_matrix<F: SzxFloat>(data: &[F]) {
             CommitStrategy::BitPack,
             CommitStrategy::BytePlusResidual,
         ] {
-            for kernel in [
-                KernelSelect::Scalar,
-                KernelSelect::Kernel,
-                KernelSelect::Simd,
-            ] {
+            for kernel in [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd] {
                 for parallel in [false, true] {
                     let cfg = base
                         .with_strategy(strategy)
@@ -240,7 +236,7 @@ fn telemetry_counters_match_classify_serial_and_parallel() {
 
     // And the parallel decoder publishes the same totals.
     tel.reset();
-    let back2: Vec<f32> = szx_core::Decoder::new(KernelSelect::Auto, true)
+    let back2: Vec<f32> = szx_core::Decoder::new(KernelPath::detect(), true)
         .decode(&bytes)
         .unwrap();
     // Bitwise: the field carries NaNs, which `==` would reject.

@@ -152,7 +152,7 @@ fn chrome_trace_roundtrip_lanes_and_determinism() {
 
     // --- Parallel pipeline: chunk workers occupy distinct lanes. ---
     let pbytes = szx_core::compress(&data, &cfg.with_parallel(true)).unwrap();
-    let pback: Vec<f32> = szx_core::Decoder::new(szx_core::KernelSelect::Auto, true)
+    let pback: Vec<f32> = szx_core::Decoder::new(szx_core::KernelPath::detect(), true)
         .decode(&pbytes)
         .unwrap();
     assert_eq!(pback.len(), data.len());
@@ -183,7 +183,7 @@ fn chrome_trace_roundtrip_lanes_and_determinism() {
     // --- Determinism: identical runs emit the identical event set. ---
     let run = || {
         let b = szx_core::compress(&data, &cfg.with_parallel(true)).unwrap();
-        let _: Vec<f32> = szx_core::Decoder::new(szx_core::KernelSelect::Auto, true)
+        let _: Vec<f32> = szx_core::Decoder::new(szx_core::KernelPath::detect(), true)
             .decode(&b)
             .unwrap();
         take_trace()

@@ -2,13 +2,14 @@
 //! the stream `compress` writes for the whole slice, byte for byte, and
 //! `Decoder::decode_windows` reconstructs what `decode` does — values and
 //! the error of a corrupt stream alike — whichever thread decodes which
-//! window.
+//! window. Every stream and decode of the matrix (scalar, kernel and simd
+//! paths, serial and parallel) equals the serial scalar one.
 
 use std::sync::Mutex;
 
 use szx_core::decode::ParsedStream;
 use szx_core::{
-    compress, window_len, CommitStrategy, Decoder, Encoder, ErrorBound, KernelSelect, RangeScan,
+    compress, window_len, CommitStrategy, Decoder, Encoder, ErrorBound, KernelPath, RangeScan,
     SzxConfig, SzxError, SzxFloat,
 };
 
@@ -22,11 +23,7 @@ const STRATEGIES: [CommitStrategy; 3] = [
     CommitStrategy::BitPack,
     CommitStrategy::BytePlusResidual,
 ];
-const KERNELS: [KernelSelect; 3] = [
-    KernelSelect::Scalar,
-    KernelSelect::Kernel,
-    KernelSelect::Simd,
-];
+const KERNELS: [KernelPath; 3] = [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd];
 
 /// A wave with plateaus (constant blocks), noise (non-constant ones) and a
 /// NaN (a bit-exact block).
@@ -42,6 +39,112 @@ fn field<F: SzxFloat>() -> Vec<F> {
             F::from_f64(if i == 4321 { f64::NAN } else { v })
         })
         .collect()
+}
+
+/// Block-128 waves over several windows (2.5 of `f32`, 5 of `f64`),
+/// nearly all non-constant at an absolute bound of 1e-3.
+fn waves<F: SzxFloat>() -> Vec<F> {
+    (0..5 * window_len::<f32>(128) / 2)
+        .map(|i| {
+            let x = i as f64 * 1e-3;
+            F::from_f64(x.sin() * 20.0 + (x * 13.7).cos() * 0.5)
+        })
+        .collect()
+}
+
+/// SCALE-LetKF T-like: at a relative bound of 1e-3 nearly every block is
+/// non-constant with two mid-bytes per value (the decode kernels' lead
+/// clamp), and 100 003 values end in a ragged quad of a 35-value block.
+fn scale_like<F: SzxFloat>() -> Vec<F> {
+    (0..100_003)
+        .map(|i| {
+            let x = i as f64;
+            let t = 257.5 + 40.0 * (x * 1e-4).sin();
+            F::from_f64(t + 0.5 * (x * 0.37).sin() + 0.3 * (x * 1.913).cos())
+        })
+        .collect()
+}
+
+/// Runs of zeros of both signs between positive waves, and NaNs, over
+/// several windows: the zero minimum a relative bound's range scan meets
+/// lands in different accumulators of the SIMD min/max.
+fn mixed_zeros<F: SzxFloat>() -> Vec<F> {
+    (0..300_000usize)
+        .map(|i| {
+            let v = if i % 10_007 == 5 {
+                f64::NAN
+            } else if (i / 5_000) % 3 == 0 {
+                if i * 7 % 3 == 0 {
+                    -0.0
+                } else {
+                    0.0
+                }
+            } else {
+                (50.0 * (i as f64 * 1e-3).sin() + 0.3 * (i as f64 * 0.037).cos()).abs()
+            };
+            F::from_f64(v)
+        })
+        .collect()
+}
+
+/// One input of the matrix: its values, block size, and the bounds and
+/// strategies it is coded with.
+struct Input<F> {
+    what: &'static str,
+    data: Vec<F>,
+    block_size: usize,
+    bounds: &'static [ErrorBound],
+    strategies: &'static [CommitStrategy],
+}
+
+fn inputs<F: SzxFloat>() -> Vec<Input<F>> {
+    const BYTE_ALIGNED: &[CommitStrategy] = &[CommitStrategy::ByteAligned];
+    const REL: &[ErrorBound] = &[ErrorBound::Relative(1e-3)];
+    vec![
+        Input {
+            what: "field",
+            data: field(),
+            block_size: BS,
+            bounds: &[ErrorBound::Absolute(1e-2), ErrorBound::Relative(1e-3)],
+            strategies: &STRATEGIES,
+        },
+        Input {
+            what: "waves",
+            data: waves(),
+            block_size: 128,
+            bounds: &[ErrorBound::Absolute(1e-3)],
+            strategies: BYTE_ALIGNED,
+        },
+        Input {
+            what: "scale-like",
+            data: scale_like(),
+            block_size: 128,
+            bounds: REL,
+            strategies: BYTE_ALIGNED,
+        },
+        Input {
+            what: "mixed-zeros",
+            data: mixed_zeros(),
+            block_size: 128,
+            bounds: REL,
+            strategies: BYTE_ALIGNED,
+        },
+    ]
+}
+
+#[test]
+fn scale_like_blocks_take_two_mid_bytes() {
+    let data = scale_like::<f32>();
+    let bytes = compress(&data, &SzxConfig::relative(1e-3)).unwrap();
+    let parsed = ParsedStream::parse::<f32>(&bytes).unwrap();
+    let nonconstant: Vec<usize> = (0..parsed.num_blocks())
+        .filter(|&b| parsed.state(b))
+        .collect();
+    assert!(nonconstant.len() * 10 > parsed.num_blocks() * 9);
+    for b in nonconstant {
+        let r_k = parsed.payloads[parsed.payload_span(b).0];
+        assert!((9..=16).contains(&r_k), "block {b}: R_k {r_k}");
+    }
 }
 
 /// The stream of `data` fed to an `Encoder` in pushes of `push`
@@ -65,29 +168,32 @@ fn encode_windows<F: SzxFloat>(data: &[F], cfg: &SzxConfig, push: usize) -> Vec<
 }
 
 fn encoder_matches_compress<F: SzxFloat>() {
-    let data = field::<F>();
-    // An odd multiple of 8 blocks shorter than a window, one window plus
-    // 8 blocks, and one push of the whole input (several windows).
-    let window = window_len::<F>(BS);
-    let windows = [97 * 8 * BS, window + 8 * BS, N];
-    for bound in [ErrorBound::Absolute(1e-2), ErrorBound::Relative(1e-3)] {
-        for strategy in STRATEGIES {
-            for kernel in KERNELS {
-                for parallel in [false, true] {
-                    let cfg = SzxConfig {
-                        block_size: BS,
-                        error_bound: bound,
-                        strategy,
-                        kernel,
-                        parallel,
-                    };
-                    let reference = compress(&data, &cfg).unwrap();
-                    for window in windows {
-                        assert!(
-                            encode_windows(&data, &cfg, window) == reference,
-                            "{} {cfg:?} pushes of {window}",
-                            F::NAME
-                        );
+    for input in inputs::<F>() {
+        let (data, bs) = (&input.data, input.block_size);
+        // An odd multiple of 8 blocks shorter than a window, one window
+        // plus 8 blocks, and one push of the whole input.
+        let pushes = [97 * 8 * bs, window_len::<F>(bs) + 8 * bs, data.len()];
+        for &bound in input.bounds {
+            for &strategy in input.strategies {
+                let base = SzxConfig {
+                    block_size: bs,
+                    error_bound: bound,
+                    strategy,
+                    kernel: KernelPath::Scalar,
+                    parallel: false,
+                };
+                let reference = compress(data, &base).unwrap();
+                for kernel in KERNELS {
+                    for parallel in [false, true] {
+                        let cfg = base.with_kernel(kernel).with_parallel(parallel);
+                        let what = format!("{} {} {cfg:?}", F::NAME, input.what);
+                        assert!(compress(data, &cfg).unwrap() == reference, "{what}");
+                        for push in pushes {
+                            assert!(
+                                encode_windows(data, &cfg, push) == reference,
+                                "{what} pushes of {push}"
+                            );
+                        }
                     }
                 }
             }
@@ -137,38 +243,43 @@ fn decode_windows<F: SzxFloat>(
 }
 
 fn windowed_decode_matches_decode<F: SzxFloat>() {
-    let data = field::<F>();
-    let window = window_len::<F>(BS);
-    for strategy in STRATEGIES {
-        let cfg = SzxConfig::relative(1e-3)
-            .with_block_size(BS)
-            .with_strategy(strategy);
-        let bytes = compress(&data, &cfg).unwrap();
-        let reference: Vec<F> = Decoder::new(KernelSelect::Scalar, false)
-            .decode(&bytes)
-            .unwrap();
-        for kernel in KERNELS {
-            for parallel in [false, true] {
-                let what = format!("{} {strategy:?} {kernel:?} parallel={parallel}", F::NAME);
-                let mut decoder = Decoder::new(kernel, parallel);
-                let (r, mut got) = decode_windows::<F>(&mut decoder, &bytes);
-                r.unwrap();
-                if !parallel {
-                    assert!(got.is_sorted_by_key(|&(at, _)| at), "{what}: serial order");
+    for input in inputs::<F>() {
+        let (data, bs) = (&input.data, input.block_size);
+        let window = window_len::<F>(bs);
+        for &strategy in input.strategies {
+            let cfg = SzxConfig::relative(1e-3)
+                .with_block_size(bs)
+                .with_strategy(strategy);
+            let bytes = compress(data, &cfg).unwrap();
+            let reference: Vec<F> = Decoder::new(KernelPath::Scalar, false)
+                .decode(&bytes)
+                .unwrap();
+            let same = |values: &[F]| {
+                values.len() == reference.len()
+                    && (values.iter().zip(&reference)).all(|(a, b)| a.to_word() == b.to_word())
+            };
+            for kernel in KERNELS {
+                for parallel in [false, true] {
+                    let what = format!(
+                        "{} {} {strategy:?} {kernel:?} parallel={parallel}",
+                        F::NAME,
+                        input.what
+                    );
+                    let mut decoder = Decoder::new(kernel, parallel);
+                    assert!(same(&decoder.decode::<F>(&bytes).unwrap()), "{what}");
+                    let (r, mut got) = decode_windows::<F>(&mut decoder, &bytes);
+                    r.unwrap();
+                    if !parallel {
+                        assert!(got.is_sorted_by_key(|&(at, _)| at), "{what}: serial order");
+                    }
+                    got.sort_unstable_by_key(|&(at, _)| at);
+                    // Whole windows at their offsets, the last one ragged.
+                    let starts: Vec<usize> = got.iter().map(|&(at, _)| at).collect();
+                    let expected: Vec<usize> = (0..data.len()).step_by(window).collect();
+                    assert_eq!(starts, expected, "{what}");
+                    let values: Vec<F> = got.into_iter().flat_map(|(_, w)| w).collect();
+                    assert!(same(&values), "{what}");
                 }
-                got.sort_unstable_by_key(|&(at, _)| at);
-                // Whole windows at their offsets, the last one ragged.
-                let starts: Vec<usize> = got.iter().map(|&(at, _)| at).collect();
-                assert_eq!(starts, (0..N).step_by(window).collect::<Vec<_>>(), "{what}");
-                let values: Vec<F> = got.into_iter().flat_map(|(_, w)| w).collect();
-                assert!(
-                    values.len() == reference.len()
-                        && values
-                            .iter()
-                            .zip(&reference)
-                            .all(|(a, b)| a.to_word() == b.to_word()),
-                    "{what}"
-                );
             }
         }
     }
