@@ -115,13 +115,9 @@ fn report_findings(
 }
 
 fn cmd_run(args: &[String]) -> Result<bool, String> {
-    let scale = match flag_value(args, "--scale").as_deref() {
-        Some("tiny") => Scale::Tiny,
-        Some("small") | None => Scale::Small,
-        Some("medium") => Scale::Medium,
-        Some("large") => Scale::Large,
-        Some("full") => Scale::Full,
-        Some(other) => return Err(format!("unknown scale {other:?}")),
+    let scale = match flag_value(args, "--scale") {
+        None => Scale::Small,
+        Some(name) => Scale::parse(&name).ok_or(format!("unknown scale {name:?}"))?,
     };
     let mut opts = RunOptions {
         scale,

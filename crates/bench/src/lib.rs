@@ -1,8 +1,6 @@
 //! Shared harness for the experiment binaries (one per paper table/figure;
 //! see DESIGN.md §6 for the experiment index).
 
-#![forbid(unsafe_code)]
-
 pub mod observatory;
 
 use std::time::Instant;
@@ -10,19 +8,20 @@ use std::time::Instant;
 use szx_data::{Application, Scale};
 
 /// Experiment scale, overridable with `SZX_SCALE=tiny|small|medium|large|full`
-/// (default `small` = the paper's grids divided by 8 per axis).
+/// (unset or empty: `small` = the paper's grids divided by 8 per axis).
+///
+/// # Panics
+///
+/// When `SZX_SCALE` names no scale: a misspelt value must not quietly run
+/// the default grids.
 pub fn scale_from_env() -> Scale {
-    match std::env::var("SZX_SCALE")
+    let name = std::env::var("SZX_SCALE")
         .unwrap_or_default()
-        .to_lowercase()
-        .as_str()
-    {
-        "tiny" => Scale::Tiny,
-        "medium" => Scale::Medium,
-        "large" => Scale::Large,
-        "full" => Scale::Full,
-        _ => Scale::Small,
+        .to_lowercase();
+    if name.is_empty() {
+        return Scale::Small;
     }
+    Scale::parse(&name).unwrap_or_else(|| panic!("unknown SZX_SCALE value {name:?}"))
 }
 
 /// Deterministic per-application seed so every binary sees the same data.

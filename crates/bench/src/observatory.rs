@@ -522,16 +522,6 @@ impl Default for RunOptions {
     }
 }
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Medium => "medium",
-        Scale::Large => "large",
-        Scale::Full => "full",
-    }
-}
-
 /// Hotspots recorded per cell.
 const HOTSPOT_TOP_N: usize = 10;
 /// Sampling rate for the hotspot pass: well above the 997 Hz default so
@@ -691,7 +681,7 @@ pub fn run(opts: &RunOptions) -> BenchReport {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0),
-        scale: scale_name(opts.scale).to_string(),
+        scale: opts.scale.name().to_string(),
         threads: rayon::current_num_threads() as u64,
         samples: opts.samples as u64,
         fields_per_suite: opts.max_fields as u64,

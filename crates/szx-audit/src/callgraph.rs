@@ -451,6 +451,35 @@ mod tests {
     }
 
     #[test]
+    fn const_generic_block_turbofish_links_caller_to_callee() {
+        let decode = "pub fn decompress(b: &[u8]) -> u8 {\n\
+                      dekernels::decode::<u8, { 2 > 1 }>(b)\n\
+                      + b.first().map_or(0, |_| dekernels::peek::<{ N }>(b))\n\
+                      }\n";
+        let dekernels = "pub fn decode<T, const C: bool>(b: &[u8]) -> u8 {\n\
+                         b[7]\n\
+                         }\n\
+                         pub fn peek<const N: usize>(b: &[u8]) -> u8 {\n\
+                         b.get(N).copied().unwrap_or(0)\n\
+                         }\n";
+        let files = [
+            ("crates/szx-core/src/decode.rs", decode),
+            ("crates/szx-core/src/dekernels.rs", dekernels),
+        ];
+        let g = graph(&files);
+        let entry = "szx_core::decode::decompress";
+        assert!(has_edge(&g, entry, "szx_core::dekernels::decode"));
+        assert!(has_edge(&g, entry, "szx_core::dekernels::peek"));
+        // The panic behind the call is reported through the chain.
+        let (f, _) = crate::rules::testutil::run_graph(&files);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "panic-reach");
+        assert_eq!(f[0].symbol, "szx_core::dekernels::decode");
+        assert_eq!(f[0].chain.len(), 2, "{:?}", f[0].chain);
+        assert!(f[0].chain[0].contains(entry));
+    }
+
+    #[test]
     fn recursion_terminates() {
         let g = graph(&[(
             "crates/a/src/x.rs",

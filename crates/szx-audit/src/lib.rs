@@ -3,16 +3,16 @@
 //! Zero dependencies, same ethos as `szx_telemetry::json`: a small,
 //! hand-rolled lexer ([`source`]) feeds an item parser ([`parse`]) and a
 //! workspace call graph ([`callgraph`]), over which project-specific rules
-//! ([`rules`]) enforce the invariants the hot paths rely on — the unsafe
-//! allowlist, the trace publish protocol, transitive panic-freedom from
-//! the decode entry points, allocation-free hot loops, checked arithmetic
-//! on the parse paths, and annotated narrowing casts in kernel
-//! arithmetic. See DESIGN.md §10 for the safety model these rules encode.
+//! ([`rules`]) enforce the invariants the hot paths rely on that no
+//! compiler checks — transitive panic-freedom from the decode entry
+//! points, allocation-free hot loops, checked arithmetic on the parse
+//! paths, the trace and zone-slot publish protocols, and guarded calls of
+//! the `#[target_feature]` backends. The unsafe-code policy and the
+//! kernels' narrowing casts are rustc and clippy lints, set in the Cargo
+//! manifests. See DESIGN.md §10 for the safety model.
 //!
 //! Run it as `cargo run -p szx-audit` (or `scripts/check.sh --audit`);
 //! the committed `results/AUDIT.json` must stay clean and fresh.
-
-#![forbid(unsafe_code)]
 
 pub mod callgraph;
 pub mod parse;
@@ -82,7 +82,6 @@ pub fn run_audit(root: &Path) -> io::Result<Report> {
         rules::check_file(&file, &mut report.findings, &mut report.counts);
         files.push(file);
     }
-    rules::check_crate_attrs(&files, &mut report.findings);
     rules::check_target_feature_guards(&files, &mut report.findings, &mut report.counts);
 
     let parsed: Vec<(String, parse::ParsedFile)> = files
@@ -114,15 +113,8 @@ mod tests {
             "szx-audit found violations:\n{}",
             report.render_text()
         );
-        // Sanity: the scan actually saw the workspace — the five
-        // allowlisted unsafe sites in szx-telemetry plus the SIMD backends
-        // under crates/szx-core/src/simd/.
+        // Sanity: the scan actually saw the workspace.
         assert!(report.counts.files_scanned > 20, "{:?}", report.counts);
-        assert!(report.counts.unsafe_sites > 5, "{:?}", report.counts);
-        assert_eq!(
-            report.counts.unsafe_sites, report.counts.safety_comments,
-            "every unsafe site carries a SAFETY comment"
-        );
         assert!(
             report.counts.feature_guards > 0,
             "the SIMD dispatch layer's guarded #[target_feature] calls must be seen: {:?}",
@@ -135,6 +127,48 @@ mod tests {
         assert!(report.counts.call_edges > 100, "{:?}", report.counts);
         assert!(report.counts.decode_entries > 10, "{:?}", report.counts);
         assert!(report.counts.hot_entries > 10, "{:?}", report.counts);
+    }
+
+    /// The unsafe-code policy is the manifests' `[lints]` tables, which
+    /// rustc enforces — but Cargo applies the workspace table only to the
+    /// members that opt in, so a package without one would silently allow
+    /// unsafe code. Each must inherit the table or state its own.
+    #[test]
+    fn every_manifest_states_the_unsafe_code_lints() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let policy = [
+            "unsafe_op_in_unsafe_fn = \"deny\"",
+            "undocumented_unsafe_blocks = \"deny\"",
+        ];
+        let workspace = fs::read_to_string(root.join("Cargo.toml")).unwrap();
+        assert!(workspace.contains("[workspace.lints.rust]\nunsafe_code = \"forbid\""));
+        assert!(policy.iter().all(|p| workspace.contains(p)), "{workspace}");
+
+        let mut packages = vec![root.join("examples"), root.join("tests"), root.join("fuzz")];
+        for dir in ["crates", "shims"] {
+            for entry in fs::read_dir(root.join(dir)).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    packages.push(path);
+                }
+            }
+        }
+        for dir in &packages {
+            let text = fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+            let inherits = text.contains("[lints]\nworkspace = true\n");
+            // szx-core, szx-telemetry and the rayon shim deny unsafe code
+            // so single files can allow it; `fuzz/` is outside the
+            // workspace and forbids it.
+            let denies = text.contains("[lints.rust]\nunsafe_code = \"deny\"")
+                && policy.iter().all(|p| text.contains(p));
+            let forbids = text.contains("[lints.rust]\nunsafe_code = \"forbid\"");
+            assert!(
+                inherits || denies || forbids,
+                "{} states no unsafe-code lints",
+                dir.display()
+            );
+        }
+        assert!(packages.len() > 15, "{packages:?}");
     }
 
     #[test]

@@ -370,10 +370,10 @@ pub fn parse_items(file: &SourceFile) -> ParsedFile {
             Tok::Punct('.') => {
                 // Method call: `.name(` or `.name::<T>(`.
                 let recv_self = t > 0 && toks[t - 1].ident() == Some("self");
+                let mut next = t + 1;
                 if let Some(name) = toks.get(t + 1).and_then(|x| x.ident()) {
                     if !KEYWORDS.contains(&name) {
-                        let mut j = t + 2;
-                        j = skip_turbofish(&toks, j);
+                        let j = skip_turbofish(&toks, t + 2);
                         if toks.get(j).is_some_and(|x| x.is_punct('(')) {
                             if let Some(f) = current_fn(&scopes) {
                                 fns[f].calls.push(CallSite {
@@ -384,9 +384,12 @@ pub fn parse_items(file: &SourceFile) -> ParsedFile {
                                 });
                             }
                         }
+                        // Resume after the turbofish: a `{ N }` argument in
+                        // it must not open a scope.
+                        next = j;
                     }
                 }
-                t += 1;
+                t = next;
             }
             Tok::Punct(op @ ('+' | '*' | '<')) => {
                 record_arith(&toks, t, *op, &scopes, &mut fns, current_fn);
@@ -589,10 +592,15 @@ fn skip_turbofish(toks: &[Token], j: usize) -> usize {
     }
     let mut k = j + 2;
     let mut depth = 0i64;
+    let mut braces = 0usize;
     while k < toks.len() {
         match &toks[k].kind {
-            Tok::Punct('<') => depth += 1,
-            Tok::Punct('>') => {
+            // A const-generic block argument (`f::<F, { N + 1 }>`): its
+            // `<`/`>` are comparisons, not brackets, until it closes.
+            Tok::Punct('{') => braces += 1,
+            Tok::Punct('}') if braces > 0 => braces -= 1,
+            Tok::Punct('<') if braces == 0 => depth += 1,
+            Tok::Punct('>') if braces == 0 => {
                 depth -= 1;
                 if depth == 0 {
                     return k + 1;
@@ -600,9 +608,9 @@ fn skip_turbofish(toks: &[Token], j: usize) -> usize {
             }
             // After `::` the `<` is necessarily a turbofish, so parens are
             // type syntax (`channel::<()>()`, fn-pointer params) — walk
-            // through them. A statement boundary means the source was not
-            // what we thought: give up without consuming.
-            Tok::Punct(';') | Tok::Punct('{') | Tok::Punct('}') => return j,
+            // through them. A statement end or an unmatched `}` means the
+            // source was not what we thought: give up without consuming.
+            Tok::Punct(';') | Tok::Punct('}') => return j,
             _ => {}
         }
         k += 1;

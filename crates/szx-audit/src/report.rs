@@ -5,28 +5,22 @@
 //! `results/AUDIT.json` stays byte-stable across machines and CI can verify
 //! freshness with a plain `git diff --exit-code`.
 //!
-//! Schema `szx-audit/2`: findings carry a **stable fingerprint** — FNV-1a
+//! Schema `szx-audit/3`: findings carry a **stable fingerprint** — FNV-1a
 //! over `rule + symbol path + whitespace-normalized snippet` — so a finding
-//! survives unrelated edits (line drift, file reshuffles) and the
-//! `--baseline` mode can distinguish *new* findings from known ones.
-//! Call-graph findings additionally carry the full offending call chain.
+//! keeps its identity across unrelated edits (line drift, file reshuffles),
+//! which code scanning uses to track an alert across commits. Call-graph
+//! findings additionally carry the full offending call chain.
 
 use std::fmt::Write as _;
 
 /// Every rule the audit can emit, in report order. Keep in sync with the
 /// rule table in `rules/mod.rs` and the SARIF driver metadata.
 pub const RULE_IDS: &[&str] = &[
-    "unsafe-allowlist",
-    "unsafe-safety",
-    "forbid-unsafe",
-    "deny-unsafe-op",
-    "deny-unsafe-code",
     "target-feature-guard",
     "panic-reach",
     "hot-loop-alloc",
     "checked-arith",
     "atomics-protocol",
-    "cast-note",
 ];
 
 /// One rule violation at a source location.
@@ -52,13 +46,6 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// A finding without function context: the symbol is the path and the
-    /// snippet is the message (crate-attribute rules, where there is no
-    /// meaningful source line to normalize).
-    pub fn new(rule: &'static str, path: &str, line: usize, message: &str) -> Self {
-        Finding::in_symbol(rule, path, line, path, message, message)
-    }
-
     /// A finding anchored to `symbol` with `snippet` as the normalized
     /// fingerprint payload (pass the offending line's code text).
     pub fn in_symbol(
@@ -106,10 +93,7 @@ pub fn fingerprint(rule: &str, symbol: &str, snippet: &str) -> String {
 pub struct Counts {
     pub files_scanned: usize,
     pub lines_scanned: usize,
-    pub unsafe_sites: usize,
-    pub safety_comments: usize,
     pub panic_ok: usize,
-    pub cast_notes: usize,
     pub ordering_notes: usize,
     /// `#[target_feature]` call sites verified to carry a SAFETY note
     /// naming the runtime detection guard.
@@ -145,15 +129,6 @@ impl Report {
         RULE_IDS
             .iter()
             .map(|&r| (r, self.findings.iter().filter(|f| f.rule == r).count()))
-            .collect()
-    }
-
-    /// Findings whose fingerprint is NOT in `baseline` — the set a
-    /// `--baseline` run gates on.
-    pub fn new_findings<'a>(&'a self, baseline: &[String]) -> Vec<&'a Finding> {
-        self.findings
-            .iter()
-            .filter(|f| !baseline.iter().any(|b| b == &f.fingerprint))
             .collect()
     }
 
@@ -193,38 +168,26 @@ impl Report {
         );
         let _ = writeln!(
             out,
-            "  unsafe sites: {} ({} with SAFETY), PANIC-OK: {}, ALLOC-OK: {}, ARITH-OK: {}, \
-             CAST: {}, ORDERING: {}, feature guards: {}",
-            c.unsafe_sites,
-            c.safety_comments,
-            c.panic_ok,
-            c.alloc_ok,
-            c.arith_ok,
-            c.cast_notes,
-            c.ordering_notes,
-            c.feature_guards
+            "  PANIC-OK: {}, ALLOC-OK: {}, ARITH-OK: {}, ORDERING: {}, feature guards: {}",
+            c.panic_ok, c.alloc_ok, c.arith_ok, c.ordering_notes, c.feature_guards
         );
         out
     }
 
-    /// Deterministic, human-diffable JSON (schema `szx-audit/2`).
+    /// Deterministic, human-diffable JSON (schema `szx-audit/3`).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"szx-audit/2\",\n");
+        out.push_str("{\n  \"schema\": \"szx-audit/3\",\n");
         let c = &self.counts;
         let _ = write!(
             out,
             "  \"counts\": {{\n    \"files_scanned\": {},\n    \"lines_scanned\": {},\n    \
-             \"unsafe_sites\": {},\n    \"safety_comments\": {},\n    \"panic_ok\": {},\n    \
-             \"cast_notes\": {},\n    \"ordering_notes\": {},\n    \"feature_guards\": {},\n    \
+             \"panic_ok\": {},\n    \"ordering_notes\": {},\n    \"feature_guards\": {},\n    \
              \"fns_indexed\": {},\n    \"call_edges\": {},\n    \"decode_entries\": {},\n    \
              \"hot_entries\": {},\n    \"alloc_ok\": {},\n    \"arith_ok\": {}\n  }},\n",
             c.files_scanned,
             c.lines_scanned,
-            c.unsafe_sites,
-            c.safety_comments,
             c.panic_ok,
-            c.cast_notes,
             c.ordering_notes,
             c.feature_guards,
             c.fns_indexed,
@@ -274,25 +237,6 @@ impl Report {
     }
 }
 
-/// Extract every `"fingerprint": "…"` value from a previously written
-/// report (the `--baseline` input). A full JSON parse is unnecessary: the
-/// emitter above controls the byte format, and fingerprints are plain hex.
-pub fn baseline_fingerprints(json: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let needle = "\"fingerprint\": \"";
-    let mut from = 0usize;
-    while let Some(at) = json[from..].find(needle) {
-        let start = from + at + needle.len();
-        if let Some(end) = json[start..].find('"') {
-            out.push(json[start..start + end].to_string());
-            from = start + end;
-        } else {
-            break;
-        }
-    }
-    out
-}
-
 /// Minimal JSON string escaping (quotes, backslash, control chars).
 pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -322,16 +266,18 @@ mod tests {
     fn json_is_deterministic_and_escaped() {
         let mut r = Report::default();
         r.counts.files_scanned = 2;
-        r.findings.push(Finding::new(
+        r.findings.push(Finding::in_symbol(
             "panic-reach",
             "crates/x/src/a.rs",
             7,
+            "x::a::f",
+            "b.unwrap()",
             "`.unwrap()` with \"quotes\"\tand tabs",
         ));
         let a = r.to_json();
         let b = r.to_json();
         assert_eq!(a, b);
-        assert!(a.contains("\"schema\": \"szx-audit/2\""));
+        assert!(a.contains("\"schema\": \"szx-audit/3\""));
         assert!(a.contains("\\\"quotes\\\"\\tand tabs"));
         assert!(a.contains("\"finding_count\": 1"));
         assert!(a.contains("\"fingerprint\": \""));
@@ -380,23 +326,5 @@ mod tests {
         assert!(text.contains("x::a::decompress"), "{text}");
         let json = r.to_json();
         assert!(json.contains("\"chain\": ["), "{json}");
-    }
-
-    #[test]
-    fn baseline_extraction_and_new_finding_diff() {
-        let mut r = Report::default();
-        r.findings
-            .push(Finding::new("cast-note", "crates/x/src/a.rs", 1, "m1"));
-        r.findings
-            .push(Finding::new("cast-note", "crates/x/src/a.rs", 2, "m2"));
-        let json = r.to_json();
-        let fps = baseline_fingerprints(&json);
-        assert_eq!(fps.len(), 2);
-        // Full baseline: nothing new.
-        assert!(r.new_findings(&fps).is_empty());
-        // Partial baseline: exactly the missing one is new.
-        let newf = r.new_findings(&fps[..1]);
-        assert_eq!(newf.len(), 1);
-        assert_eq!(newf[0].message, "m2");
     }
 }

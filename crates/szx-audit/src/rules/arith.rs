@@ -1,7 +1,7 @@
 //! The `checked-arith` rule: raw `+`/`*`/`<<` on length/offset-typed
 //! locals on the parse paths must be `checked_*`/`saturating_*` (or carry
-//! an `// ARITH-OK:` proof; `wrapping_*` with a `// CAST:` note is the
-//! third compliant form and produces no raw operator at all).
+//! an `// ARITH-OK:` proof; `wrapping_*`, where wrapping is intended, is
+//! the third compliant form and produces no raw operator at all).
 //!
 //! This generalizes the PR-7 `pos + len` cursor-overflow fix into a rule
 //! that would have caught it: on a path that computes offsets from
@@ -92,7 +92,7 @@ pub fn check_parse_arith(
                 &format!(
                     "unchecked `{}` on length/offset operand `{operand}` on a parse path — \
                      use `checked_*`/`saturating_*` (or `// ARITH-OK:` with proof, or \
-                     `wrapping_*` with a `// CAST:` note)",
+                     `wrapping_*` where wrapping is intended)",
                     site.op
                 ),
             ));
@@ -168,7 +168,8 @@ mod tests {
     #[test]
     fn kernel_arithmetic_is_out_of_scope() {
         // The hot kernels live on validated lengths; their index math is
-        // covered by cast-note and the scratch discipline, not this rule.
+        // covered by clippy's cast lints and the scratch discipline, not
+        // this rule.
         let src = "pub fn pack(n_bytes: usize) -> usize { n_bytes * 4 }\n";
         let (f, _) = run_graph(&[("crates/szx-core/src/kernels.rs", src)]);
         assert!(f.iter().all(|x| x.rule != "checked-arith"), "{f:?}");

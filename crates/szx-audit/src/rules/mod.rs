@@ -1,14 +1,12 @@
 //! The audit rules: project-specific invariants phrased over the lexical
 //! source model of [`crate::source`] and the call graph of
-//! [`crate::callgraph`].
+//! [`crate::callgraph`]. Each one guards a property rustc and clippy
+//! cannot see; the unsafe-code policy (where unsafe code may live, its
+//! `SAFETY:` comments) and the kernels' narrowing casts are lints in the
+//! Cargo manifests and the kernel modules instead (DESIGN.md §10).
 //!
 //! | rule id                | invariant                                                        |
 //! |------------------------|------------------------------------------------------------------|
-//! | `unsafe-allowlist`     | `unsafe` appears only in the allowlisted unsafe surfaces         |
-//! | `unsafe-safety`        | every allowlisted `unsafe` site carries a `// SAFETY:` comment   |
-//! | `forbid-unsafe`        | safe crates declare `#![forbid(unsafe_code)]` at the crate root  |
-//! | `deny-unsafe-op`       | unsafe-bearing crates deny `unsafe_op_in_unsafe_fn`              |
-//! | `deny-unsafe-code`     | opt-in crates deny `unsafe_code` at the root (files re-allow)    |
 //! | `target-feature-guard` | `#[target_feature]` backends are only called behind a `SAFETY:`  |
 //! |                        | note naming the runtime feature-detection guard                  |
 //! | `panic-reach`          | no panic vector transitively reachable from a decode entry       |
@@ -18,16 +16,13 @@
 //! | `checked-arith`        | `+`/`*`/`<<` on length/offset locals on parse paths must be      |
 //! |                        | `checked_*`/`saturating_*` (or `// ARITH-OK:` with proof)        |
 //! | `atomics-protocol`     | publish fields in the lock-free modules follow release/acquire   |
-//! | `cast-note`            | narrowing `as` casts in the kernels carry a `// CAST:` note      |
 //!
-//! The first six and the last two are lexical (per-file or per-attribute);
+//! `target-feature-guard` and `atomics-protocol` are lexical (per file);
 //! `panic-reach` and `hot-loop-alloc` traverse the workspace call graph
 //! from their entry-point sets, and `checked-arith` runs over the parsed
-//! arithmetic sites of parse-path functions. PR-5's file-allowlist
-//! `panic-path` rule is replaced by `panic-reach`: instead of trusting a
-//! list of decode-side *files*, the analyzer walks every function the
-//! decode entry points can actually reach, in any file, and reports the
-//! full offending call chain.
+//! arithmetic sites of parse-path functions. `panic-reach` walks every
+//! function the decode entry points can actually reach, in any file, and
+//! reports the full offending call chain.
 
 mod allocs;
 mod arith;
@@ -37,71 +32,16 @@ mod panics;
 
 pub use allocs::{check_hot_loop_allocs, HOT_ENTRY_FILES};
 pub use arith::{check_parse_arith, PARSE_PATH_FILES};
-pub use lexical::{check_crate_attrs, check_target_feature_guards};
+pub use lexical::check_target_feature_guards;
 pub use panics::{check_panic_reach, is_decode_entry};
 
 use crate::callgraph::CallGraph;
 use crate::report::{Counts, Finding};
 use crate::source::SourceFile;
 
-/// Files allowed to contain `unsafe` (each site still needs `// SAFETY:`).
-/// The rayon shim's pool erases one closure lifetime to run borrowed work
-/// on its persistent threads.
-pub const UNSAFE_ALLOWLIST: &[&str] = &[
-    "crates/szx-telemetry/src/trace.rs",
-    "crates/szx-telemetry/src/json.rs",
-    "shims/rayon/src/pool.rs",
-];
-
-/// Directory prefixes allowed to contain `unsafe` (same `// SAFETY:`
-/// obligation as [`UNSAFE_ALLOWLIST`]). The explicit SIMD backends live
-/// here: the szx-core crate root carries `#![deny(unsafe_code)]` and only
-/// these files opt back in with an inner `#![allow(unsafe_code)]`, so the
-/// crate's entire unsafe surface is this directory.
-pub const UNSAFE_ALLOWLIST_PREFIXES: &[&str] = &["crates/szx-core/src/simd/"];
-
-/// Crate roots that must carry `#![forbid(unsafe_code)]`. (szx-core moved
-/// to [`DENY_UNSAFE_OP_ROOTS`] when the SIMD backends landed: `forbid`
-/// cannot be overridden by a module, `deny` can — see
-/// [`UNSAFE_ALLOWLIST_PREFIXES`].)
-pub const FORBID_UNSAFE_ROOTS: &[&str] = &[
-    "crates/szx-data/src/lib.rs",
-    "crates/szx-cli/src/main.rs",
-    "crates/szx-metrics/src/lib.rs",
-    "crates/szx-baselines/src/lib.rs",
-    "crates/szx-gpu-sim/src/lib.rs",
-    "crates/szx-io-sim/src/lib.rs",
-    "crates/bench/src/lib.rs",
-    "crates/szx-audit/src/lib.rs",
-    "crates/szx-fuzz/src/lib.rs",
-    "crates/szx-profile/src/lib.rs",
-    "tests/src/lib.rs",
-];
-
-/// Crate roots that must carry `#![deny(unsafe_op_in_unsafe_fn)]` — the
-/// crates allowed to hold unsafe code at all.
-pub const DENY_UNSAFE_OP_ROOTS: &[&str] = &[
-    "crates/szx-telemetry/src/lib.rs",
-    "crates/szx-core/src/lib.rs",
-    "shims/rayon/src/lib.rs",
-];
-
-/// Crate roots that must carry `#![deny(unsafe_code)]`: crates whose unsafe
-/// surface is confined to allowlisted files via per-file
-/// `#![allow(unsafe_code)]` opt-ins.
-pub const DENY_UNSAFE_CODE_ROOTS: &[&str] =
-    &["crates/szx-core/src/lib.rs", "shims/rayon/src/lib.rs"];
-
-/// Kernel modules whose offset arithmetic must annotate narrowing casts.
-/// The SIMD dispatch layer and the x86 backend join the portable kernels:
-/// their shift/byte-count arithmetic narrows just the same.
-pub const CAST_FILES: &[&str] = &[
-    "crates/szx-core/src/kernels.rs",
-    "crates/szx-core/src/dekernels.rs",
-    "crates/szx-core/src/simd/mod.rs",
-    "crates/szx-core/src/simd/x86.rs",
-    "crates/szx-core/src/simd/neon.rs",
-];
+/// Where the `#[target_feature]` backends and their dispatch layer live
+/// (see [`check_target_feature_guards`]).
+pub const TARGET_FEATURE_PREFIX: &str = "crates/szx-core/src/simd/";
 
 /// Lock-free modules and the atomic fields in them that publish other
 /// state: the trace buffer's `len` guards `UnsafeCell` slot contents, the
@@ -117,10 +57,6 @@ pub const ATOMIC_PROTOCOL_MODULES: &[(&str, &[&str])] = &[
 
 /// Run every lexical per-file rule on `file`.
 pub fn check_file(file: &SourceFile, findings: &mut Vec<Finding>, counts: &mut Counts) {
-    lexical::unsafe_hygiene(file, findings, counts);
-    if CAST_FILES.contains(&file.rel_path.as_str()) {
-        lexical::cast_notes(file, findings, counts);
-    }
     if let Some(&(_, fields)) = ATOMIC_PROTOCOL_MODULES
         .iter()
         .find(|(m, _)| *m == file.rel_path)
@@ -158,21 +94,6 @@ pub(crate) fn is_test_context(rel_path: &str) -> bool {
 
 pub(crate) fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
-}
-
-/// Word-boundary search for an identifier-like token.
-pub(crate) fn has_word(code: &str, word: &str) -> bool {
-    let mut from = 0usize;
-    while let Some(at) = code[from..].find(word) {
-        let abs = from + at;
-        let before = code[..abs].chars().next_back();
-        let after = code[abs + word.len()..].chars().next();
-        if !before.is_some_and(is_ident_char) && !after.is_some_and(is_ident_char) {
-            return true;
-        }
-        from = abs + word.len();
-    }
-    false
 }
 
 /// Macro-call search: `name` must not be preceded by an identifier char
@@ -298,8 +219,8 @@ mod tests {
 
     #[test]
     fn word_and_macro_helpers() {
-        assert!(has_word("unsafe { x }", "unsafe"));
-        assert!(!has_word("unsafe_code", "unsafe"));
+        assert_eq!(leading_ident("scan8(d)"), "scan8");
+        assert_eq!(trailing_ident("self.len"), "len");
         assert!(has_macro("assert!(x)", "assert!"));
         assert!(!has_macro("debug_assert!(x)", "assert!"));
     }

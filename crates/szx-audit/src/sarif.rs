@@ -21,11 +21,6 @@ use std::fmt::Write as _;
 /// Short human description per rule, surfaced in the SARIF rule metadata.
 fn rule_description(rule: &str) -> &'static str {
     match rule {
-        "unsafe-allowlist" => "`unsafe` appears outside the allowlisted modules",
-        "unsafe-safety" => "`unsafe` block without an adjacent `// SAFETY:` comment",
-        "forbid-unsafe" => "crate root is missing `#![forbid(unsafe_code)]`",
-        "deny-unsafe-op" => "crate root is missing `#![deny(unsafe_op_in_unsafe_fn)]`",
-        "deny-unsafe-code" => "crate root is missing `#![deny(unsafe_code)]`",
         "target-feature-guard" => {
             "`#[target_feature]` fn without a SAFETY note naming the runtime detection guard"
         }
@@ -37,7 +32,6 @@ fn rule_description(rule: &str) -> &'static str {
         }
         "checked-arith" => "unchecked `+`/`*`/`<<` on a length/offset local on a parse path",
         "atomics-protocol" => "atomic access violating the documented ordering protocol",
-        "cast-note" => "numeric cast on a kernel path without a `// CAST:` note",
         _ => "szx-audit rule",
     }
 }
@@ -54,7 +48,7 @@ pub fn to_sarif(report: &Report) -> String {
     out.push_str("      \"tool\": {\n        \"driver\": {\n");
     out.push_str("          \"name\": \"szx-audit\",\n");
     out.push_str("          \"informationUri\": \"https://github.com/szx/szx\",\n");
-    out.push_str("          \"version\": \"2.0.0\",\n");
+    out.push_str("          \"version\": \"3.0.0\",\n");
     out.push_str("          \"rules\": [");
     for (i, rule) in RULE_IDS.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };

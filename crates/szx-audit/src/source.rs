@@ -1,11 +1,11 @@
 //! Line-oriented lexical model of a Rust source file.
 //!
 //! The audit rules never need a full parse tree — every invariant they
-//! enforce is phrased over *tokens on lines* ("an `unsafe` keyword", "a
+//! enforce is phrased over *tokens on lines* ("a `#[target_feature]` fn", "a
 //! `.unwrap()` call", "a slice-index bracket") plus the comments around
 //! them. What they absolutely do need is to never fire inside string
 //! literals or comments, and to know which comment text sits on or above a
-//! line (that is where `// SAFETY:` / `// PANIC-OK:` / `// CAST:`
+//! line (that is where `// SAFETY:` / `// PANIC-OK:` / `// ALLOC-OK:`
 //! justifications live). This module provides exactly that: a small lexer
 //! that splits each physical line into its **code** text (string/char
 //! literal contents blanked, comments removed) and its **comment** text,

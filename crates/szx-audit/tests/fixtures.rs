@@ -3,13 +3,11 @@
 //! fingerprints. The committed-workspace tests only prove the zero-finding
 //! path; this proves each rule detects what it claims to detect, and pins
 //! the fingerprint scheme so a change to it is a deliberate, visible diff
-//! (every committed baseline would need regenerating).
-
-#![forbid(unsafe_code)]
+//! (code scanning would see every alert as new).
 
 use std::path::Path;
 
-use szx_audit::report::{baseline_fingerprints, Report, RULE_IDS};
+use szx_audit::report::{Report, RULE_IDS};
 
 fn fixture_report() -> Report {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws");
@@ -21,36 +19,6 @@ fn fixture_report() -> Report {
 /// are deliberately excluded, so editing a fixture's *comments* must not
 /// change these values, while editing the violating code must.
 const EXPECTED: &[(&str, &str, usize, &str)] = &[
-    (
-        "unsafe-allowlist",
-        "crates/szx-core/src/huffman.rs",
-        6,
-        "e3a84ee5821dfef7",
-    ),
-    (
-        "unsafe-safety",
-        "crates/szx-telemetry/src/json.rs",
-        5,
-        "1020b68d91b34469",
-    ),
-    (
-        "forbid-unsafe",
-        "crates/szx-data/src/lib.rs",
-        1,
-        "537ef5aa220a6c93",
-    ),
-    (
-        "deny-unsafe-op",
-        "crates/szx-telemetry/src/lib.rs",
-        1,
-        "3e1a13976b85ebe4",
-    ),
-    (
-        "deny-unsafe-code",
-        "crates/szx-core/src/lib.rs",
-        1,
-        "3daeb274b623eb70",
-    ),
     (
         "target-feature-guard",
         "crates/szx-core/src/simd/mod.rs",
@@ -81,12 +49,6 @@ const EXPECTED: &[(&str, &str, usize, &str)] = &[
         8,
         "19a34e45eca9306e",
     ),
-    (
-        "cast-note",
-        "crates/szx-core/src/simd/neon.rs",
-        5,
-        "1bce68b73c082f28",
-    ),
 ];
 
 #[test]
@@ -111,8 +73,8 @@ fn every_rule_fires_exactly_once_with_the_expected_fingerprint() {
         assert_eq!(f.line, line, "{rule}");
         assert_eq!(
             f.fingerprint, fp,
-            "{rule} fingerprint drifted — if the \
-             scheme changed deliberately, regenerate every committed baseline"
+            "{rule} fingerprint drifted — a deliberate scheme change \
+             re-identifies every code-scanning alert"
         );
     }
 }
@@ -154,31 +116,6 @@ fn report_is_deterministic_and_fingerprints_are_well_formed() {
     fps.sort_unstable();
     fps.dedup();
     assert_eq!(fps.len(), a.findings.len(), "fingerprints must be distinct");
-}
-
-#[test]
-fn baseline_diff_reports_only_new_findings() {
-    let report = fixture_report();
-    let json = report.to_json();
-
-    // A baseline containing every current fingerprint: nothing is new.
-    let full = baseline_fingerprints(&json);
-    assert_eq!(full.len(), report.findings.len());
-    assert!(report.new_findings(&full).is_empty());
-
-    // Drop one fingerprint from the baseline: exactly that finding is new.
-    let dropped = &report.findings[0];
-    let partial: Vec<String> = full
-        .iter()
-        .filter(|fp| **fp != dropped.fingerprint)
-        .cloned()
-        .collect();
-    let new = report.new_findings(&partial);
-    assert_eq!(new.len(), 1, "{new:?}");
-    assert_eq!(new[0].fingerprint, dropped.fingerprint);
-
-    // An empty baseline (first adoption): everything is new.
-    assert_eq!(report.new_findings(&[]).len(), report.findings.len());
 }
 
 #[test]

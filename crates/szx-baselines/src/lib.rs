@@ -16,8 +16,6 @@
 //!   multicore experiments (Tables 6–7).
 //! * [`huffman`] — the shared canonical Huffman substrate.
 
-#![forbid(unsafe_code)]
-
 pub mod chunked;
 pub mod error;
 pub mod huffman;

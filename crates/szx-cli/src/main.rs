@@ -1,8 +1,6 @@
 //! `szx` — command-line compressor/decompressor/assessor, mirroring the
 //! upstream SZx executable's workflow on raw little-endian f32/f64 files.
 
-#![forbid(unsafe_code)]
-
 use std::io::Write;
 use std::marker::PhantomData;
 use std::os::unix::fs::FileExt;
@@ -1185,14 +1183,11 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         Some("scale") => Application::ScaleLetkf,
         _ => return Err(format!("unknown application {}", app.display())),
     };
-    std::fs::create_dir_all(&dir).map_err(at(&dir))?;
-    let scale = match flag_value(args, "--scale").as_deref() {
-        Some("tiny") => Scale::Tiny,
-        Some("medium") => Scale::Medium,
-        Some("large") => Scale::Large,
-        Some("full") => Scale::Full,
-        _ => Scale::Small,
+    let scale = match flag_value(args, "--scale") {
+        None => Scale::Small,
+        Some(name) => Scale::parse(&name).ok_or(format!("unknown scale {name}"))?,
     };
+    std::fs::create_dir_all(&dir).map_err(at(&dir))?;
     let ds = app.generate(scale, 42);
     for f in &ds.fields {
         let path = dir.join(format!("{}.f32", f.name.replace('/', "_")));

@@ -42,6 +42,22 @@ fn compress_rejects(name: &str, extra: &[&str], token: &str) {
 }
 
 #[test]
+fn unknown_scale_fails_before_creating_the_directory() {
+    let dir = scratch("scale").join("fields");
+    let out = Command::new(env!("CARGO_BIN_EXE_szx"))
+        .args(["gen", "qmcpack"])
+        .arg(&dir)
+        .args(["--scale", "tinyy"])
+        .output()
+        .expect("run szx");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "--scale tinyy was accepted");
+    assert!(stderr.contains("tinyy"), "{stderr}");
+    assert!(!dir.exists(), "gen created {}", dir.display());
+    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+}
+
+#[test]
 fn unknown_flags_and_surplus_paths_fail_before_writing() {
     // A misspelt flag, `--kernel` (the hot-loop path is detected, not
     // chosen), and a third path on a two-path command.

@@ -45,6 +45,8 @@
 //! fuzz oracle assert. The scalar decoder stays as the oracle, the scalar
 //! [`KernelPath`](crate::config::KernelPath).
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::block::{bytes_for, shift_for};
 use crate::contracts::contract;
 use crate::error::{Result, SzxError};
@@ -124,7 +126,6 @@ impl<'a> Block<'a> {
             return Err(SzxError::CorruptStream("block payload truncated".into()));
         }
         // PANIC-OK: the length check above guarantees 1 + lead_bytes bytes.
-        // CAST: widening u8 -> u32.
         let req_len = payload[0] as u32;
         if req_len < F::SIGN_EXP_BITS || req_len > F::FULL_BITS {
             return Err(SzxError::CorruptStream(format!(
@@ -153,7 +154,8 @@ impl<'a> Block<'a> {
             pool: &scratch.pool,
             nb,
             s: shift_for(req_len),
-            top: !0u64 << (64 - 8 * nb as u32), // CAST: nb <= 8
+            #[expect(clippy::cast_possible_truncation, reason = "nb <= 8")]
+            top: !0u64 << (64 - 8 * nb as u32),
             raw: req_len == F::FULL_BITS,
         })
     }
@@ -196,7 +198,7 @@ fn clamped_lead_sum(codes: &[u8], blen: usize, nb: usize) -> usize {
         let pad_bits = 2 * ((4 - blen % 4) % 4);
         total -= sum(u64::from(last) & ((1u64 << pad_bits) - 1));
     }
-    total as usize // CAST: widening u32 -> usize
+    total as usize
 }
 
 /// The carried state of the one-pass scan — the pool offset and the word
@@ -218,10 +220,11 @@ pub(crate) struct Scan {
 impl Scan {
     pub(crate) fn new(nb: usize) -> Self {
         let (mut keep, mut shr, mut adv) = ([0; 4], [0; 4], [0; 4]);
+        #[expect(clippy::cast_possible_truncation, reason = "l <= 3")]
         for c in 0..4 {
             let l = c.min(nb);
             keep[c] = !(u64::MAX >> (8 * l)); // PANIC-OK: c < 4
-            shr[c] = 8 * l as u32; // PANIC-OK: as above; CAST: l <= 3
+            shr[c] = 8 * l as u32; // PANIC-OK: as above
             adv[c] = nb - l; // PANIC-OK: as above
         }
         Scan {
@@ -285,6 +288,7 @@ pub(crate) fn decode_nonconstant_block<F: SzxFloat>(
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
     use crate::config::{CommitStrategy, SzxConfig};

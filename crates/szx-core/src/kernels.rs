@@ -30,6 +30,8 @@
 //! scalar loops are kept as the oracle, the scalar
 //! [`KernelPath`](crate::config::KernelPath).
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::bitio::BitWriter;
 use crate::block::{bytes_for, required_length, shift_for, BlockStats};
 use crate::config::CommitStrategy;
@@ -215,7 +217,8 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
     let blen = block.len();
     scratch.ensure(blen);
 
-    payload.push(req_len as u8); // CAST: req_len <= FULL_BITS = 64
+    #[expect(clippy::cast_possible_truncation, reason = "req_len <= FULL_BITS = 64")]
+    payload.push(req_len as u8);
 
     // Pass 1 — normalize and shift (Formula 5). Solution C right-shifts so
     // the required bits fill whole bytes; A/B keep the word unshifted. The
@@ -241,21 +244,28 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
     // identical leading bytes, clamped branch-free to the strategy's cap.
     // The predecessor comes from a two-element window over the materialized
     // words, so there is no loop-carried scalar dependence.
-    // CAST: both arms are clamped to at most 3.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "both arms are clamped to at most 3"
+    )]
     let lead_cap = match strategy {
         CommitStrategy::ByteAligned => bytes_for(req_len).min(3),
         _ => (req_len / 8).min(3) as usize,
-    } as u8; // CAST: as above
-             // PANIC-OK: as for words.
+    } as u8;
+    // PANIC-OK: as for words.
     let leads = &mut scratch.leads[..blen];
-    // CAST: leading_zeros() <= 64, so clz >> 3 <= 8 fits u8.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "leading_zeros() <= 64, so clz >> 3 <= 8 fits u8"
+    )]
     // PANIC-OK: a non-constant block holds at least one value.
-    leads[0] = ((words[0].leading_zeros() >> 3) as u8).min(lead_cap);
+    let first = (words[0].leading_zeros() >> 3) as u8;
+    leads[0] = first.min(lead_cap); // PANIC-OK: as above
+    #[expect(clippy::cast_possible_truncation, reason = "clz >> 3 <= 8 fits u8")]
     // PANIC-OK: as above, so leads[1..] is at worst empty.
     for (l, pair) in leads[1..].iter_mut().zip(words.windows(2)) {
         // PANIC-OK: windows(2) yields pairs.
         let xor = pair[0] ^ pair[1];
-        // CAST: as above; clz >> 3 <= 8 fits u8.
         *l = ((xor.leading_zeros() >> 3) as u8).min(lead_cap);
     }
 
@@ -271,12 +281,11 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
         CommitStrategy::BitPack => {
             scratch.bits.clear();
             for (&w, &lead) in words.iter().zip(leads.iter()) {
-                // CAST: lead <= lead_cap <= 3 (twice below).
                 let t = req_len - 8 * lead as u32;
                 if t > 0 {
                     scratch
                         .bits
-                        .write_bits((w << (8 * lead as u32)) >> (64 - t), t); // CAST: as above
+                        .write_bits((w << (8 * lead as u32)) >> (64 - t), t);
                 }
             }
             payload.extend_from_slice(scratch.bits.as_bytes());
@@ -287,7 +296,8 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
             // loop's `shift_out = 8·(lead + α)` collapses to `8·(R/8)`.
             let beta = req_len % 8;
             let base_alpha = (req_len / 8) as usize;
-            let shift_out = 8 * base_alpha as u32; // CAST: base_alpha <= 8
+            #[expect(clippy::cast_possible_truncation, reason = "base_alpha <= 8")]
+            let shift_out = 8 * base_alpha as u32;
             scratch.bits.clear();
             let mid = scratch.mid.as_mut_slice();
             let mut pos = 0usize;
@@ -297,7 +307,7 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
                     lead <= base_alpha && pos + 8 <= mid.len(),
                     "byte-pool store at {pos} must stay inside the slack-padded arena"
                 );
-                // CAST: lead <= lead_cap <= 3.
+                #[expect(clippy::cast_possible_truncation, reason = "lead <= lead_cap <= 3")]
                 // PANIC-OK: the contract above bounds pos + 8.
                 mid[pos..pos + 8].copy_from_slice(&(w << (8 * lead as u32)).to_be_bytes());
                 pos += base_alpha - lead;
@@ -355,7 +365,7 @@ pub(crate) fn commit_byte_aligned(
             lead <= nb && pos + 8 <= mid.len(),
             "committer store at {pos} must stay inside the slack-padded arena"
         );
-        // CAST: lead <= lead_cap <= 3.
+        #[expect(clippy::cast_possible_truncation, reason = "lead <= lead_cap <= 3")]
         // PANIC-OK: the contract above bounds pos + 8.
         mid[pos..pos + 8].copy_from_slice(&(w << (8 * lead as u32)).to_be_bytes());
         pos += nb - lead;

@@ -49,15 +49,16 @@
 //! differential oracle, and the corrupt-archive suite assert. The scalar
 //! loops remain the oracle of record.
 //!
-//! This module is the crate's one sanctioned unsafe surface: the crate root
-//! carries `#![deny(unsafe_code)]` and each backend file opts back in with
-//! an inner `#![allow(unsafe_code)]`; szx-audit allowlists exactly this
-//! directory and additionally requires every `#[target_feature]` call site
-//! to carry a `SAFETY:` comment naming the runtime detection guard.
+//! This module is the crate's one sanctioned unsafe surface: szx-core's
+//! manifest denies `unsafe_code` and each file here opts back in with an
+//! inner `#![allow(unsafe_code)]`; clippy requires a `SAFETY:` comment on
+//! every unsafe block, and szx-audit requires every `#[target_feature]`
+//! call site's comment to name the runtime detection guard.
 
 // The only unsafe in this file is *calling* the `#[target_feature]`
 // backends after the runtime detection guard.
 #![allow(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::block::{bytes_for, required_length, shift_for, BlockStats};
 use crate::config::CommitStrategy;
@@ -66,9 +67,12 @@ use crate::error::Result;
 use crate::float::SzxFloat;
 use crate::kernels::{self, EncodeScratch};
 
+// This file's allowance stops here: each backend states its own.
 #[cfg(target_arch = "aarch64")]
+#[deny(unsafe_code)]
 mod neon;
 #[cfg(target_arch = "x86_64")]
+#[deny(unsafe_code)]
 mod x86;
 
 /// Cached runtime ISA detection: AVX2 on x86-64, NEON (an architectural
@@ -213,11 +217,13 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
         let mu = if raw { F::ZERO } else { stats.mu };
         let blen = block.len();
         scratch.ensure(blen);
-        payload.push(req_len as u8); // CAST: req_len <= FULL_BITS = 64
+        #[expect(clippy::cast_possible_truncation, reason = "req_len <= FULL_BITS = 64")]
+        payload.push(req_len as u8);
 
         let s = shift_for(req_len);
         let nb = bytes_for(req_len);
-        let lead_cap = nb.min(3) as u8; // CAST: clamped to at most 3
+        #[expect(clippy::cast_possible_truncation, reason = "clamped to at most 3")]
+        let lead_cap = nb.min(3) as u8;
 
         // Passes 1 + 2 — materialize the shifted words and the clamped lead
         // codes with intrinsics.
@@ -342,6 +348,7 @@ fn crc_ready() -> bool {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
     use crate::config::{KernelPath, SzxConfig};

@@ -16,6 +16,7 @@
 //! operand on NaN; NEON's min/max have no such operand order.
 
 #![allow(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
 
 use core::arch::aarch64::*;
 

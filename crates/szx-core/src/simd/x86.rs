@@ -17,6 +17,7 @@
 //! scalar select's incumbent).
 
 #![allow(unsafe_code)]
+#![deny(clippy::cast_possible_truncation)]
 
 use core::arch::x86_64::*;
 
@@ -252,7 +253,7 @@ pub(super) fn encode_words_leads_f32(
     let mu8 = _mm256_set1_ps(mu);
     // f32's high-aligned word is `bits << 32`, so `to_word() >> s` is one
     // left shift by 32 - s (s <= 7, so no significant bit is lost).
-    let lshift = _mm_cvtsi32_si128((32 - s) as i32); // CAST: s <= 7
+    let lshift = _mm_cvtsi32_si128((32 - s) as i32);
     for k in 0..full {
         // SAFETY: k < blen / 8, so lanes k*8 .. k*8+8 are in bounds.
         let d = unsafe { _mm256_loadu_ps(ptr.add(k * 8)) };
@@ -301,7 +302,7 @@ pub(super) fn encode_words_leads_f64(
     let ptr = block.as_ptr();
     let wptr = words.as_mut_ptr();
     let mu4 = _mm256_set1_pd(mu);
-    let rshift = _mm_cvtsi32_si128(s as i32); // CAST: s <= 7
+    let rshift = _mm_cvtsi32_si128(s as i32);
     for k in 0..full {
         // SAFETY: k < blen / 4, so lanes k*4 .. k*4+4 are in bounds.
         let d = unsafe { _mm256_loadu_pd(ptr.add(k * 4)) };
@@ -330,10 +331,14 @@ fn lead_codes(words: &[u64], leads: &mut [u8], lead_cap: u8) {
     if blen == 0 {
         return;
     }
-    // CAST: leading_zeros() <= 64, so clz >> 3 <= 8 fits u8.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "leading_zeros() <= 64, so clz >> 3 <= 8 fits u8"
+    )]
     // PANIC-OK: blen >= 1 here, and leads holds blen codes (callers
     // pass the two arenas cut to the block's length).
-    leads[0] = ((words[0].leading_zeros() >> 3) as u8).min(lead_cap);
+    let first = (words[0].leading_zeros() >> 3) as u8;
+    leads[0] = first.min(lead_cap); // PANIC-OK: as above
     let m1 = _mm256_set1_epi64x(0xff00_0000_0000_0000_u64 as i64);
     let m2 = _mm256_set1_epi64x(0xffff_0000_0000_0000_u64 as i64);
     let m3 = _mm256_set1_epi64x(0xffff_ff00_0000_0000_u64 as i64);
@@ -364,18 +369,23 @@ fn lead_codes(words: &[u64], leads: &mut [u8], lead_cap: u8) {
         let mut buf = [0u64; 4];
         // SAFETY: buf is exactly 4 u64 = 32 bytes, matching the store.
         unsafe { _mm256_storeu_si256(buf.as_mut_ptr().cast::<__m256i>(), clamped) };
-        // CAST: each lane is clamped to <= 3 (four below).
-        // PANIC-OK: i + 4 <= blen, the length of leads (four below).
-        leads[i] = buf[0] as u8;
-        leads[i + 1] = buf[1] as u8; // CAST: as above. PANIC-OK: as above.
-        leads[i + 2] = buf[2] as u8; // CAST: as above. PANIC-OK: as above.
-        leads[i + 3] = buf[3] as u8; // CAST: as above. PANIC-OK: as above.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "each lane is clamped to <= 3"
+        )]
+        {
+            // PANIC-OK: i + 4 <= blen, the length of leads (four below).
+            leads[i] = buf[0] as u8;
+            leads[i + 1] = buf[1] as u8; // PANIC-OK: as above.
+            leads[i + 2] = buf[2] as u8; // PANIC-OK: as above.
+            leads[i + 3] = buf[3] as u8; // PANIC-OK: as above.
+        }
         i += 4;
     }
+    #[expect(clippy::cast_possible_truncation, reason = "clz >> 3 <= 8 fits u8")]
     while i < blen {
         // PANIC-OK: 1 <= i < blen.
         let xor = words[i] ^ words[i - 1];
-        // CAST: clz >> 3 <= 8 fits u8.
         // PANIC-OK: i < blen, the length of leads.
         leads[i] = ((xor.leading_zeros() >> 3) as u8).min(lead_cap);
         i += 1;
@@ -401,7 +411,11 @@ pub(super) fn pack_lead_codes(leads: &[u8], payload: &mut Vec<u8>) {
         // SAFETY: buf is exactly 8 u32 = 32 bytes, matching the store.
         unsafe { _mm256_storeu_si256(buf.as_mut_ptr().cast::<__m256i>(), quads) };
         for b in buf {
-            payload.push(b as u8); // CAST: each packed code byte <= 255
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "each packed code byte <= 255"
+            )]
+            payload.push(b as u8);
         }
     }
 }
@@ -429,7 +443,6 @@ const fn quad_leads(cap: u64) -> [u64; 256] {
     while b < 256 {
         let (mut entry, mut before, mut k) = (0u64, 0u64, 0);
         while k < 4 {
-            // CAST: a 2-bit code, widened.
             let c = ((b >> (6 - 2 * k)) & 3) as u64;
             let l = if c < cap { c } else { cap };
             entry |= (l << (8 * k)) | (before << (32 + 8 * k));
@@ -468,15 +481,18 @@ impl<'a> Quads<'a> {
         // PANIC-OK: Block::prepare sizes the pool to blen * 8 + 8; this is
         // the soundness check the gathers below rest on.
         assert!((2..=8).contains(&nb) && pool.len() >= blen * nb + 8);
-        // CAST: nb <= 8, so 3 * nb fits i32.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "nb <= 8, so 3 * nb fits i32"
+        )]
         let nbi = nb as i32;
         Quads {
             pool,
             leads: &QUAD_LEADS[nb.min(3) - 2], // PANIC-OK: nb >= 2 (asserted)
             lane_nb: _mm_setr_epi32(0, nbi, 2 * nbi, 3 * nbi),
             nb4: 4 * nb,
-            top: _mm256_set1_epi64x(blk.top as i64), // CAST: bit pattern
-            shift: _mm_cvtsi32_si128(blk.s as i32),  // CAST: s <= 7
+            top: _mm256_set1_epi64x(blk.top as i64),
+            shift: _mm_cvtsi32_si128(blk.s as i32),
             base: 0,
             carry: _mm256_setzero_si256(),
         }
@@ -490,10 +506,12 @@ impl<'a> Quads<'a> {
         let ones = _mm256_set1_epi64x(-1);
         let zero = _mm256_setzero_si256();
         let entry = self.leads[usize::from(byte)];
-        // CAST: bit pattern.
         let ev = _mm_cvtsi64_si128(entry as i64);
         // Offsets: base + k·nb − (leads before lane k).
-        // CAST: base <= blen * nb <= 8 * MAX_BLOCK_SIZE fits i32.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "base <= blen * nb <= 8 * MAX_BLOCK_SIZE fits i32"
+        )]
         let base = _mm_set1_epi32(self.base as i32);
         let off4 = _mm_sub_epi32(
             _mm_add_epi32(base, self.lane_nb),
@@ -532,15 +550,15 @@ impl<'a> Quads<'a> {
         let w = _mm256_or_si256(a, _mm256_and_si256(keep, self.carry));
         self.carry = _mm256_permute4x64_epi64::<0b11_11_11_11>(w);
         // The quad's lead sum: lane 3's lead plus the leads before it.
-        // CAST: at most 12, widened.
-        self.base += self.nb4 - (((entry >> 24) & 0xff) + (entry >> 56)) as usize;
+        #[expect(clippy::cast_possible_truncation, reason = "at most 12")]
+        let lead_sum = (((entry >> 24) & 0xff) + (entry >> 56)) as usize;
+        self.base += self.nb4 - lead_sum;
         _mm256_sll_epi64(_mm256_and_si256(w, self.top), self.shift)
     }
 
     /// The pool offset and word the scalar tail continues from.
     #[target_feature(enable = "avx2")]
     fn carried(&self) -> (usize, u64) {
-        // CAST: bit pattern
         (self.base, _mm256_extract_epi64::<0>(self.carry) as u64)
     }
 }
@@ -608,7 +626,10 @@ pub(super) fn crc32c(reg: u32, bytes: &[u8]) -> u32 {
     for w in &mut words {
         crc = _mm_crc32_u64(crc, word(w));
     }
-    // CAST: `crc32` leaves the register in the low 32 bits.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`crc32` leaves the register in the low 32 bits"
+    )]
     let mut crc = crc as u32;
     for &b in words.remainder() {
         crc = _mm_crc32_u8(crc, b);
@@ -661,8 +682,8 @@ static CRC_SHIFT: [[u32; 256]; 4] = {
     let mut k = 0;
     while k < 4 {
         let mut b = 0;
+        #[expect(clippy::cast_possible_truncation, reason = "b < 256 fits in u32")]
         while b < 256 {
-            // CAST: b < 256 fits in u32.
             t[k][b] = gf2_apply(&cols, (b as u32) << (8 * k));
             b += 1;
         }

@@ -20,8 +20,6 @@
 //! assert!(pressure.data.iter().all(|v| v.is_finite()));
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod apps;
 pub mod fields;
 pub mod grf;

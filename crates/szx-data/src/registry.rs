@@ -130,6 +130,31 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Every scale, smallest grids first.
+    const ALL: [Scale; 5] = [
+        Scale::Tiny,
+        Scale::Small,
+        Scale::Medium,
+        Scale::Large,
+        Scale::Full,
+    ];
+
+    /// The scale's name on command lines, in `SZX_SCALE` and in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Medium => "medium",
+            Scale::Large => "large",
+            Scale::Full => "full",
+        }
+    }
+
+    /// The scale [`Scale::name`] calls `name`, if any.
+    pub fn parse(name: &str) -> Option<Scale> {
+        Scale::ALL.into_iter().find(|s| s.name() == name)
+    }
+
     pub fn factor(self) -> usize {
         match self {
             Scale::Tiny => 16,
@@ -151,6 +176,15 @@ impl Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_names_round_trip() {
+        for s in Scale::ALL {
+            assert_eq!(Scale::parse(s.name()), Some(s));
+        }
+        assert_eq!(Scale::parse("tinyy"), None);
+        assert_eq!(Scale::parse(""), None);
+    }
 
     #[test]
     fn specs_match_table_2() {

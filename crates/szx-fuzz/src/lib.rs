@@ -23,8 +23,6 @@
 //! available. See DESIGN.md §12 for the architecture and the corpus
 //! lifecycle (find → minimize → commit → replay).
 
-#![forbid(unsafe_code)]
-
 pub mod corpus;
 pub mod engine;
 pub mod gen;

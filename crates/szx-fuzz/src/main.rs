@@ -3,8 +3,6 @@
 //! Fully offline and reproducible: campaigns are pure functions of the
 //! `--seed` value and the corpus directory contents.
 
-#![forbid(unsafe_code)]
-
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;

@@ -19,8 +19,6 @@
 //! 14/15 experiments; see `models` for the cuSZ-like and cuZFP-like
 //! comparator models.
 
-#![forbid(unsafe_code)]
-
 pub mod cost;
 pub mod cusz_kernels;
 pub mod kernels;

@@ -6,8 +6,6 @@
 //! PFS is replaced by a bandwidth/latency contention model ([`pfs`]),
 //! per the substitution policy in DESIGN.md §4.
 
-#![forbid(unsafe_code)]
-
 pub mod experiment;
 pub mod pfs;
 

@@ -10,8 +10,6 @@
 //! * [`crstats`] — min / harmonic-mean / max compression ratios (Table 3);
 //! * [`render`] — PGM/PPM heatmaps of 2-D slices (Figures 1 and 12).
 
-#![forbid(unsafe_code)]
-
 pub mod cdf;
 pub mod crstats;
 pub mod pdf;

@@ -26,7 +26,6 @@
 //! print!("{}", profile.folded());
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod flame;

@@ -52,8 +52,6 @@
 //! sensibly, and gate any non-trivial computation of `n` behind
 //! [`enabled`].
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 mod export;
 mod hist;
 pub mod json;

@@ -26,6 +26,10 @@
 //!   while other threads are still recording is memory-safe but may leave
 //!   their in-flight events for the next capture.
 
+// The owner-thread slot writes and the drain's reads of published slots
+// go through `UnsafeCell`; szx-telemetry denies unsafe code everywhere else.
+#![allow(unsafe_code)]
+
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

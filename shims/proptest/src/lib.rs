@@ -670,7 +670,6 @@ mod tests {
     fn failing_property_reports_inputs() {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
-            #[test]
             fn always_small(x in 0u32..1000) {
                 prop_assert!(x < 2, "x = {}", x);
             }

@@ -22,9 +22,6 @@
 //! up only the thread running it — the dynamic balance of the paper's
 //! OpenMP `parallel for` over block groups, at item granularity.
 
-#![deny(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
-
 mod pool;
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,7 +1,5 @@
 //! Shared helpers for the cross-crate integration tests.
 
-#![forbid(unsafe_code)]
-
 use szx_data::{Application, Scale};
 
 /// Tiny-scale dataset for fast integration tests; deterministic per app.
