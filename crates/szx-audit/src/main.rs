@@ -54,8 +54,8 @@ const EXPLAIN: &[RuleDoc] = &[
         "panic-reach",
         "No panic vector (`unwrap`/`expect`/panicking macro/unchecked \
          indexing) is transitively reachable from a decode entry point — \
-         `decompress*`, the ContainerReader/RandomAccess surfaces, and the \
-         header/container-index/stream-index parsers. The analyzer walks the \
+         `decompress*`, the Decoder/Encoder/ContainerReader/StreamIndex \
+         surfaces, and the header/container-index parsers. The analyzer walks the \
          workspace call graph and reports the full call chain from the \
          entry point to the offending line.",
         "`// PANIC-OK: <proof>` on or directly above the site, stating the \

@@ -24,12 +24,7 @@ pub const PARSE_PATH_FILES: &[&str] = &[
 
 /// Parse-path types: methods of these are in scope wherever they live
 /// (StreamIndex's offset math sits in decode.rs).
-const PARSE_PATH_TYPES: &[&str] = &[
-    "ContainerReader",
-    "ContainerIndex",
-    "StreamIndex",
-    "ParsedStream",
-];
+const PARSE_PATH_TYPES: &[&str] = &["ContainerReader", "ContainerIndex", "StreamIndex"];
 
 /// Identifier name segments that mark a local as length/offset-typed.
 const LENGTH_SEGMENTS: &[&str] = &[

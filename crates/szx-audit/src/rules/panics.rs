@@ -4,8 +4,8 @@
 //! This replaces PR-5's `panic-path` file allowlist. Instead of trusting a
 //! hand-maintained list of decode-side *files*, the rule starts from the
 //! decode entry points — `decompress*`, the `Decoder`/`Encoder`/
-//! `ContainerReader`/`RandomAccess` surfaces, and the header/container-index/stream-index
-//! parsers — walks the workspace call graph, and scans every reachable
+//! `ContainerReader`/`StreamIndex` surfaces, and the header and
+//! container-index parsers — walks the workspace call graph, and scans every reachable
 //! function body (in any file) for `unwrap`/`expect`/panicking
 //! macros/unchecked indexing. Each finding reports the full call chain from the entry point
 //! so the justification (or fix) can be written where the invariant is
@@ -29,13 +29,14 @@ const MACROS: &[&str] = &[
     "assert_ne!",
 ];
 
-/// Impl types whose methods parse attacker-controllable bytes.
-const ENTRY_TYPES: &[&str] = &["Decoder", "Encoder", "ContainerReader", "RandomAccess"];
+/// Impl types whose methods parse attacker-controllable bytes or take
+/// caller block indices and ranges.
+const ENTRY_TYPES: &[&str] = &["Decoder", "Encoder", "ContainerReader", "StreamIndex"];
 
 /// Parser types where only the named constructors are entries (other
 /// methods are accessors over already-validated state, and are still
 /// checked transitively when an entry reaches them).
-const PARSER_TYPES: &[&str] = &["Header", "ParsedStream", "StreamIndex", "ContainerIndex"];
+const PARSER_TYPES: &[&str] = &["Header", "ContainerIndex"];
 
 /// The `szx` tool's positional file I/O: its raw-file reader and window
 /// source, and the decoded-window writer. Pool threads read and write any

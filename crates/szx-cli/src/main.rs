@@ -1084,14 +1084,19 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     println!("stream bytes:     {}", frames.stream_bytes());
     println!("container bytes:  {}", bytes.len());
     if has_flag(args, "--stats") {
+        fn zsizes<F: SzxFloat>(stream: &[u8]) -> szx_core::Result<Vec<usize>> {
+            let index = szx_core::StreamIndex::parse::<F>(stream)?;
+            let payloads = index.blocks::<F>(0).filter_map(|(_, p)| p);
+            Ok(payloads.map(|p| p.len()).collect())
+        }
         let mut zs = Vec::new();
         for (stream, h) in frames.streams.iter().zip(hs) {
-            let parsed = if h.dtype == 0 {
-                szx_core::decode::ParsedStream::parse::<f32>(stream)
+            let sizes = if h.dtype == 0 {
+                zsizes::<f32>(stream)
             } else {
-                szx_core::decode::ParsedStream::parse::<f64>(stream)
+                zsizes::<f64>(stream)
             };
-            zs.extend_from_slice(parsed.map_err(|e| e.to_string())?.zsizes());
+            zs.extend(sizes.map_err(|e| e.to_string())?);
         }
         if zs.is_empty() {
             println!("block zsize:      n/a (all blocks constant)");

@@ -8,7 +8,6 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use szx_core::container::crc32c;
-use szx_core::decode::ParsedStream;
 use szx_core::{ContainerReader, Decoder, KernelPath, SzxConfig, SzxFloat};
 use szx_telemetry::json::Json;
 
@@ -277,11 +276,12 @@ fn forge_block(container: &mut [u8], from: usize, r_k: u8) -> usize {
         .unwrap()
         .len();
     let stream = &mut container[FRAME_START..FRAME_START + stream_len];
-    let parsed = ParsedStream::parse::<f32>(stream).unwrap();
-    let block = (from / 128..parsed.num_blocks())
-        .find(|&b| parsed.state(b))
+    let index = szx_core::StreamIndex::parse::<f32>(stream).unwrap();
+    let (block, at) = index
+        .blocks::<f32>(from / 128)
+        .zip(from / 128..)
+        .find_map(|((_, payload), b)| Some((b, payload?.start)))
         .unwrap();
-    let at = bytes_before_payloads(stream, &parsed) + parsed.payload_span(block).0;
     stream[at] = r_k;
     reseal_one_frame(container, stream_len);
     block
@@ -361,8 +361,4 @@ fn reseal_one_frame(container: &mut [u8], stream_len: usize) {
     let footer = frame_end + index_len;
     container[footer..footer + 4].copy_from_slice(&index_crc.to_le_bytes());
     assert!(ContainerReader::new(container).is_ok(), "resealed");
-}
-
-fn bytes_before_payloads(stream: &[u8], parsed: &ParsedStream<'_>) -> usize {
-    stream.len() - parsed.payloads.len()
 }

@@ -1,6 +1,8 @@
-//! The SZx decompressor: stream indexing, the [`Decoder`] (serial or
-//! parallel over one window loop), and the per-block routines.
+//! The SZx decompressor: the [`StreamIndex`], the [`Decoder`] (serial or
+//! parallel over one window loop, or block by block over a range), and
+//! the per-block routines.
 
+use std::ops::Range;
 use std::sync::Mutex;
 
 use crate::bitio::{BitReader, StateBits};
@@ -12,29 +14,31 @@ use crate::float::SzxFloat;
 use crate::stream::{Header, SectionLayout};
 use crate::window::{for_each_window, window_len, windows};
 
-/// Everything needed to locate each block inside a compressed stream.
-/// Building it costs one pass over the state bits and the zsize array —
-/// the prefix sum of §6.1 that unlocks block-parallel decompression.
+/// The one index of a compressed stream: where block `b`'s μ and payload
+/// are. It borrows the stream's state-bit, μ and zsize sections as they
+/// are and keeps one `zsize_array` prefix (§6.1) per window, so a window
+/// finds its first payload without a scan, and any block with at most one
+/// window of zsizes. Parsing validates every section; nothing it holds is
+/// sized by blocks.
 #[derive(Debug)]
-pub(crate) struct StreamIndex<'a> {
-    pub header: Header,
-    /// Per block: `true` = non-constant. A borrowed view straight into the
-    /// stream's state-bit section — building the index allocates nothing
-    /// per block for the states.
-    pub states: StateBits<'a>,
-    /// Per block: μ (normalization offset / constant value) as raw LE bytes
-    /// region; decoded lazily per block.
-    pub mu_bytes: &'a [u8],
-    /// Per non-constant block: byte offset of its payload inside `payloads`.
-    pub payload_offsets: Vec<usize>,
-    /// Per non-constant block: payload length.
-    pub zsizes: Vec<u16>,
-    /// The payload section.
-    pub payloads: &'a [u8],
+pub struct StreamIndex<'a> {
+    header: Header,
+    bytes: &'a [u8],
+    states: StateBits<'a>,
+    mu_bytes: &'a [u8],
+    zsize_bytes: &'a [u8],
+    /// Blocks per window of the stream's element type.
+    window_blocks: usize,
+    /// Per window: the non-constant blocks before it, and the stream
+    /// offset of its first payload.
+    windows: Vec<(usize, usize)>,
 }
 
 impl<'a> StreamIndex<'a> {
-    pub(crate) fn build<F: SzxFloat>(bytes: &'a [u8]) -> Result<Self> {
+    /// Parse and validate the stream `bytes` of `F` values: its header,
+    /// its section layout, its state bits against the non-constant block
+    /// count, and its zsizes against the payload section.
+    pub fn parse<F: SzxFloat>(bytes: &'a [u8]) -> Result<Self> {
         let header = Header::parse(bytes)?;
         header.expect_dtype::<F>()?;
         let layout = SectionLayout::for_header::<F>(&header)?;
@@ -66,125 +70,104 @@ impl<'a> StreamIndex<'a> {
         let mu_bytes = bytes
             .get(layout.mu_off..layout.zsize_off)
             .ok_or_else(truncated)?;
-
         let zsize_bytes = bytes
             .get(layout.zsize_off..layout.payload_off)
             .ok_or_else(truncated)?;
-        let mut zsizes = Vec::with_capacity(n_nonconstant);
-        let mut payload_offsets = Vec::with_capacity(n_nonconstant);
-        let mut acc = 0usize;
-        // The layout gives zsize_bytes exactly 2 * n_nonconstant bytes.
-        for pair in zsize_bytes.chunks_exact(2) {
-            let z = match pair {
-                [a, b] => u16::from_le_bytes([*a, *b]),
-                _ => 0, // unreachable: chunks_exact yields 2-byte windows
-            };
-            payload_offsets.push(acc);
-            zsizes.push(z);
-            acc += z as usize;
+        // One pass over the zsizes, window by window: the prefix before
+        // each window, then the sum the payload section must hold.
+        let window_blocks = window_len::<F>(header.block_size) / header.block_size;
+        let mut windows = Vec::with_capacity(nblocks.div_ceil(window_blocks));
+        let (mut nc, mut at) = (0, layout.payload_off);
+        for first in (0..nblocks).step_by(window_blocks) {
+            windows.push((nc, at));
+            let count = states.window(first, window_blocks).count_ones();
+            // No wrap: each zsize is at most 65535 and takes two stream
+            // bytes, so the sum stays below 32768 * bytes.len().
+            at += zsizes(zsize_bytes, nc).take(count).sum::<usize>();
+            // ARITH-OK: the counts sum to the state bits' count_ones().
+            nc += count;
         }
-        let payloads = bytes.get(layout.payload_off..).unwrap_or(&[]);
-        if payloads.len() < acc {
+        if bytes.len() < at {
             return Err(SzxError::CorruptStream(format!(
-                "payload section holds {} bytes, zsize array requires {acc}",
-                payloads.len()
+                "payload section holds {} bytes, zsize array requires {}",
+                bytes.len() - layout.payload_off,
+                at - layout.payload_off
             )));
         }
         Ok(StreamIndex {
             header,
+            bytes,
             states,
             mu_bytes,
-            payload_offsets,
-            zsizes,
-            payloads,
+            zsize_bytes,
+            window_blocks,
+            windows,
         })
     }
 
-    /// [`Self::build`] inside the `decompress.index` span.
-    fn build_traced<F: SzxFloat>(bytes: &'a [u8]) -> Result<Self> {
+    /// [`Self::parse`] inside the `decompress.index` span.
+    fn parse_traced<F: SzxFloat>(bytes: &'a [u8]) -> Result<Self> {
         let _s = szx_telemetry::span("decompress.index");
-        Self::build::<F>(bytes)
+        Self::parse::<F>(bytes)
     }
 
-    #[inline]
-    pub(crate) fn mu<F: SzxFloat>(&self, block: usize) -> F {
-        // PANIC-OK: build() sliced mu_bytes to exactly nblocks * F::BYTES,
-        // and every caller iterates block < nblocks.
-        F::read_le(&self.mu_bytes[block * F::BYTES..])
-    }
-}
-
-/// Read-only parsed view of a compressed stream, exposed for alternative
-/// block decoders (e.g. the GPU execution model in `szx-gpu-sim`), which
-/// need per-block payload locations without committing to this crate's
-/// decode loop.
-pub struct ParsedStream<'a> {
-    index: StreamIndex<'a>,
-    /// Non-constant blocks preceding each block.
-    nc_before: Vec<usize>,
-    /// The concatenated payload section.
-    pub payloads: &'a [u8],
-}
-
-impl<'a> ParsedStream<'a> {
-    /// Parse and validate all stream sections.
-    pub fn parse<F: SzxFloat>(bytes: &'a [u8]) -> Result<ParsedStream<'a>> {
-        let index = StreamIndex::build::<F>(bytes)?;
-        let mut nc_before = Vec::with_capacity(index.states.len());
-        let mut acc = 0usize;
-        for s in index.states.iter() {
-            nc_before.push(acc);
-            acc += s as usize;
-        }
-        let payloads = index.payloads;
-        Ok(ParsedStream {
-            index,
-            nc_before,
-            payloads,
-        })
-    }
-
-    /// Parsed header.
+    /// The stream's header.
     pub fn header(&self) -> &Header {
-        &self.index.header
+        &self.header
     }
 
     /// Number of blocks.
     pub fn num_blocks(&self) -> usize {
-        self.index.states.len()
+        self.states.len()
     }
 
-    /// `true` if block `b` is non-constant (reads the stream's state bit
-    /// directly — no unpacked copy exists).
-    pub fn state(&self, b: usize) -> bool {
-        self.index.states.get(b)
+    /// Walk the blocks in order from block `first`: each block's μ, and
+    /// its payload as a byte range into the stream (`None` for a constant
+    /// block). Empty from `first >= num_blocks()` on.
+    pub fn blocks<F: SzxFloat>(
+        &self,
+        first: usize,
+    ) -> impl Iterator<Item = (F, Option<Range<usize>>)> + '_ {
+        let (nc, mut at) = self.prefix(first);
+        let mus = self.mu_bytes.get(first.saturating_mul(F::BYTES)..);
+        let mus = mus.unwrap_or_default().chunks_exact(F::BYTES);
+        let mut zsizes = zsizes(self.zsize_bytes, nc);
+        (first..self.num_blocks())
+            .zip(mus)
+            .map_while(move |(b, mu)| {
+                let mu = F::read_le(mu);
+                if !self.states.get(b) {
+                    return Some((mu, None));
+                }
+                // parse() checked the whole zsize sum against the stream.
+                let payload = at..at + zsizes.next()?;
+                at = payload.end;
+                Some((mu, Some(payload)))
+            })
     }
 
-    /// μ of block `b`.
-    pub fn mu<F: SzxFloat>(&self, b: usize) -> F {
-        self.index.mu::<F>(b)
+    /// The non-constant blocks before `block` and the stream offset of
+    /// the next payload: the covering window's prefix plus the zsizes of
+    /// its non-constant blocks before `block`.
+    fn prefix(&self, block: usize) -> (usize, usize) {
+        let w = block / self.window_blocks;
+        let Some(&(nc, mut at)) = self.windows.get(w) else {
+            return (0, 0); // past the last block: the walk is empty
+        };
+        // ARITH-OK: w * window_blocks <= block, both below num_blocks.
+        let first = w * self.window_blocks;
+        let count = self.states.window(first, block - first).count_ones();
+        at += zsizes(self.zsize_bytes, nc).take(count).sum::<usize>();
+        // ARITH-OK: at most the state bits' count_ones().
+        (nc + count, at)
     }
+}
 
-    /// Compressed payload sizes of the non-constant blocks, in stream order
-    /// (the `zsize_array` of §6.1). Constant blocks have no payload and do
-    /// not appear here.
-    pub fn zsizes(&self) -> &[u16] {
-        &self.index.zsizes
-    }
-
-    /// (offset, length) of block `b`'s payload within [`Self::payloads`].
-    /// Block `b` must be non-constant.
-    pub fn payload_span(&self, b: usize) -> (usize, usize) {
-        debug_assert!(self.state(b), "block {b} is constant");
-        // PANIC-OK: documented contract — `b` must index a non-constant
-        // block (state(b) itself panics past num_blocks, matching slices);
-        // nc_before[b] < n_nonconstant then bounds both per-block arrays.
-        let nc = self.nc_before[b];
-        (
-            self.index.payload_offsets[nc], // PANIC-OK: nc < n_nonconstant
-            self.index.zsizes[nc] as usize, // PANIC-OK: nc < n_nonconstant
-        )
-    }
+/// The little-endian zsizes of `zsize_bytes` from zsize `from` on.
+fn zsizes(zsize_bytes: &[u8], from: usize) -> impl Iterator<Item = usize> + '_ {
+    let pairs = zsize_bytes.get(from.saturating_mul(2)..);
+    let (pairs, _) = pairs.unwrap_or_default().as_chunks::<2>();
+    pairs.iter().map(|&p| usize::from(u16::from_le_bytes(p)))
 }
 
 /// Decompress a stream produced by [`crate::compress`] with the default
@@ -201,18 +184,16 @@ pub fn decompress<F: SzxFloat>(bytes: &[u8]) -> Result<Vec<F>> {
 /// with identical errors; the settings only choose *how* blocks are
 /// decoded, never *what* they decode to. The parallel mode is the paper's
 /// multicore design (§6.1): the pool's threads claim whole windows (see
-/// [`crate::window`]), and the non-constant blocks before a window give
-/// its first payload's offset in the prefix-summed `zsize_array`.
+/// [`crate::window`]), and the [`StreamIndex`] holds each window's first
+/// payload offset in the prefix-summed `zsize_array`.
 #[derive(Debug)]
 pub struct Decoder {
     kernel: KernelPath,
     parallel: bool,
-    /// The arena of random-access block decodes.
-    scratch: DecodeScratch,
-    /// Arenas for the window loop, one per thread that can take part,
+    /// Arenas, one per thread that can take part in the window loop,
     /// reused across calls: once grown to the largest block they never
     /// grow again. Each thread locks a free one for all the windows it
-    /// claims.
+    /// claims; [`Self::decode_range`] uses the first.
     shelf: Vec<Mutex<DecodeScratch>>,
 }
 
@@ -228,7 +209,6 @@ impl Decoder {
         Decoder {
             kernel,
             parallel,
-            scratch: DecodeScratch::default(),
             shelf: Vec::new(),
         }
     }
@@ -239,9 +219,52 @@ impl Decoder {
         // Build (and thereby validate) the index *before* allocating the
         // output: a forged header could otherwise demand an absurd
         // allocation.
-        let index = StreamIndex::build_traced::<F>(bytes)?;
+        let index = StreamIndex::parse_traced::<F>(bytes)?;
         let mut out = vec![F::ZERO; index.header.n];
         self.decode_into_index(&index, &mut out)?;
+        Ok(out)
+    }
+
+    /// Decode values `range` of the stream `index` indexes, touching only
+    /// the blocks that cover it (random access, §6.1): block by block on
+    /// the calling thread, whatever the parallel switch, with this
+    /// decoder's path. The values equal the matching slice of
+    /// [`Self::decode`]. A range past the stream's end, or a `F` other
+    /// than the stream's, is an error.
+    pub fn decode_range<F: SzxFloat>(
+        &mut self,
+        index: &StreamIndex<'_>,
+        range: Range<usize>,
+    ) -> Result<Vec<F>> {
+        index.header.expect_dtype::<F>()?;
+        let (n, bs) = (index.header.n, index.header.block_size);
+        if range.start > range.end || range.end > n {
+            return Err(SzxError::InvalidConfig(format!(
+                "range {}..{} out of bounds (n = {n})",
+                range.start, range.end
+            )));
+        }
+        if range.is_empty() {
+            return Ok(Vec::new());
+        }
+        // The covering blocks, decoded whole, then cut to the range.
+        let first = range.start / bs;
+        let covered = first * bs..n.min(range.end.div_ceil(bs).saturating_mul(bs));
+        let mut out = vec![F::ZERO; covered.len()];
+        if self.shelf.is_empty() {
+            self.shelf.push(Mutex::default());
+        }
+        let mut spare = DecodeScratch::default();
+        let lease = self.shelf.iter_mut().find_map(|s| s.get_mut().ok());
+        decode_run(
+            index,
+            first,
+            &mut out,
+            self.kernel,
+            lease.unwrap_or(&mut spare),
+        )?;
+        out.copy_within(range.start - covered.start..range.end - covered.start, 0);
+        out.truncate(range.len());
         Ok(out)
     }
 
@@ -249,7 +272,7 @@ impl Decoder {
     /// element count, so repeated decodes reuse one output buffer.
     pub fn decode_into<F: SzxFloat>(&mut self, bytes: &[u8], out: &mut [F]) -> Result<()> {
         let _total = szx_telemetry::span("decompress.total");
-        let index = StreamIndex::build_traced::<F>(bytes)?;
+        let index = StreamIndex::parse_traced::<F>(bytes)?;
         if out.len() != index.header.n {
             return Err(SzxError::InvalidConfig(format!(
                 "output buffer holds {} elements, stream has {}",
@@ -264,8 +287,8 @@ impl Decoder {
     fn decode_into_index<F: SzxFloat>(&mut self, index: &StreamIndex, out: &mut [F]) -> Result<()> {
         let windows = out.chunks_mut(window_len::<F>(index.header.block_size));
         let path = self.kernel;
-        self.each_window::<F, _, ()>(index, windows.collect(), |(), scratch, (b, nc), out| {
-            decode_run(index, b, nc, out, path, scratch)
+        self.each_window::<F, _, ()>(index, windows.collect(), |(), scratch, b, out| {
+            decode_run(index, b, out, path, scratch)
         })
     }
 
@@ -283,49 +306,28 @@ impl Decoder {
         sink: impl Fn(&mut T, usize, &[F]) -> Result<()> + Sync + Send,
     ) -> Result<()> {
         let _total = szx_telemetry::span("decompress.total");
-        let index = StreamIndex::build_traced::<F>(bytes)?;
+        let index = StreamIndex::parse_traced::<F>(bytes)?;
         let items = windows(index.header.n, window_len::<F>(index.header.block_size));
         let path = self.kernel;
-        self.each_window::<F, _, (Vec<F>, T)>(&index, items, |(buf, t), scratch, (b, nc), w| {
+        self.each_window::<F, _, (Vec<F>, T)>(&index, items, |(buf, t), scratch, b, w| {
             buf.resize(w.len(), F::ZERO);
-            decode_run(&index, b, nc, buf, path, scratch)?;
+            decode_run(&index, b, buf, path, scratch)?;
             sink(t, w.start, buf)
         })
     }
 
-    /// Decode one non-constant block payload (random access).
-    pub(crate) fn decode_block<F: SzxFloat>(
-        &mut self,
-        payload: &[u8],
-        out: &mut [F],
-        mu: F,
-        strategy: CommitStrategy,
-    ) -> Result<()> {
-        self.kernel
-            .decode_nonconstant(payload, out, mu, strategy, &mut self.scratch)
-    }
-
     /// The one window loop: `f` decodes window `k`'s `item` with the
-    /// thread's state and arena, given the window's first block and the
-    /// non-constant blocks before it.
+    /// thread's state and arena, given the window's first block.
     fn each_window<F: SzxFloat, I: Send, S: Default>(
         &mut self,
         index: &StreamIndex<'_>,
         items: Vec<I>,
-        f: impl Fn(&mut S, &mut DecodeScratch, (usize, usize), I) -> Result<()> + Sync + Send,
+        f: impl Fn(&mut S, &mut DecodeScratch, usize, I) -> Result<()> + Sync + Send,
     ) -> Result<()> {
         if szx_telemetry::enabled() {
             flush_decode_telemetry::<F>(index);
         }
         let bs = index.header.block_size;
-        let win_blocks = window_len::<F>(bs) / bs;
-        // Non-constant blocks before each window: where its first payload
-        // sits in the zsize prefix sum.
-        let starts = (0..index.states.len()).step_by(win_blocks);
-        let counts = starts.map(|b| index.states.window(b, win_blocks).count_ones());
-        let nc_before: Vec<usize> = counts
-            .scan(0, |nc, c| Some(std::mem::replace(nc, *nc + c)))
-            .collect();
         // One arena per thread that can take part, sized for a whole block
         // up front where the path uses one, so growth depends on the stream
         // and not on which threads claim which window.
@@ -357,21 +359,14 @@ impl Decoder {
             init,
             |(lease, (spare, state)), k, item| {
                 let _z = szx_telemetry::trace_zone(zone, k as u64);
-                let nc = nc_before[k]; // PANIC-OK: the items are the stream's windows.
-                f(
-                    state,
-                    lease.as_deref_mut().unwrap_or(spare),
-                    (k * win_blocks, nc),
-                    item,
-                )
+                let first = k * index.window_blocks;
+                f(state, lease.as_deref_mut().unwrap_or(spare), first, item)
             },
         );
         // Runs publish the growth of the arena they used; what is left was
-        // grown outside a run (the shelf's up-front sizing, random-access
-        // block decodes).
+        // grown outside a run (the shelf's up-front sizing).
         let mut bytes = 0;
-        let shelf = self.shelf.iter_mut().filter_map(|s| s.get_mut().ok());
-        for s in std::iter::once(&mut self.scratch).chain(shelf) {
+        for s in self.shelf.iter_mut().filter_map(|s| s.get_mut().ok()) {
             flush_grows(s);
             bytes += s.arena_bytes();
         }
@@ -388,7 +383,7 @@ impl Decoder {
 /// already-built index, so decode telemetry costs nothing per block.
 fn flush_decode_telemetry<F: SzxFloat>(index: &StreamIndex<'_>) {
     let tel = szx_telemetry::global();
-    let nblocks = index.states.len() as u64;
+    let nblocks = index.num_blocks() as u64;
     let nc = index.header.n_nonconstant as u64;
     tel.counter("decompress.calls").incr();
     tel.counter("decompress.blocks.constant").add(nblocks - nc);
@@ -399,32 +394,24 @@ fn flush_decode_telemetry<F: SzxFloat>(index: &StreamIndex<'_>) {
 
 /// Decode the consecutive blocks starting at `first_block` into `out` (a
 /// whole number of blocks, except possibly the stream's last), stopping at
-/// the first corrupt one. `nc` counts the non-constant blocks before
-/// `first_block`, whose payloads precede this run's.
+/// the first corrupt one.
 fn decode_run<F: SzxFloat>(
     index: &StreamIndex<'_>,
     first_block: usize,
-    mut nc: usize,
     out: &mut [F],
     path: KernelPath,
     scratch: &mut DecodeScratch,
 ) -> Result<()> {
-    let bs = index.header.block_size;
     let strategy = index.header.strategy;
-    for (j, block_out) in out.chunks_mut(bs).enumerate() {
-        let b = first_block + j;
-        let mu = index.mu::<F>(b);
-        if index.states.get(b) {
-            // PANIC-OK: build() verified count_ones == n_nonconstant
-            // (bounding nc) and that the payload section holds the full
-            // zsize prefix sum, so off + len <= payloads.len().
-            let off = index.payload_offsets[nc];
-            let len = index.zsizes[nc] as usize; // PANIC-OK: as above
-            let payload = &index.payloads[off..off + len]; // PANIC-OK: as above
-            path.decode_nonconstant(payload, block_out, mu, strategy, scratch)?;
-            nc += 1;
-        } else {
-            block_out.fill(mu);
+    let blocks = index.blocks::<F>(first_block);
+    for ((mu, payload), block_out) in blocks.zip(out.chunks_mut(index.header.block_size)) {
+        match payload {
+            // parse() checked every payload range against the stream.
+            Some(span) => {
+                let payload = index.bytes.get(span).unwrap_or_default();
+                path.decode_nonconstant(payload, block_out, mu, strategy, scratch)?;
+            }
+            None => block_out.fill(mu),
         }
     }
     flush_grows(scratch);
@@ -753,5 +740,132 @@ mod tests {
         bytes[layout_zsize_off] = 0xff;
         bytes[layout_zsize_off + 1] = 0xff;
         assert!(decompress::<f32>(&bytes).is_err());
+    }
+
+    fn ripple(n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|i| (i as f32 * 0.013).sin() * 7.0 + (i as f32 * 0.11).cos() * 0.02)
+            .collect()
+    }
+
+    fn bits<F: SzxFloat>(v: &[F]) -> Vec<u64> {
+        v.iter().map(|x| x.to_word()).collect()
+    }
+
+    #[test]
+    fn ranges_match_full_decompression() {
+        let data = ripple(10_000);
+        let bytes = compress(&data, &SzxConfig::absolute(1e-3)).unwrap();
+        let full: Vec<f32> = decompress(&bytes).unwrap();
+        let index = StreamIndex::parse::<f32>(&bytes).unwrap();
+        assert_eq!(index.header().n, 10_000);
+        let mut decoder = Decoder::default();
+        for range in [
+            0..10,
+            0..10_000,
+            127..129,
+            5000..5001,
+            9_990..10_000,
+            42..42,
+        ] {
+            let part: Vec<f32> = decoder.decode_range(&index, range.clone()).unwrap();
+            assert_eq!(part, &full[range.clone()], "{range:?}");
+        }
+    }
+
+    #[test]
+    fn single_element_access() {
+        let data = ripple(1000);
+        let bytes = compress(&data, &SzxConfig::absolute(1e-4)).unwrap();
+        let full: Vec<f32> = decompress(&bytes).unwrap();
+        let index = StreamIndex::parse::<f32>(&bytes).unwrap();
+        let mut decoder = Decoder::default();
+        for i in [0usize, 1, 127, 128, 500, 999] {
+            let one: Vec<f32> = decoder.decode_range(&index, i..i + 1).unwrap();
+            assert_eq!(one, [full[i]], "index {i}");
+        }
+    }
+
+    #[test]
+    fn per_block_access_and_lengths() {
+        let data = ripple(300); // 2 full blocks + 44-element tail
+        let bytes = compress(&data, &SzxConfig::absolute(1e-3)).unwrap();
+        let full: Vec<f32> = decompress(&bytes).unwrap();
+        let index = StreamIndex::parse::<f32>(&bytes).unwrap();
+        assert_eq!(index.num_blocks(), 3);
+        assert_eq!(index.blocks::<f32>(0).count(), 3);
+        assert_eq!(index.blocks::<f32>(2).count(), 1);
+        let mut decoder = Decoder::default();
+        let last: Vec<f32> = decoder.decode_range(&index, 256..300).unwrap();
+        assert_eq!(last, &full[256..300]);
+        // The walk from any block finds the payloads the walk from 0 does.
+        let all: Vec<_> = index.blocks::<f32>(0).collect();
+        for b in 0..3 {
+            assert_eq!(index.blocks::<f32>(b).collect::<Vec<_>>(), all[b..]);
+        }
+    }
+
+    #[test]
+    fn works_for_all_strategies_and_f64() {
+        let data: Vec<f64> = (0..5000).map(|i| (i as f64 * 0.01).sin()).collect();
+        for strategy in [
+            CommitStrategy::ByteAligned,
+            CommitStrategy::BitPack,
+            CommitStrategy::BytePlusResidual,
+        ] {
+            let cfg = SzxConfig::absolute(1e-6).with_strategy(strategy);
+            let bytes = compress(&data, &cfg).unwrap();
+            let full: Vec<f64> = decompress(&bytes).unwrap();
+            let index = StreamIndex::parse::<f64>(&bytes).unwrap();
+            let part: Vec<f64> = Decoder::default().decode_range(&index, 100..400).unwrap();
+            assert_eq!(part, &full[100..400], "{strategy:?}");
+        }
+    }
+
+    #[test]
+    #[expect(clippy::reversed_empty_ranges, reason = "the case under test")]
+    fn out_of_bounds_errors() {
+        let data = ripple(100);
+        let bytes = compress(&data, &SzxConfig::absolute(1e-3)).unwrap();
+        let index = StreamIndex::parse::<f32>(&bytes).unwrap();
+        let mut decoder = Decoder::default();
+        assert!(decoder.decode_range::<f32>(&index, 50..101).is_err());
+        assert!(decoder.decode_range::<f32>(&index, 60..50).is_err());
+        assert!(decoder.decode_range::<f32>(&index, 100..101).is_err());
+        assert!(decoder
+            .decode_range::<f32>(&index, 100..100)
+            .unwrap()
+            .is_empty());
+        assert_eq!(index.blocks::<f32>(index.num_blocks()).next(), None);
+    }
+
+    #[test]
+    fn kernel_and_scalar_paths_agree_bitwise() {
+        let mut data = ripple(5000);
+        data[700] = f32::NAN; // one bit-exact block in the middle
+        let bytes = compress(&data, &SzxConfig::absolute(1e-4)).unwrap();
+        let index = StreamIndex::parse::<f32>(&bytes).unwrap();
+        let mut scalar = Decoder::new(KernelPath::Scalar, false);
+        for range in [0..5000, 100..400, 699..702, 4990..5000] {
+            let want: Vec<f32> = scalar.decode_range(&index, range.clone()).unwrap();
+            for kernel in [KernelPath::Kernel, KernelPath::Simd] {
+                let got: Vec<f32> = Decoder::new(kernel, true)
+                    .decode_range(&index, range.clone())
+                    .unwrap();
+                assert_eq!(bits(&got), bits(&want), "{kernel:?} {range:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn type_mismatch_rejected() {
+        let data = ripple(100);
+        let bytes = compress(&data, &SzxConfig::absolute(1e-3)).unwrap();
+        assert!(StreamIndex::parse::<f64>(&bytes).is_err());
+        let index = StreamIndex::parse::<f32>(&bytes).unwrap();
+        assert!(matches!(
+            Decoder::default().decode_range::<f64>(&index, 0..1),
+            Err(SzxError::TypeMismatch { .. })
+        ));
     }
 }

@@ -299,10 +299,10 @@ mod tests {
     fn one_block_payload(data: &[f32], eb: f64) -> (Vec<u8>, f32) {
         let cfg = SzxConfig::absolute(eb).with_block_size(data.len());
         let bytes = crate::compress(data, &cfg).unwrap();
-        let index = crate::decode::StreamIndex::build::<f32>(&bytes).unwrap();
-        assert!(index.states.get(0), "fixture block must be non-constant");
-        let payload = index.payloads[..index.zsizes[0] as usize].to_vec();
-        (payload, index.mu::<f32>(0))
+        let index = crate::decode::StreamIndex::parse::<f32>(&bytes).unwrap();
+        let (mu, payload) = index.blocks::<f32>(0).next().unwrap();
+        let payload = payload.expect("fixture block must be non-constant");
+        (bytes[payload].to_vec(), mu)
     }
 
     fn assert_kernel_matches_scalar(data: &[f32], eb: f64) {

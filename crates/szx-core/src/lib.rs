@@ -41,8 +41,9 @@
 //! [`Decoder::new`] on decompression. The pool's threads claim whole
 //! [`window`]s, the paper's OpenMP layout (§6.1): each codes one run of
 //! blocks with its own buffers, and a decoding thread finds its window's
-//! first payload from the non-constant blocks before it. Streams and
-//! decodes are byte-identical either way.
+//! first payload in the [`StreamIndex`], which keeps the `zsize_array`
+//! prefix sum once per window. Streams and decodes are byte-identical
+//! either way.
 //!
 //! ```
 //! use szx_core::{compress, Decoder, KernelPath, SzxConfig};
@@ -80,6 +81,28 @@
 //! assert_eq!(encoder.finish(Vec::new()).unwrap(), compress(&data, &cfg).unwrap());
 //! ```
 //!
+//! ## Random access
+//!
+//! The prefix-summed `zsize_array` that lets threads decode windows in
+//! parallel also finds any one block: a [`StreamIndex`] parses a stream
+//! once, and [`Decoder::decode_range`] decodes only the blocks a range of
+//! values touches.
+//!
+//! ```
+//! use szx_core::{compress, decompress, Decoder, StreamIndex, SzxConfig};
+//!
+//! let data: Vec<f32> = (0..10_000).map(|i| (i as f32 * 0.01).sin()).collect();
+//! let bytes = compress(&data, &SzxConfig::absolute(1e-3)).unwrap();
+//! let index = StreamIndex::parse::<f32>(&bytes).unwrap();
+//! let mut decoder = Decoder::default();
+//! let part: Vec<f32> = decoder.decode_range(&index, 4000..4100).unwrap();
+//! let full: Vec<f32> = decompress(&bytes).unwrap();
+//! assert_eq!(part, full[4000..4100]);
+//! let one: Vec<f32> = decoder.decode_range(&index, 9_999..10_000).unwrap();
+//! assert_eq!(one, [full[9_999]]);
+//! assert!(decoder.decode_range::<f32>(&index, 9_999..10_001).is_err());
+//! ```
+//!
 //! ## Guarantees
 //!
 //! * `max |d_i − d'_i| ≤ e` for every finite input — enforced by
@@ -103,7 +126,6 @@ pub mod encode;
 pub mod error;
 pub mod float;
 pub mod kernels;
-pub mod random_access;
 pub mod simd;
 pub mod stream;
 pub mod window;
@@ -112,11 +134,10 @@ pub use config::{
     CommitStrategy, ErrorBound, KernelPath, SzxConfig, DEFAULT_BLOCK_SIZE, MAX_BLOCK_SIZE,
 };
 pub use container::{ContainerReader, ContainerWriter, FrameStats};
-pub use decode::{decompress, Decoder};
+pub use decode::{decompress, Decoder, StreamIndex};
 pub use encode::{compress, Encoder, RangeScan};
 pub use error::{Result, SzxError};
 pub use float::SzxFloat;
-pub use random_access::RandomAccess;
 /// Worker threads a parallel compress or decode uses at most
 /// (`RAYON_NUM_THREADS`, else the available cores).
 pub use rayon::current_num_threads;

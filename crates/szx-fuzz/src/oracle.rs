@@ -10,8 +10,10 @@
 //! * the windowed decode (`Decoder::decode_windows`), window by window
 //!   (`szx_core::window_len` values each), serial and parallel, each
 //!   window put back at its offset;
-//! * random access (`RandomAccess::decode_range` over the whole stream,
-//!   scalar and kernel).
+//! * random access (`Decoder::decode_range` on a `StreamIndex`), scalar,
+//!   kernel and simd, over the whole stream and over one range that
+//!   starts mid-window and mid-block and ends inside the last block; the
+//!   sub-range is held to the matching slice of the reference.
 //!
 //! The container reader decodes a frame that passes its CRC with the same
 //! [`Decoder`], so it is held to this oracle frame by frame by the
@@ -29,13 +31,16 @@
 //!   block in block order, exactly as the serial loop does; a drifting
 //!   message means the paths stopped sharing validation logic. Random
 //!   access validates per block, so only its decodability and bits are
-//!   compared.
+//!   compared, and a sub-range only where the reference decodes (its
+//!   blocks may all be sound when another block is not).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use std::sync::{Mutex, PoisonError};
 
-use szx_core::{Decoder, KernelPath, RandomAccess, SzxFloat};
+use std::ops::Range;
+
+use szx_core::{Decoder, Header, KernelPath, StreamIndex, SzxFloat};
 
 use crate::corpus::fnv1a64;
 
@@ -143,6 +148,32 @@ const WINDOWED_CELLS: [(&str, KernelPath, bool); 2] = [
     ("windowed-parallel-simd", KernelPath::Simd, true),
 ];
 
+/// Random-access cells ([`Decoder::decode_range`]): the whole stream, and
+/// the [`sub_range`].
+const RANDOM_ACCESS_CELLS: [(&str, &str, KernelPath); 3] = [
+    (
+        "random-access-scalar",
+        "random-range-scalar",
+        KernelPath::Scalar,
+    ),
+    (
+        "random-access-kernel",
+        "random-range-kernel",
+        KernelPath::Kernel,
+    ),
+    ("random-access-simd", "random-range-simd", KernelPath::Simd),
+];
+
+/// A range of the stream `header` describes that starts mid-block halfway
+/// through it, off every window edge, and ends inside its last block.
+fn sub_range(header: &Header) -> Range<usize> {
+    let (n, bs) = (header.n, header.block_size);
+    let last = n.saturating_sub(1) / bs * bs;
+    let end = last + (n - last).div_ceil(2);
+    let start = (n / 2 / bs * bs + bs / 2).min(end);
+    start..end
+}
+
 /// Run every decode path for element type `F` and check the differential
 /// contract. `Err` means a *harness finding* (panic or divergence) — an
 /// input that merely fails to decode everywhere is `Ok`.
@@ -215,15 +246,37 @@ pub fn differential_decode_typed<F: SzxFloat>(bytes: &[u8]) -> Result<DecodeRepo
         check(path, out, true)?;
     }
 
-    for (path, sel) in [
-        ("random-access-scalar", KernelPath::Scalar),
-        ("random-access-kernel", KernelPath::Kernel),
-    ] {
+    for (path, sub_path, kernel) in RANDOM_ACCESS_CELLS {
+        let mut decoder = Decoder::new(kernel, false);
         let out = run_path(path, || {
-            let ra = RandomAccess::<F>::new(bytes)?.with_decoder(Decoder::new(sel, false));
-            ra.decode_range(0, ra.len())
+            let index = StreamIndex::parse::<F>(bytes)?;
+            decoder.decode_range::<F>(&index, 0..index.header().n)
         })?;
         check(path, out, false)?;
+        let mut range = 0..0;
+        let out = run_path(sub_path, || {
+            let index = StreamIndex::parse::<F>(bytes)?;
+            range = sub_range(index.header());
+            decoder.decode_range::<F>(&index, range.clone())
+        })?;
+        if let Outcome::Bits(want) = &reference {
+            let want = want.get(range.clone()).unwrap_or_default();
+            match out {
+                Outcome::Bits(got) if got == want => {}
+                Outcome::Bits(_) => {
+                    return Err(Failure::new(
+                        format!("divergence:bits:{sub_path}"),
+                        format!("range {range:?} differs from the reference slice"),
+                    ));
+                }
+                Outcome::Error(e) => {
+                    return Err(Failure::new(
+                        format!("divergence:decodability:{sub_path}"),
+                        format!("serial-scalar decodes but range {range:?} errors: {e}"),
+                    ));
+                }
+            }
+        }
     }
 
     Ok(DecodeReport {
@@ -272,6 +325,17 @@ mod tests {
         let report = differential_decode_typed::<f32>(&bytes).unwrap();
         assert!(report.decoded_ok);
         assert!(differential_decode(&bytes).is_ok());
+    }
+
+    #[test]
+    fn sub_range_starts_mid_block_and_ends_in_the_last_block() {
+        let bytes = archive();
+        let header = szx_core::inspect(&bytes).unwrap();
+        let (n, bs) = (header.n, header.block_size);
+        let range = sub_range(&header);
+        assert_ne!(range.start % bs, 0, "{range:?}");
+        assert!(range.start > 0 && range.end < n, "{range:?}");
+        assert_eq!((range.end - 1) / bs, (n - 1) / bs, "{range:?}");
     }
 
     #[test]

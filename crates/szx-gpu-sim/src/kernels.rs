@@ -279,14 +279,11 @@ pub fn decompress_gpu(bytes: &[u8]) -> Result<(Vec<f32>, Cost)> {
     let mut out = vec![0f32; header.n];
 
     // Host-side parse identical to the CPU path.
-    let parsed = szx_core::decode::ParsedStream::parse::<f32>(bytes)?;
-    let bs = header.block_size;
-    for (b, chunk) in out.chunks_mut(bs).enumerate() {
-        let mu = parsed.mu::<f32>(b);
-        if parsed.state(b) {
-            let (off, len) = parsed.payload_span(b);
-            let payload = &parsed.payloads[off..off + len];
-            let decoded = decompress_block(payload, mu, chunk.len(), &mut cost)?;
+    let index = szx_core::StreamIndex::parse::<f32>(bytes)?;
+    let blocks = index.blocks::<f32>(0);
+    for ((mu, payload), chunk) in blocks.zip(out.chunks_mut(header.block_size)) {
+        if let Some(payload) = payload {
+            let decoded = decompress_block(&bytes[payload], mu, chunk.len(), &mut cost)?;
             chunk.copy_from_slice(&decoded);
         } else {
             chunk.fill(mu);

@@ -8,7 +8,7 @@
 //! cargo run --release -p szx-examples --bin compressed_archive_query
 //! ```
 
-use szx_core::{ContainerReader, ContainerWriter, RandomAccess, SzxConfig};
+use szx_core::{ContainerReader, ContainerWriter, Decoder, StreamIndex, SzxConfig};
 use szx_data::{Application, Scale};
 
 fn main() {
@@ -32,9 +32,13 @@ fn main() {
     // the field.
     let reader = ContainerReader::new(&archive).expect("parse container");
     let stream = |name| reader.frame_bytes(reader.position(name)?);
-    let ra = RandomAccess::<f32>::new(stream("pressure").expect("pressure")).expect("index");
-    let probe_idx = ra.len() / 3;
-    let probe = ra.decode_at(probe_idx).expect("probe");
+    let mut decoder = Decoder::default();
+    let index = StreamIndex::parse::<f32>(stream("pressure").expect("pressure")).expect("index");
+    let probe_idx = index.header().n / 3;
+    let probe: Vec<f32> = decoder
+        .decode_range(&index, probe_idx..probe_idx + 1)
+        .expect("probe");
+    let probe = probe[0];
     let truth = ds.field("pressure").unwrap().data[probe_idx];
     println!("probe pressure[{probe_idx}] = {probe:.5} (original {truth:.5})");
 
@@ -42,13 +46,15 @@ fn main() {
     let vx = ds.field("velocity-x").unwrap();
     let nx = vx.dims[0];
     let line_start = 17 * nx; // y=17, z=0
-    let ra = RandomAccess::<f32>::new(stream("velocity-x").unwrap()).unwrap();
-    let line = ra.decode_range(line_start, line_start + nx).expect("line");
+    let index = StreamIndex::parse::<f32>(stream("velocity-x").unwrap()).unwrap();
+    let line: Vec<f32> = decoder
+        .decode_range(&index, line_start..line_start + nx)
+        .expect("line");
     let blocks_touched = nx.div_ceil(128) + 1;
     println!(
         "extracted one x-line ({} values) touching <= {blocks_touched} of {} blocks",
         line.len(),
-        ra.num_blocks()
+        index.num_blocks()
     );
     let max_err = line
         .iter()

@@ -4,7 +4,7 @@
 //! serial and the parallel decompressor are held to the same contract.
 
 use szx_core::stream::HEADER_LEN;
-use szx_core::{ContainerReader, ContainerWriter, Decoder, KernelPath, SzxConfig};
+use szx_core::{ContainerReader, ContainerWriter, Decoder, KernelPath, StreamIndex, SzxConfig};
 
 /// Decode `bytes` with the scalar oracle, the branch-free kernel, and the
 /// explicit SIMD path; assert they agree on whether the stream is
@@ -249,18 +249,37 @@ fn corruption_windows_across_frame_boundaries() {
 }
 
 #[test]
+#[expect(clippy::reversed_empty_ranges, reason = "the case under test")]
 fn random_access_and_inspect_survive_corruption() {
-    let (_, bytes) = sample_stream();
+    let (mut data, bytes) = sample_stream();
     // Truncations through the header and index sections.
     for cut in [0, 4, 17, 35, 36, 40, zsize_off(&bytes), payload_off(&bytes)] {
         let cut = cut.min(bytes.len());
         let _ = szx_core::inspect(&bytes[..cut]);
-        let _ = szx_core::RandomAccess::<f32>::new(&bytes[..cut]);
+        assert!(
+            StreamIndex::parse::<f32>(&bytes[..cut]).is_err(),
+            "cut {cut}"
+        );
     }
-    let ra = szx_core::RandomAccess::<f32>::new(&bytes).unwrap();
-    // Out-of-range block requests must be errors, not panics.
-    let mut buf = vec![0f32; 128];
-    assert!(ra.decode_block(ra.num_blocks(), &mut buf).is_err());
+    // Out-of-range queries are errors or an empty walk, never panics; the
+    // first two blocks are constant.
+    data[..256].fill(5.0);
+    let bytes = szx_core::compress(&data, &SzxConfig::absolute(1e-4)).unwrap();
+    let index = StreamIndex::parse::<f32>(&bytes).unwrap();
+    let n = data.len();
+    for kernel in [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd] {
+        let mut decoder = Decoder::new(kernel, false);
+        assert!(decoder.decode_range::<f32>(&index, 60..50).is_err());
+        assert!(decoder.decode_range::<f32>(&index, n - 1..n + 1).is_err());
+        assert!(decoder
+            .decode_range::<f32>(&index, usize::MAX - 1..usize::MAX)
+            .is_err());
+        let empty: Vec<f32> = decoder.decode_range(&index, n..n).unwrap();
+        assert!(empty.is_empty());
+    }
+    assert_eq!(index.blocks::<f32>(1).next(), Some((5.0, None)));
+    assert_eq!(index.blocks::<f32>(index.num_blocks()).next(), None);
+    assert_eq!(index.blocks::<f32>(usize::MAX).next(), None);
 }
 
 #[test]

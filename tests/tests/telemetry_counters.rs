@@ -5,7 +5,7 @@
 //!
 //! * `szx_core::analysis::classify` on the raw data: constant /
 //!   non-constant / fallback block counts and the `R_k` histogram;
-//! * a walk of the written stream through `ParsedStream`: state bits,
+//! * a walk of the written stream's `StreamIndex` blocks: state bits,
 //!   byte 0 of each payload (`R_k`), the zsizes and each block's real
 //!   length give `compress.bytes.mid`, `compress.bytes.lead_saved` and the
 //!   `compress.block_zsize` histogram.
@@ -20,8 +20,7 @@
 //! would race each other.
 
 use szx_core::config::KernelPath;
-use szx_core::decode::ParsedStream;
-use szx_core::{analysis, CommitStrategy, SzxConfig, SzxFloat};
+use szx_core::{analysis, CommitStrategy, StreamIndex, SzxConfig, SzxFloat};
 use szx_data::{Application, Scale};
 use szx_telemetry::{Histogram, HistogramKind};
 
@@ -101,18 +100,19 @@ fn check_counters<F: SzxFloat>(label: &str, data: &[F], cfg: &SzxConfig) {
     // ⌈2·blen/8⌉ bytes of leading codes; the rest is the body (mid-bytes).
     // Lead-byte savings are the body a codec without XOR deduplication
     // would write at the same R_k, minus the body actually written.
-    let parsed = ParsedStream::parse::<F>(&bytes).unwrap();
-    let nblocks = parsed.num_blocks();
+    let index = StreamIndex::parse::<F>(&bytes).unwrap();
+    let nblocks = index.num_blocks();
     assert!(
-        parsed.state(nblocks - 1),
+        index.blocks::<F>(nblocks - 1).next().unwrap().1.is_some(),
         "{label}: short last block must be non-constant"
     );
     let req_hist = Histogram::new(HistogramKind::Linear { max: 64 });
     let zsize_hist = Histogram::new(HistogramKind::Log2);
     let (mut mid, mut lead_saved) = (0u64, 0u64);
-    for b in (0..nblocks).filter(|&b| parsed.state(b)) {
-        let (off, zsize) = parsed.payload_span(b);
-        let r = parsed.payloads[off] as usize;
+    for (b, (_, payload)) in index.blocks::<F>(0).enumerate() {
+        let Some(payload) = payload else { continue };
+        let zsize = payload.len();
+        let r = bytes[payload.start] as usize;
         let blen = BLOCK.min(data.len() - b * BLOCK);
         let body = zsize - 1 - (2 * blen).div_ceil(8);
         let no_dedup = match cfg.strategy {

@@ -2,15 +2,14 @@
 //! the stream `compress` writes for the whole slice, byte for byte, and
 //! `Decoder::decode_windows` reconstructs what `decode` does — values and
 //! the error of a corrupt stream alike — whichever thread decodes which
-//! window. Every stream and decode of the matrix (scalar, kernel and simd
+//! window, and `Decoder::decode_range` the matching slice of it. Every stream and decode of the matrix (scalar, kernel and simd
 //! paths, serial and parallel) equals the serial scalar one.
 
 use std::sync::Mutex;
 
-use szx_core::decode::ParsedStream;
 use szx_core::{
     compress, window_len, CommitStrategy, Decoder, Encoder, ErrorBound, KernelPath, RangeScan,
-    SzxConfig, SzxError, SzxFloat,
+    StreamIndex, SzxConfig, SzxError, SzxFloat,
 };
 
 const BS: usize = 32;
@@ -136,14 +135,12 @@ fn inputs<F: SzxFloat>() -> Vec<Input<F>> {
 fn scale_like_blocks_take_two_mid_bytes() {
     let data = scale_like::<f32>();
     let bytes = compress(&data, &SzxConfig::relative(1e-3)).unwrap();
-    let parsed = ParsedStream::parse::<f32>(&bytes).unwrap();
-    let nonconstant: Vec<usize> = (0..parsed.num_blocks())
-        .filter(|&b| parsed.state(b))
-        .collect();
-    assert!(nonconstant.len() * 10 > parsed.num_blocks() * 9);
-    for b in nonconstant {
-        let r_k = parsed.payloads[parsed.payload_span(b).0];
-        assert!((9..=16).contains(&r_k), "block {b}: R_k {r_k}");
+    let index = StreamIndex::parse::<f32>(&bytes).unwrap();
+    let payloads: Vec<_> = index.blocks::<f32>(0).filter_map(|(_, p)| p).collect();
+    assert!(payloads.len() * 10 > index.num_blocks() * 9);
+    for payload in payloads {
+        let r_k = bytes[payload.start];
+        assert!((9..=16).contains(&r_k), "payload {payload:?}: R_k {r_k}");
     }
 }
 
@@ -258,6 +255,18 @@ fn windowed_decode_matches_decode<F: SzxFloat>() {
                 values.len() == reference.len()
                     && (values.iter().zip(&reference)).all(|(a, b)| a.to_word() == b.to_word())
             };
+            let index = StreamIndex::parse::<F>(&bytes).unwrap();
+            let n = data.len();
+            let last_block = (n - 1) / bs * bs;
+            // Empty, whole, across a block edge, across a window edge, and
+            // into the last block (short in `field` and `scale-like`).
+            let ranges = [
+                0..0,
+                0..n,
+                bs - 3..bs + 5,
+                (window - 7).min(n)..(window + 9).min(n),
+                last_block - 3..n,
+            ];
             for kernel in KERNELS {
                 for parallel in [false, true] {
                     let what = format!(
@@ -279,6 +288,15 @@ fn windowed_decode_matches_decode<F: SzxFloat>() {
                     assert_eq!(starts, expected, "{what}");
                     let values: Vec<F> = got.into_iter().flat_map(|(_, w)| w).collect();
                     assert!(same(&values), "{what}");
+                    for range in ranges.clone() {
+                        let part: Vec<F> = decoder.decode_range(&index, range.clone()).unwrap();
+                        let want = &reference[range.clone()];
+                        assert!(
+                            part.len() == want.len()
+                                && (part.iter().zip(want)).all(|(a, b)| a.to_word() == b.to_word()),
+                            "{what}: range {range:?}"
+                        );
+                    }
                 }
             }
         }
@@ -298,11 +316,12 @@ fn windowed_decode_equals_decode_f64() {
 /// `bytes` with the first non-constant block from value `from` on
 /// forged to the impossible required length `r_k`; returns that block.
 fn forge(bytes: &mut [u8], from: usize, r_k: u8) -> usize {
-    let parsed = ParsedStream::parse::<f32>(bytes).unwrap();
-    let block = (from / BS..parsed.num_blocks())
-        .find(|&b| parsed.state(b))
+    let index = StreamIndex::parse::<f32>(bytes).unwrap();
+    let (block, at) = index
+        .blocks::<f32>(from / BS)
+        .zip(from / BS..)
+        .find_map(|((_, payload), b)| Some((b, payload?.start)))
         .unwrap();
-    let at = bytes.len() - parsed.payloads.len() + parsed.payload_span(block).0;
     bytes[at] = r_k;
     block
 }
