@@ -17,6 +17,11 @@
 //!   name is not on the std-shadow blocklist, tiered same-file → same
 //!   crate → workspace.
 //!
+//! * **Crate privacy**: a call resolves into another crate only to an item
+//!   that crate exports — a plain `pub` fn or a trait method — so a std
+//!   method never wires an edge to a private namesake elsewhere
+//!   (`Vec::drain` to a private `ThreadBuf::drain`).
+//!
 //! Unresolved calls (std, rayon, unknown methods) simply have no edge; the
 //! fixture suite proves the edges the rules *require* do exist.
 
@@ -259,7 +264,7 @@ fn resolve(
 }
 
 /// Narrow `cands` to the best locality tier: same file, then same crate,
-/// then all.
+/// then what the other crates export.
 fn tiered(nodes: &[Node], me: &Node, cands: &[usize]) -> Vec<usize> {
     if cands.is_empty() {
         return Vec::new();
@@ -280,7 +285,11 @@ fn tiered(nodes: &[Node], me: &Node, cands: &[usize]) -> Vec<usize> {
     if !same_crate.is_empty() {
         return same_crate;
     }
-    cands.to_vec()
+    cands
+        .iter()
+        .copied()
+        .filter(|&c| nodes[c].item.is_pub)
+        .collect()
 }
 
 #[cfg(test)]
@@ -477,6 +486,50 @@ mod tests {
         assert_eq!(f[0].symbol, "szx_core::dekernels::decode");
         assert_eq!(f[0].chain.len(), 2, "{:?}", f[0].chain);
         assert!(f[0].chain[0].contains(entry));
+    }
+
+    #[test]
+    fn private_fns_of_other_crates_are_not_callees() {
+        // A std `Vec::drain` in the decoder, and a private `drain` method
+        // that panics in another crate: no edge, no finding.
+        let decode = "impl Decoder {\n\
+                      pub fn decode_range(&mut self, v: &mut Vec<u8>, n: usize) {\n\
+                      v.drain(..n);\n\
+                      }\n\
+                      }\n";
+        let telemetry = |vis: &str| {
+            format!(
+                "impl ThreadBuf {{\n\
+                 {vis}fn drain(&self, v: &[u8]) -> u8 {{\n\
+                 v[0]\n\
+                 }}\n\
+                 }}\n"
+            )
+        };
+        let entry = "szx_core::decode::Decoder::decode_range";
+        let callee = "szx_telemetry::trace::ThreadBuf::drain";
+        for (vis, linked) in [("", false), ("pub(crate) ", false), ("pub ", true)] {
+            let buf = telemetry(vis);
+            let files = [
+                ("crates/szx-core/src/decode.rs", decode),
+                ("crates/szx-telemetry/src/trace.rs", buf.as_str()),
+            ];
+            let g = graph(&files);
+            assert_eq!(has_edge(&g, entry, callee), linked, "{vis:?}");
+            let (f, _) = crate::rules::testutil::run_graph(&files);
+            assert_eq!(f.len(), usize::from(linked), "{vis:?}: {f:?}");
+        }
+        // A trait method is as visible as its trait.
+        let g = graph(&[
+            ("crates/szx-core/src/decode.rs", decode),
+            (
+                "crates/szx-telemetry/src/trace.rs",
+                "impl Drain for ThreadBuf {\n\
+                 fn drain(&self) {}\n\
+                 }\n",
+            ),
+        ]);
+        assert!(has_edge(&g, entry, callee));
     }
 
     #[test]

@@ -87,6 +87,10 @@ pub struct FnItem {
     pub body: (usize, usize),
     /// True when the item sits in a `#[cfg(test)]` region.
     pub is_test: bool,
+    /// Callable from another crate: declared plain `pub` (not
+    /// `pub(crate)`), or a trait or trait-impl method, whose visibility is
+    /// the trait's.
+    pub is_pub: bool,
     pub calls: Vec<CallSite>,
     /// 0-based inclusive line ranges of loop bodies (`for`/`while`/`loop`),
     /// innermost and outermost both recorded.
@@ -223,8 +227,9 @@ pub fn module_path_of(rel_path: &str) -> String {
 #[derive(Debug, Clone)]
 enum Scope {
     Mod(String),
-    /// `impl`/`trait` block with the (last-segment) type name.
-    Type(String),
+    /// `impl`/`trait` block with the (last-segment) type name; true for a
+    /// trait or a trait impl.
+    Type(String, bool),
     /// Open fn body: index into `fns`.
     Fn(usize),
     /// Loop body: (start line, owning fn index).
@@ -235,15 +240,28 @@ enum Scope {
 #[derive(Debug, Clone)]
 enum Pending {
     Mod(String),
-    Type(String),
+    Type(String, bool),
     Fn {
         name: String,
         sig_line: usize,
+        is_pub: bool,
     },
     /// Loop keyword seen at this paren depth.
     Loop {
         paren_depth: usize,
     },
+}
+
+/// Is the `fn` keyword at token `t` declared plain `pub`? Steps back over
+/// the qualifiers between the visibility and `fn`; `pub(crate)` and
+/// `pub(super)` end in `)` and are not.
+fn declared_pub(toks: &[Token], t: usize) -> bool {
+    let quals = ["const", "unsafe", "async", "extern", "default"];
+    toks[..t]
+        .iter()
+        .rev()
+        .find(|x| x.ident().is_none_or(|q| !quals.contains(&q)))
+        .is_some_and(|x| x.ident() == Some("pub"))
 }
 
 /// Parse the items of `file`.
@@ -270,7 +288,7 @@ pub fn parse_items(file: &SourceFile) -> ParsedFile {
                     out.push_str("::");
                     out.push_str(m);
                 }
-                Scope::Type(ty) => {
+                Scope::Type(ty, _) => {
                     out.push_str("::");
                     out.push_str(ty);
                 }
@@ -279,9 +297,9 @@ pub fn parse_items(file: &SourceFile) -> ParsedFile {
         }
         out
     };
-    let impl_type = |scopes: &[Scope]| -> Option<String> {
+    let impl_type = |scopes: &[Scope]| -> Option<(String, bool)> {
         scopes.iter().rev().find_map(|s| match s {
-            Scope::Type(ty) => Some(ty.clone()),
+            Scope::Type(ty, in_trait) => Some((ty.clone(), *in_trait)),
             _ => None,
         })
     };
@@ -325,16 +343,23 @@ pub fn parse_items(file: &SourceFile) -> ParsedFile {
             Tok::Punct('{') => {
                 let scope = match pending.take() {
                     Some(Pending::Mod(m)) => Scope::Mod(m),
-                    Some(Pending::Type(ty)) => Scope::Type(ty),
-                    Some(Pending::Fn { name, sig_line }) => {
+                    Some(Pending::Type(ty, in_trait)) => Scope::Type(ty, in_trait),
+                    Some(Pending::Fn {
+                        name,
+                        sig_line,
+                        is_pub,
+                    }) => {
                         let sym = format!("{}::{}", sym_prefix(&scopes, &base), name);
+                        let owner = impl_type(&scopes);
+                        let in_trait = owner.as_ref().is_some_and(|(_, t)| *t);
                         fns.push(FnItem {
                             name,
                             sym,
-                            impl_type: impl_type(&scopes),
+                            impl_type: owner.map(|(ty, _)| ty),
                             sig_line,
                             body: (tok.line, tok.line),
                             is_test: file.in_test.get(sig_line).copied().unwrap_or(false),
+                            is_pub: is_pub || in_trait,
                             calls: Vec::new(),
                             loops: Vec::new(),
                             arith: Vec::new(),
@@ -417,7 +442,7 @@ pub fn parse_items(file: &SourceFile) -> ParsedFile {
                     }
                     "trait" => {
                         if let Some(name) = toks.get(t + 1).and_then(|x| x.ident()) {
-                            pending = Some(Pending::Type(name.to_string()));
+                            pending = Some(Pending::Type(name.to_string(), true));
                             t += 2;
                         } else {
                             t += 1;
@@ -431,6 +456,7 @@ pub fn parse_items(file: &SourceFile) -> ParsedFile {
                         let mut angle = 0i64;
                         let mut ty = String::new();
                         let mut in_where = false;
+                        let mut trait_impl = false;
                         while j < toks.len() {
                             match &toks[j].kind {
                                 Tok::Punct('{') => break,
@@ -440,6 +466,7 @@ pub fn parse_items(file: &SourceFile) -> ParsedFile {
                                 Tok::Ident(w) if angle == 0 && !in_where => {
                                     if w == "for" {
                                         ty.clear();
+                                        trait_impl = true;
                                     } else if w == "where" {
                                         in_where = true;
                                     } else if w != "dyn" && w != "mut" && w != "const" {
@@ -451,7 +478,7 @@ pub fn parse_items(file: &SourceFile) -> ParsedFile {
                             j += 1;
                         }
                         if toks.get(j).is_some_and(|x| x.is_punct('{')) {
-                            pending = Some(Pending::Type(ty));
+                            pending = Some(Pending::Type(ty, trait_impl));
                         }
                         t = j;
                     }
@@ -475,6 +502,7 @@ pub fn parse_items(file: &SourceFile) -> ParsedFile {
                                 pending = Some(Pending::Fn {
                                     name: name.to_string(),
                                     sig_line: toks[t].line,
+                                    is_pub: declared_pub(&toks, t),
                                 });
                             }
                             t = j; // the `{`/`;` handler runs next

@@ -103,6 +103,11 @@ impl BitWriter {
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
     }
+
+    /// Bytes the writer holds room for without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
 }
 
 /// MSB-first bit reader over a byte slice.

@@ -507,7 +507,7 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
         }
         CommitStrategy::BitPack => {
             let lead_cap = (req_len / 8).min(3) as usize;
-            scratch.bits.clear();
+            let bits = scratch.bits(block.len());
             let mut prev = 0u64;
             for (i, &d) in block.iter().enumerate() {
                 let v = if raw { d } else { d - mu };
@@ -518,18 +518,16 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
                 payload[lead_off + i / 4] |= (lead as u8) << (6 - 2 * (i % 4));
                 let t = req_len - 8 * lead as u32;
                 if t > 0 {
-                    let bits = (w << (8 * lead)) >> (64 - t);
-                    scratch.bits.write_bits(bits, t);
+                    bits.write_bits((w << (8 * lead)) >> (64 - t), t);
                 }
                 prev = w;
             }
-            payload.extend_from_slice(scratch.bits.as_bytes());
+            payload.extend_from_slice(bits.as_bytes());
         }
         CommitStrategy::BytePlusResidual => {
             let beta = req_len % 8;
             let lead_cap = (req_len / 8).min(3) as usize;
-            scratch.bytes_pool.clear();
-            scratch.bits.clear();
+            let bits = scratch.bits(block.len());
             let mut prev = 0u64;
             for (i, &d) in block.iter().enumerate() {
                 let v = if raw { d } else { d - mu };
@@ -538,22 +536,21 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
                 let lead = ((xor.leading_zeros() / 8) as usize).min(lead_cap);
                 // PANIC-OK: as in the ByteAligned arm.
                 payload[lead_off + i / 4] |= (lead as u8) << (6 - 2 * (i % 4));
-                // α whole bytes after the identical prefix...
+                // α whole bytes after the identical prefix, straight into
+                // the payload's whole-byte pool...
                 let alpha = (req_len / 8) as usize - lead;
                 let be = w.to_be_bytes();
                 // PANIC-OK: lead + alpha == req_len / 8 <= 8.
-                let bytes = &be[lead..lead + alpha];
-                scratch.bytes_pool.extend_from_slice(bytes);
-                // ...then β residual bits, identical width for every value.
+                payload.extend_from_slice(&be[lead..lead + alpha]);
+                // ...then β residual bits, identical width for every value,
+                // into the pool that follows it.
                 if beta > 0 {
                     let shift_out = 8 * (lead + alpha) as u32;
-                    let bits = (w << shift_out) >> (64 - beta);
-                    scratch.bits.write_bits(bits, beta);
+                    bits.write_bits((w << shift_out) >> (64 - beta), beta);
                 }
                 prev = w;
             }
-            payload.extend_from_slice(&scratch.bytes_pool);
-            payload.extend_from_slice(scratch.bits.as_bytes());
+            payload.extend_from_slice(bits.as_bytes());
         }
     }
     mu

@@ -8,20 +8,20 @@
 //!    [`LANES`]-wide accumulator stripes with no NaN branch in the loop body
 //!    (NaN presence is OR-accumulated via `is_nan()` alongside the
 //!    comparisons), reduced lane-by-lane at the end.
-//! 2. **Normalize → shift → XOR → leading-byte coding**
-//!    ([`encode_nonconstant`]): one pass materializes the high-aligned,
-//!    right-shifted words (Formulas 4–5), a second pass XORs each word with
-//!    its predecessor through a sliding window (no loop-carried scalar) and
-//!    derives the 2-bit lead codes with table-free bit arithmetic
-//!    (`clz >> 3`, clamped with a branch-free `min`), a third packs four
-//!    codes per byte.
-//! 3. **Mid-byte committer**: every value stores `nb − lead` bytes, but the
+//! 2. **Normalize → shift → XOR → leading-byte coding → commit**
+//!    ([`encode_nonconstant`]): one pass, four values per code byte. Each
+//!    value becomes its high-aligned, right-shifted word (Formulas 4–5);
+//!    its lead code is `clz >> 3` of the XOR with the previous word,
+//!    clamped branch-free with `min`; the quad's four codes are packed into
+//!    their byte at once.
+//! 3. **Mid-byte commit**: every value owes `nb − lead` bytes, but the
 //!    kernel always writes a full 8-byte big-endian word (`w << 8·lead`)
-//!    into the [`EncodeScratch`] arena and advances the cursor by the true
-//!    length — the next store overlaps the garbage tail, so the inner loop
-//!    is an unconditional 8-byte store instead of a variable-length
-//!    bounds-checked `Vec` append (the Solution C "memcpy-only" commit of
-//!    §5.1, without the per-value call).
+//!    straight into the payload and advances the cursor by the true length
+//!    — the next store overlaps the garbage tail, so each value is one
+//!    unconditional 8-byte store instead of a variable-length append (the
+//!    Solution C "memcpy-only" commit of §5.1). The payload is sized for
+//!    the block's worst case plus 8 bytes of slack before the block and
+//!    trimmed to its true length after it.
 //!
 //! Every kernel is **byte-for-byte equivalent** to the scalar reference
 //! loops in [`crate::block`] / [`crate::encode`] — including the sign of
@@ -43,46 +43,34 @@ use crate::float::SzxFloat;
 /// 128-element block is 16 full stripes.
 pub const LANES: usize = 8;
 
-/// Reusable per-chunk scratch for the encode kernels. Threaded through
-/// [`crate::encode::encode_blocks`] (serial: one per call; parallel: one per
-/// rayon chunk) so the block loop performs **zero** allocations once the
-/// arenas have grown to the chunk's largest block.
+/// Reusable scratch for the Solution A/B encoders: the residual bit pool.
+/// [`crate::Encoder::push`] gives each window's thread one (one per call
+/// serially, one per pool thread that claims a window in parallel), so the
+/// block loop performs **zero** allocations once the pool has grown to the
+/// largest block. Solution C needs none: it writes straight into the
+/// payload.
 #[derive(Debug, Default)]
 pub struct EncodeScratch {
-    /// High-aligned, normalized, shifted words — one per block element.
-    /// `pub(crate)`: the SIMD encoder materializes these with intrinsics
-    /// and then shares the pack/commit passes below.
-    pub(crate) words: Vec<u64>,
-    /// 2-bit leading-byte code per element (stored unpacked, one byte each).
-    pub(crate) leads: Vec<u8>,
-    /// Mid-byte arena: worst case 8 bytes per element, plus 8 bytes of slack
-    /// so the committer's unconditional 8-byte stores never overrun.
-    pub(crate) mid: Vec<u8>,
-    /// Whole-byte pool for Solution A/B scalar fallbacks.
-    pub(crate) bytes_pool: Vec<u8>,
     /// Bit pool for Solution A/B residuals.
-    pub(crate) bits: BitWriter,
-    /// Arena (re)allocation events — flushed to the
+    bits: BitWriter,
+    /// Pool (re)allocation events — flushed to the
     /// `compress.scratch.grows` telemetry counter so tests can assert the
     /// hot loop stays allocation-free after warm-up.
-    pub(crate) grows: u64,
+    grows: u64,
 }
 
 impl EncodeScratch {
-    /// Grow the arenas to hold a block of `blen` elements. Amortized free:
-    /// after the first block of maximal size this never reallocates.
+    /// The cleared bit pool, with room for a block of `blen` values of at
+    /// most 64 bits each. Amortized free: after the first block of
+    /// maximal size this never reallocates.
     #[inline]
-    pub(crate) fn ensure(&mut self, blen: usize) {
-        if self.words.len() < blen {
+    pub(crate) fn bits(&mut self, blen: usize) -> &mut BitWriter {
+        if self.bits.capacity() < 8 * blen {
             self.grows += 1;
-            self.words.resize(blen, 0);
-            self.leads.resize(blen, 0);
-            self.mid.resize(blen * 8 + 8, 0);
+            self.bits = BitWriter::with_capacity(8 * blen);
         }
-        contract!(
-            self.mid.len() >= blen * 8 + 8,
-            "mid-byte arena sized for {blen} elements plus slack"
-        );
+        self.bits.clear();
+        &mut self.bits
     }
 
     /// Drain the growth-event count (for the telemetry flush).
@@ -91,13 +79,10 @@ impl EncodeScratch {
         std::mem::take(&mut self.grows)
     }
 
-    /// Bytes currently reserved by the arenas — published as the
+    /// Bytes currently reserved by the pool — published as the
     /// `compress.scratch.arena_bytes` gauge at the telemetry flush.
     pub(crate) fn arena_bytes(&self) -> u64 {
-        (self.words.capacity() * 8
-            + self.leads.capacity()
-            + self.mid.capacity()
-            + self.bytes_pool.capacity()) as u64
+        self.bits.capacity() as u64
     }
 }
 
@@ -201,8 +186,8 @@ pub(crate) fn unsigned_zero<F: SzxFloat>(x: F) -> F {
 }
 
 /// Kernel encode of one non-constant block: same payload layout and bytes as
-/// the scalar [`crate::encode`] path, produced by four flat passes over the
-/// scratch arenas instead of one branchy per-value loop.
+/// the scalar [`crate::encode`] path, in one pass of four values per code
+/// byte, the whole-byte runs committed straight into `payload`.
 pub(crate) fn encode_nonconstant<F: SzxFloat>(
     block: &[F],
     stats: &BlockStats<F>,
@@ -215,165 +200,132 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
     let raw = req_len == F::FULL_BITS;
     let mu = if raw { F::ZERO } else { stats.mu };
     let blen = block.len();
-    scratch.ensure(blen);
 
     #[expect(clippy::cast_possible_truncation, reason = "req_len <= FULL_BITS = 64")]
     payload.push(req_len as u8);
 
-    // Pass 1 — normalize and shift (Formula 5). Solution C right-shifts so
-    // the required bits fill whole bytes; A/B keep the word unshifted. The
-    // bit-exact (`raw`) variant must not touch the value arithmetically:
-    // `d - 0.0` would quieten signaling-NaN payloads.
-    let s = match strategy {
-        CommitStrategy::ByteAligned => shift_for(req_len),
-        _ => 0,
+    // Solution C right-shifts so the required bits fill whole bytes
+    // (Formula 5) and commits `nb` bytes a value; A/B keep the word
+    // unshifted, and B commits its `R/8` whole bytes the same way.
+    let r8 = (req_len / 8) as usize;
+    let (s, lead_cap, whole) = match strategy {
+        CommitStrategy::ByteAligned => (shift_for(req_len), bytes_for(req_len), bytes_for(req_len)),
+        CommitStrategy::BitPack => (0, r8, 0),
+        CommitStrategy::BytePlusResidual => (0, r8, r8),
     };
-    // PANIC-OK: ensure(blen) above sized the arenas to at least blen.
-    let words = &mut scratch.words[..blen];
-    if raw {
-        for (w, &d) in words.iter_mut().zip(block) {
-            *w = d.to_word() >> s;
-        }
-    } else {
-        for (w, &d) in words.iter_mut().zip(block) {
-            *w = (d - mu).to_word() >> s;
-        }
-    }
-
-    // Pass 2 — XOR leading-byte codes, table-free: `clz >> 3` counts whole
-    // identical leading bytes, clamped branch-free to the strategy's cap.
-    // The predecessor comes from a two-element window over the materialized
-    // words, so there is no loop-carried scalar dependence.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "both arms are clamped to at most 3"
-    )]
-    let lead_cap = match strategy {
-        CommitStrategy::ByteAligned => bytes_for(req_len).min(3),
-        _ => (req_len / 8).min(3) as usize,
-    } as u8;
-    // PANIC-OK: as for words.
-    let leads = &mut scratch.leads[..blen];
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "leading_zeros() <= 64, so clz >> 3 <= 8 fits u8"
-    )]
-    // PANIC-OK: a non-constant block holds at least one value.
-    let first = (words[0].leading_zeros() >> 3) as u8;
-    leads[0] = first.min(lead_cap); // PANIC-OK: as above
-    #[expect(clippy::cast_possible_truncation, reason = "clz >> 3 <= 8 fits u8")]
-    // PANIC-OK: as above, so leads[1..] is at worst empty.
-    for (l, pair) in leads[1..].iter_mut().zip(words.windows(2)) {
-        // PANIC-OK: windows(2) yields pairs.
-        let xor = pair[0] ^ pair[1];
-        *l = ((xor.leading_zeros() >> 3) as u8).min(lead_cap);
-    }
-
-    // Pass 3 — pack four 2-bit codes per byte, MSB-first.
-    pack_lead_codes(leads, payload);
-
-    // Pass 4 — commit.
-    match strategy {
+    // The code bytes, then the whole-byte pool: room for its worst case
+    // plus the 8 bytes of slack the overlapping stores need, trimmed to its
+    // true length at the end.
+    let codes_at = payload.len();
+    let ncodes = blen.div_ceil(4);
+    payload.resize(codes_at + ncodes + whole * blen + 8, 0);
+    // PANIC-OK: the resize above made payload longer than codes_at + ncodes.
+    let (codes, pool) = payload[codes_at..].split_at_mut(ncodes);
+    let quads = Quads {
+        block,
+        raw,
+        mu,
+        s,
+        #[expect(clippy::cast_possible_truncation, reason = "clamped to at most 3")]
+        lead_cap: lead_cap.min(3) as u32,
+    };
+    let mut pos = 0usize;
+    let bits = match strategy {
         CommitStrategy::ByteAligned => {
-            let nb = bytes_for(req_len);
-            commit_byte_aligned(words, leads, nb, &mut scratch.mid, payload);
+            quads.each(codes, |w, lead| {
+                commit(pool, pos, w, lead);
+                pos += whole - lead as usize;
+            });
+            None
         }
         CommitStrategy::BitPack => {
-            scratch.bits.clear();
-            for (&w, &lead) in words.iter().zip(leads.iter()) {
-                let t = req_len - 8 * lead as u32;
+            let bits = scratch.bits(blen);
+            quads.each(codes, |w, lead| {
+                let t = req_len - 8 * lead;
                 if t > 0 {
-                    scratch
-                        .bits
-                        .write_bits((w << (8 * lead as u32)) >> (64 - t), t);
+                    bits.write_bits((w << (8 * lead)) >> (64 - t), t);
                 }
-            }
-            payload.extend_from_slice(scratch.bits.as_bytes());
+            });
+            Some(bits)
         }
         CommitStrategy::BytePlusResidual => {
-            // Whole-byte pool through the same arena committer (α bytes per
-            // value), then a constant-width β-bit residual pool: the scalar
-            // loop's `shift_out = 8·(lead + α)` collapses to `8·(R/8)`.
+            // The scalar loop's `shift_out = 8·(lead + α)` collapses to
+            // `8·(R/8)`: every value's β residual bits sit at one offset.
             let beta = req_len % 8;
-            let base_alpha = (req_len / 8) as usize;
-            #[expect(clippy::cast_possible_truncation, reason = "base_alpha <= 8")]
-            let shift_out = 8 * base_alpha as u32;
-            scratch.bits.clear();
-            let mid = scratch.mid.as_mut_slice();
-            let mut pos = 0usize;
-            for (&w, &lead) in words.iter().zip(leads.iter()) {
-                let lead = lead as usize;
-                contract!(
-                    lead <= base_alpha && pos + 8 <= mid.len(),
-                    "byte-pool store at {pos} must stay inside the slack-padded arena"
-                );
-                #[expect(clippy::cast_possible_truncation, reason = "lead <= lead_cap <= 3")]
-                // PANIC-OK: the contract above bounds pos + 8.
-                mid[pos..pos + 8].copy_from_slice(&(w << (8 * lead as u32)).to_be_bytes());
-                pos += base_alpha - lead;
+            let shift_out = 8 * (req_len / 8);
+            let bits = scratch.bits(blen);
+            quads.each(codes, |w, lead| {
+                commit(pool, pos, w, lead);
+                pos += whole - lead as usize;
                 if beta > 0 {
-                    scratch
-                        .bits
-                        .write_bits((w << shift_out) >> (64 - beta), beta);
+                    bits.write_bits((w << shift_out) >> (64 - beta), beta);
                 }
-            }
-            payload.extend_from_slice(&mid[..pos]); // PANIC-OK: pos <= mid.len() - 8
-            payload.extend_from_slice(scratch.bits.as_bytes());
+            });
+            Some(bits)
         }
+    };
+    payload.truncate(codes_at + ncodes + pos);
+    if let Some(bits) = bits {
+        payload.extend_from_slice(bits.as_bytes());
     }
     mu
 }
 
-/// Pack four 2-bit lead codes per byte, MSB-first, plus a remainder byte —
-/// the shared pass 3 of the kernel and SIMD encoders. `leads` may be any
-/// length; a non-multiple-of-4 tail packs into one final partial byte, so
-/// the SIMD path may call this on just the tail after packing full groups
-/// with intrinsics (the split point must be a multiple of 4).
-#[inline]
-pub(crate) fn pack_lead_codes(leads: &[u8], payload: &mut Vec<u8>) {
-    let (quads, rem) = leads.as_chunks::<4>();
-    for &[a, b, c, d] in quads {
-        payload.push(a << 6 | b << 4 | c << 2 | d);
-    }
-    if !rem.is_empty() {
-        let mut b = 0u8;
-        for (j, &l) in rem.iter().enumerate() {
-            b |= l << (6 - 2 * j);
+/// One non-constant block's values on their way to words and lead codes.
+struct Quads<'a, F> {
+    block: &'a [F],
+    /// Bit-exact block: the words are the values' own bits.
+    raw: bool,
+    mu: F,
+    /// Right shift of Formula 5 (0 for Solutions A and B).
+    s: u32,
+    /// Largest lead code: the strategy's whole bytes, at most 3.
+    lead_cap: u32,
+}
+
+impl<F: SzxFloat> Quads<'_, F> {
+    /// Hand each value's word `w` and clamped lead code (whole leading
+    /// bytes it shares with the previous word) to `commit`, in order, and
+    /// pack each quad's four codes MSB-first into its byte of `codes`.
+    #[inline(always)]
+    fn each(&self, codes: &mut [u8], mut commit: impl FnMut(u64, u32)) {
+        let mut prev = 0u64;
+        for (quad, code) in self.block.chunks(4).zip(codes) {
+            let mut byte = 0u32;
+            for (&d, at) in quad.iter().zip([6, 4, 2, 0]) {
+                // The bit-exact variant must not touch the value
+                // arithmetically: `d - 0.0` would quieten signaling NaNs.
+                let v = if self.raw { d } else { d - self.mu };
+                let w = v.to_word() >> self.s;
+                let lead = ((w ^ prev).leading_zeros() >> 3).min(self.lead_cap);
+                byte |= lead << at;
+                commit(w, lead);
+                prev = w;
+            }
+            #[expect(clippy::cast_possible_truncation, reason = "four 2-bit codes")]
+            {
+                *code = byte as u8;
+            }
         }
-        payload.push(b);
     }
 }
 
-/// The Solution C mid-byte committer — the shared pass 4 of the kernel and
-/// SIMD encoders: value i owes bytes `lead..nb` of its big-endian word.
-/// `w << 8·lead` moves byte `lead` to the front, so one unconditional
-/// 8-byte store writes them (plus a garbage tail the next store overlaps);
-/// the cursor advances by the true length. The arena carries 8 bytes of
-/// slack, so the slice index below never goes out of bounds.
-#[inline]
-pub(crate) fn commit_byte_aligned(
-    words: &[u64],
-    leads: &[u8],
-    nb: usize,
-    mid: &mut [u8],
-    payload: &mut Vec<u8>,
-) {
-    let mut pos = 0usize;
-    for (&w, &lead) in words.iter().zip(leads.iter()) {
-        let lead = lead as usize;
-        contract!(
-            lead <= nb && pos + 8 <= mid.len(),
-            "committer store at {pos} must stay inside the slack-padded arena"
-        );
-        #[expect(clippy::cast_possible_truncation, reason = "lead <= lead_cap <= 3")]
-        // PANIC-OK: the contract above bounds pos + 8.
-        mid[pos..pos + 8].copy_from_slice(&(w << (8 * lead as u32)).to_be_bytes());
-        pos += nb - lead;
-    }
-    payload.extend_from_slice(&mid[..pos]); // PANIC-OK: pos <= mid.len() - 8
+/// Commit bytes `lead..` of the big-endian word `w` at `pool[pos..]`: `w <<
+/// 8·lead` moves byte `lead` to the front, so one unconditional 8-byte
+/// store writes them, plus a garbage tail the next store overlaps.
+#[inline(always)]
+fn commit(pool: &mut [u8], pos: usize, w: u64, lead: u32) {
+    contract!(
+        pos + 8 <= pool.len(),
+        "overlapping store at {pos} must stay inside the slack-padded pool"
+    );
+    // PANIC-OK: every value moves pos on by at most its whole bytes, and
+    // the pool holds every value's whole bytes plus 8 of slack.
+    pool[pos..pos + 8].copy_from_slice(&(w << (8 * lead)).to_be_bytes());
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation, reason = "test data")]
 mod tests {
     use super::*;
     use crate::config::KernelPath;
@@ -438,15 +390,147 @@ mod tests {
         }
     }
 
+    /// xorshift64* — a fixed, dependency-free source of forged values.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+    }
+
+    /// A random block in one of four shapes: raw bit patterns (NaN
+    /// payloads, infinities, both zeros), values sharing their high bytes
+    /// (long lead runs, every lead code), zeros of both signs with a few
+    /// mixed-sign values, and runs of repeats punctuated by jumps.
+    fn forged_block<F: SzxFloat>(rng: &mut Rng, blen: usize, shape: u64) -> Vec<F> {
+        let bits = |w: u64| F::from_word(w & (u64::MAX << (64 - F::FULL_BITS)));
+        let base = rng.next();
+        let mut last = bits(base);
+        (0..blen)
+            .map(|_| {
+                let r = rng.next();
+                match shape {
+                    0 => bits(r),
+                    1 => bits(base ^ (r >> (8 + r % 40))),
+                    2 if r.is_multiple_of(7) => F::from_f64(f64::from(r as u32) - 2e9),
+                    2 => F::from_f64(if r.is_multiple_of(2) { 0.0 } else { -0.0 }),
+                    _ => {
+                        if r.is_multiple_of(5) {
+                            last = bits(r);
+                        }
+                        last
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Encode `block` as a non-constant block at required length `req_len`
+    /// on every path and assert the payloads and μs agree bit for bit. The
+    /// stats are forged: `μ` as given, the radius `2^(req_len − SIGN_EXP_BITS
+    /// − 1)` against a bound of 1, which is exactly `req_len`.
+    fn assert_encoders_agree<F: SzxFloat>(block: &[F], mu: F, req_len: u32, what: &str) {
+        let radius = F::from_f64((2f64).powi(req_len as i32 - F::SIGN_EXP_BITS as i32 - 1));
+        assert_eq!(required_length::<F>(radius, 1.0), req_len, "{what}");
+        let stats = BlockStats { mu, radius };
+        for strategy in [
+            CommitStrategy::ByteAligned,
+            CommitStrategy::BitPack,
+            CommitStrategy::BytePlusResidual,
+        ] {
+            let mut scratch = EncodeScratch::default();
+            let mut run = |path: KernelPath| {
+                // Appended after other bytes, as in a window's payload.
+                let mut payload = vec![0xA5; 3];
+                let mu = path.encode_nonconstant(
+                    block,
+                    &stats,
+                    1.0,
+                    strategy,
+                    &mut payload,
+                    &mut scratch,
+                );
+                (mu.to_word(), payload)
+            };
+            let scalar = run(KernelPath::Scalar);
+            assert_eq!(
+                scalar,
+                run(KernelPath::Kernel),
+                "kernel: {what} {strategy:?}"
+            );
+            assert_eq!(scalar, run(KernelPath::Simd), "simd: {what} {strategy:?}");
+        }
+    }
+
+    /// Streams of forged blocks of length `blen`, over more than two
+    /// windows and ending in a ragged block: every path, serial and
+    /// parallel, every strategy, writes the scalar stream.
+    fn assert_streams_agree<F: SzxFloat>(rng: &mut Rng, blen: usize) {
+        let n = 2 * crate::window_len::<F>(blen) + 3 * blen + blen.div_ceil(2);
+        let mut data: Vec<F> = Vec::with_capacity(n);
+        while data.len() < n {
+            let scale = (2f64).powi((rng.next() % 41) as i32 - 20);
+            let shape = rng.next() % 4;
+            let block = forged_block::<F>(rng, blen, shape);
+            let scaled = block.into_iter().map(|d| match shape {
+                1 => d,
+                _ => F::from_f64(d.to_f64() * scale),
+            });
+            data.extend(scaled.take(n - data.len()));
+        }
+        for strategy in [
+            CommitStrategy::ByteAligned,
+            CommitStrategy::BitPack,
+            CommitStrategy::BytePlusResidual,
+        ] {
+            let cfg = crate::SzxConfig::absolute(1e-3)
+                .with_block_size(blen)
+                .with_strategy(strategy);
+            let scalar = crate::compress(&data, &cfg.with_kernel(KernelPath::Scalar)).unwrap();
+            for path in [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd] {
+                for parallel in [false, true] {
+                    let cfg = cfg.with_kernel(path).with_parallel(parallel);
+                    let bytes = crate::compress(&data, &cfg).unwrap();
+                    assert!(scalar == bytes, "{} blen={blen} {cfg:?}", F::NAME);
+                }
+            }
+        }
+    }
+
+    fn forged_blocks_agree<F: SzxFloat>(seed: u64) {
+        let mut rng = Rng(seed);
+        for blen in (1..=8).chain([127, 128, 129, 4096]) {
+            for req_len in F::SIGN_EXP_BITS..=F::FULL_BITS {
+                for shape in 0..4 {
+                    let block = forged_block::<F>(&mut rng, blen, shape);
+                    let mu = [F::ZERO, block[0], forged_block::<F>(&mut rng, 1, 0)[0]]
+                        [(rng.next() % 3) as usize];
+                    let what = format!("{} blen={blen} req_len={req_len} shape={shape}", F::NAME);
+                    assert_encoders_agree(&block, mu, req_len, &what);
+                }
+            }
+            assert_streams_agree::<F>(&mut rng, blen);
+        }
+    }
+
+    #[test]
+    fn forged_blocks_encode_identically_on_every_path() {
+        forged_blocks_agree::<f32>(0x5eed_e001);
+        forged_blocks_agree::<f64>(0x5eed_e002);
+    }
+
     #[test]
     fn scratch_grows_once_per_high_water_mark() {
         let mut s = EncodeScratch::default();
-        s.ensure(128);
-        s.ensure(64);
-        s.ensure(128);
+        s.bits(128);
+        s.bits(64);
+        s.bits(128);
         assert_eq!(s.grows, 1);
-        s.ensure(4096);
-        assert_eq!(s.grows, 2);
-        assert!(s.mid.len() >= 4096 * 8 + 8);
+        s.bits(4096);
+        assert_eq!(s.take_grows(), 2);
+        assert!(s.arena_bytes() >= 4096 * 8);
     }
 }

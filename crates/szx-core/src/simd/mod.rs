@@ -15,10 +15,13 @@
 //!    keep the portable kernel's bits. [`minmax`] runs four independent
 //!    accumulators, off the one-register dependency chain, and returns a
 //!    zero extreme as +0.0 as every backend does.
-//! 2. **Encode coder** ([`encode_nonconstant`]): normalize → shift into the
-//!    high-aligned word (Formulas 4–5), XOR-against-predecessor leading-byte
-//!    counting with branch-free nested byte-prefix compares, and a
-//!    `maddubs`/`madd` 2-bit code packer (32 codes per vector).
+//! 2. **Encode coder** ([`encode_nonconstant`]): one pass, four values per
+//!    code byte. Normalize → shift into the high-aligned word (Formulas
+//!    4–5), XOR against the predecessor lane, three nested byte-prefix
+//!    compares whose masks spread into the code byte, and the four mid-byte
+//!    runs committed straight into the payload with overlapping 8-byte
+//!    stores at offsets from the decode's lead table — cuSZx's prefix scan
+//!    of `nb − lead` on four lanes.
 //! 3. **Decode** ([`decode_nonconstant_block`]): the one-pass lane scan —
 //!    per code byte, a table lookup gives the four clamped leads and their
 //!    offsets, one gather fetches the four overlapping big-endian 8-byte
@@ -60,7 +63,7 @@
 #![allow(unsafe_code)]
 #![deny(clippy::cast_possible_truncation)]
 
-use crate::block::{bytes_for, required_length, shift_for, BlockStats};
+use crate::block::{required_length, BlockStats};
 use crate::config::CommitStrategy;
 use crate::dekernels::{self, DecodeScratch};
 use crate::error::Result;
@@ -107,7 +110,7 @@ pub fn available() -> bool {
     ready() && std::env::var_os("SZX_DISABLE_SIMD").is_none_or(|v| v.is_empty())
 }
 
-/// Do the coder backends (encode passes 1–3, the decode scan) exist for this
+/// Do the coder backends (the encode and decode quad scans) exist for this
 /// target? The NEON backend currently covers only the range scan, so on
 /// aarch64 the coder paths delegate to the portable kernels while the scan
 /// runs vectorized.
@@ -194,11 +197,11 @@ fn backend_minmax<F: SzxFloat>(data: &[F]) -> (F, F) {
     kernels::minmax(data)
 }
 
-/// SIMD encode of one non-constant block: intrinsic passes 1–3 (normalize/
-/// shift, lead-code derivation, 2-bit packing) feeding the shared
-/// overlapping-store committer. Byte-identical payload to
-/// [`crate::kernels::encode_nonconstant`]; non-`ByteAligned` strategies and
-/// targets without a coder backend delegate to it outright.
+/// SIMD encode of one non-constant `ByteAligned` block: the one-pass quad
+/// coder, each quad of values going from the input to the payload in
+/// registers. Byte-identical payload to
+/// [`crate::kernels::encode_nonconstant`]; other strategies and targets
+/// without a coder backend delegate to it outright.
 pub(crate) fn encode_nonconstant<F: SzxFloat>(
     block: &[F],
     stats: &BlockStats<F>,
@@ -215,57 +218,20 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
         let req_len = required_length::<F>(stats.radius, eb);
         let raw = req_len == F::FULL_BITS;
         let mu = if raw { F::ZERO } else { stats.mu };
-        let blen = block.len();
-        scratch.ensure(blen);
         #[expect(clippy::cast_possible_truncation, reason = "req_len <= FULL_BITS = 64")]
         payload.push(req_len as u8);
-
-        let s = shift_for(req_len);
-        let nb = bytes_for(req_len);
-        #[expect(clippy::cast_possible_truncation, reason = "clamped to at most 3")]
-        let lead_cap = nb.min(3) as u8;
-
-        // Passes 1 + 2 — materialize the shifted words and the clamped lead
-        // codes with intrinsics.
-        {
-            // PANIC-OK: ensure(blen) above sized both arenas to blen.
-            let words = &mut scratch.words[..blen];
-            let leads = &mut scratch.leads[..blen]; // PANIC-OK: as above
-            if let Some(b) = F::as_f32s(block) {
-                // μ reinterpreted in the block's own type, bit-exactly (the
-                // downcast proves F = f32).
-                let mu32 = f32::from_word(mu.to_word());
-                // SAFETY: `coder_ready()` above confirmed AVX2 via cached
-                // runtime feature detection.
-                unsafe { x86::encode_words_leads_f32(b, raw, mu32, s, lead_cap, words, leads) };
-            } else if let Some(b) = F::as_f64s(block) {
-                let mu64 = f64::from_word(mu.to_word());
-                // SAFETY: as above — AVX2 confirmed by runtime detection.
-                unsafe { x86::encode_words_leads_f64(b, raw, mu64, s, lead_cap, words, leads) };
-            }
-        }
-
-        // Pass 3 — pack the 2-bit codes: full 32-code groups with the
-        // maddubs/madd packer, the tail through the shared scalar packer
-        // (the split point is a multiple of 4, so byte boundaries align).
-        {
-            let leads = &scratch.leads[..blen]; // PANIC-OK: ensure(blen)
-            let n32 = blen & !31;
+        if let Some(b) = F::as_f32s(block) {
+            // μ reinterpreted in the block's own type, bit-exactly (the
+            // downcast proves F = f32).
+            let mu32 = f32::from_word(mu.to_word());
             // SAFETY: `coder_ready()` above confirmed AVX2 via cached
             // runtime feature detection.
-            // PANIC-OK: n32 <= blen = leads.len() by construction.
-            unsafe { x86::pack_lead_codes(&leads[..n32], payload) };
-            kernels::pack_lead_codes(&leads[n32..], payload); // PANIC-OK: as above
+            unsafe { x86::encode_block_f32(b, raw, mu32, req_len, payload) };
+        } else if let Some(b) = F::as_f64s(block) {
+            let mu64 = f64::from_word(mu.to_word());
+            // SAFETY: as above — AVX2 confirmed by runtime detection.
+            unsafe { x86::encode_block_f64(b, raw, mu64, req_len, payload) };
         }
-
-        // Pass 4 — the shared Solution C overlapping-store committer.
-        kernels::commit_byte_aligned(
-            &scratch.words[..blen], // PANIC-OK: ensure(blen)
-            &scratch.leads[..blen], // PANIC-OK: ensure(blen)
-            nb,
-            &mut scratch.mid,
-            payload,
-        );
         mu
     }
     #[cfg(not(target_arch = "x86_64"))]

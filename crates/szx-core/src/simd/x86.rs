@@ -21,7 +21,7 @@
 
 use core::arch::x86_64::*;
 
-use crate::block::BlockStats;
+use crate::block::{bytes_for, shift_for, BlockStats};
 use crate::dekernels::Block;
 use crate::float::SzxFloat;
 use crate::kernels::{finish_stats, LANES};
@@ -231,195 +231,6 @@ pub(super) fn minmax_f64(data: &[f64]) -> (f64, f64) {
     (min, max)
 }
 
-/// Encode passes 1 + 2 for `f32`: materialize the normalized, high-aligned,
-/// right-shifted words (Formulas 4–5) and derive the clamped XOR lead codes.
-/// `words` and `leads` are exactly `block.len()` long.
-#[target_feature(enable = "avx2")]
-pub(super) fn encode_words_leads_f32(
-    block: &[f32],
-    raw: bool,
-    mu: f32,
-    s: u32,
-    lead_cap: u8,
-    words: &mut [u64],
-    leads: &mut [u8],
-) {
-    let blen = block.len();
-    debug_assert_eq!(words.len(), blen);
-    debug_assert_eq!(leads.len(), blen);
-    let full = blen / 8;
-    let ptr = block.as_ptr();
-    let wptr = words.as_mut_ptr();
-    let mu8 = _mm256_set1_ps(mu);
-    // f32's high-aligned word is `bits << 32`, so `to_word() >> s` is one
-    // left shift by 32 - s (s <= 7, so no significant bit is lost).
-    let lshift = _mm_cvtsi32_si128((32 - s) as i32);
-    for k in 0..full {
-        // SAFETY: k < blen / 8, so lanes k*8 .. k*8+8 are in bounds.
-        let d = unsafe { _mm256_loadu_ps(ptr.add(k * 8)) };
-        // The bit-exact (raw) variant must not touch the value: `d - 0.0`
-        // would quieten signaling-NaN payloads.
-        let v = if raw { d } else { _mm256_sub_ps(d, mu8) };
-        let bits = _mm256_castps_si256(v);
-        let lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(bits));
-        let hi = _mm256_cvtepu32_epi64(_mm256_extracti128_si256::<1>(bits));
-        // SAFETY: words holds blen >= k*8 + 8 u64 slots, so both 4-lane
-        // stores are in bounds.
-        unsafe {
-            _mm256_storeu_si256(
-                wptr.add(k * 8).cast::<__m256i>(),
-                _mm256_sll_epi64(lo, lshift),
-            );
-            _mm256_storeu_si256(
-                wptr.add(k * 8 + 4).cast::<__m256i>(),
-                _mm256_sll_epi64(hi, lshift),
-            );
-        }
-    }
-    for i in full * 8..blen {
-        let d = block[i]; // PANIC-OK: i < blen
-        let v = if raw { d } else { d - mu };
-        words[i] = v.to_word() >> s; // PANIC-OK: words holds blen slots
-    }
-    lead_codes(words, leads, lead_cap);
-}
-
-/// Encode passes 1 + 2 for `f64`; see [`encode_words_leads_f32`].
-#[target_feature(enable = "avx2")]
-pub(super) fn encode_words_leads_f64(
-    block: &[f64],
-    raw: bool,
-    mu: f64,
-    s: u32,
-    lead_cap: u8,
-    words: &mut [u64],
-    leads: &mut [u8],
-) {
-    let blen = block.len();
-    debug_assert_eq!(words.len(), blen);
-    debug_assert_eq!(leads.len(), blen);
-    let full = blen / 4;
-    let ptr = block.as_ptr();
-    let wptr = words.as_mut_ptr();
-    let mu4 = _mm256_set1_pd(mu);
-    let rshift = _mm_cvtsi32_si128(s as i32);
-    for k in 0..full {
-        // SAFETY: k < blen / 4, so lanes k*4 .. k*4+4 are in bounds.
-        let d = unsafe { _mm256_loadu_pd(ptr.add(k * 4)) };
-        let v = if raw { d } else { _mm256_sub_pd(d, mu4) };
-        let w = _mm256_srl_epi64(_mm256_castpd_si256(v), rshift);
-        // SAFETY: words holds blen >= k*4 + 4 u64 slots.
-        unsafe { _mm256_storeu_si256(wptr.add(k * 4).cast::<__m256i>(), w) };
-    }
-    for i in full * 4..blen {
-        let d = block[i]; // PANIC-OK: i < blen
-        let v = if raw { d } else { d - mu };
-        words[i] = v.to_word() >> s; // PANIC-OK: words holds blen slots
-    }
-    lead_codes(words, leads, lead_cap);
-}
-
-/// Pass 2 — clamped XOR leading-byte codes over the materialized words,
-/// four per iteration. The leading-zero-*byte* count (possible values
-/// 0..=8, needed clamped to <= 3) is computed branch-free as the sum of
-/// three nested byte-prefix zero tests: `[top1 == 0] + [top2 == 0] +
-/// [top3 == 0] = min(clz >> 3, 3)`; clamping that against `lead_cap`
-/// (itself <= 3) matches the portable kernel's `min(clz >> 3, lead_cap)`.
-#[target_feature(enable = "avx2")]
-fn lead_codes(words: &[u64], leads: &mut [u8], lead_cap: u8) {
-    let blen = words.len();
-    if blen == 0 {
-        return;
-    }
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "leading_zeros() <= 64, so clz >> 3 <= 8 fits u8"
-    )]
-    // PANIC-OK: blen >= 1 here, and leads holds blen codes (callers
-    // pass the two arenas cut to the block's length).
-    let first = (words[0].leading_zeros() >> 3) as u8;
-    leads[0] = first.min(lead_cap); // PANIC-OK: as above
-    let m1 = _mm256_set1_epi64x(0xff00_0000_0000_0000_u64 as i64);
-    let m2 = _mm256_set1_epi64x(0xffff_0000_0000_0000_u64 as i64);
-    let m3 = _mm256_set1_epi64x(0xffff_ff00_0000_0000_u64 as i64);
-    let cap = _mm256_set1_epi64x(lead_cap as i64);
-    let zero = _mm256_setzero_si256();
-    let ptr = words.as_ptr();
-    let mut i = 1usize;
-    while i + 4 <= blen {
-        // SAFETY: i >= 1 and i + 4 <= blen, so both 4-lane loads (at i - 1
-        // and at i) stay inside `words`.
-        let (cur, prev) = unsafe {
-            (
-                _mm256_loadu_si256(ptr.add(i).cast::<__m256i>()),
-                _mm256_loadu_si256(ptr.add(i - 1).cast::<__m256i>()),
-            )
-        };
-        let x = _mm256_xor_si256(cur, prev);
-        // Each compare yields -1 (all ones) per matching lane; summing the
-        // three and negating gives the 0..=3 count in each u64 lane.
-        let c1 = _mm256_cmpeq_epi64(_mm256_and_si256(x, m1), zero);
-        let c2 = _mm256_cmpeq_epi64(_mm256_and_si256(x, m2), zero);
-        let c3 = _mm256_cmpeq_epi64(_mm256_and_si256(x, m3), zero);
-        let neg = _mm256_add_epi64(_mm256_add_epi64(c1, c2), c3);
-        let cnt = _mm256_sub_epi64(zero, neg);
-        // Counts and cap both fit one byte per u64 lane, so the unsigned
-        // byte-min clamps each lane.
-        let clamped = _mm256_min_epu8(cnt, cap);
-        let mut buf = [0u64; 4];
-        // SAFETY: buf is exactly 4 u64 = 32 bytes, matching the store.
-        unsafe { _mm256_storeu_si256(buf.as_mut_ptr().cast::<__m256i>(), clamped) };
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "each lane is clamped to <= 3"
-        )]
-        {
-            // PANIC-OK: i + 4 <= blen, the length of leads (four below).
-            leads[i] = buf[0] as u8;
-            leads[i + 1] = buf[1] as u8; // PANIC-OK: as above.
-            leads[i + 2] = buf[2] as u8; // PANIC-OK: as above.
-            leads[i + 3] = buf[3] as u8; // PANIC-OK: as above.
-        }
-        i += 4;
-    }
-    #[expect(clippy::cast_possible_truncation, reason = "clz >> 3 <= 8 fits u8")]
-    while i < blen {
-        // PANIC-OK: 1 <= i < blen.
-        let xor = words[i] ^ words[i - 1];
-        // PANIC-OK: i < blen, the length of leads.
-        leads[i] = ((xor.leading_zeros() >> 3) as u8).min(lead_cap);
-        i += 1;
-    }
-}
-
-/// Pass 3 — pack 2-bit lead codes, 32 per vector: `maddubs` folds byte
-/// pairs to `l0·4 + l1`, `madd` folds pair-of-pairs to the final
-/// `l0<<6 | l1<<4 | l2<<2 | l3` byte in each u32 lane (values <= 255, so
-/// neither multiply-add can saturate). `leads.len()` must be a multiple of
-/// 32; the caller packs any tail with the shared scalar packer.
-#[target_feature(enable = "avx2")]
-pub(super) fn pack_lead_codes(leads: &[u8], payload: &mut Vec<u8>) {
-    debug_assert_eq!(leads.len() % 32, 0);
-    let coeff_pairs = _mm256_set1_epi16(0x0104);
-    let coeff_quads = _mm256_set1_epi32(0x0001_0010);
-    for chunk in leads.chunks_exact(32) {
-        // SAFETY: chunk is exactly 32 bytes, matching the load.
-        let v = unsafe { _mm256_loadu_si256(chunk.as_ptr().cast::<__m256i>()) };
-        let pairs = _mm256_maddubs_epi16(v, coeff_pairs);
-        let quads = _mm256_madd_epi16(pairs, coeff_quads);
-        let mut buf = [0u32; 8];
-        // SAFETY: buf is exactly 8 u32 = 32 bytes, matching the store.
-        unsafe { _mm256_storeu_si256(buf.as_mut_ptr().cast::<__m256i>(), quads) };
-        for b in buf {
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "each packed code byte <= 255"
-            )]
-            payload.push(b as u8);
-        }
-    }
-}
-
 /// In-register `u64::from_be_bytes`: reverse the bytes of each u64 lane.
 #[inline]
 #[target_feature(enable = "avx2")]
@@ -431,10 +242,11 @@ fn bswap64(v: __m256i) -> __m256i {
     _mm256_shuffle_epi8(v, idx)
 }
 
-/// Per-code-byte lane tables of the decode, one per lead clamp (`nb = 2`,
-/// and `nb ≥ 3`, which clamps nothing; `nb ≥ 2` always): for the code byte
-/// `b`, byte `k < 4` of the entry is the clamped lead of `b`'s k-th code
-/// (high bits first) and byte `4 + k` the sum of the clamped leads before it.
+/// Per-code-byte lane tables of the decode and the encode, one per lead
+/// clamp (`nb = 2`, and `nb ≥ 3`, which clamps nothing; `nb ≥ 2` always):
+/// for the code byte `b`, byte `k < 4` of the entry is the clamped lead of
+/// `b`'s k-th code (high bits first) and byte `4 + k` the sum of the
+/// clamped leads before it.
 static QUAD_LEADS: [[u64; 256]; 2] = [quad_leads(2), quad_leads(3)];
 
 const fn quad_leads(cap: u64) -> [u64; 256] {
@@ -453,6 +265,270 @@ const fn quad_leads(cap: u64) -> [u64; 256] {
         b += 1;
     }
     t
+}
+
+/// Code-byte spread of a four-lane compare mask: lane k's bit moves to bit
+/// `6 − 2k`, the low bit of the k-th 2-bit code (high bits first).
+static SPREAD: [u8; 16] = {
+    let mut t = [0u8; 16];
+    let mut m = 0;
+    while m < 16 {
+        let mut k = 0;
+        while k < 4 {
+            if (m >> k) & 1 == 1 {
+                t[m] |= 1 << (6 - 2 * k); // PANIC-OK: m < 16
+            }
+            k += 1;
+        }
+        m += 1;
+    }
+    t
+};
+
+/// The encode twin of [`Quads`]: one non-constant `ByteAligned` block's
+/// code bytes and mid-bytes, written quad by quad into the spare capacity
+/// of its payload. Per quad of words, the clamped XOR lead codes come from
+/// three nested byte-prefix compares, and [`QUAD_LEADS`] turns the code
+/// byte back into each lane's lead and the exclusive prefix sum of the
+/// leads: the offsets of the four overlapping 8-byte stores.
+struct Coder<'a> {
+    payload: &'a mut Vec<u8>,
+    /// The block's first code byte, in the spare capacity.
+    codes: *mut u8,
+    /// The block's first mid-byte, `⌈blen/4⌉` bytes after `codes`.
+    mid: *mut u8,
+    /// Code bytes to write: `⌈blen/4⌉`.
+    ncodes: usize,
+    leads: &'static [u64; 256],
+    nb: usize,
+    /// `k·nb` in byte k, for k in 0..4.
+    lane_nb: u32,
+    /// Lane mask of the third compare: none when `nb = 2` clamps leads to 2.
+    third: usize,
+    /// Code bytes written.
+    q: usize,
+    /// Mid-bytes committed.
+    pos: usize,
+    /// The previous word, broadcast (0 before the block's first value).
+    carry: __m256i,
+}
+
+impl<'a> Coder<'a> {
+    /// A coder for a `blen`-value block of `nb`-byte words, appending to
+    /// `payload`, which it reserves room for: `⌈blen/4⌉` code bytes and
+    /// `nb·blen` mid-bytes, plus the 8 bytes of slack of the last store.
+    #[target_feature(enable = "avx2")]
+    fn new(payload: &'a mut Vec<u8>, blen: usize, nb: usize) -> Self {
+        // PANIC-OK: a required length of 9..=64 bits gives 2..=8 bytes;
+        // the store offsets below rest on every clamped lead being <= nb.
+        assert!((2..=8).contains(&nb));
+        let ncodes = blen.div_ceil(4);
+        payload.reserve(ncodes + nb * blen + 8);
+        // SAFETY: len <= capacity, so both pointers stay inside (or one
+        // past) the allocation, which the reserve above made hold them.
+        let (codes, mid) = unsafe {
+            let codes = payload.as_mut_ptr().add(payload.len());
+            (codes, codes.add(ncodes))
+        };
+        Coder {
+            payload,
+            codes,
+            mid,
+            ncodes,
+            // PANIC-OK: a bool indexes the two tables.
+            leads: &QUAD_LEADS[usize::from(nb >= 3)],
+            nb,
+            #[expect(clippy::cast_possible_truncation, reason = "nb <= 8")]
+            lane_nb: 0x0302_0100 * nb as u32,
+            third: if nb >= 3 { 0xf } else { 0 },
+            q: 0,
+            pos: 0,
+            carry: _mm256_setzero_si256(),
+        }
+    }
+
+    /// Code and commit the next four words `w` (lane k is value k): store
+    /// the code byte, then lane k's bytes from its lead on, at the
+    /// exclusive prefix sum of `nb − lead` before it.
+    ///
+    /// # Safety
+    ///
+    /// At most `⌊blen/4⌋` quads go through one coder.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quad(&mut self, w: __m256i) {
+        // Lane k's predecessor is lane k − 1; lane 0's is the carried word.
+        let prev = _mm256_blend_epi32::<0b0000_0011>(
+            _mm256_permute4x64_epi64::<0b10_01_00_00>(w),
+            self.carry,
+        );
+        self.carry = _mm256_permute4x64_epi64::<0b11_11_11_11>(w);
+        let x = _mm256_xor_si256(w, prev);
+        // Lane k's bit in mask j: its first j bytes match the predecessor's.
+        // The masks nest, so the clamped lead `t1 + t2 + t3` is the code
+        // `2·t2 + (t1 ^ t2 ^ t3)`.
+        let same = |prefix: u64| {
+            let top = _mm256_and_si256(x, _mm256_set1_epi64x(prefix as i64));
+            let eq = _mm256_cmpeq_epi64(top, _mm256_setzero_si256());
+            _mm256_movemask_pd(_mm256_castsi256_pd(eq)) as usize
+        };
+        let t1 = same(0xff00_0000_0000_0000);
+        let t2 = same(0xffff_0000_0000_0000);
+        let t3 = same(0xffff_ff00_0000_0000) & self.third;
+        // PANIC-OK: movemask_pd sets 4 bits, so every mask is below 16,
+        // the table's length.
+        let code = SPREAD[t2] << 1 | SPREAD[t1 ^ t2 ^ t3];
+        debug_assert!(self.q < self.ncodes);
+        // SAFETY: by the caller's contract this is quad q < ⌊blen/4⌋ <=
+        // ncodes, so its code byte is inside the reserved room.
+        unsafe { self.codes.add(self.q).write(code) };
+        self.q += 1;
+        // PANIC-OK: a byte indexes the 256 entries.
+        let entry = self.leads[usize::from(code)];
+        let ev = _mm_cvtsi64_si128(entry as i64);
+        // `8·lead` <= 24; the mask tells the compiler no lane shifts out
+        // all 64 bits, so `vpsllvq` needs no out-of-range select.
+        let shl = _mm256_slli_epi64::<3>(_mm256_cvtepu8_epi64(ev));
+        let shl = _mm256_and_si256(shl, _mm256_set1_epi64x(0x18));
+        let runs = bswap64(_mm256_sllv_epi64(w, shl));
+        let (lo, hi) = (
+            _mm256_castsi256_si128(runs),
+            _mm256_extracti128_si256::<1>(runs),
+        );
+        // Lane k's store offset, k·nb less the leads before it, in byte k
+        // of one word: no byte borrows, as k·nb >= the leads before lane k.
+        let offs = self.lane_nb - (entry >> 32) as u32;
+        let at = |k: u32| ((offs >> (8 * k)) & 0xff) as usize;
+        // SAFETY: this quad's first value i = 4q sits at pos = Σ_{j<i} (nb −
+        // l_j) <= i·nb, and lane k's offset adds k·nb − (the leads before it) <=
+        // k·nb, so every store starts at most (i + 3)·nb <= (blen − 1)·nb
+        // bytes into the mid-bytes and ends inside the reserved nb·blen + 8.
+        // Stores go in lane order, each overlapping the garbage tail of the
+        // one before.
+        unsafe {
+            let mid = self.mid.add(self.pos);
+            _mm_storel_epi64(mid.cast(), lo);
+            _mm_storeh_pd(mid.add(at(1)).cast(), _mm_castsi128_pd(lo));
+            _mm_storel_epi64(mid.add(at(2)).cast(), hi);
+            _mm_storeh_pd(mid.add(at(3)).cast(), _mm_castsi128_pd(hi));
+        }
+        // The cursor moves past lane 3's run: its offset plus nb − its lead.
+        self.pos += at(3) + self.nb - ((entry >> 24) & 0xff) as usize;
+    }
+
+    /// Code and commit the ragged tail `words`, one at a time from the
+    /// carried word, and trim the payload to the bytes the block wrote.
+    ///
+    /// # Safety
+    ///
+    /// The block's `⌊blen/4⌋` whole quads went through [`Self::quad`], and
+    /// `words` yields its other `blen mod 4` values.
+    #[target_feature(enable = "avx2")]
+    unsafe fn finish(mut self, words: impl Iterator<Item = u64>) {
+        let (nb, cap) = (self.nb, self.nb.min(3));
+        let mut prev = _mm256_extract_epi64::<0>(self.carry) as u64;
+        let mut code = None;
+        for (w, at) in words.zip([6, 4, 2, 0]) {
+            let lead = ((w ^ prev).leading_zeros() as usize >> 3).min(cap);
+            code = Some(code.unwrap_or(0) | lead << at);
+            // SAFETY: as in quad(): by the caller's contract this value i <
+            // blen sits at pos <= i·nb, so its 8 bytes end inside the room.
+            unsafe {
+                let mid = self.mid.add(self.pos).cast::<u64>();
+                mid.write_unaligned((w << (8 * lead)).to_be());
+            }
+            self.pos += nb - lead;
+            prev = w;
+        }
+        if let Some(code) = code {
+            debug_assert!(self.q < self.ncodes);
+            // SAFETY: by the caller's contract q = ⌊blen/4⌋ and blen mod 4
+            // > 0, so q < ⌈blen/4⌉ = ncodes.
+            #[expect(clippy::cast_possible_truncation, reason = "three 2-bit codes")]
+            unsafe {
+                self.codes.add(self.q).write(code as u8)
+            };
+            self.q += 1;
+        }
+        debug_assert_eq!(self.q, self.ncodes);
+        let len = self.payload.len() + self.ncodes + self.pos;
+        // SAFETY: every code byte was written (q = ncodes), and the stores
+        // cover the mid-bytes without a gap: each starts where the cursor
+        // stood and writes 8 >= nb − lead bytes before the cursor moves on
+        // by nb − lead. len is within the reserved room (pos <= nb·blen).
+        unsafe { self.payload.set_len(len) };
+    }
+}
+
+/// One-pass encode of a block's code bytes and mid-bytes, appended to
+/// `payload` (which holds everything before them): `words` turns each
+/// quad of values into their normalized (unless `raw`), high-aligned
+/// words shifted right by [`shift_for`]`(req_len)` (Formulas 4–5), which
+/// a [`Coder`] codes and commits. A ragged tail continues in scalar.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn encode_block<F: SzxFloat>(
+    block: &[F],
+    raw: bool,
+    mu: F,
+    req_len: u32,
+    payload: &mut Vec<u8>,
+    words: impl Fn(&[F; 4]) -> __m256i,
+) {
+    let s = shift_for(req_len);
+    let mut coder = Coder::new(payload, block.len(), bytes_for(req_len));
+    let (quads, tail) = block.as_chunks::<4>();
+    for quad in quads {
+        // SAFETY: one call per whole quad of the block.
+        unsafe { coder.quad(words(quad)) };
+    }
+    let tail = tail
+        .iter()
+        .map(|&d| if raw { d } else { d - mu }.to_word() >> s);
+    // SAFETY: the whole quads went through quad() above; `tail` is the rest.
+    unsafe { coder.finish(tail) };
+}
+
+/// [`encode_block`] for `f32`: a quad widens to four u64 lanes.
+#[target_feature(enable = "avx2")]
+pub(super) fn encode_block_f32(
+    block: &[f32],
+    raw: bool,
+    mu: f32,
+    req_len: u32,
+    payload: &mut Vec<u8>,
+) {
+    let mu4 = _mm_set1_ps(mu);
+    // f32's high-aligned word is `bits << 32`, so `to_word() >> s` is one
+    // left shift by 32 − s (s <= 7, so no significant bit is lost).
+    let lshift = _mm_cvtsi32_si128((32 - shift_for(req_len)) as i32);
+    encode_block(block, raw, mu, req_len, payload, |quad| {
+        // SAFETY: quad is exactly 4 f32 = 16 bytes, matching the load.
+        let d = unsafe { _mm_loadu_ps(quad.as_ptr()) };
+        // The bit-exact variant must not touch the value: `d - 0.0` would
+        // quieten signaling-NaN payloads.
+        let v = if raw { d } else { _mm_sub_ps(d, mu4) };
+        _mm256_sll_epi64(_mm256_cvtepu32_epi64(_mm_castps_si128(v)), lshift)
+    });
+}
+
+/// [`encode_block`] for `f64`: the word *is* the value's bit pattern.
+#[target_feature(enable = "avx2")]
+pub(super) fn encode_block_f64(
+    block: &[f64],
+    raw: bool,
+    mu: f64,
+    req_len: u32,
+    payload: &mut Vec<u8>,
+) {
+    let mu4 = _mm256_set1_pd(mu);
+    let rshift = _mm_cvtsi32_si128(shift_for(req_len) as i32);
+    encode_block(block, raw, mu, req_len, payload, |quad| {
+        // SAFETY: quad is exactly 4 f64 = 32 bytes, matching the load.
+        let d = unsafe { _mm256_loadu_pd(quad.as_ptr()) };
+        let v = if raw { d } else { _mm256_sub_pd(d, mu4) };
+        _mm256_srl_epi64(_mm256_castpd_si256(v), rshift)
+    });
 }
 
 /// The lane-parallel form of the decode recurrence `w_i = a_i | (w_{i-1} &

@@ -149,6 +149,10 @@ run_simd_equivalence() {
     echo "==> SIMD equivalence (scalar vs kernel vs simd, default vs SZX_DISABLE_SIMD=1, serial vs parallel, release)"
     cargo test -q --release -p szx-core simd \
         || { echo "==> FAIL szx-core simd equivalence tests" >&2; exit 1; }
+    # The encode-identity tests once more with the override set, where the
+    # detected default path is the portable kernel.
+    SZX_DISABLE_SIMD=1 cargo test -q --release -p szx-core -- identical parallel_stream_equals \
+        || { echo "==> FAIL encode identity tests under SZX_DISABLE_SIMD=1" >&2; exit 1; }
     cargo test -q --release -p szx-integration-tests --test simd_dispatch \
         || { echo "==> FAIL simd dispatch integration tests" >&2; exit 1; }
     local dir

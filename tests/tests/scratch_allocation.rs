@@ -1,14 +1,15 @@
 //! Regression test for the per-block allocation churn the `EncodeScratch`
 //! and `DecodeScratch` arenas removed: the codec publishes how many times an
 //! arena had to grow (`compress.scratch.grows`, `decompress.scratch.grows`),
-//! and that number must stay O(1) per encode call / per parallel chunk — not
+//! and that number must stay O(1) per encode call / per pool thread — not
 //! O(blocks) — and drop to zero when a `Decoder`, serial or parallel, is
-//! reused.
+//! reused. Solution C encodes straight into the payload and grows no arena
+//! at all; only the Solution A/B bit pool remains.
 //!
 //! Single test function: the telemetry registry is process-global and this
 //! file is its own test binary (see telemetry_counters.rs).
 
-use szx_core::config::KernelPath;
+use szx_core::config::{CommitStrategy, KernelPath};
 use szx_core::{Decoder, SzxConfig};
 
 #[test]
@@ -22,44 +23,49 @@ fn scratch_arena_growth_is_bounded() {
         .collect();
     let nblocks = data.len().div_ceil(128);
     assert!(nblocks >= 4000);
+    let threads = rayon::current_num_threads() as u64;
+    let compress_grows = |cfg: &SzxConfig| {
+        tel.reset();
+        let bytes = szx_core::compress(&data, cfg).unwrap();
+        assert!(!bytes.is_empty());
+        let snap = tel.snapshot();
+        let grows = snap.counter("compress.scratch.grows").unwrap_or(0);
+        let arena = snap.gauge("compress.scratch.arena_bytes").unwrap_or(0.0);
+        (bytes, grows, arena)
+    };
 
     for sel in [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd] {
-        // SIMD degrades to the kernel path where it is unavailable; either
-        // way it sizes the same arenas with `ensure()`.
-        let uses_arena = sel != KernelPath::Scalar;
         let cfg = SzxConfig::absolute(1e-4).with_kernel(sel);
 
-        // Serial: one scratch arena for the whole call. Uniform block
-        // sizes mean a single high-water-mark growth.
-        tel.reset();
-        let bytes = szx_core::compress(&data, &cfg).unwrap();
-        assert!(!bytes.is_empty());
-        let grows = tel
-            .snapshot()
-            .counter("compress.scratch.grows")
-            .unwrap_or(0);
-        // The kernel and SIMD paths grow their word arena exactly once
-        // (first block); the scalar path reuses the pre-existing bit/byte
-        // pools and never grows it. Either way: O(1), not O(blocks).
-        let expect = u64::from(uses_arena);
-        assert_eq!(grows, expect, "serial ({sel:?}): arena growths");
-
-        // Parallel: one arena per rayon chunk, never one per block.
-        tel.reset();
-        let bytes = szx_core::compress(&data, &cfg.with_parallel(true)).unwrap();
-        assert!(!bytes.is_empty());
-        let grows = tel
-            .snapshot()
-            .counter("compress.scratch.grows")
-            .unwrap_or(0);
-        let max_chunks = (rayon::current_num_threads() * 4 + 1) as u64;
-        assert!(
-            grows <= max_chunks,
-            "parallel ({sel:?}): {grows} grows for {nblocks} blocks (expected <= {max_chunks})"
-        );
-        if uses_arena {
-            assert!(grows >= 1, "parallel {sel:?} path must use the arena");
+        // The Solution A/B bit pool: one per call serially, grown once to
+        // the (uniform) block size; one per pool thread that claimed a
+        // window in parallel. Every path keeps it.
+        for strategy in [CommitStrategy::BitPack, CommitStrategy::BytePlusResidual] {
+            let cfg = cfg.with_strategy(strategy);
+            let (_, grows, arena) = compress_grows(&cfg);
+            assert_eq!(grows, 1, "serial ({sel:?}, {strategy:?}): pool growths");
+            // 128 values of at most 64 bits each.
+            assert!(
+                arena >= 128.0 * 8.0,
+                "({sel:?}, {strategy:?}): arena_bytes {arena}"
+            );
+            let (_, grows, _) = compress_grows(&cfg.with_parallel(true));
+            assert!(
+                (1..=threads).contains(&grows),
+                "parallel ({sel:?}, {strategy:?}): {grows} grows for {threads} threads"
+            );
         }
+
+        // Solution C writes straight into the payload: no arena, serial or
+        // parallel, on any path.
+        let (_, grows, arena) = compress_grows(&cfg);
+        assert_eq!(grows, 0, "serial ({sel:?}): arena growths");
+        assert_eq!(arena, 0.0, "serial ({sel:?}): arena_bytes");
+        let (bytes, grows, _) = compress_grows(&cfg.with_parallel(true));
+        assert_eq!(grows, 0, "parallel ({sel:?}): arena growths");
+
+        // The decoders of every path but the scalar one use an arena.
+        let uses_arena = sel != KernelPath::Scalar;
 
         // Decode: a reused Decoder grows its arenas on the first call only
         // (the scalar loop needs none), so decoding the same stream again
@@ -80,7 +86,6 @@ fn scratch_arena_growth_is_bounded() {
         // Parallel decode: one arena per pool thread, grown on the first
         // call and reused by every group, window and later call — never
         // one per group (this stream has ~125 groups).
-        let threads = rayon::current_num_threads() as u64;
         let mut decoder = Decoder::new(sel, true);
         for call in 0..2 {
             tel.reset();

@@ -1,16 +1,17 @@
 //! Flight-recorder end-to-end checks: the Chrome-trace export must be valid
 //! JSON (asserted by parsing it back with the in-tree parser), every Begin
-//! must have a matching End at a later-or-equal timestamp, parallel chunk
-//! workers must land on distinct thread lanes, and two identical runs must
-//! produce the same event *set* (names/phases/args — timestamps and thread
-//! ids are of course run-dependent).
+//! must have a matching End at a later-or-equal timestamp, each coding
+//! thread must land on its own lane, a parallel run must code every window
+//! exactly once, and two identical runs must produce the same event *set*
+//! (names/phases/args — timestamps and thread ids are of course
+//! run-dependent).
 //!
 //! Everything lives in ONE test function: the trace recorder is a
 //! process-wide singleton (like the telemetry registry, see
 //! `telemetry_counters.rs`), and libtest runs `#[test]` functions on
 //! multiple threads, so separate tests would interleave their events.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use szx_core::SzxConfig;
 use szx_data::{Application, Scale};
@@ -150,15 +151,18 @@ fn chrome_trace_roundtrip_lanes_and_determinism() {
         .and_then(Json::as_f64);
     assert_eq!(dropped, Some(0.0));
 
-    // --- Parallel pipeline: chunk workers occupy distinct lanes. ---
-    let pbytes = szx_core::compress(&data, &cfg.with_parallel(true)).unwrap();
-    let pback: Vec<f32> = szx_core::Decoder::new(szx_core::KernelPath::detect(), true)
-        .decode(&pbytes)
-        .unwrap();
-    assert_eq!(pback.len(), data.len());
-    let parallel = take_trace();
-    check_pairing(&parallel);
-    let chunk_tids: std::collections::HashSet<u64> = parallel
+    // --- Lanes: every coding thread gets its own thread_name row. ---
+    // Two threads that each compress have two lanes by construction; the
+    // pool promises no such thing (a parked worker may wake only after the
+    // caller has claimed every window).
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| szx_core::compress(&data, &cfg).unwrap());
+        }
+    });
+    let lanes = take_trace();
+    check_pairing(&lanes);
+    let chunk_tids: HashSet<u64> = lanes
         .events
         .iter()
         .filter(|e| e.name == "compress.chunk" && e.phase == TracePhase::Begin)
@@ -168,10 +172,9 @@ fn chrome_trace_roundtrip_lanes_and_determinism() {
         chunk_tids.len() >= 2,
         "expected chunk zones on >=2 threads, got tids {chunk_tids:?}"
     );
-    // The chrome export gives each of those lanes its own thread_name row.
-    let prendered = szx_telemetry::render_chrome_trace(&parallel);
-    let pdoc = Json::parse(&prendered).unwrap();
-    let lane_rows = pdoc
+    let lrendered = szx_telemetry::render_chrome_trace(&lanes);
+    let ldoc = Json::parse(&lrendered).unwrap();
+    let lane_rows = ldoc
         .get("traceEvents")
         .and_then(Json::as_arr)
         .unwrap()
@@ -179,6 +182,27 @@ fn chrome_trace_roundtrip_lanes_and_determinism() {
         .filter(|e| e.get("name").and_then(Json::as_str) == Some("thread_name"))
         .count();
     assert!(lane_rows >= chunk_tids.len());
+
+    // --- Parallel pipeline: every window is coded exactly once. ---
+    let pbytes = szx_core::compress(&data, &cfg.with_parallel(true)).unwrap();
+    let pback: Vec<f32> = szx_core::Decoder::new(szx_core::KernelPath::detect(), true)
+        .decode(&pbytes)
+        .unwrap();
+    assert_eq!(pback.len(), data.len());
+    let parallel = take_trace();
+    check_pairing(&parallel);
+    let mut chunks: Vec<u64> = parallel
+        .events
+        .iter()
+        .filter(|e| e.name == "compress.chunk" && e.phase == TracePhase::Begin)
+        .map(|e| e.arg)
+        .collect();
+    chunks.sort_unstable();
+    assert_eq!(
+        chunks,
+        (0..8).collect::<Vec<u64>>(),
+        "one chunk zone per window"
+    );
 
     // --- Determinism: identical runs emit the identical event set. ---
     let run = || {
