@@ -2,7 +2,6 @@
 //! upstream SZx executable's workflow on raw little-endian f32/f64 files.
 
 use std::io::Write;
-use std::marker::PhantomData;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -369,8 +368,8 @@ fn parse_config(args: &[String]) -> Result<SzxConfig, String> {
 }
 
 /// A raw little-endian float file, read by position: any thread reads any
-/// window into its own [`Twin`] and converts it once. Reads stay inside the
-/// length the file had when it was opened.
+/// window straight into its own value buffer. Reads stay inside the length
+/// the file had when it was opened.
 struct RawFile<F> {
     path: PathBuf,
     file: std::fs::File,
@@ -378,12 +377,8 @@ struct RawFile<F> {
     n: usize,
     /// One window buffer per thread that can read at once, kept across
     /// passes and frames so a pass does not fault in fresh pages.
-    twins: Vec<Mutex<Twin<F>>>,
-    kind: PhantomData<F>,
+    bufs: Vec<Mutex<Vec<F>>>,
 }
-
-/// A thread's buffers for the windows it reads: raw bytes and values.
-type Twin<F> = (Vec<u8>, Vec<F>);
 
 impl<F: SzxFloat> RawFile<F> {
     /// Open `path` for `threads` threads reading at once.
@@ -405,24 +400,22 @@ impl<F: SzxFloat> RawFile<F> {
             path: path.to_path_buf(),
             file,
             n: (len / F::BYTES as u64) as usize,
-            twins: (0..threads).map(|_| Mutex::default()).collect(),
-            kind: PhantomData,
+            bufs: (0..threads).map(|_| Mutex::default()).collect(),
         })
     }
 
-    /// Values `first..first + len`, read into `twin`. A file that shrank
+    /// Values `first..first + len`, read into `buf`. A file that shrank
     /// under the reader is an error.
-    fn read<'a>(&self, first: usize, len: usize, twin: &'a mut Twin<F>) -> Result<&'a [F], String> {
-        let (bytes, values) = twin;
-        let n = len * F::BYTES;
-        if bytes.len() < n {
+    fn read<'a>(&self, first: usize, len: usize, buf: &'a mut Vec<F>) -> Result<&'a [F], String> {
+        if buf.len() < len {
             // Zeroed by the allocator: no page is touched before the read.
-            *bytes = vec![0; n];
+            *buf = vec![F::ZERO; len];
         }
-        // PANIC-OK: at least `n` bytes long, by the check just above.
-        let bytes = &mut bytes[..n];
+        // PANIC-OK: at least `len` values long, by the check just above.
+        let values = &mut buf[..len];
         {
             let _s = szx_telemetry::span("io.read");
+            let bytes = szx_core::float::as_bytes_mut(values);
             (self.file.read_exact_at(bytes, (first * F::BYTES) as u64)).map_err(|e| {
                 if e.kind() == std::io::ErrorKind::UnexpectedEof {
                     format!("{}: input shrank while being read", self.path.display())
@@ -431,8 +424,9 @@ impl<F: SzxFloat> RawFile<F> {
                 }
             })?;
         }
-        values.clear();
-        values.extend(bytes.chunks_exact(F::BYTES).map(F::read_le));
+        if !cfg!(target_endian = "little") {
+            szx_core::float::swap_bytes(values);
+        }
         Ok(values)
     }
 
@@ -460,11 +454,11 @@ struct Frame<'a, F> {
 
 impl<'f, F: SzxFloat> WindowSource<F> for Frame<'f, F> {
     /// A free buffer of the file's, else one of the thread's own.
-    type Buf = (Option<MutexGuard<'f, Twin<F>>>, Twin<F>);
+    type Buf = (Option<MutexGuard<'f, Vec<F>>>, Vec<F>);
 
     fn buf(&self) -> Self::Buf {
-        let free = self.file.twins.iter().find_map(|t| t.try_lock().ok());
-        (free, Twin::default())
+        let free = self.file.bufs.iter().find_map(|b| b.try_lock().ok());
+        (free, Vec::new())
     }
 
     fn n(&self) -> usize {
@@ -477,8 +471,8 @@ impl<'f, F: SzxFloat> WindowSource<F> for Frame<'f, F> {
         len: usize,
         buf: &'a mut Self::Buf,
     ) -> szx_core::Result<&'a [F]> {
-        let twin = buf.0.as_deref_mut().unwrap_or(&mut buf.1);
-        (self.file.read(self.first + at, len, twin)).map_err(SzxError::Io)
+        let buf = buf.0.as_deref_mut().unwrap_or(&mut buf.1);
+        (self.file.read(self.first + at, len, buf)).map_err(SzxError::Io)
     }
 }
 
@@ -521,13 +515,28 @@ fn write_through<T>(
     result
 }
 
-/// `values` as raw little-endian bytes in `out`, which is reused.
-fn to_le<F: SzxFloat>(values: &[F], out: &mut Vec<u8>) {
-    out.resize(values.len() * F::BYTES, 0);
-    for (dst, &v) in out.chunks_exact_mut(F::BYTES).zip(values) {
-        // PANIC-OK: a word holds the value's bits high-aligned, in the
-        // first F::BYTES <= 8 of its little-endian bytes.
-        dst.copy_from_slice(&(v.to_word() >> (64 - 8 * F::BYTES)).to_le_bytes()[..F::BYTES]);
+/// Write a command's report through the locked stdout. A closed stdout
+/// (`szx info x.szx | head -1`) ends the report quietly, as it ends any
+/// filter's output; any other write error fails the command.
+fn print_out(
+    report: impl FnOnce(&mut std::io::StdoutLock) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match report(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
+/// Run `f` on the raw little-endian bytes of `values`: their own memory on
+/// a little-endian target, a swapped copy otherwise.
+fn with_le_bytes<F: SzxFloat, T>(values: &[F], f: impl FnOnce(&[u8]) -> T) -> T {
+    if cfg!(target_endian = "little") {
+        f(szx_core::float::as_bytes(values))
+    } else {
+        let mut le = values.to_vec();
+        szx_core::float::swap_bytes(&mut le);
+        f(szx_core::float::as_bytes(&le))
     }
 }
 
@@ -557,26 +566,21 @@ fn measure<F: SzxFloat + Into<f64>>(
     // The windows arrive in stream order, so the distortion and the digest
     // accumulate as they would over one buffer.
     let distortion = szx_metrics::Distortion::default();
-    let state = Mutex::new((
-        distortion,
-        szx_telemetry::Fnv1a64::new(),
-        true,
-        Twin::default(),
-    ));
+    let state = Mutex::new((distortion, szx_telemetry::Fnv1a64::new(), true, Vec::new()));
     frames.decode(
         &mut szx_core::Decoder::default(),
         |(), first, decoded: &[F], eb| {
             let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
-            let (distortion, digest, bound_ok, twin) = &mut *state;
+            let (distortion, digest, bound_ok, buf) = &mut *state;
             let original = input
-                .read(first, decoded.len(), twin)
+                .read(first, decoded.len(), buf)
                 .map_err(SzxError::Io)?;
             let _z = szx_telemetry::span("assess.distortion");
             distortion.push(original, decoded);
             let mut errors =
                 (original.iter().zip(decoded)).map(|(&a, &b)| (a.into() - b.into()).abs());
             *bound_ok &= errors.all(|e| e.is_nan() || e <= eb);
-            digest.update(&twin.0[..decoded.len() * F::BYTES]);
+            with_le_bytes(original, |le| digest.update(le));
             Ok(())
         },
     )?;
@@ -1003,8 +1007,8 @@ fn decode_file(args: &[String], extract: bool) -> Result<(), String> {
 }
 
 /// Decode `frames` to a raw little-endian file at `output`, pre-sized:
-/// each thread converts the windows it decodes into its own byte buffer
-/// and writes each at its own offset. Returns the bytes written.
+/// each thread writes the bytes of each window it decodes at the window's
+/// own offset. Returns the bytes written.
 fn write_frames<F: SzxFloat>(
     frames: &Frames,
     decoder: &mut szx_core::Decoder,
@@ -1013,10 +1017,10 @@ fn write_frames<F: SzxFloat>(
     let len = frames.n() * F::BYTES;
     write_through(output, |out| {
         out.set_len(len as u64).map_err(at(output))?;
-        frames.decode(decoder, |le: &mut Vec<u8>, first, w: &[F], _| {
-            to_le(w, le);
+        frames.decode(decoder, |_: &mut (), first, w: &[F], _| {
             let _s = szx_telemetry::span("io.write");
-            Ok(out.write_all_at(le, (first * F::BYTES) as u64)?)
+            let offset = (first * F::BYTES) as u64;
+            Ok(with_le_bytes(w, |le| out.write_all_at(le, offset))?)
         })
     })?;
     Ok(len)
@@ -1037,17 +1041,18 @@ fn cmd_assess(args: &[String]) -> Result<(), String> {
     };
     let elapsed = start.elapsed();
     let raw_bytes = frames.n() * if frames.dtype() == 0 { 4 } else { 8 };
-    println!("element type: {}", dtype_name(frames.dtype()));
-    println!("elements:     {}", stats.n);
-    println!("error bound:  {:.6e}", frames.eb());
-    println!("max |error|:  {:.6e}", stats.max_abs_error);
-    println!("PSNR:         {:.2} dB", stats.psnr);
-    println!("NRMSE:        {:.6e}", stats.nrmse);
-    println!("CR:           {:.2}", raw_bytes as f64 / bytes.len() as f64);
-    println!(
-        "bound ok:     {}",
-        if bound_ok { "yes" } else { "NO — BUG" }
-    );
+    print_out(|out| {
+        writeln!(out, "element type: {}", dtype_name(frames.dtype()))?;
+        writeln!(out, "elements:     {}", stats.n)?;
+        writeln!(out, "error bound:  {:.6e}", frames.eb())?;
+        writeln!(out, "max |error|:  {:.6e}", stats.max_abs_error)?;
+        writeln!(out, "PSNR:         {:.2} dB", stats.psnr)?;
+        writeln!(out, "NRMSE:        {:.6e}", stats.nrmse)?;
+        let cr = raw_bytes as f64 / bytes.len() as f64;
+        writeln!(out, "CR:           {cr:.2}")?;
+        let ok = if bound_ok { "yes" } else { "NO — BUG" };
+        writeln!(out, "bound ok:     {ok}")
+    })?;
     run.finish(None, pass_extras("serial", raw_bytes, bytes.len(), elapsed))
 }
 
@@ -1064,54 +1069,52 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     };
     let blocks: usize = hs.iter().map(|h| h.num_blocks()).sum();
     let nonconstant: usize = hs.iter().map(|h| h.n_nonconstant).sum();
-    println!("frames:           {}", hs.len());
-    println!(
-        "element type:     {}",
-        shared(|h| dtype_name(h.dtype).to_string())
-    );
-    println!("elements:         {}", frames.n());
-    println!("block size:       {}", shared(|h| h.block_size.to_string()));
-    println!("blocks:           {blocks}");
-    println!(
-        "non-constant:     {nonconstant} ({:.1}%)",
-        100.0 * nonconstant as f64 / blocks.max(1) as f64
-    );
-    println!("abs error bound:  {:.6e}", frames.eb());
-    println!(
-        "strategy:         {}",
-        shared(|h| format!("{:?}", h.strategy))
-    );
-    println!("stream bytes:     {}", frames.stream_bytes());
-    println!("container bytes:  {}", bytes.len());
-    if has_flag(args, "--stats") {
+    // Every non-constant block's payload size, sorted, with `--stats`.
+    let stats = has_flag(args, "--stats");
+    let mut zs = Vec::new();
+    for (stream, h) in frames.streams.iter().zip(hs).filter(|_| stats) {
         fn zsizes<F: SzxFloat>(stream: &[u8]) -> szx_core::Result<Vec<usize>> {
             let index = szx_core::StreamIndex::parse::<F>(stream)?;
             let payloads = index.blocks::<F>(0).filter_map(|(_, p)| p);
             Ok(payloads.map(|p| p.len()).collect())
         }
-        let mut zs = Vec::new();
-        for (stream, h) in frames.streams.iter().zip(hs) {
-            let sizes = if h.dtype == 0 {
-                zsizes::<f32>(stream)
-            } else {
-                zsizes::<f64>(stream)
-            };
-            zs.extend(sizes.map_err(|e| e.to_string())?);
+        let sizes = match h.dtype {
+            0 => zsizes::<f32>(stream),
+            _ => zsizes::<f64>(stream),
+        };
+        zs.extend(sizes.map_err(|e| e.to_string())?);
+    }
+    zs.sort_unstable();
+    print_out(|out| {
+        writeln!(out, "frames:           {}", hs.len())?;
+        let dtype = shared(|h| dtype_name(h.dtype).to_string());
+        writeln!(out, "element type:     {dtype}")?;
+        writeln!(out, "elements:         {}", frames.n())?;
+        let block = shared(|h| h.block_size.to_string());
+        writeln!(out, "block size:       {block}")?;
+        writeln!(out, "blocks:           {blocks}")?;
+        let pct = 100.0 * nonconstant as f64 / blocks.max(1) as f64;
+        writeln!(out, "non-constant:     {nonconstant} ({pct:.1}%)")?;
+        writeln!(out, "abs error bound:  {:.6e}", frames.eb())?;
+        let strategy = shared(|h| format!("{:?}", h.strategy));
+        writeln!(out, "strategy:         {strategy}")?;
+        writeln!(out, "stream bytes:     {}", frames.stream_bytes())?;
+        writeln!(out, "container bytes:  {}", bytes.len())?;
+        if !stats {
+            return Ok(());
         }
-        if zs.is_empty() {
-            println!("block zsize:      n/a (all blocks constant)");
-        } else {
-            zs.sort_unstable();
-            println!(
+        match &zs[..] {
+            [] => writeln!(out, "block zsize:      n/a (all blocks constant)"),
+            zs => writeln!(
+                out,
                 "block zsize:      min {}  median {}  max {}  (over {} non-constant blocks)",
                 zs[0],
                 zs[zs.len() / 2],
                 zs[zs.len() - 1],
                 zs.len()
-            );
+            ),
         }
-    }
-    Ok(())
+    })
 }
 
 /// `szx archive`: each field file, read window by window like the input
@@ -1153,27 +1156,20 @@ fn cmd_list(args: &[String]) -> Result<(), String> {
     let [path] = paths(args, "a container file")?;
     let bytes = read_file(&path)?;
     let frames = Frames::read(&bytes, None)?;
-    println!(
-        "{:<20} {:>10} {:>12} {:>12} {:>8}",
-        "field", "elements", "compressed", "eb", "CR"
-    );
-    let rows = frames
-        .names
-        .iter()
-        .zip(&frames.streams)
-        .zip(&frames.headers);
-    for ((name, stream), h) in rows {
-        let raw = h.n * if h.dtype == 0 { 4 } else { 8 };
-        println!(
-            "{:<20} {:>10} {:>12} {:>12.3e} {:>8.2}",
-            name,
-            h.n,
-            stream.len(),
-            h.eb,
-            raw as f64 / stream.len() as f64
-        );
-    }
-    Ok(())
+    print_out(|out| {
+        writeln!(
+            out,
+            "{:<20} {:>10} {:>12} {:>12} {:>8}",
+            "field", "elements", "compressed", "eb", "CR"
+        )?;
+        let rows = frames.names.iter().zip(&frames.streams);
+        for ((name, stream), h) in rows.zip(&frames.headers) {
+            let (n, len, eb) = (h.n, stream.len(), h.eb);
+            let cr = (n * if h.dtype == 0 { 4 } else { 8 }) as f64 / len as f64;
+            writeln!(out, "{name:<20} {n:>10} {len:>12} {eb:>12.3e} {cr:>8.2}")?;
+        }
+        Ok(())
+    })
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
@@ -1234,13 +1230,13 @@ mod tests {
         let data = write_input(&path);
         let file = RawFile::<f32>::open(&path, 1).unwrap();
         assert_eq!(file.n, 3584);
-        let mut twin = Twin::default();
+        let mut buf = Vec::new();
         for _ in 0..2 {
             // Any window at any time: last to first.
             let mut got = vec![0.0; 3584];
             for first in (0..3584).step_by(1024).rev() {
                 let len = 1024.min(3584 - first);
-                let window = file.read(first, len, &mut twin).unwrap();
+                let window = file.read(first, len, &mut buf).unwrap();
                 got[first..first + len].copy_from_slice(window);
             }
             assert_eq!(got, data);
@@ -1255,7 +1251,7 @@ mod tests {
         let path = dir.join("in.f32");
         write_input(&path);
         let file = RawFile::<f32>::open(&path, 1).unwrap();
-        file.read(0, 3584, &mut Twin::default()).unwrap();
+        file.read(0, 3584, &mut Vec::new()).unwrap();
         let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(2048 * 4).unwrap();
         let err = file.check_len().unwrap_err();
@@ -1269,11 +1265,11 @@ mod tests {
         let path = dir.join("in.f32");
         write_input(&path);
         let file = RawFile::<f32>::open(&path, 1).unwrap();
-        let mut twin = Twin::default();
-        file.read(0, 1024, &mut twin).unwrap();
+        let mut buf = Vec::new();
+        file.read(0, 1024, &mut buf).unwrap();
         let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(1500 * 4).unwrap();
-        let err = file.read(1024, 1024, &mut twin).unwrap_err();
+        let err = file.read(1024, 1024, &mut buf).unwrap_err();
         assert!(err.contains("input shrank"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1294,22 +1290,5 @@ mod tests {
         assert_eq!(std::fs::read(&out).unwrap(), b"new");
         assert!(!dir.join("out.f32.partial").exists());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn little_endian_staging_matches_to_le_bytes() {
-        let v32 = [1.5f32, -0.0, f32::NAN, f32::MIN_POSITIVE];
-        let v64 = [1.5f64, -0.0, f64::INFINITY, 1e-300];
-        let mut out = Vec::new();
-        to_le(&v32, &mut out);
-        assert_eq!(
-            out,
-            v32.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<_>>()
-        );
-        to_le(&v64, &mut out);
-        assert_eq!(
-            out,
-            v64.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<_>>()
-        );
     }
 }

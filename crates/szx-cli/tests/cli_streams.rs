@@ -448,3 +448,49 @@ fn archive_takes_the_compress_flags() {
     assert!(info.contains("strategy:         BitPack"), "{info}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Run `szx args`, read its first stdout line and close the pipe, as `|
+/// head -1` does: the rest of the report must end quietly, with exit 0 and
+/// no panic.
+fn first_line_then_closed(args: &[&str]) {
+    use std::io::BufRead;
+    let mut child = szx()
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run szx");
+    let mut first = String::new();
+    let stdout = child.stdout.take().unwrap();
+    std::io::BufReader::new(stdout)
+        .read_line(&mut first)
+        .unwrap();
+    assert!(!first.is_empty(), "szx {args:?} printed nothing");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "szx {args:?}: {stderr}");
+    assert!(out.status.success(), "szx {args:?}: {stderr}");
+}
+
+#[test]
+fn reports_end_quietly_on_a_closed_stdout() {
+    let dir = std::env::temp_dir().join(format!("szx-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    write_field(&dir.join("in.f32"), 2000);
+    // One frame per value: `list` prints more than a pipe buffer holds, so
+    // its writes meet the closed pipe whatever the timing.
+    run_ok(&[
+        "stream",
+        &p("in.f32"),
+        &p("s.szxc"),
+        "--abs",
+        "1e-3",
+        "--frame",
+        "1",
+    ]);
+    first_line_then_closed(&["list", &p("s.szxc")]);
+    first_line_then_closed(&["info", &p("s.szxc"), "--stats"]);
+    first_line_then_closed(&["assess", &p("in.f32"), &p("s.szxc")]);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -439,27 +439,44 @@ mod tests {
     /// codes of 3 under `nb = 2` (the clamp), set padding bits, ragged
     /// block lengths, raw blocks, every `req_len` — and check the three
     /// decoders agree on every one, and on every truncation of its pool.
+    /// Beside random code bytes, three fills drive each lane's load to its
+    /// extreme offset: `0x00` (no leads, so lane k of the last quad loads
+    /// at `(blen − 1)·nb`, the farthest any load reaches), `0xFF` (every
+    /// lead 3, all clamped under `nb = 2`) and `0x1B` (leads 0, 1, 2, 3
+    /// across each quad). Each block is also decoded with a pool of exactly
+    /// the bytes its codes demand, ending at the slice's end.
     fn forged_payloads_agree<F: SzxFloat>(seed: u64, mu: F) {
         let mut rng = Rng(seed);
-        for blen in [1usize, 2, 3, 4, 5, 6, 7, 8, 128, 129] {
+        for blen in [1usize, 2, 3, 4, 5, 6, 7, 8, 128, 129, 4096] {
             for req_len in F::SIGN_EXP_BITS..=F::FULL_BITS {
-                let nb = bytes_for(req_len);
-                let mut payload = vec![req_len as u8];
-                payload.extend(rng.bytes((2 * blen).div_ceil(8)));
-                // Enough mid-bytes for any codes; the decoders read only
-                // what the codes demand.
-                payload.extend(rng.bytes(blen * nb));
-                let total = blen * nb
-                    - (0..blen)
-                        .map(|i| ((payload[1 + i / 4] >> (6 - 2 * (i % 4))) & 3).min(nb as u8))
-                        .map(usize::from)
-                        .sum::<usize>();
-                let header = 1 + (2 * blen).div_ceil(8);
-                for cut in 0..=header + total {
-                    let what = format!("{} blen={blen} req_len={req_len} cut={cut}", F::NAME);
-                    assert_paths_agree(&payload[..cut], blen, mu, &what);
+                for fill in [None, Some(0x00), Some(0xFF), Some(0x1B)] {
+                    let nb = bytes_for(req_len);
+                    let header = 1 + (2 * blen).div_ceil(8);
+                    let mut payload = vec![req_len as u8];
+                    match fill {
+                        Some(b) => payload.resize(header, b),
+                        None => payload.extend(rng.bytes(header - 1)),
+                    }
+                    // Enough mid-bytes for any codes; the decoders read only
+                    // what the codes demand.
+                    payload.extend(rng.bytes(blen * nb));
+                    let total = blen * nb
+                        - (0..blen)
+                            .map(|i| ((payload[1 + i / 4] >> (6 - 2 * (i % 4))) & 3).min(nb as u8))
+                            .map(usize::from)
+                            .sum::<usize>();
+                    let what = format!(
+                        "{} blen={blen} req_len={req_len} fill={fill:#04x?}",
+                        F::NAME
+                    );
+                    assert_paths_agree(&payload[..header + total], blen, mu, &what);
+                    assert_paths_agree(&payload, blen, mu, &what);
+                    // Every shorter cut, on the blocks small enough to sweep.
+                    let cuts = if blen <= 129 { header + total } else { 0 };
+                    for cut in 0..cuts {
+                        assert_paths_agree(&payload[..cut], blen, mu, &format!("{what} cut={cut}"));
+                    }
                 }
-                assert_paths_agree(&payload, blen, mu, "untruncated");
             }
         }
     }

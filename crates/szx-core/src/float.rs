@@ -247,6 +247,37 @@ pub fn f64_exponent(x: f64) -> i32 {
     x.exponent()
 }
 
+/// The native-endian bytes of `values`, in place: on a little-endian
+/// target, the layout of a raw `.f32`/`.f64` file.
+#[inline]
+#[allow(unsafe_code)]
+pub fn as_bytes<F: SzxFloat>(values: &[F]) -> &[u8] {
+    // SAFETY: `F` is sealed to f32 and f64, which have no padding, so every
+    // byte of the slice is initialized; u8 has alignment 1, and the view
+    // covers exactly `size_of_val(values)` bytes of the same borrow.
+    unsafe { core::slice::from_raw_parts(values.as_ptr().cast(), size_of_val(values)) }
+}
+
+/// [`as_bytes`], writable: any bytes written leave valid values, as every
+/// bit pattern is an f32 or f64 (some of them NaN).
+#[inline]
+#[allow(unsafe_code)]
+pub fn as_bytes_mut<F: SzxFloat>(values: &mut [F]) -> &mut [u8] {
+    let len = size_of_val(values);
+    // SAFETY: as in `as_bytes`; the view holds the unique borrow, and f32
+    // and f64 have no invalid bit patterns.
+    unsafe { core::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), len) }
+}
+
+/// Reverse the bytes of every value in place: on a big-endian target, the
+/// conversion between a window's [`as_bytes`] and its little-endian file
+/// layout, either way.
+pub fn swap_bytes<F: SzxFloat>(values: &mut [F]) {
+    for v in values {
+        *v = F::from_word(v.to_word().swap_bytes() << (64 - F::FULL_BITS));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,6 +360,80 @@ mod tests {
         assert_eq!(buf.len(), 12);
         assert_eq!(f32::read_le(&buf[0..4]), 12.5);
         assert_eq!(f64::read_le(&buf[4..12]), -7.25);
+    }
+
+    /// Bit patterns a byte view must carry untouched: signaling-NaN
+    /// payloads, −0.0, subnormals and ±inf.
+    const F32_EDGES: [u32; 8] = [
+        0x7f80_0001, // signaling NaN, lowest payload
+        0xffa0_beef, // negative signaling NaN
+        0x7fc0_1234, // quiet NaN with a payload
+        0x8000_0000, // -0.0
+        0x0000_0001, // smallest subnormal
+        0x807f_ffff, // negative subnormal of the largest magnitude
+        0x7f80_0000, // +inf
+        0xff80_0000, // -inf
+    ];
+    /// The same cases, in the same order, for f64.
+    const F64_EDGES: [u64; 8] = [
+        0x7ff0_0000_0000_0001,
+        0xfff4_0000_dead_beef,
+        0x7ff8_0000_0000_1234,
+        0x8000_0000_0000_0000,
+        0x0000_0000_0000_0001,
+        0x800f_ffff_ffff_ffff,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+    ];
+
+    /// The views agree with `write_le`/`read_le` (`to_le_bytes`/
+    /// `from_le_bytes`) bit for bit, with the swap applied on a big-endian
+    /// target; and the swap, called directly, gives the other byte order.
+    fn byte_views_match_le_bytes<F: SzxFloat>(values: &[F]) {
+        let bits = |v: &[F]| v.iter().map(|x| x.to_word()).collect::<Vec<_>>();
+        let mut le = Vec::new();
+        values.iter().for_each(|v| v.write_le(&mut le));
+        let be: Vec<u8> = (le.chunks_exact(F::BYTES))
+            .flat_map(|c| c.iter().rev().copied())
+            .collect();
+        let (native, other) = if cfg!(target_endian = "little") {
+            (&le, &be)
+        } else {
+            (&be, &le)
+        };
+        assert_eq!(as_bytes(values), &native[..]);
+        // Read: file bytes into the mutable view, then to native order.
+        let mut read = vec![F::ZERO; values.len()];
+        as_bytes_mut(&mut read).copy_from_slice(&le);
+        if !cfg!(target_endian = "little") {
+            swap_bytes(&mut read);
+        }
+        let from_le: Vec<F> = le.chunks_exact(F::BYTES).map(F::read_le).collect();
+        assert_eq!(bits(&read), bits(&from_le));
+        assert_eq!(bits(&read), bits(values));
+        // The big-endian branch, run on any host: one swap gives the other
+        // order's bytes, and a second restores every bit.
+        let mut swapped = values.to_vec();
+        swap_bytes(&mut swapped);
+        assert_eq!(as_bytes(&swapped), &other[..]);
+        swap_bytes(&mut swapped);
+        assert_eq!(bits(&swapped), bits(values));
+    }
+
+    #[test]
+    fn byte_view_f32_keeps_every_bit() {
+        let values: Vec<f32> = F32_EDGES.iter().map(|&b| f32::from_bits(b)).collect();
+        byte_views_match_le_bytes(&values);
+        byte_views_match_le_bytes(&[1.5f32, -0.1, f32::MIN_POSITIVE]);
+        byte_views_match_le_bytes::<f32>(&[]);
+    }
+
+    #[test]
+    fn byte_view_f64_keeps_every_bit() {
+        let values: Vec<f64> = F64_EDGES.iter().map(|&b| f64::from_bits(b)).collect();
+        byte_views_match_le_bytes(&values);
+        byte_views_match_le_bytes(&[1.5f64, -0.1, 1e-300]);
+        byte_views_match_le_bytes::<f64>(&[]);
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //!    of `nb − lead` on four lanes.
 //! 3. **Decode** ([`decode_nonconstant_block`]): the one-pass lane scan —
 //!    per code byte, a table lookup gives the four clamped leads and their
-//!    offsets, one gather fetches the four overlapping big-endian 8-byte
-//!    loads from the mid-byte pool, and two permute+blend Hillis–Steele
-//!    steps compose the `(keep, word)` pairs of
-//!    [`crate::dekernels`]' recurrence before the carried word is applied.
+//!    offsets, four plain overlapping 8-byte loads (the encoder's stores in
+//!    reverse) fetch the big-endian mid-bytes from the pool into one
+//!    register, and two permute+blend Hillis–Steele steps compose the
+//!    `(keep, word)` pairs of [`crate::dekernels`]' recurrence before the
+//!    carried word is applied.
 //!
 //! 4. **CRC32C** ([`crc32c`]): the SSE4.2 `crc32` instruction over 8-byte
 //!    words, three lanes at once, for the container's frame and index
@@ -52,11 +53,12 @@
 //! differential oracle, and the corrupt-archive suite assert. The scalar
 //! loops remain the oracle of record.
 //!
-//! This module is the crate's one sanctioned unsafe surface: szx-core's
-//! manifest denies `unsafe_code` and each file here opts back in with an
-//! inner `#![allow(unsafe_code)]`; clippy requires a `SAFETY:` comment on
-//! every unsafe block, and szx-audit requires every `#[target_feature]`
-//! call site's comment to name the runtime detection guard.
+//! This module is the crate's unsafe surface, beside the two byte views of
+//! [`crate::float`]: szx-core's manifest denies `unsafe_code`, each file
+//! here opts back in with an inner `#![allow(unsafe_code)]` (the views with
+//! an item-level one); clippy requires a `SAFETY:` comment on every unsafe
+//! block, and szx-audit requires every `#[target_feature]` call site's
+//! comment to name the runtime detection guard.
 
 // The only unsafe in this file is *calling* the `#[target_feature]`
 // backends after the runtime detection guard.

@@ -6,7 +6,7 @@
 //! the dispatch layer guards every call with the cached
 //! `is_x86_feature_detected!` check and documents it with a `SAFETY:`
 //! comment (enforced by szx-audit).
-//! Inside the bodies, only the pointer intrinsics (loads, stores, gathers)
+//! Inside the bodies, only the pointer intrinsics (loads and stores)
 //! are `unsafe`; the arithmetic/shuffle intrinsics are safe once the
 //! feature is statically enabled.
 //!
@@ -538,8 +538,9 @@ pub(super) fn encode_block_f64(
 struct Quads<'a> {
     pool: &'a [u8],
     leads: &'static [u64; 256],
-    /// `(0, nb, 2·nb, 3·nb)`: lane k's offset before the lead correction.
-    lane_nb: __m128i,
+    /// `k·nb` in byte k, for k in 0..4: lane k's offset before the lead
+    /// correction.
+    lane_nb: u32,
     nb4: usize,
     top: __m256i,
     shift: __m128i,
@@ -550,22 +551,18 @@ struct Quads<'a> {
 impl<'a> Quads<'a> {
     /// Scan state for `blen` values of `blk`. The pool must hold
     /// `blen·nb + 8` bytes: every offset is at most `(blen − 1)·nb`, so each
-    /// lane's 8-byte gather stays inside it whatever the codes say.
+    /// lane's 8-byte load stays inside it whatever the codes say.
     #[target_feature(enable = "avx2")]
     fn new(blk: &Block<'a>, blen: usize) -> Self {
         let (pool, nb) = (blk.pool, blk.nb);
         // PANIC-OK: Block::prepare sizes the pool to blen * 8 + 8; this is
-        // the soundness check the gathers below rest on.
+        // the soundness check the loads below rest on.
         assert!((2..=8).contains(&nb) && pool.len() >= blen * nb + 8);
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "nb <= 8, so 3 * nb fits i32"
-        )]
-        let nbi = nb as i32;
         Quads {
             pool,
             leads: &QUAD_LEADS[nb.min(3) - 2], // PANIC-OK: nb >= 2 (asserted)
-            lane_nb: _mm_setr_epi32(0, nbi, 2 * nbi, 3 * nbi),
+            #[expect(clippy::cast_possible_truncation, reason = "nb <= 8")]
+            lane_nb: 0x0302_0100 * nb as u32,
             nb4: 4 * nb,
             top: _mm256_set1_epi64x(blk.top as i64),
             shift: _mm_cvtsi32_si128(blk.s as i32),
@@ -582,23 +579,27 @@ impl<'a> Quads<'a> {
         let ones = _mm256_set1_epi64x(-1);
         let zero = _mm256_setzero_si256();
         let entry = self.leads[usize::from(byte)];
-        let ev = _mm_cvtsi64_si128(entry as i64);
-        // Offsets: base + k·nb − (leads before lane k).
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "base <= blen * nb <= 8 * MAX_BLOCK_SIZE fits i32"
-        )]
-        let base = _mm_set1_epi32(self.base as i32);
-        let off4 = _mm_sub_epi32(
-            _mm_add_epi32(base, self.lane_nb),
-            _mm_cvtepu8_epi32(_mm_srli_si128::<4>(ev)),
-        );
+        // Lane k's load offset from base, k·nb less the leads before it, in
+        // byte k of one word: the loads mirror `Coder::quad`'s stores.
+        let offs = self.lane_nb - (entry >> 32) as u32;
+        let at = |k: u32| ((offs >> (8 * k)) & 0xff) as usize;
         // SAFETY: base + k·nb − (leads before lane k) lies in 0 ..= (i + k)·nb
         // for this quad's first value i, since every clamped lead is in
         // 0 ..= nb; so each offset is at most (blen − 1)·nb and its 8 bytes
         // end inside the pool, which new() checked holds blen·nb + 8.
-        let loaded = unsafe { _mm256_i32gather_epi64::<1>(self.pool.as_ptr().cast::<i64>(), off4) };
+        let loaded = unsafe {
+            let p = self.pool.as_ptr().add(self.base);
+            let lo = _mm_castsi128_pd(_mm_loadl_epi64(p.cast()));
+            let lo = _mm_castpd_si128(_mm_loadh_pd(lo, p.add(at(1)).cast()));
+            let hi = _mm_castsi128_pd(_mm_loadl_epi64(p.add(at(2)).cast()));
+            let hi = _mm_castpd_si128(_mm_loadh_pd(hi, p.add(at(3)).cast()));
+            _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(lo), hi)
+        };
+        // `8·lead` <= 24; as in the encoder, the mask tells the compiler no
+        // lane shifts out all 64 bits, so `vpsrlvq` needs no select.
+        let ev = _mm_cvtsi64_si128(entry as i64);
         let shr = _mm256_slli_epi64::<3>(_mm256_cvtepu8_epi64(ev));
+        let shr = _mm256_and_si256(shr, _mm256_set1_epi64x(0x18));
         let a = _mm256_srlv_epi64(bswap64(loaded), shr);
         let keep = _mm256_xor_si256(_mm256_srlv_epi64(ones, shr), ones);
         // Two Hillis–Steele steps of (k2, a2) ∘ (k1, a1) = (k1 & k2,
