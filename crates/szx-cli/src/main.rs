@@ -69,8 +69,9 @@ USAGE:
   renders a live line with EWMA GB/s, the running ratio and an ETA on
   stderr.
 
-  The hot loops run on SIMD kernels where the CPU has them (AVX2, NEON);
-  SZX_DISABLE_SIMD=1 forces the portable ones, with the same bytes.
+  The hot loops run on SIMD kernels where the CPU has them (AVX-512,
+  AVX2, NEON); SZX_DISABLE_SIMD=1 forces the portable ones, with the same
+  bytes. --stats --json and --manifest name the instruction set (isa).
 
   --stats collects per-stage wall times, block classification counters, and
   the required-length histogram (szx-telemetry); the report goes to stderr
@@ -136,13 +137,13 @@ fn stats_requested(args: &[String]) -> bool {
 /// Emit the telemetry report: a human table on stderr, or — with `--json` —
 /// exactly one JSON object line on stdout (JSON-lines framing, so pipelines
 /// can append and `jq` can parse).
-fn emit_stats(json: bool, extra: Vec<(&str, szx_telemetry::Value)>) {
+fn emit_stats(json: bool, extra: Vec<(&str, szx_telemetry::Value)>) -> Result<(), String> {
     let mut report = szx_telemetry::global().snapshot();
     for (k, v) in extra {
         report.push_extra(k, v);
     }
     if json {
-        println!("{}", szx_telemetry::render_jsonl(&report));
+        print_out(|out| writeln!(out, "{}", szx_telemetry::render_jsonl(&report)))?;
     } else {
         eprint!("{}", szx_telemetry::render_table(&report));
     }
@@ -169,6 +170,7 @@ fn emit_stats(json: bool, extra: Vec<(&str, szx_telemetry::Value)>) {
             );
         }
     }
+    Ok(())
 }
 
 /// A running `--profile` session: sampler started before the timed work,
@@ -709,11 +711,12 @@ fn run_begin(args: &[String]) -> Result<Run, String> {
 impl Run {
     /// Print the command's summary line: on stdout, unless stdout carries
     /// exactly the `--stats --json` line.
-    fn summary(&self, line: String) {
+    fn summary(&self, line: String) -> Result<(), String> {
         if self.stats && self.json {
             eprintln!("{line}");
+            Ok(())
         } else {
-            println!("{line}");
+            print_out(|out| writeln!(out, "{line}"))
         }
     }
 
@@ -748,7 +751,7 @@ impl Run {
             eprintln!("manifest: {}", path.display());
         }
         if self.stats {
-            emit_stats(self.json, extras);
+            emit_stats(self.json, extras)?;
         }
         match self.trace {
             Some(path) => write_trace(&path),
@@ -811,7 +814,7 @@ fn encode_file<F: SzxFloat + Into<f64>>(args: &[String], stream: bool) -> Result
         output.display(),
         fstats.frames,
         fstats.ratio()
-    ));
+    ))?;
     let manifest = match run.manifest {
         None => None,
         Some(_) => {
@@ -847,6 +850,7 @@ fn encode_file<F: SzxFloat + Into<f64>>(args: &[String], stream: bool) -> Result
     };
     let mut extras = pass_extras(mode_name(cfg.parallel), raw_bytes, container_len, elapsed);
     extras.extend([
+        ("isa", Value::Str(isa(&cfg, F::NAME).into())),
         ("frames", Value::U64(fstats.frames)),
         ("frame_elems", Value::U64(frame_elems as u64)),
         ("min_frame_ns", Value::U64(fstats.min_frame_ns)),
@@ -909,6 +913,16 @@ fn mode_name(parallel: bool) -> &'static str {
     }
 }
 
+/// The instruction set `cfg` codes values of `dtype` (`f32` or `f64`) on.
+fn isa(cfg: &SzxConfig, dtype: &str) -> &'static str {
+    let isa = if dtype == f64::NAME {
+        cfg.kernel.isa::<f64>(cfg.strategy)
+    } else {
+        cfg.kernel.isa::<f32>(cfg.strategy)
+    };
+    isa.name()
+}
+
 /// Shared manifest skeleton: command, full config, parallelism, dataset
 /// identity (path, bytes, FNV-1a digest of the raw input file).
 fn run_manifest(
@@ -935,6 +949,7 @@ fn run_manifest(
             "kernel",
             Value::Str(cfg.kernel.decoding(cfg.strategy).name().into()),
         ),
+        ("isa", Value::Str(isa(cfg, dtype).into())),
         ("mode", Value::Str(mode_name(cfg.parallel).into())),
         ("threads", Value::U64(threads)),
         ("dtype", Value::Str(dtype.into())),
@@ -983,7 +998,7 @@ fn decode_file(args: &[String], extract: bool) -> Result<(), String> {
         name.as_deref().unwrap_or(&input.to_string_lossy()),
         output.display(),
         frames.n()
-    ));
+    ))?;
     let manifest = run.manifest.is_some().then(|| {
         let digest = szx_telemetry::fnv1a64(&bytes);
         let command = if extract { "extract" } else { "decompress" };
@@ -1002,6 +1017,10 @@ fn decode_file(args: &[String], extract: bool) -> Result<(), String> {
     extras.extend([
         ("frames", Value::U64(frames.streams.len() as u64)),
         ("decode_path", Value::Str(decode_path.to_string())),
+        (
+            "isa",
+            Value::Str(isa(&cfg, dtype_name(frames.dtype())).into()),
+        ),
     ]);
     run.finish(manifest, extras)
 }
@@ -1139,17 +1158,15 @@ fn cmd_archive<F: SzxFloat>(args: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("bad field file name {}", path.display()))?;
             let encoder = encode_frame(&file, 0, file.n, &cfg)?;
             w.push_encoder(name, encoder, started).map_err(err)?;
-            println!("added {name} ({} values)", file.n);
+            print_out(|out| writeln!(out, "added {name} ({} values)", file.n))?;
         }
         w.finish().map(drop).map_err(err)
     })?;
     let len = std::fs::metadata(&out_path).map_err(at(&out_path))?.len();
-    println!(
-        "{} ({} fields, {len} bytes)",
-        out_path.display(),
-        positional.len()
-    );
-    Ok(())
+    print_out(|out| {
+        let fields = positional.len();
+        writeln!(out, "{} ({fields} fields, {len} bytes)", out_path.display())
+    })
 }
 
 fn cmd_list(args: &[String]) -> Result<(), String> {
@@ -1193,13 +1210,8 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     for f in &ds.fields {
         let path = dir.join(format!("{}.f32", f.name.replace('/', "_")));
         szx_data::io::write_f32_raw(&path, &f.data).map_err(|e| e.to_string())?;
-        println!(
-            "{}  ({}x{}x{})",
-            path.display(),
-            f.dims[0],
-            f.dims[1],
-            f.dims[2]
-        );
+        let [x, y, z] = f.dims;
+        print_out(|out| writeln!(out, "{}  ({x}x{y}x{z})", path.display()))?;
     }
     Ok(())
 }

@@ -256,8 +256,28 @@ fn stream_output_lists_and_extracts_like_an_archive() {
         assert!((a - b).abs() <= 1e-3, "{a} vs {b}");
     }
 
-    // `decompress` is the inverse of `stream`: every frame, in order.
-    run_ok(&["decompress", &p("a.szxc"), &p("all.f32")]);
+    // `decompress` is the inverse of `stream`: every frame, in order. Its
+    // stats name the path and the instruction set the blocks decoded on,
+    // as the library resolves them on this CPU.
+    let stats = run_ok(&[
+        "decompress",
+        &p("a.szxc"),
+        &p("all.f32"),
+        "--stats",
+        "--json",
+    ]);
+    let doc = szx_telemetry::json::Json::parse(stats.trim_end()).expect("one JSON line");
+    let derived = doc.get("derived").expect("derived section");
+    let field = |key: &str| {
+        derived
+            .get(key)
+            .and_then(|v| v.as_str())
+            .map(str::to_string)
+    };
+    let path = szx_core::KernelPath::detect();
+    let isa = path.isa::<f32>(szx_core::CommitStrategy::ByteAligned);
+    assert_eq!(field("decode_path").as_deref(), Some(path.name()));
+    assert_eq!(field("isa").as_deref(), Some(isa.name()));
     let mut frames = Vec::new();
     for k in 0..3 {
         let out = p(&format!("frame{k}.f32"));
@@ -492,5 +512,67 @@ fn reports_end_quietly_on_a_closed_stdout() {
     first_line_then_closed(&["list", &p("s.szxc")]);
     first_line_then_closed(&["info", &p("s.szxc"), "--stats"]);
     first_line_then_closed(&["assess", &p("in.f32"), &p("s.szxc")]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run `szx args` with its stdout already closed, as `| head -0` leaves
+/// it: the command must still do all its work, with exit 0 and no panic.
+fn into_closed_stdout(args: &[&str]) {
+    let mut child = szx()
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run szx");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "szx {args:?}: {stderr}");
+    assert!(out.status.success(), "szx {args:?}: {stderr}");
+}
+
+#[test]
+fn writers_finish_their_work_on_a_closed_stdout() {
+    let dir = std::env::temp_dir().join(format!("szx-cli-closed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    // `gen` prints one line per field: all twelve are written after the
+    // reader has gone.
+    first_line_then_closed(&["gen", "scale", &p("gen"), "--scale", "tiny"]);
+    let fields = std::fs::read_dir(dir.join("gen")).unwrap().count();
+    assert_eq!(fields, 12, "gen wrote {fields} of 12 fields");
+    into_closed_stdout(&["gen", "scale", &p("again"), "--scale", "tiny"]);
+    assert_eq!(std::fs::read_dir(dir.join("again")).unwrap().count(), 12);
+    // The summary line, then the one `--stats --json` line.
+    let (input, szx_file, out) = (p("gen/T.f32"), p("t.szx"), p("t.f32"));
+    for stats in [&[][..], &["--stats", "--json"]] {
+        let compress = [
+            "compress",
+            input.as_str(),
+            szx_file.as_str(),
+            "--rel",
+            "1e-3",
+        ];
+        into_closed_stdout(&[&compress[..], stats].concat());
+        assert!(dir.join("t.szx").exists());
+        let decompress = ["decompress", szx_file.as_str(), out.as_str()];
+        into_closed_stdout(&[&decompress[..], stats].concat());
+        assert_eq!(
+            std::fs::metadata(&out).unwrap().len(),
+            std::fs::metadata(&input).unwrap().len()
+        );
+        std::fs::remove_file(&szx_file).unwrap();
+        std::fs::remove_file(&out).unwrap();
+    }
+    let archive = [
+        "archive",
+        &p("a.szx"),
+        &input,
+        &p("gen/U.f32"),
+        "--abs",
+        "1e-3",
+    ];
+    into_closed_stdout(&archive);
+    assert!(dir.join("a.szx").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

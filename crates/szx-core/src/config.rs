@@ -205,6 +205,16 @@ impl KernelPath {
         }
     }
 
+    /// The instruction set blocks of `F` and `strategy` are coded with on
+    /// this path: the detected [`Isa`](crate::simd::Isa) where
+    /// [`Self::decoding`] is the simd path, else the portable kernels.
+    pub fn isa<F: SzxFloat>(self, strategy: CommitStrategy) -> crate::simd::Isa {
+        match self.decoding(strategy) {
+            KernelPath::Simd => crate::simd::Isa::detect::<F>(),
+            KernelPath::Kernel | KernelPath::Scalar => crate::simd::Isa::Portable,
+        }
+    }
+
     /// Decode one non-constant block payload into `out` (the block's
     /// length), on [`Self::decoding`] `strategy`.
     #[inline]

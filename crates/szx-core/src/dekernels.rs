@@ -29,11 +29,13 @@
 //!    the scalar loop's per-value bounds check: the per-value needs are
 //!    non-negative, so a prefix overruns the pool exactly when the total
 //!    does.
-//! 2. **Loads.** The pool is copied once into a slack-padded arena; each
-//!    value's `a_i` is an unconditional overlapping 8-byte big-endian load
-//!    at its offset `i·nb − Σ_{j<i} l_j`, shifted right by `8·l_i` (the
-//!    mirror image of the encoder's overlapping-store committer — the tail
-//!    the load drags in sits past `nb` and is masked, never branched on).
+//! 2. **Loads.** The pool is copied once into a slack-padded arena (the
+//!    AVX-512 decoder of [`crate::simd`] skips the copy: its masked loads
+//!    take exactly the pool's bytes from the payload); each value's `a_i`
+//!    is an unconditional overlapping 8-byte big-endian load at its offset
+//!    `i·nb − Σ_{j<i} l_j`, shifted right by `8·l_i` (the mirror image of
+//!    the encoder's overlapping-store committer — the tail the load drags
+//!    in sits past `nb` and is masked, never branched on).
 //! 3. **Scan and output.** The carried word steps through the recurrence
 //!    above, and each value is `(w & top) << s` → [`SzxFloat::from_word`]
 //!    → `+ μ`.
@@ -91,15 +93,16 @@ impl DecodeScratch {
 }
 
 /// A validated non-constant `ByteAligned` block, ready to decode: its lead
-/// codes, its mid-bytes copied into the slack-padded pool, and the
-/// per-block constants. Shared by the kernel and SIMD decoders so both
-/// reject exactly the corrupt payloads the scalar loop rejects, with the
-/// same messages.
+/// codes, its mid-bytes, and the per-block constants. Shared by the kernel
+/// and SIMD decoders so all reject exactly the corrupt payloads the scalar
+/// loop rejects, with the same messages.
 pub(crate) struct Block<'a> {
     /// The 2-bit lead codes, four per byte, first value in the high bits.
     pub(crate) codes: &'a [u8],
-    /// The mid-bytes, at least `blen·nb + 8` bytes long: every value's
-    /// offset is at most `(blen − 1)·nb`, so each 8-byte load stays inside.
+    /// The mid-bytes. [`Block::parse`] leaves exactly those the codes
+    /// demand, in the payload itself; [`Block::prepare`] copies them into a
+    /// pool at least `blen·nb + 8` bytes long: every value's offset is at
+    /// most `(blen − 1)·nb`, so each 8-byte load stays inside.
     pub(crate) pool: &'a [u8],
     /// Significant bytes per word.
     pub(crate) nb: usize,
@@ -113,14 +116,11 @@ pub(crate) struct Block<'a> {
 
 impl<'a> Block<'a> {
     /// Parse and validate the `[R_k: u8][2-bit lead codes][mid-bytes]`
-    /// payload of a `blen`-element block, and copy the mid-bytes into
-    /// `scratch`. Same checks, in the same order and with the same error
-    /// messages, as the scalar [`crate::decode::decode_nonconstant_block`].
-    pub(crate) fn prepare<F: SzxFloat>(
-        payload: &'a [u8],
-        blen: usize,
-        scratch: &'a mut DecodeScratch,
-    ) -> Result<Self> {
+    /// payload of a `blen`-element block. Same checks, in the same order
+    /// and with the same error messages, as the scalar
+    /// [`crate::decode::decode_nonconstant_block`]. The block's `pool` is
+    /// the payload's own mid-bytes, as many as its codes demand.
+    pub(crate) fn parse<F: SzxFloat>(payload: &'a [u8], blen: usize) -> Result<Self> {
         let lead_bytes = (2 * blen).div_ceil(8);
         if payload.len() < 1 + lead_bytes {
             return Err(SzxError::CorruptStream("block payload truncated".into()));
@@ -138,25 +138,40 @@ impl<'a> Block<'a> {
         let body = &payload[1 + lead_bytes..]; // PANIC-OK: as above
         let nb = bytes_for(req_len);
         let total = blen * nb - clamped_lead_sum(codes, blen, nb);
-        if total > body.len() {
+        let Some(pool) = body.get(..total) else {
             return Err(SzxError::CorruptStream("mid-byte pool truncated".into()));
-        }
-        scratch.ensure(blen);
-        contract!(
-            scratch.pool.len() >= blen * nb + 8,
-            "pool arena sized for {blen} values of {nb} bytes"
-        );
-        // PANIC-OK: total <= body.len() was just checked, and ensure()
-        // sized the pool to blen * 8 + 8 >= total.
-        scratch.pool[..total].copy_from_slice(&body[..total]);
+        };
         Ok(Block {
             codes,
-            pool: &scratch.pool,
+            pool,
             nb,
             s: shift_for(req_len),
             #[expect(clippy::cast_possible_truncation, reason = "nb <= 8")]
             top: !0u64 << (64 - 8 * nb as u32),
             raw: req_len == F::FULL_BITS,
+        })
+    }
+
+    /// [`Self::parse`], then copy the mid-bytes into `scratch`'s
+    /// slack-padded pool, for the decoders whose 8-byte loads run past them.
+    pub(crate) fn prepare<F: SzxFloat>(
+        payload: &'a [u8],
+        blen: usize,
+        scratch: &'a mut DecodeScratch,
+    ) -> Result<Self> {
+        let blk = Self::parse::<F>(payload, blen)?;
+        scratch.ensure(blen);
+        contract!(
+            scratch.pool.len() >= blen * blk.nb + 8,
+            "pool arena sized for {blen} values of {} bytes",
+            blk.nb
+        );
+        // PANIC-OK: parse left at most blen * nb <= blen * 8 mid-bytes, and
+        // ensure() sized the pool to blen * 8 + 8.
+        scratch.pool[..blk.pool.len()].copy_from_slice(blk.pool);
+        Ok(Block {
+            pool: &scratch.pool,
+            ..blk
         })
     }
 
@@ -414,40 +429,43 @@ mod tests {
         }
     }
 
-    /// Decode `payload` as a `blen`-element block on all three paths and
-    /// assert they agree bit for bit — or fail with the same message.
+    /// Decode `payload` as a `blen`-element block on every path, and on
+    /// each coder backend this CPU has, and assert they agree bit for bit
+    /// — or fail with the same message.
     fn assert_paths_agree<F: SzxFloat>(payload: &[u8], blen: usize, mu: F, what: &str) {
         let mut scratch = DecodeScratch::default();
         // A fresh output per path, so a path that skips values cannot pass
         // on another path's leftovers.
-        let mut run = |path: usize| {
+        let mut run = |path: Option<crate::simd::Isa>| {
             let mut out = vec![F::ZERO; blen];
             let r = match path {
-                0 => scalar_decode(payload, &mut out, mu, CommitStrategy::ByteAligned),
-                1 => decode_nonconstant_block(payload, &mut out, mu, &mut scratch),
-                _ => crate::simd::decode_nonconstant_block(payload, &mut out, mu, &mut scratch),
+                None => scalar_decode(payload, &mut out, mu, CommitStrategy::ByteAligned),
+                Some(isa) => crate::simd::decode_on(isa, payload, &mut out, mu, &mut scratch),
             };
             r.map(|()| out.iter().map(|v| v.to_word()).collect::<Vec<_>>())
                 .map_err(|e| e.to_string())
         };
-        let scalar = run(0);
-        assert_eq!(scalar, run(1), "kernel vs scalar: {what}");
-        assert_eq!(scalar, run(2), "simd vs scalar: {what}");
+        let scalar = run(None);
+        // The portable backend is this module's kernel.
+        for isa in crate::simd::isas::<F>() {
+            assert_eq!(scalar, run(Some(isa)), "{} vs scalar: {what}", isa.name());
+        }
     }
 
     /// Forge `[R_k][codes][pool]` payloads straight from random bytes — lead
-    /// codes of 3 under `nb = 2` (the clamp), set padding bits, ragged
-    /// block lengths, raw blocks, every `req_len` — and check the three
-    /// decoders agree on every one, and on every truncation of its pool.
+    /// codes of 3 under `nb = 2` (the clamp), set padding bits, block
+    /// lengths around the quad and sixteen-lane steps, raw blocks, every
+    /// `req_len` — and check every decoder agrees on every one, and on
+    /// every truncation of its pool.
     /// Beside random code bytes, three fills drive each lane's load to its
     /// extreme offset: `0x00` (no leads, so lane k of the last quad loads
     /// at `(blen − 1)·nb`, the farthest any load reaches), `0xFF` (every
-    /// lead 3, all clamped under `nb = 2`) and `0x1B` (leads 0, 1, 2, 3
-    /// across each quad). Each block is also decoded with a pool of exactly
+    /// lead 3, all clamped under `nb = 2`, and every padding code set) and
+    /// `0x1B` (leads 0, 1, 2, 3 across each quad). Each block is also decoded with a pool of exactly
     /// the bytes its codes demand, ending at the slice's end.
     fn forged_payloads_agree<F: SzxFloat>(seed: u64, mu: F) {
         let mut rng = Rng(seed);
-        for blen in [1usize, 2, 3, 4, 5, 6, 7, 8, 128, 129, 4096] {
+        for blen in (1usize..=17).chain(31..=33).chain(127..=129).chain([4096]) {
             for req_len in F::SIGN_EXP_BITS..=F::FULL_BITS {
                 for fill in [None, Some(0x00), Some(0xFF), Some(0x1B)] {
                     let nb = bytes_for(req_len);

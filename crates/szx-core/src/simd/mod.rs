@@ -15,20 +15,34 @@
 //!    keep the portable kernel's bits. [`minmax`] runs four independent
 //!    accumulators, off the one-register dependency chain, and returns a
 //!    zero extreme as +0.0 as every backend does.
-//! 2. **Encode coder** ([`encode_nonconstant`]): one pass, four values per
-//!    code byte. Normalize → shift into the high-aligned word (Formulas
-//!    4–5), XOR against the predecessor lane, three nested byte-prefix
-//!    compares whose masks spread into the code byte, and the four mid-byte
-//!    runs committed straight into the payload with overlapping 8-byte
-//!    stores at offsets from the decode's lead table — cuSZx's prefix scan
-//!    of `nb − lead` on four lanes.
-//! 3. **Decode** ([`decode_nonconstant_block`]): the one-pass lane scan —
-//!    per code byte, a table lookup gives the four clamped leads and their
-//!    offsets, four plain overlapping 8-byte loads (the encoder's stores in
-//!    reverse) fetch the big-endian mid-bytes from the pool into one
-//!    register, and two permute+blend Hillis–Steele steps compose the
-//!    `(keep, word)` pairs of [`crate::dekernels`]' recurrence before the
-//!    carried word is applied.
+//! 2. **Encode coder** ([`encode_nonconstant`]), in one pass from the
+//!    input to the payload. Each value is normalized and shifted into its
+//!    high-aligned word (Formulas 4–5) and XORed against its predecessor;
+//!    the clamped lead bytes of the XOR are its code, and the word's bytes
+//!    from the lead to `nb` its mid-bytes. cuSZx finds where each run goes
+//!    with a prefix scan of `nb − lead`; here it is done in registers:
+//!    - *AVX-512* (`f32`): sixteen values a step in 32-bit lanes, which
+//!      hold an `f32` word's `nb <= 4` committed bytes. `vplzcntd` gives
+//!      the leads, `pdep` packs them into four code bytes, and one
+//!      `vpcompressb` packs every lane's run, committed with one masked
+//!      store of exactly their bytes. Lane masks cover a ragged step.
+//!    - *AVX2* (`f64`, and `f32` without AVX-512): four values a code byte
+//!      in 64-bit lanes. Three nested byte-prefix compares spread into the
+//!      code byte, and the four runs go out as overlapping 8-byte stores
+//!      at offsets from the decode's lead table; a ragged tail is scalar.
+//! 3. **Decode** ([`decode_nonconstant_block`]), the one-pass lane scan.
+//!    Each lane's mid-bytes are fetched and placed in its word, and
+//!    Hillis–Steele steps compose the `(keep, word)` pairs of
+//!    [`crate::dekernels`]' recurrence before the carried word is applied.
+//!    - *AVX-512* (`f32`): sixteen values a step. A masked load of the
+//!      step's code bytes spreads to sixteen leads with `vpsrlvd`; one
+//!      masked load takes exactly the step's mid-bytes straight from the
+//!      payload, with no pool copy, and one `vpexpandb` puts each byte in
+//!      its lane. Four `valignd` steps compose the pairs.
+//!    - *AVX2*: per code byte, a table lookup gives the four clamped leads
+//!      and their offsets, four overlapping 8-byte loads (the encoder's
+//!      stores in reverse) fetch the mid-bytes from the slack-padded pool
+//!      copy, and two permute+blend steps compose the pairs.
 //!
 //! 4. **CRC32C** ([`crc32c`]): the SSE4.2 `crc32` instruction over 8-byte
 //!    words, three lanes at once, for the container's frame and index
@@ -36,22 +50,25 @@
 //!    portable path.
 //!
 //! **Dispatch.** Callers never invoke the backends directly: every entry
-//! point here re-checks [`ready`] (a cached `is_x86_feature_detected!`) and
-//! silently falls back to the portable kernel, so the simd
-//! [`KernelPath`](crate::config::KernelPath) is *safe* on any machine, just
-//! not faster where the ISA extension is missing. [`available`]
-//! additionally honors the `SZX_DISABLE_SIMD` environment override
-//! (consulted by [`KernelPath::detect`](crate::config::KernelPath::detect),
-//! once per configuration, not per block) so operators can force the
-//! portable path without rebuilding.
+//! point here re-checks cached `is_x86_feature_detected!` guards and takes
+//! the widest backend the CPU has — for the coders, AVX-512 (`f32` only),
+//! then AVX2, then the portable kernel; [`Isa::detect`] names the one
+//! chosen. So the simd [`KernelPath`](crate::config::KernelPath) is *safe*
+//! on any machine, just not faster where the ISA extension is missing.
+//! [`available`] additionally honors the `SZX_DISABLE_SIMD` environment
+//! override (consulted by
+//! [`KernelPath::detect`](crate::config::KernelPath::detect), once per
+//! configuration, not per block) so operators can force the portable path
+//! without rebuilding. Nothing selects a backend but the CPU.
 //!
 //! **Equivalence.** Every backend is byte-for-byte equivalent to the
 //! portable kernels — same select semantics (NaN never replaces an
 //! incumbent, ties keep the earlier element; [`minmax`] returns a zero
-//! extreme as +0.0 on every path), same clamps, same overlapping
-//! store/load trick — which the roundtrip property suite, the fuzz
-//! differential oracle, and the corrupt-archive suite assert. The scalar
-//! loops remain the oracle of record.
+//! extreme as +0.0 on every path), same clamps, same bytes and errors —
+//! which the roundtrip property suite, the fuzz differential oracle, the
+//! corrupt-archive suite and the forged-block tests (each coder backend
+//! the CPU has, called directly) assert. The scalar loops remain the
+//! oracle of record.
 //!
 //! This module is the crate's unsafe surface, beside the two byte views of
 //! [`crate::float`]: szx-core's manifest denies `unsafe_code`, each file
@@ -82,8 +99,9 @@ mod x86;
 
 /// Cached runtime ISA detection: AVX2 on x86-64, NEON (an architectural
 /// baseline, so unconditionally true) on aarch64, absent elsewhere. This is
-/// the cheap per-call guard the dispatch wrappers use; the env override
-/// lives in [`available`] so it is consulted once per top-level call.
+/// the cheap per-call guard the dispatch wrappers use (the AVX-512 coder
+/// adds its own); the env override lives in [`available`] so it is
+/// consulted once per top-level call.
 #[inline]
 pub(crate) fn ready() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -112,13 +130,75 @@ pub fn available() -> bool {
     ready() && std::env::var_os("SZX_DISABLE_SIMD").is_none_or(|v| v.is_empty())
 }
 
-/// Do the coder backends (the encode and decode quad scans) exist for this
-/// target? The NEON backend currently covers only the range scan, so on
-/// aarch64 the coder paths delegate to the portable kernels while the scan
-/// runs vectorized.
+/// Cached runtime detection of the AVX-512 coder's features on top of
+/// [`ready`]: AVX-512 F, BW, VL, CD and VBMI2, BMI2 and POPCNT.
+#[cfg(target_arch = "x86_64")]
 #[inline]
-fn coder_ready() -> bool {
-    cfg!(target_arch = "x86_64") && ready()
+fn wide_ready() -> bool {
+    use std::sync::OnceLock;
+    static WIDE: OnceLock<bool> = OnceLock::new();
+    *WIDE.get_or_init(|| {
+        ready()
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+            && std::arch::is_x86_feature_detected!("avx512cd")
+            && std::arch::is_x86_feature_detected!("avx512vbmi2")
+            && std::arch::is_x86_feature_detected!("bmi2")
+            && std::arch::is_x86_feature_detected!("popcnt")
+    })
+}
+
+/// The instruction set the simd [`KernelPath`](crate::config::KernelPath)
+/// runs on for one element type, widest first: what `--stats` and run
+/// manifests report beside the path, so a figure names the coder that
+/// produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Isa {
+    /// AVX-512 F, BW, VL, CD and VBMI2 with BMI2: the sixteen-lane `f32`
+    /// coders, and the AVX2 range scan.
+    Avx512,
+    /// AVX2: the quad coders and the range scan.
+    Avx2,
+    /// NEON: the range scan; the coders are the portable kernels.
+    Neon,
+    /// None: the portable kernels throughout.
+    Portable,
+}
+
+impl Isa {
+    /// The widest backend this CPU runs for blocks of `F`. Only `f32` has
+    /// an AVX-512 coder.
+    pub fn detect<F: SzxFloat>() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if F::BYTES == 4 && wide_ready() {
+                Isa::Avx512
+            } else if ready() {
+                Isa::Avx2
+            } else {
+                Isa::Portable
+            }
+        }
+        #[cfg(target_arch = "aarch64")]
+        {
+            Isa::Neon
+        }
+        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        {
+            Isa::Portable
+        }
+    }
+
+    /// Short lowercase name: `avx512`, `avx2`, `neon` or `portable`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Isa::Avx512 => "avx512",
+            Isa::Avx2 => "avx2",
+            Isa::Neon => "neon",
+            Isa::Portable => "portable",
+        }
+    }
 }
 
 /// Reinterpret stats computed in the concrete backend type back into `F`.
@@ -199,9 +279,8 @@ fn backend_minmax<F: SzxFloat>(data: &[F]) -> (F, F) {
     kernels::minmax(data)
 }
 
-/// SIMD encode of one non-constant `ByteAligned` block: the one-pass quad
-/// coder, each quad of values going from the input to the payload in
-/// registers. Byte-identical payload to
+/// SIMD encode of one non-constant `ByteAligned` block on the widest
+/// coder for `F` ([`Isa::detect`]). Byte-identical payload to
 /// [`crate::kernels::encode_nonconstant`]; other strategies and targets
 /// without a coder backend delegate to it outright.
 pub(crate) fn encode_nonconstant<F: SzxFloat>(
@@ -212,10 +291,33 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
     payload: &mut Vec<u8>,
     scratch: &mut EncodeScratch,
 ) -> F {
-    if strategy != CommitStrategy::ByteAligned || !coder_ready() {
-        return kernels::encode_nonconstant(block, stats, eb, strategy, payload, scratch);
-    }
+    encode_on(
+        Isa::detect::<F>(),
+        block,
+        stats,
+        eb,
+        strategy,
+        payload,
+        scratch,
+    )
+}
+
+/// [`encode_nonconstant`] on the coder of `isa`: the one-pass AVX-512 or
+/// AVX2 coder, each value going from the input to the payload in
+/// registers, or the portable kernel. A backend the CPU lacks is never
+/// called: each call re-checks its detection guard, and AVX-512 falls back
+/// to AVX2, AVX2 to the portable kernel.
+pub(crate) fn encode_on<F: SzxFloat>(
+    isa: Isa,
+    block: &[F],
+    stats: &BlockStats<F>,
+    eb: f64,
+    strategy: CommitStrategy,
+    payload: &mut Vec<u8>,
+    scratch: &mut EncodeScratch,
+) -> F {
     #[cfg(target_arch = "x86_64")]
+    if strategy == CommitStrategy::ByteAligned && matches!(isa, Isa::Avx512 | Isa::Avx2) && ready()
     {
         let req_len = required_length::<F>(stats.radius, eb);
         let raw = req_len == F::FULL_BITS;
@@ -226,28 +328,29 @@ pub(crate) fn encode_nonconstant<F: SzxFloat>(
             // μ reinterpreted in the block's own type, bit-exactly (the
             // downcast proves F = f32).
             let mu32 = f32::from_word(mu.to_word());
-            // SAFETY: `coder_ready()` above confirmed AVX2 via cached
-            // runtime feature detection.
-            unsafe { x86::encode_block_f32(b, raw, mu32, req_len, payload) };
+            if isa == Isa::Avx512 && wide_ready() {
+                // SAFETY: `wide_ready()` confirmed AVX-512 F/BW/VL/CD/VBMI2,
+                // BMI2 and POPCNT via cached runtime feature detection.
+                unsafe { x86::encode_block_f32_avx512(b, raw, mu32, req_len, payload) };
+            } else {
+                // SAFETY: `ready()` above confirmed AVX2 via cached runtime
+                // feature detection.
+                unsafe { x86::encode_block_f32(b, raw, mu32, req_len, payload) };
+            }
         } else if let Some(b) = F::as_f64s(block) {
             let mu64 = f64::from_word(mu.to_word());
             // SAFETY: as above — AVX2 confirmed by runtime detection.
             unsafe { x86::encode_block_f64(b, raw, mu64, req_len, payload) };
         }
-        mu
+        return mu;
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        // coder_ready() is false off x86-64, so this is unreachable; keep
-        // the delegation anyway rather than a panic site.
-        kernels::encode_nonconstant(block, stats, eb, strategy, payload, scratch)
-    }
+    let _ = isa;
+    kernels::encode_nonconstant(block, stats, eb, strategy, payload, scratch)
 }
 
-/// SIMD decode of one non-constant `ByteAligned` block payload: the shared
-/// validation, then the one-pass lane scan over whole quads, with a ragged
-/// tail continuing the carried word in the portable
-/// [`dekernels::Scan`]. Same outputs and errors as
+/// SIMD decode of one non-constant `ByteAligned` block payload on the
+/// widest coder for `F` ([`Isa::detect`]). Same outputs and errors as
 /// [`crate::dekernels::decode_nonconstant_block`]; targets without a coder
 /// backend delegate to it outright.
 pub(crate) fn decode_nonconstant_block<F: SzxFloat>(
@@ -256,17 +359,40 @@ pub(crate) fn decode_nonconstant_block<F: SzxFloat>(
     mu: F,
     scratch: &mut DecodeScratch,
 ) -> Result<()> {
-    if !coder_ready() {
-        return dekernels::decode_nonconstant_block(payload, out, mu, scratch);
-    }
+    decode_on(Isa::detect::<F>(), payload, out, mu, scratch)
+}
+
+/// [`decode_nonconstant_block`] on the coder of `isa`, falling back as
+/// [`encode_on`] does. The shared validation comes first. The AVX-512
+/// decode then reads the mid-bytes straight from the payload, sixteen
+/// values a step; the AVX2 one runs the lane scan over whole quads from
+/// the slack-padded pool copy, a ragged tail continuing the carried word
+/// in the portable [`dekernels::Scan`].
+pub(crate) fn decode_on<F: SzxFloat>(
+    isa: Isa,
+    payload: &[u8],
+    out: &mut [F],
+    mu: F,
+    scratch: &mut DecodeScratch,
+) -> Result<()> {
     #[cfg(target_arch = "x86_64")]
-    {
+    if matches!(isa, Isa::Avx512 | Isa::Avx2) && ready() {
+        if isa == Isa::Avx512 && wide_ready() {
+            if let Some(o) = F::as_f32s_mut(out) {
+                let blk = dekernels::Block::parse::<F>(payload, o.len())?;
+                let mu32 = f32::from_word(mu.to_word());
+                // SAFETY: `wide_ready()` confirmed AVX-512 F/BW/VL/CD/VBMI2,
+                // BMI2 and POPCNT via cached runtime feature detection.
+                unsafe { x86::decode_block_f32_avx512(&blk, mu32, o) };
+                return Ok(());
+            }
+        }
         let blk = dekernels::Block::prepare::<F>(payload, out.len(), scratch)?;
         let mut scan = dekernels::Scan::new(blk.nb);
         if let Some(o) = F::as_f32s_mut(out) {
             let mu32 = f32::from_word(mu.to_word());
-            // SAFETY: `coder_ready()` above confirmed AVX2 via cached
-            // runtime feature detection.
+            // SAFETY: `ready()` above confirmed AVX2 via cached runtime
+            // feature detection.
             (scan.off, scan.w) = unsafe { x86::decode_quads_f32(&blk, mu32, o) };
         } else if let Some(o) = F::as_f64s_mut(out) {
             let mu64 = f64::from_word(mu.to_word());
@@ -277,14 +403,28 @@ pub(crate) fn decode_nonconstant_block<F: SzxFloat>(
         if let (Some(&byte), Some(tail)) = (blk.codes.get(whole), out.get_mut(whole * 4..)) {
             scan.decode_byte(&blk, byte, tail, mu);
         }
-        Ok(())
+        return Ok(());
     }
     #[cfg(not(target_arch = "x86_64"))]
+    let _ = isa;
+    dekernels::decode_nonconstant_block(payload, out, mu, scratch)
+}
+
+/// Every coder backend this CPU runs for `F`, the portable kernel first:
+/// the oracle tests run each one directly.
+#[cfg(test)]
+pub(crate) fn isas<F: SzxFloat>() -> Vec<Isa> {
+    let mut isas = vec![Isa::Portable];
+    #[cfg(target_arch = "x86_64")]
     {
-        // coder_ready() is false off x86-64, so this is unreachable; keep
-        // the delegation anyway rather than a panic site.
-        dekernels::decode_nonconstant_block(payload, out, mu, scratch)
+        if ready() {
+            isas.push(Isa::Avx2);
+        }
+        if Isa::detect::<F>() == Isa::Avx512 {
+            isas.push(Isa::Avx512);
+        }
     }
+    isas
 }
 
 /// Fold `bytes` into the CRC32C register `reg` (see

@@ -5,8 +5,8 @@
 //! `#[target_feature]` and therefore no unsafe-to-call surface; only the
 //! pointer loads/stores are `unsafe`. The backend currently covers the
 //! 8-lane `f32` range scan (the dominant cost of constant-block
-//! classification); the coder passes delegate to the portable kernels via
-//! `coder_ready()` in [`super`].
+//! classification); the coder passes delegate to the portable kernels
+//! ([`super::Isa::Neon`]).
 //!
 //! The one semantic trap: `vminq_f32`/`vmaxq_f32` propagate NaN, but the
 //! scalar oracle's `if d < min { d } else { min }` keeps the incumbent on

@@ -1,8 +1,9 @@
-//! AVX2 (and, for [`crc32c`], SSE4.2) backends for the dispatch layer in
-//! [`super`].
+//! AVX2 (and, for [`crc32c`], SSE4.2; for the `f32` coder, AVX-512)
+//! backends for the dispatch layer in [`super`].
 //!
 //! Every function here carries `#[target_feature(enable = "avx2")]` (or
-//! `"sse4.2"`) and is therefore unsafe to *call* from non-feature contexts:
+//! `"sse4.2"`, or the AVX-512 coder's set) and is therefore unsafe to
+//! *call* from non-feature contexts:
 //! the dispatch layer guards every call with the cached
 //! `is_x86_feature_detected!` check and documents it with a `SAFETY:`
 //! comment (enforced by szx-audit).
@@ -672,6 +673,317 @@ pub(super) fn decode_quads_f64(blk: &Block<'_>, mu: f64, out: &mut [f64]) -> (us
         unsafe { _mm256_storeu_pd(vals.as_mut_ptr(), v) };
     }
     quads.carried()
+}
+
+// The AVX-512 coder of `f32` blocks, sixteen values a step. An `f32` word
+// `(bits << 32) >> s` commits its top `nb <= 4` bytes, all of them in the
+// high 32 bits, and its lead is `clz >> 3` of the high halves' XOR clamped
+// to `min(nb, 3)`; so both directions work on 32-bit lanes, one value each.
+// A lane's mid-bytes are bytes `lead..nb` of its byte-swapped word: the
+// encoder packs every lane's run with one `vpcompressb` and stores exactly
+// their bytes, and the decoder loads exactly those bytes from the payload
+// and puts each back in place with one `vpexpandb`. Lane masks cover a
+// ragged step. The features are AVX-512 F, BW, VL, CD and VBMI2, BMI2 and
+// POPCNT.
+
+/// `u32::swap_bytes` of each lane, as a `vpshufb` index.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn bswap32_index() -> __m512i {
+    _mm512_broadcast_i32x4(_mm_setr_epi8(
+        3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12,
+    ))
+}
+
+/// The first `lanes` of sixteen, as a lane mask.
+#[inline]
+#[target_feature(enable = "bmi2")]
+fn lane_mask(lanes: usize) -> __mmask16 {
+    #[expect(clippy::cast_possible_truncation, reason = "lanes <= 16")]
+    let mask = _bzhi_u32(0xffff, lanes as u32) as u16;
+    mask
+}
+
+/// The code bytes of a step of `lanes` values, as a byte mask.
+#[inline]
+#[target_feature(enable = "bmi2")]
+fn code_mask(lanes: usize) -> __mmask16 {
+    #[expect(clippy::cast_possible_truncation, reason = "⌈lanes/4⌉ <= 4")]
+    let mask = _bzhi_u32(0xf, lanes.div_ceil(4) as u32) as u16;
+    mask
+}
+
+/// The mid-byte positions a step may commit: bytes `0..nb` of each of its
+/// first `lanes` 4-byte lanes.
+#[inline]
+#[target_feature(enable = "bmi2")]
+fn byte_mask(nb: usize, lanes: usize) -> __mmask64 {
+    #[expect(clippy::cast_possible_truncation, reason = "4·lanes <= 64")]
+    let lanes = _bzhi_u64(!0, 4 * lanes as u32);
+    (((1u64 << nb) - 1) * 0x1111_1111_1111_1111) & lanes
+}
+
+/// The mid-bytes of a step: byte `p` of a lane's byte-swapped word (its
+/// `p`-th byte from the top) when `lead <= p`, within the `bytes` allowed.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn kept_bytes(bytes: __mmask64, lead: __m512i) -> __mmask64 {
+    let from_lead = _mm512_sllv_epi32(_mm512_set1_epi32(-1), _mm512_slli_epi32::<3>(lead));
+    _mm512_mask_test_epi8_mask(bytes, from_lead, from_lead)
+}
+
+/// The AVX-512 twin of [`Coder`]: one non-constant `ByteAligned` `f32`
+/// block's code bytes and mid-bytes, written sixteen values a step into the
+/// spare capacity of its payload.
+struct WideCoder {
+    /// The block's first code byte, in the spare capacity.
+    codes: *mut u8,
+    /// The block's first mid-byte, `⌈blen/4⌉` bytes after `codes`.
+    mid: *mut u8,
+    raw: bool,
+    mu: __m512,
+    /// Formula 5's right shift.
+    shift: __m128i,
+    nb: usize,
+    /// The lead clamp, `min(nb, 3)`.
+    cap: __m512i,
+    bswap: __m512i,
+    /// Mid-bytes committed.
+    pos: usize,
+    /// The previous step's words (lane 15 is the last; 0 before the block).
+    carry: __m512i,
+}
+
+impl WideCoder {
+    /// Code and commit step `k`: the values `vals` (1 to 16 of them) that
+    /// start at value `16·k` of the block. Lanes past them code 0, as the
+    /// scalar coder writes the padding of a ragged last byte.
+    ///
+    /// # Safety
+    ///
+    /// The steps go in order from `k = 0`, each but the last with 16
+    /// values, over a block whose room [`encode_block_f32_avx512`] reserved.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512cd,avx512vbmi2,bmi2,popcnt")]
+    unsafe fn step(&mut self, k: usize, vals: &[f32]) {
+        let lanes = vals.len();
+        let valid = lane_mask(lanes);
+        // SAFETY: the mask selects the first vals.len() lanes, all inside
+        // `vals`; masked-off lanes are not read.
+        let d = unsafe { _mm512_maskz_loadu_ps(valid, vals.as_ptr()) };
+        // The bit-exact variant must not touch the value: `d - 0.0` would
+        // quieten signaling-NaN payloads.
+        let v = if self.raw {
+            d
+        } else {
+            _mm512_sub_ps(d, self.mu)
+        };
+        let w = _mm512_srl_epi32(_mm512_castps_si512(v), self.shift);
+        // Lane i's predecessor is lane i − 1; lane 0's is the carried word.
+        let prev = _mm512_alignr_epi32::<15>(w, self.carry);
+        self.carry = w;
+        let lz = _mm512_lzcnt_epi32(_mm512_xor_si512(w, prev));
+        let lead = _mm512_maskz_min_epu32(valid, _mm512_srli_epi32::<3>(lz), self.cap);
+        // Lane 4j + k's code sits at bit 8j + 6 − 2k: reverse each group of
+        // four lanes, then deposit the codes' low and high bits at the even
+        // and odd bits of four code bytes.
+        let rev = _mm512_shuffle_epi32::<0b00_01_10_11>(lead);
+        let low = u32::from(_mm512_test_epi32_mask(rev, _mm512_set1_epi32(1)));
+        let high = u32::from(_mm512_test_epi32_mask(rev, _mm512_set1_epi32(2)));
+        let code = _pdep_u32(low, 0x5555_5555) | _pdep_u32(high, 0xaaaa_aaaa);
+        // SAFETY: by the caller's contract this step's ⌈lanes/4⌉ code bytes
+        // are bytes 4k.. of the block's ⌈blen/4⌉, inside the reserved room.
+        unsafe {
+            let at = self.codes.add(4 * k).cast();
+            _mm_mask_storeu_epi8(at, code_mask(lanes), _mm_cvtsi32_si128(code as i32));
+        }
+        let kept = kept_bytes(byte_mask(self.nb, lanes), lead);
+        let packed = _mm512_maskz_compress_epi8(kept, _mm512_shuffle_epi8(w, self.bswap));
+        let cnt = kept.count_ones();
+        // SAFETY: the store writes cnt = Σ (nb − lead) <= nb·lanes bytes at
+        // pos, and pos is the same sum over the values before; so it ends
+        // within nb·blen bytes of `mid`, inside the reserved room.
+        unsafe {
+            _mm512_mask_storeu_epi8(self.mid.add(self.pos).cast(), _bzhi_u64(!0, cnt), packed)
+        };
+        self.pos += cnt as usize;
+    }
+}
+
+/// The AVX-512 [`encode_block_f32`]: the same code bytes and mid-bytes
+/// appended to `payload`, sixteen values a step.
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512cd,avx512vbmi2,bmi2,popcnt")]
+pub(super) fn encode_block_f32_avx512(
+    block: &[f32],
+    raw: bool,
+    mu: f32,
+    req_len: u32,
+    payload: &mut Vec<u8>,
+) {
+    let nb = bytes_for(req_len);
+    // PANIC-OK: an f32 required length of 9..=32 bits gives 2..=4 bytes,
+    // the bytes of one 32-bit lane.
+    assert!((2..=4).contains(&nb));
+    let ncodes = block.len().div_ceil(4);
+    payload.reserve(ncodes + nb * block.len());
+    let len = payload.len();
+    // SAFETY: len <= capacity, so both pointers stay inside (or one past)
+    // the allocation, which the reserve above made hold them.
+    let (codes, mid) = unsafe {
+        let codes = payload.as_mut_ptr().add(len);
+        (codes, codes.add(ncodes))
+    };
+    let mut coder = WideCoder {
+        codes,
+        mid,
+        raw,
+        mu: _mm512_set1_ps(mu),
+        shift: _mm_cvtsi32_si128(shift_for(req_len) as i32),
+        nb,
+        #[expect(clippy::cast_possible_truncation, reason = "nb <= 4")]
+        cap: _mm512_set1_epi32(nb.min(3) as i32),
+        bswap: bswap32_index(),
+        pos: 0,
+        carry: _mm512_setzero_si512(),
+    };
+    let (steps, tail) = block.as_chunks::<16>();
+    for (k, vals) in steps.iter().enumerate() {
+        // SAFETY: the whole steps in order from 0, then the tail.
+        unsafe { coder.step(k, vals) };
+    }
+    if !tail.is_empty() {
+        // SAFETY: the last step, after every whole one.
+        unsafe { coder.step(steps.len(), tail) };
+    }
+    // SAFETY: every code byte was written (the steps cover the block), and
+    // the mid-byte stores wrote pos bytes without a gap, within the room.
+    unsafe { payload.set_len(len + ncodes + coder.pos) };
+}
+
+/// The AVX-512 decode of the `f32` block `blk`, whose `pool` holds exactly
+/// the mid-bytes its codes demand ([`Block::parse`]): sixteen values a
+/// step, each step's mid-bytes loaded straight from the payload.
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512cd,avx512vbmi2,bmi2,popcnt")]
+pub(super) fn decode_block_f32_avx512(blk: &Block<'_>, mu: f32, out: &mut [f32]) {
+    let nb = blk.nb;
+    // PANIC-OK: an f32 required length of 9..=32 bits gives 2..=4 bytes,
+    // and Block::parse takes ⌈blen/4⌉ code bytes; the code loads rest on it.
+    assert!((2..=4).contains(&nb) && blk.codes.len() == out.len().div_ceil(4));
+    let mut wide = WideDecoder {
+        codes: blk.codes,
+        mid: blk.pool,
+        raw: blk.raw,
+        mu: _mm512_set1_ps(mu),
+        top: _mm512_set1_epi32((blk.top >> 32) as i32),
+        shift: _mm_cvtsi32_si128(blk.s as i32),
+        nb,
+        #[expect(clippy::cast_possible_truncation, reason = "nb <= 4")]
+        cap: _mm512_set1_epi32(nb as i32),
+        bswap: bswap32_index(),
+        base: 0,
+        carry: _mm512_setzero_si512(),
+    };
+    let (steps, tail) = out.as_chunks_mut::<16>();
+    for (k, vals) in steps.iter_mut().enumerate() {
+        // SAFETY: the whole steps in order from 0, then the tail, over the
+        // ⌈blen/4⌉ code bytes asserted above.
+        unsafe { wide.step(k, vals) };
+    }
+    if !tail.is_empty() {
+        // SAFETY: the last step, after every whole one.
+        unsafe { wide.step(steps.len(), tail) };
+    }
+}
+
+/// The AVX-512 twin of [`Quads`]: the decode scan of one `f32` block,
+/// sixteen values a step.
+struct WideDecoder<'a> {
+    codes: &'a [u8],
+    /// The mid-bytes, exactly those the codes demand.
+    mid: &'a [u8],
+    raw: bool,
+    mu: __m512,
+    /// Mask of the `nb` significant high bytes of a 32-bit word.
+    top: __m512i,
+    /// Left shift back to the high-aligned word.
+    shift: __m128i,
+    nb: usize,
+    /// The lead clamp, `nb`.
+    cap: __m512i,
+    bswap: __m512i,
+    /// Offset in `mid` of the next step's mid-bytes.
+    base: usize,
+    /// The last word decoded, in every lane (0 before the block).
+    carry: __m512i,
+}
+
+impl WideDecoder<'_> {
+    /// Decode step `k`: the values `vals` (1 to 16 of them) that start at
+    /// value `16·k`.
+    ///
+    /// # Safety
+    ///
+    /// The steps go in order from `k = 0`, each but the last with 16
+    /// values, over a block of `⌈blen/4⌉` code bytes.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512cd,avx512vbmi2,bmi2,popcnt")]
+    unsafe fn step(&mut self, k: usize, vals: &mut [f32]) {
+        let lanes = vals.len();
+        let valid = lane_mask(lanes);
+        // SAFETY: by the caller's contract this step's ⌈lanes/4⌉ code bytes
+        // are bytes 4k.. of the block's ⌈blen/4⌉, all inside `codes`;
+        // masked-off bytes are not read.
+        let bytes = unsafe {
+            _mm_maskz_loadu_epi8(code_mask(lanes), self.codes.as_ptr().add(4 * k).cast())
+        };
+        // Lane 4j + i's code is bits 8j + 6 − 2i of the four code bytes; a
+        // padding code is masked off below, as the scalar loop never reads it.
+        let at = _mm512_setr_epi32(6, 4, 2, 0, 14, 12, 10, 8, 22, 20, 18, 16, 30, 28, 26, 24);
+        let codes = _mm512_srlv_epi32(_mm512_broadcastd_epi32(bytes), at);
+        let lead = _mm512_min_epu32(_mm512_and_si512(codes, _mm512_set1_epi32(3)), self.cap);
+        let kept = kept_bytes(byte_mask(self.nb, lanes), lead);
+        // Block::parse checked that the codes demand exactly the mid-bytes
+        // there are, so the clamp never bites; it keeps the load in bounds
+        // whatever the block says.
+        let cnt = (kept.count_ones() as usize).min(self.mid.len() - self.base);
+        #[expect(clippy::cast_possible_truncation, reason = "cnt <= 64")]
+        let load = _bzhi_u64(!0, cnt as u32);
+        // SAFETY: base + cnt <= mid.len() (the clamp), and the mask selects
+        // exactly bytes base..base + cnt; masked-off bytes are not read.
+        let loaded =
+            unsafe { _mm512_maskz_loadu_epi8(load, self.mid.as_ptr().add(self.base).cast()) };
+        self.base += cnt;
+        // Each lane's word `a`: its mid-bytes in place, zero elsewhere.
+        let a = _mm512_shuffle_epi8(_mm512_maskz_expand_epi8(kept, loaded), self.bswap);
+        // keep(lead): the top `lead` bytes, inherited from the word before.
+        let ones = _mm512_set1_epi32(-1);
+        let keep = _mm512_andnot_si512(_mm512_srlv_epi32(ones, _mm512_slli_epi32::<3>(lead)), ones);
+        // Four Hillis–Steele steps of (k2, a2) ∘ (k1, a1) = (k1 & k2, a2 |
+        // (k2 & a1)): combine each lane with the one 1, 2, 4, then 8 below;
+        // lanes with none below take the identity (!0, 0). 0xf8 is a | b & c.
+        let zero = _mm512_setzero_si512();
+        let a = _mm512_ternarylogic_epi32::<0xf8>(a, keep, _mm512_alignr_epi32::<15>(a, zero));
+        let keep = _mm512_and_si512(keep, _mm512_alignr_epi32::<15>(keep, ones));
+        let a = _mm512_ternarylogic_epi32::<0xf8>(a, keep, _mm512_alignr_epi32::<14>(a, zero));
+        let keep = _mm512_and_si512(keep, _mm512_alignr_epi32::<14>(keep, ones));
+        let a = _mm512_ternarylogic_epi32::<0xf8>(a, keep, _mm512_alignr_epi32::<12>(a, zero));
+        let keep = _mm512_and_si512(keep, _mm512_alignr_epi32::<12>(keep, ones));
+        let a = _mm512_ternarylogic_epi32::<0xf8>(a, keep, _mm512_alignr_epi32::<8>(a, zero));
+        let keep = _mm512_and_si512(keep, _mm512_alignr_epi32::<8>(keep, ones));
+        // Apply the carried word and broadcast lane 15 as the next carry.
+        let w = _mm512_ternarylogic_epi32::<0xf8>(a, keep, self.carry);
+        self.carry = _mm512_permutexvar_epi32(_mm512_set1_epi32(15), w);
+        let v = _mm512_sll_epi32(_mm512_and_si512(w, self.top), self.shift);
+        let v = _mm512_castsi512_ps(v);
+        let v = if self.raw {
+            v
+        } else {
+            _mm512_add_ps(v, self.mu)
+        };
+        // SAFETY: the mask selects the first vals.len() lanes, all inside
+        // `vals`; masked-off lanes are not written.
+        unsafe { _mm512_mask_storeu_ps(vals.as_mut_ptr(), valid, v) };
+    }
 }
 
 /// SSE4.2 CRC32C: fold `bytes` into the register `reg`. `crc32` has a

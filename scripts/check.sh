@@ -271,6 +271,37 @@ PY
     rm -rf "$dir"
 }
 
+# AVX-512 coder disassembly: the release `szx` must keep each step's
+# one-instruction commit — `vpcompressb` in the AVX-512 encode, `vpexpandb`
+# in its decode. A missing one means the step was not inlined or the
+# intrinsic lowered to something else. Skipped without objdump or off x86-64.
+run_disasm_check() {
+    echo "==> AVX-512 coder disassembly (vpcompressb / vpexpandb)"
+    if [[ "$(uname -m)" != x86_64 ]]; then
+        echo "==> SKIP disassembly check: not an x86-64 host"
+        return
+    fi
+    if ! command -v objdump >/dev/null; then
+        echo "==> SKIP disassembly check: objdump is not installed"
+        return
+    fi
+    local asm fn insn
+    asm="$(mktemp)"
+    objdump -d --no-show-raw-insn target/release/szx >"$asm" \
+        || { rm -f "$asm"; echo "==> FAIL objdump of target/release/szx" >&2; exit 1; }
+    for pair in "encode_block_f32_avx512 vpcompressb" "decode_block_f32_avx512 vpexpandb"; do
+        read -r fn insn <<<"$pair"
+        # The function's own body runs from its symbol line to the next
+        # one; the mnemonic is an instruction line's second field.
+        awk -v fn="$fn" -v insn="$insn" '
+            /^[0-9a-f]+ <.*>:$/ { inside = index($0, fn) > 0 }
+            inside && $2 == insn { found = 1 }
+            END { exit !found }' "$asm" \
+            || { rm -f "$asm"; echo "==> FAIL $fn holds no $insn" >&2; exit 1; }
+    done
+    rm -f "$asm"
+}
+
 # Bounded differential fuzz smoke (fixed seed, deterministic): replay the
 # committed corpus, then a short mutation campaign per target. Any finding
 # — panic, decode-path divergence, or bound violation — exits nonzero.
@@ -348,6 +379,10 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+if [[ "${1:-}" != "--fast" && "${1:-}" != "--quick" ]]; then
+    run_disasm_check
+fi
 
 if [[ "${1:-}" == "--fast" || "${1:-}" == "--quick" ]]; then
     # The decode kernel only matters under optimizations (overlapping loads,
