@@ -20,6 +20,7 @@ pub const PARSE_PATH_FILES: &[&str] = &[
     "crates/szx-core/src/cursor.rs",
     "crates/szx-core/src/stream.rs",
     "crates/szx-core/src/container.rs",
+    "crates/szx-core/src/source.rs",
 ];
 
 /// Parse-path types: methods of these are in scope wherever they live

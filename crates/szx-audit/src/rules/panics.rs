@@ -29,9 +29,15 @@ const MACROS: &[&str] = &[
     "assert_ne!",
 ];
 
-/// Impl types whose methods parse attacker-controllable bytes or take
-/// caller block indices and ranges.
-const ENTRY_TYPES: &[&str] = &["Decoder", "Encoder", "ContainerReader", "StreamIndex"];
+/// Impl types whose methods parse attacker-controllable bytes, read them
+/// by position (`Span`) or take caller block indices and ranges.
+const ENTRY_TYPES: &[&str] = &[
+    "Decoder",
+    "Encoder",
+    "ContainerReader",
+    "StreamIndex",
+    "Span",
+];
 
 /// Parser types where only the named constructors are entries (other
 /// methods are accessors over already-validated state, and are still
@@ -39,10 +45,19 @@ const ENTRY_TYPES: &[&str] = &["Decoder", "Encoder", "ContainerReader", "StreamI
 const PARSER_TYPES: &[&str] = &["Header", "ContainerIndex"];
 
 /// The `szx` tool's positional file I/O: its raw-file reader and window
-/// source, and the decoded-window writer. Pool threads read and write any
-/// window at its own offset, so these take file bytes and offsets the way
-/// the decode entries take stream bytes.
-const POSITIONAL_IO: &[&str] = &["RawFile", "Frame", "write_frames"];
+/// source, its container file and the frames read through it, and the
+/// decoded-window writer. Pool threads read and write any window at its
+/// own offset, so these take file bytes and offsets the way the decode
+/// entries take stream bytes.
+const POSITIONAL_IO: &[&str] = &[
+    "RawFile",
+    "Frame",
+    "ContainerFile",
+    "Frames",
+    "write_frames",
+    "info_report",
+    "list_report",
+];
 
 /// Is this function a decode entry point — a place where untrusted bytes
 /// first enter the library? Scoped to the szx-core crate, plus the `szx`

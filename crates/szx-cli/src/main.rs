@@ -7,7 +7,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use szx_core::{CommitStrategy, ErrorBound, SzxConfig, SzxError, SzxFloat, WindowSource};
+use szx_core::{
+    CommitStrategy, ContainerReader, ErrorBound, ReadAt, StreamIndex, SzxConfig, SzxError,
+    SzxFloat, WindowSource,
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -63,9 +66,13 @@ USAGE:
   each completes, each with a CRC32C, and a checksummed index. compress
   writes the whole input as frame 0; stream writes frames of --frame
   values (default 1048576) named 0, 1, 2, ...; archive names each field
-  after its file stem. decompress checks every frame's CRC, then writes
-  all frames in order; extract writes one. Both write f32 or f64 as the
-  frames record, and assess reads the original that way. --progress
+  after its file stem. decompress writes all frames in order, extract
+  writes one; both write f32 or f64 as the frames record, and assess reads
+  the original that way. Each frame's CRC is folded in as its windows are
+  read, and a frame that fails it reports the checksum mismatch, whatever
+  else failed; a run that fails leaves no output. list prints each frame's
+  name, stream bytes and CRC32C from the index alone; info reads the frame
+  headers and sections, no payload. --progress
   renders a live line with EWMA GB/s, the running ratio and an ETA on
   stderr.
 
@@ -92,10 +99,11 @@ USAGE:
 
   compress, stream, archive, decompress, extract and assess read and write
   one 512 KiB window at a time, not the whole file (a relative bound reads
-  each frame twice: a range pass, then the encode pass). With --parallel
-  each thread reads, codes and writes whole windows at their own file
-  offsets. Outputs are written to <out>.partial and renamed over <out>
-  only on success.
+  each frame twice: a range pass, then the encode pass). A container is
+  read by position: its footer and index, each frame's header and
+  sections, then each window's payload. With --parallel each thread reads,
+  codes and writes whole windows at their own file offsets. Outputs are
+  written to <out>.partial and renamed over <out> only on success.
 
   --profile runs the zone-stack sampling profiler (~997 Hz; SZX_PROFILE_HZ
   overrides) across the command and writes collapsed stacks
@@ -119,9 +127,14 @@ fn at(path: &Path) -> impl Fn(std::io::Error) -> String + '_ {
     move |e| format!("{}: {e}", path.display())
 }
 
-fn read_file(path: &Path) -> Result<Vec<u8>, String> {
-    let _s = szx_telemetry::span("io.read");
-    std::fs::read(path).map_err(at(path))
+/// The error of a positional read of `path`: a file that ended early
+/// shrank after it was opened.
+fn read_error(path: &Path, e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        format!("{}: input shrank while being read", path.display())
+    } else {
+        at(path)(e)
+    }
 }
 
 /// Honor `--stats` (and the `SZX_TELEMETRY` env var, which
@@ -418,13 +431,8 @@ impl<F: SzxFloat> RawFile<F> {
         {
             let _s = szx_telemetry::span("io.read");
             let bytes = szx_core::float::as_bytes_mut(values);
-            (self.file.read_exact_at(bytes, (first * F::BYTES) as u64)).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    format!("{}: input shrank while being read", self.path.display())
-                } else {
-                    at(&self.path)(e)
-                }
-            })?;
+            (self.file.read_exact_at(bytes, (first * F::BYTES) as u64))
+                .map_err(|e| read_error(&self.path, e))?;
         }
         if !cfg!(target_endian = "little") {
             szx_core::float::swap_bytes(values);
@@ -559,7 +567,7 @@ fn quietly<T>(f: impl FnOnce() -> T) -> T {
 /// them).
 fn measure<F: SzxFloat + Into<f64>>(
     orig: &Path,
-    frames: &Frames,
+    frames: &Frames<impl ReadAt + ?Sized>,
 ) -> Result<(szx_metrics::DistortionStats, u64, bool), String> {
     let input = RawFile::<F>::open(orig, 1)?;
     if input.n != frames.n() {
@@ -591,70 +599,161 @@ fn measure<F: SzxFloat + Into<f64>>(
     Ok((distortion.finish(), digest.finish(), bound_ok))
 }
 
-/// The frames of a container in index order, each one's CRC checked: its
-/// name, stream and stream header.
-struct Frames<'a> {
-    names: Vec<String>,
-    streams: Vec<&'a [u8]>,
-    headers: Vec<szx_core::Header>,
+/// A container file read by position: the footer and the index, each
+/// frame's header and sections, then each window's payload into the
+/// buffer of the thread decoding it. Reads stay inside the length the file
+/// had when it was opened.
+struct ContainerFile {
+    path: PathBuf,
+    file: std::fs::File,
+    len: u64,
+    /// The last read-ahead: its file offset and bytes.
+    ahead: Mutex<(u64, Vec<u8>)>,
 }
 
-impl<'a> Frames<'a> {
-    /// Every frame of the container in `bytes`, or only the one called
-    /// `name`.
-    fn read(bytes: &'a [u8], name: Option<&str>) -> Result<Self, String> {
-        let err = |e: szx_core::SzxError| e.to_string();
-        let r = szx_core::ContainerReader::new(bytes).map_err(err)?;
-        let picked = match name {
-            Some(name) => r.position(name).map(|i| i..i + 1).map_err(err)?,
-            None => 0..r.len(),
-        };
-        let names = r.names().skip(picked.start).take(picked.len());
-        let names = names.map(str::to_string).collect();
-        let streams: szx_core::Result<Vec<_>> = picked.map(|i| r.frame_bytes(i)).collect();
-        let streams = streams.map_err(err)?;
-        let headers: szx_core::Result<_> = streams.iter().map(|s| szx_core::inspect(s)).collect();
-        Ok(Frames {
-            names,
-            headers: headers.map_err(err)?,
-            streams,
+/// Reads of at most `SMALL_READ` bytes (stream headers, and the sections
+/// and payloads of small frames) are served from one `AHEAD`-byte
+/// read-ahead, so a container of many small frames costs one read per
+/// `AHEAD` bytes instead of three per frame.
+const SMALL_READ: usize = 4 << 10;
+const AHEAD: usize = 64 << 10;
+
+impl ContainerFile {
+    fn open(path: &Path) -> Result<Self, String> {
+        let file = std::fs::File::open(path).map_err(at(path))?;
+        let len = file.metadata().map_err(at(path))?.len();
+        Ok(ContainerFile {
+            path: path.to_path_buf(),
+            file,
+            len,
+            ahead: Mutex::default(),
         })
+    }
+
+    /// FNV-1a digest of the whole file, read a window at a time.
+    fn digest(&self) -> Result<u64, String> {
+        let mut digest = szx_telemetry::Fnv1a64::new();
+        let mut buf = Vec::new();
+        for at in (0..self.len).step_by(szx_core::WINDOW_BYTES) {
+            buf.resize(
+                (self.len - at).min(szx_core::WINDOW_BYTES as u64) as usize,
+                0,
+            );
+            self.read_exact_at(&mut buf, at)
+                .map_err(|e| e.to_string())?;
+            digest.update(&buf);
+        }
+        Ok(digest.finish())
+    }
+
+    fn pread(&self, buf: &mut [u8], offset: u64) -> szx_core::Result<()> {
+        (self.file.read_exact_at(buf, offset)).map_err(|e| SzxError::Io(read_error(&self.path, e)))
+    }
+}
+
+impl ReadAt for ContainerFile {
+    fn size(&self) -> u64 {
+        self.len
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> szx_core::Result<()> {
+        let _s = szx_telemetry::span("io.read");
+        if buf.len() <= SMALL_READ {
+            // A thread that finds the read-ahead busy reads for itself.
+            if let Ok(mut ahead) = self.ahead.try_lock() {
+                let (start, bytes) = &mut *ahead;
+                if held(*start, bytes, offset, buf.len()).is_none() {
+                    let len = self.len.saturating_sub(offset).min(AHEAD as u64);
+                    bytes.resize(len as usize, 0);
+                    *start = offset;
+                    self.pread(bytes, offset)?;
+                }
+                if let Some(held) = held(*start, bytes, offset, buf.len()) {
+                    buf.copy_from_slice(held);
+                    return Ok(());
+                }
+            }
+        }
+        self.pread(buf, offset)
+    }
+}
+
+/// Bytes `offset..offset + len` of the file, if a read-ahead of `bytes`
+/// from `start` holds them.
+fn held(start: u64, bytes: &[u8], offset: u64, len: usize) -> Option<&[u8]> {
+    let from = usize::try_from(offset.checked_sub(start)?).ok()?;
+    bytes.get(from..from.checked_add(len)?)
+}
+
+/// The frames of a container in index order, or the one asked for by
+/// name: each one's position and stream index (header and sections, read
+/// and checked). Their payloads are read window by window as they decode.
+struct Frames<'a, R: ?Sized> {
+    reader: ContainerReader<'a, R>,
+    picked: Vec<(usize, StreamIndex<'a>)>,
+}
+
+impl<'a, R: ReadAt + ?Sized> Frames<'a, R> {
+    /// Every frame of the container `source` holds, or only the one called
+    /// `name`.
+    fn read(source: &'a R, name: Option<&str>) -> Result<Self, String> {
+        let err = |e: szx_core::SzxError| e.to_string();
+        let reader = ContainerReader::open(source).map_err(err)?;
+        let picked = match name {
+            Some(name) => reader.position(name).map(|i| i..i + 1).map_err(err)?,
+            None => 0..reader.len(),
+        };
+        let picked: szx_core::Result<_> =
+            picked.map(|i| Ok((i, reader.stream_index(i)?))).collect();
+        Ok(Frames {
+            picked: picked.map_err(err)?,
+            reader,
+        })
+    }
+
+    fn headers(&self) -> impl Iterator<Item = &szx_core::Header> {
+        self.picked.iter().map(|(_, index)| index.header())
     }
 
     /// Values over all frames.
     fn n(&self) -> usize {
-        self.headers.iter().map(|h| h.n).sum()
+        self.headers().map(|h| h.n).sum()
     }
 
     /// The first frame's element type code (f32 without frames): a frame
     /// of another type fails to decode.
     fn dtype(&self) -> u8 {
-        self.headers.first().map_or(0, |h| h.dtype)
+        self.headers().next().map_or(0, |h| h.dtype)
     }
 
     /// The loosest frame bound, which every value keeps.
     fn eb(&self) -> f64 {
-        self.headers.iter().map(|h| h.eb).fold(0.0, f64::max)
+        self.headers().map(|h| h.eb).fold(0.0, f64::max)
     }
 
     /// Stream bytes over all frames, without the container's framing.
     fn stream_bytes(&self) -> usize {
-        self.streams.iter().map(|s| s.len()).sum()
+        self.picked
+            .iter()
+            .map(|(_, index)| index.stream_len())
+            .sum()
     }
 
     /// Decode the frames in order, window by window, and hand `sink` the
     /// thread's `T`, each window's first value index over all frames, the
     /// window and its frame's bound: in stream order serially, as the
-    /// threads finish them in parallel (`Decoder::decode_windows`).
+    /// threads finish them in parallel (`ContainerReader::decode_windows`,
+    /// which folds in and checks each frame's CRC).
     fn decode<F: SzxFloat, T: Default>(
         &self,
         decoder: &mut szx_core::Decoder,
         sink: impl Fn(&mut T, usize, &[F], f64) -> szx_core::Result<()> + Sync + Send,
     ) -> Result<(), String> {
         let mut first = 0;
-        for (stream, h) in self.streams.iter().zip(&self.headers) {
-            (decoder.decode_windows(stream, |t, at, w| sink(t, first + at, w, h.eb)))
-                .map_err(|e| e.to_string())?;
+        for (i, index) in &self.picked {
+            let h = index.header();
+            let sink = |t: &mut T, at, w: &[F]| sink(t, first + at, w, h.eb);
+            (self.reader.decode_windows(*i, index, decoder, sink)).map_err(|e| e.to_string())?;
             first += h.n;
         }
         Ok(())
@@ -822,8 +921,8 @@ fn encode_file<F: SzxFloat + Into<f64>>(args: &[String], stream: bool) -> Result
             // Measuring quality costs one extra decode and read of the
             // input, after the timed pass.
             let (quality, digest, _) = quietly(|| {
-                let bytes = read_file(&output)?;
-                measure::<F>(&input, &Frames::read(&bytes, None)?)
+                let file = ContainerFile::open(&output)?;
+                measure::<F>(&input, &Frames::read(&file, None)?)
             })?;
             let command = if stream { "stream" } else { "compress" };
             let mut m = run_manifest(command, &cfg, F::NAME, &input, raw_bytes, digest);
@@ -883,7 +982,11 @@ fn encode_frame<F: SzxFloat>(
 
 /// Name of a stream header's element-type code (0 or 1).
 fn dtype_name(code: u8) -> &'static str {
-    ["f32", "f64"][usize::from(code)]
+    if code == 0 {
+        "f32"
+    } else {
+        "f64"
+    }
 }
 
 /// `--frame <elems>` of `szx stream`: 1 Mi values unless given.
@@ -959,9 +1062,10 @@ fn run_manifest(
 }
 
 /// `szx decompress <in> <out>` and, with `extract`, `szx extract <in>
-/// <name> <out>`: check the CRC of every frame (or of the one called
-/// `name`), then decode them in index order into one raw little-endian
-/// file of the element type their headers record.
+/// <name> <out>`: read the index and every frame's sections (or the one
+/// called `name`'s), then decode the frames in index order into one raw
+/// little-endian file of the element type their headers record, each
+/// window's payload read as it decodes and folded into its frame's CRC.
 fn decode_file(args: &[String], extract: bool) -> Result<(), String> {
     use szx_telemetry::Value;
     let (input, name, output) = if extract {
@@ -974,10 +1078,10 @@ fn decode_file(args: &[String], extract: bool) -> Result<(), String> {
     let parallel = has_flag(args, "--parallel");
     let run = run_begin(args)?;
     let start = std::time::Instant::now();
-    let bytes = read_file(&input)?;
-    let frames = Frames::read(&bytes, name.as_deref())?;
+    let file = ContainerFile::open(&input)?;
+    let frames = Frames::read(&file, name.as_deref())?;
     // One writer configuration made every frame: the first header's.
-    let first = frames.headers.first();
+    let first = frames.headers().next();
     let cfg = SzxConfig {
         block_size: first.map_or(szx_core::DEFAULT_BLOCK_SIZE, |h| h.block_size),
         error_bound: ErrorBound::Absolute(frames.eb()),
@@ -999,11 +1103,11 @@ fn decode_file(args: &[String], extract: bool) -> Result<(), String> {
         output.display(),
         frames.n()
     ))?;
-    let manifest = run.manifest.is_some().then(|| {
-        let digest = szx_telemetry::fnv1a64(&bytes);
+    let digest = run.manifest.as_ref().map(|_| file.digest()).transpose()?;
+    let manifest = digest.map(|digest| {
         let command = if extract { "extract" } else { "decompress" };
         let dtype = dtype_name(frames.dtype());
-        let mut m = run_manifest(command, &cfg, dtype, &input, bytes.len(), digest);
+        let mut m = run_manifest(command, &cfg, dtype, &input, file.len as usize, digest);
         let ratio = raw_bytes as f64 / frames.stream_bytes().max(1) as f64;
         let gbps = raw_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-12);
         m.set_quality(&[
@@ -1013,9 +1117,9 @@ fn decode_file(args: &[String], extract: bool) -> Result<(), String> {
         ]);
         m
     });
-    let mut extras = pass_extras(mode_name(parallel), raw_bytes, bytes.len(), elapsed);
+    let mut extras = pass_extras(mode_name(parallel), raw_bytes, file.len as usize, elapsed);
     extras.extend([
-        ("frames", Value::U64(frames.streams.len() as u64)),
+        ("frames", Value::U64(frames.picked.len() as u64)),
         ("decode_path", Value::Str(decode_path.to_string())),
         (
             "isa",
@@ -1029,7 +1133,7 @@ fn decode_file(args: &[String], extract: bool) -> Result<(), String> {
 /// each thread writes the bytes of each window it decodes at the window's
 /// own offset. Returns the bytes written.
 fn write_frames<F: SzxFloat>(
-    frames: &Frames,
+    frames: &Frames<impl ReadAt + ?Sized>,
     decoder: &mut szx_core::Decoder,
     output: &Path,
 ) -> Result<usize, String> {
@@ -1047,8 +1151,8 @@ fn write_frames<F: SzxFloat>(
 
 fn cmd_assess(args: &[String]) -> Result<(), String> {
     let [orig_path, comp_path] = paths(args, "the original and the compressed file")?;
-    let bytes = read_file(&comp_path)?;
-    let frames = Frames::read(&bytes, None)?;
+    let file = ContainerFile::open(&comp_path)?;
+    let frames = Frames::read(&file, None)?;
     let run = run_begin(args)?;
     // The stream headers know their element type; read the original in the
     // matching raw layout and share one metric path for both widths.
@@ -1067,19 +1171,45 @@ fn cmd_assess(args: &[String]) -> Result<(), String> {
         writeln!(out, "max |error|:  {:.6e}", stats.max_abs_error)?;
         writeln!(out, "PSNR:         {:.2} dB", stats.psnr)?;
         writeln!(out, "NRMSE:        {:.6e}", stats.nrmse)?;
-        let cr = raw_bytes as f64 / bytes.len() as f64;
+        let cr = raw_bytes as f64 / file.len as f64;
         writeln!(out, "CR:           {cr:.2}")?;
         let ok = if bound_ok { "yes" } else { "NO — BUG" };
         writeln!(out, "bound ok:     {ok}")
     })?;
-    run.finish(None, pass_extras("serial", raw_bytes, bytes.len(), elapsed))
+    run.finish(
+        None,
+        pass_extras("serial", raw_bytes, file.len as usize, elapsed),
+    )
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
     let [path] = paths(args, "a file")?;
-    let bytes = read_file(&path)?;
-    let frames = Frames::read(&bytes, None)?;
-    let hs = &frames.headers;
+    let report = info_report(&ContainerFile::open(&path)?, has_flag(args, "--stats"))?;
+    print_out(|out| out.write_all(report.as_bytes()))
+}
+
+/// `szx info` of the container `source` holds: what the frame headers
+/// record, and with `stats` the spread of the non-constant blocks' payload
+/// sizes, from each frame's header and sections. No payload is read.
+fn info_report<R: ReadAt + ?Sized>(source: &R, stats: bool) -> Result<String, String> {
+    let err = |e: szx_core::SzxError| e.to_string();
+    let reader = ContainerReader::open(source).map_err(err)?;
+    let (mut hs, mut stream_bytes) = (Vec::new(), 0);
+    // Every non-constant block's payload size, sorted, with `--stats`.
+    let mut zs = Vec::new();
+    for i in 0..reader.len() {
+        let index = reader.stream_index(i).map_err(err)?;
+        stream_bytes += index.stream_len();
+        if stats {
+            let sizes: Vec<_> = match index.header().dtype {
+                0 => index.blocks::<f32>(0).filter_map(|(_, p)| p).collect(),
+                _ => index.blocks::<f64>(0).filter_map(|(_, p)| p).collect(),
+            };
+            zs.extend(sizes.iter().map(|p| p.len()));
+        }
+        hs.push(*index.header());
+    }
+    zs.sort_unstable();
     // A field every frame shares, "mixed" if they differ.
     let shared = |f: fn(&szx_core::Header) -> String| match hs.first().map(f) {
         None => "n/a".to_string(),
@@ -1088,52 +1218,37 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     };
     let blocks: usize = hs.iter().map(|h| h.num_blocks()).sum();
     let nonconstant: usize = hs.iter().map(|h| h.n_nonconstant).sum();
-    // Every non-constant block's payload size, sorted, with `--stats`.
-    let stats = has_flag(args, "--stats");
-    let mut zs = Vec::new();
-    for (stream, h) in frames.streams.iter().zip(hs).filter(|_| stats) {
-        fn zsizes<F: SzxFloat>(stream: &[u8]) -> szx_core::Result<Vec<usize>> {
-            let index = szx_core::StreamIndex::parse::<F>(stream)?;
-            let payloads = index.blocks::<F>(0).filter_map(|(_, p)| p);
-            Ok(payloads.map(|p| p.len()).collect())
-        }
-        let sizes = match h.dtype {
-            0 => zsizes::<f32>(stream),
-            _ => zsizes::<f64>(stream),
-        };
-        zs.extend(sizes.map_err(|e| e.to_string())?);
-    }
-    zs.sort_unstable();
-    print_out(|out| {
-        writeln!(out, "frames:           {}", hs.len())?;
-        let dtype = shared(|h| dtype_name(h.dtype).to_string());
-        writeln!(out, "element type:     {dtype}")?;
-        writeln!(out, "elements:         {}", frames.n())?;
-        let block = shared(|h| h.block_size.to_string());
-        writeln!(out, "block size:       {block}")?;
-        writeln!(out, "blocks:           {blocks}")?;
-        let pct = 100.0 * nonconstant as f64 / blocks.max(1) as f64;
-        writeln!(out, "non-constant:     {nonconstant} ({pct:.1}%)")?;
-        writeln!(out, "abs error bound:  {:.6e}", frames.eb())?;
-        let strategy = shared(|h| format!("{:?}", h.strategy));
-        writeln!(out, "strategy:         {strategy}")?;
-        writeln!(out, "stream bytes:     {}", frames.stream_bytes())?;
-        writeln!(out, "container bytes:  {}", bytes.len())?;
-        if !stats {
-            return Ok(());
-        }
-        match &zs[..] {
-            [] => writeln!(out, "block zsize:      n/a (all blocks constant)"),
-            zs => writeln!(
-                out,
-                "block zsize:      min {}  median {}  max {}  (over {} non-constant blocks)",
-                zs[0],
-                zs[zs.len() / 2],
-                zs[zs.len() - 1],
+    let elements: usize = hs.iter().map(|h| h.n).sum();
+    let eb = hs.iter().map(|h| h.eb).fold(0.0, f64::max);
+    let pct = 100.0 * nonconstant as f64 / blocks.max(1) as f64;
+    let mut lines = vec![
+        format!("frames:           {}", hs.len()),
+        format!(
+            "element type:     {}",
+            shared(|h| dtype_name(h.dtype).into())
+        ),
+        format!("elements:         {elements}"),
+        format!("block size:       {}", shared(|h| h.block_size.to_string())),
+        format!("blocks:           {blocks}"),
+        format!("non-constant:     {nonconstant} ({pct:.1}%)"),
+        format!("abs error bound:  {eb:.6e}"),
+        format!(
+            "strategy:         {}",
+            shared(|h| format!("{:?}", h.strategy))
+        ),
+        format!("stream bytes:     {stream_bytes}"),
+        format!("container bytes:  {}", source.size()),
+    ];
+    if stats {
+        lines.push(match (zs.first(), zs.get(zs.len() / 2), zs.last()) {
+            (Some(min), Some(median), Some(max)) => format!(
+                "block zsize:      min {min}  median {median}  max {max}  (over {} non-constant blocks)",
                 zs.len()
             ),
-        }
-    })
+            _ => "block zsize:      n/a (all blocks constant)".into(),
+        });
+    }
+    Ok(lines.join("\n") + "\n")
 }
 
 /// `szx archive`: each field file, read window by window like the input
@@ -1171,22 +1286,20 @@ fn cmd_archive<F: SzxFloat>(args: &[String]) -> Result<(), String> {
 
 fn cmd_list(args: &[String]) -> Result<(), String> {
     let [path] = paths(args, "a container file")?;
-    let bytes = read_file(&path)?;
-    let frames = Frames::read(&bytes, None)?;
-    print_out(|out| {
-        writeln!(
-            out,
-            "{:<20} {:>10} {:>12} {:>12} {:>8}",
-            "field", "elements", "compressed", "eb", "CR"
-        )?;
-        let rows = frames.names.iter().zip(&frames.streams);
-        for ((name, stream), h) in rows.zip(&frames.headers) {
-            let (n, len, eb) = (h.n, stream.len(), h.eb);
-            let cr = (n * if h.dtype == 0 { 4 } else { 8 }) as f64 / len as f64;
-            writeln!(out, "{name:<20} {n:>10} {len:>12} {eb:>12.3e} {cr:>8.2}")?;
-        }
-        Ok(())
-    })
+    let report = list_report(&ContainerFile::open(&path)?)?;
+    print_out(|out| out.write_all(report.as_bytes()))
+}
+
+/// `szx list` of the container `source` holds: one row per frame, its
+/// name, stream bytes and CRC32C, from the footer and the index alone.
+fn list_report<R: ReadAt + ?Sized>(source: &R) -> Result<String, String> {
+    let reader = ContainerReader::open(source).map_err(|e| e.to_string())?;
+    let mut out = format!("{:<20} {:>12} {:>10}\n", "field", "compressed", "crc32c");
+    for (i, name) in reader.names().enumerate() {
+        let (len, crc) = reader.stream_entry(i).map_err(|e| e.to_string())?;
+        out += &format!("{name:<20} {len:>12}   {crc:08x}\n");
+    }
+    Ok(out)
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
@@ -1283,6 +1396,172 @@ mod tests {
         f.set_len(1500 * 4).unwrap();
         let err = file.read(1024, 1024, &mut buf).unwrap_err();
         assert!(err.contains("input shrank"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A container of `frames` frames of 140,000 `f32` values (two decode
+    /// windows each), named 0, 1, ...
+    fn container(frames: usize) -> Vec<u8> {
+        let cfg = SzxConfig::absolute(1e-3);
+        let mut w = szx_core::ContainerWriter::new(Vec::new(), cfg).unwrap();
+        for k in 0..frames {
+            let frame: Vec<f32> = (0..140_000)
+                .map(|i| ((i + 977 * k) as f32 * 0.003).sin() * 5.0)
+                .collect();
+            w.push(&k.to_string(), &frame).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    /// Container bytes that record every read (and lend none).
+    struct Counting<'a> {
+        bytes: &'a [u8],
+        reads: Mutex<Vec<std::ops::Range<u64>>>,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(bytes: &'a [u8]) -> Self {
+            Counting {
+                bytes,
+                reads: Mutex::default(),
+            }
+        }
+
+        /// The ranges read since the last call, sorted; they must not
+        /// overlap: no byte is read twice.
+        fn take(&self) -> Vec<std::ops::Range<u64>> {
+            let mut reads = std::mem::take(&mut *self.reads.lock().unwrap());
+            reads.sort_by_key(|r| r.start);
+            for pair in reads.windows(2) {
+                assert!(pair[0].end <= pair[1].start, "read twice: {reads:?}");
+            }
+            reads
+        }
+    }
+
+    impl ReadAt for Counting<'_> {
+        fn size(&self) -> u64 {
+            self.bytes.len() as u64
+        }
+
+        fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> szx_core::Result<()> {
+            let end = offset + buf.len() as u64;
+            self.reads.lock().unwrap().push(offset..end);
+            self.bytes.read_exact_at(buf, offset)
+        }
+    }
+
+    /// Bytes in `ranges`.
+    fn bytes_in(ranges: &[std::ops::Range<u64>]) -> u64 {
+        ranges.iter().map(|r| r.end - r.start).sum()
+    }
+
+    #[test]
+    fn list_info_and_extract_read_only_what_they_print() {
+        let bytes = container(3);
+        let len = bytes.len() as u64;
+        let reader = ContainerReader::new(&bytes).unwrap();
+        // Frame k's stream: its start in the container and its sections.
+        let frames: Vec<(u64, u64, u64)> = (0..3)
+            .map(|k| {
+                let stream = reader.frame_bytes(k).unwrap();
+                let start = stream.as_ptr() as u64 - bytes.as_ptr() as u64;
+                let index = StreamIndex::parse::<f32>(stream).unwrap();
+                let payload = index.blocks::<f32>(0).find_map(|(_, p)| p).unwrap();
+                (start, start + stream.len() as u64, payload.start as u64)
+            })
+            .collect();
+        let index_start = frames[2].1;
+        // The 5-byte head, the index, the 16-byte footer.
+        let framing = [0..5, index_start..len - 16, len - 16..len];
+
+        // `list`: the framing, nothing else.
+        let source = Counting::new(&bytes);
+        let listing = list_report(&source).unwrap();
+        assert_eq!(listing.lines().count(), 4, "{listing}");
+        assert_eq!(source.take(), framing);
+
+        // `info`: the framing and each frame's header and sections, each
+        // once, and never a payload byte.
+        for stats in [false, true] {
+            let info = info_report(&source, stats).unwrap();
+            assert!(info.starts_with("frames:           3\n"), "{info}");
+            assert_eq!(info.contains("block zsize:"), stats, "{info}");
+            let reads = source.take();
+            let sections: u64 = frames.iter().map(|&(_, _, payload)| payload).sum();
+            assert_eq!(bytes_in(&reads), bytes_in(&framing) + sections);
+            for &(start, _, payload) in &frames {
+                let inside = reads
+                    .iter()
+                    .filter(|r| r.start >= start && r.end <= start + payload);
+                assert_eq!(inside.map(|r| r.end - r.start).sum::<u64>(), payload);
+            }
+        }
+
+        // `extract 1`: the framing and frame 1's bytes, each once, and it
+        // decodes to what the reader in memory decodes.
+        let frames1 = Frames::read(&source, Some("1")).unwrap();
+        let got = Mutex::new(vec![0f32; frames1.n()]);
+        let mut decoder = szx_core::Decoder::default();
+        (frames1.decode(&mut decoder, |(), at, w: &[f32], _| {
+            got.lock().unwrap()[at..at + w.len()].copy_from_slice(w);
+            Ok(())
+        }))
+        .unwrap();
+        assert_eq!(got.into_inner().unwrap(), reader.frame::<f32>(1).unwrap());
+        let (start, end, _) = frames[1];
+        let (inside, outside): (Vec<_>, Vec<_>) =
+            (source.take().into_iter()).partition(|r| r.start >= start && r.end <= end);
+        assert_eq!(outside, framing);
+        assert_eq!(bytes_in(&inside), end - start);
+    }
+
+    #[test]
+    fn small_reads_come_from_the_read_ahead_and_match_the_file() {
+        let dir = scratch("ahead");
+        let path = dir.join("c.szx");
+        let bytes: Vec<u8> = (0..200_000u32).map(|i| (i * 7 + i / 251) as u8).collect();
+        std::fs::write(&path, &bytes).unwrap();
+        let file = ContainerFile::open(&path).unwrap();
+        // Small reads in order, back and forth, and across the end of a
+        // read-ahead, then reads too large for it.
+        let reads = [(0, 36), (36, 4096), (65_530, 12), (10, 1), (199_990, 10)];
+        let large = [(1000, 4097), (150_000, 50_000)];
+        for (offset, len) in reads.into_iter().chain(large) {
+            let mut buf = vec![0; len];
+            file.read_exact_at(&mut buf, offset as u64).unwrap();
+            assert_eq!(buf, bytes[offset..offset + len], "{offset} + {len}");
+        }
+        assert!(file.read_exact_at(&mut [0; 11], 199_990).is_err());
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(100_000)
+            .unwrap();
+        let err = file.read_exact_at(&mut [0; 8], 120_000).unwrap_err();
+        assert!(err.to_string().contains("input shrank"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn container_truncated_during_decompress_is_an_error() {
+        let dir = scratch("truncated");
+        let (path, out) = (dir.join("in.szx"), dir.join("out.f32"));
+        std::fs::write(&path, container(2)).unwrap();
+        std::fs::write(&out, b"earlier").unwrap();
+        let file = ContainerFile::open(&path).unwrap();
+        let frames = Frames::read(&file, None).unwrap();
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(file.len / 2).unwrap();
+        let mut decoder = szx_core::Decoder::default();
+        let err = write_frames::<f32>(&frames, &mut decoder, &out).unwrap_err();
+        assert!(
+            err.contains(&format!("{}: input shrank", path.display())),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&out).unwrap(), b"earlier");
+        assert!(!dir.join("out.f32.partial").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -238,9 +238,15 @@ impl KernelPath {
     }
 
     /// Does [`Self::decode_nonconstant`] work in a [`DecodeScratch`] for
-    /// `strategy`? The scalar loop needs none.
-    pub(crate) fn uses_arena(self, strategy: CommitStrategy) -> bool {
-        self.decoding(strategy) != KernelPath::Scalar
+    /// blocks of `F` and `strategy`? The scalar loop needs none, and
+    /// neither does the AVX-512 decode, which reads the mid-bytes straight
+    /// from the payload.
+    pub(crate) fn uses_arena<F: SzxFloat>(self, strategy: CommitStrategy) -> bool {
+        match self.decoding(strategy) {
+            KernelPath::Scalar => false,
+            KernelPath::Simd => crate::simd::Isa::detect::<F>() != crate::simd::Isa::Avx512,
+            KernelPath::Kernel => true,
+        }
     }
 
     /// The profiler zone one window's block encode runs in.

@@ -3,9 +3,11 @@
 //! an instrument (LCLS-II, §1), and every file the `szx` tool writes.
 //! [`ContainerWriter`] has an [`Encoder`] write each frame's stream
 //! straight to any [`Write`] sink, CRC-ing it on the way, and keeps only
-//! its index entry; [`ContainerReader`] lists, random-accesses and decodes
-//! frames in place. The bare SZx stream (`SZXR`, [`crate::stream`]) is the
-//! frame payload.
+//! its index entry; [`ContainerReader`] reads a container by position
+//! through a [`ReadAt`] source (a file, or bytes in memory): the footer
+//! and index first, then only the frames and parts of frames it is asked
+//! for. The bare SZx stream (`SZXR`, [`crate::stream`]) is the frame
+//! payload.
 //!
 //! ```text
 //! magic b"SZXC" | version u8 = 1
@@ -18,6 +20,8 @@
 //! by the footer CRC, each frame by its index CRC. Frame offsets are the
 //! prefix sum of the lengths (the paper's zsize idea, §6.1) and the frames
 //! must tile the data region exactly, so no offset field can be forged.
+//! A frame's CRC is folded in as its bytes arrive, window by window, and
+//! its mismatch is the error a damaged frame reports, whatever else fails.
 
 use core::cell::RefCell;
 use std::collections::HashSet;
@@ -25,10 +29,11 @@ use std::io::Write;
 
 use crate::config::SzxConfig;
 use crate::cursor::Cursor;
-use crate::decode::Decoder;
+use crate::decode::{Checked, Decoder, StreamIndex};
 use crate::encode::Encoder;
 use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
+use crate::source::{ReadAt, Span};
 
 pub const MAGIC: [u8; 4] = *b"SZXC";
 pub const VERSION: u8 = 1;
@@ -51,6 +56,51 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 pub fn crc32c_update(crc: u32, bytes: &[u8]) -> u32 {
     !crate::simd::crc32c(!crc, bytes)
 }
+
+/// The CRC32C of `a ++ b` from `crc_a = crc32c(a)`, `crc_b = crc32c(b)`
+/// and `len_b = b.len()`: how the CRCs of a frame's windows, each computed
+/// as its bytes arrive, join into the frame's, in stream order.
+pub fn crc32c_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    // Appending `len_b` bytes multiplies `a`'s remainder by x^(8 len_b);
+    // the pre- and post-inversions of the two CRCs cancel.
+    let mut shift = 1 << 31; // x^0, bit-reflected
+    let (mut n, mut k) = (len_b, 3);
+    while n != 0 {
+        if n & 1 != 0 {
+            // PANIC-OK: the index is reduced modulo the table's length.
+            shift = multmodp(X2N[k % 32], shift);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    multmodp(shift, crc_a) ^ crc_b
+}
+
+/// `a · b` modulo the CRC32C polynomial, bit-reflected (x^0 is bit 31).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let (mut p, mut m) = (0, 1u32 << 31);
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        b = (b >> 1) ^ (0x82F6_3B78 & (b & 1).wrapping_neg());
+        m >>= 1;
+    }
+    p
+}
+
+/// `X2N[k]` is x^(2^k) modulo the polynomial. The powers of x cycle with a
+/// period dividing 2^32 − 1, so 32 entries cover every `len_b`.
+const X2N: [u32; 32] = {
+    let mut t = [0; 32];
+    t[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 32 {
+        t[k] = multmodp(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+};
 
 /// Fold `bytes` into the CRC32C register `reg` (the CRC before its final
 /// inversion) with slicing-by-8 over tables built at compile time: the
@@ -328,13 +378,13 @@ impl<W: Write> Write for FrameSink<'_, W> {
     }
 }
 
-/// One frame's index entry: its name, the byte range of its stream in the
-/// container, and the stream's CRC32C.
+/// One frame's index entry: its name, where its stream starts in the
+/// container and how long it is, and the stream's CRC32C.
 #[derive(Debug)]
 struct Entry {
     name: String,
-    start: usize,
-    end: usize,
+    start: u64,
+    len: u64,
     crc: u32,
 }
 
@@ -345,13 +395,19 @@ pub(crate) struct ContainerIndex {
 }
 
 impl ContainerIndex {
-    /// Check the header, footer and index CRC, then parse the entries and
-    /// require the frames to tile the data region exactly.
-    pub(crate) fn parse(bytes: &[u8]) -> Result<Self> {
+    /// Read and check the header, the footer and the index CRC, then parse
+    /// the entries and require the frames to tile the data region exactly.
+    /// Reads the 5-byte header, the footer and the index, nothing else.
+    pub(crate) fn parse<R: ReadAt + ?Sized>(source: &R) -> Result<Self> {
         let corrupt = |m: &str| SzxError::CorruptStream(format!("container: {m}"));
-        let mut head = Cursor::new(bytes);
+        let file = Span::whole(source);
+        let size = file.len();
+        let mut buf = Vec::new();
+        let head_len = size.min(HEAD_LEN as u64) as usize;
+        let head_bytes = file.read(0, head_len, &mut buf)?;
+        let mut head = Cursor::new(head_bytes);
         if head.take(4) != Some(MAGIC.as_slice()) {
-            if bytes.starts_with(&crate::stream::MAGIC) {
+            if head_bytes.starts_with(&crate::stream::MAGIC) {
                 return Err(corrupt("bare SZx stream, not an SZXC container"));
             }
             return Err(corrupt("bad magic"));
@@ -361,25 +417,24 @@ impl ContainerIndex {
             Some(v) => return Err(corrupt(&format!("unsupported version {v}"))),
             None => return Err(corrupt("truncated header")),
         }
-        let footer_start = bytes
-            .len()
-            .checked_sub(FOOTER_LEN)
-            .filter(|&s| s >= HEAD_LEN)
+        let footer_start = size
+            .checked_sub(FOOTER_LEN as u64)
+            .filter(|&s| s >= HEAD_LEN as u64)
             .ok_or_else(|| corrupt("truncated footer"))?;
-        let mut foot = Cursor::new(bytes.get(footer_start..).unwrap_or_default());
+        let mut foot = Cursor::new(file.read(footer_start, FOOTER_LEN, &mut buf)?);
         let index_crc = foot.u32_le().ok_or_else(|| corrupt("truncated footer"))?;
         let index_len = foot.u64_le().ok_or_else(|| corrupt("truncated footer"))?;
         if foot.take(4) != Some(MAGIC.as_slice()) {
             return Err(corrupt("bad footer magic"));
         }
-        let index_start = usize::try_from(index_len)
-            .ok()
-            .and_then(|len| footer_start.checked_sub(len))
-            .filter(|&s| s >= HEAD_LEN)
+        // Checked against the file before anything is read for it.
+        let index_start = footer_start
+            .checked_sub(index_len)
+            .filter(|&s| s >= HEAD_LEN as u64)
             .ok_or_else(|| corrupt("index length points past the start"))?;
-        let index = bytes
-            .get(index_start..footer_start)
-            .ok_or_else(|| corrupt("index length points past the start"))?;
+        let index_len = usize::try_from(index_len)
+            .map_err(|_| corrupt("index length points past the start"))?;
+        let index = file.read(index_start, index_len, &mut buf)?;
         if crc32c(index) != index_crc {
             return Err(corrupt("index checksum mismatch"));
         }
@@ -391,7 +446,7 @@ impl ContainerIndex {
             return Err(corrupt("implausible frame count"));
         }
         let mut entries = Vec::with_capacity(count);
-        let mut pos = HEAD_LEN;
+        let mut pos = HEAD_LEN as u64;
         for _ in 0..count {
             let name_len = c.u16_le().ok_or_else(|| corrupt("truncated index"))?;
             let name = c
@@ -400,15 +455,14 @@ impl ContainerIndex {
             let name = std::str::from_utf8(name).map_err(|_| corrupt("frame name is not UTF-8"))?;
             let len = c.u64_le().ok_or_else(|| corrupt("truncated index"))?;
             let crc = c.u32_le().ok_or_else(|| corrupt("truncated index"))?;
-            let end = usize::try_from(len)
-                .ok()
-                .and_then(|len| pos.checked_add(len))
+            let end = pos
+                .checked_add(len)
                 .filter(|&end| end <= index_start)
                 .ok_or_else(|| corrupt(&format!("frame {:?} runs past the data region", name)))?;
             entries.push(Entry {
                 name: name.to_string(),
                 start: pos,
-                end,
+                len,
                 crc,
             });
             pos = end;
@@ -420,9 +474,14 @@ impl ContainerIndex {
     }
 }
 
-/// Reads frames back out of a container held in memory.
-pub struct ContainerReader<'a> {
-    bytes: &'a [u8],
+/// Reads frames out of a container through its [`ReadAt`] source, by
+/// position: opening it reads the footer and the index;
+/// [`Self::stream_index`] reads a frame's header and sections; decoding
+/// reads each window's payload as the window comes up, and folds the
+/// frame's CRC32C in as it goes. The default source is bytes in memory,
+/// which lend their pieces instead of copying them.
+pub struct ContainerReader<'a, R: ?Sized = [u8]> {
+    source: &'a R,
     index: ContainerIndex,
     /// Decoder reused across frames (serially, its kernel arenas grow once
     /// to the largest block, then stay allocation-free). `RefCell` keeps
@@ -431,12 +490,39 @@ pub struct ContainerReader<'a> {
 }
 
 impl<'a> ContainerReader<'a> {
-    /// Parse and validate the container's index (frame CRCs are checked
-    /// when each frame is accessed).
+    /// Parse and validate the index of the container `bytes` holds (frame
+    /// CRCs are checked when each frame is accessed).
     pub fn new(bytes: &'a [u8]) -> Result<Self> {
+        Self::open(bytes)
+    }
+
+    /// Raw compressed stream of frame `i` (e.g. to forward downstream),
+    /// after checking its CRC32C.
+    pub fn frame_bytes(&self, i: usize) -> Result<&'a [u8]> {
+        let e = self.entry(i)?;
+        let stream = usize::try_from(e.len)
+            .ok()
+            .and_then(|len| self.span(e).lend(0, len))
+            .ok_or_else(|| SzxError::CorruptStream("container: frame out of bounds".into()))?;
+        let crc = {
+            let _s = szx_telemetry::span("container.crc");
+            crc32c(stream)
+        };
+        if crc != e.crc {
+            return Err(mismatch(e));
+        }
+        Ok(stream)
+    }
+}
+
+impl<'a, R: ReadAt + ?Sized> ContainerReader<'a, R> {
+    /// Read and validate the header, footer and index of the container
+    /// `source` holds, and nothing else (frame CRCs are checked when each
+    /// frame is decoded).
+    pub fn open(source: &'a R) -> Result<Self> {
         Ok(ContainerReader {
-            bytes,
-            index: ContainerIndex::parse(bytes)?,
+            source,
+            index: ContainerIndex::parse(source)?,
             decoder: RefCell::default(),
         })
     }
@@ -454,44 +540,59 @@ impl<'a> ContainerReader<'a> {
         self.index.entries.iter().map(|e| e.name.as_str())
     }
 
-    /// Raw compressed stream of frame `i` (e.g. to forward downstream),
-    /// after checking its CRC32C.
-    pub fn frame_bytes(&self, i: usize) -> Result<&'a [u8]> {
-        let e = self
-            .index
-            .entries
-            .get(i)
-            .ok_or_else(|| SzxError::InvalidConfig(format!("frame {i} out of range")))?;
-        let stream = self
-            .bytes
-            .get(e.start..e.end)
-            .ok_or_else(|| SzxError::CorruptStream("container: frame out of bounds".into()))?;
-        let crc = {
-            let _s = szx_telemetry::span("container.crc");
-            crc32c(stream)
-        };
-        if crc != e.crc {
-            return Err(SzxError::CorruptStream(format!(
-                "container: frame {:?} checksum mismatch",
-                e.name
-            )));
-        }
-        Ok(stream)
+    /// Bytes of frame `i`'s stream and their CRC32C, as the index records
+    /// them.
+    pub fn stream_entry(&self, i: usize) -> Result<(u64, u32)> {
+        let e = self.entry(i)?;
+        Ok((e.len, e.crc))
+    }
+
+    /// The [`StreamIndex`] of frame `i`: its header and sections, read
+    /// (or lent) and validated against the frame's length; no payload is
+    /// read. Sections that fail to parse report the frame's checksum
+    /// mismatch, if it has one, found by reading the rest of the frame.
+    pub fn stream_index(&self, i: usize) -> Result<StreamIndex<'a>> {
+        let e = self.entry(i)?;
+        let span = self.span(e);
+        StreamIndex::read_traced(&span).map_err(|err| self.verified(e, err))
+    }
+
+    /// Decode frame `i`, which `index` (from [`Self::stream_index`]) indexes,
+    /// window by window with `decoder`, handing `sink` each window as
+    /// [`Decoder::decode_windows`] does. Each window's payload is read as
+    /// its turn comes, into a buffer of the thread decoding it, and folded
+    /// into the frame's CRC32C. A mismatch is the error, whatever else
+    /// failed; else a failed window's error (serially, after the windows
+    /// before it reached `sink`).
+    pub fn decode_windows<F: SzxFloat, T: Default>(
+        &self,
+        i: usize,
+        index: &StreamIndex<'_>,
+        decoder: &mut Decoder,
+        sink: impl Fn(&mut T, usize, &[F]) -> Result<()> + Sync + Send,
+    ) -> Result<()> {
+        let e = self.expect::<F>(i, index)?;
+        let _total = szx_telemetry::span("decompress.total");
+        settle(e, decoder.windows_to(index, &self.span(e), true, sink))
     }
 
     /// Decompress frame `i`.
     pub fn frame<F: SzxFloat>(&self, i: usize) -> Result<Vec<F>> {
-        let stream = self.frame_bytes(i)?;
+        let index = self.stream_index(i)?;
+        let e = self.expect::<F>(i, &index)?;
+        let _total = szx_telemetry::span("decompress.total");
         // Clock read only when somebody is listening on the event sink.
         let started = szx_telemetry::event_sink_installed().then(std::time::Instant::now);
-        let out = self.decoder.borrow_mut().decode::<F>(stream)?;
+        let mut out = vec![F::ZERO; index.header().n];
+        let checked = (self.decoder.borrow_mut()).decode_to(&index, &self.span(e), &mut out, true);
+        settle(e, checked)?;
         if let Some(start) = started {
             use szx_telemetry::Value;
             szx_telemetry::emit_event(
                 "frame.decoded",
                 &[
                     ("frame", Value::U64(i as u64)),
-                    ("compressed_bytes", Value::U64(stream.len() as u64)),
+                    ("compressed_bytes", Value::U64(e.len)),
                     ("raw_bytes", Value::U64((out.len() * F::BYTES) as u64)),
                     ("ns", Value::U64(start.elapsed().as_nanos() as u64)),
                 ],
@@ -511,6 +612,64 @@ impl<'a> ContainerReader<'a> {
     pub fn field<F: SzxFloat>(&self, name: &str) -> Result<Vec<F>> {
         self.frame(self.position(name)?)
     }
+
+    fn entry(&self, i: usize) -> Result<&Entry> {
+        self.index
+            .entries
+            .get(i)
+            .ok_or_else(|| SzxError::InvalidConfig(format!("frame {i} out of range")))
+    }
+
+    /// The bytes of `e`'s stream (inside the source: the index tiles the
+    /// data region, which ends before the index).
+    fn span(&self, e: &Entry) -> Span<'a, R> {
+        Span::new(self.source, e.start, e.len)
+    }
+
+    /// Frame `i`'s entry, if `index` is the index of a frame that long
+    /// whose values are `F`s; a mismatched type reports the frame's
+    /// checksum mismatch first, if it has one.
+    fn expect<F: SzxFloat>(&self, i: usize, index: &StreamIndex<'_>) -> Result<&Entry> {
+        let e = self.entry(i)?;
+        if index.stream_len() as u64 != e.len {
+            return Err(SzxError::InvalidConfig(format!(
+                "index of a {}-byte stream given for frame {:?} of {} bytes",
+                index.stream_len(),
+                e.name,
+                e.len
+            )));
+        }
+        index
+            .header()
+            .expect_dtype::<F>()
+            .map_err(|err| self.verified(e, err))?;
+        Ok(e)
+    }
+
+    /// `err`, unless `e`'s frame fails its CRC (read whole for it), or
+    /// cannot be read.
+    fn verified(&self, e: &Entry, err: SzxError) -> SzxError {
+        match self.span(e).crc() {
+            Err(read) => read,
+            Ok(crc) if crc != e.crc => mismatch(e),
+            Ok(_) => err,
+        }
+    }
+}
+
+/// The outcome of a checked decode of `e`'s frame: a failed read, else a
+/// checksum mismatch, else the decode's own result.
+fn settle(e: &Entry, checked: Result<Checked>) -> Result<()> {
+    let checked = checked?;
+    if checked.crc != e.crc {
+        return Err(mismatch(e));
+    }
+    checked.result
+}
+
+/// The error of frame `e` failing its CRC32C.
+fn mismatch(e: &Entry) -> SzxError {
+    SzxError::CorruptStream(format!("container: frame {:?} checksum mismatch", e.name))
 }
 
 #[cfg(test)]
@@ -763,6 +922,72 @@ mod tests {
         bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let err = ContainerReader::new(&bad).err().unwrap();
         assert!(err.to_string().contains("past the start"), "{err}");
+    }
+
+    /// Container bytes that record the largest read (and lend none).
+    struct Counting<'a> {
+        bytes: &'a [u8],
+        largest: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ReadAt for Counting<'_> {
+        fn size(&self) -> u64 {
+            self.bytes.len() as u64
+        }
+
+        fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> Result<()> {
+            self.largest
+                .fetch_max(buf.len(), std::sync::atomic::Ordering::Relaxed);
+            self.bytes.read_exact_at(buf, offset)
+        }
+    }
+
+    fn counting(bytes: &[u8]) -> Counting<'_> {
+        Counting {
+            bytes,
+            largest: 0.into(),
+        }
+    }
+
+    /// A one-entry index: name "0", stream length and CRC.
+    fn one_entry(len: u64, crc: u32) -> Vec<u8> {
+        let mut index = 1u32.to_le_bytes().to_vec();
+        index.extend_from_slice(&1u16.to_le_bytes());
+        index.push(b'0');
+        index.extend_from_slice(&len.to_le_bytes());
+        index.extend_from_slice(&crc.to_le_bytes());
+        index
+    }
+
+    #[test]
+    fn forged_lengths_error_before_anything_is_read_for_them() {
+        // A frame length near u64::MAX behind a valid index CRC.
+        let forged = forge(&[0; 64], &one_entry(u64::MAX - 7, 0));
+        let source = counting(&forged);
+        let err = ContainerReader::open(&source).err().unwrap();
+        assert!(
+            err.to_string().contains("runs past the data region"),
+            "{err}"
+        );
+        assert!(source.largest.into_inner() < forged.len());
+
+        // zsizes that sum past the frame, resealed so only they are wrong:
+        // the index errors, and no read reaches past the frame (the rest
+        // of the frame is read only to rule out a checksum mismatch).
+        let data = frame(0, 4096);
+        let mut stream = crate::compress(&data, &SzxConfig::absolute(1e-4)).unwrap();
+        let h = crate::inspect(&stream).unwrap();
+        let layout = crate::stream::SectionLayout::for_header(&h).unwrap();
+        assert!(h.n_nonconstant > 0);
+        stream[layout.zsize_off..layout.zsize_off + 2].copy_from_slice(&[0xff, 0xff]);
+        let forged = forge(&stream, &one_entry(stream.len() as u64, crc32c(&stream)));
+        let source = counting(&forged);
+        let r = ContainerReader::open(&source).unwrap();
+        let err = r.stream_index(0).err().unwrap();
+        assert!(err.to_string().contains("zsize array requires"), "{err}");
+        let err = r.frame::<f32>(0).err().unwrap();
+        assert!(err.to_string().contains("zsize array requires"), "{err}");
+        assert!(source.largest.into_inner() <= stream.len());
     }
 
     #[test]

@@ -2,31 +2,40 @@
 //! parallel over one window loop, or block by block over a range), and
 //! the per-block routines.
 
+use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::bitio::{BitReader, StateBits};
 use crate::block::{bytes_for, shift_for};
 use crate::config::{CommitStrategy, KernelPath};
+use crate::container::{crc32c, crc32c_combine};
 use crate::dekernels::DecodeScratch;
 use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
-use crate::stream::{Header, SectionLayout};
-use crate::window::{for_each_window, window_len, windows};
+use crate::source::{ReadAt, Span};
+use crate::stream::{Header, SectionLayout, HEADER_LEN};
+use crate::window::{for_each_window, window_len, window_values, windows};
 
 /// The one index of a compressed stream: where block `b`'s μ and payload
-/// are. It borrows the stream's state-bit, μ and zsize sections as they
-/// are and keeps one `zsize_array` prefix (§6.1) per window, so a window
-/// finds its first payload without a scan, and any block with at most one
-/// window of zsizes. Parsing validates every section; nothing it holds is
-/// sized by blocks.
+/// are. It holds the stream's header and its state-bit, μ and zsize
+/// sections (borrowed from a stream in memory, else read) and keeps one
+/// `zsize_array` prefix (§6.1) per window, so a window finds its payload
+/// span without a scan, and any block with at most one window of zsizes.
+/// It never holds a payload: the decoder reads each window's payload span
+/// from the stream's source. Building it validates every section against
+/// the stream's length; nothing it holds is sized by blocks.
 #[derive(Debug)]
 pub struct StreamIndex<'a> {
     header: Header,
-    bytes: &'a [u8],
-    states: StateBits<'a>,
-    mu_bytes: &'a [u8],
-    zsize_bytes: &'a [u8],
+    /// The stream's bytes before its first payload: header and sections.
+    sections: Cow<'a, [u8]>,
+    layout: SectionLayout,
+    /// Bytes in the stream.
+    len: usize,
+    /// Stream offset just past the last payload.
+    payload_end: usize,
     /// Blocks per window of the stream's element type.
     window_blocks: usize,
     /// Per window: the non-constant blocks before it, and the stream
@@ -39,76 +48,89 @@ impl<'a> StreamIndex<'a> {
     /// its section layout, its state bits against the non-constant block
     /// count, and its zsizes against the payload section.
     pub fn parse<F: SzxFloat>(bytes: &'a [u8]) -> Result<Self> {
-        let header = Header::parse(bytes)?;
-        header.expect_dtype::<F>()?;
-        let layout = SectionLayout::for_header::<F>(&header)?;
-        if bytes.len() < layout.payload_off {
-            return Err(SzxError::CorruptStream(format!(
-                "sections end at {} but stream holds {}",
-                layout.payload_off,
-                bytes.len()
+        let index = Self::read(&Span::whole(bytes))?;
+        index.header.expect_dtype::<F>()?;
+        Ok(index)
+    }
+
+    /// Read and validate the index of the stream `span` holds, of either
+    /// element type: its header, then its sections, lent by a source in
+    /// memory and read from any other. Every offset is checked against
+    /// the stream's length before anything is read or allocated for it.
+    pub(crate) fn read<R: ReadAt + ?Sized>(span: &Span<'a, R>) -> Result<Self> {
+        let corrupt = |m: String| SzxError::CorruptStream(m);
+        let len = usize::try_from(span.len())
+            .map_err(|_| corrupt(format!("stream of {} bytes", span.len())))?;
+        let mut head = Vec::new();
+        let header = Header::parse(span.read(0, len.min(HEADER_LEN), &mut head)?)?;
+        let layout = SectionLayout::for_header(&header)?;
+        if len < layout.payload_off {
+            return Err(corrupt(format!(
+                "sections end at {} but stream holds {len}",
+                layout.payload_off
             )));
         }
+        let sections = match span.lend(0, layout.payload_off) {
+            Some(bytes) => Cow::Borrowed(bytes),
+            None => {
+                // The header is in `head` already; read only what follows.
+                head.resize(layout.payload_off, 0);
+                let rest = head.get_mut(HEADER_LEN..).unwrap_or_default();
+                span.fill(HEADER_LEN as u64, rest)?;
+                Cow::Owned(head)
+            }
+        };
         let nblocks = header.num_blocks();
-        // The payload_off length check above guarantees every section range
-        // below is in bounds; `get` keeps this path panic-free regardless.
-        let truncated = || SzxError::CorruptStream("section out of bounds".into());
-        let state_bytes = bytes
-            .get(layout.state_off..layout.mu_off)
-            .ok_or_else(truncated)?;
-        let states = StateBits::new(state_bytes, nblocks)
-            .ok_or_else(|| SzxError::CorruptStream("state bit section truncated".into()))?;
+        let section = |r: Range<usize>| sections.get(r).unwrap_or_default();
+        let states = StateBits::new(section(layout.state_off..layout.mu_off), nblocks)
+            .ok_or_else(|| corrupt("state bit section truncated".into()))?;
 
         let n_nonconstant = states.count_ones();
         if n_nonconstant != header.n_nonconstant {
-            return Err(SzxError::CorruptStream(format!(
+            return Err(corrupt(format!(
                 "header declares {} non-constant blocks, state bits say {}",
                 header.n_nonconstant, n_nonconstant
             )));
         }
 
-        let mu_bytes = bytes
-            .get(layout.mu_off..layout.zsize_off)
-            .ok_or_else(truncated)?;
-        let zsize_bytes = bytes
-            .get(layout.zsize_off..layout.payload_off)
-            .ok_or_else(truncated)?;
         // One pass over the zsizes, window by window: the prefix before
         // each window, then the sum the payload section must hold.
-        let window_blocks = window_len::<F>(header.block_size) / header.block_size;
+        let zsize_bytes = section(layout.zsize_off..layout.payload_off);
+        let window_blocks =
+            window_values(header.value_bytes(), header.block_size) / header.block_size;
         let mut windows = Vec::with_capacity(nblocks.div_ceil(window_blocks));
         let (mut nc, mut at) = (0, layout.payload_off);
         for first in (0..nblocks).step_by(window_blocks) {
             windows.push((nc, at));
             let count = states.window(first, window_blocks).count_ones();
-            // No wrap: each zsize is at most 65535 and takes two stream
-            // bytes, so the sum stays below 32768 * bytes.len().
-            at += zsizes(zsize_bytes, nc).take(count).sum::<usize>();
+            let mut sizes = zsizes(zsize_bytes, nc).take(count);
+            at = (sizes.try_fold(at, usize::checked_add))
+                .ok_or_else(|| corrupt("zsize array overflows".into()))?;
             // ARITH-OK: the counts sum to the state bits' count_ones().
             nc += count;
         }
-        if bytes.len() < at {
-            return Err(SzxError::CorruptStream(format!(
+        if at > len {
+            return Err(corrupt(format!(
                 "payload section holds {} bytes, zsize array requires {}",
-                bytes.len() - layout.payload_off,
+                len - layout.payload_off,
                 at - layout.payload_off
             )));
         }
         Ok(StreamIndex {
             header,
-            bytes,
-            states,
-            mu_bytes,
-            zsize_bytes,
+            sections,
+            layout,
+            len,
+            payload_end: at,
             window_blocks,
             windows,
         })
     }
 
-    /// [`Self::parse`] inside the `decompress.index` span.
-    fn parse_traced<F: SzxFloat>(bytes: &'a [u8]) -> Result<Self> {
+    /// [`Self::read`] inside the `decompress.index` span.
+    pub(crate) fn read_traced<R: ReadAt + ?Sized>(span: &Span<'a, R>) -> Result<Self> {
         let _s = szx_telemetry::span("decompress.index");
-        Self::parse::<F>(bytes)
+        Self::read(span)
     }
 
     /// The stream's header.
@@ -118,7 +140,31 @@ impl<'a> StreamIndex<'a> {
 
     /// Number of blocks.
     pub fn num_blocks(&self) -> usize {
-        self.states.len()
+        self.header.num_blocks()
+    }
+
+    /// Bytes in the stream.
+    pub fn stream_len(&self) -> usize {
+        self.len
+    }
+
+    /// The stream's header and sections, as the stream holds them.
+    pub(crate) fn sections(&self) -> &[u8] {
+        &self.sections
+    }
+
+    fn section(&self, range: Range<usize>) -> &[u8] {
+        self.sections.get(range).unwrap_or_default()
+    }
+
+    /// The state bits (`None` never happens: [`Self::read`] checked them).
+    fn states(&self) -> Option<StateBits<'_>> {
+        let l = &self.layout;
+        StateBits::new(self.section(l.state_off..l.mu_off), self.num_blocks())
+    }
+
+    fn zsize_bytes(&self) -> &[u8] {
+        self.section(self.layout.zsize_off..self.layout.payload_off)
     }
 
     /// Walk the blocks in order from block `first`: each block's μ, and
@@ -129,17 +175,19 @@ impl<'a> StreamIndex<'a> {
         first: usize,
     ) -> impl Iterator<Item = (F, Option<Range<usize>>)> + '_ {
         let (nc, mut at) = self.prefix(first);
-        let mus = self.mu_bytes.get(first.saturating_mul(F::BYTES)..);
+        let mus = self.section(self.layout.mu_off..self.layout.zsize_off);
+        let mus = mus.get(first.saturating_mul(F::BYTES)..);
         let mus = mus.unwrap_or_default().chunks_exact(F::BYTES);
-        let mut zsizes = zsizes(self.zsize_bytes, nc);
+        let mut zsizes = zsizes(self.zsize_bytes(), nc);
+        let states = self.states();
         (first..self.num_blocks())
             .zip(mus)
             .map_while(move |(b, mu)| {
                 let mu = F::read_le(mu);
-                if !self.states.get(b) {
+                if !states?.get(b) {
                     return Some((mu, None));
                 }
-                // parse() checked the whole zsize sum against the stream.
+                // read() checked the whole zsize sum against the stream.
                 let payload = at..at + zsizes.next()?;
                 at = payload.end;
                 Some((mu, Some(payload)))
@@ -148,18 +196,28 @@ impl<'a> StreamIndex<'a> {
 
     /// The non-constant blocks before `block` and the stream offset of
     /// the next payload: the covering window's prefix plus the zsizes of
-    /// its non-constant blocks before `block`.
+    /// its non-constant blocks before `block`; past the last block, every
+    /// block and the end of the payloads.
     fn prefix(&self, block: usize) -> (usize, usize) {
         let w = block / self.window_blocks;
-        let Some(&(nc, mut at)) = self.windows.get(w) else {
-            return (0, 0); // past the last block: the walk is empty
+        let (Some(&(nc, at)), Some(states)) = (self.windows.get(w), self.states()) else {
+            return (self.header.n_nonconstant, self.payload_end);
         };
         // ARITH-OK: w * window_blocks <= block, both below num_blocks.
         let first = w * self.window_blocks;
-        let count = self.states.window(first, block - first).count_ones();
-        at += zsizes(self.zsize_bytes, nc).take(count).sum::<usize>();
+        let count = states.window(first, block - first).count_ones();
+        // read() checked every window's zsize sum against the stream.
+        let at = at + zsizes(self.zsize_bytes(), nc).take(count).sum::<usize>();
         // ARITH-OK: at most the state bits' count_ones().
         (nc + count, at)
+    }
+
+    /// The stream bytes of window `k`'s payloads: from its first payload
+    /// to the next window's, the last window's to the stream's end.
+    fn window_span(&self, k: usize) -> Range<usize> {
+        let start = self.windows.get(k).map_or(self.len, |w| w.1);
+        let end = self.windows.get(k + 1).map_or(self.len, |w| w.1);
+        start..end
     }
 }
 
@@ -177,8 +235,17 @@ pub fn decompress<F: SzxFloat>(bytes: &[u8]) -> Result<Vec<F>> {
     Decoder::default().decode(bytes)
 }
 
+/// What a checked window loop saw: the CRC32C of every byte of the stream
+/// (its sections, then each window's payload span in stream order), and
+/// the first failing window's error. A frame whose CRC fails reports that
+/// instead of whatever else failed.
+pub(crate) struct Checked {
+    pub(crate) crc: u32,
+    pub(crate) result: Result<()>,
+}
+
 /// The SZx decompressor: a decode path, a serial/parallel switch, and the
-/// kernel arenas it reuses across calls.
+/// buffers it reuses across calls.
 ///
 /// Every path and both modes reconstruct bit-identical values and fail
 /// with identical errors; the settings only choose *how* blocks are
@@ -190,11 +257,19 @@ pub fn decompress<F: SzxFloat>(bytes: &[u8]) -> Result<Vec<F>> {
 pub struct Decoder {
     kernel: KernelPath,
     parallel: bool,
-    /// Arenas, one per thread that can take part in the window loop,
-    /// reused across calls: once grown to the largest block they never
-    /// grow again. Each thread locks a free one for all the windows it
-    /// claims; [`Self::decode_range`] uses the first.
-    shelf: Vec<Mutex<DecodeScratch>>,
+    /// Buffers, one set per thread that can take part in the window loop,
+    /// reused across calls: once grown to the largest block and window
+    /// they never grow again. Each thread locks a free one for all the
+    /// windows it claims; [`Self::decode_range`] uses the first.
+    shelf: Vec<Mutex<Buffers>>,
+}
+
+/// One thread's decode buffers: the kernel arena and the payload bytes of
+/// the window it decodes.
+#[derive(Debug, Default)]
+struct Buffers {
+    scratch: DecodeScratch,
+    payload: Vec<u8>,
 }
 
 impl Default for Decoder {
@@ -219,14 +294,17 @@ impl Decoder {
         // Build (and thereby validate) the index *before* allocating the
         // output: a forged header could otherwise demand an absurd
         // allocation.
-        let index = StreamIndex::parse_traced::<F>(bytes)?;
+        let span = Span::whole(bytes);
+        let index = StreamIndex::read_traced(&span)?;
+        index.header.expect_dtype::<F>()?;
         let mut out = vec![F::ZERO; index.header.n];
-        self.decode_into_index(&index, &mut out)?;
+        self.decode_to(&index, &span, &mut out, false)?.result?;
         Ok(out)
     }
 
-    /// Decode values `range` of the stream `index` indexes, touching only
-    /// the blocks that cover it (random access, §6.1): block by block on
+    /// Decode values `range` of the stream `index` indexes, whose bytes
+    /// `stream` holds, touching only the blocks that cover it (random
+    /// access, §6.1) and reading only their payloads: block by block on
     /// the calling thread, whatever the parallel switch, with this
     /// decoder's path. The values equal the matching slice of
     /// [`Self::decode`]. A range past the stream's end, or a `F` other
@@ -234,6 +312,7 @@ impl Decoder {
     pub fn decode_range<F: SzxFloat>(
         &mut self,
         index: &StreamIndex<'_>,
+        stream: &(impl ReadAt + ?Sized),
         range: Range<usize>,
     ) -> Result<Vec<F>> {
         index.header.expect_dtype::<F>()?;
@@ -251,17 +330,25 @@ impl Decoder {
         let first = range.start / bs;
         let covered = first * bs..n.min(range.end.div_ceil(bs).saturating_mul(bs));
         let mut out = vec![F::ZERO; covered.len()];
+        let payloads = index.prefix(first).1..index.prefix(covered.end.div_ceil(bs)).1;
         if self.shelf.is_empty() {
             self.shelf.push(Mutex::default());
         }
-        let mut spare = DecodeScratch::default();
+        let mut spare = Buffers::default();
         let lease = self.shelf.iter_mut().find_map(|s| s.get_mut().ok());
+        let Buffers { scratch, payload } = lease.unwrap_or(&mut spare);
+        let stream = Span::whole(stream);
+        let len = payloads.end.saturating_sub(payloads.start);
+        let payload = stream.read(payloads.start as u64, len, payload)?;
+        let path = self.kernel;
         decode_run(
             index,
             first,
             &mut out,
-            self.kernel,
-            lease.unwrap_or(&mut spare),
+            path,
+            scratch,
+            payload,
+            payloads.start,
         )?;
         out.copy_within(range.start - covered.start..range.end - covered.start, 0);
         out.truncate(range.len());
@@ -272,7 +359,9 @@ impl Decoder {
     /// element count, so repeated decodes reuse one output buffer.
     pub fn decode_into<F: SzxFloat>(&mut self, bytes: &[u8], out: &mut [F]) -> Result<()> {
         let _total = szx_telemetry::span("decompress.total");
-        let index = StreamIndex::parse_traced::<F>(bytes)?;
+        let span = Span::whole(bytes);
+        let index = StreamIndex::read_traced(&span)?;
+        index.header.expect_dtype::<F>()?;
         if out.len() != index.header.n {
             return Err(SzxError::InvalidConfig(format!(
                 "output buffer holds {} elements, stream has {}",
@@ -280,20 +369,35 @@ impl Decoder {
                 index.header.n
             )));
         }
-        self.decode_into_index(&index, out)
+        self.decode_to(&index, &span, out, false)?.result
     }
 
-    /// Decode straight into `out`, window by window.
-    fn decode_into_index<F: SzxFloat>(&mut self, index: &StreamIndex, out: &mut [F]) -> Result<()> {
+    /// Decode the stream `span` holds, which `index` indexes and whose
+    /// element type is `F`, straight into `out` (its `n` values), window
+    /// by window. With `crc`, also fold the CRC32C of its bytes.
+    pub(crate) fn decode_to<F: SzxFloat, R: ReadAt + ?Sized>(
+        &mut self,
+        index: &StreamIndex<'_>,
+        span: &Span<'_, R>,
+        out: &mut [F],
+        crc: bool,
+    ) -> Result<Checked> {
         let windows = out.chunks_mut(window_len::<F>(index.header.block_size));
         let path = self.kernel;
-        self.each_window::<F, _, ()>(index, windows.collect(), |(), scratch, b, out| {
-            decode_run(index, b, out, path, scratch)
-        })
+        self.each_window::<F, R, _, ()>(
+            index,
+            span,
+            crc,
+            windows.collect(),
+            |(), scratch, b, payload, at, out| {
+                decode_run(index, b, out, path, scratch, payload, at)
+            },
+        )
     }
 
-    /// Decompress `bytes` window by window (see [`crate::window`]), each
-    /// into a buffer of the thread decoding it, and hand `sink` the
+    /// Decompress the stream `stream` holds window by window (see
+    /// [`crate::window`]): read each window's payload into a buffer of the
+    /// thread decoding it, decode it into another, and hand `sink` the
     /// thread's `T`, the index of the window's first value and the window.
     /// Serially the windows reach `sink` in stream order on the calling
     /// thread; in parallel each pool thread hands over the windows it
@@ -302,80 +406,146 @@ impl Decoder {
     /// window's, and serially the windows before it have reached `sink`.
     pub fn decode_windows<F: SzxFloat, T: Default>(
         &mut self,
-        bytes: &[u8],
+        stream: &(impl ReadAt + ?Sized),
         sink: impl Fn(&mut T, usize, &[F]) -> Result<()> + Sync + Send,
     ) -> Result<()> {
         let _total = szx_telemetry::span("decompress.total");
-        let index = StreamIndex::parse_traced::<F>(bytes)?;
-        let items = windows(index.header.n, window_len::<F>(index.header.block_size));
-        let path = self.kernel;
-        self.each_window::<F, _, (Vec<F>, T)>(&index, items, |(buf, t), scratch, b, w| {
-            buf.resize(w.len(), F::ZERO);
-            decode_run(&index, b, buf, path, scratch)?;
-            sink(t, w.start, buf)
-        })
+        let span = Span::whole(stream);
+        let index = StreamIndex::read_traced(&span)?;
+        index.header.expect_dtype::<F>()?;
+        self.windows_to(&index, &span, false, sink)?.result
     }
 
-    /// The one window loop: `f` decodes window `k`'s `item` with the
-    /// thread's state and arena, given the window's first block.
-    fn each_window<F: SzxFloat, I: Send, S: Default>(
+    /// [`Self::decode_windows`] of the stream `span` holds, which `index`
+    /// indexes and whose element type is `F`; with `crc`, also fold the
+    /// CRC32C of its bytes.
+    pub(crate) fn windows_to<F: SzxFloat, R: ReadAt + ?Sized, T: Default>(
         &mut self,
         index: &StreamIndex<'_>,
+        span: &Span<'_, R>,
+        crc: bool,
+        sink: impl Fn(&mut T, usize, &[F]) -> Result<()> + Sync + Send,
+    ) -> Result<Checked> {
+        let items = windows(index.header.n, window_len::<F>(index.header.block_size));
+        let path = self.kernel;
+        self.each_window::<F, R, _, (Vec<F>, T)>(
+            index,
+            span,
+            crc,
+            items,
+            |(buf, t), scratch, b, payload, at, w| {
+                buf.resize(w.len(), F::ZERO);
+                decode_run(index, b, buf, path, scratch, payload, at)?;
+                sink(t, w.start, buf)
+            },
+        )
+    }
+
+    /// The one window loop: read window `k`'s payload span into the
+    /// thread's buffer (or borrow it from a stream in memory), fold its
+    /// CRC32C when asked, and have `f` decode `item` from it with the
+    /// thread's state and arena, given the window's first block and the
+    /// stream offset of its payload span. After a window fails, later
+    /// windows are only read for the CRC, and not read at all without one.
+    /// A failed read ends the loop with its error; no CRC is known then.
+    fn each_window<F: SzxFloat, R: ReadAt + ?Sized, I: Send, S: Default>(
+        &mut self,
+        index: &StreamIndex<'_>,
+        span: &Span<'_, R>,
+        crc: bool,
         items: Vec<I>,
-        f: impl Fn(&mut S, &mut DecodeScratch, usize, I) -> Result<()> + Sync + Send,
-    ) -> Result<()> {
+        f: impl Fn(&mut S, &mut DecodeScratch, usize, &[u8], usize, I) -> Result<()> + Sync + Send,
+    ) -> Result<Checked> {
         if szx_telemetry::enabled() {
             flush_decode_telemetry::<F>(index);
         }
         let bs = index.header.block_size;
-        // One arena per thread that can take part, sized for a whole block
-        // up front where the path uses one, so growth depends on the stream
-        // and not on which threads claim which window.
+        // One set of buffers per thread that can take part, the arena
+        // sized for a whole block up front where the blocks use one, so
+        // growth depends on the stream and not on which threads claim
+        // which window.
         let threads = if self.parallel {
             rayon::current_num_threads()
         } else {
             1
         };
         self.shelf.resize_with(threads, Mutex::default);
-        if self.kernel.uses_arena(index.header.strategy) {
+        if self.kernel.uses_arena::<F>(index.header.strategy) {
             for s in self.shelf.iter_mut().filter_map(|s| s.get_mut().ok()) {
-                s.ensure(bs);
+                s.scratch.ensure(bs);
             }
         }
         let _s = szx_telemetry::span("decompress.blocks");
         // Zone-only path attribution for the profiler, one zone per window.
         let zone = self.kernel.decode_zone();
-        // At most one thread per arena takes part, so each finds a free one.
+        // The first window that failed so far: windows after it need no
+        // decode, so whichever thread fails first, the error reported is
+        // the first failing window's.
+        let failed = AtomicUsize::new(usize::MAX);
+        // At most one thread per set of buffers takes part, so each finds
+        // a free one.
         let shelf = &self.shelf;
         let init = || {
             (
                 shelf.iter().find_map(|s| s.try_lock().ok()),
-                <(DecodeScratch, S)>::default(),
+                <(Buffers, S)>::default(),
             )
         };
-        let result = for_each_window(
+        let windows = for_each_window(
             items,
             self.parallel,
             init,
             |(lease, (spare, state)), k, item| {
+                let decode = k < failed.load(Ordering::Relaxed);
+                let w = index.window_span(k);
+                if !(decode || crc) {
+                    return Ok((0, 0, Ok(())));
+                }
                 let _z = szx_telemetry::trace_zone(zone, k as u64);
-                let first = k * index.window_blocks;
-                f(state, lease.as_deref_mut().unwrap_or(spare), first, item)
+                let Buffers { scratch, payload } = lease.as_deref_mut().unwrap_or(spare);
+                let payload = span.read(w.start as u64, w.len(), payload)?;
+                let window_crc = if crc {
+                    let _s = szx_telemetry::span("container.crc");
+                    crc32c(payload)
+                } else {
+                    0
+                };
+                let mut result = Ok(());
+                if decode {
+                    let first = k * index.window_blocks;
+                    result = f(state, scratch, first, payload, w.start, item);
+                    if result.is_err() {
+                        failed.fetch_min(k, Ordering::Relaxed);
+                    }
+                }
+                Ok((window_crc, w.len(), result))
             },
         );
         // Runs publish the growth of the arena they used; what is left was
         // grown outside a run (the shelf's up-front sizing).
         let mut bytes = 0;
         for s in self.shelf.iter_mut().filter_map(|s| s.get_mut().ok()) {
-            flush_grows(s);
-            bytes += s.arena_bytes();
+            flush_grows(&mut s.scratch);
+            bytes += s.scratch.arena_bytes();
         }
         if bytes > 0 && szx_telemetry::enabled() {
             szx_telemetry::global()
                 .gauge("decompress.scratch.arena_bytes")
                 .set_max(bytes as f64);
         }
-        result.map(drop)
+        let mut checked = Checked {
+            crc: if crc { crc32c(index.sections()) } else { 0 },
+            result: Ok(()),
+        };
+        for (window_crc, len, result) in windows? {
+            if crc {
+                checked.crc = crc32c_combine(checked.crc, window_crc, len as u64);
+            }
+            if checked.result.is_ok() {
+                checked.result = result;
+            }
+        }
+        Ok(checked)
     }
 }
 
@@ -394,21 +564,26 @@ fn flush_decode_telemetry<F: SzxFloat>(index: &StreamIndex<'_>) {
 
 /// Decode the consecutive blocks starting at `first_block` into `out` (a
 /// whole number of blocks, except possibly the stream's last), stopping at
-/// the first corrupt one.
+/// the first corrupt one. `payloads` holds the stream's bytes from offset
+/// `at` on, through the last of these blocks' payloads.
 fn decode_run<F: SzxFloat>(
     index: &StreamIndex<'_>,
     first_block: usize,
     out: &mut [F],
     path: KernelPath,
     scratch: &mut DecodeScratch,
+    payloads: &[u8],
+    at: usize,
 ) -> Result<()> {
     let strategy = index.header.strategy;
     let blocks = index.blocks::<F>(first_block);
-    for ((mu, payload), block_out) in blocks.zip(out.chunks_mut(index.header.block_size)) {
-        match payload {
-            // parse() checked every payload range against the stream.
+    for ((mu, span), block_out) in blocks.zip(out.chunks_mut(index.header.block_size)) {
+        match span {
+            // A block of this run has its payload inside `payloads`.
             Some(span) => {
-                let payload = index.bytes.get(span).unwrap_or_default();
+                let local = span.start.checked_sub(at).zip(span.end.checked_sub(at));
+                let payload = local.and_then(|(start, end)| payloads.get(start..end));
+                let payload = payload.unwrap_or_default();
                 path.decode_nonconstant(payload, block_out, mu, strategy, scratch)?;
             }
             None => block_out.fill(mu),
@@ -768,7 +943,9 @@ mod tests {
             9_990..10_000,
             42..42,
         ] {
-            let part: Vec<f32> = decoder.decode_range(&index, range.clone()).unwrap();
+            let part: Vec<f32> = decoder
+                .decode_range(&index, &bytes[..], range.clone())
+                .unwrap();
             assert_eq!(part, &full[range.clone()], "{range:?}");
         }
     }
@@ -781,7 +958,7 @@ mod tests {
         let index = StreamIndex::parse::<f32>(&bytes).unwrap();
         let mut decoder = Decoder::default();
         for i in [0usize, 1, 127, 128, 500, 999] {
-            let one: Vec<f32> = decoder.decode_range(&index, i..i + 1).unwrap();
+            let one: Vec<f32> = decoder.decode_range(&index, &bytes[..], i..i + 1).unwrap();
             assert_eq!(one, [full[i]], "index {i}");
         }
     }
@@ -796,7 +973,7 @@ mod tests {
         assert_eq!(index.blocks::<f32>(0).count(), 3);
         assert_eq!(index.blocks::<f32>(2).count(), 1);
         let mut decoder = Decoder::default();
-        let last: Vec<f32> = decoder.decode_range(&index, 256..300).unwrap();
+        let last: Vec<f32> = decoder.decode_range(&index, &bytes[..], 256..300).unwrap();
         assert_eq!(last, &full[256..300]);
         // The walk from any block finds the payloads the walk from 0 does.
         let all: Vec<_> = index.blocks::<f32>(0).collect();
@@ -817,7 +994,9 @@ mod tests {
             let bytes = compress(&data, &cfg).unwrap();
             let full: Vec<f64> = decompress(&bytes).unwrap();
             let index = StreamIndex::parse::<f64>(&bytes).unwrap();
-            let part: Vec<f64> = Decoder::default().decode_range(&index, 100..400).unwrap();
+            let part: Vec<f64> = Decoder::default()
+                .decode_range(&index, &bytes[..], 100..400)
+                .unwrap();
             assert_eq!(part, &full[100..400], "{strategy:?}");
         }
     }
@@ -829,11 +1008,17 @@ mod tests {
         let bytes = compress(&data, &SzxConfig::absolute(1e-3)).unwrap();
         let index = StreamIndex::parse::<f32>(&bytes).unwrap();
         let mut decoder = Decoder::default();
-        assert!(decoder.decode_range::<f32>(&index, 50..101).is_err());
-        assert!(decoder.decode_range::<f32>(&index, 60..50).is_err());
-        assert!(decoder.decode_range::<f32>(&index, 100..101).is_err());
         assert!(decoder
-            .decode_range::<f32>(&index, 100..100)
+            .decode_range::<f32>(&index, &bytes[..], 50..101)
+            .is_err());
+        assert!(decoder
+            .decode_range::<f32>(&index, &bytes[..], 60..50)
+            .is_err());
+        assert!(decoder
+            .decode_range::<f32>(&index, &bytes[..], 100..101)
+            .is_err());
+        assert!(decoder
+            .decode_range::<f32>(&index, &bytes[..], 100..100)
             .unwrap()
             .is_empty());
         assert_eq!(index.blocks::<f32>(index.num_blocks()).next(), None);
@@ -847,10 +1032,12 @@ mod tests {
         let index = StreamIndex::parse::<f32>(&bytes).unwrap();
         let mut scalar = Decoder::new(KernelPath::Scalar, false);
         for range in [0..5000, 100..400, 699..702, 4990..5000] {
-            let want: Vec<f32> = scalar.decode_range(&index, range.clone()).unwrap();
+            let want: Vec<f32> = scalar
+                .decode_range(&index, &bytes[..], range.clone())
+                .unwrap();
             for kernel in [KernelPath::Kernel, KernelPath::Simd] {
                 let got: Vec<f32> = Decoder::new(kernel, true)
-                    .decode_range(&index, range.clone())
+                    .decode_range(&index, &bytes[..], range.clone())
                     .unwrap();
                 assert_eq!(bits(&got), bits(&want), "{kernel:?} {range:?}");
             }
@@ -864,7 +1051,7 @@ mod tests {
         assert!(StreamIndex::parse::<f64>(&bytes).is_err());
         let index = StreamIndex::parse::<f32>(&bytes).unwrap();
         assert!(matches!(
-            Decoder::default().decode_range::<f64>(&index, 0..1),
+            Decoder::default().decode_range::<f64>(&index, &bytes[..], 0..1),
             Err(SzxError::TypeMismatch { .. })
         ));
     }

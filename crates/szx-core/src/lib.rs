@@ -84,9 +84,13 @@
 //! ## Random access
 //!
 //! The prefix-summed `zsize_array` that lets threads decode windows in
-//! parallel also finds any one block: a [`StreamIndex`] parses a stream
-//! once, and [`Decoder::decode_range`] decodes only the blocks a range of
-//! values touches.
+//! parallel also finds any one block: a [`StreamIndex`] parses a stream's
+//! header and sections once, and [`Decoder::decode_range`] reads from the
+//! stream's [`ReadAt`] source (a file, or bytes in memory) and decodes only
+//! the payloads of the blocks a range of values touches. A
+//! [`ContainerReader`] reads a container file the same way: footer and
+//! index, each frame's header and sections, then each window's payload as
+//! it decodes.
 //!
 //! ```
 //! use szx_core::{compress, decompress, Decoder, StreamIndex, SzxConfig};
@@ -95,12 +99,12 @@
 //! let bytes = compress(&data, &SzxConfig::absolute(1e-3)).unwrap();
 //! let index = StreamIndex::parse::<f32>(&bytes).unwrap();
 //! let mut decoder = Decoder::default();
-//! let part: Vec<f32> = decoder.decode_range(&index, 4000..4100).unwrap();
+//! let part: Vec<f32> = decoder.decode_range(&index, &bytes[..], 4000..4100).unwrap();
 //! let full: Vec<f32> = decompress(&bytes).unwrap();
 //! assert_eq!(part, full[4000..4100]);
-//! let one: Vec<f32> = decoder.decode_range(&index, 9_999..10_000).unwrap();
+//! let one: Vec<f32> = decoder.decode_range(&index, &bytes[..], 9_999..10_000).unwrap();
 //! assert_eq!(one, [full[9_999]]);
-//! assert!(decoder.decode_range::<f32>(&index, 9_999..10_001).is_err());
+//! assert!(decoder.decode_range::<f32>(&index, &bytes[..], 9_999..10_001).is_err());
 //! ```
 //!
 //! ## Guarantees
@@ -127,6 +131,7 @@ pub mod error;
 pub mod float;
 pub mod kernels;
 pub mod simd;
+pub mod source;
 pub mod stream;
 pub mod window;
 
@@ -141,6 +146,7 @@ pub use float::SzxFloat;
 /// Worker threads a parallel compress or decode uses at most
 /// (`RAYON_NUM_THREADS`, else the available cores).
 pub use rayon::current_num_threads;
+pub use source::ReadAt;
 pub use stream::{inspect, Header};
 pub use window::{window_len, WindowSource, WINDOW_BYTES};
 

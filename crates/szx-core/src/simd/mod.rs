@@ -662,6 +662,46 @@ mod tests {
     }
 
     #[test]
+    fn crc32c_combine_joins_any_split() {
+        use crate::container::crc32c_combine;
+        let long: Vec<u8> = (0..20_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+            .collect();
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % (bound as u64 + 1)) as usize
+        };
+        for f in crc_backends() {
+            let crc = |bytes: &[u8]| !f(!0, bytes);
+            // Every cut of 40 bytes at every start 0..8: empty parts, and
+            // parts that end on, before and past 8-byte boundaries.
+            for start in 0..8 {
+                let piece = &long[start..start + 40];
+                for cut in 0..=piece.len() {
+                    let (a, b) = piece.split_at(cut);
+                    let joined = crc32c_combine(crc(a), crc(b), b.len() as u64);
+                    assert_eq!(joined, crc(piece), "start {start} cut {cut}");
+                }
+            }
+            // Random pieces cut at random points into three parts, joined
+            // in order as a frame's windows are.
+            for _ in 0..300 {
+                let start = next(64);
+                let piece = &long[start..start + next(long.len() - 64)];
+                let (i, j) = (next(piece.len()), next(piece.len()));
+                let (i, j) = (i.min(j), i.max(j));
+                let parts = [&piece[..i], &piece[i..j], &piece[j..]];
+                let joined =
+                    (parts.iter()).fold(0, |acc, p| crc32c_combine(acc, crc(p), p.len() as u64));
+                assert_eq!(joined, crc(piece), "len {} cuts {i} {j}", piece.len());
+            }
+        }
+    }
+
+    #[test]
     fn crc32c_backends_agree_with_the_table() {
         let backends = crc_backends();
         let crc = |f: fn(u32, &[u8]) -> u32, bytes: &[u8]| !f(!0, bytes);

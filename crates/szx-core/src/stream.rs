@@ -131,6 +131,15 @@ impl Header {
         Ok(header)
     }
 
+    /// Bytes per value of the stream's element type.
+    pub(crate) fn value_bytes(&self) -> usize {
+        if self.dtype == 0 {
+            4
+        } else {
+            8
+        }
+    }
+
     pub(crate) fn expect_dtype<F: SzxFloat>(&self) -> Result<()> {
         if self.dtype != F::DTYPE_CODE {
             let found = if self.dtype == 0 { "f32" } else { "f64" };
@@ -156,7 +165,7 @@ impl SectionLayout {
     /// Checked layout computation: a forged header can declare element
     /// counts whose section offsets overflow `usize`; that must surface as
     /// a corrupt-stream error, not an arithmetic panic or a huge allocation.
-    pub(crate) fn for_header<F: SzxFloat>(h: &Header) -> Result<SectionLayout> {
+    pub(crate) fn for_header(h: &Header) -> Result<SectionLayout> {
         let nblocks = h.num_blocks();
         let state_off = HEADER_LEN;
         let overflow = || SzxError::CorruptStream("section offsets overflow".into());
@@ -164,7 +173,7 @@ impl SectionLayout {
             .checked_add(nblocks / 8 + usize::from(!nblocks.is_multiple_of(8)))
             .ok_or_else(overflow)?;
         let zsize_off = nblocks
-            .checked_mul(F::BYTES)
+            .checked_mul(h.value_bytes())
             .and_then(|b| mu_off.checked_add(b))
             .ok_or_else(overflow)?;
         let payload_off = h
@@ -278,7 +287,7 @@ mod tests {
     #[test]
     fn layout_offsets() {
         let h = sample_header(); // 8 blocks, 3 non-constant
-        let l = SectionLayout::for_header::<f32>(&h).unwrap();
+        let l = SectionLayout::for_header(&h).unwrap();
         assert_eq!(l.state_off, 36);
         assert_eq!(l.mu_off, 37); // 8 blocks -> 1 state byte
         assert_eq!(l.zsize_off, 37 + 32); // 8 * 4-byte μ

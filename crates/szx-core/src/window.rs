@@ -18,8 +18,13 @@ pub const WINDOW_BYTES: usize = 512 << 10;
 /// Values of `F` per window at `block_size`: [`WINDOW_BYTES`] rounded down
 /// to a whole multiple of 8 blocks, at least 8 blocks.
 pub fn window_len<F: SzxFloat>(block_size: usize) -> usize {
+    window_values(F::BYTES, block_size)
+}
+
+/// [`window_len`] of values `value_bytes` wide.
+pub(crate) fn window_values(value_bytes: usize, block_size: usize) -> usize {
     let unit = 8 * block_size;
-    (WINDOW_BYTES / F::BYTES / unit).max(1) * unit
+    (WINDOW_BYTES / value_bytes / unit).max(1) * unit
 }
 
 /// Where an [`Encoder`](crate::Encoder) or a [`RangeScan`](crate::RangeScan)

@@ -250,14 +250,14 @@ pub fn differential_decode_typed<F: SzxFloat>(bytes: &[u8]) -> Result<DecodeRepo
         let mut decoder = Decoder::new(kernel, false);
         let out = run_path(path, || {
             let index = StreamIndex::parse::<F>(bytes)?;
-            decoder.decode_range::<F>(&index, 0..index.header().n)
+            decoder.decode_range::<F>(&index, bytes, 0..index.header().n)
         })?;
         check(path, out, false)?;
         let mut range = 0..0;
         let out = run_path(sub_path, || {
             let index = StreamIndex::parse::<F>(bytes)?;
             range = sub_range(index.header());
-            decoder.decode_range::<F>(&index, range.clone())
+            decoder.decode_range::<F>(&index, bytes, range.clone())
         })?;
         if let Outcome::Bits(want) = &reference {
             let want = want.get(range.clone()).unwrap_or_default();

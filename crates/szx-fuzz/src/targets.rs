@@ -4,8 +4,9 @@
 //! novelty signature or a [`Failure`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use szx_core::{ContainerReader, ContainerWriter, Decoder, KernelPath, SzxFloat};
+use szx_core::{ContainerReader, ContainerWriter, Decoder, KernelPath, ReadAt, SzxFloat};
 
 use crate::corpus::fnv1a64;
 use crate::gen::{Spec, SpecType};
@@ -22,8 +23,9 @@ pub enum FuzzTarget {
     /// bound, and full decode-path agreement.
     RoundtripConfig,
     /// Bytes treated as a container: header/footer/index torture for
-    /// `ContainerReader`, plus per-frame differential decode of every frame
-    /// that passes its CRC.
+    /// `ContainerReader`, per-frame differential decode of every frame
+    /// that passes its CRC, and the same reads through a source that fails
+    /// from a fuzzed offset on.
     Container,
 }
 
@@ -283,8 +285,9 @@ fn roundtrip_typed<F: SzxFloat>(spec: &Spec) -> Result<u64, Failure> {
 /// Cap on frames examined per container input.
 const MAX_FRAMES: usize = 64;
 
-/// Target 3: header/footer/index torture for the container reader, then
-/// the full differential oracle on every frame that passes its CRC.
+/// Target 3: header/footer/index torture for the container reader, the
+/// full differential oracle on every frame that passes its CRC, then the
+/// reader's positional reads through a source cut at a fuzzed offset.
 fn container_torture(input: &[u8]) -> Result<u64, Failure> {
     // The raw stream header parser must never panic on these bytes either.
     let mut features = match catch_unwind(AssertUnwindSafe(|| szx_core::inspect(input))) {
@@ -319,7 +322,71 @@ fn container_torture(input: &[u8]) -> Result<u64, Failure> {
             Err(e) => fnv1a64(e.to_string().as_bytes()),
         });
     }
-    Ok(features)
+    let cut = fnv1a64(input) % (input.len() as u64 + 1);
+    Ok(features
+        .rotate_left(11)
+        .wrapping_add(truncated_reads(input, &reader, cut)?))
+}
+
+/// Container bytes whose reads fail from a fuzzed offset on, as a file cut
+/// there after it was opened: a read that reaches the offset errors.
+struct Truncated<'a> {
+    bytes: &'a [u8],
+    from: u64,
+    hit: AtomicBool,
+}
+
+impl ReadAt for Truncated<'_> {
+    fn size(&self) -> u64 {
+        self.bytes.len() as u64
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> szx_core::Result<()> {
+        if offset.saturating_add(buf.len() as u64) > self.from {
+            self.hit.store(true, Ordering::Relaxed);
+            return Err(szx_core::SzxError::Io("source ended early".into()));
+        }
+        self.bytes.read_exact_at(buf, offset)
+    }
+}
+
+/// The positional reader over `input` cut at `cut`: opening the container
+/// and decoding every frame must error, never panic, and where no read
+/// reached the cut, it must see exactly what `in_memory` saw.
+fn truncated_reads(
+    input: &[u8],
+    in_memory: &ContainerReader<'_>,
+    cut: u64,
+) -> Result<u64, Failure> {
+    let source = Truncated {
+        bytes: input,
+        from: cut,
+        hit: AtomicBool::new(false),
+    };
+    let got = catch_unwind(AssertUnwindSafe(|| {
+        ContainerReader::open(&source).map(|reader| decoded_frames(&reader))
+    }))
+    .map_err(|_| Failure::new("panic:truncated-source", format!("cut at {}", source.from)))?;
+    if !source.hit.load(Ordering::Relaxed) && got.as_ref().ok() != Some(&decoded_frames(in_memory))
+    {
+        return Err(Failure::new(
+            "divergence:truncated-source",
+            format!("no read reached the cut at {}", source.from),
+        ));
+    }
+    Ok(fnv1a64(format!("{got:?}").as_bytes()))
+}
+
+/// Each frame of `reader` decoded as `f32` bits, or its error message.
+fn decoded_frames<R: ReadAt + ?Sized>(
+    reader: &ContainerReader<'_, R>,
+) -> Vec<Result<Vec<u32>, String>> {
+    (0..reader.len().min(MAX_FRAMES))
+        .map(|i| {
+            let frame = reader.frame::<f32>(i).map_err(|e| e.to_string());
+            frame.map(|v| v.iter().map(|x| x.to_bits()).collect())
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -357,6 +424,11 @@ mod tests {
         .unwrap();
         let container = w.finish().unwrap();
         run_target_guarded(FuzzTarget::Container, &container).unwrap();
+        // The positional reader, cut at every offset.
+        let reader = ContainerReader::new(&container).unwrap();
+        for cut in 0..=container.len() as u64 {
+            truncated_reads(&container, &reader, cut).unwrap();
+        }
         run_target_guarded(FuzzTarget::Container, b"SZXC\x01\x02").unwrap();
         run_target_guarded(FuzzTarget::Container, &[]).unwrap();
     }

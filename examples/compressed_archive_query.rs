@@ -33,10 +33,11 @@ fn main() {
     let reader = ContainerReader::new(&archive).expect("parse container");
     let stream = |name| reader.frame_bytes(reader.position(name)?);
     let mut decoder = Decoder::default();
-    let index = StreamIndex::parse::<f32>(stream("pressure").expect("pressure")).expect("index");
+    let pressure = stream("pressure").expect("pressure");
+    let index = StreamIndex::parse::<f32>(pressure).expect("index");
     let probe_idx = index.header().n / 3;
     let probe: Vec<f32> = decoder
-        .decode_range(&index, probe_idx..probe_idx + 1)
+        .decode_range(&index, pressure, probe_idx..probe_idx + 1)
         .expect("probe");
     let probe = probe[0];
     let truth = ds.field("pressure").unwrap().data[probe_idx];
@@ -46,9 +47,10 @@ fn main() {
     let vx = ds.field("velocity-x").unwrap();
     let nx = vx.dims[0];
     let line_start = 17 * nx; // y=17, z=0
-    let index = StreamIndex::parse::<f32>(stream("velocity-x").unwrap()).unwrap();
+    let velocity = stream("velocity-x").unwrap();
+    let index = StreamIndex::parse::<f32>(velocity).unwrap();
     let line: Vec<f32> = decoder
-        .decode_range(&index, line_start..line_start + nx)
+        .decode_range(&index, velocity, line_start..line_start + nx)
         .expect("line");
     let blocks_touched = nx.div_ceil(128) + 1;
     println!(

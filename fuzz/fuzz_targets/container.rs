@@ -1,7 +1,8 @@
 //! libFuzzer wrapper for the container torture target: arbitrary bytes
 //! through the container header, footer and index parser, then every frame
-//! that passes its CRC — errors allowed, panics and cross-path divergence
-//! are findings.
+//! that passes its CRC, then the positional reader through a source that
+//! fails from a fuzzed offset on — errors allowed, panics and cross-path
+//! divergence are findings.
 #![no_main]
 
 use libfuzzer_sys::fuzz_target;

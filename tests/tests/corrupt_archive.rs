@@ -269,12 +269,16 @@ fn random_access_and_inspect_survive_corruption() {
     let n = data.len();
     for kernel in [KernelPath::Scalar, KernelPath::Kernel, KernelPath::Simd] {
         let mut decoder = Decoder::new(kernel, false);
-        assert!(decoder.decode_range::<f32>(&index, 60..50).is_err());
-        assert!(decoder.decode_range::<f32>(&index, n - 1..n + 1).is_err());
         assert!(decoder
-            .decode_range::<f32>(&index, usize::MAX - 1..usize::MAX)
+            .decode_range::<f32>(&index, &bytes[..], 60..50)
             .is_err());
-        let empty: Vec<f32> = decoder.decode_range(&index, n..n).unwrap();
+        assert!(decoder
+            .decode_range::<f32>(&index, &bytes[..], n - 1..n + 1)
+            .is_err());
+        assert!(decoder
+            .decode_range::<f32>(&index, &bytes[..], usize::MAX - 1..usize::MAX)
+            .is_err());
+        let empty: Vec<f32> = decoder.decode_range(&index, &bytes[..], n..n).unwrap();
         assert!(empty.is_empty());
     }
     assert_eq!(index.blocks::<f32>(1).next(), Some((5.0, None)));
@@ -311,6 +315,15 @@ fn every_single_byte_flip_in_a_container_is_detected() {
             v.iter().map(|x| x.to_bits()).collect()
         })
         .collect();
+    // Each frame's stream bytes: a flip there fails the frame's CRC, and
+    // that mismatch is the error, whatever else the flip broke.
+    let spans: Vec<std::ops::Range<usize>> = (0..frames.len())
+        .map(|i| {
+            let stream = clean.frame_bytes(i).unwrap();
+            let start = stream.as_ptr() as usize - container.as_ptr() as usize;
+            start..start + stream.len()
+        })
+        .collect();
 
     let mut flips = 0usize;
     for at in 0..container.len() {
@@ -324,7 +337,13 @@ fn every_single_byte_flip_in_a_container_is_detected() {
             let mut detected = false;
             for (i, want) in reference.iter().enumerate() {
                 match r.frame::<f32>(i) {
-                    Err(_) => detected = true,
+                    Err(e) => {
+                        detected = true;
+                        if spans[i].contains(&at) {
+                            let e = e.to_string();
+                            assert!(e.contains("checksum mismatch"), "flip at {at}: {e}");
+                        }
+                    }
                     Ok(v) => assert!(
                         v.iter().map(|x| x.to_bits()).eq(want.iter().copied()),
                         "flip {mask:#04x} at byte {at}: frame {i} decoded to wrong floats"

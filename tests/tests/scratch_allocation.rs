@@ -10,6 +10,7 @@
 //! file is its own test binary (see telemetry_counters.rs).
 
 use szx_core::config::{CommitStrategy, KernelPath};
+use szx_core::simd::Isa;
 use szx_core::{Decoder, SzxConfig};
 
 #[test]
@@ -64,8 +65,14 @@ fn scratch_arena_growth_is_bounded() {
         let (bytes, grows, _) = compress_grows(&cfg.with_parallel(true));
         assert_eq!(grows, 0, "parallel ({sel:?}): arena growths");
 
-        // The decoders of every path but the scalar one use an arena.
-        let uses_arena = sel != KernelPath::Scalar;
+        // The decoders of every path but the scalar one use an arena, save
+        // the AVX-512 `f32` decode, which reads its mid-bytes straight from
+        // the payload.
+        let uses_arena = match sel {
+            KernelPath::Scalar => false,
+            KernelPath::Simd => Isa::detect::<f32>() != Isa::Avx512,
+            KernelPath::Kernel => true,
+        };
 
         // Decode: a reused Decoder grows its arenas on the first call only
         // (the scalar loop needs none), so decoding the same stream again
@@ -81,6 +88,26 @@ fn scratch_arena_growth_is_bounded() {
                 .unwrap_or(0);
             let expect = u64::from(call == 0 && uses_arena);
             assert_eq!(grows, expect, "decode call {call} ({sel:?}): arena growths");
+        }
+
+        // An `f64` stream runs on an arena on every path but the scalar
+        // one (AVX2 or the portable kernel): grown on the first call only.
+        let doubles: Vec<f64> = data.iter().map(|&v| f64::from(v)).collect();
+        let doubles = szx_core::compress(&doubles, &cfg).unwrap();
+        let mut decoder = Decoder::new(sel, false);
+        for call in 0..2 {
+            tel.reset();
+            let back: Vec<f64> = decoder.decode(&doubles).unwrap();
+            assert_eq!(back.len(), data.len());
+            let grows = tel
+                .snapshot()
+                .counter("decompress.scratch.grows")
+                .unwrap_or(0);
+            let expect = u64::from(call == 0 && sel != KernelPath::Scalar);
+            assert_eq!(
+                grows, expect,
+                "f64 decode call {call} ({sel:?}): arena growths"
+            );
         }
 
         // Parallel decode: one arena per pool thread, grown on the first

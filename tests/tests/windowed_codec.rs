@@ -289,7 +289,9 @@ fn windowed_decode_matches_decode<F: SzxFloat>() {
                     let values: Vec<F> = got.into_iter().flat_map(|(_, w)| w).collect();
                     assert!(same(&values), "{what}");
                     for range in ranges.clone() {
-                        let part: Vec<F> = decoder.decode_range(&index, range.clone()).unwrap();
+                        let part: Vec<F> = decoder
+                            .decode_range(&index, &bytes[..], range.clone())
+                            .unwrap();
                         let want = &reference[range.clone()];
                         assert!(
                             part.len() == want.len()
