@@ -36,6 +36,7 @@ const ENTRY_TYPES: &[&str] = &[
     "Encoder",
     "ContainerReader",
     "StreamIndex",
+    "StreamHead",
     "Span",
 ];
 

@@ -8,8 +8,8 @@ use std::process::ExitCode;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use szx_core::{
-    CommitStrategy, ContainerReader, ErrorBound, ReadAt, StreamIndex, SzxConfig, SzxError,
-    SzxFloat, WindowSource,
+    CommitStrategy, ContainerReader, ErrorBound, ReadAt, StreamHead, SzxConfig, SzxError, SzxFloat,
+    WindowSource,
 };
 
 fn main() -> ExitCode {
@@ -607,16 +607,7 @@ struct ContainerFile {
     path: PathBuf,
     file: std::fs::File,
     len: u64,
-    /// The last read-ahead: its file offset and bytes.
-    ahead: Mutex<(u64, Vec<u8>)>,
 }
-
-/// Reads of at most `SMALL_READ` bytes (stream headers, and the sections
-/// and payloads of small frames) are served from one `AHEAD`-byte
-/// read-ahead, so a container of many small frames costs one read per
-/// `AHEAD` bytes instead of three per frame.
-const SMALL_READ: usize = 4 << 10;
-const AHEAD: usize = 64 << 10;
 
 impl ContainerFile {
     fn open(path: &Path) -> Result<Self, String> {
@@ -626,7 +617,6 @@ impl ContainerFile {
             path: path.to_path_buf(),
             file,
             len,
-            ahead: Mutex::default(),
         })
     }
 
@@ -645,10 +635,6 @@ impl ContainerFile {
         }
         Ok(digest.finish())
     }
-
-    fn pread(&self, buf: &mut [u8], offset: u64) -> szx_core::Result<()> {
-        (self.file.read_exact_at(buf, offset)).map_err(|e| SzxError::Io(read_error(&self.path, e)))
-    }
 }
 
 impl ReadAt for ContainerFile {
@@ -658,39 +644,17 @@ impl ReadAt for ContainerFile {
 
     fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> szx_core::Result<()> {
         let _s = szx_telemetry::span("io.read");
-        if buf.len() <= SMALL_READ {
-            // A thread that finds the read-ahead busy reads for itself.
-            if let Ok(mut ahead) = self.ahead.try_lock() {
-                let (start, bytes) = &mut *ahead;
-                if held(*start, bytes, offset, buf.len()).is_none() {
-                    let len = self.len.saturating_sub(offset).min(AHEAD as u64);
-                    bytes.resize(len as usize, 0);
-                    *start = offset;
-                    self.pread(bytes, offset)?;
-                }
-                if let Some(held) = held(*start, bytes, offset, buf.len()) {
-                    buf.copy_from_slice(held);
-                    return Ok(());
-                }
-            }
-        }
-        self.pread(buf, offset)
+        (self.file.read_exact_at(buf, offset)).map_err(|e| SzxError::Io(read_error(&self.path, e)))
     }
 }
 
-/// Bytes `offset..offset + len` of the file, if a read-ahead of `bytes`
-/// from `start` holds them.
-fn held(start: u64, bytes: &[u8], offset: u64, len: usize) -> Option<&[u8]> {
-    let from = usize::try_from(offset.checked_sub(start)?).ok()?;
-    bytes.get(from..from.checked_add(len)?)
-}
-
 /// The frames of a container in index order, or the one asked for by
-/// name: each one's position and stream index (header and sections, read
-/// and checked). Their payloads are read window by window as they decode.
+/// name: each one's position and stream header, read up front to size the
+/// output. A frame's sections are read, and its index built, when its turn
+/// to decode comes; its payload is read window by window as it decodes.
 struct Frames<'a, R: ?Sized> {
     reader: ContainerReader<'a, R>,
-    picked: Vec<(usize, StreamIndex<'a>)>,
+    picked: Vec<(usize, StreamHead)>,
 }
 
 impl<'a, R: ReadAt + ?Sized> Frames<'a, R> {
@@ -703,8 +667,7 @@ impl<'a, R: ReadAt + ?Sized> Frames<'a, R> {
             Some(name) => reader.position(name).map(|i| i..i + 1).map_err(err)?,
             None => 0..reader.len(),
         };
-        let picked: szx_core::Result<_> =
-            picked.map(|i| Ok((i, reader.stream_index(i)?))).collect();
+        let picked: szx_core::Result<_> = picked.map(|i| Ok((i, reader.stream_head(i)?))).collect();
         Ok(Frames {
             picked: picked.map_err(err)?,
             reader,
@@ -712,9 +675,8 @@ impl<'a, R: ReadAt + ?Sized> Frames<'a, R> {
     }
 
     fn headers(&self) -> impl Iterator<Item = &szx_core::Header> {
-        self.picked.iter().map(|(_, index)| index.header())
+        self.picked.iter().map(|(_, head)| head.header())
     }
-
     /// Values over all frames.
     fn n(&self) -> usize {
         self.headers().map(|h| h.n).sum()
@@ -732,14 +694,16 @@ impl<'a, R: ReadAt + ?Sized> Frames<'a, R> {
     }
 
     /// Stream bytes over all frames, without the container's framing.
-    fn stream_bytes(&self) -> usize {
-        self.picked
+    fn stream_bytes(&self) -> u64 {
+        let entries = self
+            .picked
             .iter()
-            .map(|(_, index)| index.stream_len())
-            .sum()
+            .map(|&(i, _)| self.reader.stream_entry(i));
+        entries.filter_map(Result::ok).map(|(len, _)| len).sum()
     }
 
-    /// Decode the frames in order, window by window, and hand `sink` the
+    /// Decode the frames in order, each one's index built as its turn comes
+    /// and dropped after it, window by window, and hand `sink` the
     /// thread's `T`, each window's first value index over all frames, the
     /// window and its frame's bound: in stream order serially, as the
     /// threads finish them in parallel (`ContainerReader::decode_windows`,
@@ -749,11 +713,13 @@ impl<'a, R: ReadAt + ?Sized> Frames<'a, R> {
         decoder: &mut szx_core::Decoder,
         sink: impl Fn(&mut T, usize, &[F], f64) -> szx_core::Result<()> + Sync + Send,
     ) -> Result<(), String> {
+        let err = |e: szx_core::SzxError| e.to_string();
         let mut first = 0;
-        for (i, index) in &self.picked {
-            let h = index.header();
+        for &(i, head) in &self.picked {
+            let h = head.header();
+            let index = self.reader.stream_index_on(i, head).map_err(err)?;
             let sink = |t: &mut T, at, w: &[F]| sink(t, first + at, w, h.eb);
-            (self.reader.decode_windows(*i, index, decoder, sink)).map_err(|e| e.to_string())?;
+            (self.reader.decode_windows(i, &index, decoder, sink)).map_err(err)?;
             first += h.n;
         }
         Ok(())
@@ -1402,10 +1368,15 @@ mod tests {
     /// A container of `frames` frames of 140,000 `f32` values (two decode
     /// windows each), named 0, 1, ...
     fn container(frames: usize) -> Vec<u8> {
+        container_of(frames, 140_000)
+    }
+
+    /// A container of `frames` frames of `n` `f32` values.
+    fn container_of(frames: usize, n: usize) -> Vec<u8> {
         let cfg = SzxConfig::absolute(1e-3);
         let mut w = szx_core::ContainerWriter::new(Vec::new(), cfg).unwrap();
         for k in 0..frames {
-            let frame: Vec<f32> = (0..140_000)
+            let frame: Vec<f32> = (0..n)
                 .map(|i| ((i + 977 * k) as f32 * 0.003).sin() * 5.0)
                 .collect();
             w.push(&k.to_string(), &frame).unwrap();
@@ -1466,7 +1437,7 @@ mod tests {
             .map(|k| {
                 let stream = reader.frame_bytes(k).unwrap();
                 let start = stream.as_ptr() as u64 - bytes.as_ptr() as u64;
-                let index = StreamIndex::parse::<f32>(stream).unwrap();
+                let index = szx_core::StreamIndex::parse::<f32>(stream).unwrap();
                 let payload = index.blocks::<f32>(0).find_map(|(_, p)| p).unwrap();
                 (start, start + stream.len() as u64, payload.start as u64)
             })
@@ -1517,51 +1488,26 @@ mod tests {
     }
 
     #[test]
-    fn small_reads_come_from_the_read_ahead_and_match_the_file() {
-        let dir = scratch("ahead");
-        let path = dir.join("c.szx");
-        let bytes: Vec<u8> = (0..200_000u32).map(|i| (i * 7 + i / 251) as u8).collect();
-        std::fs::write(&path, &bytes).unwrap();
-        let file = ContainerFile::open(&path).unwrap();
-        // Small reads in order, back and forth, and across the end of a
-        // read-ahead, then reads too large for it.
-        let reads = [(0, 36), (36, 4096), (65_530, 12), (10, 1), (199_990, 10)];
-        let large = [(1000, 4097), (150_000, 50_000)];
-        for (offset, len) in reads.into_iter().chain(large) {
-            let mut buf = vec![0; len];
-            file.read_exact_at(&mut buf, offset as u64).unwrap();
-            assert_eq!(buf, bytes[offset..offset + len], "{offset} + {len}");
-        }
-        assert!(file.read_exact_at(&mut [0; 11], 199_990).is_err());
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .unwrap()
-            .set_len(100_000)
-            .unwrap();
-        let err = file.read_exact_at(&mut [0; 8], 120_000).unwrap_err();
-        assert!(err.to_string().contains("input shrank"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn container_truncated_during_decompress_is_an_error() {
         let dir = scratch("truncated");
         let (path, out) = (dir.join("in.szx"), dir.join("out.f32"));
-        std::fs::write(&path, container(2)).unwrap();
-        std::fs::write(&out, b"earlier").unwrap();
-        let file = ContainerFile::open(&path).unwrap();
-        let frames = Frames::read(&file, None).unwrap();
-        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(file.len / 2).unwrap();
-        let mut decoder = szx_core::Decoder::default();
-        let err = write_frames::<f32>(&frames, &mut decoder, &out).unwrap_err();
-        assert!(
-            err.contains(&format!("{}: input shrank", path.display())),
-            "{err}"
-        );
-        assert_eq!(std::fs::read(&out).unwrap(), b"earlier");
-        assert!(!dir.join("out.f32.partial").exists());
+        // Frames of two windows, and frames of a few hundred bytes.
+        for (frames, n) in [(2, 140_000), (40, 300)] {
+            std::fs::write(&path, container_of(frames, n)).unwrap();
+            std::fs::write(&out, b"earlier").unwrap();
+            let file = ContainerFile::open(&path).unwrap();
+            let frames = Frames::read(&file, None).unwrap();
+            let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            f.set_len(file.len / 2).unwrap();
+            let mut decoder = szx_core::Decoder::default();
+            let err = write_frames::<f32>(&frames, &mut decoder, &out).unwrap_err();
+            assert!(
+                err.contains(&format!("{}: input shrank", path.display())),
+                "{err}"
+            );
+            assert_eq!(std::fs::read(&out).unwrap(), b"earlier");
+            assert!(!dir.join("out.f32.partial").exists());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -29,7 +29,7 @@ use std::io::Write;
 
 use crate::config::SzxConfig;
 use crate::cursor::Cursor;
-use crate::decode::{Checked, Decoder, StreamIndex};
+use crate::decode::{Checked, Decoder, StreamHead, StreamIndex};
 use crate::encode::Encoder;
 use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
@@ -476,7 +476,9 @@ impl ContainerIndex {
 
 /// Reads frames out of a container through its [`ReadAt`] source, by
 /// position: opening it reads the footer and the index;
-/// [`Self::stream_index`] reads a frame's header and sections; decoding
+/// [`Self::stream_index`] reads a frame's header and sections (or
+/// [`Self::stream_head`] the header alone, and [`Self::stream_index_on`]
+/// the sections after it, when the frame's turn comes); decoding
 /// reads each window's payload as the window comes up, and folds the
 /// frame's CRC32C in as it goes. The default source is bytes in memory,
 /// which lend their pieces instead of copying them.
@@ -552,9 +554,25 @@ impl<'a, R: ReadAt + ?Sized> ContainerReader<'a, R> {
     /// read. Sections that fail to parse report the frame's checksum
     /// mismatch, if it has one, found by reading the rest of the frame.
     pub fn stream_index(&self, i: usize) -> Result<StreamIndex<'a>> {
+        self.stream_index_on(i, self.stream_head(i)?)
+    }
+
+    /// The header of frame `i`'s stream, read alone: enough to size the
+    /// frame before its index is built. A header that fails to parse
+    /// reports the frame's checksum mismatch first, as in
+    /// [`Self::stream_index`].
+    pub fn stream_head(&self, i: usize) -> Result<StreamHead> {
         let e = self.entry(i)?;
-        let span = self.span(e);
-        StreamIndex::read_traced(&span).map_err(|err| self.verified(e, err))
+        StreamHead::read_traced(&self.span(e)).map_err(|err| self.verified(e, err))
+    }
+
+    /// [`Self::stream_index`] of frame `i`, built on `head`, which
+    /// [`Self::stream_head`] read from frame `i`: only the sections after
+    /// the header are read. The head of another frame, with other header
+    /// bytes, makes frame `i` fail its section checks or its checksum.
+    pub fn stream_index_on(&self, i: usize, head: StreamHead) -> Result<StreamIndex<'a>> {
+        let e = self.entry(i)?;
+        StreamIndex::read_on_traced(&self.span(e), head).map_err(|err| self.verified(e, err))
     }
 
     /// Decode frame `i`, which `index` (from [`Self::stream_index`]) indexes,
@@ -741,6 +759,37 @@ mod tests {
             .unwrap();
         assert_eq!(by_index.len(), 4);
         assert_eq!(by_index, by_name);
+    }
+
+    #[test]
+    fn index_built_on_a_read_head_decodes_and_a_foreign_head_fails() {
+        let originals: Vec<Vec<f32>> = (0..3).map(|k| frame(k, 3000 + 500 * k)).collect();
+        let bytes = container(SzxConfig::absolute(1e-4), &originals);
+        let r = ContainerReader::new(&bytes).unwrap();
+        let decode = |i, index: &StreamIndex<'_>| {
+            let out = std::sync::Mutex::new(vec![0f32; index.header().n]);
+            let mut decoder = Decoder::default();
+            r.decode_windows(i, index, &mut decoder, |(), at, w: &[f32]| {
+                out.lock().unwrap()[at..at + w.len()].copy_from_slice(w);
+                Ok(())
+            })
+            .map(|()| out.into_inner().unwrap())
+        };
+        let heads: Vec<StreamHead> = (0..3).map(|i| r.stream_head(i).unwrap()).collect();
+        for (i, &head) in heads.iter().enumerate() {
+            assert_eq!(head.header().n, originals[i].len());
+            let index = r.stream_index_on(i, head).unwrap();
+            assert_eq!(index.header(), r.stream_index(i).unwrap().header());
+            assert_eq!(decode(i, &index).unwrap(), r.frame::<f32>(i).unwrap());
+        }
+        // Frame 0's head on frame 1: its sections do not parse, or the
+        // decode fails frame 1's checksum.
+        let err = r
+            .stream_index_on(1, heads[0])
+            .and_then(|index| decode(1, &index).map(drop))
+            .unwrap_err();
+        assert!(matches!(err, SzxError::CorruptStream(_)), "{err}");
+        assert!(r.stream_head(3).is_err());
     }
 
     #[test]

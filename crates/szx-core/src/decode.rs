@@ -18,6 +18,42 @@ use crate::source::{ReadAt, Span};
 use crate::stream::{Header, SectionLayout, HEADER_LEN};
 use crate::window::{for_each_window, window_len, window_values, windows};
 
+/// A stream's header as read from its first [`HEADER_LEN`] bytes, with
+/// the CRC32C of those bytes: what a [`StreamIndex`] is built on. A
+/// container's frames can be sized from their heads alone, and each
+/// frame's index built on its head when its turn comes, without reading
+/// the header twice.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StreamHead {
+    header: Header,
+    crc: u32,
+}
+
+impl StreamHead {
+    /// Read and parse the header of the stream `span` holds.
+    pub(crate) fn read<R: ReadAt + ?Sized>(span: &Span<'_, R>) -> Result<Self> {
+        let mut buf = [0; HEADER_LEN];
+        let len = usize::try_from(span.len()).map_or(HEADER_LEN, |len| len.min(HEADER_LEN));
+        let bytes = buf.get_mut(..len).unwrap_or_default();
+        span.fill(0, bytes)?;
+        Ok(StreamHead {
+            header: Header::parse(bytes)?,
+            crc: crc32c(bytes),
+        })
+    }
+
+    /// [`Self::read`] inside the `decompress.index` span.
+    pub(crate) fn read_traced<R: ReadAt + ?Sized>(span: &Span<'_, R>) -> Result<Self> {
+        let _s = szx_telemetry::span("decompress.index");
+        Self::read(span)
+    }
+
+    /// The stream's header.
+    pub fn header(&self) -> &Header {
+        &self.header
+    }
+}
+
 /// The one index of a compressed stream: where block `b`'s μ and payload
 /// are. It holds the stream's header and its state-bit, μ and zsize
 /// sections (borrowed from a stream in memory, else read) and keeps one
@@ -29,7 +65,10 @@ use crate::window::{for_each_window, window_len, window_values, windows};
 #[derive(Debug)]
 pub struct StreamIndex<'a> {
     header: Header,
-    /// The stream's bytes before its first payload: header and sections.
+    /// CRC32C of the header's bytes.
+    head_crc: u32,
+    /// The stream's bytes from the end of its header to its first
+    /// payload: the state-bit, μ and zsize sections.
     sections: Cow<'a, [u8]>,
     layout: SectionLayout,
     /// Bytes in the stream.
@@ -54,15 +93,23 @@ impl<'a> StreamIndex<'a> {
     }
 
     /// Read and validate the index of the stream `span` holds, of either
-    /// element type: its header, then its sections, lent by a source in
-    /// memory and read from any other. Every offset is checked against
-    /// the stream's length before anything is read or allocated for it.
+    /// element type: its header, then its sections (see [`Self::read_on`]).
     pub(crate) fn read<R: ReadAt + ?Sized>(span: &Span<'a, R>) -> Result<Self> {
+        Self::read_on(span, StreamHead::read(span)?)
+    }
+
+    /// The index of the stream `span` holds, whose header `head` was read
+    /// from it: its sections, lent by a source in memory and read from any
+    /// other. Every offset is checked against the stream's length before
+    /// anything is read or allocated for it.
+    pub(crate) fn read_on<R: ReadAt + ?Sized>(
+        span: &Span<'a, R>,
+        head: StreamHead,
+    ) -> Result<Self> {
         let corrupt = |m: String| SzxError::CorruptStream(m);
         let len = usize::try_from(span.len())
             .map_err(|_| corrupt(format!("stream of {} bytes", span.len())))?;
-        let mut head = Vec::new();
-        let header = Header::parse(span.read(0, len.min(HEADER_LEN), &mut head)?)?;
+        let StreamHead { header, crc } = head;
         let layout = SectionLayout::for_header(&header)?;
         if len < layout.payload_off {
             return Err(corrupt(format!(
@@ -70,18 +117,18 @@ impl<'a> StreamIndex<'a> {
                 layout.payload_off
             )));
         }
-        let sections = match span.lend(0, layout.payload_off) {
+        // The layout starts the sections at HEADER_LEN.
+        let sections_len = layout.payload_off.saturating_sub(HEADER_LEN);
+        let sections = match span.lend(HEADER_LEN as u64, sections_len) {
             Some(bytes) => Cow::Borrowed(bytes),
             None => {
-                // The header is in `head` already; read only what follows.
-                head.resize(layout.payload_off, 0);
-                let rest = head.get_mut(HEADER_LEN..).unwrap_or_default();
-                span.fill(HEADER_LEN as u64, rest)?;
-                Cow::Owned(head)
+                let mut bytes = vec![0; sections_len];
+                span.fill(HEADER_LEN as u64, &mut bytes)?;
+                Cow::Owned(bytes)
             }
         };
         let nblocks = header.num_blocks();
-        let section = |r: Range<usize>| sections.get(r).unwrap_or_default();
+        let section = |r: Range<usize>| section_of(&sections, r);
         let states = StateBits::new(section(layout.state_off..layout.mu_off), nblocks)
             .ok_or_else(|| corrupt("state bit section truncated".into()))?;
 
@@ -118,6 +165,7 @@ impl<'a> StreamIndex<'a> {
         }
         Ok(StreamIndex {
             header,
+            head_crc: crc,
             sections,
             layout,
             len,
@@ -131,6 +179,15 @@ impl<'a> StreamIndex<'a> {
     pub(crate) fn read_traced<R: ReadAt + ?Sized>(span: &Span<'a, R>) -> Result<Self> {
         let _s = szx_telemetry::span("decompress.index");
         Self::read(span)
+    }
+
+    /// [`Self::read_on`] inside the `decompress.index` span.
+    pub(crate) fn read_on_traced<R: ReadAt + ?Sized>(
+        span: &Span<'a, R>,
+        head: StreamHead,
+    ) -> Result<Self> {
+        let _s = szx_telemetry::span("decompress.index");
+        Self::read_on(span, head)
     }
 
     /// The stream's header.
@@ -148,13 +205,14 @@ impl<'a> StreamIndex<'a> {
         self.len
     }
 
-    /// The stream's header and sections, as the stream holds them.
-    pub(crate) fn sections(&self) -> &[u8] {
-        &self.sections
+    /// CRC32C of the stream's header and sections.
+    pub(crate) fn sections_crc(&self) -> u32 {
+        let sections = crc32c(&self.sections);
+        crc32c_combine(self.head_crc, sections, self.sections.len() as u64)
     }
 
     fn section(&self, range: Range<usize>) -> &[u8] {
-        self.sections.get(range).unwrap_or_default()
+        section_of(&self.sections, range)
     }
 
     /// The state bits (`None` never happens: [`Self::read`] checked them).
@@ -219,6 +277,16 @@ impl<'a> StreamIndex<'a> {
         let end = self.windows.get(k + 1).map_or(self.len, |w| w.1);
         start..end
     }
+}
+
+/// Stream bytes `range` of a section, given `sections`, the stream's bytes
+/// from the end of its header on.
+fn section_of(sections: &[u8], range: Range<usize>) -> &[u8] {
+    let from = |at: usize| at.checked_sub(HEADER_LEN);
+    let range = from(range.start).zip(from(range.end));
+    range
+        .and_then(|(start, end)| sections.get(start..end))
+        .unwrap_or_default()
 }
 
 /// The little-endian zsizes of `zsize_bytes` from zsize `from` on.
@@ -307,14 +375,22 @@ impl Decoder {
     /// access, §6.1) and reading only their payloads: block by block on
     /// the calling thread, whatever the parallel switch, with this
     /// decoder's path. The values equal the matching slice of
-    /// [`Self::decode`]. A range past the stream's end, or a `F` other
-    /// than the stream's, is an error.
+    /// [`Self::decode`]. A range past the stream's end, a `stream` of
+    /// another length than the one indexed, or a `F` other than the
+    /// stream's, is an error.
     pub fn decode_range<F: SzxFloat>(
         &mut self,
         index: &StreamIndex<'_>,
         stream: &(impl ReadAt + ?Sized),
         range: Range<usize>,
     ) -> Result<Vec<F>> {
+        if stream.size() != index.len as u64 {
+            return Err(SzxError::InvalidConfig(format!(
+                "index of a {}-byte stream given for a stream of {} bytes",
+                index.len,
+                stream.size()
+            )));
+        }
         index.header.expect_dtype::<F>()?;
         let (n, bs) = (index.header.n, index.header.block_size);
         if range.start > range.end || range.end > n {
@@ -534,7 +610,7 @@ impl Decoder {
                 .set_max(bytes as f64);
         }
         let mut checked = Checked {
-            crc: if crc { crc32c(index.sections()) } else { 0 },
+            crc: if crc { index.sections_crc() } else { 0 },
             result: Ok(()),
         };
         for (window_crc, len, result) in windows? {
@@ -1021,6 +1097,16 @@ mod tests {
             .decode_range::<f32>(&index, &bytes[..], 100..100)
             .unwrap()
             .is_empty());
+        // A stream other than the one indexed, shorter or longer.
+        for stream in [
+            bytes[..bytes.len() - 1].to_vec(),
+            [&bytes[..], &[0]].concat(),
+        ] {
+            let err = decoder
+                .decode_range::<f32>(&index, &stream[..], 0..10)
+                .unwrap_err();
+            assert!(matches!(err, SzxError::InvalidConfig(_)), "{err}");
+        }
         assert_eq!(index.blocks::<f32>(index.num_blocks()).next(), None);
     }
 

@@ -139,7 +139,7 @@ pub use config::{
     CommitStrategy, ErrorBound, KernelPath, SzxConfig, DEFAULT_BLOCK_SIZE, MAX_BLOCK_SIZE,
 };
 pub use container::{ContainerReader, ContainerWriter, FrameStats};
-pub use decode::{decompress, Decoder, StreamIndex};
+pub use decode::{decompress, Decoder, StreamHead, StreamIndex};
 pub use encode::{compress, Encoder, RangeScan};
 pub use error::{Result, SzxError};
 pub use float::SzxFloat;
