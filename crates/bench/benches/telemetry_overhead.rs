@@ -1,10 +1,10 @@
 //! Cost of the observability layer: compression throughput with telemetry
 //! disabled (the default — every instrument site is behind one relaxed
 //! atomic load) versus enabled (counters derived from the assembled chunks
-//! once per pass at the assemble join point), with the flight recorder on top
-//! (per-thread lock-free event buffers), and with the zone-stack sampling
-//! profiler running at its default ~997 Hz. The acceptance bar is <2%
-//! overhead for every enabled arm on a ≥64 MB field; with everything
+//! once per pass at the assemble join point, and each span's self time
+//! folded into its thread's stack map on drop), and with the flight
+//! recorder on top (per-thread lock-free event buffers). The acceptance
+//! bar is <2% overhead for every enabled arm on a ≥64 MB field; with everything
 //! merely *compiled in* but off (the shipped default), the cost is the
 //! same one relaxed load.
 
@@ -59,21 +59,6 @@ fn bench_overhead(c: &mut Criterion) {
                 let text = szx_telemetry::render_prometheus(&szx_telemetry::global().snapshot());
                 (stream, text)
             });
-        },
-    );
-    // The profiler arm: zone publication on (a few atomic stores per
-    // trace_zone push/pop at chunk granularity) plus the sampler thread
-    // interrupting at the default rate. The workload threads never block
-    // on the sampler — it only reads their seqlock slots — so the cost is
-    // the publication stores plus cache-line ping-pong on sampled slots.
-    g.bench_function(
-        BenchmarkId::new("compress-64MB", "enabled-plus-sampler"),
-        |b| {
-            szx_telemetry::set_enabled(true);
-            szx_telemetry::set_trace_enabled(false);
-            let profiler = szx_profile::Profiler::start(szx_profile::default_hz());
-            b.iter(|| szx_core::compress(&data, &cfg).unwrap());
-            profiler.stop();
         },
     );
     szx_telemetry::set_enabled(false);

@@ -1,11 +1,11 @@
-//! Interleaved A/B/C check of telemetry overhead on a 64 MB field: the
-//! acceptance bar is <2% for telemetry enabled and for the zone-stack
-//! sampler running at its default rate. Interleaving the arms within each
-//! round cancels the host-load drift that makes sequential benches lie.
+//! Interleaved A/B check of telemetry overhead on a 64 MB field: the
+//! acceptance bar is <2% for telemetry enabled (which includes the span
+//! stack's folded self times). Interleaving the arms within each round
+//! cancels the host-load drift that makes sequential benches lie.
 //!
-//! Two readings per arm: min-of-N (each arm's fastest round against the
-//! disabled arm's fastest), and the paired per-round overhead (each round's
-//! arm against the disabled run of the same round) as median and
+//! Two readings: min-of-N (the enabled arm's fastest round against the
+//! disabled arm's fastest), and the paired per-round overhead (each
+//! enabled run against the disabled run of the same round) as median and
 //! quartiles. The paired figure is the one to quote: min-of-N compares
 //! runs from different moments, so on a noisy host it swings by tens of
 //! percent for an unchanged tree.
@@ -37,50 +37,37 @@ fn main() {
     for _ in 0..2 {
         szx_core::compress(&data, &cfg).unwrap();
     }
-    const ARMS: [&str; 3] = ["disabled", "enabled", "enabled+sampler"];
-    let mut best = [f64::INFINITY; 3];
-    // Per-round overhead (%) of each enabled arm against that round's
+    const ARMS: [&str; 2] = ["disabled", "enabled"];
+    let mut best = [f64::INFINITY; 2];
+    // Per-round overhead (%) of the enabled run against that round's
     // disabled run.
-    let mut paired: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    let mut paired = Vec::new();
     for round in 0..rounds {
-        let mut round_ms = [0.0; 3];
+        let mut round_ms = [0.0; 2];
         for (k, arm) in ARMS.into_iter().enumerate() {
-            szx_telemetry::set_enabled(k >= 1);
-            // The profiler start/stop (thread spawn/join) sits outside the
-            // timed region, as it does in real runs.
-            let profiler =
-                (k == 2).then(|| szx_profile::Profiler::start(szx_profile::default_hz()));
+            szx_telemetry::set_enabled(k == 1);
             let t = std::time::Instant::now();
             let b = szx_core::compress(&data, &cfg).unwrap();
             let ms = t.elapsed().as_secs_f64() * 1e3;
-            if let Some(p) = profiler {
-                p.stop();
-            }
             best[k] = best[k].min(ms);
             round_ms[k] = ms;
-            println!("round {round} {arm:<15} {ms:8.2} ms  ({} bytes)", b.len());
+            println!("round {round} {arm:<9} {ms:8.2} ms  ({} bytes)", b.len());
         }
-        for k in 1..3 {
-            paired[k - 1].push((round_ms[k] - round_ms[0]) / round_ms[0] * 100.0);
-        }
+        paired.push((round_ms[1] - round_ms[0]) / round_ms[0] * 100.0);
     }
     szx_telemetry::set_enabled(false);
-    for k in 1..3 {
-        let overhead = (best[k] - best[0]) / best[0] * 100.0;
-        println!(
-            "min {}: {:.2} ms vs disabled {:.2} ms, overhead {overhead:+.2}%",
-            ARMS[k], best[k], best[0]
-        );
-        let p = &mut paired[k - 1];
-        p.sort_by(f64::total_cmp);
-        println!(
-            "paired {}: median {:+.2}%, quartiles {:+.2}% .. {:+.2}% over {rounds} rounds",
-            ARMS[k],
-            quantile(p, 0.5),
-            quantile(p, 0.25),
-            quantile(p, 0.75)
-        );
-    }
+    let overhead = (best[1] - best[0]) / best[0] * 100.0;
+    println!(
+        "min enabled: {:.2} ms vs disabled {:.2} ms, overhead {overhead:+.2}%",
+        best[1], best[0]
+    );
+    paired.sort_by(f64::total_cmp);
+    println!(
+        "paired enabled: median {:+.2}%, quartiles {:+.2}% .. {:+.2}% over {rounds} rounds",
+        quantile(&paired, 0.5),
+        quantile(&paired, 0.25),
+        quantile(&paired, 0.75)
+    );
 }
 
 /// Linearly interpolated `q`-quantile of a non-empty ascending slice.

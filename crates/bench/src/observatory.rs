@@ -71,11 +71,12 @@ pub struct BenchRecord {
     /// in v1: absent in older documents parses as 0.0, and [`compare`]
     /// never gates on it — the roofline describes the machine, not szx).
     pub roofline_gbps: f64,
-    /// Top zones by self samples from an untimed profiled pass over the
-    /// cell (schema-additive in v1: absent in older documents parses as
-    /// empty, and [`compare`] never gates on it — attribution is context,
-    /// not a metric).
-    pub hotspots: Vec<szx_profile::Hotspot>,
+    /// Top zones by self time from an untimed pass over the cell with
+    /// collection on, in nanoseconds (BENCH_4 and BENCH_5 hold sampler
+    /// tick counts). Schema-additive in v1: absent in older documents
+    /// parses as empty, and [`compare`] never gates on it — attribution is
+    /// context, not a metric.
+    pub hotspots: Vec<szx_telemetry::Hotspot>,
 }
 
 impl BenchRecord {
@@ -111,8 +112,8 @@ impl BenchRecord {
                         .map(|h| {
                             Json::Obj(vec![
                                 ("zone".into(), Json::Str(h.name.clone())),
-                                ("self_samples".into(), Json::Num(h.self_samples as f64)),
-                                ("total_samples".into(), Json::Num(h.total_samples as f64)),
+                                ("self_ns".into(), Json::Num(h.self_weight as f64)),
+                                ("total_ns".into(), Json::Num(h.total_weight as f64)),
                             ])
                         })
                         .collect(),
@@ -140,22 +141,22 @@ impl BenchRecord {
             Some(items) => items
                 .iter()
                 .map(|h| {
-                    Ok(szx_profile::Hotspot {
+                    // Documents before exact stacks weigh in sampler ticks.
+                    let weight = |ns: &str, ticks: &str| {
+                        h.get(ns)
+                            .or_else(|| h.get(ticks))
+                            .and_then(Json::as_f64)
+                            .map(|w| w as u64)
+                            .ok_or(format!("hotspot missing {ns}"))
+                    };
+                    Ok(szx_telemetry::Hotspot {
                         name: h
                             .get("zone")
                             .and_then(Json::as_str)
                             .ok_or("hotspot missing zone name")?
                             .to_string(),
-                        self_samples: h
-                            .get("self_samples")
-                            .and_then(Json::as_f64)
-                            .ok_or("hotspot missing self_samples")?
-                            as u64,
-                        total_samples: h
-                            .get("total_samples")
-                            .and_then(Json::as_f64)
-                            .ok_or("hotspot missing total_samples")?
-                            as u64,
+                        self_weight: weight("self_ns", "self_samples")?,
+                        total_weight: weight("total_ns", "total_samples")?,
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?,
@@ -524,42 +525,31 @@ impl Default for RunOptions {
 
 /// Hotspots recorded per cell.
 const HOTSPOT_TOP_N: usize = 10;
-/// Sampling rate for the hotspot pass: well above the 997 Hz default so
-/// even a tiny-scale cell (microseconds of work per iteration) accumulates
-/// enough ticks over [`HOTSPOT_MIN_SECS`] to attribute something.
-const HOTSPOT_HZ: u32 = 4_000;
-/// Minimum wall time the profiled pass loops the cell's workload for.
-const HOTSPOT_MIN_SECS: f64 = 0.05;
 
-/// One *untimed* profiled pass over the cell's workload: start the zone
-/// sampler, loop compress+decompress until enough wall time has elapsed to
-/// accumulate samples, and keep the top zones by self time. Runs strictly
-/// outside the timed regions, so attribution costs the throughput numbers
-/// nothing.
+/// One *untimed* pass over the cell's workload with collection on: the
+/// top zones by self time, read from the folded map. Runs strictly outside
+/// the timed regions, so attribution costs the throughput numbers nothing.
 fn collect_hotspots(
     dataset: &szx_data::Dataset,
     cfg: &SzxConfig,
     kernel: KernelPath,
     mode: &str,
-) -> Vec<szx_profile::Hotspot> {
-    let profiler = szx_profile::Profiler::start(HOTSPOT_HZ);
-    let start = Instant::now();
+) -> Vec<szx_telemetry::Hotspot> {
+    let tel = szx_telemetry::global();
+    tel.reset();
+    szx_telemetry::set_enabled(true);
     let cfg = cfg.with_parallel(mode == "parallel");
     let mut decoder = Decoder::new(kernel, cfg.parallel);
-    loop {
-        for field in &dataset.fields {
-            let data = &field.data;
-            let stream = szx_core::compress(data, &cfg).expect("hotspot-pass compression failed");
-            let mut recon = vec![0f32; data.len()];
-            decoder
-                .decode_into(&stream, &mut recon)
-                .expect("hotspot-pass decompression failed");
-        }
-        if start.elapsed().as_secs_f64() >= HOTSPOT_MIN_SECS {
-            break;
-        }
+    for field in &dataset.fields {
+        let data = &field.data;
+        let stream = szx_core::compress(data, &cfg).expect("hotspot-pass compression failed");
+        let mut recon = vec![0f32; data.len()];
+        decoder
+            .decode_into(&stream, &mut recon)
+            .expect("hotspot-pass decompression failed");
     }
-    profiler.stop().hotspots(HOTSPOT_TOP_N)
+    szx_telemetry::set_enabled(false);
+    tel.profile().hotspots(HOTSPOT_TOP_N)
 }
 
 /// Fastest wall time of `samples` invocations, in seconds.
@@ -642,8 +632,8 @@ pub fn run(opts: &RunOptions) -> BenchReport {
                         });
                         roofline_secs += t;
                     }
-                    // Attribution pass *after* the timed loops: the sampler
-                    // never runs while throughput is being measured.
+                    // Attribution pass *after* the timed loops: collection
+                    // is never on while throughput is being measured.
                     let hotspots = collect_hotspots(&dataset, &cfg, kernel, mode);
                     let record = BenchRecord {
                         suite: app.short_name().to_string(),
@@ -715,15 +705,15 @@ mod tests {
                 max_err_over_bound: 0.93,
                 roofline_gbps: 11.5,
                 hotspots: vec![
-                    szx_profile::Hotspot {
+                    szx_telemetry::Hotspot {
                         name: "compress.encode_blocks".into(),
-                        self_samples: 120,
-                        total_samples: 130,
+                        self_weight: 120,
+                        total_weight: 130,
                     },
-                    szx_profile::Hotspot {
+                    szx_telemetry::Hotspot {
                         name: "compress.range_scan".into(),
-                        self_samples: 45,
-                        total_samples: 45,
+                        self_weight: 45,
+                        total_weight: 45,
                     },
                 ],
             }],
@@ -764,6 +754,14 @@ mod tests {
             + "}]}";
         let parsed = BenchReport::from_json(&without).unwrap();
         assert!(parsed.records[0].hotspots.is_empty());
+        // BENCH_4/BENCH_5 hotspots weigh in sampler ticks, under their own
+        // keys: still read.
+        let ticks = r
+            .to_json()
+            .replace("\"self_ns\"", "\"self_samples\"")
+            .replace("\"total_ns\"", "\"total_samples\"");
+        assert_ne!(ticks, r.to_json());
+        assert_eq!(BenchReport::from_json(&ticks).unwrap(), r);
         // A present-but-malformed hotspot entry is an error, not silence.
         let broken = r.to_json().replace("\"zone\"", "\"zome\"");
         assert!(BenchReport::from_json(&broken).is_err());

@@ -17,10 +17,11 @@
 //!   name is not on the std-shadow blocklist, tiered same-file → same
 //!   crate → workspace.
 //!
-//! * **Crate privacy**: a call resolves into another crate only to an item
-//!   that crate exports — a plain `pub` fn or a trait method — so a std
-//!   method never wires an edge to a private namesake elsewhere
-//!   (`Vec::drain` to a private `ThreadBuf::drain`).
+//! * **Crate boundaries**: a call resolves into another crate only to an
+//!   item it exports (a `pub` fn or a trait method) and only if the
+//!   caller's `[dependencies]` list it, so a std method never wires an edge
+//!   to a namesake the caller cannot reach (`Vec::drain` to a private
+//!   `ThreadBuf::drain`, `reader.index(i)` to proptest's `Index::index`).
 //!
 //! Unresolved calls (std, rayon, unknown methods) simply have no edge; the
 //! fixture suite proves the edges the rules *require* do exist.
@@ -79,10 +80,33 @@ pub struct ChainStep {
     pub line: usize,
 }
 
+/// The crates `manifest` (a `Cargo.toml`) lists under `[dependencies]`, as
+/// crate idents (`szx-core` → `szx_core`).
+fn dependencies(manifest: &str) -> Vec<String> {
+    let mut inside = false;
+    let mut deps = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            inside = line == "[dependencies]";
+        } else if let Some((key, _)) = line.split_once('=').filter(|_| inside) {
+            deps.push(key.trim().trim_matches('"').replace('-', "_"));
+        }
+    }
+    deps
+}
+
 impl CallGraph {
     /// Build the graph from every parsed file. `files` pairs each parsed
-    /// item set with its workspace-relative path.
-    pub fn build(files: &[(String, ParsedFile)]) -> CallGraph {
+    /// item set with its workspace-relative path, `manifests` each
+    /// `Cargo.toml`'s text with its directory (named after its crate).
+    pub fn build(files: &[(String, ParsedFile)], manifests: &[(String, String)]) -> CallGraph {
+        let deps: HashMap<String, Vec<String>> = manifests
+            .iter()
+            .map(|(dir, text)| {
+                let krate = dir.rsplit('/').next().unwrap_or_default();
+                (krate.replace('-', "_"), dependencies(text))
+            })
+            .collect();
         let mut nodes = Vec::new();
         for (fi, (rel, parsed)) in files.iter().enumerate() {
             for item in &parsed.fns {
@@ -106,8 +130,9 @@ impl CallGraph {
         let mut edge_count = 0usize;
         for i in 0..nodes.len() {
             let calls = nodes[i].item.calls.clone();
+            let my_deps = deps.get(&nodes[i].krate).map_or(&[][..], Vec::as_slice);
             for call in &calls {
-                let targets = resolve(&nodes, &by_name, i, call);
+                let targets = resolve(&nodes, &by_name, i, call, my_deps);
                 for tgt in targets {
                     if tgt != i {
                         edges[i].push(Edge {
@@ -167,12 +192,14 @@ impl CallGraph {
     }
 }
 
-/// Resolve one call site from node `caller` to target node indices.
+/// Resolve one call site from node `caller`, whose crate depends on the
+/// crates `deps`, to target node indices.
 fn resolve(
     nodes: &[Node],
     by_name: &HashMap<&str, Vec<usize>>,
     caller: usize,
     call: &CallSite,
+    deps: &[String],
 ) -> Vec<usize> {
     let me = &nodes[caller];
     if call.method {
@@ -206,7 +233,7 @@ fn resolve(
         if METHOD_SHADOWS.contains(&name) {
             return Vec::new();
         }
-        return tiered(nodes, me, &methods);
+        return tiered(nodes, me, deps, &methods);
     }
 
     // Path call. Normalize leading `crate`/`self`/`super` (suffix matching
@@ -247,7 +274,7 @@ fn resolve(
             .copied()
             .filter(|&c| nodes[c].item.impl_type.is_none())
             .collect();
-        return tiered(nodes, me, &free);
+        return tiered(nodes, me, deps, &free);
     }
 
     // Qualified: match `…::a::b::name` as a segment-suffix of the symbol.
@@ -260,12 +287,12 @@ fn resolve(
             sym == &suffix || sym.ends_with(&format!("::{suffix}"))
         })
         .collect();
-    tiered(nodes, me, &matches)
+    tiered(nodes, me, deps, &matches)
 }
 
 /// Narrow `cands` to the best locality tier: same file, then same crate,
-/// then what the other crates export.
-fn tiered(nodes: &[Node], me: &Node, cands: &[usize]) -> Vec<usize> {
+/// then what the crates `deps` export.
+fn tiered(nodes: &[Node], me: &Node, deps: &[String], cands: &[usize]) -> Vec<usize> {
     if cands.is_empty() {
         return Vec::new();
     }
@@ -288,7 +315,7 @@ fn tiered(nodes: &[Node], me: &Node, cands: &[usize]) -> Vec<usize> {
     cands
         .iter()
         .copied()
-        .filter(|&c| nodes[c].item.is_pub)
+        .filter(|&c| nodes[c].item.is_pub && deps.contains(&nodes[c].krate))
         .collect()
 }
 
@@ -299,11 +326,21 @@ mod tests {
     use crate::source::parse_source;
 
     fn graph(files: &[(&str, &str)]) -> CallGraph {
+        graph_with(files, &[])
+    }
+
+    /// The graph of `files` under the `(directory, Cargo.toml)` pairs
+    /// `manifests`.
+    fn graph_with(files: &[(&str, &str)], manifests: &[(&str, &str)]) -> CallGraph {
         let parsed: Vec<(String, ParsedFile)> = files
             .iter()
             .map(|(rel, src)| (rel.to_string(), parse_items(&parse_source(rel, src))))
             .collect();
-        CallGraph::build(&parsed)
+        let manifests: Vec<(String, String)> = manifests
+            .iter()
+            .map(|(dir, text)| (dir.to_string(), text.to_string()))
+            .collect();
+        CallGraph::build(&parsed, &manifests)
     }
 
     fn idx(g: &CallGraph, sym: &str) -> usize {
@@ -488,6 +525,12 @@ mod tests {
         assert!(f[0].chain[0].contains(entry));
     }
 
+    /// szx-core's manifest, listing szx-telemetry.
+    const CORE_USES_TELEMETRY: (&str, &str) = (
+        "crates/szx-core",
+        "[package]\nname = \"szx-core\"\n\n[dependencies]\nszx-telemetry = { workspace = true }\n",
+    );
+
     #[test]
     fn private_fns_of_other_crates_are_not_callees() {
         // A std `Vec::drain` in the decoder, and a private `drain` method
@@ -514,22 +557,62 @@ mod tests {
                 ("crates/szx-core/src/decode.rs", decode),
                 ("crates/szx-telemetry/src/trace.rs", buf.as_str()),
             ];
-            let g = graph(&files);
+            let g = graph_with(&files, &[CORE_USES_TELEMETRY]);
             assert_eq!(has_edge(&g, entry, callee), linked, "{vis:?}");
-            let (f, _) = crate::rules::testutil::run_graph(&files);
+            let (f, _) = crate::rules::testutil::run_graph_with(&files, &[CORE_USES_TELEMETRY]);
             assert_eq!(f.len(), usize::from(linked), "{vis:?}: {f:?}");
         }
         // A trait method is as visible as its trait.
-        let g = graph(&[
-            ("crates/szx-core/src/decode.rs", decode),
+        let g = graph_with(
+            &[
+                ("crates/szx-core/src/decode.rs", decode),
+                (
+                    "crates/szx-telemetry/src/trace.rs",
+                    "impl Drain for ThreadBuf {\n\
+                     fn drain(&self) {}\n\
+                     }\n",
+                ),
+            ],
+            &[CORE_USES_TELEMETRY],
+        );
+        assert!(has_edge(&g, entry, callee));
+    }
+
+    #[test]
+    fn a_call_crosses_only_into_a_dependency() {
+        // szx-cli's `reader.index(i)` and a public `Index::index` in
+        // another crate: linked only when szx-cli's manifest lists it.
+        let files = [
             (
-                "crates/szx-telemetry/src/trace.rs",
-                "impl Drain for ThreadBuf {\n\
-                 fn drain(&self) {}\n\
+                "crates/szx-cli/src/main.rs",
+                "fn read(reader: &Frames, i: usize) { reader.index(i); }\n",
+            ),
+            (
+                "shims/proptest/src/sample.rs",
+                "impl Index {\n\
+                 pub fn index(&self, n: usize) -> usize { n }\n\
                  }\n",
             ),
-        ]);
-        assert!(has_edge(&g, entry, callee));
+        ];
+        let (caller, callee) = ("szx_cli::read", "proptest::sample::Index::index");
+        let cli = |deps: &str| format!("[package]\nname = \"szx-cli\"\n\n[dependencies]\n{deps}");
+        let without = cli("szx-core = { workspace = true }\n");
+        let with = cli("proptest = { workspace = true }\n");
+        let root = (
+            "",
+            "[workspace.dependencies]\nproptest = { path = \"shims/proptest\" }\n",
+        );
+        for (manifest, linked) in [(&without, false), (&with, true)] {
+            let g = graph_with(&files, &[root, ("crates/szx-cli", manifest)]);
+            assert_eq!(has_edge(&g, caller, callee), linked, "{manifest}");
+        }
+        // Dev-dependencies and other sections do not count.
+        let dev = cli("\n[dev-dependencies]\nproptest = { workspace = true }\n");
+        assert!(!has_edge(
+            &graph_with(&files, &[("crates/szx-cli", &dev)]),
+            caller,
+            callee
+        ));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ([`rules`]) enforce the invariants the hot paths rely on that no
 //! compiler checks — transitive panic-freedom from the decode entry
 //! points, allocation-free hot loops, checked arithmetic on the parse
-//! paths, the trace and zone-slot publish protocols, and guarded calls of
+//! paths, the trace buffer's publish protocol, and guarded calls of
 //! the `#[target_feature]` backends. The unsafe-code policy and the
 //! kernels' narrowing casts are rustc and clippy lints, set in the Cargo
 //! manifests. See DESIGN.md §10 for the safety model.
@@ -33,8 +33,9 @@ use source::SourceFile;
 /// as the workspace's.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "fixtures"];
 
-/// Collect every `*.rs` file under `root`, sorted by workspace-relative
-/// path so reports are deterministic regardless of filesystem order.
+/// Collect every `*.rs` file and every `Cargo.toml` under `root`, sorted
+/// by workspace-relative path so reports are deterministic regardless of
+/// filesystem order.
 pub fn collect_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -48,7 +49,7 @@ pub fn collect_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
                 if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
                     stack.push(path);
                 }
-            } else if name.ends_with(".rs") {
+            } else if name.ends_with(".rs") || name == "Cargo.toml" {
                 files.push(path);
             }
         }
@@ -74,8 +75,14 @@ fn rel_path(root: &Path, path: &Path) -> String {
 pub fn run_audit(root: &Path) -> io::Result<Report> {
     let mut report = Report::default();
     let mut files: Vec<SourceFile> = Vec::new();
+    let mut manifests: Vec<(String, String)> = Vec::new();
     for path in collect_sources(root)? {
         let text = fs::read_to_string(&path)?;
+        if path.ends_with("Cargo.toml") {
+            let dir = path.parent().map_or(String::new(), |d| rel_path(root, d));
+            manifests.push((dir, text));
+            continue;
+        }
         let file = source::parse_source(&rel_path(root, &path), &text);
         report.counts.files_scanned += 1;
         report.counts.lines_scanned += file.lines.len();
@@ -88,7 +95,7 @@ pub fn run_audit(root: &Path) -> io::Result<Report> {
         .iter()
         .map(|f| (f.rel_path.clone(), parse::parse_items(f)))
         .collect();
-    let graph = callgraph::CallGraph::build(&parsed);
+    let graph = callgraph::CallGraph::build(&parsed, &manifests);
     report.counts.fns_indexed = graph.nodes.len();
     report.counts.call_edges = graph.edge_count;
     rules::check_graph(&files, &graph, &mut report.findings, &mut report.counts);

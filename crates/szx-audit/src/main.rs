@@ -100,12 +100,10 @@ const EXPLAIN: &[RuleDoc] = &[
     ),
     (
         "atomics-protocol",
-        "Publish fields in the lock-free modules (the trace buffer's `len`, \
-         the zone slot's `gen`) pair release stores with acquire loads; \
-         relaxed operations need justification.",
-        "`// ORDERING: <reason>` — owner-thread relaxed loads, or relaxed \
-         stores in a module carrying a release `fence` (the seqlock \
-         write-entry pattern).",
+        "Publish fields in the lock-free modules (the trace buffer's `len`) \
+         pair release stores with acquire loads; a relaxed store is a \
+         finding, and a relaxed load needs justification.",
+        "`// ORDERING: <reason>` — owner-thread relaxed loads.",
         &[(
             "crates/szx-telemetry/src/trace.rs",
             include_str!("../tests/fixtures/ws/crates/szx-telemetry/src/trace.rs"),

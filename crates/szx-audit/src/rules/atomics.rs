@@ -1,5 +1,5 @@
 //! The `atomics-protocol` rule: publish fields in the lock-free modules
-//! follow the release/acquire protocol (seqlock-aware).
+//! follow the release/acquire protocol.
 
 use super::{leading_ident, trailing_ident};
 use crate::report::{Counts, Finding};
@@ -22,25 +22,17 @@ struct AtomicOp {
 }
 
 /// The lock-free publish protocol: `fields` guard other state (trace slot
-/// contents, profiler stack frames) and must release-store and
-/// acquire-load; a relaxed store would let readers observe torn data, and
-/// a relaxed cross-thread load would read state before its writes are
-/// visible. Two justified exceptions, both requiring an `// ORDERING:`
-/// note: owner-thread relaxed *loads* (a thread always sees its own
-/// stores), and relaxed *stores* in a module carrying a release `fence`
-/// (the seqlock write-entry pattern — the fence, not the store, does the
-/// publishing, as in the zone slot's odd-generation store).
+/// contents) and must release-store and acquire-load; a relaxed store
+/// would let readers observe torn data, and a relaxed cross-thread load
+/// would read state before its writes are visible. One justified
+/// exception, with an `// ORDERING:` note: owner-thread relaxed *loads*
+/// (a thread always sees its own stores).
 pub(super) fn atomics_protocol(
     file: &SourceFile,
     fields: &[&str],
     findings: &mut Vec<Finding>,
     counts: &mut Counts,
 ) {
-    let has_release_fence = file
-        .lines
-        .iter()
-        .enumerate()
-        .any(|(i, l)| !file.in_test[i] && l.code.contains("fence(Ordering::Release)"));
     let mut ops: Vec<AtomicOp> = Vec::new();
     const METHODS: &[(&str, OpKind)] = &[
         (".load(", OpKind::Load),
@@ -93,7 +85,11 @@ pub(super) fn atomics_protocol(
         }
     }
 
-    let snippet = |line: usize| file.lines[line - 1].code.trim().to_string();
+    let mut flag = |line: usize, msg: String| {
+        let snippet = file.lines[line - 1].code.trim();
+        let (path, rule) = (&file.rel_path, "atomics-protocol");
+        findings.push(Finding::in_symbol(rule, path, line, path, snippet, &msg));
+    };
     for field in fields {
         let field_ops: Vec<&AtomicOp> = ops.iter().filter(|o| &o.field == field).collect();
         if field_ops.is_empty() {
@@ -101,52 +97,30 @@ pub(super) fn atomics_protocol(
         }
         for op in &field_ops {
             match op.kind {
-                OpKind::Store | OpKind::Rmw if op.ordering == "Relaxed" => {
-                    if has_release_fence && file.annotated(op.line - 1, "ORDERING:") {
-                        counts.ordering_notes += 1;
-                    } else {
-                        findings.push(Finding::in_symbol(
-                            "atomics-protocol",
-                            &file.rel_path,
-                            op.line,
-                            &file.rel_path,
-                            &snippet(op.line),
-                            &format!(
-                                "relaxed store to publish field `{field}` — contents \
-                                 published without release ordering (a seqlock-style \
-                                 store needs both a release fence in the module and an \
-                                 `// ORDERING:` note)"
-                            ),
-                        ));
-                    }
-                }
+                OpKind::Store | OpKind::Rmw if op.ordering == "Relaxed" => flag(
+                    op.line,
+                    format!(
+                        "relaxed store to publish field `{field}` — contents \
+                         published without release ordering"
+                    ),
+                ),
                 OpKind::Load if op.ordering == "Relaxed" => {
                     if file.annotated(op.line - 1, "ORDERING:") {
                         counts.ordering_notes += 1;
                     } else {
-                        findings.push(Finding::in_symbol(
-                            "atomics-protocol",
-                            &file.rel_path,
+                        flag(
                             op.line,
-                            &file.rel_path,
-                            &snippet(op.line),
-                            &format!(
+                            format!(
                                 "relaxed load of publish field `{field}` without an \
                                  `// ORDERING:` note (owner-thread reads must be justified)"
                             ),
-                        ));
+                        );
                     }
                 }
-                _ if op.ordering.is_empty() => {
-                    findings.push(Finding::in_symbol(
-                        "atomics-protocol",
-                        &file.rel_path,
-                        op.line,
-                        &file.rel_path,
-                        &snippet(op.line),
-                        &format!("atomic op on `{field}` without an explicit Ordering"),
-                    ));
-                }
+                _ if op.ordering.is_empty() => flag(
+                    op.line,
+                    format!("atomic op on `{field}` without an explicit Ordering"),
+                ),
                 _ => {}
             }
         }
@@ -157,19 +131,15 @@ pub(super) fn atomics_protocol(
             .iter()
             .any(|o| o.kind == OpKind::Load && (o.ordering == "Acquire" || o.ordering == "SeqCst"));
         if !(has_release_store && has_acquire_load) {
-            findings.push(Finding::in_symbol(
-                "atomics-protocol",
-                &file.rel_path,
+            flag(
                 field_ops[0].line,
-                &file.rel_path,
-                &snippet(field_ops[0].line),
-                &format!(
+                format!(
                     "publish field `{field}` lacks a release-store/acquire-load pair \
                      (stores: {}, loads: {})",
                     field_ops.iter().filter(|o| o.kind != OpKind::Load).count(),
                     field_ops.iter().filter(|o| o.kind == OpKind::Load).count(),
                 ),
-            ));
+            );
         }
     }
 }
@@ -209,57 +179,21 @@ mod tests {
     }
 
     #[test]
-    fn seqlock_gen_protocol_passes_with_fence_and_notes() {
-        // The zone-slot pattern: relaxed odd store justified by a release
-        // fence + note, even store Release, reader Acquire + fenced
-        // relaxed re-read. Zero findings, every relaxed op counted.
-        let src = "fn publish(&self) {\n\
-                   // ORDERING: owner-thread read of its own last value.\n\
-                   let g = self.gen.load(Ordering::Relaxed);\n\
-                   // ORDERING: odd store published by the fence below.\n\
-                   self.gen.store(g + 1, Ordering::Relaxed);\n\
+    fn a_relaxed_publish_store_is_flagged_even_with_a_note_and_a_fence() {
+        let src = "fn push(&self) {\n\
+                   let n = self.len.load(Ordering::Acquire);\n\
+                   // ORDERING: claims the fence below publishes it.\n\
+                   self.len.store(n + 1, Ordering::Relaxed);\n\
                    fence(Ordering::Release);\n\
-                   self.gen.store(g + 2, Ordering::Release);\n\
-                   }\n\
-                   fn snapshot(&self) {\n\
-                   let g1 = self.gen.load(Ordering::Acquire);\n\
-                   fence(Ordering::Acquire);\n\
-                   // ORDERING: re-read ordered by the fence above.\n\
-                   let _ = self.gen.load(Ordering::Relaxed);\n\
+                   self.len.store(n + 2, Ordering::Release);\n\
                    }\n";
-        let (f, c) = run_on("crates/szx-telemetry/src/zones.rs", src);
-        assert!(f.is_empty(), "{f:?}");
-        assert_eq!(c.ordering_notes, 3);
-    }
-
-    #[test]
-    fn seqlock_relaxed_store_needs_both_fence_and_note() {
-        // A note without any release fence in the module: the store is
-        // not actually published by anything — flagged.
-        let noteless_fence = "fn f(&self) {\n\
-                              self.gen.store(1, Ordering::Relaxed);\n\
-                              fence(Ordering::Release);\n\
-                              self.gen.store(2, Ordering::Release);\n\
-                              let _ = self.gen.load(Ordering::Acquire);\n\
-                              }\n";
-        let (f, _) = run_on("crates/szx-telemetry/src/zones.rs", noteless_fence);
+        let (f, c) = run_on("crates/szx-telemetry/src/trace.rs", src);
         assert!(
             f.iter()
-                .any(|x| x.rule == "atomics-protocol" && x.line == 2),
+                .any(|x| x.rule == "atomics-protocol" && x.line == 4),
             "{f:?}"
         );
-        let fenceless_note = "fn f(&self) {\n\
-                              // ORDERING: claims a fence that is not there.\n\
-                              self.gen.store(1, Ordering::Relaxed);\n\
-                              self.gen.store(2, Ordering::Release);\n\
-                              let _ = self.gen.load(Ordering::Acquire);\n\
-                              }\n";
-        let (f, _) = run_on("crates/szx-telemetry/src/zones.rs", fenceless_note);
-        assert!(
-            f.iter()
-                .any(|x| x.rule == "atomics-protocol" && x.line == 3),
-            "{f:?}"
-        );
+        assert_eq!(c.ordering_notes, 0);
     }
 
     #[test]

@@ -44,16 +44,11 @@ use crate::source::SourceFile;
 pub const TARGET_FEATURE_PREFIX: &str = "crates/szx-core/src/simd/";
 
 /// Lock-free modules and the atomic fields in them that publish other
-/// state: the trace buffer's `len` guards `UnsafeCell` slot contents, the
-/// zone slot's `gen` is the seqlock generation guarding the profiler's
-/// stack frames. Each must pair a release store with an acquire load; any
-/// relaxed operation on them needs an `// ORDERING:` justification (and,
-/// for relaxed *stores*, a release `fence` in the module — the seqlock
-/// write-entry pattern, where the fence does the publishing).
-pub const ATOMIC_PROTOCOL_MODULES: &[(&str, &[&str])] = &[
-    ("crates/szx-telemetry/src/trace.rs", &["len"]),
-    ("crates/szx-telemetry/src/zones.rs", &["gen"]),
-];
+/// state: the trace buffer's `len` guards `UnsafeCell` slot contents. Each
+/// must pair a release store with an acquire load; a relaxed store is a
+/// finding, and a relaxed load needs an `// ORDERING:` justification.
+pub const ATOMIC_PROTOCOL_MODULES: &[(&str, &[&str])] =
+    &[("crates/szx-telemetry/src/trace.rs", &["len"])];
 
 /// Run every lexical per-file rule on `file`.
 pub fn check_file(file: &SourceFile, findings: &mut Vec<Finding>, counts: &mut Counts) {
@@ -185,8 +180,17 @@ pub(crate) mod testutil {
     }
 
     /// Graph-rule harness: lex + parse + build the call graph over a
-    /// synthetic workspace, then run [`check_graph`].
+    /// synthetic workspace (no manifests, so no cross-crate edges), then
+    /// run [`check_graph`].
     pub(crate) fn run_graph(sources: &[(&str, &str)]) -> (Vec<Finding>, Counts) {
+        run_graph_with(sources, &[])
+    }
+
+    /// [`run_graph`] under the `(directory, Cargo.toml)` pairs `manifests`.
+    pub(crate) fn run_graph_with(
+        sources: &[(&str, &str)],
+        manifests: &[(&str, &str)],
+    ) -> (Vec<Finding>, Counts) {
         let files: Vec<SourceFile> = sources
             .iter()
             .map(|(rel, src)| parse_source(rel, src))
@@ -195,7 +199,11 @@ pub(crate) mod testutil {
             .iter()
             .map(|f| (f.rel_path.clone(), crate::parse::parse_items(f)))
             .collect();
-        let graph = CallGraph::build(&parsed);
+        let manifests: Vec<(String, String)> = manifests
+            .iter()
+            .map(|(dir, text)| (dir.to_string(), text.to_string()))
+            .collect();
+        let graph = CallGraph::build(&parsed, &manifests);
         let mut findings = Vec::new();
         let mut counts = Counts::default();
         check_graph(&files, &graph, &mut findings, &mut counts);

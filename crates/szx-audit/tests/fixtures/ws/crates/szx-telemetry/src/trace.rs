@@ -1,6 +1,6 @@
-//! Seeded violation: a relaxed store to the publish field `len` with no
-//! release fence in the module — the `atomics-protocol` rule must flag
-//! the unpublished store.
+//! Seeded violation: a relaxed store to the publish field `len`, which
+//! publishes the slot contents without release ordering — the
+//! `atomics-protocol` rule must flag the unpublished store.
 
 impl TraceBuf {
     fn push(&self, _ev: u64) {

@@ -105,11 +105,11 @@ USAGE:
   codes and writes whole windows at their own file offsets. Outputs are
   written to <out>.partial and renamed over <out> only on success.
 
-  --profile runs the zone-stack sampling profiler (~997 Hz; SZX_PROFILE_HZ
-  overrides) across the command and writes collapsed stacks
-  (inferno/speedscope format); --profile-svg additionally renders an
-  in-tree SVG flamegraph. Self/total time per zone also lands in the
-  registry as profile.* entries, riding --stats/--metrics/--manifest.
+  --profile turns collection on and writes the spans' exact self time per
+  stack path, in nanoseconds, as collapsed stacks (inferno/speedscope
+  format); --profile-svg also renders an in-tree SVG flamegraph. Self and
+  total seconds per zone also land in the registry as profile.* gauges,
+  riding --stats/--metrics/--manifest.
 ";
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -169,35 +169,18 @@ fn emit_stats(json: bool, extra: Vec<(&str, szx_telemetry::Value)>) -> Result<()
             );
         }
     }
-    // Sampler health: a high torn-read rate means very short zones kept
-    // beating the seqlock and the profile under-represents them.
-    if let (Some(samples), Some(torn)) = (
-        report.counter("profile.samples_total"),
-        report.counter("profile.torn_retries"),
-    ) {
-        let attempts = samples + torn;
-        if torn > 0 && attempts > 0 && torn as f64 / attempts as f64 > 0.01 {
-            eprintln!(
-                "warning: {torn} of {attempts} profile stack reads were torn (>1%) — \
-                 lower SZX_PROFILE_HZ or expect short zones to be under-sampled"
-            );
-        }
-    }
     Ok(())
 }
 
-/// A running `--profile` session: sampler started before the timed work,
-/// output paths remembered for [`profile_finish`].
+/// Where `--profile` writes: the folded stacks and, with `--profile-svg`,
+/// the flamegraph.
 struct ProfileRun {
     folded: PathBuf,
     svg: Option<PathBuf>,
-    profiler: szx_profile::Profiler,
 }
 
-/// Honor `--profile <out.folded>` (and `--profile-svg <out.svg>`): starts
-/// the sampler thread and enables zone-stack publication so every thread —
-/// including rayon workers, which self-register on first zone entry — is
-/// sampled for the rest of the command.
+/// Honor `--profile <out.folded>` (and `--profile-svg <out.svg>`): turns
+/// collection on, so every span of the command lands in the folded map.
 fn profile_begin(args: &[String]) -> Result<Option<ProfileRun>, String> {
     let Some(folded) = flag_value(args, "--profile").map(PathBuf::from) else {
         if has_flag(args, "--profile-svg") {
@@ -205,34 +188,24 @@ fn profile_begin(args: &[String]) -> Result<Option<ProfileRun>, String> {
         }
         return Ok(None);
     };
+    szx_telemetry::set_enabled(true);
     let svg = flag_value(args, "--profile-svg").map(PathBuf::from);
-    let profiler = szx_profile::Profiler::start(szx_profile::default_hz());
-    Ok(Some(ProfileRun {
-        folded,
-        svg,
-        profiler,
-    }))
+    Ok(Some(ProfileRun { folded, svg }))
 }
 
-/// Stop the sampler, write the folded stacks (and the SVG flamegraph when
-/// asked), and publish `profile.*` registry entries. Must run before the
-/// exports and [`emit_stats`] so the metrics snapshot those take includes
-/// the profile.
+/// Write the folded stacks (and the SVG flamegraph when asked).
 fn profile_finish(run: Option<ProfileRun>) -> Result<(), String> {
     let Some(run) = run else { return Ok(()) };
-    let hz = run.profiler.hz();
-    let profile = run.profiler.stop();
-    profile.publish();
+    let profile = szx_telemetry::global().profile();
     std::fs::write(&run.folded, profile.folded()).map_err(at(&run.folded))?;
     eprintln!(
-        "profile: {} samples over {} stacks at {} Hz -> {}",
-        profile.samples,
+        "profile: {:.3} ms of self time over {} stacks -> {}",
+        profile.total() as f64 * 1e-6,
         profile.stacks.len(),
-        hz,
         run.folded.display()
     );
     if let Some(svg) = &run.svg {
-        std::fs::write(svg, szx_profile::render_flamegraph_svg(&profile)).map_err(at(svg))?;
+        std::fs::write(svg, szx_telemetry::render_flamegraph_svg(&profile)).map_err(at(svg))?;
         eprintln!("flamegraph: {}", svg.display());
     }
     Ok(())
@@ -785,7 +758,7 @@ impl Run {
         }
     }
 
-    /// Stop the profiler and the accountant, close the event sink, write
+    /// Write the profile, stop the accountant, close the event sink, write
     /// the Prometheus exposition and `manifest` (the command's sections;
     /// the final metrics snapshot, with the accountant's exact peak, is
     /// attached here), then the `--stats` report with `extras` and the

@@ -1,17 +1,17 @@
 //! Self-contained, deterministic SVG flamegraph renderer.
 //!
 //! The layout is the classic one: x-extent proportional to cumulative
-//! samples, one row per stack depth, children packed left-to-right in
-//! name order (not sample order — stable across runs whose counts jitter).
+//! time, one row per stack depth, children packed left-to-right in name
+//! order (not time order — stable across runs whose timings jitter).
 //! Colors come from an FNV-1a hash of the frame name, so a zone keeps its
 //! color across profiles and the output is a pure function of the
-//! [`Profile`]'s folded stacks. Hover shows `name (count samples, pct%)`
-//! via `<title>` — no JavaScript, loads anywhere.
+//! [`Profile`]'s folded stacks. Hover shows `name (ms, pct%)` via
+//! `<title>` — no JavaScript, loads anywhere.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::Profile;
+use crate::profile::Profile;
 
 const IMAGE_WIDTH: f64 = 1200.0;
 const ROW_HEIGHT: f64 = 17.0;
@@ -23,7 +23,7 @@ const HEADER_HEIGHT: f64 = 36.0;
 /// Rects narrower than this many pixels are culled entirely.
 const MIN_RECT_WIDTH: f64 = 0.2;
 
-/// One merge-tree node: cumulative count plus name-ordered children.
+/// One merge-tree node: cumulative nanoseconds plus name-ordered children.
 #[derive(Default)]
 struct Node {
     total: u64,
@@ -31,13 +31,13 @@ struct Node {
 }
 
 impl Node {
-    fn insert(&mut self, stack: &[String], count: u64) {
-        self.total += count;
+    fn insert(&mut self, stack: &[String], ns: u64) {
+        self.total += ns;
         if let Some((head, rest)) = stack.split_first() {
             self.children
                 .entry(head.clone())
                 .or_default()
-                .insert(rest, count);
+                .insert(rest, ns);
         }
     }
 
@@ -46,20 +46,10 @@ impl Node {
     }
 }
 
-/// FNV-1a, the same hash the manifest code uses — stable across platforms.
-fn fnv1a(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Warm flamegraph palette derived deterministically from the name hash:
-/// red 205–254, green 50–189, blue 0–54.
+/// Warm flamegraph palette derived deterministically from the name's
+/// FNV-1a hash: red 205–254, green 50–189, blue 0–54.
 fn color(name: &str) -> String {
-    let h = fnv1a(name);
+    let h = crate::fnv1a64(name.as_bytes());
     let r = 205 + (h % 50);
     let g = 50 + ((h >> 8) % 140);
     let b = (h >> 16) % 55;
@@ -80,11 +70,11 @@ fn xml_escape(s: &str, out: &mut String) {
 
 /// Render `profile` as a standalone SVG flamegraph. Pure function of the
 /// folded stacks: identical profiles render byte-identical SVG (golden
-/// tested), regardless of insertion order or sampling timing.
+/// tested), regardless of insertion order.
 pub fn render_flamegraph_svg(profile: &Profile) -> String {
     let mut root = Node::default();
-    for (stack, &count) in &profile.stacks {
-        root.insert(stack, count);
+    for (stack, &ns) in &profile.stacks {
+        root.insert(stack, ns);
     }
     // Row 0 (bottom) is the synthetic "all" frame; stacks grow upward.
     let depth = root.depth();
@@ -97,9 +87,10 @@ pub fn render_flamegraph_svg(profile: &Profile) -> String {
          <style>text {{ font-family: monospace; font-size: {FONT_SIZE}px; fill: #000; }} \
          rect {{ stroke: #ffffff; stroke-width: 0.5; }}</style>\n\
          <rect x=\"0\" y=\"0\" width=\"{IMAGE_WIDTH}\" height=\"{height}\" fill=\"#f8f8f8\"/>\n\
-         <text x=\"8\" y=\"22\">szx zone-stack flamegraph — {} samples at {} Hz \
-         ({} torn reads, {} threads)</text>\n",
-        profile.samples, profile.hz, profile.torn_retries, profile.threads_seen
+         <text x=\"8\" y=\"22\">szx span flamegraph — {:.3} ms of self time \
+         over {} stacks</text>\n",
+        profile.total() as f64 * 1e-6,
+        profile.stacks.len()
     );
     if root.total > 0 {
         let scale = IMAGE_WIDTH / root.total as f64;
@@ -115,7 +106,7 @@ pub fn render_flamegraph_svg(profile: &Profile) -> String {
         );
         emit_children(&mut svg, &root, 0.0, 1, depth, scale, root.total);
     } else {
-        svg.push_str("<text x=\"8\" y=\"52\">(no samples)</text>\n");
+        svg.push_str("<text x=\"8\" y=\"52\">(no spans)</text>\n");
     }
     svg.push_str("</svg>\n");
     svg
@@ -153,8 +144,9 @@ fn emit_children(
     }
 }
 
-fn emit_frame(svg: &mut String, name: &str, count: u64, grand_total: u64, x: f64, y: f64, w: f64) {
-    let pct = 100.0 * count as f64 / grand_total.max(1) as f64;
+fn emit_frame(svg: &mut String, name: &str, ns: u64, grand_total: u64, x: f64, y: f64, w: f64) {
+    let pct = 100.0 * ns as f64 / grand_total.max(1) as f64;
+    let ms = ns as f64 * 1e-6;
     let fill = if name == "all" {
         "rgb(235,235,235)".to_string()
     } else {
@@ -164,7 +156,7 @@ fn emit_frame(svg: &mut String, name: &str, count: u64, grand_total: u64, x: f64
     xml_escape(name, &mut title);
     let _ = write!(
         svg,
-        "<g><title>{title} ({count} samples, {pct:.2}%)</title>\
+        "<g><title>{title} ({ms:.3} ms, {pct:.2}%)</title>\
          <rect x=\"{x:.2}\" y=\"{y:.2}\" width=\"{w:.2}\" height=\"{ROW_HEIGHT}\" fill=\"{fill}\"/>",
     );
     let max_chars = (w / GLYPH_WIDTH) as usize;
@@ -223,10 +215,10 @@ mod tests {
     }
 
     #[test]
-    fn widths_are_proportional_to_samples() {
+    fn widths_are_proportional_to_time() {
         let p = profile();
         let svg = render_flamegraph_svg(&p);
-        // 100 samples over 1200px → range_scan (40 cumulative) is 480px.
+        // 100 ns over 1200px → range_scan (40 cumulative) is 480px.
         assert!(svg.contains("width=\"480.00\""), "{svg}");
         // encode_blocks is 50 self + 5 in its io.write child → 660px.
         assert!(svg.contains("width=\"660.00\""), "{svg}");
@@ -252,7 +244,7 @@ mod tests {
     #[test]
     fn empty_profile_renders_placeholder() {
         let svg = render_flamegraph_svg(&Profile::default());
-        assert!(svg.contains("(no samples)"));
+        assert!(svg.contains("(no spans)"));
         assert!(svg.trim_end().ends_with("</svg>"));
     }
 }

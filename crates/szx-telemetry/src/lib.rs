@@ -18,6 +18,10 @@
 //! * **No contention across workers.** Parallel code keeps one local
 //!   collector per chunk/thread and merges at the join point — the global
 //!   registry only sees one flush per top-level call.
+//! * **One span stack.** Every [`span`] and [`trace_zone`] is a frame on
+//!   its thread's stack; closing one folds its exact self time into the
+//!   thread's map, which [`Registry::profile`] merges. The folded stacks,
+//!   the flamegraph and the per-phase RSS all read that one stack.
 //! * **Paper-relevant counters for free.** `szx-core` publishes the §5.3
 //!   impact factors (constant / non-constant / bit-exact-fallback block
 //!   counts, the required-length histogram, mid-bytes written, leading-byte
@@ -53,70 +57,88 @@
 //! [`enabled`].
 
 mod export;
+mod flame;
 mod hist;
 pub mod json;
 mod manifest;
+mod profile;
 mod progress;
 mod registry;
 mod report;
 mod resource;
 mod snapshot;
+mod stack;
 mod trace;
-pub mod zones;
 
 pub use export::{
     emit_event, escape_label_value, event_sink_installed, install_event_sink, render_prometheus,
     sanitize_metric_name, take_event_sink,
 };
+pub use flame::render_flamegraph_svg;
 pub use hist::{Histogram, HistogramKind, HistogramSnapshot};
 pub use manifest::{fnv1a64, Fnv1a64, Manifest, MANIFEST_KIND, MANIFEST_SCHEMA_VERSION};
+pub use profile::{Hotspot, Profile};
 pub use progress::{ProgressMeter, ProgressSnapshot};
 pub use registry::{Counter, Registry, SpanStats};
 pub use report::{render_jsonl, render_table, Report, SpanSnapshot, Value};
-pub use resource::{
-    current_phase, read_proc_sample, set_phase_tracking, ProcSample, ResourceAccountant,
-};
+pub use resource::{read_proc_sample, ProcSample, ResourceAccountant};
 pub use snapshot::{diff, Gauge, GaugeSnapshot};
 pub use trace::{
-    render_chrome_trace, set_trace_enabled, take_trace, trace_enabled, trace_instant, trace_zone,
-    TraceCapture, TraceEvent, TracePhase, TraceZone,
-};
-pub use zones::{
-    profiling_enabled, sample_stacks, set_profiling_enabled, zone_name, SampleSweep,
-    MAX_STACK_DEPTH,
+    render_chrome_trace, set_trace_enabled, take_trace, trace_enabled, trace_instant, TraceCapture,
+    TraceEvent, TracePhase,
 };
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Master switch. Reads the `SZX_TELEMETRY` environment variable once
-/// (`1`/`true`/`on` enable) and can be flipped at runtime with
-/// [`set_enabled`].
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Bits of [`SWITCHES`]: collection ([`enabled`]) and event recording
+/// ([`trace_enabled`]).
+const TELEMETRY: u8 = 1;
+const TRACE: u8 = 2;
+
+/// The master switches, one word so a span guard reads both with one
+/// relaxed load. Seeded once from the `SZX_TELEMETRY` and `SZX_TRACE`
+/// environment variables (`1`/`true`/`on`/`yes` enable); flipped at
+/// runtime with [`set_enabled`] and [`set_trace_enabled`].
+static SWITCHES: AtomicU8 = AtomicU8::new(0);
 static ENV_INIT: OnceLock<()> = OnceLock::new();
 
-fn init_from_env() {
+#[inline]
+fn switches() -> u8 {
     ENV_INIT.get_or_init(|| {
-        if let Ok(v) = std::env::var("SZX_TELEMETRY") {
-            let on = matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes");
-            ENABLED.store(on, Ordering::Relaxed);
-        }
+        let on = |var| {
+            std::env::var(var).is_ok_and(|v| {
+                matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes")
+            })
+        };
+        let bits = if on("SZX_TELEMETRY") { TELEMETRY } else { 0 }
+            | if on("SZX_TRACE") { TRACE } else { 0 };
+        SWITCHES.fetch_or(bits, Ordering::Relaxed);
     });
+    SWITCHES.load(Ordering::Relaxed)
+}
+
+fn set_switch(bit: u8, on: bool) {
+    switches(); // seed from the environment first, so this store wins
+    if on {
+        SWITCHES.fetch_or(bit, Ordering::Relaxed);
+    } else {
+        SWITCHES.fetch_and(!bit, Ordering::Relaxed);
+    }
 }
 
 /// Is telemetry collection on? One relaxed load; safe to call on hot paths
 /// (but prefer hoisting out of per-element loops).
 #[inline]
 pub fn enabled() -> bool {
-    init_from_env();
-    ENABLED.load(Ordering::Relaxed)
+    switches() & TELEMETRY != 0
 }
 
 /// Turn collection on/off at runtime (overrides `SZX_TELEMETRY`).
 pub fn set_enabled(on: bool) {
-    init_from_env();
-    ENABLED.store(on, Ordering::Relaxed);
+    set_switch(TELEMETRY, on);
 }
 
 /// The process-wide registry.
@@ -125,27 +147,45 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// RAII span timer: measures monotonic wall time from construction to drop
-/// and records it under `name` in the global registry. A disabled-telemetry
-/// span is a no-op (no clock read).
+/// RAII guard over one stage, opened by [`span`] or [`trace_zone`].
+///
+/// While telemetry is on, the guard is a frame on its thread's span stack:
+/// its drop adds its self time to the folded map ([`Registry::profile`]),
+/// and a [`span`] also records its wall time under its name in the
+/// registry. While the flight recorder is on, it emits begin/end trace
+/// events. Off, it costs one relaxed load and reads no clock.
 #[must_use = "a span records on drop; binding it to `_` drops immediately"]
 pub struct Span {
     name: &'static str,
+    /// Set when telemetry was on at entry: the frame is on the stack.
     start: Option<Instant>,
-    /// Keeps the flight-recorder zone open for the span's lifetime when
-    /// event tracing is on (see [`trace_zone`]); `None`-named when off.
-    _zone: TraceZone,
-    /// Entry on the resource accountant's phase stack (`Some` only while
-    /// phase tracking is on — see [`set_phase_tracking`]).
-    phase_id: Option<u64>,
+    /// [`span`] records `span_stats`; [`trace_zone`] does not.
+    stats: bool,
+    /// The recorder was on at entry, so an end event is due.
+    traced: bool,
+    /// The frame is on this thread's stack, so the guard drops here.
+    _thread: PhantomData<*const ()>,
 }
 
 impl Span {
-    /// Nanoseconds elapsed so far (0 when telemetry is disabled).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start
-            .map(|s| s.elapsed().as_nanos() as u64)
-            .unwrap_or(0)
+    #[inline]
+    fn open(name: &'static str, stats: bool, arg: u64) -> Span {
+        let on = switches();
+        let start = (on & TELEMETRY != 0).then(|| {
+            stack::push(name);
+            Instant::now()
+        });
+        let traced = on & TRACE != 0;
+        if traced {
+            trace::record(name, TracePhase::Begin, arg);
+        }
+        Span {
+            name,
+            start,
+            stats,
+            traced,
+            _thread: PhantomData,
+        }
     }
 }
 
@@ -153,30 +193,29 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some(start) = self.start {
             let ns = start.elapsed().as_nanos() as u64;
-            global().span_stats(self.name).record(ns);
+            stack::pop(ns);
+            if self.stats {
+                global().span_stats(self.name).record(ns);
+            }
         }
-        if let Some(id) = self.phase_id {
-            resource::phase_pop(id);
+        if self.traced {
+            trace::record(self.name, TracePhase::End, 0);
         }
     }
 }
 
-/// Open a [`Span`] under `name` (`area.stage`-shaped names render grouped).
-/// When the flight recorder is on ([`trace_enabled`]), the span also emits
-/// begin/end trace events, so every aggregated stage timer doubles as a
-/// timeline zone for free.
+/// Open a [`Span`] under `name` (`area.stage`-shaped names render grouped)
+/// that records its wall time in the registry.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    Span {
-        name,
-        start: if enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        },
-        _zone: trace_zone(name, 0),
-        phase_id: resource::phase_push(name),
-    }
+    Span::open(name, true, 0)
+}
+
+/// Open a zone: a [`Span`] that records no registry timer, with a
+/// site-chosen `arg` (chunk index, frame number, …) on its begin event.
+#[inline]
+pub fn trace_zone(name: &'static str, arg: u64) -> Span {
+    Span::open(name, false, arg)
 }
 
 #[cfg(test)]
@@ -198,8 +237,7 @@ mod tests {
         let _g = lock_global();
         set_enabled(false);
         {
-            let s = span("test.off");
-            assert_eq!(s.elapsed_ns(), 0);
+            let _s = span("test.off");
         }
         // Only this test's own span: a reset keeps other tests' entries
         // (zeroed), so the registry as a whole need not be empty.

@@ -10,8 +10,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use crate::hist::{Histogram, HistogramKind};
+use crate::profile::Profile;
 use crate::report::{Report, SpanSnapshot};
 use crate::snapshot::{Gauge, GaugeSnapshot};
+use crate::stack::Stacks;
 
 /// Gauges are keyed by name *plus* label set — `(name, [(k, v), …])` — so
 /// `process.phase_peak_rss_bytes{phase="compress"}` and `{phase="write"}`
@@ -95,6 +97,9 @@ pub struct Registry {
     hists: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
     spans: RwLock<BTreeMap<&'static str, Arc<SpanStats>>>,
     gauges: RwLock<BTreeMap<GaugeKey, Arc<Gauge>>>,
+    /// Every thread's span stack and the folded map (global registry only:
+    /// threads register with [`crate::global`]).
+    pub(crate) stacks: Stacks,
 }
 
 impl Registry {
@@ -104,6 +109,7 @@ impl Registry {
             hists: RwLock::new(BTreeMap::new()),
             spans: RwLock::new(BTreeMap::new()),
             gauges: RwLock::new(BTreeMap::new()),
+            stacks: Stacks::default(),
         }
     }
 
@@ -171,8 +177,23 @@ impl Registry {
         Arc::clone(w.entry(key).or_default())
     }
 
-    /// Point-in-time copy of every instrument.
+    /// The folded map: every thread's span self time per stack path,
+    /// merged as of now (see [`crate::Span`]).
+    pub fn profile(&self) -> Profile {
+        self.stacks.merge()
+    }
+
+    /// Point-in-time copy of every instrument. The folded map's self/total
+    /// seconds per zone are read in as the `profile.zone_self_seconds` and
+    /// `profile.zone_total_seconds` gauges, labelled `zone`.
     pub fn snapshot(&self) -> Report {
+        for (zone, (self_ns, total_ns)) in self.profile().self_total() {
+            let labels = [("zone", zone.as_str())];
+            self.gauge_labeled("profile.zone_self_seconds", &labels)
+                .set(self_ns as f64 * 1e-9);
+            self.gauge_labeled("profile.zone_total_seconds", &labels)
+                .set(total_ns as f64 * 1e-9);
+        }
         Report {
             counters: self
                 .counters
@@ -228,6 +249,7 @@ impl Registry {
         for g in self.gauges.read().expect("registry poisoned").values() {
             g.reset();
         }
+        self.stacks.reset();
     }
 }
 

@@ -1,8 +1,8 @@
 //! Resource accounting: a background sampler thread that reads
 //! `/proc/self/{status,statm,stat}` and publishes process gauges —
 //! resident set size, its peak, and user/system CPU time — plus per-phase
-//! peak RSS attributed to whichever [`crate::Span`] is innermost at each
-//! sample.
+//! peak RSS attributed, at each sample, to the innermost open frame of
+//! each thread's span stack (see [`crate::Span`]).
 //!
 //! Everything here is best-effort and strictly read-only: on platforms
 //! without procfs the sampler publishes the gauges once at zero and exits
@@ -19,66 +19,11 @@
 //! | `process.peak_rss_bytes`           | `VmHWM` (exact at stop)          |
 //! | `process.utime_seconds`            | user CPU since process start     |
 //! | `process.stime_seconds`            | system CPU since process start   |
-//! | `process.phase_peak_rss_bytes{phase=…}` | peak RSS while that span was innermost |
+//! | `process.phase_peak_rss_bytes{phase=…}` | peak RSS while a thread had that frame innermost |
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-const R: Ordering = Ordering::Relaxed;
-
-// ---------------------------------------------------------------------------
-// Phase tracking: which span is innermost right now?
-
-static PHASE_TRACKING: AtomicBool = AtomicBool::new(false);
-static PHASE_NEXT_ID: AtomicU64 = AtomicU64::new(1);
-static PHASE_STACK: Mutex<Vec<(u64, &'static str)>> = Mutex::new(Vec::new());
-
-/// Turn phase tracking on/off. Off (the default), [`crate::span`] pays one
-/// relaxed load and nothing else; on, each span push/pops a global stack
-/// the sampler labels its per-phase gauges from. Flipped automatically by
-/// [`ResourceAccountant::start`]/`stop`.
-pub fn set_phase_tracking(on: bool) {
-    PHASE_TRACKING.store(on, R);
-    if !on {
-        PHASE_STACK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-    }
-}
-
-#[inline]
-pub(crate) fn phase_push(name: &'static str) -> Option<u64> {
-    if !PHASE_TRACKING.load(R) {
-        return None;
-    }
-    let id = PHASE_NEXT_ID.fetch_add(1, R);
-    PHASE_STACK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push((id, name));
-    Some(id)
-}
-
-pub(crate) fn phase_pop(id: u64) {
-    let mut stack = PHASE_STACK.lock().unwrap_or_else(|e| e.into_inner());
-    // Spans can end out of stack order across threads; remove by identity.
-    if let Some(i) = stack.iter().rposition(|&(pid, _)| pid == id) {
-        stack.remove(i);
-    }
-}
-
-/// Name of the innermost live tracked span, if any.
-pub fn current_phase() -> Option<&'static str> {
-    PHASE_STACK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .last()
-        .map(|&(_, name)| name)
-}
 
 // ---------------------------------------------------------------------------
 // /proc parsing (pure string functions, unit-testable off-Linux)
@@ -161,7 +106,7 @@ fn publish(sample: &ProcSample) {
     peak.set_max(sample.rss_bytes as f64);
     reg.gauge("process.utime_seconds").set(sample.utime_seconds);
     reg.gauge("process.stime_seconds").set(sample.stime_seconds);
-    if let Some(phase) = current_phase() {
+    for phase in reg.stacks.innermost() {
         reg.gauge_labeled("process.phase_peak_rss_bytes", &[("phase", phase)])
             .set_max(sample.rss_bytes as f64);
     }
@@ -191,10 +136,9 @@ pub struct ResourceAccountant {
 }
 
 impl ResourceAccountant {
-    /// Spawn the sampler (and enable phase tracking). `interval` is how
-    /// often procfs is polled; 50–200 ms keeps the cost unmeasurable.
+    /// Spawn the sampler. `interval` is how often procfs is polled;
+    /// 50–200 ms keeps the cost unmeasurable.
     pub fn start(interval: Duration) -> Self {
-        set_phase_tracking(true);
         let (stop_tx, stop_rx) = mpsc::channel::<()>();
         let handle = std::thread::Builder::new()
             .name("szx-resource-sampler".into())
@@ -221,8 +165,7 @@ impl ResourceAccountant {
         }
     }
 
-    /// Stop the sampler, take a final exact-peak sample (`VmHWM`), and
-    /// disable phase tracking.
+    /// Stop the sampler and take a final exact-peak sample (`VmHWM`).
     pub fn stop(mut self) {
         self.shutdown();
     }
@@ -240,7 +183,6 @@ impl ResourceAccountant {
         if let Some(s) = read_proc_sample() {
             publish(&s);
         }
-        set_phase_tracking(false);
     }
 }
 
@@ -281,18 +223,28 @@ mod tests {
         assert_eq!(parse_stat_cpu("no parens here"), None);
     }
 
+    /// A thread that holds a span across several sampler intervals gets
+    /// its phase gauge from the span stack alone.
+    #[cfg(target_os = "linux")]
+    #[cfg_attr(miri, ignore = "reads procfs and sleeps on the wall clock")]
     #[test]
-    fn phase_stack_tracks_innermost_and_out_of_order_pops() {
-        set_phase_tracking(true);
-        let a = phase_push("compress").unwrap();
-        let b = phase_push("encode").unwrap();
-        assert_eq!(current_phase(), Some("encode"));
-        phase_pop(a); // outer ends first (cross-thread interleave)
-        assert_eq!(current_phase(), Some("encode"));
-        phase_pop(b);
-        assert_eq!(current_phase(), None);
-        set_phase_tracking(false);
-        assert_eq!(phase_push("ignored"), None);
+    fn a_held_span_gets_its_phase_gauge() {
+        let _g = crate::tests::lock_global();
+        crate::set_enabled(true);
+        let acc = ResourceAccountant::start(Duration::from_millis(5));
+        std::thread::spawn(|| {
+            let _s = crate::span("test.resource.held");
+            std::thread::sleep(Duration::from_millis(30));
+        })
+        .join()
+        .unwrap();
+        acc.stop();
+        crate::set_enabled(false);
+        let phase = crate::global().snapshot().gauge_labeled(
+            "process.phase_peak_rss_bytes",
+            &[("phase", "test.resource.held")],
+        );
+        assert!(phase.is_some_and(|rss| rss > 0.0), "{phase:?}");
     }
 
     #[cfg(target_os = "linux")]

@@ -11,7 +11,7 @@
 //!
 //! * **Off by default, near-free when off.** Every entry point checks one
 //!   relaxed atomic ([`trace_enabled`], seeded from `SZX_TRACE`); a
-//!   disabled [`trace_zone`] reads no clock and touches no memory.
+//!   disabled [`crate::trace_zone`] reads no clock and touches no memory.
 //! * **One writer per buffer, no locks on the hot path.** Each thread owns
 //!   a bounded event buffer reached through a thread-local; recording is a
 //!   plain slot write plus one release store of the published length. The
@@ -32,7 +32,7 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -68,8 +68,6 @@ pub struct TraceCapture {
 
 const DEFAULT_CAPACITY: usize = 1 << 20;
 
-static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
-static TRACE_ENV_INIT: OnceLock<()> = OnceLock::new();
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 fn capacity() -> usize {
@@ -96,23 +94,16 @@ fn now_ns() -> u64 {
 /// `SZX_TRACE` environment variable); safe on hot paths.
 #[inline]
 pub fn trace_enabled() -> bool {
-    TRACE_ENV_INIT.get_or_init(|| {
-        if let Ok(v) = std::env::var("SZX_TRACE") {
-            let on = matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes");
-            TRACE_ENABLED.store(on, Ordering::Relaxed);
-        }
-    });
-    TRACE_ENABLED.load(Ordering::Relaxed)
+    crate::switches() & crate::TRACE != 0
 }
 
 /// Turn event recording on/off at runtime (overrides `SZX_TRACE`). Enabling
 /// also pins the trace epoch so the first event starts near t=0.
 pub fn set_trace_enabled(on: bool) {
-    trace_enabled(); // force env init so this store wins
     if on {
         epoch();
     }
-    TRACE_ENABLED.store(on, Ordering::Relaxed);
+    crate::set_switch(crate::TRACE, on);
 }
 
 /// A per-thread bounded event log. Only the owning thread appends; the
@@ -197,7 +188,7 @@ thread_local! {
 
 /// Record into this thread's buffer, registering one on first use.
 #[inline]
-fn record(name: &'static str, phase: TracePhase, arg: u64) {
+pub(crate) fn record(name: &'static str, phase: TracePhase, arg: u64) {
     LOCAL.with(|cell| {
         // SAFETY: the thread-local cell is only touched from this thread,
         // and `with` does not reenter.
@@ -222,52 +213,6 @@ fn record(name: &'static str, phase: TracePhase, arg: u64) {
 pub fn trace_instant(name: &'static str, arg: u64) {
     if trace_enabled() {
         record(name, TracePhase::Instant, arg);
-    }
-}
-
-/// RAII duration zone: records a begin event on creation and the matching
-/// end on drop. Free (no clock read, no memory traffic) while tracing is
-/// disabled.
-#[must_use = "a zone records its end on drop; binding it to `_` drops immediately"]
-pub struct TraceZone {
-    name: Option<&'static str>,
-    /// Did this zone push onto the profiler's zone stack? Remembered so a
-    /// guard created before [`crate::zones::set_profiling_enabled`] flipped
-    /// never pops (and one created while on always pops, even if profiling
-    /// is disabled before the drop) — the stack stays balanced across
-    /// runtime toggles.
-    pop_zone: bool,
-}
-
-impl Drop for TraceZone {
-    fn drop(&mut self) {
-        if let Some(name) = self.name {
-            record(name, TracePhase::End, 0);
-        }
-        if self.pop_zone {
-            crate::zones::zone_pop();
-        }
-    }
-}
-
-/// Open a duration zone under `name` with a site-chosen `arg` (chunk index,
-/// frame number, …) attached to the begin event. Also the single hook point
-/// for the sampling profiler's zone stack (see [`crate::zones`]): every
-/// zone entry publishes its name while profiling is on.
-#[inline]
-pub fn trace_zone(name: &'static str, arg: u64) -> TraceZone {
-    let pop_zone = crate::zones::zone_push(name);
-    if trace_enabled() {
-        record(name, TracePhase::Begin, arg);
-        TraceZone {
-            name: Some(name),
-            pop_zone,
-        }
-    } else {
-        TraceZone {
-            name: None,
-            pop_zone,
-        }
     }
 }
 
@@ -351,7 +296,7 @@ mod tests {
         let _g = lock();
         set_trace_enabled(false);
         {
-            let _z = trace_zone("test.zone", 1);
+            let _z = crate::trace_zone("test.zone", 1);
             trace_instant("test.instant", 2);
         }
         assert!(take_trace().events.is_empty());
@@ -362,7 +307,7 @@ mod tests {
         let _g = lock();
         set_trace_enabled(true);
         {
-            let _z = trace_zone("test.zone", 7);
+            let _z = crate::trace_zone("test.zone", 7);
             trace_instant("test.mark", 9);
         }
         set_trace_enabled(false);
@@ -390,7 +335,7 @@ mod tests {
         std::thread::scope(|s| {
             for i in 0..3u64 {
                 s.spawn(move || {
-                    let _z = trace_zone("test.worker", i);
+                    let _z = crate::trace_zone("test.worker", i);
                 });
             }
         });

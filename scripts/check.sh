@@ -86,13 +86,12 @@ run_obs_smoke() {
     rm -rf "$dir"
 }
 
-# Profiler smoke: compress ~8 MB of CESM data with --profile and assert the
-# folded output is non-empty with every frame name resolved. The sampler is
-# run above its default rate so even a fast machine lands well over the
-# handful of ticks the assertion needs; an unresolved frame renders as
-# "??<id>" and means the zone-slot publish protocol leaked a bad name id.
+# Profiler smoke: compress ~16 MB of CESM data with --profile, then
+# decompress it with --profile, and check the folded output. The stacks are
+# the spans' exact self time, so every stage that ran is in them however
+# short it was, and the zone checks below are deterministic.
 run_profile_smoke() {
-    echo "==> szx profiler smoke (--profile on ~8 MB CESM)"
+    echo "==> szx profiler smoke (--profile on ~16 MB CESM)"
     local dir
     dir="$(mktemp -d)"
     prof_fail() {
@@ -104,24 +103,23 @@ run_profile_smoke() {
         || prof_fail "building szx-cli"
     cargo run -q --release -p szx-cli -- gen cesm "$dir/fields" --scale large >/dev/null \
         || prof_fail "generating large CESM fields"
-    # One large field is ~6.5 MB; concatenate to cross 8 MB so the compress
-    # spans dozens of sampler ticks. head reads from a process substitution
-    # rather than a pipeline: the suite is far bigger than 16 MB, so a
-    # `cat | head -c` pipeline always ends in cat taking SIGPIPE, which
-    # `set -o pipefail` (correctly) reports as failure.
+    # head reads from a process substitution rather than a pipeline: the
+    # suite is far bigger than 16 MB, so a `cat | head -c` pipeline always
+    # ends in cat taking SIGPIPE, which `set -o pipefail` (correctly)
+    # reports as failure.
     head -c 16000000 <(cat "$dir"/fields/*.f32) > "$dir/big.f32" \
         || prof_fail "assembling 16 MB input"
-    SZX_PROFILE_HZ=4000 cargo run -q --release -p szx-cli -- \
+    cargo run -q --release -p szx-cli -- \
         compress "$dir/big.f32" "$dir/out.szx" --abs 1e-3 \
         --profile "$dir/p.folded" --profile-svg "$dir/p.svg" >/dev/null \
         || prof_fail "compress with --profile"
+    cargo run -q --release -p szx-cli -- \
+        decompress "$dir/out.szx" "$dir/out.f32" --profile "$dir/d.folded" >/dev/null \
+        || prof_fail "decompress with --profile"
     [[ -s "$dir/p.folded" ]] \
-        || prof_fail "folded profile is empty (no samples accumulated)"
+        || prof_fail "folded profile is empty"
     grep -Eq '^[^ ]+ [0-9]+$' "$dir/p.folded" \
         || prof_fail "folded profile is not in collapsed-stack format"
-    if grep -q '??' "$dir/p.folded"; then
-        prof_fail "unresolved frame id in folded profile (zone-slot protocol bug)"
-    fi
     grep -q '</svg>' "$dir/p.svg" \
         || prof_fail "SVG flamegraph is truncated"
     # On hosts with the ISA extension the default path is the explicit SIMD
@@ -130,8 +128,10 @@ run_profile_smoke() {
     # back to the portable kernel) becomes visible. Skipped elsewhere: the
     # portable kernel is the default there and no simd zone can exist.
     if grep -q '^flags.* avx2' /proc/cpuinfo 2>/dev/null; then
-        grep -q 'compress\.simd' "$dir/p.folded" \
-            || prof_fail "no compress.simd zone in the folded profile (simd dispatch fell back?)"
+        grep -q 'compress\.simd\.encode' "$dir/p.folded" \
+            || prof_fail "no compress.simd.encode zone in the folded profile (simd dispatch fell back?)"
+        grep -q 'decompress\.simd\.decode' "$dir/d.folded" \
+            || prof_fail "no decompress.simd.decode zone in the folded profile (simd dispatch fell back?)"
     fi
     rm -rf "$dir"
 }
